@@ -547,18 +547,22 @@ func BenchmarkServePredict(b *testing.B) {
 	}
 	p := serve.NewPredictor(m, serve.Options{Replicas: 1})
 	defer p.Close()
-	p.PredictClass(q) // warm the request pool
+	ctx := context.Background()
+	dst, err := p.ProbsIntoCtx(ctx, q, nil) // warm the request pool
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.PredictClass(q)
+		dst, _ = p.ProbsIntoCtx(ctx, q, dst)
 	}
 }
 
-// BenchmarkServePredictCtx measures the context-aware request path
-// (deadline checks + cancellation arbitration on top of the queue hop
-// and replica inference): the warm in-deadline path is 0 allocs/op,
-// same as the legacy path.
+// BenchmarkServePredictCtx measures the request path under a
+// deadline-carrying context and the AdmitReject policy (deadline checks
+// + cancellation arbitration on top of the queue hop and replica
+// inference): the warm in-deadline path is still 0 allocs/op.
 func BenchmarkServePredictCtx(b *testing.B) {
 	env := getBenchEnv(b)
 	q := "SELECT p.objid, p.ra FROM PhotoObj AS p WHERE p.ra BETWEEN 150 AND 152"
@@ -572,13 +576,14 @@ func BenchmarkServePredictCtx(b *testing.B) {
 	// serving path, not context construction.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
-	if _, err := p.PredictClassCtx(ctx, q); err != nil { // warm the request pool
+	dst, err := p.ProbsIntoCtx(ctx, q, nil) // warm the request pool
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.PredictClassCtx(ctx, q); err != nil {
+		if dst, err = p.ProbsIntoCtx(ctx, q, dst); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -602,8 +607,9 @@ func BenchmarkServeThroughput(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				b.RunParallel(func(pb *testing.PB) {
+					dst := make([]float64, 0, 8)
 					for pb.Next() {
-						p.PredictClass(q)
+						dst, _ = p.ProbsIntoCtx(context.Background(), q, dst)
 					}
 				})
 				b.StopTimer()
@@ -613,12 +619,13 @@ func BenchmarkServeThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictClassBatch measures the fused n-row forward pass
-// directly at the core layer — one PredictClassBatch call over a batch
-// of distinct statements, reported per statement — against which the
-// per-example path (BenchmarkPredictClass) shows the batching win
-// without any serving-layer overhead. Warm path is 0 allocs/op.
-func BenchmarkPredictClassBatch(b *testing.B) {
+// BenchmarkPredictProbsBatch measures the fused n-row forward pass
+// directly at the core layer — one ProbsBatchInto call (what a serve
+// worker runs for a fused group) over a batch of distinct statements,
+// reported per statement — against which the per-example path
+// (BenchmarkPredictProbsInto) shows the batching win without any
+// serving-layer overhead. Warm path is 0 allocs/op.
+func BenchmarkPredictProbsBatch(b *testing.B) {
 	env := getBenchEnv(b)
 	stmts := make([]string, 16)
 	for i := range stmts {
@@ -630,11 +637,11 @@ func BenchmarkPredictClassBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(name, func(b *testing.B) {
-			dst := m.PredictClassBatch(stmts, nil) // warm the batch scratch
+			dst := m.ProbsBatchInto(stmts, nil) // warm the batch scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dst = m.PredictClassBatch(stmts, dst)
+				dst = m.ProbsBatchInto(stmts, dst)
 			}
 			b.StopTimer()
 			nsPerStmt := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(stmts))
@@ -664,8 +671,9 @@ func BenchmarkServeBatchedThroughput(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				b.RunParallel(func(pb *testing.PB) {
+					dst := make([]float64, 0, 8)
 					for pb.Next() {
-						p.PredictClass(q)
+						dst, _ = p.ProbsIntoCtx(context.Background(), q, dst)
 					}
 				})
 				b.StopTimer()

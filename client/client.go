@@ -165,13 +165,6 @@ type Options struct {
 	// (<= 0 selects 500ms). Each cycle adds seeded jitter up to a
 	// quarter interval so probes never thunder in lockstep.
 	ProbeInterval time.Duration
-	// ProbeSeed seeds the probe jitter generator; a fixed seed replays
-	// the probe schedule exactly (tests rely on this).
-	ProbeSeed int64
-	// HTTPClient overrides the underlying *http.Client for HTTP nodes.
-	// nil selects a dedicated pooled transport per node (connection
-	// reuse across requests).
-	HTTPClient *http.Client
 	// Timeout is the per-attempt deadline applied to every request
 	// when > 0, layered under any caller context deadline. Each retry
 	// or hedge attempt gets a fresh allowance.
@@ -321,14 +314,7 @@ func New(baseURL string, opts Options) (*Client, error) {
 	// of how the caller listed the addresses.
 	ring := cluster.NewRing(addrs, 0)
 	for _, addr := range ring.Addrs() {
-		n, err := newNode(addr, c.opts)
-		if err != nil {
-			for _, prev := range c.nodes {
-				prev.close()
-			}
-			return nil, err
-		}
-		c.nodes = append(c.nodes, n)
+		c.nodes = append(c.nodes, newNode(addr))
 	}
 	c.routes.New = func() any {
 		s := make([]int, 0, len(c.nodes))
@@ -343,10 +329,7 @@ func New(baseURL string, opts Options) (*Client, error) {
 				return c.probeNode(ctx, n)
 			}
 		}
-		c.tracker = cluster.NewTracker(probes, cluster.TrackerOptions{
-			Interval: c.opts.ProbeInterval,
-			Seed:     c.opts.ProbeSeed,
-		})
+		c.tracker = cluster.NewTracker(probes, cluster.TrackerOptions{Interval: c.opts.ProbeInterval})
 	}
 	return c, nil
 }
@@ -381,29 +364,23 @@ func canonicalAddr(a string) (string, error) {
 	}
 }
 
-// newNode builds one node's transport from its canonical address.
-func newNode(addr string, opts Options) (*node, error) {
+// newNode builds one node's transport from its canonical address
+// (canonicalAddr admits exactly the schemes handled here).
+func newNode(addr string) *node {
 	n := &node{addr: addr, breakers: make(map[string]*breaker)}
-	switch {
-	case strings.HasPrefix(addr, "http://"), strings.HasPrefix(addr, "https://"):
-		hc := opts.HTTPClient
-		if hc == nil {
-			hc = &http.Client{Transport: &http.Transport{
-				MaxIdleConns:        64,
-				MaxIdleConnsPerHost: 64,
-				IdleConnTimeout:     90 * time.Second,
-			}}
-		}
-		n.base = addr
-		n.http = hc
-	case strings.HasPrefix(addr, "tcp://"):
-		n.wire = wire.Dial("tcp", strings.TrimPrefix(addr, "tcp://"), wire.ClientOptions{})
-	case strings.HasPrefix(addr, "unix://"):
-		n.wire = wire.Dial("unix", strings.TrimPrefix(addr, "unix://"), wire.ClientOptions{})
-	default:
-		return nil, fmt.Errorf("client: node URL %q: scheme must be http, https, tcp, or unix", addr)
+	if scheme, rest, _ := strings.Cut(addr, "://"); scheme == "tcp" || scheme == "unix" {
+		n.wire = wire.Dial(scheme, rest, wire.ClientOptions{})
+		return n
 	}
-	return n, nil
+	n.base = addr
+	// A dedicated pooled transport per HTTP node: connections are
+	// reused across requests.
+	n.http = &http.Client{Transport: &http.Transport{
+		MaxIdleConns:        64,
+		MaxIdleConnsPerHost: 64,
+		IdleConnTimeout:     90 * time.Second,
+	}}
+	return n
 }
 
 // close releases one node's transport.
@@ -468,27 +445,38 @@ func (c *Client) Nodes() []NodeStats {
 // when a node is worth retrying). A 200 whose body reports
 // status "degraded" marks the node degraded rather than down.
 func (c *Client) probeNode(ctx context.Context, n *node) (degraded bool, err error) {
-	data, err := n.healthz(ctx)
+	data, err := n.control(ctx, service.OpHealthz, nil)
 	if err != nil {
 		return false, err
 	}
-	var h struct {
-		Status string `json:"status"`
-	}
+	var h service.Health
 	if json.Unmarshal(data, &h) == nil && h.Status == "degraded" {
 		return true, nil
 	}
 	return false, nil
 }
 
-// healthz performs one readiness exchange against this node, returning
-// the health document on 200.
-func (n *node) healthz(ctx context.Context) ([]byte, error) {
+// control is one control-plane exchange against this node: the op's
+// wire frame, or its HTTP route. A GET carries its JSON body's fields
+// as query parameters instead (the server's handler reverses this).
+func (n *node) control(ctx context.Context, op service.Op, body []byte) ([]byte, error) {
 	if n.wire != nil {
-		data, err := n.wire.Call(ctx, wire.MsgHealthz, nil)
+		data, err := n.wire.Call(ctx, wire.MsgFor(op), body)
 		return data, wireErr(err)
 	}
-	return n.attempt(ctx, http.MethodGet, "/v1/healthz", nil)
+	method, path := op.Route()
+	if method == http.MethodGet && body != nil {
+		var fields map[string]string
+		if err := json.Unmarshal(body, &fields); err != nil {
+			return nil, fmt.Errorf("client: encode request: %w", err)
+		}
+		query := url.Values{}
+		for k, v := range fields {
+			query.Set(k, v)
+		}
+		path, body = path+"?"+query.Encode(), nil
+	}
+	return n.attempt(ctx, method, path, body)
 }
 
 // wireErr translates a wire-transport failure into the client's error
@@ -515,24 +503,9 @@ func wireErr(err error) error {
 	return err
 }
 
-// predictRequest mirrors the /v1/predict body.
-type predictRequest struct {
-	Model      string   `json:"model"`
-	Statement  string   `json:"statement,omitempty"`
-	Statements []string `json:"statements,omitempty"`
-	DeadlineMs int      `json:"deadline_ms,omitempty"`
-}
-
-type predictResponse struct {
-	Results []Prediction `json:"results"`
-}
-
-// deployRequest mirrors the /v1/deploy body.
-type deployRequest struct {
-	Model   string `json:"model"`
-	Version int    `json:"version,omitempty"`
-	DeployOptions
-}
+// predictMethod and predictPath are the HTTP route of the JSON predict
+// body (also the predict breaker's endpoint name on every transport).
+var predictMethod, predictPath = service.OpPredict.Route()
 
 // deadlineMs converts the configured per-attempt timeout into the
 // deadline_ms the HTTP predict body ships server-side.
@@ -565,116 +538,57 @@ func (c *Client) PredictInto(ctx context.Context, model, statement string, probs
 	if c.opts.Hedge > 0 {
 		// Hedging races goroutines and cannot share one probs buffer;
 		// it allocates by nature.
-		v, err := c.runOpHedged(ctx, model, "/v1/predict", func(ctx context.Context, n *node) (any, error) {
+		pr, err := runOpHedged(c, ctx, model, predictPath, func(ctx context.Context, n *node) (Prediction, error) {
 			if n.wire != nil {
 				pr, err := n.wire.Predict(ctx, model, statement)
 				return pr, wireErr(err)
 			}
 			return n.predictHTTP(ctx, model, statement, c.deadlineMs())
 		})
-		if err != nil {
-			return Prediction{}, probs, err
-		}
-		return v.(Prediction), probs, nil
+		return pr, probs, err
 	}
-
-	// Unhedged path: a typed retry/failover loop with no closures and
-	// no interface boxing, mirroring runOp exactly. The duplication is
-	// the price of the 0-alloc contract.
-	order := c.route(model)
-	defer c.putRoute(order)
-	retries := c.opts.Retries
-	var lastErr, shortErr error
-	retried, shorts, pos := 0, 0, 0
-	for {
-		idx := (*order)[pos%len(*order)]
-		n := c.nodes[idx]
-		pr, out, err := c.predictOnce(ctx, n, model, statement, probs)
-		probs = out
-		if err == nil {
-			n.served.Add(1)
-			if pos > 0 {
-				n.failovers.Add(1)
-			}
-			return pr, probs, nil
+	// runOp only calls the attempt, so this closure (and the probs it
+	// updates) stays on the stack: the warm path allocates nothing.
+	pr, err := runOp(c, ctx, model, predictPath, true, func(ctx context.Context, n *node) (Prediction, error) {
+		if n.wire != nil {
+			pr, out, err := n.wire.PredictInto(ctx, model, statement, probs)
+			probs = out
+			return pr, wireErr(err)
 		}
-		if errors.Is(err, ErrCircuitOpen) {
-			shortErr = err
-			shorts++
-			if shorts >= len(*order) || ctx.Err() != nil {
-				break
-			}
-			pos++
-			continue
-		}
-		shorts = 0
-		lastErr = err
-		if retried >= retries || !isRetryable(err) || ctx.Err() != nil {
-			break
-		}
-		pos++
-		if c.failoverPause(ctx, *order, pos, err, retried) != nil {
-			break
-		}
-		retried++
-	}
-	if lastErr == nil {
-		lastErr = shortErr
-	}
-	return Prediction{}, probs, lastErr
-}
-
-// predictOnce is one typed predict attempt against one node, under its
-// breaker and the per-attempt timeout.
-func (c *Client) predictOnce(ctx context.Context, n *node, model, statement string, probs []float64) (Prediction, []float64, error) {
-	br := c.breakerFor(n, "/v1/predict")
-	if br != nil {
-		if err := br.allow(c.now(), c.opts.BreakerCooldown); err != nil {
-			return Prediction{}, probs, err
-		}
-	}
-	outer := ctx
-	if c.opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.Timeout)
-		defer cancel()
-	}
-	var pr Prediction
-	var err error
-	if n.wire != nil {
-		pr, probs, err = n.wire.PredictInto(ctx, model, statement, probs)
-		err = wireErr(err)
-	} else {
-		var v any
-		v, err = n.predictHTTP(ctx, model, statement, c.deadlineMs())
-		if err == nil {
-			pr = v.(Prediction)
-		}
-	}
-	c.recordBreaker(br, outer, err)
+		return n.predictHTTP(ctx, model, statement, c.deadlineMs())
+	})
 	return pr, probs, err
 }
 
 // predictHTTP is one single-statement predict over a node's HTTP
 // transport (the JSON round trip allocates; the 0-alloc contract is
 // the wire transport's).
-func (n *node) predictHTTP(ctx context.Context, model, statement string, deadlineMs int) (any, error) {
-	body, err := marshalBody(predictRequest{Model: model, Statement: statement, DeadlineMs: deadlineMs})
+func (n *node) predictHTTP(ctx context.Context, model, statement string, deadlineMs int) (Prediction, error) {
+	body, err := marshalBody(service.PredictRequest{Model: model, Statement: statement, DeadlineMs: deadlineMs})
+	if err != nil {
+		return Prediction{}, err
+	}
+	results, err := n.predictBody(ctx, body)
+	if err != nil {
+		return Prediction{}, err
+	}
+	if len(results) != 1 {
+		return Prediction{}, fmt.Errorf("client: predict returned %d results for 1 statement", len(results))
+	}
+	return results[0], nil
+}
+
+// predictBody posts one encoded predict body and decodes the results.
+func (n *node) predictBody(ctx context.Context, body []byte) ([]Prediction, error) {
+	data, err := n.attempt(ctx, predictMethod, predictPath, body)
 	if err != nil {
 		return nil, err
 	}
-	data, err := n.attempt(ctx, http.MethodPost, "/v1/predict", body)
-	if err != nil {
-		return nil, err
-	}
-	var resp predictResponse
+	var resp service.PredictResponse
 	if err := unmarshalBody(data, &resp); err != nil {
 		return nil, err
 	}
-	if len(resp.Results) != 1 {
-		return nil, fmt.Errorf("client: predict returned %d results for 1 statement", len(resp.Results))
-	}
-	return resp.Results[0], nil
+	return resp.Results, nil
 }
 
 // PredictBatch runs one prediction per statement, in input order, with
@@ -684,32 +598,23 @@ func (c *Client) PredictBatch(ctx context.Context, model string, statements []st
 		return nil, nil
 	}
 	var body []byte
-	v, err := c.runOpHedged(ctx, model, "/v1/predict", func(ctx context.Context, n *node) (any, error) {
+	out, err := runOpHedged(c, ctx, model, predictPath, func(ctx context.Context, n *node) ([]Prediction, error) {
 		if n.wire != nil {
 			prs, err := n.wire.PredictBatch(ctx, model, statements)
 			return prs, wireErr(err)
 		}
 		if body == nil {
 			var err error
-			body, err = marshalBody(predictRequest{Model: model, Statements: statements, DeadlineMs: c.deadlineMs()})
+			body, err = marshalBody(service.PredictRequest{Model: model, Statements: statements, DeadlineMs: c.deadlineMs()})
 			if err != nil {
 				return nil, err
 			}
 		}
-		data, err := n.attempt(ctx, http.MethodPost, "/v1/predict", body)
-		if err != nil {
-			return nil, err
-		}
-		var resp predictResponse
-		if err := unmarshalBody(data, &resp); err != nil {
-			return nil, err
-		}
-		return resp.Results, nil
+		return n.predictBody(ctx, body)
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := v.([]Prediction)
 	if len(out) != len(statements) {
 		return nil, fmt.Errorf("client: predict returned %d results for %d statements",
 			len(out), len(statements))
@@ -721,7 +626,7 @@ func (c *Client) PredictBatch(ctx context.Context, model string, statements []st
 // routing key prefers, failing over like any read).
 func (c *Client) Models(ctx context.Context) ([]ModelInfo, error) {
 	var out []ModelInfo
-	if err := c.call(ctx, "", http.MethodGet, wire.MsgModels, "/v1/models", nil, &out, true); err != nil {
+	if err := c.call(ctx, "", service.OpModels, nil, &out, true); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -737,31 +642,15 @@ func (c *Client) Deploy(ctx context.Context, model string, version int, opts ...
 	if len(opts) > 1 {
 		return ModelInfo{}, errors.New("client: deploy: at most one DeployOptions")
 	}
-	req := deployRequest{Model: model, Version: version}
+	req := service.DeployRequest{Model: model, Version: version}
 	if len(opts) == 1 {
 		req.DeployOptions = opts[0]
 	}
-	body, err := marshalBody(req)
-	if err != nil {
-		return ModelInfo{}, err
-	}
 	var info ModelInfo
-	if err := c.call(ctx, model, http.MethodPost, wire.MsgDeploy, "/v1/deploy", body, &info, false); err != nil {
+	if err := c.call(ctx, model, service.OpDeploy, req, &info, false); err != nil {
 		return ModelInfo{}, err
 	}
 	return info, nil
-}
-
-// ingestRequest mirrors the /v1/ingest body.
-type ingestRequest struct {
-	Model     string  `json:"model"`
-	Statement string  `json:"statement"`
-	Class     int     `json:"class,omitempty"`
-	Value     float64 `json:"value,omitempty"`
-}
-
-type ingestResponse struct {
-	OK bool `json:"ok"`
 }
 
 // Feedback logs the observed ground-truth outcome for a served
@@ -771,12 +660,9 @@ type ingestResponse struct {
 // feedback lands on one node's log. Not retried — like Deploy, it
 // changes state (a retry could double-count the observation).
 func (c *Client) Feedback(ctx context.Context, model, statement string, class int, value float64) error {
-	body, err := marshalBody(ingestRequest{Model: model, Statement: statement, Class: class, Value: value})
-	if err != nil {
-		return err
-	}
-	var resp ingestResponse
-	return c.call(ctx, model, http.MethodPost, wire.MsgIngest, "/v1/ingest", body, &resp, false)
+	req := service.IngestRequest{Model: model, Statement: statement, Class: class, Value: value}
+	var resp service.IngestResponse
+	return c.call(ctx, model, service.OpIngest, req, &resp, false)
 }
 
 // Stats fetches model's live-deployment service metrics (throughput,
@@ -784,40 +670,20 @@ func (c *Client) Feedback(ctx context.Context, model, statement string, class in
 // ring-preferred node. Stats are per node, not cluster-aggregated.
 func (c *Client) Stats(ctx context.Context, model string) (ModelStats, error) {
 	var st ModelStats
-	v, err := c.runOp(ctx, model, "/v1/stats", true, func(ctx context.Context, n *node) (any, error) {
-		if n.wire != nil {
-			body, err := marshalBody(struct {
-				Model string `json:"model"`
-			}{model})
-			if err != nil {
-				return nil, err
-			}
-			data, err := n.wire.Call(ctx, wire.MsgStats, body)
-			return data, wireErr(err)
-		}
-		return n.attempt(ctx, http.MethodGet, "/v1/stats?model="+url.QueryEscape(model), nil)
-	})
-	if err != nil {
-		return st, err
-	}
-	return st, unmarshalBody(v.([]byte), &st)
+	err := c.call(ctx, model, service.OpStats, service.StatsRequest{Model: model}, &st, true)
+	return st, err
 }
 
 // GCResult is one model's outcome of a retention pass, as served by
 // /v1/admin/gc.
 type GCResult = service.GCResult
 
-// gcResponse mirrors the /v1/admin/gc body.
-type gcResponse struct {
-	Results []GCResult `json:"results"`
-}
-
 // GC runs a retention pass now on the node the empty routing key
 // prefers, returning what each model pruned and kept. Not retried —
 // like Deploy, it changes state.
 func (c *Client) GC(ctx context.Context) ([]GCResult, error) {
-	var resp gcResponse
-	if err := c.call(ctx, "", http.MethodPost, wire.MsgGC, "/v1/admin/gc", nil, &resp, false); err != nil {
+	var resp service.GCResponse
+	if err := c.call(ctx, "", service.OpGC, nil, &resp, false); err != nil {
 		return nil, err
 	}
 	return resp.Results, nil
@@ -831,13 +697,9 @@ func (c *Client) GC(ctx context.Context) ([]GCResult, error) {
 func (c *Client) Healthz(ctx context.Context) error {
 	var lastErr error
 	for _, n := range c.nodes {
-		atCtx := ctx
-		if c.opts.Timeout > 0 {
-			var cancel context.CancelFunc
-			atCtx, cancel = context.WithTimeout(ctx, c.opts.Timeout)
-			defer cancel()
-		}
-		_, err := n.healthz(atCtx)
+		atCtx, cancel := c.attemptCtx(ctx)
+		_, err := n.control(atCtx, service.OpHealthz, nil)
+		cancel()
 		if err == nil {
 			return nil
 		}
@@ -866,11 +728,12 @@ func (c *Client) WaitReady(ctx context.Context) error {
 	}
 }
 
-// opFunc is one transport attempt against one node: an HTTP round trip
-// or a wire protocol exchange. The retry, hedging, failover, and
+// attemptFunc is one transport attempt against one node: an HTTP round
+// trip or a wire protocol exchange. The retry, hedging, failover, and
 // breaker layers below are written against this shape, so both
-// transports share one policy implementation and cannot drift.
-type opFunc func(ctx context.Context, n *node) (any, error)
+// transports — and the typed predict path and the control plane —
+// share one policy implementation and cannot drift.
+type attemptFunc[T any] func(ctx context.Context, n *node) (T, error)
 
 // route returns the failover order for key as a pooled slice of node
 // indices: ring order, stably partitioned so nodes the prober believes
@@ -900,25 +763,15 @@ func (c *Client) putRoute(order *[]int) {
 	c.routes.Put(order)
 }
 
-// failoverPause sleeps the backoff before a retry only when the retry
-// re-targets a node already tried this op (single node, or a wrapped
-// cycle): failing over to a fresh node happens immediately — pausing
-// first would waste exactly the time failover exists to save — while
-// hammering the same node without backoff is what retries-with-backoff
-// exist to avoid. Returns non-nil when ctx ended the pause.
-func (c *Client) failoverPause(ctx context.Context, order []int, pos int, err error, retried int) error {
-	if pos < len(order) {
-		return nil // fresh node: immediate failover
-	}
-	return c.sleep(ctx, retryDelay(err, c.opts.Backoff<<retried))
-}
-
 // runOp performs op with the client's retry budget (when retryable)
 // but without hedging, failing over across the key's route: a
 // retryable failure advances to the next node (consuming budget), an
 // open breaker skips to the next node without consuming budget, and a
-// full cycle of short-circuits fails fast with ErrCircuitOpen.
-func (c *Client) runOp(ctx context.Context, key, endpoint string, retryable bool, op opFunc) (any, error) {
+// full cycle of short-circuits fails fast with ErrCircuitOpen. This is
+// the client's only retry loop. It never retains op, and the route
+// scratch is pooled, so a caller passing a non-escaping closure pays
+// no allocation for the policy.
+func runOp[T any](c *Client, ctx context.Context, key, endpoint string, retryable bool, op attemptFunc[T]) (T, error) {
 	order := c.route(key)
 	defer c.putRoute(order)
 	retries := c.opts.Retries
@@ -930,7 +783,7 @@ func (c *Client) runOp(ctx context.Context, key, endpoint string, retryable bool
 	for {
 		idx := (*order)[pos%len(*order)]
 		n := c.nodes[idx]
-		v, err := c.opOnce(ctx, n, endpoint, op)
+		v, err := opOnce(c, ctx, n, endpoint, op)
 		if err == nil {
 			n.served.Add(1)
 			if pos > 0 {
@@ -957,7 +810,13 @@ func (c *Client) runOp(ctx context.Context, key, endpoint string, retryable bool
 			break
 		}
 		pos++
-		if c.failoverPause(ctx, *order, pos, err, retried) != nil {
+		// Failing over to a fresh node happens immediately — pausing
+		// first would waste exactly the time failover exists to save.
+		// The backoff (or the server's Retry-After) applies only once
+		// the retry re-targets a node already tried this op (single
+		// node, or a wrapped cycle): hammering the same node is what
+		// retries-with-backoff exist to avoid.
+		if pos >= len(*order) && c.sleep(ctx, retryDelay(err, c.opts.Backoff<<retried)) != nil {
 			break
 		}
 		retried++
@@ -965,24 +824,26 @@ func (c *Client) runOp(ctx context.Context, key, endpoint string, retryable bool
 	if lastErr == nil {
 		lastErr = shortErr
 	}
-	return nil, lastErr
+	var zero T
+	return zero, lastErr
 }
 
-// call performs one control-plane API call (both transports answer
-// with the same JSON document) with the client's retry budget when
-// retryable.
-func (c *Client) call(ctx context.Context, key, method string, t wire.MsgType, path string, body []byte, out any, retryable bool) error {
-	v, err := c.runOp(ctx, key, path, retryable, func(ctx context.Context, n *node) (any, error) {
-		if n.wire != nil {
-			data, err := n.wire.Call(ctx, t, body)
-			return data, wireErr(err)
-		}
-		return n.attempt(ctx, method, path, body)
+// call performs one control-plane API call — req (nil for the ops that
+// take no input) is sent as the op's JSON body and the reply document
+// decoded into out — with the client's retry budget when retryable.
+func (c *Client) call(ctx context.Context, key string, op service.Op, req, out any, retryable bool) error {
+	body, err := marshalBody(req)
+	if err != nil {
+		return err
+	}
+	_, path := op.Route()
+	data, err := runOp(c, ctx, key, path, retryable, func(ctx context.Context, n *node) ([]byte, error) {
+		return n.control(ctx, op, body)
 	})
 	if err != nil {
 		return err
 	}
-	return unmarshalBody(v.([]byte), out)
+	return unmarshalBody(data, out)
 }
 
 // retryDelay picks the pause before the next attempt: the server's
@@ -1001,9 +862,9 @@ func retryDelay(err error, backoff time.Duration) time.Duration {
 // key's route when the cluster has one — cross-replica tail insurance
 // — and an open breaker on the primary launches the alternate
 // immediately instead of waiting out the hedge delay.
-func (c *Client) runOpHedged(ctx context.Context, key, endpoint string, op opFunc) (any, error) {
+func runOpHedged[T any](c *Client, ctx context.Context, key, endpoint string, op attemptFunc[T]) (T, error) {
 	if c.opts.Hedge <= 0 {
-		return c.runOp(ctx, key, endpoint, true, op)
+		return runOp(c, ctx, key, endpoint, true, op)
 	}
 	order := c.route(key)
 	primary := c.nodes[(*order)[0]]
@@ -1016,12 +877,12 @@ func (c *Client) runOpHedged(ctx context.Context, key, endpoint string, op opFun
 	defer cancel() // reels the losing racer in
 	type result struct {
 		n   *node
-		v   any
+		v   T
 		err error
 	}
 	results := make(chan result, 2)
 	attempt := func(n *node) {
-		v, err := c.opOnce(ctx, n, endpoint, op)
+		v, err := opOnce(c, ctx, n, endpoint, op)
 		results <- result{n, v, err}
 	}
 	go attempt(primary)
@@ -1061,29 +922,36 @@ func (c *Client) runOpHedged(ctx context.Context, key, endpoint string, op opFun
 			}
 		}
 	}
-	return nil, firstErr
+	var zero T
+	return zero, firstErr
 }
 
 // opOnce performs a single attempt against one node, applying the
 // per-attempt timeout and the node's endpoint circuit breaker. While
 // the breaker is open the attempt fails with ErrCircuitOpen before any
 // network I/O.
-func (c *Client) opOnce(ctx context.Context, n *node, endpoint string, op opFunc) (any, error) {
+func opOnce[T any](c *Client, ctx context.Context, n *node, endpoint string, op attemptFunc[T]) (T, error) {
 	br := c.breakerFor(n, endpoint)
 	if br != nil {
 		if err := br.allow(c.now(), c.opts.BreakerCooldown); err != nil {
-			return nil, err
+			var zero T
+			return zero, err
 		}
 	}
-	outer := ctx
-	if c.opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.Timeout)
-		defer cancel()
-	}
-	v, err := op(ctx, n)
-	c.recordBreaker(br, outer, err)
+	atCtx, cancel := c.attemptCtx(ctx)
+	defer cancel()
+	v, err := op(atCtx, n)
+	c.recordBreaker(br, ctx, err)
 	return v, err
+}
+
+// attemptCtx derives one attempt's context: ctx bounded by the
+// per-attempt Timeout when one is configured.
+func (c *Client) attemptCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+	if c.opts.Timeout > 0 {
+		return context.WithTimeout(ctx, c.opts.Timeout)
+	}
+	return ctx, func() {}
 }
 
 // recordBreaker feeds one attempt outcome into br (when breakers are
@@ -1116,13 +984,9 @@ func isBreakerFailure(err error) bool {
 // breakerFor returns n's circuit breaker for path, creating it on
 // first use. nil when breakers are disabled and for the exempt
 // readiness probe.
-func (c *Client) breakerFor(n *node, path string) *breaker {
+func (c *Client) breakerFor(n *node, endpoint string) *breaker {
 	if c.opts.BreakerThreshold < 0 {
 		return nil
-	}
-	endpoint := path
-	if i := strings.IndexByte(endpoint, '?'); i >= 0 {
-		endpoint = endpoint[:i]
 	}
 	if endpoint == "/v1/healthz" {
 		return nil

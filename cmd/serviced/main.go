@@ -96,6 +96,10 @@ import (
 	"repro/internal/wire"
 )
 
+// readHeaderTimeout bounds how long the HTTP listener waits for a
+// request's headers.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
@@ -267,7 +271,13 @@ func run(args []string, out io.Writer) error {
 	// Serve immediately: /v1/healthz answers 503 until the boot below
 	// finishes, so orchestrators can probe readiness instead of
 	// guessing how long warm boot and training take.
-	srv := &http.Server{Addr: cfg.addr, Handler: service.NewHandler(svc)}
+	srv := &http.Server{
+		Addr:    cfg.addr,
+		Handler: service.NewHandler(svc),
+		// A peer that connects and never finishes its headers must not
+		// pin a connection (and its goroutine) forever.
+		ReadHeaderTimeout: readHeaderTimeout,
+	}
 
 	// Wire-protocol listeners bind before anything serves, so an
 	// unusable address fails the start instead of a background goroutine.
@@ -404,8 +414,8 @@ func run(args []string, out io.Writer) error {
 	}
 	// Flush final per-model service metrics before the pools go away.
 	for _, name := range cfg.models {
-		if st, info, err := svc.Stats(name); err == nil {
-			fmt.Fprintf(out, "%s v%d: %s\n", info.Name, info.LiveVersion, st)
+		if snap, err := svc.StatsSnapshot(name); err == nil {
+			fmt.Fprintf(out, "%s v%d: %s\n", snap.Info.Name, snap.Info.LiveVersion, snap.Stats)
 		}
 	}
 	svc.Close()

@@ -51,9 +51,8 @@ func TestBatchPredictBitIdentical(t *testing.T) {
 					}
 				}
 			}
-			cls := m.PredictClassBatch(stmts, nil)
-			for i, c := range cls {
-				if c != wantCls[i] {
+			for i := range stmts {
+				if c := argmax(got[i]); c != wantCls[i] {
 					t.Fatalf("stmt %d: batch class %d != scalar %d", i, c, wantCls[i])
 				}
 			}
@@ -79,8 +78,8 @@ func TestBatchPredictBitIdentical(t *testing.T) {
 					t.Fatalf("stmt %d: batch %v != scalar %v", i, v, want[i])
 				}
 			}
-			if m.ProbsBatchInto(stmts, nil) != nil || m.PredictClassBatch(stmts, nil) != nil {
-				t.Fatal("classification batch methods must be nil for regression")
+			if m.ProbsBatchInto(stmts, nil) != nil {
+				t.Fatal("ProbsBatchInto must be nil for regression")
 			}
 		})
 	}
@@ -120,10 +119,8 @@ func TestBatchPredictAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		probs := m.ProbsBatchInto(stmts, nil) // warm scratch + rows
-		cls := m.PredictClassBatch(stmts, nil)
 		if allocs := testing.AllocsPerRun(50, func() {
 			probs = m.ProbsBatchInto(stmts, probs)
-			cls = m.PredictClassBatch(stmts, cls)
 		}); allocs != 0 {
 			t.Errorf("%s: batched predict allocs/op = %v, want 0", name, allocs)
 		}

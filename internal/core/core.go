@@ -188,8 +188,6 @@ type Model struct {
 	// model-owned scratch). Nil for non-neural models, which fall back
 	// to per-statement loops in the Batch methods.
 	forwardBatch func(stmts []string) (out []float64, outDim int)
-	// bprobs is PredictClassBatch's softmax scratch.
-	bprobs []float64
 	// LogMin inverts the log transform for regression models.
 	LogMin float64
 

@@ -28,16 +28,6 @@ func growFloats(buf *[]float64, n int) []float64 {
 	return *buf
 }
 
-// growInts resizes *buf to length n, reusing capacity when possible.
-// Contents are unspecified; callers overwrite.
-func growInts(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
 // bindNeuralPredict (re)builds the model's prediction closures around
 // its neural backend with fresh per-instance scratch: a fused
 // tokenize+encode sqllex.Encoder and a softmax output buffer. The warm
@@ -131,36 +121,6 @@ func (m *Model) ProbsBatchInto(stmts []string, dst [][]float64) [][]float64 {
 	for i := range stmts {
 		row := growFloats(&dst[i], outDim)
 		nn.SoftmaxInto(out[i*outDim:(i+1)*outDim], row)
-	}
-	return dst
-}
-
-// PredictClassBatch computes the argmax class for a batch of
-// statements into dst (reusing its capacity) and returns the resized
-// dst. Neural models use one fused batch forward; each element is
-// bit-identical to PredictClass on that statement (argmax over the
-// softmax distribution, exactly like the scalar path). Not safe for
-// concurrent use (see Model).
-func (m *Model) PredictClassBatch(stmts []string, dst []int) []int {
-	if m.probs == nil {
-		return nil
-	}
-	dst = growInts(&dst, len(stmts))
-	if m.forwardBatch == nil || len(stmts) < 2 {
-		for i, stmt := range stmts {
-			dst[i] = m.PredictClass(stmt)
-		}
-		return dst
-	}
-	out, outDim := m.forwardBatch(stmts)
-	probs := growFloats(&m.bprobs, outDim)
-	for i := range stmts {
-		// Softmax-then-argmax, matching PredictClass: rounding in the
-		// softmax can merge distinct logits into equal probabilities,
-		// so argmax over raw logits could break first-max ties
-		// differently.
-		nn.SoftmaxInto(out[i*outDim:(i+1)*outDim], probs)
-		dst[i] = argmax(probs)
 	}
 	return dst
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"runtime"
 
 	"repro/internal/core"
@@ -51,7 +52,13 @@ func (e *Env) evalClassifier(m *core.Model, task core.Task, test []workload.Item
 	}
 	p := serve.NewPredictor(m, serve.Options{Replicas: w})
 	defer p.Close()
-	return core.ClassificationEval(p.ProbsBatch(statements(test)), task, test)
+	probs, err := p.ProbsBatchCtx(context.Background(), statements(test))
+	if err != nil {
+		// The pool is private, never closed early, and blocks rather than
+		// rejects: only a model panic can land here.
+		panic(err)
+	}
+	return core.ClassificationEval(probs, task, test)
 }
 
 // evalRegressor computes regression metrics for m on test, fanning the
@@ -63,5 +70,9 @@ func (e *Env) evalRegressor(m *core.Model, task core.Task, test []workload.Item)
 	}
 	p := serve.NewPredictor(m, serve.Options{Replicas: w})
 	defer p.Close()
-	return core.RegressionEval(p.PredictLogBatch(statements(test)), m.LogMin, task, test)
+	logs, err := p.PredictLogBatchCtx(context.Background(), statements(test))
+	if err != nil {
+		panic(err) // as in evalClassifier: a model panic, re-raised
+	}
+	return core.RegressionEval(logs, m.LogMin, task, test)
 }

@@ -23,7 +23,10 @@ func TestFusedBatchBitIdentical(t *testing.T) {
 		wantProbs[i] = cls.Probs(s)
 	}
 	p := NewPredictor(cls, Options{Replicas: 1, BatchWindow: 5 * time.Millisecond, MaxBatch: 8, QueueSize: 64})
-	probs := p.ProbsBatch(stmts)
+	probs, err := p.ProbsBatchCtx(context.Background(), stmts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range stmts {
 		for c := range wantProbs[i] {
 			if probs[i][c] != wantProbs[i][c] {
@@ -61,7 +64,10 @@ func TestFusedBatchBitIdentical(t *testing.T) {
 	}
 	pr := NewPredictor(reg, Options{Replicas: 1, BatchWindow: 5 * time.Millisecond, MaxBatch: 8, QueueSize: 64})
 	defer pr.Close()
-	logs := pr.PredictLogBatch(stmts)
+	logs, err := pr.PredictLogBatchCtx(context.Background(), stmts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range stmts {
 		if logs[i] != wantLog[i] {
 			t.Fatalf("fused log[%d] = %v, want %v", i, logs[i], wantLog[i])
@@ -72,8 +78,8 @@ func TestFusedBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFusedMixedKindsConcurrent hammers one windowed worker with all
-// three request kinds at once, so gathered batches contain mixed-kind
+// TestFusedMixedKindsConcurrent hammers one windowed worker with both
+// request kinds at once, so gathered batches contain mixed-kind
 // groups; every result must still match the sequential model exactly.
 // Under -race this also exercises the fused path's synchronization.
 func TestFusedMixedKindsConcurrent(t *testing.T) {
@@ -87,6 +93,7 @@ func TestFusedMixedKindsConcurrent(t *testing.T) {
 	}
 	p := NewPredictor(m, Options{Replicas: 2, BatchWindow: 2 * time.Millisecond, MaxBatch: 16, QueueSize: 128})
 	defer p.Close()
+	ctx := context.Background()
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
 	for g := 0; g < 6; g++ {
@@ -99,7 +106,11 @@ func TestFusedMixedKindsConcurrent(t *testing.T) {
 				for i, s := range stmts {
 					switch kind {
 					case 0:
-						dst = p.ProbsInto(s, dst)
+						var err error
+						if dst, err = p.ProbsIntoCtx(ctx, s, dst); err != nil {
+							errs <- err.Error()
+							return
+						}
 						for c := range dst {
 							if dst[c] != wantProbs[i][c] {
 								errs <- "probs mismatch under mixed fused load"
@@ -107,14 +118,14 @@ func TestFusedMixedKindsConcurrent(t *testing.T) {
 							}
 						}
 					case 1:
-						if p.PredictClass(s) != wantCls[i] {
+						if cls, err := pooledClass(ctx, p, s); err != nil || cls != wantCls[i] {
 							errs <- "class mismatch under mixed fused load"
 							return
 						}
 					default:
 						// Classification model: the log head is absent and
 						// must read zero, fused or not.
-						if p.PredictLog(s) != 0 {
+						if v, err := p.PredictLogCtx(ctx, s); err != nil || v != 0 {
 							errs <- "log head should be zero for classification"
 							return
 						}
@@ -160,7 +171,7 @@ func TestFusedPanicFallback(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := p.ProbsCtx(context.Background(), poison); !errors.Is(err, ErrPanicked) {
+			if _, err := p.ProbsIntoCtx(context.Background(), poison, nil); !errors.Is(err, ErrPanicked) {
 				errs <- "poisoned request should fail with ErrPanicked"
 			}
 		}()
@@ -168,7 +179,7 @@ func TestFusedPanicFallback(t *testing.T) {
 			wg.Add(1)
 			go func(i int, s string) {
 				defer wg.Done()
-				out, err := p.ProbsCtx(context.Background(), s)
+				out, err := p.ProbsIntoCtx(context.Background(), s, nil)
 				if err != nil {
 					errs <- "healthy request failed alongside poison: " + err.Error()
 					return
@@ -207,11 +218,12 @@ func TestFusedBatchAllocFree(t *testing.T) {
 	stmts := testStatements(8)
 	p := NewPredictor(m, Options{Replicas: 1, BatchWindow: time.Millisecond, MaxBatch: 8, QueueSize: 64})
 	defer p.Close()
+	ctx := context.Background()
 	reqs := make([]*request, len(stmts))
 	dsts := make([][]float64, len(stmts))
 	burst := func() {
 		for i, s := range stmts {
-			reqs[i] = p.enqueue(probsKind, s, dsts[i])
+			reqs[i], _ = p.enqueue(ctx, probsKind, s, dsts[i])
 		}
 		for i, r := range reqs {
 			<-r.done

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // workerlessPredictor builds a Predictor whose queue no worker drains,
@@ -31,10 +33,10 @@ func workerlessPredictor(opts Options) *Predictor {
 func TestEnqueueRejectsWhenQueueFull(t *testing.T) {
 	p := workerlessPredictor(Options{Replicas: 1, QueueSize: 1, Admission: AdmitReject})
 	ctx := context.Background()
-	if _, err := p.enqueueCtx(ctx, classKind, "SELECT 1", nil); err != nil {
+	if _, err := p.enqueue(ctx, probsKind, "SELECT 1", nil); err != nil {
 		t.Fatalf("first enqueue: %v", err)
 	}
-	if _, err := p.enqueueCtx(ctx, classKind, "SELECT 2", nil); !errors.Is(err, ErrQueueFull) {
+	if _, err := p.enqueue(ctx, probsKind, "SELECT 2", nil); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("second enqueue err = %v, want ErrQueueFull", err)
 	}
 	if got := p.Stats().Rejected; got != 1 {
@@ -47,12 +49,12 @@ func TestEnqueueRejectsWhenQueueFull(t *testing.T) {
 // rather than blocking forever.
 func TestEnqueueBlockHonorsDeadline(t *testing.T) {
 	p := workerlessPredictor(Options{Replicas: 1, QueueSize: 1, Admission: AdmitBlock})
-	if _, err := p.enqueueCtx(context.Background(), classKind, "SELECT 1", nil); err != nil {
+	if _, err := p.enqueue(context.Background(), probsKind, "SELECT 1", nil); err != nil {
 		t.Fatalf("first enqueue: %v", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	if _, err := p.enqueueCtx(ctx, classKind, "SELECT 2", nil); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := p.enqueue(ctx, probsKind, "SELECT 2", nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("blocked enqueue err = %v, want DeadlineExceeded", err)
 	}
 }
@@ -65,7 +67,7 @@ func TestAwaitDeadlineWhileQueued(t *testing.T) {
 	p := workerlessPredictor(Options{Replicas: 1, QueueSize: 4})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	r, err := p.enqueueCtx(ctx, classKind, "SELECT 1", nil)
+	r, err := p.enqueue(ctx, probsKind, "SELECT 1", nil)
 	if err != nil {
 		t.Fatalf("enqueue: %v", err)
 	}
@@ -92,10 +94,10 @@ func TestPreExpiredContext(t *testing.T) {
 	defer p.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.PredictClassCtx(ctx, "SELECT 1"); !errors.Is(err, context.Canceled) {
+	if _, err := p.PredictLogCtx(ctx, "SELECT 1"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
-	if _, err := p.ProbsCtx(ctx, "SELECT 1"); !errors.Is(err, context.Canceled) {
+	if _, err := p.ProbsIntoCtx(ctx, "SELECT 1", nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("probs err = %v, want Canceled", err)
 	}
 	if _, err := p.ProbsBatchCtx(ctx, []string{"SELECT 1"}); !errors.Is(err, context.Canceled) {
@@ -103,10 +105,10 @@ func TestPreExpiredContext(t *testing.T) {
 	}
 }
 
-// TestCtxMethodsMatchLegacy checks that the context-aware methods,
-// given a generous deadline, return results bit-identical to both the
-// legacy pooled methods and direct sequential Model calls.
-func TestCtxMethodsMatchLegacy(t *testing.T) {
+// TestCtxMethodsMatchModel checks that the prediction methods, given a
+// generous deadline, return results bit-identical to direct sequential
+// Model calls.
+func TestCtxMethodsMatchModel(t *testing.T) {
 	models := trainedModels(t)
 	stmts := testStatements(30)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -116,18 +118,18 @@ func TestCtxMethodsMatchLegacy(t *testing.T) {
 	p := NewPredictor(cls, Options{Replicas: 2})
 	for _, s := range stmts {
 		wantProbs := cls.Probs(s)
-		got, err := p.ProbsCtx(ctx, s)
+		got, err := p.ProbsIntoCtx(ctx, s, nil)
 		if err != nil {
-			t.Fatalf("ProbsCtx: %v", err)
+			t.Fatalf("ProbsIntoCtx: %v", err)
 		}
 		for c := range wantProbs {
 			if got[c] != wantProbs[c] {
-				t.Fatal("ProbsCtx differs from sequential")
+				t.Fatal("ProbsIntoCtx differs from sequential")
 			}
 		}
-		c, err := p.PredictClassCtx(ctx, s)
+		c, err := pooledClass(ctx, p, s)
 		if err != nil || c != cls.PredictClass(s) {
-			t.Fatalf("PredictClassCtx = %d, %v", c, err)
+			t.Fatalf("pooled class = %d, %v", c, err)
 		}
 	}
 	batch, err := p.ProbsBatchCtx(ctx, stmts)
@@ -152,9 +154,8 @@ func TestCtxMethodsMatchLegacy(t *testing.T) {
 		if err != nil || v != reg.PredictLog(s) {
 			t.Fatalf("PredictLogCtx = %v, %v", v, err)
 		}
-		raw, err := pr.PredictRawCtx(ctx, s)
-		if err != nil || raw != reg.PredictRaw(s) {
-			t.Fatalf("PredictRawCtx = %v, %v", raw, err)
+		if raw := metrics.InverseLogTransform(v, pr.Model().LogMin); raw != reg.PredictRaw(s) {
+			t.Fatalf("raw-unit prediction = %v, want %v", raw, reg.PredictRaw(s))
 		}
 	}
 	logs, err := pr.PredictLogBatchCtx(ctx, stmts)
@@ -168,15 +169,15 @@ func TestCtxMethodsMatchLegacy(t *testing.T) {
 	}
 }
 
-// TestCtxMethodsReturnErrClosed checks that the context-aware methods
-// convert the legacy use-after-Close panic into ErrClosed.
+// TestCtxMethodsReturnErrClosed checks that every prediction method
+// returns ErrClosed after Close.
 func TestCtxMethodsReturnErrClosed(t *testing.T) {
 	m := trainedModels(t)["mfreq"]
 	p := NewPredictor(m, Options{Replicas: 1})
 	p.Close()
 	ctx := context.Background()
-	if _, err := p.PredictClassCtx(ctx, "SELECT 1"); !errors.Is(err, ErrClosed) {
-		t.Fatalf("PredictClassCtx err = %v, want ErrClosed", err)
+	if _, err := p.PredictLogBatchCtx(ctx, []string{"a", "b"}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("PredictLogBatchCtx err = %v, want ErrClosed", err)
 	}
 	if _, err := p.ProbsIntoCtx(ctx, "SELECT 1", nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ProbsIntoCtx err = %v, want ErrClosed", err)
@@ -206,7 +207,7 @@ func TestCloseConcurrencySafe(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for i := 0; i < 50; i++ {
-					if _, err := p.PredictClassCtx(ctx, "SELECT 1"); err != nil {
+					if _, err := p.ProbsIntoCtx(ctx, "SELECT 1", nil); err != nil {
 						if !errors.Is(err, ErrClosed) {
 							errs <- err
 						}
@@ -234,8 +235,9 @@ func TestCloseConcurrencySafe(t *testing.T) {
 	}
 }
 
-// TestCtxPredictAllocFree proves the warm in-deadline ctx path matches
-// the legacy path's zero-allocation guarantee for the neural models.
+// TestCtxPredictAllocFree proves the warm in-deadline path performs
+// zero allocations for the neural models, under a deadline-carrying
+// context and the AdmitReject policy.
 func TestCtxPredictAllocFree(t *testing.T) {
 	models := trainedModels(t)
 	stmt := testStatements(1)[0]
@@ -249,7 +251,7 @@ func TestCtxPredictAllocFree(t *testing.T) {
 			if dst, err = p.ProbsIntoCtx(ctx, stmt, dst); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := p.PredictClassCtx(ctx, stmt); err != nil {
+			if _, err := p.PredictLogCtx(ctx, stmt); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -259,9 +261,9 @@ func TestCtxPredictAllocFree(t *testing.T) {
 			t.Errorf("%s: ProbsIntoCtx allocs/op = %v, want 0", name, allocs)
 		}
 		if allocs := testing.AllocsPerRun(200, func() {
-			p.PredictClassCtx(ctx, stmt)
+			p.PredictLogCtx(ctx, stmt)
 		}); allocs != 0 {
-			t.Errorf("%s: PredictClassCtx allocs/op = %v, want 0", name, allocs)
+			t.Errorf("%s: PredictLogCtx allocs/op = %v, want 0", name, allocs)
 		}
 		p.Close()
 	}
@@ -288,7 +290,7 @@ func TestDeadlineUnderLoad(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Microsecond)
 			defer cancel()
-			cls, err := p.PredictClassCtx(ctx, stmt)
+			cls, err := pooledClass(ctx, p, stmt)
 			mu.Lock()
 			defer mu.Unlock()
 			switch {

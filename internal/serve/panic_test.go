@@ -34,11 +34,11 @@ func TestPanicIsolation(t *testing.T) {
 	ctx := context.Background()
 	const rounds = 5
 	for round := 0; round < rounds; round++ {
-		if _, err := p.ProbsCtx(ctx, poison); !errors.Is(err, ErrPanicked) {
+		if _, err := p.ProbsIntoCtx(ctx, poison, nil); !errors.Is(err, ErrPanicked) {
 			t.Fatalf("poisoned request err = %v, want ErrPanicked", err)
 		}
 		for i, s := range healthy {
-			got, err := p.ProbsCtx(ctx, s)
+			got, err := p.ProbsIntoCtx(ctx, s, nil)
 			if err != nil {
 				t.Fatalf("healthy request after panic: %v", err)
 			}
@@ -95,7 +95,7 @@ func TestPanicReplicaRebuild(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	for i := 0; i < 4; i++ { // 4 panics at limit 2 → two rebuilds
-		if _, err := p.ProbsCtx(ctx, poison); !errors.Is(err, ErrPanicked) {
+		if _, err := p.ProbsIntoCtx(ctx, poison, nil); !errors.Is(err, ErrPanicked) {
 			t.Fatalf("poisoned request err = %v, want ErrPanicked", err)
 		}
 	}
@@ -103,7 +103,7 @@ func TestPanicReplicaRebuild(t *testing.T) {
 	if st.Panics != 4 || st.Rebuilds != 2 {
 		t.Fatalf("Stats panics=%d rebuilds=%d, want 4 and 2", st.Panics, st.Rebuilds)
 	}
-	got, err := p.ProbsCtx(ctx, stmts[1])
+	got, err := p.ProbsIntoCtx(ctx, stmts[1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}

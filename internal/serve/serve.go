@@ -29,13 +29,11 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/workpool"
 )
 
-// ErrClosed is returned by the context-aware prediction methods when
-// the Predictor has been closed. (The legacy blocking methods keep
-// their documented panic for backward compatibility.)
+// ErrClosed is returned by the prediction methods when the Predictor
+// has been closed.
 var ErrClosed = errors.New("serve: predictor closed")
 
 // ErrQueueFull is returned under the AdmitReject admission policy when
@@ -54,13 +52,13 @@ var ErrPanicked = errors.New("serve: model panicked")
 type AdmissionPolicy int
 
 const (
-	// AdmitBlock applies backpressure: senders wait for queue space.
-	// Context-aware methods still honor cancellation while waiting.
+	// AdmitBlock applies backpressure: senders wait for queue space,
+	// still honoring cancellation while they wait.
 	AdmitBlock AdmissionPolicy = iota
-	// AdmitReject fails fast: context-aware methods return ErrQueueFull
-	// instead of waiting, bounding worst-case latency under overload
-	// (the admission-control mode a deadline-driven front-end wants).
-	// Legacy blocking methods ignore the policy and always block.
+	// AdmitReject fails fast: a request arriving at a full queue returns
+	// ErrQueueFull instead of waiting, bounding worst-case latency under
+	// overload (the admission-control mode a deadline-driven front-end
+	// wants).
 	AdmitReject
 )
 
@@ -80,8 +78,7 @@ type Options struct {
 	// MaxBatch caps how many requests one worker drains per batch.
 	// <= 0 selects 32.
 	MaxBatch int
-	// Admission selects the full-queue behavior of the context-aware
-	// methods (default AdmitBlock).
+	// Admission selects the full-queue behavior (default AdmitBlock).
 	Admission AdmissionPolicy
 	// PanicLimit is how many panics one replica absorbs before it is
 	// retired and rebuilt from the model snapshot (fresh scratch state;
@@ -114,8 +111,8 @@ type reqKind uint8
 
 const (
 	probsKind reqKind = iota
-	classKind
 	logKind
+	numKinds
 )
 
 // Request lifecycle states. A queued request is owned jointly by the
@@ -135,7 +132,6 @@ type request struct {
 	stmt string
 	dst  []float64 // caller-provided output buffer (probsKind)
 	out  []float64
-	cls  int
 	val  float64
 	// err is the per-request failure (ErrPanicked-wrapped) set by the
 	// worker before the done signal; nil on success.
@@ -150,19 +146,17 @@ type request struct {
 }
 
 // Predictor serves predictions from a pool of shared-weight replicas
-// of one trained model. Its methods mirror core.Model's prediction API
-// and are safe for concurrent use; results are bit-identical to
-// sequential calls on the wrapped model.
+// of one trained model. It is safe for concurrent use and its results
+// are bit-identical to sequential calls on the wrapped model.
 //
-// Two method families exist:
-//
-//   - The context-aware methods (ProbsCtx, PredictClassCtx, ...) honor
-//     cancellation and deadlines while a request is queued, apply the
-//     configured admission policy, and return ErrClosed after Close.
-//     The warm in-deadline path allocates nothing.
-//   - The legacy blocking methods (Probs, PredictClass, ...) always
-//     block for a result and panic after Close (their documented
-//     historical contract).
+// There is one request path with four entry points: ProbsIntoCtx and
+// ProbsBatchCtx return class distributions (the argmax class is the
+// first maximum), PredictLogCtx and PredictLogBatchCtx log-space
+// regression values (metrics.InverseLogTransform with Model().LogMin
+// recovers the label's units). All four honor cancellation and
+// deadlines while a request is queued, apply the configured admission
+// policy, and return ErrClosed after Close; the warm in-deadline
+// single-statement path allocates nothing.
 //
 // Cancellation granularity: a context is honored up to the moment a
 // worker picks the request up. Once inference has started it runs to
@@ -223,9 +217,7 @@ func (p *Predictor) Model() *core.Model { return p.model }
 // Close drains in-flight requests, stops the workers, and releases the
 // pool. It is idempotent and safe to call from any number of
 // goroutines racing with in-flight enqueues: requests admitted before
-// Close complete normally, context-aware calls arriving after return
-// ErrClosed, and legacy blocking calls panic (their documented
-// contract).
+// Close complete normally, calls arriving after return ErrClosed.
 func (p *Predictor) Close() {
 	p.mu.Lock()
 	if !p.closed {
@@ -236,111 +228,24 @@ func (p *Predictor) Close() {
 	<-p.workersDone
 }
 
-// Probs returns the class distribution for a statement in a freshly
-// allocated slice (nil for regression models).
-func (p *Predictor) Probs(stmt string) []float64 {
-	return p.ProbsInto(stmt, nil)
-}
-
-// ProbsInto writes the class distribution for a statement into dst
-// (grown only when capacity is insufficient) and returns the written
-// slice. With a capacity-sufficient dst the warm path performs zero
-// allocations.
-func (p *Predictor) ProbsInto(stmt string, dst []float64) []float64 {
-	r := p.enqueue(probsKind, stmt, dst)
-	<-r.done
-	out := r.out
-	p.release(r)
-	return out
-}
-
-// PredictClass returns the argmax class for a statement.
-func (p *Predictor) PredictClass(stmt string) int {
-	r := p.enqueue(classKind, stmt, nil)
-	<-r.done
-	cls := r.cls
-	p.release(r)
-	return cls
-}
-
-// PredictLog returns the log-space regression prediction.
-func (p *Predictor) PredictLog(stmt string) float64 {
-	r := p.enqueue(logKind, stmt, nil)
-	<-r.done
-	val := r.val
-	p.release(r)
-	return val
-}
-
-// PredictRaw returns the regression prediction in the label's original
-// units, inverting the paper's log transform.
-func (p *Predictor) PredictRaw(stmt string) float64 {
-	return metrics.InverseLogTransform(p.PredictLog(stmt), p.model.LogMin)
-}
-
-// ProbsCtx returns the class distribution for a statement in a freshly
-// allocated slice, honoring ctx while the request is queued.
-func (p *Predictor) ProbsCtx(ctx context.Context, stmt string) ([]float64, error) {
-	return p.ProbsIntoCtx(ctx, stmt, nil)
-}
-
 // ProbsIntoCtx writes the class distribution for a statement into dst
 // (grown only when capacity is insufficient) and returns the written
-// slice. It honors ctx cancellation and deadlines while the request is
-// queued, returns ErrQueueFull under the AdmitReject policy, and
-// ErrClosed after Close. With a capacity-sufficient dst the warm
-// in-deadline path performs zero allocations.
+// slice (nil for regression models). It honors ctx cancellation and
+// deadlines while the request is queued, returns ErrQueueFull under
+// the AdmitReject policy, and ErrClosed after Close. With a
+// capacity-sufficient dst the warm in-deadline path performs zero
+// allocations.
 func (p *Predictor) ProbsIntoCtx(ctx context.Context, stmt string, dst []float64) ([]float64, error) {
-	r, err := p.enqueueCtx(ctx, probsKind, stmt, dst)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.await(ctx, r); err != nil {
-		return nil, err
-	}
-	out, err := r.out, r.err
-	p.release(r)
+	out, _, err := p.do(ctx, probsKind, stmt, dst)
 	return out, err
 }
 
-// PredictClassCtx returns the argmax class for a statement, honoring
-// ctx while the request is queued.
-func (p *Predictor) PredictClassCtx(ctx context.Context, stmt string) (int, error) {
-	r, err := p.enqueueCtx(ctx, classKind, stmt, nil)
-	if err != nil {
-		return 0, err
-	}
-	if err := p.await(ctx, r); err != nil {
-		return 0, err
-	}
-	cls, err := r.cls, r.err
-	p.release(r)
-	return cls, err
-}
-
-// PredictLogCtx returns the log-space regression prediction, honoring
-// ctx while the request is queued.
+// PredictLogCtx returns the log-space regression prediction (0 for
+// classification models), with ProbsIntoCtx's context, admission, and
+// close semantics.
 func (p *Predictor) PredictLogCtx(ctx context.Context, stmt string) (float64, error) {
-	r, err := p.enqueueCtx(ctx, logKind, stmt, nil)
-	if err != nil {
-		return 0, err
-	}
-	if err := p.await(ctx, r); err != nil {
-		return 0, err
-	}
-	val, err := r.val, r.err
-	p.release(r)
+	_, val, err := p.do(ctx, logKind, stmt, nil)
 	return val, err
-}
-
-// PredictRawCtx returns the regression prediction in the label's
-// original units, honoring ctx while the request is queued.
-func (p *Predictor) PredictRawCtx(ctx context.Context, stmt string) (float64, error) {
-	v, err := p.PredictLogCtx(ctx, stmt)
-	if err != nil {
-		return 0, err
-	}
-	return metrics.InverseLogTransform(v, p.model.LogMin), nil
 }
 
 // ProbsBatchCtx computes the class distribution for every statement
@@ -349,24 +254,8 @@ func (p *Predictor) PredictRawCtx(ctx context.Context, stmt string) (float64, er
 // requests already in flight are awaited or abandoned, never leaked.
 func (p *Predictor) ProbsBatchCtx(ctx context.Context, stmts []string) ([][]float64, error) {
 	out := make([][]float64, len(stmts))
-	reqs := make([]*request, len(stmts))
-	n, firstErr := p.enqueueBatchCtx(ctx, probsKind, stmts, reqs)
-	for i := 0; i < n; i++ {
-		r := reqs[i]
-		if err := p.await(ctx, r); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue // abandoned; the draining worker releases it
-		}
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-		}
-		out[i] = r.out
-		p.release(r)
-	}
-	if firstErr != nil {
-		return nil, firstErr
+	if err := p.doBatch(ctx, probsKind, stmts, func(i int, r *request) { out[i] = r.out }); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -376,73 +265,57 @@ func (p *Predictor) ProbsBatchCtx(ctx context.Context, stmts []string) ([][]floa
 // same error semantics as ProbsBatchCtx.
 func (p *Predictor) PredictLogBatchCtx(ctx context.Context, stmts []string) ([]float64, error) {
 	out := make([]float64, len(stmts))
-	reqs := make([]*request, len(stmts))
-	n, firstErr := p.enqueueBatchCtx(ctx, logKind, stmts, reqs)
-	for i := 0; i < n; i++ {
-		r := reqs[i]
-		if err := p.await(ctx, r); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-		}
-		out[i] = r.val
-		p.release(r)
-	}
-	if firstErr != nil {
-		return nil, firstErr
+	if err := p.doBatch(ctx, logKind, stmts, func(i int, r *request) { out[i] = r.val }); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// enqueueBatchCtx enqueues one request per statement into reqs,
-// stopping at the first enqueue error. It returns how many were
-// enqueued and that error (nil when all made it in).
-func (p *Predictor) enqueueBatchCtx(ctx context.Context, kind reqKind, stmts []string, reqs []*request) (int, error) {
-	for i, s := range stmts {
-		r, err := p.enqueueCtx(ctx, kind, s, nil)
+// do runs one request end to end: enqueue, await, copy the result out,
+// release the pooled request.
+func (p *Predictor) do(ctx context.Context, kind reqKind, stmt string, dst []float64) ([]float64, float64, error) {
+	r, err := p.enqueue(ctx, kind, stmt, dst)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := p.await(ctx, r); err != nil {
+		return nil, 0, err
+	}
+	out, val, err := r.out, r.val, r.err
+	p.release(r)
+	return out, val, err
+}
+
+// doBatch enqueues one request per statement — so the whole replica
+// pool works the batch at once — then awaits them in input order,
+// handing each completed request to collect before releasing it. It
+// stops enqueueing at the first enqueue error but still settles every
+// request already in flight, and returns the first error seen.
+func (p *Predictor) doBatch(ctx context.Context, kind reqKind, stmts []string, collect func(i int, r *request)) error {
+	reqs := make([]*request, 0, len(stmts))
+	var firstErr error
+	for _, s := range stmts {
+		r, err := p.enqueue(ctx, kind, s, nil)
 		if err != nil {
-			return i, err
+			firstErr = err
+			break
 		}
-		reqs[i] = r
-	}
-	return len(stmts), nil
-}
-
-// ProbsBatch computes the class distribution for every statement,
-// fanning the work across the replica pool, and returns one freshly
-// allocated distribution per statement, in input order.
-func (p *Predictor) ProbsBatch(stmts []string) [][]float64 {
-	out := make([][]float64, len(stmts))
-	reqs := make([]*request, len(stmts))
-	for i, s := range stmts {
-		reqs[i] = p.enqueue(probsKind, s, nil)
+		reqs = append(reqs, r)
 	}
 	for i, r := range reqs {
-		<-r.done
-		out[i] = r.out
+		if err := p.await(ctx, r); err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue // abandoned; the draining worker releases it
+		}
+		if r.err != nil && firstErr == nil {
+			firstErr = r.err
+		}
+		collect(i, r)
 		p.release(r)
 	}
-	return out
-}
-
-// PredictLogBatch computes the log-space regression prediction for
-// every statement across the replica pool, in input order.
-func (p *Predictor) PredictLogBatch(stmts []string) []float64 {
-	out := make([]float64, len(stmts))
-	reqs := make([]*request, len(stmts))
-	for i, s := range stmts {
-		reqs[i] = p.enqueue(logKind, s, nil)
-	}
-	for i, r := range reqs {
-		<-r.done
-		out[i] = r.val
-		p.release(r)
-	}
-	return out
+	return firstErr
 }
 
 // newRequest takes a pooled request and initializes it for one
@@ -456,26 +329,11 @@ func (p *Predictor) newRequest(kind reqKind, stmt string, dst []float64) *reques
 	return r
 }
 
-// enqueue submits a request to the worker pool, blocking when the
-// queue is full (backpressure). It panics after Close — the legacy
-// methods' documented contract.
-func (p *Predictor) enqueue(kind reqKind, stmt string, dst []float64) *request {
-	r := p.newRequest(kind, stmt, dst)
-	p.mu.RLock()
-	if p.closed {
-		p.mu.RUnlock()
-		panic("serve: Predictor used after Close")
-	}
-	p.queue <- r
-	p.mu.RUnlock()
-	return r
-}
-
-// enqueueCtx submits a request honoring ctx and the admission policy:
+// enqueue submits a request honoring ctx and the admission policy:
 // it returns ErrClosed after Close, ErrQueueFull when the queue is
 // full under AdmitReject, and ctx.Err() when ctx expires while waiting
 // for queue space under AdmitBlock.
-func (p *Predictor) enqueueCtx(ctx context.Context, kind reqKind, stmt string, dst []float64) (*request, error) {
+func (p *Predictor) enqueue(ctx context.Context, kind reqKind, stmt string, dst []float64) (*request, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -548,10 +406,9 @@ type workerScratch struct {
 	// happens up front, before any group runs: once a request's done
 	// signal fires its object can be recycled through the pool, so the
 	// worker must never read a completed request's fields again.
-	groups [3][]*request
+	groups [numKinds][]*request
 	stmts  []string
 	dsts   [][]float64
-	cls    []int
 	vals   []float64
 }
 
@@ -559,7 +416,6 @@ func newWorkerScratch(maxBatch int) *workerScratch {
 	sc := &workerScratch{
 		stmts: make([]string, 0, maxBatch),
 		dsts:  make([][]float64, 0, maxBatch),
-		cls:   make([]int, 0, maxBatch),
 		vals:  make([]float64, 0, maxBatch),
 	}
 	for i := range sc.groups {
@@ -584,7 +440,6 @@ func newWorkerScratch(maxBatch int) *workerScratch {
 // only from those per-request panics, so a replica is retired after
 // PanicLimit genuinely failed requests, same as before batching.
 func (p *Predictor) worker(w int) {
-	rep := p.replicas[w]
 	ring := &p.stats.lat[w]
 	batch := make([]*request, 0, p.opts.MaxBatch)
 	sc := newWorkerScratch(p.opts.MaxBatch)
@@ -622,20 +477,13 @@ func (p *Predictor) worker(w int) {
 			if len(group) == 0 {
 				continue
 			}
-			if len(group) > 1 && p.runFused(rep, ring, reqKind(kind), group, sc) {
+			if len(group) > 1 && p.runFused(p.replicas[w], ring, reqKind(kind), group, sc) {
 				continue
 			}
 			// Width-1 group, or fused-panic fallback: per-request
 			// processing with the per-request recover boundary.
 			for _, r := range group {
-				if p.process(rep, ring, r) {
-					if panics++; panics >= p.opts.PanicLimit {
-						rep = p.model.Replicate()
-						p.replicas[w] = rep
-						p.stats.rebuilds.Add(1)
-						panics = 0
-					}
-				}
+				p.process(w, ring, r, &panics)
 			}
 		}
 	}
@@ -670,20 +518,6 @@ func (p *Predictor) runFused(rep *core.Model, ring *latRing, kind reqKind, group
 				r.out = res[i]
 			}
 		}
-	case classKind:
-		if res := rep.PredictClassBatch(sc.stmts, sc.cls); res != nil {
-			sc.cls = res
-			for i, r := range group {
-				r.cls = res[i]
-			}
-		} else {
-			// Kind/model mismatch (class request on a regression model):
-			// the scalar path writes the zero value, and pooled requests
-			// carry stale fields, so mirror it explicitly.
-			for _, r := range group {
-				r.cls = 0
-			}
-		}
 	default:
 		if res := rep.PredictLogBatchInto(sc.stmts, sc.vals); res != nil {
 			sc.vals = res
@@ -691,6 +525,9 @@ func (p *Predictor) runFused(rep *core.Model, ring *latRing, kind reqKind, group
 				r.val = res[i]
 			}
 		} else {
+			// Kind/model mismatch (log request on a classification
+			// model): the scalar path writes the zero value, and pooled
+			// requests carry stale fields, so mirror it explicitly.
 			for _, r := range group {
 				r.val = 0
 			}
@@ -781,32 +618,36 @@ func stopTimer(t *time.Timer) {
 	}
 }
 
-// process runs one request on a replica and signals completion,
-// reporting whether the inference panicked. All accounting happens
-// before the done signal: a caller that observed its request finish
-// must find it reflected in Stats.
+// process runs one request on worker w's replica and signals
+// completion. All accounting happens before the done signal: a caller
+// that observed its request finish must find it reflected in Stats.
 //
 // The recover boundary is here, around exactly one request: a model
 // panic (poisoned input, corrupted scratch) fails that request with a
-// wrapped ErrPanicked and the worker moves on. The deferred check runs
-// on the success path too but recover() is nil there, so the warm
-// no-fault path stays allocation-free.
-func (p *Predictor) process(rep *core.Model, ring *latRing, r *request) (panicked bool) {
+// wrapped ErrPanicked, counts one strike against the replica — at
+// PanicLimit strikes it is retired and rebuilt from the model snapshot
+// — and the worker moves on. The deferred check runs on the success
+// path too but recover() is nil there, so the warm no-fault path stays
+// allocation-free.
+func (p *Predictor) process(w int, ring *latRing, r *request, strikes *int) {
 	defer func() {
 		if v := recover(); v != nil {
-			panicked = true
 			r.out = nil
 			r.err = fmt.Errorf("%w: %v", ErrPanicked, v)
 			p.stats.panics.Add(1)
+			if *strikes++; *strikes >= p.opts.PanicLimit {
+				p.replicas[w] = p.model.Replicate()
+				p.stats.rebuilds.Add(1)
+				*strikes = 0
+			}
 			ring.record(time.Since(r.enq))
 			r.done <- struct{}{}
 		}
 	}()
+	rep := p.replicas[w]
 	switch r.kind {
 	case probsKind:
 		r.out = rep.ProbsInto(r.stmt, r.dst)
-	case classKind:
-		r.cls = rep.PredictClass(r.stmt)
 	default:
 		r.val = rep.PredictLog(r.stmt)
 	}
@@ -815,5 +656,4 @@ func (p *Predictor) process(rep *core.Model, ring *latRing, r *request) (panicke
 	p.stats.recordWidth(1, d)
 	p.stats.completed.Add(1)
 	r.done <- struct{}{}
-	return false
 }

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/synth"
 	"repro/internal/workload"
 )
@@ -59,6 +61,20 @@ func testStatements(n int) []string {
 	return stmts
 }
 
+// pooledClass is the argmax class of one pooled prediction, with
+// core.Model.PredictClass's tie-breaking (first maximum; 0 for
+// regression models).
+func pooledClass(ctx context.Context, p *Predictor, stmt string) (int, error) {
+	probs, err := p.ProbsIntoCtx(ctx, stmt, nil)
+	best := 0
+	for c := range probs {
+		if probs[c] > probs[best] {
+			best = c
+		}
+	}
+	return best, err
+}
+
 // TestPredictorBitIdenticalToModel checks the core serving guarantee:
 // a pooled Predictor returns results bit-identical to direct
 // sequential Model calls, for every model kind, including under
@@ -82,6 +98,7 @@ func TestPredictorBitIdenticalToModel(t *testing.T) {
 			}
 		}
 		p := NewPredictor(m, Options{Replicas: 4})
+		ctx := context.Background()
 		var wg sync.WaitGroup
 		errs := make(chan string, 8)
 		for g := 0; g < 8; g++ {
@@ -91,18 +108,22 @@ func TestPredictorBitIdenticalToModel(t *testing.T) {
 				dst := make([]float64, 0, 16)
 				for i, s := range stmts {
 					if classification {
-						dst = p.ProbsInto(s, dst)
+						var err error
+						if dst, err = p.ProbsIntoCtx(ctx, s, dst); err != nil {
+							errs <- name + ": " + err.Error()
+							return
+						}
 						for c := range dst {
 							if dst[c] != wantProbs[i][c] {
 								errs <- name + ": probs mismatch"
 								return
 							}
 						}
-						if p.PredictClass(s) != wantClass[i] {
+						if cls, err := pooledClass(ctx, p, s); err != nil || cls != wantClass[i] {
 							errs <- name + ": class mismatch"
 							return
 						}
-					} else if p.PredictLog(s) != wantLog[i] {
+					} else if v, err := p.PredictLogCtx(ctx, s); err != nil || v != wantLog[i] {
 						errs <- name + ": log mismatch"
 						return
 					}
@@ -119,15 +140,19 @@ func TestPredictorBitIdenticalToModel(t *testing.T) {
 	}
 }
 
-// TestPredictorBatchAPIs checks ProbsBatch/PredictLogBatch order and
-// equality with sequential calls.
+// TestPredictorBatchAPIs checks ProbsBatchCtx/PredictLogBatchCtx order
+// and equality with sequential calls.
 func TestPredictorBatchAPIs(t *testing.T) {
 	models := trainedModels(t)
 	stmts := testStatements(40)
+	ctx := context.Background()
 
 	cls := models["clstm"]
 	p := NewPredictor(cls, Options{Replicas: 3})
-	probs := p.ProbsBatch(stmts)
+	probs, err := p.ProbsBatchCtx(ctx, stmts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, s := range stmts {
 		want := cls.Probs(s)
 		for c := range want {
@@ -141,14 +166,17 @@ func TestPredictorBatchAPIs(t *testing.T) {
 	reg := models["ccnn-reg"]
 	pr := NewPredictor(reg, Options{Replicas: 3})
 	defer pr.Close()
-	logs := pr.PredictLogBatch(stmts)
+	logs, err := pr.PredictLogBatchCtx(ctx, stmts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, s := range stmts {
 		if want := reg.PredictLog(s); logs[i] != want {
 			t.Fatalf("PredictLogBatch[%d] = %v, want %v", i, logs[i], want)
 		}
 	}
-	if raw := pr.PredictRaw(stmts[0]); raw != reg.PredictRaw(stmts[0]) {
-		t.Fatal("PredictRaw differs from sequential")
+	if raw := metrics.InverseLogTransform(logs[0], pr.Model().LogMin); raw != reg.PredictRaw(stmts[0]) {
+		t.Fatal("raw-unit prediction differs from sequential")
 	}
 }
 
@@ -159,7 +187,9 @@ func TestPredictorStats(t *testing.T) {
 	p := NewPredictor(m, Options{Replicas: 2})
 	defer p.Close()
 	stmts := testStatements(50)
-	p.ProbsBatch(stmts)
+	if _, err := p.ProbsBatchCtx(context.Background(), stmts); err != nil {
+		t.Fatal(err)
+	}
 	s := p.Stats()
 	if s.Completed != uint64(len(stmts)) {
 		t.Fatalf("Completed = %d, want %d", s.Completed, len(stmts))
@@ -192,7 +222,9 @@ func TestPredictorMicroBatches(t *testing.T) {
 	p := NewPredictor(m, Options{Replicas: 1, BatchWindow: 50_000_000, MaxBatch: 16, QueueSize: 64})
 	defer p.Close()
 	stmts := testStatements(32)
-	p.ProbsBatch(stmts)
+	if _, err := p.ProbsBatchCtx(context.Background(), stmts); err != nil {
+		t.Fatal(err)
+	}
 	s := p.Stats()
 	if s.Completed != uint64(len(stmts)) {
 		t.Fatalf("Completed = %d", s.Completed)
@@ -202,22 +234,16 @@ func TestPredictorMicroBatches(t *testing.T) {
 	}
 }
 
-// TestPredictorCloseIdempotentAndPanics checks Close twice is safe and
-// that post-Close use panics loudly rather than hanging.
-func TestPredictorCloseIdempotentAndPanics(t *testing.T) {
+// TestPredictorCloseIdempotent checks Close twice is safe (post-Close
+// use returning ErrClosed is TestCtxMethodsReturnErrClosed's).
+func TestPredictorCloseIdempotent(t *testing.T) {
 	m := trainedModels(t)["mfreq"]
 	p := NewPredictor(m, Options{Replicas: 2})
-	if got := p.PredictClass("SELECT 1"); got != m.PredictClass("SELECT 1") {
+	if got, err := pooledClass(context.Background(), p, "SELECT 1"); err != nil || got != m.PredictClass("SELECT 1") {
 		t.Fatal("prediction before close")
 	}
 	p.Close()
 	p.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("prediction after Close should panic")
-		}
-	}()
-	p.PredictClass("SELECT 1")
 }
 
 // TestPredictorAllocFree proves the warm serve path performs zero
@@ -226,24 +252,25 @@ func TestPredictorCloseIdempotentAndPanics(t *testing.T) {
 func TestPredictorAllocFree(t *testing.T) {
 	models := trainedModels(t)
 	stmt := testStatements(1)[0]
-	for _, name := range []string{"ccnn", "wcnn", "clstm", "wlstm"} {
+	ctx := context.Background()
+	for _, name := range []string{"ccnn", "wcnn", "clstm", "wlstm", "ccnn-reg"} {
 		m := models[name]
 		p := NewPredictor(m, Options{Replicas: 1})
 		dst := make([]float64, 0, 8)
 		// Warm up the request pool and replica scratch.
 		for i := 0; i < 8; i++ {
-			dst = p.ProbsInto(stmt, dst)
-			p.PredictClass(stmt)
+			dst, _ = p.ProbsIntoCtx(ctx, stmt, dst)
+			p.PredictLogCtx(ctx, stmt)
 		}
 		if allocs := testing.AllocsPerRun(200, func() {
-			dst = p.ProbsInto(stmt, dst)
+			dst, _ = p.ProbsIntoCtx(ctx, stmt, dst)
 		}); allocs != 0 {
-			t.Errorf("%s: ProbsInto allocs/op = %v, want 0", name, allocs)
+			t.Errorf("%s: ProbsIntoCtx allocs/op = %v, want 0", name, allocs)
 		}
 		if allocs := testing.AllocsPerRun(200, func() {
-			p.PredictClass(stmt)
+			p.PredictLogCtx(ctx, stmt)
 		}); allocs != 0 {
-			t.Errorf("%s: PredictClass allocs/op = %v, want 0", name, allocs)
+			t.Errorf("%s: PredictLogCtx allocs/op = %v, want 0", name, allocs)
 		}
 		p.Close()
 	}
@@ -311,9 +338,9 @@ func TestPredictorBaselineSharing(t *testing.T) {
 				defer wg.Done()
 				for _, s := range testStatements(20) {
 					if m.Task.IsClassification() {
-						p.PredictClass(s)
+						p.ProbsIntoCtx(context.Background(), s, nil)
 					} else {
-						p.PredictLog(s)
+						p.PredictLogCtx(context.Background(), s)
 					}
 				}
 			}()

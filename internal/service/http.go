@@ -4,9 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/serve"
 )
@@ -18,196 +18,83 @@ import (
 //	POST /v1/deploy   {"model",["version"],["admission"],["queue_size"],["replicas"]}
 //	GET  /v1/stats?model=NAME
 //	GET  /v1/healthz
+//	POST /v1/admin/gc
+//	POST /v1/ingest   {"model","statement",["class"],["value"]}
 //
-// Request contexts propagate end to end: a client disconnect or a
-// deadline_ms expiry cancels the prediction while it is queued, and
-// admission-control rejections surface as 429s attributed to the
-// rejecting model's stats. /v1/healthz is the readiness probe: 503
-// until the store warm-boot finishes (and after Close), 200 once the
-// service is ready to take traffic.
+// Every route is one entry of the op table (control.go): the handler
+// only maps path and method onto the Op, hands it the body, and
+// encodes the reply. Request contexts propagate end to end: a client
+// disconnect or a deadline_ms expiry cancels the prediction while it
+// is queued, and admission-control rejections surface as 429s
+// attributed to the rejecting model's stats. /v1/healthz is the
+// readiness probe: 503 until the store warm-boot finishes (and after
+// Close), 200 once the service is ready to take traffic.
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/predict", func(w http.ResponseWriter, r *http.Request) { handlePredict(s, w, r) })
-	mux.HandleFunc("/v1/models", func(w http.ResponseWriter, r *http.Request) { handleModels(s, w, r) })
-	mux.HandleFunc("/v1/deploy", func(w http.ResponseWriter, r *http.Request) { handleDeploy(s, w, r) })
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) { handleStats(s, w, r) })
-	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) { handleHealthz(s, w, r) })
-	mux.HandleFunc("/v1/admin/gc", func(w http.ResponseWriter, r *http.Request) { handleGC(s, w, r) })
-	mux.HandleFunc("/v1/ingest", func(w http.ResponseWriter, r *http.Request) { handleIngest(s, w, r) })
+	for op := Op(0); op < numOps; op++ {
+		mux.HandleFunc(ops[op].path, func(w http.ResponseWriter, r *http.Request) { serveOp(s, op, w, r) })
+	}
 	return mux
 }
 
-// RetryAfterSeconds is the backoff hint sent with every 429 and 503 —
-// over HTTP as a Retry-After header, over the wire protocol in the
-// error frame — the server-provided pacing the typed client honors in
-// place of its own exponential guess.
-const RetryAfterSeconds = 1
+// MaxBodyBytes caps a request body on either transport: HTTP bodies
+// beyond it are refused with 413, and it is the wire protocol's frame
+// payload cap (wire.DefaultMaxPayload).
+const MaxBodyBytes = 16 << 20
 
-// predictRequest is the /v1/predict body. Exactly one of Statement or
-// Statements must be set.
-type predictRequest struct {
-	Model      string   `json:"model"`
-	Statement  string   `json:"statement,omitempty"`
-	Statements []string `json:"statements,omitempty"`
-	// DeadlineMs bounds the request server-side (on top of whatever
-	// deadline the client connection already carries).
-	DeadlineMs int `json:"deadline_ms,omitempty"`
+// serveOp answers one HTTP request for op.
+func serveOp(s *Service, op Op, w http.ResponseWriter, r *http.Request) {
+	method, _ := op.Route()
+	if r.Method != method {
+		writeError(w, http.StatusMethodNotAllowed, errors.New(method+" required"))
+		return
+	}
+	var body []byte
+	if method == http.MethodGet {
+		// A GET carries its input as query parameters; ops take JSON.
+		query := make(map[string]string)
+		for k, v := range r.URL.Query() {
+			query[k] = v[0]
+		}
+		body, _ = json.Marshal(query) // a string map always encodes
+	} else {
+		var err error
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+		if err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeError(w, status, err)
+			return
+		}
+	}
+	reply, err := s.Control(r.Context(), op, body)
+	switch {
+	case err == nil:
+		writeJSON(w, http.StatusOK, reply)
+	case reply != nil: // healthz: the document explains the failure
+		writeJSON(w, StatusFor(err), reply)
+	default:
+		writeError(w, StatusFor(err), err)
+	}
 }
 
-type predictResponse struct {
-	Results []Prediction `json:"results"`
+// RetryAfter is the backoff hint, in seconds, sent with every 429 and
+// 503 (0 for any other status) — over HTTP as a Retry-After header,
+// over the wire protocol in the error frame — the server-provided
+// pacing the typed client honors in place of its own exponential
+// guess.
+func RetryAfter(status int) int {
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		return 1
+	}
+	return 0
 }
 
 type errorResponse struct {
 	Error string `json:"error"`
-}
-
-func handlePredict(s *Service, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	var req predictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Model == "" || (req.Statement == "" && len(req.Statements) == 0) {
-		httpError(w, http.StatusBadRequest, errors.New("model and statement (or statements) required"))
-		return
-	}
-	ctx := r.Context()
-	if req.DeadlineMs > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMs)*time.Millisecond)
-		defer cancel()
-	}
-	stmts := req.Statements
-	if len(stmts) == 0 {
-		stmts = []string{req.Statement}
-	}
-	// One batch call: the whole replica pool works the statements
-	// concurrently rather than one at a time.
-	results, err := s.PredictBatch(ctx, req.Model, stmts)
-	if err != nil {
-		httpError(w, StatusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, predictResponse{Results: results})
-}
-
-func handleModels(s *Service, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
-	writeJSON(w, http.StatusOK, s.Models())
-}
-
-func handleDeploy(s *Service, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	var req DeployRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Model == "" {
-		httpError(w, http.StatusBadRequest, errors.New("model required"))
-		return
-	}
-	if err := s.ValidateDeploy(req.DeployOptions); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	info, err := s.Deploy(req.Model, req.Version, req.DeployOptions)
-	if err != nil {
-		httpError(w, StatusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
-}
-
-// handleHealthz serves the shared Health shape. Once a warm boot has
-// run, its Boot field carries the report — loaded/quarantined/skipped
-// counts and the incident log — so an orchestrator (or a human with
-// curl) can tell a clean boot from a degraded one that quarantined
-// artifacts.
-func handleHealthz(s *Service, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
-	h, ready := s.Health()
-	if !ready {
-		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds))
-		writeJSON(w, http.StatusServiceUnavailable, h)
-		return
-	}
-	writeJSON(w, http.StatusOK, h)
-}
-
-// gcResponse is the /v1/admin/gc body.
-type gcResponse struct {
-	Results []GCResult `json:"results"`
-}
-
-func handleGC(s *Service, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	results, err := s.GC()
-	if err != nil {
-		httpError(w, StatusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, gcResponse{Results: results})
-}
-
-// handleIngest accepts ground-truth feedback for a served statement
-// (POST /v1/ingest, the HTTP face of Service.Observe): the outcome is
-// appended to the node's ingest log, where the online pipeline's
-// trainers pick it up.
-func handleIngest(s *Service, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	var req IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Model == "" || req.Statement == "" {
-		httpError(w, http.StatusBadRequest, errors.New("model and statement required"))
-		return
-	}
-	if err := s.Observe(req.Model, req.Statement, req.Class, req.Value); err != nil {
-		httpError(w, StatusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, IngestResponse{OK: true})
-}
-
-func handleStats(s *Service, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
-	name := r.URL.Query().Get("model")
-	if name == "" {
-		httpError(w, http.StatusBadRequest, errors.New("model query parameter required"))
-		return
-	}
-	snap, err := s.StatsSnapshot(name)
-	if err != nil {
-		httpError(w, StatusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
 }
 
 // StatusFor maps service and context errors onto HTTP statuses. The
@@ -215,6 +102,8 @@ func handleStats(s *Service, w http.ResponseWriter, r *http.Request) {
 // so the typed-error ↔ sentinel mapping is transport-independent.
 func StatusFor(err error) int {
 	switch {
+	case errors.Is(err, ErrBadRequest):
+		return http.StatusBadRequest
 	case errors.Is(err, ErrNotFound):
 		return http.StatusNotFound
 	case errors.Is(err, ErrNoIngest):
@@ -229,7 +118,7 @@ func StatusFor(err error) int {
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return 499 // client closed request (nginx convention)
-	case errors.Is(err, ErrClosed), errors.Is(err, serve.ErrClosed):
+	case errors.Is(err, ErrClosed), errors.Is(err, serve.ErrClosed), errors.Is(err, errNotReady):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, serve.ErrPanicked):
 		// A poisoned input took down one inference, not the pool: the
@@ -240,16 +129,16 @@ func StatusFor(err error) int {
 	}
 }
 
-func httpError(w http.ResponseWriter, status int, err error) {
-	// Overload and unavailability responses carry the server's pacing
-	// hint; the typed client honors it over its own backoff schedule.
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds))
-	}
+func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	// Overload and unavailability responses carry the server's pacing
+	// hint; the typed client honors it over its own backoff schedule.
+	if secs := RetryAfter(status); secs > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(secs))
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -57,11 +58,11 @@ func TestHTTPPredictRoundTrip(t *testing.T) {
 	s, srv := newTestServer(t)
 	stmts := testStatements(5)
 
-	resp := postJSON(t, srv.URL+"/v1/predict", predictRequest{Model: "errors", Statement: stmts[0], DeadlineMs: 5000})
+	resp := postJSON(t, srv.URL+"/v1/predict", PredictRequest{Model: "errors", Statement: stmts[0], DeadlineMs: 5000})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	got := decodeJSON[predictResponse](t, resp)
+	got := decodeJSON[PredictResponse](t, resp)
 	if len(got.Results) != 1 {
 		t.Fatalf("results = %d", len(got.Results))
 	}
@@ -80,11 +81,11 @@ func TestHTTPPredictRoundTrip(t *testing.T) {
 	}
 
 	// Batch, regression.
-	resp = postJSON(t, srv.URL+"/v1/predict", predictRequest{Model: "rows", Statements: stmts})
+	resp = postJSON(t, srv.URL+"/v1/predict", PredictRequest{Model: "rows", Statements: stmts})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status = %d", resp.StatusCode)
 	}
-	batch := decodeJSON[predictResponse](t, resp)
+	batch := decodeJSON[PredictResponse](t, resp)
 	if len(batch.Results) != len(stmts) {
 		t.Fatalf("batch results = %d", len(batch.Results))
 	}
@@ -115,7 +116,7 @@ func TestHTTPModelsAndStats(t *testing.T) {
 	}
 
 	// Generate one request so stats are non-empty, then fetch them.
-	postJSON(t, srv.URL+"/v1/predict", predictRequest{Model: "errors", Statement: testStatements(1)[0]}).Body.Close()
+	postJSON(t, srv.URL+"/v1/predict", PredictRequest{Model: "errors", Statement: testStatements(1)[0]}).Body.Close()
 	resp, err = http.Get(srv.URL + "/v1/stats?model=errors")
 	if err != nil {
 		t.Fatal(err)
@@ -151,8 +152,8 @@ func TestHTTPDeploy(t *testing.T) {
 	if info.Version != 2 || !info.Live {
 		t.Fatalf("deploy info = %+v", info)
 	}
-	pr := postJSON(t, srv.URL+"/v1/predict", predictRequest{Model: "errors", Statement: testStatements(1)[0]})
-	if got := decodeJSON[predictResponse](t, pr); got.Results[0].Version != 2 {
+	pr := postJSON(t, srv.URL+"/v1/predict", PredictRequest{Model: "errors", Statement: testStatements(1)[0]})
+	if got := decodeJSON[PredictResponse](t, pr); got.Results[0].Version != 2 {
 		t.Fatalf("post-deploy version = %d", got.Results[0].Version)
 	}
 }
@@ -226,6 +227,16 @@ func TestHTTPDeployQuota(t *testing.T) {
 	bad.Body.Close()
 }
 
+// zeros is an endless stream of '0' bytes (an oversized request body).
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '0'
+	}
+	return len(p), nil
+}
+
 // TestHTTPErrorMapping checks error → status mapping: bad JSON, bad
 // methods, unknown models, missing fields.
 func TestHTTPErrorMapping(t *testing.T) {
@@ -241,6 +252,14 @@ func TestHTTPErrorMapping(t *testing.T) {
 		{"predict missing fields", func() (*http.Response, error) {
 			return http.Post(srv.URL+"/v1/predict", "application/json", strings.NewReader(`{"model":"errors"}`))
 		}, http.StatusBadRequest},
+		{"predict statement and statements", func() (*http.Response, error) {
+			return http.Post(srv.URL+"/v1/predict", "application/json",
+				strings.NewReader(`{"model":"errors","statement":"SELECT 1","statements":["SELECT 2"]}`))
+		}, http.StatusBadRequest},
+		{"predict body over the cap", func() (*http.Response, error) {
+			return http.Post(srv.URL+"/v1/predict", "application/json",
+				io.MultiReader(strings.NewReader(`{"model":"errors","statement":"`), io.LimitReader(zeros{}, MaxBodyBytes)))
+		}, http.StatusRequestEntityTooLarge},
 		{"predict unknown model", func() (*http.Response, error) {
 			return http.Post(srv.URL+"/v1/predict", "application/json",
 				strings.NewReader(`{"model":"ghost","statement":"SELECT 1"}`))

@@ -137,6 +137,20 @@ func (o DeployOptions) apply(base serve.Options) (serve.Options, error) {
 	return base, nil
 }
 
+// resolveDeploy resolves a Deploy or Swap call's optional override (at
+// most one) against the service-wide pool template.
+func (s *Service) resolveDeploy(opts []DeployOptions) (DeployOptions, serve.Options, error) {
+	var dopts DeployOptions
+	if len(opts) > 1 {
+		return dopts, serve.Options{}, errors.New("at most one DeployOptions")
+	}
+	if len(opts) == 1 {
+		dopts = opts[0]
+	}
+	serveOpts, err := dopts.apply(s.opts.Serve)
+	return dopts, serveOpts, err
+}
+
 // ModelInfo describes one registered model at one version.
 type ModelInfo struct {
 	// Name is the registry key the model was registered under.
@@ -232,6 +246,32 @@ func (e *entry) available() int {
 		}
 	}
 	return n
+}
+
+// version returns the snapshot registered as version v, nil when v was
+// never registered or is a hole.
+func (e *entry) version(v int) *core.Model {
+	if v < 1 || v > len(e.versions) {
+		return nil
+	}
+	return e.versions[v-1]
+}
+
+// swapLive starts a replica pool over version and swaps it in
+// atomically; the previous pool finishes its in-flight requests and is
+// closed. Every pool is born here. Callers hold e.mu and have checked
+// that the version is intact and, under that lock, that the service is
+// not closed — so a pool can never be born after Close tore the others
+// down.
+func (e *entry) swapLive(version int, dopts DeployOptions, serveOpts serve.Options) {
+	next := &livePool{
+		version: version,
+		opts:    dopts,
+		pred:    serve.NewPredictor(e.versions[version-1], serveOpts),
+	}
+	if prev := e.live.Swap(next); prev != nil {
+		prev.pred.Close() // drains in-flight requests before returning
+	}
 }
 
 // Service is a concurrent, versioned model registry and prediction
@@ -346,14 +386,7 @@ func (s *Service) Register(name string, m *core.Model) (ModelInfo, error) {
 // persisted before the swap, so a later WarmBoot redeploys exactly
 // this deployment.
 func (s *Service) Deploy(name string, version int, opts ...DeployOptions) (ModelInfo, error) {
-	var dopts DeployOptions
-	if len(opts) > 1 {
-		return ModelInfo{}, fmt.Errorf("service: deploy %q: at most one DeployOptions", name)
-	}
-	if len(opts) == 1 {
-		dopts = opts[0]
-	}
-	serveOpts, err := dopts.apply(s.opts.Serve)
+	dopts, serveOpts, err := s.resolveDeploy(opts)
 	if err != nil {
 		return ModelInfo{}, fmt.Errorf("service: deploy %q: %w", name, err)
 	}
@@ -379,10 +412,7 @@ func (s *Service) Deploy(name string, version int, opts ...DeployOptions) (Model
 	}
 	// Double-check closed under the entry lock so a pool can never be
 	// born after Close tore the others down.
-	s.mu.RLock()
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
+	if s.isClosed() {
 		return ModelInfo{}, ErrClosed
 	}
 	// Persist intent first: if the marker cannot be written the old
@@ -401,15 +431,7 @@ func (s *Service) Deploy(name string, version int, opts ...DeployOptions) (Model
 		}
 	}
 	e.gen++
-	next := &livePool{
-		version: version,
-		opts:    dopts,
-		pred:    serve.NewPredictor(e.versions[version-1], serveOpts),
-	}
-	prev := e.live.Swap(next)
-	if prev != nil {
-		prev.pred.Close() // drains in-flight requests before returning
-	}
+	e.swapLive(version, dopts, serveOpts)
 	// Retention is enforced at the moment history grows stale — best
 	// effort: a store hiccup during pruning must not undo a deploy that
 	// already succeeded (GC() retries it on demand).
@@ -423,13 +445,8 @@ func (s *Service) Swap(name string, m *core.Model, opts ...DeployOptions) (Model
 	// Validate the deploy options before registering: a bad option
 	// must not leave an orphaned (and, on a durable registry,
 	// persisted) version behind a failed Swap.
-	if len(opts) > 1 {
-		return ModelInfo{}, fmt.Errorf("service: swap %q: at most one DeployOptions", name)
-	}
-	if len(opts) == 1 {
-		if _, err := opts[0].apply(s.opts.Serve); err != nil {
-			return ModelInfo{}, fmt.Errorf("service: swap %q: %w", name, err)
-		}
+	if _, _, err := s.resolveDeploy(opts); err != nil {
+		return ModelInfo{}, fmt.Errorf("service: swap %q: %w", name, err)
 	}
 	info, err := s.Register(name, m)
 	if err != nil {
@@ -454,27 +471,59 @@ func (s *Service) Predict(ctx context.Context, name, stmt string) (Prediction, e
 // transport's hot path is built on. Callers that retain the result
 // across calls must copy Probs.
 func (s *Service) PredictInto(ctx context.Context, name, stmt string, probs []float64) (Prediction, error) {
-	e, err := s.entry(name)
+	var pr Prediction
+	err := s.onLive(name, func(e *entry, lp *livePool) (err error) {
+		pr, err = predictOn(ctx, lp, e, stmt, probs)
+		return err
+	})
 	if err != nil {
 		return Prediction{}, err
+	}
+	s.sampleIngest(stmt, &pr)
+	return pr, nil
+}
+
+// PredictBatch runs one prediction per statement, fanning the work
+// across the live pool's replicas, and returns the results in input
+// order. Like Predict, a batch racing a hot swap retries onto the new
+// pool; a completed batch comes entirely from one snapshot.
+func (s *Service) PredictBatch(ctx context.Context, name string, stmts []string) ([]Prediction, error) {
+	var out []Prediction
+	err := s.onLive(name, func(e *entry, lp *livePool) (err error) {
+		out, err = predictBatchOn(ctx, lp, e, stmts)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i := range out {
+		s.sampleIngest(stmts[i], &out[i])
+	}
+	return out, nil
+}
+
+// onLive runs fn against name's live pool. A pool that closes
+// underneath fn was either swapped by a concurrent Deploy — fn retries
+// on the replacement, so a deploy drops no request — or torn down by
+// Close, which is reported as ErrClosed. fn is only called, never
+// retained, so callers' closures stay on their stacks (the predict hot
+// path's 0-alloc contract).
+func (s *Service) onLive(name string, fn func(e *entry, lp *livePool) error) error {
+	e, err := s.entry(name)
+	if err != nil {
+		return err
 	}
 	for {
 		lp := e.live.Load()
 		if lp == nil {
-			return Prediction{}, ErrNotDeployed
+			return ErrNotDeployed
 		}
-		pr, err := predictOn(ctx, lp, e, stmt, probs)
-		if err == nil {
-			s.sampleIngest(stmt, &pr)
-			return pr, nil
+		err := fn(e, lp)
+		if err == nil || !errors.Is(err, serve.ErrClosed) {
+			return err
 		}
-		if !errors.Is(err, serve.ErrClosed) {
-			return pr, err
-		}
-		// The pool closed underneath us: a concurrent Deploy swapped it
-		// (retry onto its replacement) or the Service closed (report it).
 		if e.live.Load() == lp {
-			return Prediction{}, ErrClosed
+			return ErrClosed
 		}
 	}
 }
@@ -499,36 +548,6 @@ func predictOn(ctx context.Context, lp *livePool, e *entry, stmt string, dst []f
 	pr.Log = v
 	pr.Raw = metrics.InverseLogTransform(v, lp.pred.Model().LogMin)
 	return pr, nil
-}
-
-// PredictBatch runs one prediction per statement, fanning the work
-// across the live pool's replicas, and returns the results in input
-// order. Like Predict, a batch racing a hot swap retries onto the new
-// pool; a completed batch comes entirely from one snapshot.
-func (s *Service) PredictBatch(ctx context.Context, name string, stmts []string) ([]Prediction, error) {
-	e, err := s.entry(name)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		lp := e.live.Load()
-		if lp == nil {
-			return nil, ErrNotDeployed
-		}
-		out, err := predictBatchOn(ctx, lp, e, stmts)
-		if err == nil {
-			for i := range out {
-				s.sampleIngest(stmts[i], &out[i])
-			}
-			return out, nil
-		}
-		if !errors.Is(err, serve.ErrClosed) {
-			return out, err
-		}
-		if e.live.Load() == lp {
-			return nil, ErrClosed
-		}
-	}
 }
 
 // predictBatchOn runs one batch against a specific live pool through
@@ -563,51 +582,21 @@ func predictBatchOn(ctx context.Context, lp *livePool, e *entry, stmts []string)
 	return out, nil
 }
 
-// PredictClass returns the argmax class of name's live version.
-func (s *Service) PredictClass(ctx context.Context, name, stmt string) (int, error) {
-	pr, err := s.Predict(ctx, name, stmt)
-	if err != nil {
-		return 0, err
-	}
-	return pr.Class, nil
-}
-
-// PredictRaw returns the original-unit regression prediction of
-// name's live version.
-func (s *Service) PredictRaw(ctx context.Context, name, stmt string) (float64, error) {
-	pr, err := s.Predict(ctx, name, stmt)
-	if err != nil {
-		return 0, err
-	}
-	return pr.Raw, nil
-}
-
 // sampleIngest appends every IngestEvery-th successful prediction to
 // the ingest log as a Predicted record. Allocation-free: the counter
 // is atomic, the record is stack-built, and the WAL reuses its encode
 // buffer — the predict hot path's 0-alloc contract holds with sampling
 // enabled.
 func (s *Service) sampleIngest(stmt string, pr *Prediction) {
-	w := s.opts.Ingest
-	if w == nil || s.opts.IngestEvery <= 0 {
+	if s.opts.Ingest == nil || s.opts.IngestEvery <= 0 {
 		return
 	}
 	if s.ingestN.Add(1)%uint64(s.opts.IngestEvery) != 0 {
 		return
 	}
-	err := w.Append(ingest.Record{
-		Time:      time.Now().UnixNano(),
-		Kind:      ingest.Predicted,
-		Model:     pr.Name,
-		Statement: stmt,
-		Class:     int32(pr.Class),
-		Value:     pr.Log,
-	})
-	if err != nil {
-		s.ingestDropped.Add(1)
-		return
+	if s.logIngest(ingest.Predicted, pr.Name, stmt, pr.Class, pr.Log) == nil {
+		s.ingestSampled.Add(1)
 	}
-	s.ingestSampled.Add(1)
 }
 
 // Observe appends a ground-truth outcome for a served statement to the
@@ -623,20 +612,28 @@ func (s *Service) Observe(name, stmt string, class int, value float64) error {
 	if _, err := s.entry(name); err != nil {
 		return err
 	}
+	if err := s.logIngest(ingest.Observed, name, stmt, class, value); err != nil {
+		return fmt.Errorf("service: observe %q: %w", name, err)
+	}
+	s.ingestObserved.Add(1)
+	return nil
+}
+
+// logIngest appends one record to the ingest log, counting a failed
+// append as dropped.
+func (s *Service) logIngest(kind ingest.Kind, model, stmt string, class int, value float64) error {
 	err := s.opts.Ingest.Append(ingest.Record{
 		Time:      time.Now().UnixNano(),
-		Kind:      ingest.Observed,
-		Model:     name,
+		Kind:      kind,
+		Model:     model,
 		Statement: stmt,
 		Class:     int32(class),
 		Value:     value,
 	})
 	if err != nil {
 		s.ingestDropped.Add(1)
-		return fmt.Errorf("service: observe %q: %w", name, err)
 	}
-	s.ingestObserved.Add(1)
-	return nil
+	return err
 }
 
 // LiveVersion returns name's live deployment: its version number and
@@ -653,10 +650,7 @@ func (s *Service) LiveVersion(name string) (int, *core.Model, error) {
 		return 0, nil, ErrNotDeployed
 	}
 	e.mu.Lock()
-	var m *core.Model
-	if lp.version >= 1 && lp.version <= len(e.versions) {
-		m = e.versions[lp.version-1]
-	}
+	m := e.version(lp.version)
 	e.mu.Unlock()
 	if m == nil {
 		return 0, nil, ErrNotDeployed
@@ -676,10 +670,7 @@ func (s *Service) VersionModel(name string, version int) (*core.Model, error) {
 		return nil, err
 	}
 	e.mu.Lock()
-	var m *core.Model
-	if version >= 1 && version <= len(e.versions) {
-		m = e.versions[version-1]
-	}
+	m := e.version(version)
 	e.mu.Unlock()
 	if m == nil {
 		return nil, fmt.Errorf("%w: %q version %d", ErrNotFound, name, version)
@@ -703,12 +694,8 @@ func (s *Service) SetOnlineStats(provider func(model string) (OnlineStats, bool)
 // version count and live version.
 func (s *Service) Models() []ModelInfo {
 	s.mu.RLock()
-	entries := make([]*entry, 0, len(s.entries))
-	for _, e := range s.entries {
-		entries = append(entries, e)
-	}
+	entries := s.entriesLocked()
 	s.mu.RUnlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
 	infos := make([]ModelInfo, len(entries))
 	for i, e := range entries {
 		e.mu.Lock()
@@ -716,22 +703,6 @@ func (s *Service) Models() []ModelInfo {
 		e.mu.Unlock()
 	}
 	return infos
-}
-
-// Stats snapshots the live pool's service metrics for name.
-func (s *Service) Stats(name string) (serve.Stats, ModelInfo, error) {
-	e, err := s.entry(name)
-	if err != nil {
-		return serve.Stats{}, ModelInfo{}, err
-	}
-	lp := e.live.Load()
-	if lp == nil {
-		return serve.Stats{}, ModelInfo{}, ErrNotDeployed
-	}
-	e.mu.Lock()
-	info := e.info(lp.version)
-	e.mu.Unlock()
-	return lp.pred.Stats(), info, nil
 }
 
 // Close tears the registry down: every live pool is drained and
@@ -744,10 +715,7 @@ func (s *Service) Close() {
 		return
 	}
 	s.closed = true
-	entries := make([]*entry, 0, len(s.entries))
-	for _, e := range s.entries {
-		entries = append(entries, e)
-	}
+	entries := s.entriesLocked()
 	s.mu.Unlock()
 	for _, e := range entries {
 		e.mu.Lock() // no Deploy can race a new pool in (it re-checks closed)
@@ -782,12 +750,8 @@ func (s *Service) GC() ([]GCResult, error) {
 		s.mu.RUnlock()
 		return nil, ErrClosed
 	}
-	entries := make([]*entry, 0, len(s.entries))
-	for _, e := range s.entries {
-		entries = append(entries, e)
-	}
+	entries := s.entriesLocked()
 	s.mu.RUnlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
 	results := make([]GCResult, 0, len(entries))
 	var firstErr error
 	for _, e := range entries {
@@ -928,31 +892,6 @@ func (s *Service) BootReport() *BootReport {
 	return s.boot.Load()
 }
 
-// quarantine moves a damaged blob under the quarantine prefix (best
-// effort: on failure the blob stays put and the next boot retries).
-func (s *Service) quarantine(rep *BootReport, key string, data []byte, why error) {
-	rep.Quarantined++
-	rep.detailf("quarantined %q: %v", key, why)
-	for _, incident := range quarantineBlob(s.opts.Store, key, data) {
-		rep.detailf("%s", incident)
-	}
-}
-
-// quarantineBlob parks one damaged blob under the quarantine prefix,
-// returning incident lines for anything that went wrong doing so (the
-// blob then stays put and the next boot or sync retries). Shared by
-// WarmBoot and SyncStore so mid-sync damage gets exactly the boot
-// path's semantics.
-func quarantineBlob(store Store, key string, data []byte) []string {
-	if err := store.Put(quarantinePrefix+key, data); err != nil {
-		return []string{fmt.Sprintf("quarantine move of %q failed, blob left in place: %v", key, err)}
-	}
-	if err := store.Delete(key); err != nil {
-		return []string{fmt.Sprintf("quarantine delete of original %q failed: %v", key, err)}
-	}
-	return nil
-}
-
 // WarmBoot replays the configured store into an empty registry: every
 // persisted version is decoded (checksums verified) and reinstalled
 // under its original version number, and each model's recorded live
@@ -991,97 +930,22 @@ func (s *Service) WarmBoot() (*BootReport, error) {
 		s.boot.Store(rep)
 		return rep, nil
 	}
-	keys, err := s.opts.Store.List()
+	r := &replay{
+		s: s, op: "warm boot", strict: true,
+		loaded: &rep.Loaded, quarantined: &rep.Quarantined, detailf: rep.detailf,
+	}
+	sc, err := r.scan()
 	if err != nil {
-		return nil, fmt.Errorf("service: warm boot: %w", err)
+		return nil, err
 	}
-	versions := make(map[string][]int)
-	live := make(map[string]liveRecord)
-	corruptMarker := make(map[string]bool)
-	for _, key := range keys {
-		if strings.HasPrefix(key, quarantinePrefix) {
-			rep.Skipped++ // parked by an earlier boot; not ours to replay
-			continue
-		}
-		name, v, isArtifact, ok := parseKey(key)
-		if !ok {
-			rep.Skipped++ // not one of ours (README in the store dir, ...)
-			continue
-		}
-		if !isArtifact {
-			data, err := s.opts.Store.Get(key)
-			if err != nil {
-				return nil, fmt.Errorf("service: warm boot: %w", err)
-			}
-			var rec liveRecord
-			if err := json.Unmarshal(data, &rec); err != nil || rec.Version <= 0 {
-				if err == nil {
-					err = fmt.Errorf("live marker names version %d", rec.Version)
-				}
-				// The marker is damaged but the artifacts may be fine:
-				// quarantine it and fall back to the highest intact
-				// version below.
-				s.quarantine(rep, key, data, err)
-				corruptMarker[name] = true
-				continue
-			}
-			live[name] = rec
-			continue
-		}
-		versions[name] = append(versions[name], v)
-	}
-
+	rep.Skipped = sc.skipped
 	// Rebuild each entry's version history. Versions that fail to
 	// decode are quarantined and leave holes; a model with no intact
 	// version at all is dropped (reported, not fatal).
-	names := make([]string, 0, len(versions))
-	for name := range versions {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	installed := make(map[string]bool)
-	for _, name := range names {
-		vs := versions[name]
-		sort.Ints(vs)
-		maxV := vs[len(vs)-1]
-		e := &entry{name: name, versions: make([]*core.Model, maxV)}
-		for _, v := range vs {
-			key := artifactKey(name, v)
-			data, err := s.opts.Store.Get(key)
-			if err != nil {
-				return nil, fmt.Errorf("service: warm boot: %w", err)
-			}
-			m, err := artifact.Decode(data)
-			if err != nil {
-				s.quarantine(rep, key, data, err)
-				continue
-			}
-			if m.Version != v {
-				s.quarantine(rep, key, data, fmt.Errorf("artifact claims version %d", m.Version))
-				continue
-			}
-			if e.kind == "" {
-				e.task, e.kind = m.Task, m.Name
-			} else if m.Task != e.task || m.Name != e.kind {
-				s.quarantine(rep, key, data, fmt.Errorf("%s/%s does not match entry %s/%s",
-					m.Name, m.Task, e.kind, e.task))
-				continue
-			}
-			e.versions[v-1] = m
-			rep.Loaded++
+	for _, name := range sortedKeys(sc.versions) {
+		if _, err := r.install(name, sc.versions[name]); err != nil {
+			return nil, err
 		}
-		if e.available() == 0 {
-			rep.detailf("model %q has no intact versions; not registered", name)
-			continue
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return nil, ErrClosed
-		}
-		s.entries[name] = e
-		s.mu.Unlock()
-		installed[name] = true
 	}
 
 	// Restart the recorded live deployments, falling back to the
@@ -1089,36 +953,27 @@ func (s *Service) WarmBoot() (*BootReport, error) {
 	// itself) did not survive. A model whose artifacts are all gone is
 	// reported and skipped — a degraded node that serves its intact
 	// models beats a dead one.
-	markerNames := make([]string, 0, len(live)+len(corruptMarker))
-	for name := range live {
-		markerNames = append(markerNames, name)
-	}
-	for name := range corruptMarker {
-		markerNames = append(markerNames, name)
-	}
-	sort.Strings(markerNames)
-	for _, name := range markerNames {
-		if !installed[name] {
+	for _, name := range sortedKeys(sc.live) {
+		rec := sc.live[name]
+		e, err := s.entry(name)
+		if errors.Is(err, ErrNotFound) {
 			rep.detailf("live marker for %q but no intact artifacts; deployment lost", name)
 			continue
 		}
-		rec, hasRec := live[name]
-		target, dopts := rec.Version, rec.DeployOptions
-		e, err := s.entry(name)
 		if err != nil {
 			return nil, fmt.Errorf("service: warm boot: %w", err)
 		}
+		target, dopts := rec.Version, rec.DeployOptions
 		e.mu.Lock()
-		intact := target >= 1 && target <= len(e.versions) && e.versions[target-1] != nil
 		fallback := e.latest()
-		e.mu.Unlock()
-		if !hasRec {
+		switch {
+		case rec.Version == 0:
 			target, dopts = fallback, DeployOptions{}
 			rep.detailf("live marker for %q was damaged; deploying highest intact version v%d", name, target)
-		} else if !intact {
+		case e.version(target) == nil:
 			rep.detailf("live version v%d of %q is not intact; falling back to v%d", target, name, fallback)
 			target, dopts = fallback, DeployOptions{}
-		} else {
+		default:
 			// Restoring an intact marker must not mint a new
 			// generation: a rebooting node re-adopts the cluster's
 			// current deployment rather than claiming a newer one. The
@@ -1127,10 +982,9 @@ func (s *Service) WarmBoot() (*BootReport, error) {
 			// Fallback deploys (the branches above) are genuinely new
 			// local decisions and keep the fresh generation Deploy
 			// assigns.
-			e.mu.Lock()
 			e.gen = rec.Gen - 1
-			e.mu.Unlock()
 		}
+		e.mu.Unlock()
 		info, err := s.Deploy(name, target, dopts)
 		if err != nil {
 			// Deploying an intact version should only fail on store
@@ -1144,6 +998,23 @@ func (s *Service) WarmBoot() (*BootReport, error) {
 	s.ready.Store(true)
 	s.boot.Store(rep)
 	return rep, nil
+}
+
+// isClosed reports whether Close has run.
+func (s *Service) isClosed() bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.closed
+}
+
+// entriesLocked snapshots the registry's entries in name order. Caller
+// holds s.mu.
+func (s *Service) entriesLocked() []*entry {
+	entries := make([]*entry, 0, len(s.entries))
+	for _, name := range sortedKeys(s.entries) {
+		entries = append(entries, s.entries[name])
+	}
+	return entries
 }
 
 // entry looks a registry slot up.

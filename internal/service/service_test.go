@@ -92,9 +92,9 @@ func TestRegisterDeployPredict(t *testing.T) {
 	if len(models) != 1 || models[0].Name != "errors" || models[0].LiveVersion != 1 {
 		t.Fatalf("Models() = %+v", models)
 	}
-	st, sinfo, err := s.Stats("errors")
-	if err != nil || st.Completed == 0 || sinfo.Version != 1 {
-		t.Fatalf("Stats = %+v, %+v, %v", st, sinfo, err)
+	snap, err := s.StatsSnapshot("errors")
+	if err != nil || snap.Stats.Completed == 0 || snap.Info.Version != 1 {
+		t.Fatalf("StatsSnapshot = %+v, %v", snap, err)
 	}
 }
 
@@ -120,10 +120,10 @@ func TestRegistryValidation(t *testing.T) {
 	if _, err := s.Deploy("ghost", 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deploy ghost err = %v", err)
 	}
-	if _, _, err := s.Stats("ghost"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.StatsSnapshot("ghost"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("stats ghost err = %v", err)
 	}
-	if _, _, err := s.Stats("m"); !errors.Is(err, ErrNotDeployed) {
+	if _, err := s.StatsSnapshot("m"); !errors.Is(err, ErrNotDeployed) {
 		t.Fatalf("stats undeployed err = %v", err)
 	}
 }
@@ -346,9 +346,9 @@ func TestRegressionPrediction(t *testing.T) {
 	if pr.Log != m.PredictLog(stmt) || pr.Raw != m.PredictRaw(stmt) {
 		t.Fatalf("log/raw = %v/%v, want %v/%v", pr.Log, pr.Raw, m.PredictLog(stmt), m.PredictRaw(stmt))
 	}
-	raw, err := s.PredictRaw(context.Background(), "rows", stmt)
-	if err != nil || raw != pr.Raw {
-		t.Fatalf("PredictRaw = %v, %v", raw, err)
+	again, err := s.PredictInto(context.Background(), "rows", stmt, nil)
+	if err != nil || again.Raw != pr.Raw {
+		t.Fatalf("PredictInto raw = %v, %v", again.Raw, err)
 	}
 }
 

@@ -50,30 +50,21 @@ type OnlineStats struct {
 	LastDecision string `json:"last_decision,omitempty"`
 }
 
-// IngestRequest is the feedback body shared by POST /v1/ingest and the
-// wire transport's MsgIngest payload: a served statement and its
-// observed ground-truth outcome (class for classification tasks, value
-// in raw units for regression tasks).
-type IngestRequest struct {
-	Model     string  `json:"model"`
-	Statement string  `json:"statement"`
-	Class     int     `json:"class,omitempty"`
-	Value     float64 `json:"value,omitempty"`
-}
-
-// IngestResponse is the feedback acknowledgment shared by both
-// transports.
-type IngestResponse struct {
-	OK bool `json:"ok"`
-}
-
 // StatsSnapshot assembles the shared stats shape for name's live
 // deployment.
 func (s *Service) StatsSnapshot(name string) (StatsSnapshot, error) {
-	st, info, err := s.Stats(name)
+	e, err := s.entry(name)
 	if err != nil {
 		return StatsSnapshot{}, err
 	}
+	lp := e.live.Load()
+	if lp == nil {
+		return StatsSnapshot{}, ErrNotDeployed
+	}
+	e.mu.Lock()
+	info := e.info(lp.version)
+	e.mu.Unlock()
+	st := lp.pred.Stats()
 	snap := StatsSnapshot{
 		Info: info, Completed: st.Completed, Rejected: st.Rejected, Canceled: st.Canceled,
 		P50: st.P50.String(), P99: st.P99.String(), Stats: st,
@@ -99,23 +90,6 @@ func (s *Service) StatsSnapshot(name string) (StatsSnapshot, error) {
 		snap.Online = &online
 	}
 	return snap, nil
-}
-
-// DeployRequest is the deploy body shared by POST /v1/deploy and the
-// wire transport's MsgDeploy payload: the model, an optional version
-// (0 = latest), and per-deployment pool overrides.
-type DeployRequest struct {
-	Model   string `json:"model"`
-	Version int    `json:"version,omitempty"`
-	DeployOptions
-}
-
-// ValidateDeploy checks deployment overrides against the service's
-// pool template without deploying, so transports can reject a bad
-// request body up front (HTTP and wire both map this onto 400).
-func (s *Service) ValidateDeploy(o DeployOptions) error {
-	_, err := o.apply(s.opts.Serve)
-	return err
 }
 
 // Health is the single readiness shape shared by GET /v1/healthz and

@@ -578,14 +578,15 @@ func TestPerModelAdmissionQuota(t *testing.T) {
 		t.Fatal("quota model never rejected a 60-request burst into a 1-deep queue")
 	}
 
-	qs, qinfo, err := s.Stats("quota")
+	quota, err := s.StatsSnapshot("quota")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ostats, oinfo, err := s.Stats("open")
+	open, err := s.StatsSnapshot("open")
 	if err != nil {
 		t.Fatal(err)
 	}
+	qs, qinfo, ostats, oinfo := quota.Stats, quota.Info, open.Stats, open.Info
 	if qinfo.Deploy.Admission != AdmissionReject || qinfo.Deploy.QueueSize != 1 {
 		t.Fatalf("quota deployment options not reported: %+v", qinfo.Deploy)
 	}

@@ -1,16 +1,10 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/artifact"
-	"repro/internal/serve"
 )
 
 // This file is the shared-store control plane: nodes that point at the
@@ -55,15 +49,6 @@ func (r *SyncReport) detailf(format string, args ...any) {
 	r.Details = append(r.Details, fmt.Sprintf(format, args...))
 }
 
-// syncQuarantine parks a damaged blob exactly as a warm boot would.
-func (s *Service) syncQuarantine(rep *SyncReport, key string, data []byte, why error) {
-	rep.Quarantined++
-	rep.detailf("quarantined %q: %v", key, why)
-	for _, incident := range quarantineBlob(s.opts.Store, key, data) {
-		rep.detailf("%s", incident)
-	}
-}
-
 // SyncStore performs one convergence pass against the store: it
 // installs artifact versions registered by other nodes (creating
 // registry entries for models this node has never seen), and applies
@@ -80,202 +65,79 @@ func (s *Service) SyncStore() (*SyncReport, error) {
 	if s.opts.Store == nil {
 		return rep, nil
 	}
-	s.mu.RLock()
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
+	if s.isClosed() {
 		return nil, ErrClosed
 	}
-
-	keys, err := s.opts.Store.List()
+	r := &replay{
+		s: s, op: "sync",
+		loaded: &rep.Loaded, quarantined: &rep.Quarantined, detailf: rep.detailf,
+	}
+	sc, err := r.scan()
 	if err != nil {
-		return nil, fmt.Errorf("service: sync: %w", err)
+		return nil, err
 	}
-	versions := make(map[string][]int)
-	live := make(map[string]liveRecord)
-	for _, key := range keys {
-		if strings.HasPrefix(key, quarantinePrefix) {
-			continue // parked by an earlier boot or sync; not ours
-		}
-		name, v, isArtifact, ok := parseKey(key)
-		if !ok {
-			continue // foreign file in the store directory
-		}
-		if isArtifact {
-			versions[name] = append(versions[name], v)
-			continue
-		}
-		data, err := s.opts.Store.Get(key)
+	for _, name := range sortedKeys(sc.versions) {
+		created, err := r.install(name, sc.versions[name])
 		if err != nil {
-			if !errors.Is(err, ErrNoKey) {
-				rep.detailf("read live marker %q: %v", key, err)
-			}
-			continue
+			return nil, err
 		}
-		var rec liveRecord
-		if err := json.Unmarshal(data, &rec); err != nil || rec.Version <= 0 {
-			if err == nil {
-				err = fmt.Errorf("live marker names version %d", rec.Version)
-			}
-			s.syncQuarantine(rep, key, data, err)
-			continue
+		if created {
+			rep.NewModels = append(rep.NewModels, name)
 		}
-		live[name] = rec
 	}
-
-	// Install artifact versions this node does not hold. Entries for
-	// unseen models are built detached and published only once they
-	// have an intact version, so a model whose artifacts are all
-	// damaged never appears in the registry (WarmBoot's rule).
-	names := make([]string, 0, len(versions))
-	for name := range versions {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		vs := versions[name]
-		sort.Ints(vs)
-		s.mu.RLock()
-		closed := s.closed
-		e, known := s.entries[name]
-		s.mu.RUnlock()
-		if closed {
-			return nil, ErrClosed
+	for _, name := range sortedKeys(sc.live) {
+		rec := sc.live[name]
+		if rec.Version == 0 {
+			continue // damaged; the scan quarantined it
 		}
-		if !known {
-			e = &entry{name: name}
-		}
-		e.mu.Lock()
-		for _, v := range vs {
-			if v <= len(e.versions) && e.versions[v-1] != nil {
-				continue // already installed
-			}
-			key := artifactKey(name, v)
-			data, err := s.opts.Store.Get(key)
-			if err != nil {
-				if !errors.Is(err, ErrNoKey) {
-					rep.detailf("read artifact %q: %v", key, err)
-				}
-				continue
-			}
-			m, err := artifact.Decode(data)
-			if err != nil {
-				s.syncQuarantine(rep, key, data, err)
-				continue
-			}
-			if m.Version != v {
-				s.syncQuarantine(rep, key, data, fmt.Errorf("artifact claims version %d", m.Version))
-				continue
-			}
-			if e.kind == "" {
-				e.task, e.kind = m.Task, m.Name
-			} else if m.Task != e.task || m.Name != e.kind {
-				s.syncQuarantine(rep, key, data, fmt.Errorf("%s/%s does not match entry %s/%s",
-					m.Name, m.Task, e.kind, e.task))
-				continue
-			}
-			for len(e.versions) < v {
-				e.versions = append(e.versions, nil)
-			}
-			e.versions[v-1] = m
-			rep.Loaded++
-		}
-		avail := e.available()
-		e.mu.Unlock()
-		if known {
-			continue
-		}
-		if avail == 0 {
-			rep.detailf("model %q has no intact versions; not registered", name)
-			continue
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return nil, ErrClosed
-		}
-		if _, raced := s.entries[name]; raced {
-			// A concurrent Register beat us to the name: drop our
-			// detached entry; the next pass merges into the winner.
-			s.mu.Unlock()
-			continue
-		}
-		s.entries[name] = e
-		s.mu.Unlock()
-		rep.NewModels = append(rep.NewModels, name)
-	}
-
-	// Apply live markers newer than our entry's generation. Ties (and
-	// older markers) lose to local state: this node's own deploys set
-	// the generation they persisted, so a marker it merely observes
-	// must strictly exceed it.
-	markerNames := make([]string, 0, len(live))
-	for name := range live {
-		markerNames = append(markerNames, name)
-	}
-	sort.Strings(markerNames)
-	for _, name := range markerNames {
-		rec := live[name]
-		s.mu.RLock()
-		closed := s.closed
-		e, known := s.entries[name]
-		s.mu.RUnlock()
-		if closed {
-			return nil, ErrClosed
-		}
-		if !known {
+		e, err := s.entry(name)
+		if errors.Is(err, ErrNotFound) {
 			rep.detailf("live marker for %q but no intact artifacts; deployment not applied", name)
 			continue
 		}
-		e.mu.Lock()
-		if rec.Gen <= e.gen {
-			e.mu.Unlock()
-			continue // local state is as new or newer; local wins ties
-		}
-		if cur := e.live.Load(); cur != nil && cur.version == rec.Version && cur.opts == rec.DeployOptions {
-			// Already serving exactly this deployment (typically our
-			// own marker read back): adopt the generation, skip the
-			// pool churn.
-			e.gen = rec.Gen
-			e.mu.Unlock()
-			continue
-		}
-		if rec.Version > len(e.versions) || e.versions[rec.Version-1] == nil {
-			e.mu.Unlock()
-			rep.detailf("live marker for %q names v%d (gen %d) but the version is not intact here; not applied",
-				name, rec.Version, rec.Gen)
-			continue
-		}
-		serveOpts, err := rec.DeployOptions.apply(s.opts.Serve)
 		if err != nil {
-			e.mu.Unlock()
-			rep.detailf("live marker for %q carries bad deploy options: %v", name, err)
-			continue
+			return nil, err
 		}
-		// Same closed double-check as Deploy: no pool may be born
-		// after Close tore the others down.
-		s.mu.RLock()
-		closed = s.closed
-		s.mu.RUnlock()
-		if closed {
-			e.mu.Unlock()
-			return nil, ErrClosed
+		if err := s.adopt(rep, e, rec); err != nil {
+			return nil, err
 		}
-		next := &livePool{
-			version: rec.Version,
-			opts:    rec.DeployOptions,
-			pred:    serve.NewPredictor(e.versions[rec.Version-1], serveOpts),
-		}
-		prev := e.live.Swap(next)
-		if prev != nil {
-			prev.pred.Close() // drains in-flight requests before returning
-		}
-		e.gen = rec.Gen
-		info := e.info(rec.Version)
-		e.mu.Unlock()
-		rep.Applied = append(rep.Applied, info)
 	}
 	return rep, nil
+}
+
+// adopt applies a live marker observed in the store when its
+// generation is newer than the entry's. Ties (and older markers) lose
+// to local state: this node's own deploys set the generation they
+// persisted, so a marker it merely observes must strictly exceed it.
+func (s *Service) adopt(rep *SyncReport, e *entry, rec liveRecord) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if rec.Gen <= e.gen {
+		return nil
+	}
+	if cur := e.live.Load(); cur != nil && cur.version == rec.Version && cur.opts == rec.DeployOptions {
+		// Already serving exactly this deployment (typically our own
+		// marker read back): adopt the generation, skip the pool churn.
+		e.gen = rec.Gen
+		return nil
+	}
+	if e.version(rec.Version) == nil {
+		rep.detailf("live marker for %q names v%d (gen %d) but the version is not intact here; not applied",
+			e.name, rec.Version, rec.Gen)
+		return nil
+	}
+	serveOpts, err := rec.DeployOptions.apply(s.opts.Serve)
+	if err != nil {
+		rep.detailf("live marker for %q carries bad deploy options: %v", e.name, err)
+		return nil
+	}
+	if s.isClosed() {
+		return ErrClosed
+	}
+	e.swapLive(rec.Version, rec.DeployOptions, serveOpts)
+	e.gen = rec.Gen
+	rep.Applied = append(rep.Applied, e.info(rec.Version))
+	return nil
 }
 
 // WatchStore starts a background goroutine that runs SyncStore every

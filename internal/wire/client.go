@@ -18,12 +18,10 @@ type ClientOptions struct {
 	// Conns is the pooled connection count (default 2). Requests
 	// round-robin across connections and pipeline freely within one.
 	Conns int
-	// MaxPayload caps accepted reply payloads (default
-	// DefaultMaxPayload).
-	MaxPayload int
-	// DialTimeout bounds connection establishment (default 5s).
-	DialTimeout time.Duration
 }
+
+// dialTimeout bounds connection establishment.
+const dialTimeout = 5 * time.Second
 
 // ServerError is a typed failure reply from the wire server. Status is
 // the exact HTTP status the service's error mapper assigns the same
@@ -66,12 +64,6 @@ type Client struct {
 func Dial(network, addr string, opts ClientOptions) *Client {
 	if opts.Conns <= 0 {
 		opts.Conns = 2
-	}
-	if opts.MaxPayload <= 0 {
-		opts.MaxPayload = DefaultMaxPayload
-	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
 	}
 	c := &Client{network: network, addr: addr, opts: opts, conns: make([]*clientConn, opts.Conns)}
 	c.callPool.New = func() any { return &call{done: make(chan struct{}, 1)} }
@@ -148,13 +140,13 @@ func (c *Client) conn(i int) (*clientConn, error) {
 	if cc != nil && !cc.down.Load() {
 		return cc, nil
 	}
-	nc, err := net.DialTimeout(c.network, c.addr, c.opts.DialTimeout)
+	nc, err := net.DialTimeout(c.network, c.addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial %s %s: %v", ErrTransport, c.network, c.addr, err)
 	}
 	cc = &clientConn{nc: nc, pending: map[uint64]*call{}}
 	c.conns[i] = cc
-	go cc.readLoop(c.opts.MaxPayload)
+	go cc.readLoop()
 	return cc, nil
 }
 
@@ -178,8 +170,8 @@ func (cc *clientConn) fail(err error) {
 // readLoop demultiplexes reply frames onto pending calls by request
 // ID. Frame corruption or connection loss fails the connection and
 // every call pipelined on it.
-func (cc *clientConn) readLoop(maxPayload int) {
-	fr := frameReader{r: cc.nc, maxPayload: maxPayload}
+func (cc *clientConn) readLoop() {
+	fr := frameReader{r: cc.nc, maxPayload: DefaultMaxPayload}
 	for {
 		h, payload, err := fr.next()
 		if err != nil {
@@ -252,10 +244,44 @@ func deadlineMs(ctx context.Context) (uint32, error) {
 	return uint32(ms), nil
 }
 
+// exchange is one request/reply: it sends a t frame whose payload enc
+// appends (given the server-side deadline hint derived from ctx) and
+// waits for the reply, decoded into a pooled call. On success the
+// caller copies its result out of the call and recycles it; every
+// failure — expired ctx, dead transport, typed *ServerError reply —
+// comes back as the error with the call already recycled. enc is only
+// called, never retained, so callers' closures stay on their stacks.
+func (c *Client) exchange(ctx context.Context, t MsgType, probs []float64, enc func(dst []byte, deadlineMs uint32) []byte) (*call, error) {
+	dl, err := deadlineMs(ctx)
+	if err != nil {
+		return nil, err
+	}
+	ca := c.callPool.Get().(*call)
+	ca.probs = probs
+	err = c.roundTrip(ctx, t, ca, dl, enc)
+	if err == nil {
+		err = ca.err
+	}
+	if err == nil && ca.srvErr != nil {
+		err = ca.srvErr
+	}
+	if err != nil {
+		c.recycle(ca)
+		return nil, err
+	}
+	return ca, nil
+}
+
+// recycle returns a quiescent call to the pool.
+func (c *Client) recycle(ca *call) {
+	ca.reset()
+	c.callPool.Put(ca)
+}
+
 // roundTrip registers ca under a fresh request ID, writes one frame
 // (header built in the connection's reused write buffer, payload
 // appended by enc), and waits for the reader or ctx.
-func (c *Client) roundTrip(ctx context.Context, t MsgType, ca *call, enc func(dst []byte) []byte) error {
+func (c *Client) roundTrip(ctx context.Context, t MsgType, ca *call, dl uint32, enc func(dst []byte, deadlineMs uint32) []byte) error {
 	cc, err := c.conn(int(c.rr.Add(1) % uint64(c.opts.Conns)))
 	if err != nil {
 		return err
@@ -274,7 +300,7 @@ func (c *Client) roundTrip(ctx context.Context, t MsgType, ca *call, enc func(ds
 
 	cc.wmu.Lock()
 	buf := beginFrame(cc.wbuf[:0], t, id)
-	buf = enc(buf)
+	buf = enc(buf, dl)
 	buf = endFrame(buf, 0)
 	cc.wbuf = buf
 	_, werr := cc.nc.Write(buf)
@@ -306,40 +332,19 @@ func (c *Client) roundTrip(ctx context.Context, t MsgType, ca *call, enc func(ds
 	}
 }
 
-// finish translates a completed call into the caller-facing error and
-// recycles the call.
-func (c *Client) finish(ca *call) error {
-	err := ca.err
-	if err == nil && ca.srvErr != nil {
-		err = ca.srvErr
-	}
-	ca.reset()
-	c.callPool.Put(ca)
-	return err
-}
-
 // PredictInto requests one prediction, decoding class probabilities
 // into probs (grown only when capacity is insufficient). The returned
 // prediction's Probs field aliases the returned slice; pass it back in
 // on the next call for an allocation-free warm path.
 func (c *Client) PredictInto(ctx context.Context, model, stmt string, probs []float64) (service.Prediction, []float64, error) {
-	dl, err := deadlineMs(ctx)
+	ca, err := c.exchange(ctx, MsgPredict, probs, func(dst []byte, dl uint32) []byte {
+		return appendPredictReq(dst, model, stmt, dl)
+	})
 	if err != nil {
 		return service.Prediction{}, probs, err
 	}
-	ca := c.callPool.Get().(*call)
-	ca.probs = probs
-	if err := c.roundTrip(ctx, MsgPredict, ca, func(dst []byte) []byte {
-		return appendPredictReq(dst, model, stmt, dl)
-	}); err != nil {
-		ca.reset()
-		c.callPool.Put(ca)
-		return service.Prediction{}, probs, err
-	}
 	pr, out := ca.pred, ca.probs
-	if err := c.finish(ca); err != nil {
-		return service.Prediction{}, out, err
-	}
+	c.recycle(ca)
 	return pr, out, nil
 }
 
@@ -352,46 +357,30 @@ func (c *Client) Predict(ctx context.Context, model, stmt string) (service.Predi
 // PredictBatch requests predictions for every statement in one frame;
 // the server fans the batch across its replica pool.
 func (c *Client) PredictBatch(ctx context.Context, model string, stmts []string) ([]service.Prediction, error) {
-	dl, err := deadlineMs(ctx)
+	ca, err := c.exchange(ctx, MsgPredictBatch, nil, func(dst []byte, dl uint32) []byte {
+		return appendPredictBatchReq(dst, model, stmts, dl)
+	})
 	if err != nil {
 		return nil, err
 	}
-	ca := c.callPool.Get().(*call)
-	if err := c.roundTrip(ctx, MsgPredictBatch, ca, func(dst []byte) []byte {
-		return appendPredictBatchReq(dst, model, stmts, dl)
-	}); err != nil {
-		ca.reset()
-		c.callPool.Put(ca)
-		return nil, err
-	}
 	preds := ca.preds
-	if err := c.finish(ca); err != nil {
-		return nil, err
-	}
+	c.recycle(ca)
 	return preds, nil
 }
 
 // Call performs a control-plane request (stats, healthz, models,
-// deploy, gc): reqJSON is the request's JSON payload (nil for the
-// empty-bodied messages) and the reply document is returned. Failures
-// reported by the server are *ServerError.
+// deploy, gc, ingest): reqJSON is the request's JSON payload (nil for
+// the empty-bodied messages) and the reply document is returned.
+// Control-plane requests rely on ctx alone; no deadline hint is sent.
+// Failures reported by the server are *ServerError.
 func (c *Client) Call(ctx context.Context, t MsgType, reqJSON []byte) ([]byte, error) {
-	dl, err := deadlineMs(ctx)
+	ca, err := c.exchange(ctx, t, nil, func(dst []byte, _ uint32) []byte {
+		return append(dst, reqJSON...)
+	})
 	if err != nil {
 		return nil, err
 	}
-	_ = dl // control-plane requests rely on ctx alone
-	ca := c.callPool.Get().(*call)
-	if err := c.roundTrip(ctx, t, ca, func(dst []byte) []byte {
-		return append(dst, reqJSON...)
-	}); err != nil {
-		ca.reset()
-		c.callPool.Put(ca)
-		return nil, err
-	}
 	js := ca.js
-	if err := c.finish(ca); err != nil {
-		return nil, err
-	}
+	c.recycle(ca)
 	return js, nil
 }

@@ -31,6 +31,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"repro/internal/service"
 )
 
 // Version is the current protocol version. Both sides reject frames
@@ -44,10 +46,11 @@ var magic = [4]byte{'R', 'P', 'W', 0x01}
 // HeaderSize is the fixed frame header length in bytes.
 const HeaderSize = 20
 
-// DefaultMaxPayload is the payload-length cap applied when a Server or
-// Client is configured with MaxPayload == 0. A frame claiming more
-// than the cap is rejected before any payload-sized allocation.
-const DefaultMaxPayload = 16 << 20
+// DefaultMaxPayload is the payload-length cap Server and Client apply
+// (the same cap the HTTP handler puts on request bodies). A frame
+// claiming more is rejected before any payload-sized allocation and
+// the connection is closed.
+const DefaultMaxPayload = service.MaxBodyBytes
 
 // Typed frame decode failures. All are wrapped with context; match
 // with errors.Is. A frame-level failure means the byte stream can no

@@ -15,17 +15,14 @@ import (
 	"repro/internal/service"
 )
 
+// handlers is the number of persistent request-handler goroutines
+// shared by all connections. Requests pipelined on one connection
+// execute concurrently across handlers, which is what makes
+// out-of-order replies worth having.
+const handlers = 8
+
 // ServerOptions tunes a wire Server. The zero value is usable.
 type ServerOptions struct {
-	// MaxPayload caps accepted frame payloads (default
-	// DefaultMaxPayload). Frames claiming more are rejected before any
-	// payload-sized allocation and the connection is closed.
-	MaxPayload int
-	// Handlers is the number of persistent request-handler goroutines
-	// shared by all connections (default 8). Requests pipelined on one
-	// connection execute concurrently across handlers, which is what
-	// makes out-of-order replies worth having.
-	Handlers int
 	// Logf, when set, receives connection-level protocol failures
 	// (frame corruption, write errors). Per-request failures are
 	// replied to the client, not logged.
@@ -66,12 +63,6 @@ type Server struct {
 
 // NewServer builds a wire server over svc.
 func NewServer(svc *service.Service, opts ServerOptions) *Server {
-	if opts.MaxPayload <= 0 {
-		opts.MaxPayload = DefaultMaxPayload
-	}
-	if opts.Handlers <= 0 {
-		opts.Handlers = 8
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		svc:       svc,
@@ -100,8 +91,8 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.listeners[ln] = struct{}{}
 	if !s.started {
 		s.started = true
-		s.handlerWG.Add(s.opts.Handlers)
-		for i := 0; i < s.opts.Handlers; i++ {
+		s.handlerWG.Add(handlers)
+		for i := 0; i < handlers; i++ {
 			go s.handler()
 		}
 	}
@@ -212,7 +203,7 @@ func (c *serverConn) write(frame []byte) {
 // typed error reply and the connection lives on.
 func (s *Server) serveConn(c *serverConn) {
 	defer s.connWG.Done()
-	fr := frameReader{r: c.nc, maxPayload: s.opts.MaxPayload}
+	fr := frameReader{r: c.nc, maxPayload: DefaultMaxPayload}
 	for {
 		h, payload, err := fr.next()
 		if err != nil {
@@ -294,21 +285,54 @@ func (s *Server) handle(j *job) {
 		s.handlePredict(j)
 	case MsgPredictBatch:
 		s.handlePredictBatch(j)
-	case MsgStats:
-		s.handleStats(j)
-	case MsgHealthz:
-		s.handleHealthz(j)
-	case MsgModels:
-		s.replyJSON(j, s.svc.Models())
-	case MsgDeploy:
-		s.handleDeploy(j)
-	case MsgGC:
-		s.handleGC(j)
-	case MsgIngest:
-		s.handleIngest(j)
 	default:
-		s.replyError(j, http.StatusBadRequest, fmt.Errorf("wire: unhandled request type %s", j.typ))
+		op, ok := opFor(j.typ)
+		if !ok {
+			s.replyError(j, http.StatusBadRequest, fmt.Errorf("wire: unhandled request type %s", j.typ))
+			return
+		}
+		// The control plane: the frame type picks the op, the service's
+		// op table does the rest (cold path; allocation is fine here).
+		reply, err := s.svc.Control(s.baseCtx, op, j.in)
+		if err != nil {
+			s.replyError(j, service.StatusFor(err), err)
+			return
+		}
+		body, err := json.Marshal(reply)
+		if err != nil {
+			s.replyError(j, http.StatusInternalServerError, err)
+			return
+		}
+		j.out = beginFrame(j.out[:0], MsgJSON, j.id)
+		j.out = append(j.out, body...)
+		j.conn.write(endFrame(j.out, 0))
 	}
+}
+
+// controlMsg is the wire half of the control contract: the request
+// frame type that carries each of the service's control-plane ops.
+var controlMsg = [...]MsgType{
+	service.OpModels:  MsgModels,
+	service.OpDeploy:  MsgDeploy,
+	service.OpStats:   MsgStats,
+	service.OpHealthz: MsgHealthz,
+	service.OpGC:      MsgGC,
+	service.OpIngest:  MsgIngest,
+}
+
+// MsgFor returns the request frame type that carries op, one of the six
+// ops above (service.OpPredict is HTTP's JSON predict body; over the
+// wire predictions travel as MsgPredict / MsgPredictBatch).
+func MsgFor(op service.Op) MsgType { return controlMsg[op] }
+
+// opFor is MsgFor's inverse.
+func opFor(t MsgType) (service.Op, bool) {
+	for op, msg := range controlMsg {
+		if msg == t {
+			return service.Op(op), true
+		}
+	}
+	return 0, false
 }
 
 // bstr views b as a string without copying. The view is passed to
@@ -386,114 +410,12 @@ func (s *Server) handlePredictBatch(j *job) {
 	j.conn.write(endFrame(j.out, 0))
 }
 
-// statsRequest is the MsgStats JSON payload.
-type statsRequest struct {
-	Model string `json:"model"`
-}
-
-func (s *Server) handleStats(j *job) {
-	var req statsRequest
-	if err := json.Unmarshal(j.in, &req); err != nil {
-		s.replyError(j, http.StatusBadRequest, err)
-		return
-	}
-	if req.Model == "" {
-		s.replyError(j, http.StatusBadRequest, errors.New("wire: stats: model required"))
-		return
-	}
-	snap, err := s.svc.StatsSnapshot(req.Model)
-	if err != nil {
-		s.replyError(j, service.StatusFor(err), err)
-		return
-	}
-	s.replyJSON(j, snap)
-}
-
-func (s *Server) handleHealthz(j *job) {
-	h, ready := s.svc.Health()
-	if !ready {
-		s.replyError(j, http.StatusServiceUnavailable, errors.New("service warming up"))
-		return
-	}
-	s.replyJSON(j, h)
-}
-
-func (s *Server) handleDeploy(j *job) {
-	var req service.DeployRequest
-	if err := json.Unmarshal(j.in, &req); err != nil {
-		s.replyError(j, http.StatusBadRequest, err)
-		return
-	}
-	if req.Model == "" {
-		s.replyError(j, http.StatusBadRequest, errors.New("wire: deploy: model required"))
-		return
-	}
-	if err := s.svc.ValidateDeploy(req.DeployOptions); err != nil {
-		s.replyError(j, http.StatusBadRequest, err)
-		return
-	}
-	info, err := s.svc.Deploy(req.Model, req.Version, req.DeployOptions)
-	if err != nil {
-		s.replyError(j, service.StatusFor(err), err)
-		return
-	}
-	s.replyJSON(j, info)
-}
-
-// gcReply mirrors the HTTP /v1/admin/gc body.
-type gcReply struct {
-	Results []service.GCResult `json:"results"`
-}
-
-func (s *Server) handleGC(j *job) {
-	results, err := s.svc.GC()
-	if err != nil {
-		s.replyError(j, service.StatusFor(err), err)
-		return
-	}
-	s.replyJSON(j, gcReply{Results: results})
-}
-
-func (s *Server) handleIngest(j *job) {
-	var req service.IngestRequest
-	if err := json.Unmarshal(j.in, &req); err != nil {
-		s.replyError(j, http.StatusBadRequest, err)
-		return
-	}
-	if req.Model == "" || req.Statement == "" {
-		s.replyError(j, http.StatusBadRequest, errors.New("wire: ingest: model and statement required"))
-		return
-	}
-	if err := s.svc.Observe(req.Model, req.Statement, req.Class, req.Value); err != nil {
-		s.replyError(j, service.StatusFor(err), err)
-		return
-	}
-	s.replyJSON(j, service.IngestResponse{OK: true})
-}
-
-// replyJSON answers a control-plane request (cold path; allocation is
-// fine here).
-func (s *Server) replyJSON(j *job, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		s.replyError(j, http.StatusInternalServerError, err)
-		return
-	}
-	j.out = beginFrame(j.out[:0], MsgJSON, j.id)
-	j.out = append(j.out, body...)
-	j.conn.write(endFrame(j.out, 0))
-}
-
 // replyError sends a typed error frame carrying the same HTTP status
 // service.StatusFor assigns and the server's Retry-After pacing hint
 // for overload/unavailable, so client-side sentinel mapping, retry,
 // and breaker behavior are identical across transports.
 func (s *Server) replyError(j *job, status int, err error) {
-	retryAfter := 0
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		retryAfter = service.RetryAfterSeconds
-	}
 	j.out = beginFrame(j.out[:0], MsgError, j.id)
-	j.out = appendErrorReply(j.out, status, retryAfter, err.Error())
+	j.out = appendErrorReply(j.out, status, service.RetryAfter(status), err.Error())
 	j.conn.write(endFrame(j.out, 0))
 }

@@ -146,7 +146,7 @@ func NewPredictor(m *Model, opts ServeOptions) *Predictor {
 	return serve.NewPredictor(m, opts)
 }
 
-// AdmissionPolicy selects the full-queue behavior of the context-aware
+// AdmissionPolicy selects the full-queue behavior of a Predictor's
 // prediction methods.
 type AdmissionPolicy = serve.AdmissionPolicy
 
@@ -157,7 +157,7 @@ const (
 	AdmitReject = serve.AdmitReject
 )
 
-// Serving-layer sentinel errors of the context-aware methods.
+// Serving-layer sentinel errors.
 var (
 	// ErrClosed is returned for predictions against a closed Predictor
 	// or Service.
@@ -235,8 +235,8 @@ func NewServiceHandler(s *Service) http.Handler { return service.NewHandler(s) }
 // with Shutdown; NewClient reaches it via a tcp:// or unix:// URL.
 type WireServer = wire.Server
 
-// WireServerOptions configures NewWireServer (payload cap, handler
-// concurrency).
+// WireServerOptions configures NewWireServer (the protocol-failure
+// log hook; the payload cap and handler count are fixed).
 type WireServerOptions = wire.ServerOptions
 
 // NewWireServer mounts the Service behind the binary wire protocol —

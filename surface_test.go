@@ -1,0 +1,237 @@
+package repro
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// This file guards the serving stack's surface, offline, from the
+// source alone (go/parser; no build, no network):
+//
+//   - TestServingSurfaceMethods pins the exported method sets of
+//     serve.Predictor and service.Service, so a new entry point is a
+//     reviewed decision rather than an accretion;
+//   - TestServingSurfaceOptions fails when a field of one of the
+//     serving stack's option structs is written by no program — nothing
+//     outside the declaring package, tests and examples — because an
+//     option nobody sets is a constant with extra configurations to
+//     test. The few that are deliberately test-only are listed in
+//     unsetAllowed with the reason.
+
+// pinnedMethods is the exported method set of each serving type.
+var pinnedMethods = map[string][]string{
+	"repro/internal/serve.Predictor": {
+		"Close", "Model", "PredictLogBatchCtx", "PredictLogCtx", "ProbsBatchCtx", "ProbsIntoCtx", "Stats",
+	},
+	"repro/internal/service.Service": {
+		"BootReport", "Close", "Control", "Deploy", "GC", "Health", "LiveVersion", "Models", "Observe",
+		"Predict", "PredictBatch", "PredictInto", "Ready", "Register", "SetOnlineStats", "StatsSnapshot",
+		"Swap", "SyncStore", "VersionModel", "WarmBoot", "WatchStore",
+	},
+}
+
+// optionStructs are the guarded option types, by declaring package.
+var optionStructs = map[string][]string{
+	"repro/internal/serve":   {"Options"},
+	"repro/internal/service": {"Options"},
+	"repro/internal/wire":    {"ServerOptions", "ClientOptions"},
+	"repro/client":           {"Options"},
+}
+
+// unsetAllowed lists option fields no program sets, with why each is
+// still an option. They are candidates for constants once a benchmark
+// sweep says which value to freeze.
+var unsetAllowed = map[string]string{
+	"repro/internal/serve.Options.PanicLimit": "test seam: the panic-isolation tests lower it to force replica rebuilds",
+	"repro/internal/wire.ClientOptions.Conns": "test seam: the pipelining tests pin one connection to force out-of-order replies onto it",
+	"repro/client.Options.ProbeInterval":      "test seam: the cluster tests (and examples/cluster) shorten it so failover shows within a test's patience",
+	"repro/client.Options.Backoff":            "test seam: the retry tests shrink it to keep retries fast",
+	"repro/client.Options.BreakerThreshold":   "test seam: the breaker tests disable or tighten the breaker",
+	"repro/client.Options.BreakerWindow":      "test seam: the breaker tests shrink the evidence window",
+	"repro/client.Options.BreakerCooldown":    "test seam: the breaker tests shorten the half-open cooldown",
+}
+
+// sourceFile is one parsed non-test Go file of the module.
+type sourceFile struct {
+	pkgPath string // import path of the package the file belongs to
+	ast     *ast.File
+}
+
+// moduleSources parses every non-test Go file outside examples/.
+func moduleSources(t *testing.T) []sourceFile {
+	t.Helper()
+	var files []sourceFile
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || p == "examples") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, sourceFile{pkgPath: path.Join("repro", filepath.ToSlash(filepath.Dir(p))), ast: f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+func TestServingSurfaceMethods(t *testing.T) {
+	got := map[string][]string{}
+	for _, f := range moduleSources(t) {
+		for _, decl := range f.ast.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || !fn.Name.IsExported() {
+				continue
+			}
+			recv := fn.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			if id, ok := recv.(*ast.Ident); ok {
+				key := f.pkgPath + "." + id.Name
+				got[key] = append(got[key], fn.Name.Name)
+			}
+		}
+	}
+	for typ, want := range pinnedMethods {
+		sort.Strings(got[typ])
+		if strings.Join(got[typ], " ") != strings.Join(want, " ") {
+			t.Errorf("%s exported methods changed:\n got  %v\n want %v\n"+
+				"a new entry point must replace one, not join it; if this is deliberate, update pinnedMethods",
+				typ, got[typ], want)
+		}
+	}
+}
+
+func TestServingSurfaceOptions(t *testing.T) {
+	files := moduleSources(t)
+
+	// Declared fields of every guarded struct.
+	fields := map[string]bool{} // "pkg.Type.Field" → set by some program
+	for _, f := range files {
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			spec, ok := n.(*ast.TypeSpec)
+			if !ok || !guarded(f.pkgPath, spec.Name.Name) {
+				return true
+			}
+			if st, ok := spec.Type.(*ast.StructType); ok {
+				for _, field := range st.Fields.List {
+					for _, name := range field.Names {
+						fields[f.pkgPath+"."+spec.Name.Name+"."+name.Name] = false
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	// Writes from outside the declaring package: keyed composite
+	// literals, and assignments through a variable or parameter of the
+	// struct's type. (Writes inside the declaring package are the
+	// struct's own defaulting, not somebody choosing a value.)
+	for _, f := range files {
+		imports := map[string]string{} // local name → import path
+		for _, imp := range f.ast.Imports {
+			p := strings.Trim(imp.Path.Value, `"`)
+			name := path.Base(p)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = p
+		}
+		// typeOf resolves a type expression to "pkg.Type" when guarded.
+		typeOf := func(e ast.Expr) string {
+			sel, ok := e.(*ast.SelectorExpr)
+			if !ok {
+				return ""
+			}
+			pkg, ok := sel.X.(*ast.Ident)
+			if !ok || !guarded(imports[pkg.Name], sel.Sel.Name) {
+				return ""
+			}
+			return imports[pkg.Name] + "." + sel.Sel.Name
+		}
+		vars := map[string]string{} // variable name → "pkg.Type" (file-wide; good enough here)
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if typ := typeOf(n.Type); typ != "" {
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if key, ok := kv.Key.(*ast.Ident); ok {
+								fields[typ+"."+key.Name] = true
+							}
+						}
+					}
+				}
+			case *ast.Field: // parameters and struct fields
+				if typ := typeOf(n.Type); typ != "" {
+					for _, name := range n.Names {
+						vars[name.Name] = typ
+					}
+				}
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					if id, ok := lhs.(*ast.Ident); ok && i < len(n.Rhs) {
+						if lit, ok := n.Rhs[i].(*ast.CompositeLit); ok {
+							if typ := typeOf(lit.Type); typ != "" {
+								vars[id.Name] = typ
+							}
+						}
+					}
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						if id, ok := sel.X.(*ast.Ident); ok && vars[id.Name] != "" {
+							fields[vars[id.Name]+"."+sel.Sel.Name] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	for field, set := range fields {
+		reason, allowed := unsetAllowed[field]
+		switch {
+		case !set && !allowed:
+			t.Errorf("%s is set by no program (only tests, examples or its own defaulting touch it): "+
+				"make it a constant, or add it to unsetAllowed with the reason it must stay an option", field)
+		case set && allowed:
+			t.Errorf("%s is now set by a program; drop it from unsetAllowed (%q)", field, reason)
+		}
+	}
+	for field := range unsetAllowed {
+		if _, ok := fields[field]; !ok {
+			t.Errorf("unsetAllowed names %s, which no longer exists", field)
+		}
+	}
+}
+
+func guarded(pkgPath, typeName string) bool {
+	for _, name := range optionStructs[pkgPath] {
+		if name == typeName {
+			return true
+		}
+	}
+	return false
+}
