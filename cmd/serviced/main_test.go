@@ -410,8 +410,12 @@ func TestOnlineLoopSwapsOnDrift(t *testing.T) {
 
 	out, done := startServiced(t, args)
 	waitLive(t, c, "ccnn")
-	if !strings.Contains(out.String(), "online pipeline") {
-		t.Fatalf("serviced did not announce the online pipeline; output:\n%s", out.String())
+	// The pipeline starts, and is announced, just after the boot that
+	// made the model live returns: give the announcement a moment.
+	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(out.String(), "online pipeline"); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("serviced did not announce the online pipeline; output:\n%s", out.String())
+		}
 	}
 
 	// Drift: ground-truth feedback keeps saying class 2, one window at

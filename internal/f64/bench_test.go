@@ -8,8 +8,9 @@ import (
 
 // Micro-benchmarks for the kernel layer, at the sizes the nn hot
 // paths actually use: LSTM gate rows (In/H up to 64), CNN windows
-// (Width·In up to 160), and the sequence-level input GEMM. The CI
-// bench-smoke step runs these alongside the model-level benchmarks.
+// (Width·In up to 160), and the GEMM family at the models' own shapes.
+// The CI bench-smoke step runs these alongside the model-level
+// benchmarks.
 
 var benchSink float64
 
@@ -54,19 +55,107 @@ func BenchmarkGemvN(b *testing.B) {
 	}
 }
 
+// benchPaths times fn through the dispatching entry point and, as the
+// "go" sub-benchmark, pinned to the Go reference, so one run shows the
+// vector kernel's ratio at that shape.
+func benchPaths(b *testing.B, fn func()) {
+	run := func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			fn()
+		}
+	}
+	b.Run("dispatch", run)
+	b.Run("go", func(b *testing.B) {
+		defer setAVX2(false)()
+		run(b)
+	})
+}
+
+// The GEMM family at the shapes core.DefaultConfig's models run
+// (Embed 16, Hidden 32, Kernels 32, conv widths up to 5, statements
+// around 96 characters, serving batches of 16).
+
 func BenchmarkGemm(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
-	// The LSTM sequence-level input transform shape: n steps by 4H
-	// gates times In inputs.
-	for _, dims := range [][3]int{{40, 256, 64}, {40, 64, 256}} {
-		m, n, k := dims[0], dims[1], dims[2]
-		a, bm := randVec(rng, m*k), randVec(rng, k*n)
-		c := make([]float64, m*n)
-		b.Run(fmt.Sprintf("m=%d/n=%d/k=%d", m, n, k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Gemm(c, a, bm, m, n, k)
-			}
+	for _, sh := range []struct {
+		name    string
+		m, n, k int
+	}{
+		{"lstm-input-seq/m=96/n=128/k=16", 96, 128, 16},      // pre = X·Wxᵀ over a whole statement
+		{"lstm-recurrent-scalar/m=1/n=128/k=32", 1, 128, 32}, // pre += hₜ₋₁·Whᵀ, one example
+		{"lstm-input-grad/m=96/n=16/k=128", 96, 16, 128},     // dX = dpre·Wx
+	} {
+		a, bm := randVec(rng, sh.m*sh.k), randVec(rng, sh.k*sh.n)
+		c := make([]float64, sh.m*sh.n)
+		b.Run(sh.name, func(b *testing.B) {
+			benchPaths(b, func() { Gemm(c, a, bm, sh.m, sh.n, sh.k) })
+		})
+	}
+}
+
+func BenchmarkGemmSW(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	// The batched LSTM step on 16 lanes: Hₜ₋₁ (16×H) times the h
+	// candidate columns and the 3h gate columns of Whᵀ (H×4H).
+	const lanes, h = 16, 32
+	a, bm := randVec(rng, lanes*h), randVec(rng, h*4*h)
+	for _, sh := range []struct {
+		name string
+		w    int
+		b    []float64
+	}{
+		{"lstm-batch16-cand/m=16/w=32/k=32/ldb=128", h, bm},
+		{"lstm-batch16-gates/m=16/w=96/k=32/ldb=128", 3 * h, bm[h:]},
+	} {
+		c := make([]float64, lanes*sh.w)
+		b.Run(sh.name, func(b *testing.B) {
+			benchPaths(b, func() { GemmSW(c, sh.w, a, h, sh.b, 4*h, lanes, sh.w, h) })
+		})
+	}
+}
+
+func BenchmarkGemmS(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	// The conv layer's copy-free im2col product: every window of 5
+	// embedded characters (k = 5·16, rows 16 apart) by 32 kernels.
+	const positions, kernels, k, lda = 92, 32, 80, 16
+	a, bm := randVec(rng, (positions-1)*lda+k), randVec(rng, k*kernels)
+	c := make([]float64, positions*kernels)
+	b.Run("conv-im2col/m=92/n=32/k=80/lda=16", func(b *testing.B) {
+		benchPaths(b, func() { GemmS(c, a, lda, bm, positions, kernels, k) })
+	})
+}
+
+func BenchmarkGemmTN(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	// LSTM weight gradients summed over a statement: dWh += dpreᵀ·H,
+	// dWx += dpreᵀ·X.
+	for _, sh := range []struct {
+		name    string
+		m, n, k int
+	}{
+		{"lstm-dWh/m=128/n=32/k=96", 128, 32, 96},
+		{"lstm-dWx/m=128/n=16/k=96", 128, 16, 96},
+	} {
+		a, bm := randVec(rng, sh.k*sh.m), randVec(rng, sh.k*sh.n)
+		c := make([]float64, sh.m*sh.n)
+		b.Run(sh.name, func(b *testing.B) {
+			benchPaths(b, func() { GemmTN(c, a, bm, sh.m, sh.n, sh.k) })
+		})
+	}
+}
+
+func BenchmarkGemvT(b *testing.B) {
+	rng := rand.New(rand.NewSource(8))
+	// Dense backward, dx = Wᵀ·dy: the CNN head (96 pooled features to 5
+	// classes) and a square hidden-sized case.
+	for _, dims := range [][2]int{{5, 96}, {32, 32}} {
+		m, n := dims[0], dims[1]
+		a, x := randVec(rng, m*n), randVec(rng, m)
+		dst := make([]float64, n)
+		b.Run(fmt.Sprintf("m=%d/n=%d", m, n), func(b *testing.B) {
+			benchPaths(b, func() { GemvT(dst, a, x) })
 		})
 	}
 }

@@ -3,11 +3,19 @@
 // matrix–vector products, the small GEMM shapes used by the
 // sequence-level LSTM input transform, and the vectorized
 // transcendentals (ExpV, TanhV, SigmoidV — see vecmath.go) behind the
-// batched gate nonlinearities. The kernels are plain Go —
-// no assembly, no unsafe — but are written for throughput on modern
-// cores: 4-way unrolled inner loops with independent accumulator
-// lanes (breaking the loop-carried add dependency) and slice
-// re-slicing hints that let the compiler hoist bounds checks.
+// batched gate nonlinearities. The kernels are Go without unsafe,
+// written for throughput on modern cores: 4-way unrolled inner loops
+// with independent accumulator lanes (breaking the loop-carried add
+// dependency) and slice re-slicing hints that let the compiler hoist
+// bounds checks. One loop has a second implementation: the 4-term row
+// update shared by GemmSW (hence Gemm and GemmS), GemmTN and GemvT
+// runs, on amd64 CPUs that report AVX2, as a hand-written kernel
+// (gemm_amd64.s) holding a 16- or 4-column tile of C in YMM registers
+// across the whole shared dimension. Which implementation runs is read
+// from the CPU once at package init — there is no build tag, option or
+// environment variable — and the Go loop remains the only path on
+// every other GOARCH or CPU and for every shape narrower than one
+// vector (w < 4 or k < 4).
 //
 // # Determinism
 //
@@ -19,20 +27,31 @@
 // kernels process output rows (or shared-dimension terms) in blocks
 // of four: within a block every output element accumulates its terms
 // sequentially in increasing index order, and leftover rows/terms
-// fall back to Dot or Axpy. In every case the order is a pure
-// function of the operand shapes — never of slice capacity,
-// alignment, or build flags — so results are bit-identical
-// run-to-run and across call sites: direct and pooled inference
-// agree exactly because both route through these kernels.
+// fall back to Dot or Axpy. The AVX2 kernel vectorises across output
+// columns only, so an output element never shares a sum with its
+// neighbours, and issues for each element exactly the Go loop's
+// sequence — t = ((a0·b0 + a1·b1) + a2·b2) + a3·b3, then c = c + t,
+// blocks in increasing index order, the leftover terms after them — as
+// separate multiplies and adds. It never uses a fused multiply-add,
+// which would skip the product's rounding. In every case the order is
+// a pure function of the operand shapes — never of slice capacity,
+// alignment, build flags, or which implementation ran — so results
+// are bit-identical run-to-run, across machines with and without
+// AVX2, and across call sites: direct and pooled inference agree
+// exactly because both route through these kernels. (Only a NaN's
+// payload bits, which nothing reads, may differ between the paths.)
 //
 // # Contracts
 //
 // Vector arguments named like y or dst must be at least as long as
 // the vector that drives the iteration (x); extra elements are
-// untouched. Element-wise kernels (Axpy, AddTo, ScaleTo) permit dst
-// to alias their inputs elementwise (e.g. AddTo(x, x) doubles x).
-// Matrix kernels require dst to be disjoint from the matrix and
-// vector operands. Matrices are dense row-major with no padding.
+// untouched. A short operand panics on either implementation: the
+// vector path evaluates the Go loop's own last index expressions
+// before handing the kernel a pointer. Element-wise kernels (Axpy,
+// AddTo, ScaleTo) permit dst to alias their inputs elementwise (e.g.
+// AddTo(x, x) doubles x). Matrix kernels require dst to be disjoint
+// from the matrix and vector operands. Matrices are dense row-major
+// with no padding.
 package f64
 
 // Dot returns the dot product of x and y[:len(x)].
@@ -188,29 +207,13 @@ func GemvNAdd(dst, a, x []float64) {
 // GemvT computes dst = Aᵀ·x where A is a len(x)×len(dst) row-major
 // matrix: dst[c] = Σ_r x[r]·A[r,c]. Rows are consumed four at a time
 // — dst[c] accumulates x[r]·A[r,c] + … + x[r+3]·A[r+3,c] left to
-// right — and leftover rows with x[r] == 0 are skipped.
+// right — and leftover rows with x[r] == 0 are skipped: the 1×len(x)
+// by len(x)×len(dst) case of GemmSW into a zeroed dst.
 func GemvT(dst, a, x []float64) {
-	n := len(dst)
-	m := len(x)
 	for i := range dst {
 		dst[i] = 0
 	}
-	r := 0
-	for ; r <= m-4; r += 4 {
-		x0, x1, x2, x3 := x[r], x[r+1], x[r+2], x[r+3]
-		a0 := a[r*n : r*n+n]
-		a1 := a[(r+1)*n : (r+1)*n+n]
-		a2 := a[(r+2)*n : (r+2)*n+n]
-		a3 := a[(r+3)*n : (r+3)*n+n]
-		for j := range dst {
-			dst[j] += x0*a0[j] + x1*a1[j] + x2*a2[j] + x3*a3[j]
-		}
-	}
-	for ; r < m; r++ {
-		if xr := x[r]; xr != 0 {
-			Axpy(xr, a[r*n:r*n+n], dst)
-		}
-	}
+	GemmSW(dst, len(dst), x, len(x), a, len(dst), 1, len(dst), len(x))
 }
 
 // Gemm computes C += A·B for row-major C (m×n), A (m×k), B (k×n).
@@ -237,9 +240,28 @@ func GemmS(c, a []float64, lda int, b []float64, m, n, k int) {
 // element depends only on its own row of A and column of B, narrowing
 // w drops whole elements but never reorders a surviving element's
 // terms: C[:, :w] is bit-identical to the same columns of the
-// full-width product. This is what lets the batched LSTM shrink a
-// ragged batch's working width as short lanes finish.
+// full-width product. The batched LSTM computes its candidate and
+// gate column blocks of one product this way, into separate buffers.
 func GemmSW(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, w, k int) {
+	if !useAVX2 || m <= 0 || w < 4 || k < 4 {
+		gemmSWGo(c, ldc, a, lda, b, ldb, m, w, k)
+		return
+	}
+	// The kernel takes raw pointers. Evaluating the slice expressions of
+	// gemmSWGo's last row and last blocked term here keeps its panic on a
+	// short operand: strides are non-negative or these fail, so every
+	// earlier row and term lies inside them.
+	k4 := k &^ 3
+	_ = c[(m-1)*ldc : (m-1)*ldc+w]
+	_ = a[(m-1)*lda : (m-1)*lda+k]
+	_ = b[(k4-1)*ldb : (k4-1)*ldb+w]
+	gemmVec(c, ldc, a, lda, 1, b, ldb, m, w, k)
+}
+
+// gemmSWGo is GemmSW in plain Go: the only path where the CPU has no
+// AVX2, the path of every shape narrower than one vector, and the
+// reference the vector path must match bit for bit.
+func gemmSWGo(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, w, k int) {
 	for i := 0; i < m; i++ {
 		ci := c[i*ldc : i*ldc+w]
 		ai := a[i*lda : i*lda+k]
@@ -262,12 +284,62 @@ func GemmSW(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m,
 	}
 }
 
+// gemmVec is the vector path under GemmSW, GemmTN and GemvT:
+// C[i, :w] += Σ_l A(i,l)·B[l, :w] with A(i,l) = a[i*ars+l*acs], so one
+// body serves A read by rows (acs = 1) and transposed (ars = 1). Per C
+// row the kernel runs the whole-vector columns of every block of four
+// terms; the w mod 4 column tail of those blocks and the k mod 4 term
+// tail (zero-skip Axpy) are the Go loops' own statements. Each element
+// still sees its blocks in increasing l and then its tail terms, so
+// the result is bit-identical to gemmSWGo / gemmTNGo. Callers have
+// proven the operands in range, with w ≥ 4 and k ≥ 4.
+func gemmVec(c []float64, ldc int, a []float64, ars, acs int, b []float64, ldb int, m, w, k int) {
+	w4, k4 := w&^3, k&^3
+	b00 := &b[:w][0]
+	for i := 0; i < m; i++ {
+		ci := c[i*ldc : i*ldc+w]
+		ai := a[i*ars : i*ars+(k-1)*acs+1]
+		rowUpdate4(&ci[0], &ai[0], acs, b00, ldb, w4, k4/4)
+		if w4 < w {
+			for l := 0; l < k4; l += 4 {
+				a0, a1, a2, a3 := ai[l*acs], ai[(l+1)*acs], ai[(l+2)*acs], ai[(l+3)*acs]
+				b0 := b[l*ldb : l*ldb+w]
+				b1 := b[(l+1)*ldb : (l+1)*ldb+w]
+				b2 := b[(l+2)*ldb : (l+2)*ldb+w]
+				b3 := b[(l+3)*ldb : (l+3)*ldb+w]
+				for j := w4; j < w; j++ {
+					ci[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+				}
+			}
+		}
+		for l := k4; l < k; l++ {
+			if al := ai[l*acs]; al != 0 {
+				Axpy(al, b[l*ldb:l*ldb+w], ci)
+			}
+		}
+	}
+}
+
 // GemmTN computes C += Aᵀ·B for row-major C (m×n), A (k×m), B (k×n):
 // C[i,j] += Σ_l A[l,i]·B[l,j]. Row i of C accumulates its terms in
 // increasing l, four at a time; leftover terms with A[l,i] == 0 are
 // skipped. This is the outer-product accumulation shape of weight
 // gradients (dW += dYᵀ·X summed over a sequence).
 func GemmTN(c, a, b []float64, m, n, k int) {
+	if !useAVX2 || m <= 0 || n < 4 || k < 4 {
+		gemmTNGo(c, a, b, m, n, k)
+		return
+	}
+	// As in GemmSW: gemmTNGo's own last index and slice expressions.
+	k4 := k &^ 3
+	_ = a[(k-1)*m+m-1]
+	_ = c[(m-1)*n : (m-1)*n+n]
+	_ = b[(k4-1)*n : (k4-1)*n+n]
+	gemmVec(c, n, a, 1, m, b, n, m, n, k)
+}
+
+// gemmTNGo is GemmTN in plain Go; see gemmSWGo.
+func gemmTNGo(c, a, b []float64, m, n, k int) {
 	for i := 0; i < m; i++ {
 		ci := c[i*n : i*n+n]
 		l := 0

@@ -214,7 +214,9 @@ func TestGemvNAdd(t *testing.T) {
 	}
 }
 
-func TestGemvT(t *testing.T) {
+func TestGemvT(t *testing.T) { bothPaths(t, testGemvT) }
+
+func testGemvT(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, m := range []int{0, 1, 2, 5, 17} {
 		for _, n := range []int{0, 1, 4, 7, 33} {
@@ -249,7 +251,9 @@ func naiveGemm(a, b []float64, m, n, k int) []float64 {
 	return c
 }
 
-func TestGemm(t *testing.T) {
+func TestGemm(t *testing.T) { bothPaths(t, testGemm) }
+
+func testGemm(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, dims := range [][3]int{{0, 3, 2}, {1, 1, 1}, {2, 3, 4}, {5, 7, 3}, {4, 4, 0}, {9, 17, 13}} {
 		m, n, k := dims[0], dims[1], dims[2]
@@ -271,7 +275,9 @@ func TestGemm(t *testing.T) {
 	}
 }
 
-func TestGemmSWPrefix(t *testing.T) {
+func TestGemmSWPrefix(t *testing.T) { bothPaths(t, testGemmSWPrefix) }
+
+func testGemmSWPrefix(t *testing.T) {
 	// GemmSW on a column prefix must reproduce the full product's
 	// leading w columns bit-for-bit and leave every other element of C
 	// untouched — the contract the batched LSTM's per-step width
@@ -304,7 +310,9 @@ func TestGemmSWPrefix(t *testing.T) {
 	}
 }
 
-func TestGemmTN(t *testing.T) {
+func TestGemmTN(t *testing.T) { bothPaths(t, testGemmTN) }
+
+func testGemmTN(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, dims := range [][3]int{{0, 3, 2}, {1, 1, 1}, {2, 3, 4}, {5, 7, 3}, {4, 4, 0}, {9, 17, 13}} {
 		m, n, k := dims[0], dims[1], dims[2]
@@ -331,7 +339,9 @@ func TestGemmTN(t *testing.T) {
 	}
 }
 
-func TestRandomizedAgainstNaive(t *testing.T) {
+func TestRandomizedAgainstNaive(t *testing.T) { bothPaths(t, testRandomizedAgainstNaive) }
+
+func testRandomizedAgainstNaive(t *testing.T) {
 	// One fuzz-style sweep across all kernels with random sizes 0..257.
 	rng := rand.New(rand.NewSource(12))
 	for iter := 0; iter < 200; iter++ {
@@ -354,7 +364,9 @@ func TestRandomizedAgainstNaive(t *testing.T) {
 	}
 }
 
-func TestKernelsAllocationFree(t *testing.T) {
+func TestKernelsAllocationFree(t *testing.T) { bothPaths(t, testKernelsAllocationFree) }
+
+func testKernelsAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const m, n, k = 16, 24, 12
 	a := randVec(rng, m*k)

@@ -1,0 +1,130 @@
+#include "textflag.h"
+
+// func cpuHasAVX2() bool
+//
+// AVX2 is usable when CPUID reports it (leaf 7, EBX bit 5), the OS has
+// enabled XSAVE (leaf 1, ECX bit 27) with AVX (bit 28), and XCR0 says
+// the kernel saves both the XMM and the YMM halves (bits 1 and 2).
+TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
+	MOVL $0, AX
+	CPUID
+	CMPL AX, $7
+	JB   no
+	MOVL $1, AX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  no
+	MOVL $0, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  no
+	MOVL $7, AX
+	MOVL $0, CX
+	CPUID
+	BTL  $5, BX
+	JCC  no
+	MOVB $1, ret+0(FP)
+	RET
+no:
+	MOVB $0, ret+0(FP)
+	RET
+
+// TERMS4 computes into acc the row update of one 4-column vector for
+// one block of four shared-dimension terms, in exactly the Go loop's
+// order: t = ((a0·b0 + a1·b1) + a2·b2) + a3·b3, then acc = acc + t.
+// Y4..Y7 hold a0..a3 broadcast; BX points at b0's first column of the
+// tile, R9 is ldb and R12 3·ldb in bytes. Multiplies and adds stay
+// separate instructions: a fused multiply-add would skip the product's
+// rounding and break bit-identity with the Go reference.
+#define TERMS4(off, t, u, acc) \
+	VMULPD off(BX), Y4, t; \
+	VMULPD off(BX)(R9*1), Y5, u; \
+	VADDPD u, t, t; \
+	VMULPD off(BX)(R9*2), Y6, u; \
+	VADDPD u, t, t; \
+	VMULPD off(BX)(R12*1), Y7, u; \
+	VADDPD u, t, t; \
+	VADDPD t, acc, acc
+
+// BCAST4 loads the block's four A terms, astride (R8, 3·astride in
+// R11, bytes) apart, into every lane of Y4..Y7.
+#define BCAST4 \
+	VBROADCASTSD (AX), Y4; \
+	VBROADCASTSD (AX)(R8*1), Y5; \
+	VBROADCASTSD (AX)(R8*2), Y6; \
+	VBROADCASTSD (AX)(R11*1), Y7
+
+// func rowUpdate4(c, a *float64, astride int, b *float64, ldb, w, kb int)
+//
+// c[j] += ((a[0]·b[j] + a[s]·b[ldb+j]) + a[2s]·b[2ldb+j]) + a[3s]·b[3ldb+j]
+// for j < w (a multiple of 4), repeated for kb ≥ 1 consecutive blocks of
+// four terms (a advances 4·astride, b 4·ldb per block). A tile of 16
+// columns, then of 4, stays in YMM registers across all kb blocks, so
+// every c element is loaded and stored once.
+TEXT ·rowUpdate4(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ astride+16(FP), R8
+	MOVQ b+24(FP), DX
+	MOVQ ldb+32(FP), R9
+	MOVQ w+40(FP), CX
+	MOVQ kb+48(FP), R10
+	SHLQ $3, R8
+	SHLQ $3, R9
+	LEAQ (R8)(R8*2), R11
+	LEAQ (R9)(R9*2), R12
+
+tile16:
+	CMPQ CX, $16
+	JLT  tile4
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ R10, R13
+loop16:
+	BCAST4
+	TERMS4(0, Y8, Y9, Y0)
+	TERMS4(32, Y10, Y11, Y1)
+	TERMS4(64, Y12, Y13, Y2)
+	TERMS4(96, Y14, Y15, Y3)
+	LEAQ (AX)(R8*4), AX
+	LEAQ (BX)(R9*4), BX
+	DECQ R13
+	JNZ  loop16
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, DX
+	SUBQ $16, CX
+	JMP  tile16
+
+tile4:
+	CMPQ CX, $4
+	JLT  done
+	VMOVUPD (DI), Y0
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ R10, R13
+loop4:
+	BCAST4
+	TERMS4(0, Y8, Y9, Y0)
+	LEAQ (AX)(R8*4), AX
+	LEAQ (BX)(R9*4), BX
+	DECQ R13
+	JNZ  loop4
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, DX
+	SUBQ $4, CX
+	JMP  tile4
+
+done:
+	VZEROUPPER
+	RET

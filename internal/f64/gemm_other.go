@@ -1,0 +1,10 @@
+//go:build !amd64
+
+package f64
+
+// useAVX2 is never set off amd64: the Go loops are the only path.
+var useAVX2 = false
+
+func rowUpdate4(c, a *float64, astride int, b *float64, ldb, w, kb int) {
+	panic("f64: no vector kernel on this GOARCH")
+}

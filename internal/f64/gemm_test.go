@@ -1,0 +1,195 @@
+package f64
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// setAVX2 forces the dispatch under GemmSW/GemmTN/GemvT and returns
+// the call that restores it. Tests in this package run sequentially,
+// so flipping the package bool is safe.
+func setAVX2(on bool) (restore func()) {
+	old := useAVX2
+	useAVX2 = on
+	return func() { useAVX2 = old }
+}
+
+// bothPaths runs fn with the vector kernel switched off ("go") and,
+// where this CPU has it, switched on ("avx2").
+func bothPaths(t *testing.T, fn func(t *testing.T)) {
+	t.Run("go", func(t *testing.T) {
+		defer setAVX2(false)()
+		fn(t)
+	})
+	if useAVX2 {
+		t.Run("avx2", fn)
+	}
+}
+
+// wildVec draws values that stress every rounding the kernels
+// perform: ordinary magnitudes, exact zeros (the zero-skip tail),
+// subnormals, numbers whose products overflow or underflow, and ±Inf
+// (so Inf·0 and Inf−Inf make NaNs mid-chain).
+func wildVec(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		switch c := rng.Intn(400); {
+		case c < 300:
+			v[i] = rng.Float64()*2 - 1
+		case c < 340:
+			v[i] = 0
+		case c < 355:
+			v[i] = float64(rng.Intn(9)-4) * 5e-324
+		case c < 370:
+			v[i] = (rng.Float64()*2 - 1) * 1e-300
+		case c < 380:
+			v[i] = (rng.Float64()*2 - 1) * 1e300
+		case c < 398:
+			v[i] = math.Ldexp(rng.Float64()*2-1, rng.Intn(200)-100)
+		default: // rare, or every long chain would end Inf or NaN
+			v[i] = math.Inf(rng.Intn(2)*2 - 1)
+		}
+	}
+	return v
+}
+
+// sameBits reports whether got and want agree element for element on
+// math.Float64bits, a NaN matching any NaN (the hardware picks which
+// operand's payload survives; nothing downstream reads it).
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		g, w := got[i], want[i]
+		if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			t.Fatalf("%s: element %d = %v (%#x), reference %v (%#x)", what, i, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
+}
+
+// gemvTRef is GemvT's documented order written out on its own, so the
+// differential test does not lean on GemvT being built from GemmSW.
+func gemvTRef(dst, a, x []float64) {
+	n, m := len(dst), len(x)
+	for j := range dst {
+		dst[j] = 0
+	}
+	r := 0
+	for ; r <= m-4; r += 4 {
+		for j := range dst {
+			dst[j] += x[r]*a[r*n+j] + x[r+1]*a[(r+1)*n+j] + x[r+2]*a[(r+2)*n+j] + x[r+3]*a[(r+3)*n+j]
+		}
+	}
+	for ; r < m; r++ {
+		if x[r] != 0 {
+			for j := range dst {
+				dst[j] += x[r] * a[r*n+j]
+			}
+		}
+	}
+}
+
+// diffGemmKernels runs GemmSW, GemmTN and GemvT at one shape through
+// the dispatching entry points and through the Go references on equal
+// copies of the operands and requires identical bits everywhere —
+// including the columns past w and the stride slack, which neither
+// side may touch. sc, sa, sb widen ldc, lda, ldb past the minimum.
+func diffGemmKernels(t *testing.T, rng *rand.Rand, m, w, k, sc, sa, sb int) {
+	t.Helper()
+	ldc, lda, ldb := w+sc, k+sa, w+sb
+	a := wildVec(rng, m*lda+1)
+	b := wildVec(rng, k*ldb+1)
+	c0 := wildVec(rng, m*ldc+1)
+	got := append([]float64(nil), c0...)
+	want := append([]float64(nil), c0...)
+	GemmSW(got, ldc, a, lda, b, ldb, m, w, k)
+	gemmSWGo(want, ldc, a, lda, b, ldb, m, w, k)
+	sameBits(t, "GemmSW", got, want)
+	for i, v := range c0 {
+		if inside := i < m*ldc && i%ldc < w; !inside && math.Float64bits(got[i]) != math.Float64bits(v) {
+			t.Fatalf("GemmSW m=%d w=%d k=%d ldc=%d: wrote element %d outside the w columns", m, w, k, ldc, i)
+		}
+	}
+
+	at := wildVec(rng, k*m+1)
+	bt := wildVec(rng, k*w+1)
+	ct := wildVec(rng, m*w+1)
+	got = append(got[:0], ct...)
+	want = append(want[:0], ct...)
+	GemmTN(got, at, bt, m, w, k)
+	gemmTNGo(want, at, bt, m, w, k)
+	sameBits(t, "GemmTN", got, want)
+
+	x := wildVec(rng, k)
+	got = append(got[:0], wildVec(rng, w+1)...) // stale contents, one guard element
+	want = append(want[:0], got...)
+	GemvT(got[:w], bt[:k*w], x)
+	gemvTRef(want[:w], bt[:k*w], x)
+	sameBits(t, "GemvT", got, want)
+}
+
+// TestGemmKernelsMatchReference is the seeded, tier-1 half of
+// FuzzGemmKernels: every w mod 16 and k mod 4 residue on both sides of
+// the tile sizes, then random shapes up to 140.
+func TestGemmKernelsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for w := 0; w <= 37; w++ {
+		for _, k := range []int{0, 1, 3, 4, 5, 6, 7, 8, 33} {
+			diffGemmKernels(t, rng, 1+w%3, w, k, w%3, k%2, (w+k)%5)
+		}
+	}
+	for iter := 0; iter < 300; iter++ {
+		diffGemmKernels(t, rng, rng.Intn(141), rng.Intn(141), rng.Intn(141), rng.Intn(4), rng.Intn(4), rng.Intn(4))
+	}
+}
+
+func FuzzGemmKernels(f *testing.F) {
+	f.Add(int64(1), uint8(128), uint8(16), uint8(32), uint8(0))
+	f.Add(int64(2), uint8(1), uint8(128), uint8(32), uint8(0))
+	f.Add(int64(3), uint8(7), uint8(21), uint8(6), uint8(0x1b))
+	f.Add(int64(4), uint8(3), uint8(3), uint8(140), uint8(0xff))
+	f.Fuzz(func(t *testing.T, seed int64, m, w, k, slack uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		diffGemmKernels(t, rng, int(m)%141, int(w)%141, int(k)%141, int(slack)&3, int(slack>>2)&3, int(slack>>4)&3)
+	})
+}
+
+// TestGemmShortOperandPanics: an operand one element short of what the
+// shape needs must panic on both paths, never read or write past it.
+func TestGemmShortOperandPanics(t *testing.T) { bothPaths(t, testGemmShortOperandPanics) }
+
+func testGemmShortOperandPanics(t *testing.T) {
+	const m, w, k = 3, 20, 8
+	ones := func(n int) []float64 {
+		v := make([]float64, n) // cap == len: nothing to spill into
+		for i := range v {
+			v[i] = 1
+		}
+		return v
+	}
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		fn()
+	}
+	for _, short := range []struct {
+		name    string
+		c, a, b int
+	}{{"c", 1, 0, 0}, {"a", 0, 1, 0}, {"b", 0, 0, 1}} {
+		mustPanic("GemmSW short "+short.name, func() {
+			GemmSW(ones(m*w-short.c), w, ones(m*k-short.a), k, ones(k*w-short.b), w, m, w, k)
+		})
+		mustPanic("GemmTN short "+short.name, func() {
+			GemmTN(ones(m*w-short.c), ones(k*m-short.a), ones(k*w-short.b), m, w, k)
+		})
+	}
+	mustPanic("GemvT short a", func() { GemvT(ones(w), ones(k*w-1), ones(k)) })
+	// The full-size calls do not panic.
+	GemmSW(ones(m*w), w, ones(m*k), k, ones(k*w), w, m, w, k)
+	GemmTN(ones(m*w), ones(k*m), ones(k*w), m, w, k)
+	GemvT(ones(w), ones(k*w), ones(k))
+}

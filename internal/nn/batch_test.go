@@ -160,3 +160,37 @@ func TestForwardBatchAllocFree(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkLSTMRaggedBatch16 times one ragged 16-statement batch — the
+// serving shape: core.DefaultConfig's char-LSTM sizes, lengths drawn
+// from 50–160 — through ForwardBatch ("batch") and through 16 scalar
+// Forward calls ("scalar"), both as ns/stmt. Batching must not cost
+// more per statement than not batching.
+func BenchmarkLSTMRaggedBatch16(b *testing.B) {
+	rng := rand.New(rand.NewSource(16))
+	m := NewLSTM(LSTMConfig{Vocab: 100, Embed: 16, Hidden: 32, Layers: 3, Outputs: 3}, rng)
+	ids := make([][]int, 16)
+	for r := range ids {
+		ids[r] = make([]int, 50+rng.Intn(111))
+		for i := range ids[r] {
+			ids[r][i] = rng.Intn(100)
+		}
+	}
+	perStmt := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ids)), "ns/stmt")
+	}
+	b.Run("batch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m.ForwardBatch(ids)
+		}
+		perStmt(b)
+	})
+	b.Run("scalar", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, seq := range ids {
+				m.Forward(seq, false, nil)
+			}
+		}
+		perStmt(b)
+	})
+}

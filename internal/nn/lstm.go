@@ -272,134 +272,107 @@ func (l *LSTMLayer) Backward(cache *LSTMCache, dhs [][]float64) [][]float64 {
 }
 
 // lstmBatchCache is the inference-only scratch of ForwardBatch:
-// feature-major activations sized by the largest batch seen, reused
+// lane-major activations sized by the largest batch seen, reused
 // across calls and never retained for Backward.
 type lstmBatchCache struct {
-	pre        []float64 // 4h×n gate pre-activations for the current step
-	hs         []float64 // T blocks of h×n hidden states
-	cA, cB, tc []float64 // h×n cell-state double buffer and tanh scratch
+	wxT, whT   []float64 // transposed weights (In×4h, h×4h), refreshed every call
+	pre        []float64 // current step: w×h candidate block, then w×3h gate block
+	hs         []float64 // T blocks of widths[t]×h hidden states
+	cA, cB, tc []float64 // w×h cell-state double buffer and tanh scratch
 }
 
 // ForwardBatch runs the layer over an n-example batch packed
-// feature-major: x holds T timestep blocks, each an In×n matrix with
-// feature i of example r at x[t*In*n + i*n + r]. It returns the hidden
-// states in the same layout (T blocks of h×n), owned by the layer and
-// valid until the next ForwardBatch call.
+// lane-major, one block per timestep holding only the lanes still
+// running at that step: block t is a widths[t]×In matrix, lane r's
+// input at x[In·(off(t)+r) : In·(off(t)+r+1)], where off(t) =
+// widths[0] + … + widths[t−1]. It returns the hidden states in the
+// same layout (block t is widths[t]×h at h·off(t)), owned by the layer
+// and valid until the next ForwardBatch call. There are len(widths)
+// steps; widths must be positive and non-increasing (callers sort
+// lanes longest first). A ragged batch therefore costs exactly the
+// sum of its lane lengths, and a lane that ends simply drops off the
+// end of the next block: nothing is padded, repacked or recomputed,
+// and a narrow step runs the same code as a full one.
 //
-// Per step the gate pre-activations for the whole batch form one 4h×n
-// matrix: Pre = b·1ᵀ + Wx·Xₜ + Wh·Hₜ₋₁ via two GEMMs that read the
-// packed row-major weights directly (no transposed copies), then one
-// TanhV over the contiguous candidate block and one SigmoidV over the
-// packed [update|forget|output] 3h·n span — the four gate
-// nonlinearities as a single batched pass.
+// Per step the running lanes' gate pre-activations are Forward's own
+// products with w rows instead of one — Pre = 1·bᵀ + Xₜ·Wxᵀ + Hₜ₋₁·Whᵀ
+// against the transposed weights — written as two column blocks so
+// each nonlinearity is one call over contiguous memory: the w×h
+// candidates (TanhV) and the w×3h [update|forget|output] gates
+// (SigmoidV).
 //
-// Bit-identity with Forward: for every output element the term order —
-// bias, then Wx terms in increasing input index four at a time, then
-// Wh terms likewise — matches Forward's per-example chain exactly
-// (Gemm and the transposed-operand Gemm in Forward multiply identical
-// float pairs in identical order), and the nonlinearities are the same
-// element functions. Column r of every block therefore equals the
-// scalar path on example r bit-for-bit.
+// Bit-identity with Forward: lane r's row of every product multiplies
+// the same float pairs in the same order as Forward's sequence-level
+// input GEMM and per-step recurrent GEMM do for example r (bias, then
+// Wx terms in increasing input index four at a time, then Wh terms
+// likewise; a GEMM's per-element order does not depend on how many
+// rows or which columns it computes), and the nonlinearities are the
+// same element functions. Lanes never mix, so lane r of every block
+// equals the scalar path on example r bit-for-bit whatever the widths.
 //
-// widths optionally narrows the working batch per step: widths[t] ≤ n
-// columns are computed at step t and the rest are neither read nor
-// written. Widths must be non-increasing (callers sort lanes longest
-// first), so a ragged batch costs the sum of its lane lengths instead
-// of T×n; nil means full width everywhere. Narrowing never changes a
-// surviving column's values — every kernel here is column-independent
-// — it only skips columns, so the output stays bit-identical to the
-// scalar path lane by lane.
-//
-// Inference only: no cache is retained for Backward. Columns past
-// widths[t] (or, with nil widths, columns of steps past an example's
-// true length) hold stale scratch the caller must ignore.
-func (l *LSTMLayer) ForwardBatch(x []float64, n, T int, widths []int) []float64 {
+// Inference only: no cache is retained for Backward.
+func (l *LSTMLayer) ForwardBatch(x []float64, widths []int) []float64 {
 	h, in := l.H, l.In
+	n, total := 0, 0 // widest step; lanes over all steps
+	for _, w := range widths {
+		n = max(n, w)
+		total += w
+	}
 	bc := &l.bcache
-	pre := growF(&bc.pre, 4*h*n)
-	hs := growF(&bc.hs, T*h*n)
-	cPrev := growF(&bc.cA, h*n)
-	cCur := growF(&bc.cB, h*n)
-	tc := growF(&bc.tc, h*n)
-	for t := 0; t < T; t++ {
-		w := n
-		if widths != nil {
-			w = widths[t]
-			if w <= 0 {
-				break
-			}
-			// Round the working width up to a whole 4-lane block: the
-			// extra ≤3 columns are dead lanes recomputed from stale
-			// scratch (column-independent, discarded by the caller), and
-			// whole blocks keep the vector kernels and the GEMM inner
-			// loops off their scalar tails.
-			if w = (w + 3) &^ 3; w > n {
-				w = n
-			}
+	wxT := growF(&bc.wxT, in*4*h)
+	f64.Transpose(wxT, l.Wx.W, 4*h, in)
+	whT := growF(&bc.whT, h*4*h)
+	f64.Transpose(whT, l.Wh.W, 4*h, h)
+	pre := growF(&bc.pre, n*4*h)
+	hs := growF(&bc.hs, total*h)
+	cPrev := growF(&bc.cA, n*h)
+	cCur := growF(&bc.cB, n*h)
+	tcBuf := growF(&bc.tc, n*h)
+	off, wPrev := 0, 0 // lanes in the blocks before step t; step t−1's width
+	for t, w := range widths {
+		cand, gates := pre[:w*h], pre[w*h:w*4*h]
+		for r := 0; r < w; r++ {
+			copy(cand[r*h:(r+1)*h], l.B.W[:h])
+			copy(gates[r*3*h:(r+1)*3*h], l.B.W[h:])
 		}
-		for g := 0; g < 4*h; g++ {
-			row := pre[g*n : g*n+w]
-			bg := l.B.W[g]
-			for r := range row {
-				row[r] = bg
-			}
-		}
-		f64.GemmSW(pre, n, l.Wx.W, in, x[t*in*n:(t+1)*in*n], n, 4*h, w, in)
+		xt := x[in*off : in*(off+w)]
+		f64.GemmSW(cand, h, xt, in, wxT, 4*h, w, h, in)
+		f64.GemmSW(gates, 3*h, xt, in, wxT[h:], 4*h, w, 3*h, in)
 		if t > 0 {
-			f64.GemmSW(pre, n, l.Wh.W, h, hs[(t-1)*h*n:t*h*n], n, 4*h, w, h)
+			hPrev := hs[h*(off-wPrev) : h*(off-wPrev+w)]
+			f64.GemmSW(cand, h, hPrev, h, whT, 4*h, w, h, h)
+			f64.GemmSW(gates, 3*h, hPrev, h, whT[h:], 4*h, w, 3*h, h)
 		}
-		if w == n {
-			cand := pre[:h*n]
-			f64.TanhV(cand, cand)
-			f64.SigmoidV(pre[h*n:4*h*n], pre[h*n:4*h*n])
-			gu := pre[h*n : 2*h*n]
-			gf := pre[2*h*n : 3*h*n]
-			gout := pre[3*h*n : 4*h*n]
+		f64.TanhV(cand, cand)
+		f64.SigmoidV(gates, gates)
+		c := cCur[:w*h]
+		for r := 0; r < w; r++ {
+			cr, candr := c[r*h:(r+1)*h], cand[r*h:(r+1)*h]
+			gu, gf := gates[r*3*h:r*3*h+h], gates[r*3*h+h:r*3*h+2*h]
 			if t == 0 {
-				for i := 0; i < h*n; i++ {
-					cCur[i] = gu[i] * cand[i]
+				for i := range cr {
+					cr[i] = gu[i] * candr[i]
 				}
 			} else {
-				for i := 0; i < h*n; i++ {
-					cCur[i] = gu[i]*cand[i] + gf[i]*cPrev[i]
+				cp := cPrev[r*h : (r+1)*h]
+				for i := range cr {
+					cr[i] = gu[i]*candr[i] + gf[i]*cp[i]
 				}
 			}
-			f64.TanhV(tc, cCur)
-			ht := hs[t*h*n : (t+1)*h*n]
-			for i := 0; i < h*n; i++ {
-				ht[i] = gout[i] * tc[i]
-			}
-		} else {
-			// Narrow steps work on row prefixes [g*n, g*n+w): the same
-			// element functions and update expressions, restricted to the
-			// still-active columns.
-			gu := pre[h*n:]
-			gf := pre[2*h*n:]
-			gout := pre[3*h*n:]
-			ht := hs[t*h*n:]
-			for g := 0; g < h; g++ {
-				o := g * n
-				cand := pre[o : o+w]
-				f64.TanhV(cand, cand)
-				f64.SigmoidV(gu[o:o+w], gu[o:o+w])
-				f64.SigmoidV(gf[o:o+w], gf[o:o+w])
-				f64.SigmoidV(gout[o:o+w], gout[o:o+w])
-				if t == 0 {
-					for r := o; r < o+w; r++ {
-						cCur[r] = gu[r] * pre[r]
-					}
-				} else {
-					for r := o; r < o+w; r++ {
-						cCur[r] = gu[r]*pre[r] + gf[r]*cPrev[r]
-					}
-				}
-				f64.TanhV(tc[o:o+w], cCur[o:o+w])
-				for r := o; r < o+w; r++ {
-					ht[r] = gout[r] * tc[r]
-				}
+		}
+		tc := tcBuf[:w*h]
+		f64.TanhV(tc, c)
+		ht := hs[h*off : h*(off+w)]
+		for r := 0; r < w; r++ {
+			hr, tcr := ht[r*h:(r+1)*h], tc[r*h:(r+1)*h]
+			gout := gates[r*3*h+2*h : (r+1)*3*h]
+			for i := range hr {
+				hr[i] = gout[i] * tcr[i]
 			}
 		}
 		cPrev, cCur = cCur, cPrev
+		off += w
+		wPrev = w
 	}
 	return hs
 }

@@ -258,7 +258,8 @@ type lstmBatchModelCache struct {
 	lens   []int     // true step count per example (empty sequences pad to 1)
 	order  []int     // lane order, longest sequence first
 	widths []int     // per-step active width (lanes whose sequence reaches t)
-	xb     []float64 // feature-major input: T blocks of Embed×n
+	offs   []int     // offs[t] = widths[0]+…+widths[t−1], block t's lane offset
+	xb     []float64 // lane-major input: T blocks of widths[t]×Embed
 	last   []float64 // n × Hidden final hidden states
 	out    []float64 // n × Outputs logits
 }
@@ -297,16 +298,16 @@ func (m *LSTMModel) Forward(ids []int, train bool, rng *rand.Rand) ([]float64, a
 	return m.FC.Forward(cache.last), cache
 }
 
-// ForwardBatch implements BatchModel. The batch is packed
-// feature-major — T timestep blocks, each an Embed×n matrix with
-// feature i of lane k at xb[t·Embed·n + i·n + k] — so every LSTM
-// layer advances all n examples one step per pair of GEMMs (see
+// ForwardBatch implements BatchModel. The batch is packed lane-major
+// — T timestep blocks, block t a widths[t]×Embed matrix holding only
+// the lanes still running at step t — so every LSTM layer advances the
+// running examples one step per pair of GEMMs (see
 // LSTMLayer.ForwardBatch). Ragged lengths cost their true sum, not
-// T×n: lanes are ordered longest first, each step narrows to the
-// lanes whose sequence reaches it (a column prefix), and each lane's
-// logits read from its own final step lens[r]−1. Lanes are
-// independent columns throughout, so both the reordering and the
-// narrowing leave every example bit-identical to the scalar path.
+// T×n: lanes are ordered longest first, each step's block holds the
+// lanes whose sequence reaches it (a row prefix), and each lane's
+// logits read from its own final step lens[r]−1. Lanes are independent
+// rows throughout, so both the reordering and the narrowing leave
+// every example bit-identical to the scalar path.
 func (m *LSTMModel) ForwardBatch(ids [][]int) ([]float64, int) {
 	n := len(ids)
 	outDim := m.cfg.Outputs
@@ -336,11 +337,11 @@ func (m *LSTMModel) ForwardBatch(ids [][]int) ([]float64, int) {
 	}
 	// Lanes run longest first (stable insertion sort: batches are small
 	// and this allocates nothing), so the set of still-active lanes at
-	// any step is a column prefix and each step can narrow its working
+	// any step is a row prefix and each step can narrow its working
 	// width to the lanes that still have input. A ragged batch then
 	// costs the sum of its lane lengths, not T×n; reordering is
-	// invisible in the output because every kernel in the batched path
-	// is column-independent and the logits scatter back through order.
+	// invisible in the output because lanes never mix in the batched
+	// path and the logits scatter back through order.
 	order := growI(&bc.order, n)
 	for i := range order {
 		order[i] = i
@@ -352,42 +353,42 @@ func (m *LSTMModel) ForwardBatch(ids [][]int) ([]float64, int) {
 	}
 	// widths[t] = how many lanes still have a token at step t; with
 	// lens[order] non-increasing that is the first sorted position whose
-	// lane has ended.
+	// lane has ended. offs[t] is the lane count of the blocks before
+	// step t, which places block t in the compact lane-major layout
+	// LSTMLayer.ForwardBatch documents.
 	widths := growI(&bc.widths, T)
-	w := n
+	offs := growI(&bc.offs, T)
+	w, total := n, 0
 	for t := 0; t < T; t++ {
 		for w > 0 && lens[order[w-1]] <= t {
 			w--
 		}
-		widths[t] = w
+		widths[t], offs[t] = w, total
+		total += w
 	}
-	xb := growF(&bc.xb, T*d*n)
+	xb := growF(&bc.xb, total*d)
 	for t := 0; t < T; t++ {
-		blk := xb[t*d*n : (t+1)*d*n]
+		blk := xb[offs[t]*d:]
 		for k := 0; k < widths[t]; k++ {
 			seq := ids[order[k]]
 			id := 0
 			if t < len(seq) {
 				id = seq[t] // t ≥ len only for the empty-sequence pad lane
 			}
-			for i, v := range m.Emb.Lookup(id) {
-				blk[i*n+k] = v
-			}
+			copy(blk[k*d:(k+1)*d], m.Emb.Lookup(id))
 		}
 	}
 	x := xb
 	for _, layer := range m.Layers {
-		x = layer.ForwardBatch(x, n, T, widths)
+		x = layer.ForwardBatch(x, widths)
 	}
 	// Gather each lane's final step into example-major rows in original
 	// request order; the head then writes out in request order directly.
 	last := growF(&bc.last, n*h)
 	for k := 0; k < n; k++ {
 		r := order[k]
-		blk := x[(lens[r]-1)*h*n:]
-		for j := 0; j < h; j++ {
-			last[r*h+j] = blk[j*n+k]
-		}
+		o := offs[lens[r]-1] + k
+		copy(last[r*h:(r+1)*h], x[o*h:(o+1)*h])
 	}
 	m.FC.ForwardBatch(out, last, n)
 	return out, outDim

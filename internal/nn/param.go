@@ -7,12 +7,14 @@
 // classification and Huber loss for regression, optimized with Adam or
 // AdaMax and gradient clipping, as in the paper's setup (Section 6.1).
 //
-// The implementation is pure Go (float64 slices, no assembly or GPU)
-// but numerically correct — every layer has a finite-difference
-// gradient test — and fast: all dense inner loops route through the
-// unrolled, deterministically-ordered kernels of repro/internal/f64,
-// and the LSTM computes its input transform as one sequence-level
-// GEMM hoisted out of the recurrence.
+// The implementation is plain float64 slices on the CPU (this package
+// has no assembly and no GPU code) but numerically correct — every
+// layer has a finite-difference gradient test — and fast: all dense
+// inner loops route through the unrolled, deterministically-ordered
+// kernels of repro/internal/f64 (whose GEMM row update is an AVX2
+// kernel where the CPU has one, bit-identical to its Go loop), and
+// the LSTM computes its input transform as one sequence-level GEMM
+// hoisted out of the recurrence.
 package nn
 
 import (
