@@ -55,17 +55,11 @@
 // and the last gate decision. Against a serviced running -online this
 // shows the pipeline reacting to the replayed traffic live.
 //
-// The report ends with the server's batch-width histogram: one line
-// per observed fused-batch width with its request count and latency
-// percentiles, so a batching A/B (-batch-window / -max-batch vs
-// -max-batch 1) shows where the requests actually ran.
-//
 // Examples:
 //
 //	servebench -model ccnn -task error -replicas 4 -clients 16 -duration 5s
 //	servebench -model ccnn -transport unix -clients 8
 //	servebench -model ccnn -ab -clients 4 -duration 5s -json BENCH_wire.json
-//	servebench -model clstm -batch-window 200us -max-batch 16 -clients 16
 //	servebench -model clstm -deadline 300us -admission reject
 //	servebench -model ccnn -hedge 1ms -retries 3
 //	servebench -model ccnn -fault-rate 0.2 -fault-seed 7 -retries 3
@@ -116,9 +110,7 @@ func main() {
 	replicas := flag.Int("replicas", runtime.GOMAXPROCS(0), "inference replicas (in-process mode)")
 	clients := flag.Int("clients", 2*runtime.GOMAXPROCS(0), "concurrent load-generating clients")
 	duration := flag.Duration("duration", 3*time.Second, "load duration")
-	window := flag.Duration("window", 0, "micro-batch gather window (in-process mode)")
-	flag.DurationVar(window, "batch-window", 0, "alias for -window")
-	maxBatch := flag.Int("max-batch", 32, "max requests per micro-batch (in-process mode; 1 disables fused batching)")
+	maxBatch := flag.Int("max-batch", 32, "most statements one request carries (in-process mode; longer batches are cut)")
 	queue := flag.Int("queue", 0, "request queue size (0 = default; in-process mode)")
 	sessions := flag.Int("sessions", 1400, "synthetic SDSS sessions for train/test data")
 	reqDeadline := flag.Duration("deadline", 0, "per-request deadline (0 = none)")
@@ -242,11 +234,10 @@ func main() {
 			log.Fatal(err)
 		}
 		svc := service.New(service.Options{Serve: serve.Options{
-			Replicas:    *replicas,
-			QueueSize:   *queue,
-			BatchWindow: *window,
-			MaxBatch:    *maxBatch,
-			Admission:   policy,
+			Replicas:  *replicas,
+			QueueSize: *queue,
+			MaxBatch:  *maxBatch,
+			Admission: policy,
 		}})
 		defer svc.Close()
 		if _, err := svc.Swap(*model, m); err != nil {
@@ -599,18 +590,12 @@ func reportServer(baseURL string, copts client.Options, model string) {
 }
 
 // reportServerWith prints the server-side view: per-model attribution
-// of the run plus the batch-width histogram.
+// of the run.
 func reportServerWith(c *client.Client, model string) {
 	statsCtx, statsCancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer statsCancel()
 	if st, err := c.Stats(statsCtx, model); err == nil {
 		fmt.Printf("server: %s\n", st.Stats)
-		// Batch-width histogram: how wide the fused forward passes
-		// actually ran, with per-width request latency. eff-batch above
-		// is the completed-weighted mean of these widths.
-		for _, w := range st.Stats.Widths {
-			fmt.Printf("batch-width %2d: count=%d p50=%s p99=%s\n", w.Width, w.Count, w.P50, w.P99)
-		}
 	} else {
 		fmt.Fprintf(os.Stderr, "servebench: fetch server stats: %v\n", err)
 	}

@@ -116,7 +116,6 @@ type config struct {
 	replicas     int
 	queue        int
 	maxBatch     int
-	window       time.Duration
 	admission    serve.AdmissionPolicy
 	sessions     int
 	drain        time.Duration
@@ -133,7 +132,18 @@ type config struct {
 
 // parseFlags validates the command line into a config.
 func parseFlags(args []string) (config, error) {
-	fs := flag.NewFlagSet("serviced", flag.ContinueOnError)
+	fs, parsed := flagSet()
+	if err := fs.Parse(args); err != nil {
+		return config{}, err
+	}
+	return parsed()
+}
+
+// flagSet declares serviced's command line; parsed validates the
+// values into a config once fs.Parse has run. The flag names are
+// pinned by TestFlagSurface.
+func flagSet() (fs *flag.FlagSet, parsed func() (config, error)) {
+	fs = flag.NewFlagSet("serviced", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "HTTP listen address")
 	wireAddr := fs.String("wire-addr", "", "binary wire-protocol TCP listen address (empty = disabled)")
 	wireUnix := fs.String("wire-unix", "", "binary wire-protocol unix socket path (empty = disabled)")
@@ -141,8 +151,7 @@ func parseFlags(args []string) (config, error) {
 	taskName := fs.String("task", "error", "task: error, session, cpu, answer, elapsed")
 	replicas := fs.Int("replicas", runtime.GOMAXPROCS(0), "inference replicas per deployed model")
 	queue := fs.Int("queue", 0, "request queue size per model (0 = default)")
-	maxBatch := fs.Int("max-batch", 32, "max requests per micro-batch")
-	window := fs.Duration("window", 0, "micro-batch gather window")
+	maxBatch := fs.Int("max-batch", 32, "most statements one request (one batched forward pass) carries; longer batches are cut")
 	admission := fs.String("admission", "reject", "full-queue policy: reject (429) or block")
 	sessions := fs.Int("sessions", 1400, "synthetic SDSS sessions for training data")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
@@ -160,65 +169,64 @@ func parseFlags(args []string) (config, error) {
 	onlineWindow := fs.Int("online-window", 64, "observed records per online fine-tune window")
 	canaryMargin := fs.Float64("canary-margin", 0,
 		"score improvement the canary requires before swapping a fine-tuned candidate in")
-	if err := fs.Parse(args); err != nil {
-		return config{}, err
-	}
-	cfg := config{
-		addr: *addr, wireAddr: *wireAddr, wireUnix: *wireUnix,
-		replicas: *replicas, queue: *queue, maxBatch: *maxBatch,
-		window: *window, sessions: *sessions, drain: *drain, pprofAddr: *pprofAddr,
-		storeDir: *storeDir, retain: *retain, storeRefresh: *storeRefresh,
-		ingestDir: *ingestDir, ingestEvery: *ingestEvery, online: *onlineFlag,
-		onlineWindow: *onlineWindow, canaryMargin: *canaryMargin,
-	}
-	if cfg.storeRefresh < 0 {
-		return config{}, fmt.Errorf("serviced: -store-refresh must be >= 0, got %v", cfg.storeRefresh)
-	}
-	if cfg.storeRefresh > 0 && cfg.storeDir == "" {
-		return config{}, errors.New("serviced: -store-refresh requires -store-dir (there is no store to watch)")
-	}
-	if cfg.retain < 0 {
-		return config{}, fmt.Errorf("serviced: -retain must be >= 0, got %d", cfg.retain)
-	}
-	if cfg.ingestEvery < 0 {
-		return config{}, fmt.Errorf("serviced: -ingest-sample must be >= 0, got %d", cfg.ingestEvery)
-	}
-	if cfg.ingestEvery > 0 && cfg.ingestDir == "" {
-		return config{}, errors.New("serviced: -ingest-sample requires -ingest-dir (there is no log to sample into)")
-	}
-	if cfg.online && cfg.ingestDir == "" {
-		return config{}, errors.New("serviced: -online requires -ingest-dir (the pipeline trains from the ingest WAL)")
-	}
-	if cfg.onlineWindow <= 1 {
-		return config{}, fmt.Errorf("serviced: -online-window must be > 1, got %d", cfg.onlineWindow)
-	}
-	if cfg.replicas <= 0 {
-		return config{}, fmt.Errorf("serviced: -replicas must be positive, got %d", cfg.replicas)
-	}
-	if cfg.sessions <= 0 {
-		return config{}, fmt.Errorf("serviced: -sessions must be positive, got %d", cfg.sessions)
-	}
-	for _, m := range strings.Split(*models, ",") {
-		if m = strings.TrimSpace(m); m != "" {
-			cfg.models = append(cfg.models, m)
+	return fs, func() (config, error) {
+		cfg := config{
+			addr: *addr, wireAddr: *wireAddr, wireUnix: *wireUnix,
+			replicas: *replicas, queue: *queue, maxBatch: *maxBatch,
+			sessions: *sessions, drain: *drain, pprofAddr: *pprofAddr,
+			storeDir: *storeDir, retain: *retain, storeRefresh: *storeRefresh,
+			ingestDir: *ingestDir, ingestEvery: *ingestEvery, online: *onlineFlag,
+			onlineWindow: *onlineWindow, canaryMargin: *canaryMargin,
 		}
+		if cfg.storeRefresh < 0 {
+			return config{}, fmt.Errorf("serviced: -store-refresh must be >= 0, got %v", cfg.storeRefresh)
+		}
+		if cfg.storeRefresh > 0 && cfg.storeDir == "" {
+			return config{}, errors.New("serviced: -store-refresh requires -store-dir (there is no store to watch)")
+		}
+		if cfg.retain < 0 {
+			return config{}, fmt.Errorf("serviced: -retain must be >= 0, got %d", cfg.retain)
+		}
+		if cfg.ingestEvery < 0 {
+			return config{}, fmt.Errorf("serviced: -ingest-sample must be >= 0, got %d", cfg.ingestEvery)
+		}
+		if cfg.ingestEvery > 0 && cfg.ingestDir == "" {
+			return config{}, errors.New("serviced: -ingest-sample requires -ingest-dir (there is no log to sample into)")
+		}
+		if cfg.online && cfg.ingestDir == "" {
+			return config{}, errors.New("serviced: -online requires -ingest-dir (the pipeline trains from the ingest WAL)")
+		}
+		if cfg.onlineWindow <= 1 {
+			return config{}, fmt.Errorf("serviced: -online-window must be > 1, got %d", cfg.onlineWindow)
+		}
+		if cfg.replicas <= 0 {
+			return config{}, fmt.Errorf("serviced: -replicas must be positive, got %d", cfg.replicas)
+		}
+		if cfg.sessions <= 0 {
+			return config{}, fmt.Errorf("serviced: -sessions must be positive, got %d", cfg.sessions)
+		}
+		for _, m := range strings.Split(*models, ",") {
+			if m = strings.TrimSpace(m); m != "" {
+				cfg.models = append(cfg.models, m)
+			}
+		}
+		if len(cfg.models) == 0 {
+			return config{}, errors.New("serviced: -models must name at least one model")
+		}
+		var err error
+		if cfg.task, err = parseTask(*taskName); err != nil {
+			return config{}, err
+		}
+		switch *admission {
+		case "reject":
+			cfg.admission = serve.AdmitReject
+		case "block":
+			cfg.admission = serve.AdmitBlock
+		default:
+			return config{}, fmt.Errorf("serviced: unknown -admission %q (want reject or block)", *admission)
+		}
+		return cfg, nil
 	}
-	if len(cfg.models) == 0 {
-		return config{}, errors.New("serviced: -models must name at least one model")
-	}
-	var err error
-	if cfg.task, err = parseTask(*taskName); err != nil {
-		return config{}, err
-	}
-	switch *admission {
-	case "reject":
-		cfg.admission = serve.AdmitReject
-	case "block":
-		cfg.admission = serve.AdmitBlock
-	default:
-		return config{}, fmt.Errorf("serviced: unknown -admission %q (want reject or block)", *admission)
-	}
-	return cfg, nil
 }
 
 func run(args []string, out io.Writer) error {
@@ -239,11 +247,10 @@ func run(args []string, out io.Writer) error {
 	}
 
 	opts := service.Options{Serve: serve.Options{
-		Replicas:    cfg.replicas,
-		QueueSize:   cfg.queue,
-		MaxBatch:    cfg.maxBatch,
-		BatchWindow: cfg.window,
-		Admission:   cfg.admission,
+		Replicas:  cfg.replicas,
+		QueueSize: cfg.queue,
+		MaxBatch:  cfg.maxBatch,
+		Admission: cfg.admission,
 	}, Retain: cfg.retain}
 	if cfg.storeDir != "" {
 		store, err := service.NewDirStore(cfg.storeDir)

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -20,7 +22,7 @@ import (
 // the rejection of nonsensical values.
 func TestParseFlags(t *testing.T) {
 	cfg, err := parseFlags([]string{"-models", "ccnn, wlstm", "-task", "cpu",
-		"-replicas", "3", "-admission", "block", "-window", "200us"})
+		"-replicas", "3", "-admission", "block", "-max-batch", "16"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +32,7 @@ func TestParseFlags(t *testing.T) {
 	if cfg.task != core.CPUTimePrediction || cfg.replicas != 3 {
 		t.Fatalf("cfg = %+v", cfg)
 	}
-	if cfg.admission != serve.AdmitBlock || cfg.window != 200*time.Microsecond {
+	if cfg.admission != serve.AdmitBlock || cfg.maxBatch != 16 {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 	if cfg.pprofAddr != "" {
@@ -64,6 +66,25 @@ func TestParseFlags(t *testing.T) {
 		if _, err := parseFlags(bad); err == nil {
 			t.Errorf("parseFlags(%v) accepted invalid flags", bad)
 		}
+	}
+}
+
+// TestFlagSurface pins serviced's flag set, the counterpart of the
+// root package's TestServingSurfaceMethods: the names below are the
+// whole command line, so a flag can be renamed or replaced but not
+// added without the count — and whoever reviews it — noticing.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"addr", "admission", "canary-margin", "drain", "ingest-dir", "ingest-sample",
+		"max-batch", "models", "online", "online-window", "pprof-addr", "queue",
+		"replicas", "retain", "sessions", "store-dir", "store-refresh", "task",
+		"wire-addr", "wire-unix",
+	}
+	fs, _ := flagSet()
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) }) // lexical order
+	if !slices.Equal(got, want) {
+		t.Fatalf("serviced takes %d flags %v,\nwant the pinned %d %v", len(got), got, len(want), want)
 	}
 }
 

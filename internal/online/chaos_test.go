@@ -67,8 +67,8 @@ func TestChaosKillMidSwap(t *testing.T) {
 // TestChaosKillMidFineTune fails the pipeline's own state Put — a
 // crash between the gate decision and its durable commit. The worker
 // rewinds to the last durable position and replays the window; the
-// replay reaches the same (reject) decision, and the candidate the
-// first pass registered is never deployed.
+// replay reaches the same (reject) decision, and neither pass's
+// candidate reaches the registry, let alone goes live.
 func TestChaosKillMidFineTune(t *testing.T) {
 	inj := faults.NewInjector(1)
 	store := faults.NewStore(service.NewMemStore(), inj)
@@ -95,11 +95,10 @@ func TestChaosKillMidFineTune(t *testing.T) {
 	if !strings.Contains(st.LastDecision, "rejected") {
 		t.Fatalf("decision = %q", st.LastDecision)
 	}
-	// Both passes registered their candidate (the replay is allowed to
-	// re-register; GC prunes duplicates), but neither was ever live.
+	// Both passes rejected their candidate before registering it.
 	info := svc.Models()[0]
-	if info.Versions < 2 || info.LiveVersion != 1 {
-		t.Fatalf("unevaluated candidate deployed: %+v", info)
+	if info.Versions != 1 || info.LiveVersion != 1 {
+		t.Fatalf("rejected candidate registered or deployed: %+v", info)
 	}
 	if fired := len(inj.Events()); fired != 1 {
 		t.Fatalf("injected %d faults, want 1", fired)

@@ -6,16 +6,18 @@
 // One background worker per model runs the pipeline
 //
 //	tail WAL → accumulate window → clone live → FineTune →
-//	Register candidate → canary eval on held-out slice → gate →
-//	Deploy (swap) or reject → post-swap rollback watch
+//	canary eval on held-out slice → gate →
+//	Register + Deploy (swap) or drop → post-swap rollback watch
 //
-// The candidate is registered, never deployed, until it has been
+// The candidate stays outside the registry until it has been
 // evaluated: the canary scores candidate vs live on the window's
-// held-out tail (recent real traffic the candidate never trained on)
-// and swaps only when the candidate wins by at least Margin. After a
-// swap the next window's holdout re-scores the new live version
-// against the previous one and deploys the previous version back if
-// the swap regressed in production.
+// held-out tail (recent real traffic the candidate never trained on),
+// and only a candidate that wins by at least Margin is registered and
+// swapped in — a rejected one leaves no version, weights or store
+// artifact behind, so an unevaluated candidate cannot be deployed.
+// After a swap the next window's holdout re-scores the new live
+// version against the previous one and deploys the previous version
+// back if the swap regressed in production.
 //
 // Every decision is durable: per-model progress (WAL position,
 // counters, rollback watch) persists in the service's store under
@@ -45,7 +47,8 @@ import (
 // Options configures a Pipeline. Service and Dir are required.
 type Options struct {
 	// Service is the registry the pipeline trains against: LiveVersion
-	// feeds the clone, Register admits candidates, Deploy swaps.
+	// feeds the clone, Register admits gate-cleared candidates, Deploy
+	// swaps.
 	Service *service.Service
 	// Store, when non-nil, makes pipeline progress durable under
 	// "online/<model>" keys. Usually the service's own store.
@@ -321,7 +324,7 @@ func (p *Pipeline) commit(name string, st state) {
 }
 
 // processWindow decides one window: rollback watch first, then
-// fine-tune → register → canary gate → swap or reject. st is mutated
+// fine-tune → canary gate → register and swap, or reject. st is mutated
 // and persisted only when the whole decision commits; any error leaves
 // the durable state untouched so the caller can rewind and replay.
 func (p *Pipeline) processWindow(name string, st *state, window []ingest.Record, end ingest.Pos) error {
@@ -379,10 +382,6 @@ func (p *Pipeline) processWindow(name string, st *state, window []ingest.Record,
 	if err != nil {
 		return fmt.Errorf("%w: %v", errPermanent, err)
 	}
-	info, err := svc.Register(name, cand)
-	if err != nil {
-		return fmt.Errorf("register candidate: %w", err)
-	}
 	st.Candidates++
 
 	// Shadow canary: score candidate vs live on the held-out tail.
@@ -393,6 +392,13 @@ func (p *Pipeline) processWindow(name string, st *state, window []ingest.Record,
 	st.Windows++
 	st.Consumed += uint64(len(window))
 	if candScore >= liveScore+p.opts.Margin {
+		// Only a candidate that cleared the gate enters the registry: a
+		// rejected one would otherwise keep its version slot, weights and
+		// store artifact for good (GC runs on deploy only).
+		info, err := svc.Register(name, cand)
+		if err != nil {
+			return fmt.Errorf("register candidate: %w", err)
+		}
 		if _, err := svc.Deploy(name, info.Version); err != nil {
 			return fmt.Errorf("swap deploy: %w", err)
 		}
@@ -404,8 +410,8 @@ func (p *Pipeline) processWindow(name string, st *state, window []ingest.Record,
 	} else {
 		st.Rejected++
 		st.LastDecision = fmt.Sprintf(
-			"rejected candidate v%d (%.4f vs live v%d %.4f, margin %.4f)",
-			info.Version, candScore, liveV, liveScore, p.opts.Margin)
+			"rejected candidate (%.4f vs live v%d %.4f, margin %.4f)",
+			candScore, liveV, liveScore, p.opts.Margin)
 	}
 	p.logf("online: %s: %s", name, st.LastDecision)
 	st.Pos = end

@@ -3,6 +3,7 @@ package online
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -131,8 +132,9 @@ func TestDriftTriggersSwap(t *testing.T) {
 
 // TestGateRejectsNonImprovement labels traffic with the live model's
 // own predictions — the candidate cannot beat a model that is already
-// perfect on the window — and demands a huge margin on top. The
-// candidate must be registered but never deployed.
+// perfect on the window — and demands a huge margin on top. Window
+// after window the candidate must be dropped: never deployed, and
+// never left behind in the registry or the store.
 func TestGateRejectsNonImprovement(t *testing.T) {
 	store := service.NewMemStore()
 	svc, w := newStack(t, store)
@@ -147,16 +149,35 @@ func TestGateRejectsNonImprovement(t *testing.T) {
 	}
 	defer p.Close()
 
-	observeWindow(t, svc, testStatements(8), oracle.PredictClass)
-	waitFor(t, "rejection", func() bool { return onlineStats(t, svc).Rejected == 1 })
+	keysBefore, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const windows = 3
+	for n := 1; n <= windows; n++ {
+		observeWindow(t, svc, testStatements(8), oracle.PredictClass)
+		waitFor(t, "rejection", func() bool { return onlineStats(t, svc).Rejected == uint64(n) })
+	}
 
 	st := onlineStats(t, svc)
-	if st.Swaps != 0 || st.Candidates != 1 {
+	if st.Swaps != 0 || st.Candidates != windows || st.Windows != windows {
 		t.Fatalf("pipeline stats = %+v", st)
 	}
 	models := svc.Models()
-	if models[0].LiveVersion != 1 || models[0].Versions != 2 {
-		t.Fatalf("candidate deployed or missing: %+v", models[0])
+	if models[0].LiveVersion != 1 || models[0].Versions != 1 {
+		t.Fatalf("rejected candidates deployed or kept in the registry: %+v", models[0])
+	}
+	// The store gained the pipeline's own progress record and nothing
+	// else: no artifact per rejected candidate.
+	keysAfter, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keysAfter = slices.DeleteFunc(keysAfter, func(k string) bool { return k == stateKey("m") })
+	slices.Sort(keysBefore)
+	slices.Sort(keysAfter)
+	if !slices.Equal(keysAfter, keysBefore) {
+		t.Fatalf("store keys after %d rejected windows = %v, want %v", windows, keysAfter, keysBefore)
 	}
 }
 

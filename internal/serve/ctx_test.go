@@ -21,9 +21,7 @@ func workerlessPredictor(opts Options) *Predictor {
 		start: time.Now(),
 	}
 	p.stats.lat = make([]latRing, 1)
-	p.reqPool.New = func() any {
-		return &request{done: make(chan struct{}, 1)}
-	}
+	p.reqPool.New = newRequest
 	return p
 }
 
@@ -33,10 +31,10 @@ func workerlessPredictor(opts Options) *Predictor {
 func TestEnqueueRejectsWhenQueueFull(t *testing.T) {
 	p := workerlessPredictor(Options{Replicas: 1, QueueSize: 1, Admission: AdmitReject})
 	ctx := context.Background()
-	if _, err := p.enqueue(ctx, probsKind, "SELECT 1", nil); err != nil {
+	if _, err := p.enqueue(ctx, probsKind, []string{"SELECT 1"}, [][]float64{nil}); err != nil {
 		t.Fatalf("first enqueue: %v", err)
 	}
-	if _, err := p.enqueue(ctx, probsKind, "SELECT 2", nil); !errors.Is(err, ErrQueueFull) {
+	if _, err := p.enqueue(ctx, probsKind, []string{"SELECT 2"}, [][]float64{nil}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("second enqueue err = %v, want ErrQueueFull", err)
 	}
 	if got := p.Stats().Rejected; got != 1 {
@@ -49,12 +47,12 @@ func TestEnqueueRejectsWhenQueueFull(t *testing.T) {
 // rather than blocking forever.
 func TestEnqueueBlockHonorsDeadline(t *testing.T) {
 	p := workerlessPredictor(Options{Replicas: 1, QueueSize: 1, Admission: AdmitBlock})
-	if _, err := p.enqueue(context.Background(), probsKind, "SELECT 1", nil); err != nil {
+	if _, err := p.enqueue(context.Background(), probsKind, []string{"SELECT 1"}, [][]float64{nil}); err != nil {
 		t.Fatalf("first enqueue: %v", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	if _, err := p.enqueue(ctx, probsKind, "SELECT 2", nil); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := p.enqueue(ctx, probsKind, []string{"SELECT 2"}, [][]float64{nil}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("blocked enqueue err = %v, want DeadlineExceeded", err)
 	}
 }
@@ -67,7 +65,7 @@ func TestAwaitDeadlineWhileQueued(t *testing.T) {
 	p := workerlessPredictor(Options{Replicas: 1, QueueSize: 4})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	r, err := p.enqueue(ctx, probsKind, "SELECT 1", nil)
+	r, err := p.enqueue(ctx, probsKind, []string{"SELECT 1"}, [][]float64{nil})
 	if err != nil {
 		t.Fatalf("enqueue: %v", err)
 	}

@@ -1,4 +1,4 @@
-// Package serve turns a trained core.Model into a concurrent, batched
+// Package serve turns a trained core.Model into a concurrent
 // prediction service.
 //
 // The paper predicts SQL query properties *before execution* precisely
@@ -10,8 +10,14 @@
 // weight inference replicas (core.Model.Replicate, built on the same
 // nn.ParallelModel.CloneShared mechanism as data-parallel training):
 // requests flow through a bounded queue to persistent worker
-// goroutines, each owning one replica, with an optional micro-batching
-// window so bursts amortize dispatch overhead.
+// goroutines, each owning one replica.
+//
+// The caller's batch is the unit of work. A request carries the 1 to
+// MaxBatch statements of one call and a worker runs them as one
+// forward pass — core routes one statement to the scalar path and two
+// or more to the batched n-row path, so the choice follows the input
+// size. Workers never regroup what callers sent: statements from
+// different calls never share a forward pass.
 //
 // Because replicas share weights and the forward math is identical,
 // pooled predictions are bit-identical to direct sequential Model
@@ -24,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,16 +74,15 @@ type Options struct {
 	// Replicas is the number of worker goroutines, each owning one
 	// shared-weight model replica. <= 0 selects GOMAXPROCS.
 	Replicas int
-	// QueueSize bounds the request queue; senders block (backpressure)
-	// when it is full. <= 0 selects max(4*Replicas, 2*MaxBatch).
+	// QueueSize bounds the queue, counted in requests: a call of up to
+	// MaxBatch statements takes one slot and is admitted or refused
+	// whole. Senders block (backpressure) when it is full. <= 0 selects
+	// max(4*Replicas, 2*MaxBatch).
 	QueueSize int
-	// BatchWindow is how long a worker holding a non-full batch waits
-	// for more requests before running it. 0 disables waiting: workers
-	// still drain whatever is already queued (opportunistic batching)
-	// but never sit on a request.
-	BatchWindow time.Duration
-	// MaxBatch caps how many requests one worker drains per batch.
-	// <= 0 selects 32.
+	// MaxBatch is the most statements one request — hence one batched
+	// forward pass on one replica — carries; a longer batch call is cut
+	// into ceil(n/MaxBatch) requests, in input order, that spread over
+	// the pool. <= 0 selects 32.
 	MaxBatch int
 	// Admission selects the full-queue behavior (default AdmitBlock).
 	Admission AdmissionPolicy
@@ -112,28 +118,35 @@ type reqKind uint8
 const (
 	probsKind reqKind = iota
 	logKind
-	numKinds
 )
 
 // Request lifecycle states. A queued request is owned jointly by the
 // caller and the worker pool; the state CAS decides who wins when a
 // cancellation races a worker picking the request up.
 const (
-	reqQueued    uint32 = iota // waiting in the queue (or a worker's batch)
+	reqQueued    uint32 = iota // waiting in the queue
 	reqRunning                 // a worker won the CAS and is computing it
 	reqAbandoned               // the caller won the CAS after cancellation
 )
 
-// request is one queued prediction. Requests are pooled and their done
-// channel (buffered, capacity 1) is reused, so the warm request path
-// allocates nothing.
+// request is the 1 to MaxBatch statements of one call, queued as a
+// unit. Requests are pooled: the statement, row and value arrays and
+// the done channel (buffered, capacity 1) are reused, so the warm
+// request path allocates nothing and keeps no pointer into the
+// caller's stack.
 type request struct {
-	kind reqKind
-	stmt string
-	dst  []float64 // caller-provided output buffer (probsKind)
-	out  []float64
-	val  float64
-	// err is the per-request failure (ErrPanicked-wrapped) set by the
+	kind  reqKind
+	stmts []string
+	dsts  [][]float64 // probsKind: row i's output buffer in, row i out
+	vals  []float64   // logKind: value i out
+	// one is where stmts, dsts and vals start out, so a single-statement
+	// request is one object even when the pool has to make a new one.
+	one struct {
+		stmt [1]string
+		dst  [1][]float64
+		val  [1]float64
+	}
+	// err is the request's failure (ErrPanicked-wrapped) set by the
 	// worker before the done signal; nil on success.
 	err  error
 	enq  time.Time
@@ -153,15 +166,16 @@ type request struct {
 // ProbsBatchCtx return class distributions (the argmax class is the
 // first maximum), PredictLogCtx and PredictLogBatchCtx log-space
 // regression values (metrics.InverseLogTransform with Model().LogMin
-// recovers the label's units). All four honor cancellation and
-// deadlines while a request is queued, apply the configured admission
-// policy, and return ErrClosed after Close; the warm in-deadline
-// single-statement path allocates nothing.
+// recovers the label's units). A single-statement call is a batch of
+// one. All four honor cancellation and deadlines while a request is
+// queued, apply the configured admission policy, and return ErrClosed
+// after Close; the warm in-deadline single-statement path allocates
+// nothing.
 //
 // Cancellation granularity: a context is honored up to the moment a
 // worker picks the request up. Once inference has started it runs to
-// completion (single predictions take microseconds) and the call
-// returns the result rather than the context error.
+// completion (a request is at most MaxBatch forward passes' worth of
+// work) and the call returns the result rather than the context error.
 type Predictor struct {
 	model *core.Model
 	opts  Options
@@ -197,9 +211,7 @@ func NewPredictor(m *core.Model, opts Options) *Predictor {
 		p.replicas[i] = m.Replicate()
 	}
 	p.stats.lat = make([]latRing, opts.Replicas)
-	p.reqPool.New = func() any {
-		return &request{done: make(chan struct{}, 1)}
-	}
+	p.reqPool.New = newRequest
 	p.pool = workpool.New(opts.Replicas)
 	go func() {
 		// Workers park in their request loops until Close; the pool's
@@ -209,6 +221,13 @@ func NewPredictor(m *core.Model, opts Options) *Predictor {
 		close(p.workersDone)
 	}()
 	return p
+}
+
+// newRequest is the request pool's constructor.
+func newRequest() any {
+	r := &request{done: make(chan struct{}, 1)}
+	r.stmts, r.dsts, r.vals = r.one.stmt[:0], r.one.dst[:0], r.one.val[:0]
+	return r
 }
 
 // Model returns the wrapped model.
@@ -236,66 +255,65 @@ func (p *Predictor) Close() {
 // capacity-sufficient dst the warm in-deadline path performs zero
 // allocations.
 func (p *Predictor) ProbsIntoCtx(ctx context.Context, stmt string, dst []float64) ([]float64, error) {
-	out, _, err := p.do(ctx, probsKind, stmt, dst)
-	return out, err
+	stmts, dsts := [1]string{stmt}, [1][]float64{dst}
+	if err := p.do(ctx, probsKind, stmts[:], dsts[:], nil); err != nil {
+		return nil, err
+	}
+	return dsts[0], nil
 }
 
 // PredictLogCtx returns the log-space regression prediction (0 for
 // classification models), with ProbsIntoCtx's context, admission, and
 // close semantics.
 func (p *Predictor) PredictLogCtx(ctx context.Context, stmt string) (float64, error) {
-	_, val, err := p.do(ctx, logKind, stmt, nil)
-	return val, err
+	stmts, vals := [1]string{stmt}, [1]float64{}
+	err := p.do(ctx, logKind, stmts[:], nil, vals[:])
+	return vals[0], err
 }
 
-// ProbsBatchCtx computes the class distribution for every statement
-// across the replica pool, in input order. On error (cancellation,
-// rejection, close) it returns nil results and the first error;
-// requests already in flight are awaited or abandoned, never leaked.
+// ProbsBatchCtx computes the class distribution for every statement,
+// in input order. Up to MaxBatch statements travel as one request and
+// run as one batched forward pass on one replica; a longer batch is
+// cut into MaxBatch-sized requests that spread over the pool. On error
+// (cancellation, rejection, close, a panicked statement) it returns
+// nil results and the first error; requests already in flight are
+// awaited or abandoned, never leaked.
 func (p *Predictor) ProbsBatchCtx(ctx context.Context, stmts []string) ([][]float64, error) {
 	out := make([][]float64, len(stmts))
-	if err := p.doBatch(ctx, probsKind, stmts, func(i int, r *request) { out[i] = r.out }); err != nil {
+	if err := p.do(ctx, probsKind, stmts, out, nil); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 // PredictLogBatchCtx computes the log-space regression prediction for
-// every statement across the replica pool, in input order, with the
-// same error semantics as ProbsBatchCtx.
+// every statement, in input order, with ProbsBatchCtx's request
+// cutting and error semantics.
 func (p *Predictor) PredictLogBatchCtx(ctx context.Context, stmts []string) ([]float64, error) {
 	out := make([]float64, len(stmts))
-	if err := p.doBatch(ctx, logKind, stmts, func(i int, r *request) { out[i] = r.val }); err != nil {
+	if err := p.do(ctx, logKind, stmts, nil, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// do runs one request end to end: enqueue, await, copy the result out,
-// release the pooled request.
-func (p *Predictor) do(ctx context.Context, kind reqKind, stmt string, dst []float64) ([]float64, float64, error) {
-	r, err := p.enqueue(ctx, kind, stmt, dst)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := p.await(ctx, r); err != nil {
-		return nil, 0, err
-	}
-	out, val, err := r.out, r.val, r.err
-	p.release(r)
-	return out, val, err
-}
-
-// doBatch enqueues one request per statement — so the whole replica
-// pool works the batch at once — then awaits them in input order,
-// handing each completed request to collect before releasing it. It
-// stops enqueueing at the first enqueue error but still settles every
-// request already in flight, and returns the first error seen.
-func (p *Predictor) doBatch(ctx context.Context, kind reqKind, stmts []string, collect func(i int, r *request)) error {
-	reqs := make([]*request, 0, len(stmts))
+// do runs one call end to end: cut stmts into requests of at most
+// MaxBatch statements and enqueue them in input order, then await
+// each, copy its rows (probsKind, into dsts) or values (logKind, into
+// vals) out and release it. It stops enqueueing at the first refusal
+// but still settles every request already in flight, and returns the
+// first error seen.
+func (p *Predictor) do(ctx context.Context, kind reqKind, stmts []string, dsts [][]float64, vals []float64) error {
+	var one [1]*request // the usual call is one request: keep it off the heap
+	reqs := one[:0]
 	var firstErr error
-	for _, s := range stmts {
-		r, err := p.enqueue(ctx, kind, s, nil)
+	for lo := 0; lo < len(stmts); lo += p.opts.MaxBatch {
+		hi := min(lo+p.opts.MaxBatch, len(stmts))
+		var rows [][]float64
+		if kind == probsKind {
+			rows = dsts[lo:hi]
+		}
+		r, err := p.enqueue(ctx, kind, stmts[lo:hi], rows)
 		if err != nil {
 			firstErr = err
 			break
@@ -309,35 +327,38 @@ func (p *Predictor) doBatch(ctx context.Context, kind reqKind, stmts []string, c
 			}
 			continue // abandoned; the draining worker releases it
 		}
-		if r.err != nil && firstErr == nil {
+		if firstErr == nil {
 			firstErr = r.err
 		}
-		collect(i, r)
+		if kind == probsKind {
+			copy(dsts[i*p.opts.MaxBatch:], r.dsts)
+		} else {
+			copy(vals[i*p.opts.MaxBatch:], r.vals)
+		}
 		p.release(r)
 	}
 	return firstErr
 }
 
-// newRequest takes a pooled request and initializes it for one
-// prediction.
-func (p *Predictor) newRequest(kind reqKind, stmt string, dst []float64) *request {
-	r := p.reqPool.Get().(*request)
-	r.kind, r.stmt, r.dst = kind, stmt, dst
-	r.out, r.err = nil, nil
-	r.state.Store(reqQueued)
-	r.enq = time.Now()
-	return r
-}
-
-// enqueue submits a request honoring ctx and the admission policy:
+// enqueue submits one request honoring ctx and the admission policy:
 // it returns ErrClosed after Close, ErrQueueFull when the queue is
 // full under AdmitReject, and ctx.Err() when ctx expires while waiting
-// for queue space under AdmitBlock.
-func (p *Predictor) enqueue(ctx context.Context, kind reqKind, stmt string, dst []float64) (*request, error) {
+// for queue space under AdmitBlock. The statements and row buffers are
+// copied into the pooled request's own arrays.
+func (p *Predictor) enqueue(ctx context.Context, kind reqKind, stmts []string, dsts [][]float64) (*request, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	r := p.newRequest(kind, stmt, dst)
+	r := p.reqPool.Get().(*request)
+	r.kind = kind
+	r.stmts = append(r.stmts[:0], stmts...)
+	if kind == probsKind {
+		r.dsts = append(r.dsts[:0], dsts...)
+	} else {
+		r.vals = slices.Grow(r.vals[:0], len(stmts))[:len(stmts)]
+	}
+	r.state.Store(reqQueued)
+	r.enq = time.Now()
 	p.mu.RLock()
 	if p.closed {
 		p.mu.RUnlock()
@@ -392,268 +413,83 @@ func (p *Predictor) await(ctx context.Context, r *request) error {
 	}
 }
 
-// release returns a completed request to the pool.
+// release returns a request to the pool, dropping its references to
+// the caller's statements and buffers.
 func (p *Predictor) release(r *request) {
-	r.stmt = ""
-	r.dst, r.out, r.err = nil, nil, nil
+	clear(r.stmts)
+	clear(r.dsts)
+	r.err = nil
 	p.reqPool.Put(r)
 }
 
-// workerScratch holds one worker's batching buffers, preallocated at
-// MaxBatch capacity so the warm fused path allocates nothing.
-type workerScratch struct {
-	// groups partitions one drained batch by request kind. The split
-	// happens up front, before any group runs: once a request's done
-	// signal fires its object can be recycled through the pool, so the
-	// worker must never read a completed request's fields again.
-	groups [numKinds][]*request
-	stmts  []string
-	dsts   [][]float64
-	vals   []float64
-}
-
-func newWorkerScratch(maxBatch int) *workerScratch {
-	sc := &workerScratch{
-		stmts: make([]string, 0, maxBatch),
-		dsts:  make([][]float64, 0, maxBatch),
-		vals:  make([]float64, 0, maxBatch),
-	}
-	for i := range sc.groups {
-		sc.groups[i] = make([]*request, 0, maxBatch)
-	}
-	return sc
-}
-
-// worker is one replica loop: take a request, gather a micro-batch,
-// run it, repeat until the queue closes. The worker first wins the
-// ownership CAS for every request in the batch (so cancellation races
-// settle before any compute), then partitions the owned requests by
-// prediction kind and runs each group of two or more as ONE fused
-// batched forward on the replica — the n-row matrix path of
-// core.Model's Batch methods — splitting the results back per request.
+// worker is one replica loop: take a request, win the ownership CAS
+// against cancellation before touching it (its rows alias the caller's
+// buffers, and a caller that abandoned it has already returned), run
+// its statements as one forward pass, repeat until the queue closes.
 //
-// Fault isolation is preserved exactly: a fused call that panics
-// completes nothing, and the worker falls back to per-request
-// processing of that group, where the existing per-request recover
-// boundary fails only the poisoned request (counted once in
-// Stats().Panics) and serves the rest. Replica rebuild strikes accrue
-// only from those per-request panics, so a replica is retired after
-// PanicLimit genuinely failed requests, same as before batching.
+// Fault isolation: a forward that panics completes nothing, so the
+// worker re-runs that request's statements one by one and exactly the
+// poisoned ones count in Stats().Panics and as strikes against the
+// replica — at PanicLimit strikes it is retired and rebuilt from the
+// model snapshot. The request fails with a wrapped ErrPanicked; other
+// requests are untouched.
+//
+// All accounting happens before the done signal: a caller that
+// observed its request finish must find it reflected in Stats.
 func (p *Predictor) worker(w int) {
 	ring := &p.stats.lat[w]
-	batch := make([]*request, 0, p.opts.MaxBatch)
-	sc := newWorkerScratch(p.opts.MaxBatch)
-	var timer *time.Timer
-	panics := 0
-	for {
-		r, ok := <-p.queue
-		if !ok {
-			return
+	strikes := 0
+	for r := range p.queue {
+		if !r.state.CompareAndSwap(reqQueued, reqRunning) {
+			p.release(r)
+			continue
 		}
-		batch = append(batch[:0], r)
-		batch = p.gather(batch, &timer)
-		// Count the batch before signaling any completion so Stats
-		// taken right after a request finishes never sees Batches (or
-		// Completed, counted at request completion) lagging the work
-		// done.
-		p.stats.batches.Add(1)
-		// Win the ownership race against cancellation before touching
-		// any request (dst aliases the caller's buffer): a caller that
-		// abandoned a request has already returned. Partition by kind
-		// in the same pass — after a group completes, its pooled
-		// request objects may be recycled, so no field can be re-read.
-		for i := range sc.groups {
-			sc.groups[i] = sc.groups[i][:0]
-		}
-		for _, r := range batch {
-			if !r.state.CompareAndSwap(reqQueued, reqRunning) {
-				p.release(r)
-				continue
-			}
-			sc.groups[r.kind] = append(sc.groups[r.kind], r)
-		}
-		for kind := range sc.groups {
-			group := sc.groups[kind]
-			if len(group) == 0 {
-				continue
-			}
-			if len(group) > 1 && p.runFused(p.replicas[w], ring, reqKind(kind), group, sc) {
-				continue
-			}
-			// Width-1 group, or fused-panic fallback: per-request
-			// processing with the per-request recover boundary.
-			for _, r := range group {
-				p.process(w, ring, r, &panics)
+		n := len(r.stmts)
+		served, width := n, n
+		if v := forward(p.replicas[w], r, 0, n); v != nil {
+			served, width = 0, 1
+			for i := 0; i < n; i++ {
+				if n > 1 { // a lone statement has just been run alone
+					v = forward(p.replicas[w], r, i, i+1)
+				}
+				if v == nil {
+					served++
+					continue
+				}
+				if r.err == nil {
+					r.err = fmt.Errorf("%w: %v", ErrPanicked, v)
+				}
+				p.stats.panics.Add(1)
+				if strikes++; strikes >= p.opts.PanicLimit {
+					p.replicas[w] = p.model.Replicate()
+					p.stats.rebuilds.Add(1)
+					strikes = 0
+				}
 			}
 		}
-	}
-}
-
-// runFused runs one same-kind group of owned requests as a single
-// fused batched call, reporting whether it completed. On a panic
-// anywhere inside the fused forward it returns false having completed
-// NO request — no done signal sent, no counters touched — so the
-// caller's per-request fallback re-runs the whole group and only the
-// poisoned request fails.
-func (p *Predictor) runFused(rep *core.Model, ring *latRing, kind reqKind, group []*request, sc *workerScratch) (ok bool) {
-	n := len(group)
-	sc.stmts = sc.stmts[:0]
-	for _, r := range group {
-		sc.stmts = append(sc.stmts, r.stmt)
-	}
-	defer func() {
-		if v := recover(); v != nil {
-			ok = false
-		}
-	}()
-	switch kind {
-	case probsKind:
-		sc.dsts = sc.dsts[:0]
-		for _, r := range group {
-			sc.dsts = append(sc.dsts, r.dst)
-		}
-		if res := rep.ProbsBatchInto(sc.stmts, sc.dsts); res != nil {
-			sc.dsts = res
-			for i, r := range group {
-				r.out = res[i]
-			}
-		}
-	default:
-		if res := rep.PredictLogBatchInto(sc.stmts, sc.vals); res != nil {
-			sc.vals = res
-			for i, r := range group {
-				r.val = res[i]
-			}
-		} else {
-			// Kind/model mismatch (log request on a classification
-			// model): the scalar path writes the zero value, and pooled
-			// requests carry stale fields, so mirror it explicitly.
-			for _, r := range group {
-				r.val = 0
-			}
-		}
-	}
-	for _, r := range group {
-		d := time.Since(r.enq)
-		ring.record(d)
-		p.stats.recordWidth(n, d)
-		p.stats.completed.Add(1)
+		ring.record(time.Since(r.enq))
+		p.stats.completed.Add(uint64(served))
+		p.stats.widthSum.Add(uint64(served * width))
 		r.done <- struct{}{}
 	}
-	// Drop caller-buffer and statement references so completed
-	// requests' memory is not retained until the next fused batch.
-	for i := range sc.dsts {
-		sc.dsts[i] = nil
-	}
-	for i := range sc.stmts {
-		sc.stmts[i] = ""
-	}
-	return true
 }
 
-// gather fills the batch up to MaxBatch: first by draining whatever is
-// already queued (yielding once to let already-runnable clients land
-// their sends), then — when a BatchWindow is configured — by waiting
-// up to the window for more. The per-worker timer is reused across
-// batches so the warm path allocates nothing.
-func (p *Predictor) gather(batch []*request, timer **time.Timer) []*request {
-	// Opportunistic fusing: a channel send to a blocked worker schedules
-	// the worker immediately (runnext), so under concurrent load the
-	// first drain often sees just one request while the other clients
-	// are still runnable but haven't sent yet. One Gosched lets them
-	// run and enqueue, widening the fused batch without spending any
-	// wall-clock on a timer; at low load it's a few hundred ns.
-	for spin := 0; ; spin++ {
-		for len(batch) < p.opts.MaxBatch {
-			select {
-			case r, ok := <-p.queue:
-				if !ok {
-					return batch
-				}
-				batch = append(batch, r)
-				continue
-			default:
-			}
-			break
-		}
-		if spin > 0 || len(batch) >= p.opts.MaxBatch || p.opts.MaxBatch <= 1 {
-			break
-		}
-		runtime.Gosched()
-	}
-	if p.opts.BatchWindow <= 0 || len(batch) >= p.opts.MaxBatch {
-		return batch
-	}
-	t := *timer
-	if t == nil {
-		t = time.NewTimer(p.opts.BatchWindow)
-		*timer = t
-	} else {
-		t.Reset(p.opts.BatchWindow)
-	}
-	for len(batch) < p.opts.MaxBatch {
-		select {
-		case r, ok := <-p.queue:
-			if !ok {
-				stopTimer(t)
-				return batch
-			}
-			batch = append(batch, r)
-		case <-t.C:
-			return batch
-		}
-	}
-	stopTimer(t)
-	return batch
-}
-
-// stopTimer stops t and drains its channel so the next Reset starts
-// clean.
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-}
-
-// process runs one request on worker w's replica and signals
-// completion. All accounting happens before the done signal: a caller
-// that observed its request finish must find it reflected in Stats.
-//
-// The recover boundary is here, around exactly one request: a model
-// panic (poisoned input, corrupted scratch) fails that request with a
-// wrapped ErrPanicked, counts one strike against the replica — at
-// PanicLimit strikes it is retired and rebuilt from the model snapshot
-// — and the worker moves on. The deferred check runs on the success
-// path too but recover() is nil there, so the warm no-fault path stays
-// allocation-free.
-func (p *Predictor) process(w int, ring *latRing, r *request, strikes *int) {
-	defer func() {
-		if v := recover(); v != nil {
-			r.out = nil
-			r.err = fmt.Errorf("%w: %v", ErrPanicked, v)
-			p.stats.panics.Add(1)
-			if *strikes++; *strikes >= p.opts.PanicLimit {
-				p.replicas[w] = p.model.Replicate()
-				p.stats.rebuilds.Add(1)
-				*strikes = 0
-			}
-			ring.record(time.Since(r.enq))
-			r.done <- struct{}{}
-		}
-	}()
-	rep := p.replicas[w]
+// forward runs statements lo..hi of r on rep as one model call —
+// core runs one statement on the scalar path and more as a batched
+// n-row forward — and returns the recovered panic value, nil on
+// success. The deferred recover is nil on the success path, so the
+// warm no-fault path stays allocation-free.
+func forward(rep *core.Model, r *request, lo, hi int) (panicked any) {
+	defer func() { panicked = recover() }()
 	switch r.kind {
 	case probsKind:
-		r.out = rep.ProbsInto(r.stmt, r.dst)
+		if rep.ProbsBatchInto(r.stmts[lo:hi], r.dsts[lo:hi:hi]) == nil {
+			clear(r.dsts[lo:hi]) // regression model: no distribution, not the caller's buffer
+		}
 	default:
-		r.val = rep.PredictLog(r.stmt)
+		if rep.PredictLogBatchInto(r.stmts[lo:hi], r.vals[lo:hi:hi]) == nil {
+			clear(r.vals[lo:hi]) // classification model: no log head, not a stale value
+		}
 	}
-	d := time.Since(r.enq)
-	ring.record(d)
-	p.stats.recordWidth(1, d)
-	p.stats.completed.Add(1)
-	r.done <- struct{}{}
+	return nil
 }

@@ -61,6 +61,19 @@ func testStatements(n int) []string {
 	return stmts
 }
 
+// raggedStatements returns exactly n statements: the test split's,
+// repeated with each lap cut shorter, so a long batch has distinct rows
+// of very different lengths.
+func raggedStatements(n int) []string {
+	base := testStatements(n)
+	stmts := make([]string, n)
+	for i := range stmts {
+		s := base[i%len(base)]
+		stmts[i] = s[:len(s)>>(i/len(base))]
+	}
+	return stmts
+}
+
 // pooledClass is the argmax class of one pooled prediction, with
 // core.Model.PredictClass's tie-breaking (first maximum; 0 for
 // regression models).
@@ -194,12 +207,6 @@ func TestPredictorStats(t *testing.T) {
 	if s.Completed != uint64(len(stmts)) {
 		t.Fatalf("Completed = %d, want %d", s.Completed, len(stmts))
 	}
-	if s.Batches == 0 || s.Batches > s.Completed {
-		t.Fatalf("Batches = %d out of range", s.Batches)
-	}
-	if s.MeanBatch < 1 {
-		t.Fatalf("MeanBatch = %v, want >= 1", s.MeanBatch)
-	}
 	if s.P50 <= 0 || s.P99 < s.P50 {
 		t.Fatalf("latency percentiles p50=%v p99=%v", s.P50, s.P99)
 	}
@@ -214,23 +221,36 @@ func TestPredictorStats(t *testing.T) {
 	}
 }
 
-// TestPredictorMicroBatches checks that a batching window actually
-// coalesces a burst: one worker, a generous window, and a burst of
-// async requests must land in far fewer batches than requests.
+// TestPredictorMicroBatches checks how a batch longer than MaxBatch
+// travels: cut into ceil(n/MaxBatch) requests, each one batched
+// forward, with the results back in input order.
 func TestPredictorMicroBatches(t *testing.T) {
-	m := trainedModels(t)["mfreq"]
-	p := NewPredictor(m, Options{Replicas: 1, BatchWindow: 50_000_000, MaxBatch: 16, QueueSize: 64})
+	m := trainedModels(t)["ccnn"]
+	p := NewPredictor(m, Options{Replicas: 2, MaxBatch: 16})
 	defer p.Close()
-	stmts := testStatements(32)
-	if _, err := p.ProbsBatchCtx(context.Background(), stmts); err != nil {
+	stmts := raggedStatements(40)
+	probs, err := p.ProbsBatchCtx(context.Background(), stmts)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for i, s := range stmts {
+		want := m.Probs(s)
+		for c := range want {
+			if probs[i][c] != want[c] {
+				t.Fatalf("row %d is not statement %d's prediction", i, i)
+			}
+		}
 	}
 	s := p.Stats()
 	if s.Completed != uint64(len(stmts)) {
 		t.Fatalf("Completed = %d", s.Completed)
 	}
-	if s.Batches >= s.Completed/2 {
-		t.Fatalf("Batches = %d for %d requests: window did not coalesce", s.Batches, s.Completed)
+	if got := requestsServed(p); got != 3 {
+		t.Fatalf("40 statements at MaxBatch 16 became %d requests, want 3", got)
+	}
+	// Two requests of 16 and one of 8: (16*16 + 16*16 + 8*8) / 40.
+	if s.EffectiveBatch != 14.4 {
+		t.Fatalf("EffectiveBatch = %v, want 14.4", s.EffectiveBatch)
 	}
 }
 

@@ -13,46 +13,18 @@ import (
 // and allocation-free).
 const latRingSize = 1024
 
-// maxWidthBuckets is the number of batch-width histogram buckets:
-// widths 1..maxWidthBuckets-1 map one-to-one and anything wider folds
-// into the last bucket (the default MaxBatch is 32, so folding only
-// happens with an explicitly raised cap).
-const maxWidthBuckets = 32
-
 // statsState is the predictor's observability state: atomic counters
 // plus one latency sample ring per worker, so hot-path recording
 // never contends across replicas.
 type statsState struct {
 	completed atomic.Uint64
-	batches   atomic.Uint64
+	widthSum  atomic.Uint64 // sum over completed predictions of their forward pass's width
 	rejected  atomic.Uint64 // AdmitReject refusals (ErrQueueFull)
 	canceled  atomic.Uint64 // requests abandoned while queued (ctx expiry)
-	panics    atomic.Uint64 // requests failed with ErrPanicked
+	panics    atomic.Uint64 // statements whose inference panicked
 	rebuilds  atomic.Uint64 // replicas retired and rebuilt after PanicLimit
 
 	lat []latRing // one per worker
-
-	// widths is the effective-batch-width histogram: bucket w-1 counts
-	// requests completed in a fused group of width w (width 1 = the
-	// scalar path) and retains their latency samples.
-	widths [maxWidthBuckets]widthBucket
-}
-
-// widthBucket is one batch-width histogram cell.
-type widthBucket struct {
-	count atomic.Uint64
-	lat   latRing
-}
-
-// recordWidth records one completed request that ran in a fused group
-// of the given width.
-func (s *statsState) recordWidth(w int, d time.Duration) {
-	if w > maxWidthBuckets {
-		w = maxWidthBuckets
-	}
-	b := &s.widths[w-1]
-	b.count.Add(1)
-	b.lat.record(d)
 }
 
 // latRing is one worker's latency samples. The mutex is effectively
@@ -102,21 +74,17 @@ func (s *statsState) percentiles() (p50, p99 time.Duration) {
 
 // Stats is a point-in-time snapshot of a Predictor's service metrics.
 type Stats struct {
-	// Completed is the number of finished predictions.
+	// Completed is the number of finished predictions (statements, not
+	// requests).
 	Completed uint64
-	// Batches is the number of micro-batches run; MeanBatch is
-	// Completed/Batches.
-	Batches   uint64
-	MeanBatch float64
 	// Rejected counts requests refused with ErrQueueFull under the
 	// AdmitReject admission policy; Canceled counts requests whose
 	// context expired while they were still queued.
 	Rejected uint64
 	Canceled uint64
-	// Panics counts requests that failed with ErrPanicked (the model
-	// panicked mid-inference); Rebuilds counts replicas retired and
-	// rebuilt from the shared-weight snapshot after PanicLimit
-	// consecutive-panic strikes.
+	// Panics counts statements whose inference panicked (each fails its
+	// call with ErrPanicked); Rebuilds counts replicas retired and
+	// rebuilt from the shared-weight snapshot after PanicLimit strikes.
 	Panics   uint64
 	Rebuilds uint64
 	// QueueDepth is the number of requests currently waiting.
@@ -125,26 +93,15 @@ type Stats struct {
 	// Completed/Uptime in predictions per second.
 	Uptime     time.Duration
 	Throughput float64
-	// P50 and P99 are request latencies (enqueue to completion) over
-	// the most recent samples.
+	// P50 and P99 are request latencies (enqueue to completion, one
+	// sample per request whatever its width) over the most recent
+	// samples.
 	P50, P99 time.Duration
-	// EffectiveBatch is the completed-weighted mean fused-batch width:
-	// the average number of requests that shared a forward pass with
-	// each completed request (1.0 = everything ran the scalar path).
-	// Unlike MeanBatch (requests per worker drain), it reflects the
-	// width of the actual fused matrix compute.
+	// EffectiveBatch is the mean, over completed predictions, of how
+	// many statements shared their forward pass: the callers' own batch
+	// sizes (capped at MaxBatch), 1.0 when every call was a single
+	// statement.
 	EffectiveBatch float64
-	// Widths is the per-width completion histogram with per-width
-	// latency percentiles, sorted by ascending width; widths beyond
-	// the last bucket fold into it. Empty widths are omitted.
-	Widths []WidthStat
-}
-
-// WidthStat is one row of the batch-width histogram.
-type WidthStat struct {
-	Width    int
-	Count    uint64
-	P50, P99 time.Duration
 }
 
 // Stats snapshots the predictor's service metrics. Safe to call
@@ -152,7 +109,6 @@ type WidthStat struct {
 func (p *Predictor) Stats() Stats {
 	s := Stats{
 		Completed:  p.stats.completed.Load(),
-		Batches:    p.stats.batches.Load(),
 		Rejected:   p.stats.rejected.Load(),
 		Canceled:   p.stats.canceled.Load(),
 		Panics:     p.stats.panics.Load(),
@@ -163,41 +119,18 @@ func (p *Predictor) Stats() Stats {
 	if s.Uptime > 0 {
 		s.Throughput = float64(s.Completed) / s.Uptime.Seconds()
 	}
-	if s.Batches > 0 {
-		s.MeanBatch = float64(s.Completed) / float64(s.Batches)
+	if s.Completed > 0 {
+		s.EffectiveBatch = float64(p.stats.widthSum.Load()) / float64(s.Completed)
 	}
 	s.P50, s.P99 = p.stats.percentiles()
-	var weighted, total uint64
-	var samples []int64
-	for i := range p.stats.widths {
-		b := &p.stats.widths[i]
-		c := b.count.Load()
-		if c == 0 {
-			continue
-		}
-		w := i + 1
-		weighted += uint64(w) * c
-		total += c
-		samples = b.lat.snapshotInto(samples[:0])
-		ws := WidthStat{Width: w, Count: c}
-		if m := len(samples); m > 0 {
-			sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-			ws.P50 = time.Duration(samples[(m-1)*50/100])
-			ws.P99 = time.Duration(samples[(m-1)*99/100])
-		}
-		s.Widths = append(s.Widths, ws)
-	}
-	if total > 0 {
-		s.EffectiveBatch = float64(weighted) / float64(total)
-	}
 	return s
 }
 
 // String renders the snapshot for logs and load drivers.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"completed=%d throughput=%.0f/s p50=%s p99=%s queue=%d batches=%d mean-batch=%.1f eff-batch=%.1f rejected=%d canceled=%d panics=%d rebuilds=%d uptime=%s",
-		s.Completed, s.Throughput, s.P50, s.P99, s.QueueDepth, s.Batches, s.MeanBatch,
+		"completed=%d throughput=%.0f/s p50=%s p99=%s queue=%d eff-batch=%.1f rejected=%d canceled=%d panics=%d rebuilds=%d uptime=%s",
+		s.Completed, s.Throughput, s.P50, s.P99, s.QueueDepth,
 		s.EffectiveBatch, s.Rejected, s.Canceled, s.Panics, s.Rebuilds,
 		s.Uptime.Round(time.Millisecond))
 }

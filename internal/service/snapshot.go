@@ -6,7 +6,7 @@ import "repro/internal/serve"
 // metrics, shared verbatim by the HTTP handler (GET /v1/stats) and the
 // binary wire transport's stats reply. Both transports marshal exactly
 // this struct, so a field added to the serving layer's metrics
-// (EffectiveBatch, Widths, Panics, Rebuilds, ...) can never be present
+// (EffectiveBatch, Panics, Rebuilds, ...) can never be present
 // on one transport and missing on the other.
 type StatsSnapshot struct {
 	Info      ModelInfo   `json:"info"`

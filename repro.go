@@ -127,13 +127,16 @@ func SplitByUser(items []Item, seed int64) Split {
 	return workload.UserSplit(items, 0.1, 0.1, rand.New(rand.NewSource(seed)))
 }
 
-// Predictor is a concurrent, batched prediction service over a trained
-// Model: a pool of shared-weight inference replicas behind a bounded
-// request queue, returning results bit-identical to direct Model calls.
+// Predictor is a concurrent prediction service over a trained Model: a
+// pool of shared-weight inference replicas behind a bounded request
+// queue — a caller's batch travels as one request and runs as one
+// batched forward pass — returning results bit-identical to direct
+// Model calls.
 type Predictor = serve.Predictor
 
-// ServeOptions configures NewPredictor (replica count, queue size,
-// micro-batching window).
+// ServeOptions configures NewPredictor (replica count, queue size in
+// requests, the most statements one request carries, admission
+// policy).
 type ServeOptions = serve.Options
 
 // ServeStats is a point-in-time snapshot of a Predictor's service
