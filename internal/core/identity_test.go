@@ -1,0 +1,152 @@
+package core_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"repro/internal/artifact"
+	"repro/internal/core"
+	"repro/internal/synth"
+	"repro/internal/workload"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/identity.json from this build's results")
+
+// The benchmark harness's training set-up (bench/config.go, bench/rig.go),
+// repeated here so the pinned digests describe the models the harness
+// serves.
+const (
+	identitySeed     = 20200614
+	identitySessions = 1400
+	identityPoolSeed = 1_000_004 // a synth run the models never trained on
+	identityPoolSess = 800
+	identityPool     = 500 // statements predicted, the first of that run
+	identityBatch    = 16
+)
+
+// identityDigest is what one model kind is pinned to: its artifact
+// bytes and the Float64bits of everything it predicts over the pool,
+// one statement at a time and in batches of 16.
+type identityDigest struct {
+	Artifact string `json:"artifact_sha256"`
+	Scalar   string `json:"scalar_sha256"`
+	Batch16  string `json:"batch16_sha256"`
+}
+
+// TestIdentityPinned is the bit-identity ledger a kernel change is
+// judged against: train wcnn, ccnn and clstm exactly as the benchmark
+// does and compare artifact hashes and prediction digests with
+// testdata/identity.json, which is written at the commit *before* such
+// a change (go test ./internal/core/ -run TestIdentityPinned -update)
+// and must pass unchanged after it.
+func TestIdentityPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests are pinned on amd64: %s's compiler may fuse multiply-adds, which legitimately rounds differently", runtime.GOARCH)
+	}
+	train := synth.NewSDSS(synth.SDSSConfig{Sessions: identitySessions, HitsPerSessionMax: 3, Seed: identitySeed}).Generate()
+	split := workload.RandomSplit(train.Items, 0.1, 0.1, rand.New(rand.NewSource(identitySeed+7)))
+	pool := workload.Statements(synth.NewSDSS(synth.SDSSConfig{Sessions: identityPoolSess, HitsPerSessionMax: 3, Seed: identityPoolSeed}).Generate().Items)
+	if len(pool) < identityPool {
+		t.Fatalf("pool has %d statements, need %d", len(pool), identityPool)
+	}
+	pool = pool[:identityPool]
+
+	cfg := core.DefaultConfig()
+	cfg.Epochs = 1
+	cfg.Workers = 2
+	cfg.Seed = identitySeed
+
+	got := map[string]identityDigest{}
+	for _, mt := range []struct {
+		name string
+		task core.Task
+	}{
+		{"wcnn", core.CPUTimePrediction},
+		{"ccnn", core.ErrorClassification},
+		{"clstm", core.ErrorClassification},
+	} {
+		m, err := core.Train(mt.name, mt.task, split.Train, cfg)
+		if err != nil {
+			t.Fatalf("train %s: %v", mt.name, err)
+		}
+		blob, err := artifact.Encode(m)
+		if err != nil {
+			t.Fatalf("encode %s: %v", mt.name, err)
+		}
+		sum := sha256.Sum256(blob)
+		d := identityDigest{Artifact: hex.EncodeToString(sum[:])}
+
+		var scalar, batch, row []float64
+		for _, stmt := range pool {
+			if mt.task.IsClassification() {
+				row = m.ProbsInto(stmt, row)
+				scalar = append(scalar, row...)
+			} else {
+				scalar = append(scalar, m.PredictLog(stmt))
+			}
+		}
+		for lo := 0; lo < len(pool); lo += identityBatch {
+			stmts := pool[lo:min(lo+identityBatch, len(pool))]
+			for _, r := range m.ProbsBatchInto(stmts, nil) { // nil for a regression model
+				batch = append(batch, r...)
+			}
+			batch = append(batch, m.PredictLogBatchInto(stmts, nil)...) // nil for a classifier
+		}
+		d.Scalar, d.Batch16 = bitsDigest(scalar), bitsDigest(batch)
+		if d.Scalar != d.Batch16 {
+			t.Errorf("%s: scalar and batch-16 predictions differ", mt.name)
+		}
+		got[mt.name] = d
+	}
+
+	path := filepath.Join("testdata", "identity.json")
+	if *update {
+		blob, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (generate it at the parent commit with -update)", err)
+	}
+	want := map[string]identityDigest{}
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	for name, w := range want {
+		if g := got[name]; g != w {
+			t.Errorf("%s moved:\n got  %+v\n want %+v", name, g, w)
+		}
+	}
+	if len(want) != len(got) {
+		t.Errorf("%s pins %d models, the test trains %d", path, len(want), len(got))
+	}
+}
+
+// bitsDigest hashes the exact bit patterns of vals.
+func bitsDigest(vals []float64) string {
+	h := sha256.New()
+	var word [8]byte
+	for _, v := range vals {
+		binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+		h.Write(word[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}

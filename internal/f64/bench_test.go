@@ -55,20 +55,24 @@ func BenchmarkGemvN(b *testing.B) {
 	}
 }
 
-// benchPaths times fn through the dispatching entry point and, as the
-// "go" sub-benchmark, pinned to the Go reference, so one run shows the
-// vector kernel's ratio at that shape.
-func benchPaths(b *testing.B, fn func()) {
-	run := func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			fn()
-		}
-	}
+// benchLegs runs one benchmark body through the dispatching entry
+// point and, as the "go" sub-benchmark, pinned to the Go reference, so
+// one run shows the vector kernel's ratio at that shape.
+func benchLegs(b *testing.B, run func(b *testing.B)) {
 	b.Run("dispatch", run)
 	b.Run("go", func(b *testing.B) {
 		defer setAVX2(false)()
 		run(b)
+	})
+}
+
+// benchPaths is benchLegs over a plain loop of fn.
+func benchPaths(b *testing.B, fn func()) {
+	benchLegs(b, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			fn()
+		}
 	})
 }
 

@@ -7,15 +7,19 @@
 // written for throughput on modern cores: 4-way unrolled inner loops
 // with independent accumulator lanes (breaking the loop-carried add
 // dependency) and slice re-slicing hints that let the compiler hoist
-// bounds checks. One loop has a second implementation: the 4-term row
-// update shared by GemmSW (hence Gemm and GemmS), GemmTN and GemvT
-// runs, on amd64 CPUs that report AVX2, as a hand-written kernel
+// bounds checks. Three loops have a second implementation, run on amd64
+// CPUs that report AVX2. The 4-term row update shared by GemmSW (hence
+// Gemm and GemmS), GemmTN and GemvT is a hand-written kernel
 // (gemm_amd64.s) holding a 16- or 4-column tile of C in YMM registers
-// across the whole shared dimension. Which implementation runs is read
-// from the CPU once at package init — there is no build tag, option or
-// environment variable — and the Go loop remains the only path on
-// every other GOARCH or CPU and for every shape narrower than one
-// vector (w < 4 or k < 4).
+// across the whole shared dimension. The whole four-element blocks of
+// TanhV and SigmoidV are two more (vecmath_amd64.s), sharing one
+// exp-rational core, four elements per YMM register. Which
+// implementation runs is read from the CPU once at package init —
+// there is no build tag, option or environment variable — and the Go
+// loops remain the only path on every other GOARCH or CPU, for every
+// GEMM shape narrower than one vector (w < 4 or k < 4), for the
+// n mod 4 tail of a nonlinearity and for any block holding an input
+// outside its branch-free range (see vecmath.go).
 //
 // # Determinism
 //
@@ -40,6 +44,19 @@
 // AVX2, and across call sites: direct and pooled inference agree
 // exactly because both route through these kernels. (Only a NaN's
 // payload bits, which nothing reads, may differ between the paths.)
+//
+// TanhV and SigmoidV have no sums to order: each output is a function
+// of its own input alone. Their AVX2 kernels keep that by issuing, in
+// every lane, the element function's own operations in its own order —
+// k = floor(log2e·y + ½), the two-step ln2 reduction, P and Q by the
+// same Horner steps, 2^k built from exponent bits, one divide — as
+// separate multiplies, adds and subtracts, never fused. Where the
+// element function branches (the logistic's numerator on the sign of
+// x, tanh's formula on |x| < 0.625) the kernel evaluates both sides
+// and takes each lane from its own; since a lane's value depends on
+// nothing but that lane's input, the blend yields the bits the branch
+// would. A block the formulas do not cover goes back to the element
+// functions whole.
 //
 // # Contracts
 //

@@ -1,8 +1,9 @@
 package f64
 
-// useAVX2 selects the vector row-update kernel under GemmSW, GemmTN and
-// GemvT. It is read from the CPU once, here; nothing configures it
-// (the package's tests flip it to run both paths).
+// useAVX2 selects the vector kernels: the row update under GemmSW,
+// GemmTN and GemvT, and the block kernels under TanhV and SigmoidV. It
+// is read from the CPU once, here; nothing configures it (the
+// package's tests flip it to run both paths).
 var useAVX2 = cpuHasAVX2()
 
 func cpuHasAVX2() bool
@@ -17,3 +18,17 @@ func cpuHasAVX2() bool
 //
 //go:noescape
 func rowUpdate4(c, a *float64, astride int, b *float64, ldb, w, kb int)
+
+// sigmoidBlocks and tanhBlocks are the AVX2 kernels in vecmath_amd64.s:
+// dst[i] = sigmoid1(x[i]) (tanh1(x[i])) over whole blocks of four
+// elements, in order, stopping before the first block that holds a lane
+// outside the branch-free formulas — NaN or |x| > 708 for the logistic;
+// NaN, |x| > 20 or x·x == 0 for tanh. They return the number of blocks
+// finished and check nothing else: the caller proves 4·blocks elements
+// of dst and x in range.
+//
+//go:noescape
+func sigmoidBlocks(dst, x *float64, blocks int) int
+
+//go:noescape
+func tanhBlocks(dst, x *float64, blocks int) int

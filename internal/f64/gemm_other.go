@@ -8,3 +8,11 @@ var useAVX2 = false
 func rowUpdate4(c, a *float64, astride int, b *float64, ldb, w, kb int) {
 	panic("f64: no vector kernel on this GOARCH")
 }
+
+func sigmoidBlocks(dst, x *float64, blocks int) int {
+	panic("f64: no vector kernel on this GOARCH")
+}
+
+func tanhBlocks(dst, x *float64, blocks int) int {
+	panic("f64: no vector kernel on this GOARCH")
+}

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// setAVX2 forces the dispatch under GemmSW/GemmTN/GemvT and returns
-// the call that restores it. Tests in this package run sequentially,
+// setAVX2 forces the dispatch under GemmSW/GemmTN/GemvT and under
+// TanhV/SigmoidV and returns the call that restores it. Tests in this package run sequentially,
 // so flipping the package bool is safe.
 func setAVX2(on bool) (restore func()) {
 	old := useAVX2
@@ -154,6 +154,17 @@ func FuzzGemmKernels(f *testing.F) {
 	})
 }
 
+// mustPanic runs fn and reports an error unless it panics.
+func mustPanic(t *testing.T, name string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: no panic", name)
+		}
+	}()
+	fn()
+}
+
 // TestGemmShortOperandPanics: an operand one element short of what the
 // shape needs must panic on both paths, never read or write past it.
 func TestGemmShortOperandPanics(t *testing.T) { bothPaths(t, testGemmShortOperandPanics) }
@@ -167,27 +178,18 @@ func testGemmShortOperandPanics(t *testing.T) {
 		}
 		return v
 	}
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: no panic", name)
-			}
-		}()
-		fn()
-	}
 	for _, short := range []struct {
 		name    string
 		c, a, b int
 	}{{"c", 1, 0, 0}, {"a", 0, 1, 0}, {"b", 0, 0, 1}} {
-		mustPanic("GemmSW short "+short.name, func() {
+		mustPanic(t, "GemmSW short "+short.name, func() {
 			GemmSW(ones(m*w-short.c), w, ones(m*k-short.a), k, ones(k*w-short.b), w, m, w, k)
 		})
-		mustPanic("GemmTN short "+short.name, func() {
+		mustPanic(t, "GemmTN short "+short.name, func() {
 			GemmTN(ones(m*w-short.c), ones(k*m-short.a), ones(k*w-short.b), m, w, k)
 		})
 	}
-	mustPanic("GemvT short a", func() { GemvT(ones(w), ones(k*w-1), ones(k)) })
+	mustPanic(t, "GemvT short a", func() { GemvT(ones(w), ones(k*w-1), ones(k)) })
 	// The full-size calls do not panic.
 	GemmSW(ones(m*w), w, ones(m*k), k, ones(k*w), w, m, w, k)
 	GemmTN(ones(m*w), ones(k*m), ones(k*w), m, w, k)

@@ -17,14 +17,32 @@ import "math"
 // bits directly when k keeps the result normal, and math.Ldexp on the
 // over/underflow fringes (where the result is ±Inf, 0, or subnormal).
 //
+// # Who runs when
+//
+// The Go loops below are the reference: the only path off amd64 or
+// without AVX2, and what the tests compare against. On a CPU with AVX2
+// (useAVX2, read once at init) TanhV and SigmoidV hand their whole
+// four-element blocks to the kernels in vecmath_amd64.s, which run the
+// element functions' operation sequence in every lane of a YMM
+// register. A kernel stops at the first block holding a lane its
+// formulas do not cover (NaN or |x| > 708 for the logistic; NaN,
+// |x| > 20 or x·x == 0 for tanh); tanh1/sigmoid1 finish that block,
+// the kernel resumes behind it, and the n mod 4 tail is the element
+// function as in the Go loop. The function comments below describe the
+// Go loops. ExpV stays Go: nothing outside tests and the benchmark
+// harness calls it (softmax uses math.Exp), so a kernel would buy
+// nothing — which also leaves it as the control when the other two are
+// measured.
+//
 // # Rounding contract
 //
 // Like every kernel in this package the evaluation order is fixed: each
 // output element is a pure function of its input element alone —
-// nothing about lane position, block offset, or slice length affects
-// rounding — so splitting one call into many (or fusing many into one)
-// is bit-identical. This is what lets the batched n-row forward path
-// and the per-example scalar path share results exactly.
+// nothing about lane position, block offset, slice length, or which
+// implementation ran affects rounding — so splitting one call into
+// many (or fusing many into one) is bit-identical. This is what lets
+// the batched n-row forward path and the per-example scalar path share
+// results exactly.
 //
 // # Accuracy contract
 //
@@ -262,6 +280,9 @@ func TanhV(dst, x []float64) {
 	}
 	_ = dst[n-1] // bounds-check hint; panics (rather than silently growing) if dst is short
 	i := 0
+	if useAVX2 {
+		i = tanhVec(dst, x)
+	}
 	for ; i <= n-4; i += 4 {
 		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
 		a0, a1, a2, a3 := math.Abs(x0), math.Abs(x1), math.Abs(x2), math.Abs(x3)
@@ -343,6 +364,9 @@ func SigmoidV(dst, x []float64) {
 	}
 	_ = dst[n-1] // bounds-check hint; panics (rather than silently growing) if dst is short
 	i := 0
+	if useAVX2 {
+		i = sigmoidVec(dst, x)
+	}
 	for ; i <= n-4; i += 4 {
 		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
 		if math.Abs(x0) <= expFastCut && math.Abs(x1) <= expFastCut &&
@@ -403,4 +427,38 @@ func SigmoidV(dst, x []float64) {
 	for ; i < n; i++ {
 		dst[i] = sigmoid1(x[i])
 	}
+}
+
+// tanhVec computes every whole block of four elements of TanhV(dst, x)
+// through the AVX2 kernel and returns how many elements that was. The
+// kernel stops at a block holding a lane it does not cover; tanh1
+// finishes that block and the kernel is re-entered behind it. The
+// caller has checked dst against len(x).
+func tanhVec(dst, x []float64) int {
+	blocks := len(x) / 4
+	for b := 0; b < blocks; b++ {
+		b += tanhBlocks(&dst[4*b], &x[4*b], blocks-b)
+		if b == blocks {
+			break
+		}
+		for j := 4 * b; j < 4*b+4; j++ {
+			dst[j] = tanh1(x[j])
+		}
+	}
+	return 4 * blocks
+}
+
+// sigmoidVec is tanhVec for SigmoidV, over sigmoidBlocks and sigmoid1.
+func sigmoidVec(dst, x []float64) int {
+	blocks := len(x) / 4
+	for b := 0; b < blocks; b++ {
+		b += sigmoidBlocks(&dst[4*b], &x[4*b], blocks-b)
+		if b == blocks {
+			break
+		}
+		for j := 4 * b; j < 4*b+4; j++ {
+			dst[j] = sigmoid1(x[j])
+		}
+	}
+	return 4 * blocks
 }

@@ -62,6 +62,18 @@ func testArgs() []float64 {
 	return xs
 }
 
+// vecFns are the vectorized transcendentals; gateFns the two of them
+// with an AVX2 kernel underneath.
+type vecFn struct {
+	name string
+	f    func(dst, x []float64)
+}
+
+var (
+	vecFns  = []vecFn{{"ExpV", ExpV}, {"TanhV", TanhV}, {"SigmoidV", SigmoidV}}
+	gateFns = vecFns[1:]
+)
+
 func TestExpVAccuracy(t *testing.T) {
 	xs := testArgs()
 	got := make([]float64, len(xs))
@@ -86,7 +98,9 @@ func TestExpVAccuracy(t *testing.T) {
 	t.Logf("ExpV worst case vs math.Exp: %d ULP over %d args", worst, len(xs))
 }
 
-func TestTanhVAccuracy(t *testing.T) {
+func TestTanhVAccuracy(t *testing.T) { bothPaths(t, testTanhVAccuracy) }
+
+func testTanhVAccuracy(t *testing.T) {
 	xs := testArgs()
 	got := make([]float64, len(xs))
 	TanhV(got, xs)
@@ -107,7 +121,9 @@ func TestTanhVAccuracy(t *testing.T) {
 	t.Logf("TanhV worst case vs math.Tanh: %d ULP over %d args", worst, len(xs))
 }
 
-func TestSigmoidVAccuracy(t *testing.T) {
+func TestSigmoidVAccuracy(t *testing.T) { bothPaths(t, testSigmoidVAccuracy) }
+
+func testSigmoidVAccuracy(t *testing.T) {
 	xs := testArgs()
 	got := make([]float64, len(xs))
 	SigmoidV(got, xs)
@@ -131,7 +147,9 @@ func TestSigmoidVAccuracy(t *testing.T) {
 // TestVecmathSpecials pins the IEEE special cases the accuracy sweeps
 // can only check by value: NaN propagation, infinities, signed zero,
 // and subnormals.
-func TestVecmathSpecials(t *testing.T) {
+func TestVecmathSpecials(t *testing.T) { bothPaths(t, testVecmathSpecials) }
+
+func testVecmathSpecials(t *testing.T) {
 	nan := math.NaN()
 	inf := math.Inf(1)
 	denorm := 5e-324
@@ -176,49 +194,63 @@ func TestVecmathSpecials(t *testing.T) {
 
 // TestVecmathElementPurity verifies the rounding contract that batched
 // inference relies on: each output element depends only on its input
-// element, so any block decomposition of a call is bit-identical.
-func TestVecmathElementPurity(t *testing.T) {
+// element, so any block decomposition of a call is bit-identical. The
+// wide uniform draw almost never puts four |x| < 0.625 side by side, so
+// the gate-scale draws are what take tanh's all-polynomial and
+// straddling blocks apart (pieces shorter than four are the element
+// functions themselves).
+func TestVecmathElementPurity(t *testing.T) { bothPaths(t, testVecmathElementPurity) }
+
+func testVecmathElementPurity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	x := make([]float64, 257) // deliberately not a multiple of 4
-	for i := range x {
-		x[i] = (rng.Float64() - 0.5) * 60
+	const n = 257 // deliberately not a multiple of 4
+	wide := make([]float64, n)
+	for i := range wide {
+		wide[i] = (rng.Float64() - 0.5) * 60
 	}
-	x[3] = 800            // slow-path element inside a 4-lane block
-	x[100] = math.Inf(-1) // special inside a block
-	for _, fn := range []struct {
+	wide[3] = 800            // slow-path element inside a 4-lane block
+	wide[100] = math.Inf(-1) // special inside a block
+	unit, fifth := make([]float64, n), make([]float64, n)
+	for i := range unit {
+		unit[i] = rng.NormFloat64()
+		fifth[i] = rng.NormFloat64() * 0.2
+	}
+	for _, in := range []struct {
 		name string
-		f    func(dst, x []float64)
-	}{{"ExpV", ExpV}, {"TanhV", TanhV}, {"SigmoidV", SigmoidV}} {
-		whole := make([]float64, len(x))
-		fn.f(whole, x)
-		pieces := make([]float64, len(x))
-		for lo := 0; lo < len(x); {
-			hi := lo + 1 + rng.Intn(7)
-			if hi > len(x) {
-				hi = len(x)
+		x    []float64
+	}{{"uniform ±30", wide}, {"N(0,1)", unit}, {"N(0,0.2)", fifth}} {
+		x := in.x
+		for _, fn := range vecFns {
+			whole := make([]float64, len(x))
+			fn.f(whole, x)
+			pieces := make([]float64, len(x))
+			for lo := 0; lo < len(x); {
+				hi := lo + 1 + rng.Intn(7)
+				if hi > len(x) {
+					hi = len(x)
+				}
+				fn.f(pieces[lo:hi], x[lo:hi])
+				lo = hi
 			}
-			fn.f(pieces[lo:hi], x[lo:hi])
-			lo = hi
-		}
-		for i := range x {
-			if math.Float64bits(whole[i]) != math.Float64bits(pieces[i]) {
-				t.Fatalf("%s element %d differs between whole-slice and blocked evaluation", fn.name, i)
+			for i := range x {
+				if math.Float64bits(whole[i]) != math.Float64bits(pieces[i]) {
+					t.Fatalf("%s over %s: element %d differs between whole-slice and blocked evaluation", fn.name, in.name, i)
+				}
 			}
 		}
 	}
 }
 
 // TestVecmathAllocFree guards the warm-path allocation contract.
-func TestVecmathAllocFree(t *testing.T) {
+func TestVecmathAllocFree(t *testing.T) { bothPaths(t, testVecmathAllocFree) }
+
+func testVecmathAllocFree(t *testing.T) {
 	x := make([]float64, 512)
 	dst := make([]float64, 512)
 	for i := range x {
 		x[i] = float64(i%17) - 8
 	}
-	for _, fn := range []struct {
-		name string
-		f    func(dst, x []float64)
-	}{{"ExpV", ExpV}, {"TanhV", TanhV}, {"SigmoidV", SigmoidV}} {
+	for _, fn := range vecFns {
 		if allocs := testing.AllocsPerRun(100, func() { fn.f(dst, x) }); allocs != 0 {
 			t.Errorf("%s allocs/op = %v, want 0", fn.name, allocs)
 		}
@@ -258,34 +290,41 @@ func BenchmarkExpStd(b *testing.B) {
 	}
 }
 
-func BenchmarkTanhV(b *testing.B) {
-	x := benchArgs(1024)
-	dst := make([]float64, len(x))
-	b.ReportAllocs()
-	b.SetBytes(int64(8 * len(x)))
-	for i := 0; i < b.N; i++ {
-		TanhV(dst, x)
+// gateArgs draws n pre-activations at the scale an LSTM step sees: N(0,1).
+func gateArgs(n int) []float64 {
+	rng := rand.New(rand.NewSource(5))
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	return x
+}
+
+// benchGate times one nonlinearity on its dispatch and go legs (see
+// benchLegs) at the batched LSTM step's own call — 16 lanes of 32
+// candidates for TanhV, of 96 gates for SigmoidV, gate-scale inputs —
+// and on the 1 024 uniform ±6 arguments of the other benchmarks here.
+func benchGate(b *testing.B, f func(dst, x []float64), lstmBlock string, lstmElts int) {
+	for _, in := range []struct {
+		name string
+		x    []float64
+	}{
+		{lstmBlock + "/normal", gateArgs(lstmElts)},
+		{"n=1024/uniform6", benchArgs(1024)},
+	} {
+		dst := make([]float64, len(in.x))
+		b.Run(in.name, func(b *testing.B) {
+			benchLegs(b, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					f(dst, in.x)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(in.x)), "ns/elt")
+			})
+		})
 	}
 }
 
-func BenchmarkTanhStd(b *testing.B) {
-	x := benchArgs(1024)
-	dst := make([]float64, len(x))
-	b.ReportAllocs()
-	b.SetBytes(int64(8 * len(x)))
-	for i := 0; i < b.N; i++ {
-		for j, v := range x {
-			dst[j] = math.Tanh(v)
-		}
-	}
-}
+func BenchmarkTanhV(b *testing.B) { benchGate(b, TanhV, "lstm-batch16-cand/n=16x32", 16*32) }
 
-func BenchmarkSigmoidV(b *testing.B) {
-	x := benchArgs(1024)
-	dst := make([]float64, len(x))
-	b.ReportAllocs()
-	b.SetBytes(int64(8 * len(x)))
-	for i := 0; i < b.N; i++ {
-		SigmoidV(dst, x)
-	}
-}
+func BenchmarkSigmoidV(b *testing.B) { benchGate(b, SigmoidV, "lstm-batch16-gates/n=16x96", 16*96) }

@@ -447,3 +447,43 @@ func TestFusedBatchAllocFree(t *testing.T) {
 		t.Fatalf("EffectiveBatch = %v, want %d", s.EffectiveBatch, len(stmts))
 	}
 }
+
+// TestProbsBatchCtxRowsShareOneSlab is TestFusedBatchAllocFree's
+// sibling for the call that returns its rows: a warm 8-statement
+// ProbsBatchCtx allocates the row slice and one slab the rows are
+// carved from — not one array per row — the worker fills the rows in
+// place, and each row is capped at its own end.
+func TestProbsBatchCtxRowsShareOneSlab(t *testing.T) {
+	m := trainedModels(t)["clstm"]
+	stmts := testStatements(8)
+	p := NewPredictor(m, Options{Replicas: 1})
+	defer p.Close()
+	ctx := context.Background()
+	var rows [][]float64
+	round := func() {
+		var err error
+		if rows, err = p.ProbsBatchCtx(ctx, stmts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ { // warm request pool and replica scratch
+		round()
+	}
+	classes := m.Task.NumClasses()
+	for i, row := range rows {
+		if len(row) != classes || cap(row) != classes {
+			t.Fatalf("row %d: len %d cap %d, want %d and %d", i, len(row), cap(row), classes, classes)
+		}
+		want := m.Probs(stmts[i])
+		for k, v := range row {
+			if math.Float64bits(v) != math.Float64bits(want[k]) {
+				t.Fatalf("row %d: %v, want %v", i, row, want)
+			}
+		}
+	}
+	if !raceDetectorEnabled {
+		if allocs := testing.AllocsPerRun(30, round); allocs != 2 {
+			t.Errorf("ProbsBatchCtx of %d statements: %v allocs, want 2 (rows, slab)", len(stmts), allocs)
+		}
+	}
+}

@@ -280,6 +280,14 @@ func (p *Predictor) PredictLogCtx(ctx context.Context, stmt string) (float64, er
 // awaited or abandoned, never leaked.
 func (p *Predictor) ProbsBatchCtx(ctx context.Context, stmts []string) ([][]float64, error) {
 	out := make([][]float64, len(stmts))
+	// Every row of the reply is carved from one slab (the worker fills
+	// rows in place when they are big enough), each capped at its own
+	// end so an append on one row cannot reach the next.
+	m := p.model.Task.NumClasses()
+	slab := make([]float64, len(stmts)*m)
+	for i := range out {
+		out[i] = slab[i*m : (i+1)*m : (i+1)*m]
+	}
 	if err := p.do(ctx, probsKind, stmts, out, nil); err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/service"
@@ -116,6 +117,81 @@ func TestOversizeClaimNoAlloc(t *testing.T) {
 	}
 	if cap(fr.payload) != 0 {
 		t.Fatalf("frameReader allocated %d payload bytes for a rejected claim", cap(fr.payload))
+	}
+}
+
+// TestBatchReplyRowsShareOneSlab pins what decoding a batch reply
+// allocates: the prediction slice and one backing array for every
+// Probs row, each row capped at its own end so an append on one cannot
+// reach the next. Rows of unequal length (no server sends them) still
+// decode, and counts the payload cannot back size nothing beyond it.
+func TestBatchReplyRowsShareOneSlab(t *testing.T) {
+	intern := func(b []byte) string { return "m" }
+	prs := make([]service.Prediction, 16)
+	for i := range prs {
+		prs[i] = testPrediction()
+		prs[i].Probs = []float64{float64(i), 0.5, -float64(i)}
+	}
+	payload := appendPredictBatchReply(nil, prs)
+	got, err := decodePredictBatchReply(payload, intern)
+	if err != nil || len(got) != len(prs) {
+		t.Fatalf("decode: %d predictions, %v", len(got), err)
+	}
+	for i, pr := range got {
+		if len(pr.Probs) != 3 || cap(pr.Probs) != 3 {
+			t.Fatalf("row %d: len %d cap %d, want 3 and 3", i, len(pr.Probs), cap(pr.Probs))
+		}
+		for k, v := range pr.Probs {
+			if v != prs[i].Probs[k] {
+				t.Fatalf("row %d: %v, want %v", i, pr.Probs, prs[i].Probs)
+			}
+		}
+	}
+	_ = append(got[0].Probs, 99)
+	if got[1].Probs[0] != 1 {
+		t.Fatal("an append on row 0 reached row 1")
+	}
+	if !raceEnabled {
+		if allocs := testing.AllocsPerRun(100, func() { decodePredictBatchReply(payload, intern) }); allocs != 2 {
+			t.Errorf("decoding a 16-row reply: %v allocs, want 2 (predictions, row slab)", allocs)
+		}
+	}
+
+	prs[5].Probs = []float64{1, 2, 3, 4, 5}
+	prs[9].Probs = nil
+	got, err = decodePredictBatchReply(appendPredictBatchReply(nil, prs), intern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pr := range got {
+		if len(pr.Probs) != len(prs[i].Probs) {
+			t.Fatalf("ragged row %d: %v, want %v", i, pr.Probs, prs[i].Probs)
+		}
+		for k, v := range pr.Probs {
+			if v != prs[i].Probs[k] {
+				t.Fatalf("ragged row %d: %v, want %v", i, pr.Probs, prs[i].Probs)
+			}
+		}
+	}
+
+	// 16 000 rows claimed and a first row of 8 000 floats: each count
+	// passes its own check against the 64 KiB present, their product is
+	// a gigabyte. The slab is sized by what the payload can still hold.
+	evil := appendPredictBatchReply(nil, prs[:0])
+	evil[len(evil)-5] = kindClassification
+	binary.LittleEndian.PutUint32(evil[len(evil)-4:], 16000)
+	evil = binary.LittleEndian.AppendUint32(evil, 0)    // class
+	evil = binary.LittleEndian.AppendUint32(evil, 8000) // row length
+	evil = append(evil, make([]byte, 64<<10)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = decodePredictBatchReply(evil, intern)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("row counts the payload cannot back: err = %v, want ErrTruncated", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Fatalf("decoding a 64 KiB payload allocated %d bytes", grew)
 	}
 }
 

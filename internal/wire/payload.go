@@ -223,6 +223,7 @@ func decodePredictBatchReply(p []byte, intern func([]byte) string) ([]service.Pr
 		return nil, d.err
 	}
 	out := make([]service.Prediction, 0, n)
+	var slab []float64 // backs every Probs row of the reply
 	for i := 0; i < n && d.err == nil; i++ {
 		pr := service.Prediction{Name: name, Version: version}
 		if kind == kindClassification {
@@ -233,7 +234,15 @@ func decodePredictBatchReply(p []byte, intern func([]byte) string) ([]service.Pr
 				d.fail()
 				break
 			}
-			pr.Probs = make([]float64, 0, m)
+			if cap(slab)-len(slab) < m {
+				// Rows of one reply are equally long, so this runs once;
+				// what is left of the payload bounds what a count can claim.
+				slab = make([]float64, 0, min((n-i)*m, d.remaining()/8))
+			}
+			// Capped at the row's own end: an append on one row cannot
+			// reach the next.
+			pr.Probs = slab[len(slab) : len(slab) : len(slab)+m]
+			slab = slab[:len(slab)+m]
 			for k := 0; k < m && d.err == nil; k++ {
 				pr.Probs = append(pr.Probs, d.f64())
 			}
