@@ -503,6 +503,7 @@ func BenchmarkPredictClass(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		m = m.Replicate() // the frozen replica a server predicts on
 		b.Run(name, func(b *testing.B) {
 			m.PredictClass(q) // warm the scratch
 			b.ReportAllocs()
@@ -524,6 +525,7 @@ func BenchmarkPredictProbsInto(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		m = m.Replicate() // the frozen replica a server predicts on
 		b.Run(name, func(b *testing.B) {
 			dst := make([]float64, 0, 8)
 			dst = m.ProbsInto(q, dst)

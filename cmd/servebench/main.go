@@ -110,7 +110,6 @@ func main() {
 	replicas := flag.Int("replicas", runtime.GOMAXPROCS(0), "inference replicas (in-process mode)")
 	clients := flag.Int("clients", 2*runtime.GOMAXPROCS(0), "concurrent load-generating clients")
 	duration := flag.Duration("duration", 3*time.Second, "load duration")
-	maxBatch := flag.Int("max-batch", 32, "most statements one request carries (in-process mode; longer batches are cut)")
 	queue := flag.Int("queue", 0, "request queue size (0 = default; in-process mode)")
 	sessions := flag.Int("sessions", 1400, "synthetic SDSS sessions for train/test data")
 	reqDeadline := flag.Duration("deadline", 0, "per-request deadline (0 = none)")
@@ -156,13 +155,8 @@ func main() {
 	if *jsonOut != "" && !*ab {
 		log.Fatal("servebench: -json records -ab results; pass -ab too")
 	}
-	if *addr == "" {
-		if *replicas <= 0 {
-			log.Fatalf("servebench: -replicas must be positive, got %d", *replicas)
-		}
-		if *maxBatch <= 0 {
-			log.Fatalf("servebench: -max-batch must be positive, got %d", *maxBatch)
-		}
+	if *addr == "" && *replicas <= 0 {
+		log.Fatalf("servebench: -replicas must be positive, got %d", *replicas)
 	}
 	if *faultRate < 0 || *faultRate > 1 {
 		log.Fatalf("servebench: -fault-rate must be in [0,1], got %g", *faultRate)
@@ -236,7 +230,6 @@ func main() {
 		svc := service.New(service.Options{Serve: serve.Options{
 			Replicas:  *replicas,
 			QueueSize: *queue,
-			MaxBatch:  *maxBatch,
 			Admission: policy,
 		}})
 		defer svc.Close()

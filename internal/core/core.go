@@ -197,6 +197,9 @@ type Model struct {
 	neural  nnBackend
 	maxLen  int
 	rngSeed int64
+	// frozen marks a Replicate copy, whose backend is inference-only;
+	// FineTune refuses it.
+	frozen bool
 
 	// predictHook, when set, runs before every neural prediction (see
 	// SetPredictHook). Checked per call, so it survives rebinding and

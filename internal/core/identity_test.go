@@ -47,7 +47,10 @@ type identityDigest struct {
 // does and compare artifact hashes and prediction digests with
 // testdata/identity.json, which is written at the commit *before* such
 // a change (go test ./internal/core/ -run TestIdentityPinned -update)
-// and must pass unchanged after it.
+// and must pass unchanged after it. The prediction digests are taken
+// twice, on the trained model and through m.Replicate() — the frozen
+// replica is the code a server runs — and both must equal the one set
+// of goldens.
 func TestIdentityPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digests are pinned on amd64: %s's compiler may fuse multiply-adds, which legitimately rounds differently", runtime.GOARCH)
@@ -65,7 +68,7 @@ func TestIdentityPinned(t *testing.T) {
 	cfg.Workers = 2
 	cfg.Seed = identitySeed
 
-	got := map[string]identityDigest{}
+	got, gotReplica := map[string]identityDigest{}, map[string]identityDigest{}
 	for _, mt := range []struct {
 		name string
 		task core.Task
@@ -83,29 +86,17 @@ func TestIdentityPinned(t *testing.T) {
 			t.Fatalf("encode %s: %v", mt.name, err)
 		}
 		sum := sha256.Sum256(blob)
-		d := identityDigest{Artifact: hex.EncodeToString(sum[:])}
-
-		var scalar, batch, row []float64
-		for _, stmt := range pool {
-			if mt.task.IsClassification() {
-				row = m.ProbsInto(stmt, row)
-				scalar = append(scalar, row...)
-			} else {
-				scalar = append(scalar, m.PredictLog(stmt))
+		for _, leg := range []struct {
+			digests map[string]identityDigest
+			model   *core.Model
+		}{{got, m}, {gotReplica, m.Replicate()}} {
+			d := identityDigest{Artifact: hex.EncodeToString(sum[:])}
+			d.Scalar, d.Batch16 = predictionDigests(leg.model, pool)
+			if d.Scalar != d.Batch16 {
+				t.Errorf("%s: scalar and batch-16 predictions differ", mt.name)
 			}
+			leg.digests[mt.name] = d
 		}
-		for lo := 0; lo < len(pool); lo += identityBatch {
-			stmts := pool[lo:min(lo+identityBatch, len(pool))]
-			for _, r := range m.ProbsBatchInto(stmts, nil) { // nil for a regression model
-				batch = append(batch, r...)
-			}
-			batch = append(batch, m.PredictLogBatchInto(stmts, nil)...) // nil for a classifier
-		}
-		d.Scalar, d.Batch16 = bitsDigest(scalar), bitsDigest(batch)
-		if d.Scalar != d.Batch16 {
-			t.Errorf("%s: scalar and batch-16 predictions differ", mt.name)
-		}
-		got[mt.name] = d
 	}
 
 	path := filepath.Join("testdata", "identity.json")
@@ -134,10 +125,35 @@ func TestIdentityPinned(t *testing.T) {
 		if g := got[name]; g != w {
 			t.Errorf("%s moved:\n got  %+v\n want %+v", name, g, w)
 		}
+		if g := gotReplica[name]; g != w {
+			t.Errorf("%s moved on a Replicate() copy:\n got  %+v\n want %+v", name, g, w)
+		}
 	}
 	if len(want) != len(got) {
 		t.Errorf("%s pins %d models, the test trains %d", path, len(want), len(got))
 	}
+}
+
+// predictionDigests predicts the pool on m one statement at a time and
+// in batches of 16 and hashes the bits of each.
+func predictionDigests(m *core.Model, pool []string) (scalarSum, batchSum string) {
+	var scalar, batch, row []float64
+	for _, stmt := range pool {
+		if m.Task.IsClassification() {
+			row = m.ProbsInto(stmt, row)
+			scalar = append(scalar, row...)
+		} else {
+			scalar = append(scalar, m.PredictLog(stmt))
+		}
+	}
+	for lo := 0; lo < len(pool); lo += identityBatch {
+		stmts := pool[lo:min(lo+identityBatch, len(pool))]
+		for _, r := range m.ProbsBatchInto(stmts, nil) { // nil for a regression model
+			batch = append(batch, r...)
+		}
+		batch = append(batch, m.PredictLogBatchInto(stmts, nil)...) // nil for a classifier
+	}
+	return bitsDigest(scalar), bitsDigest(batch)
 }
 
 // bitsDigest hashes the exact bit patterns of vals.

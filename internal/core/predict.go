@@ -148,18 +148,29 @@ func (m *Model) PredictLogBatchInto(stmts []string, dst []float64) []float64 {
 	return dst
 }
 
+// freezer is what Replicate needs of a neural backend beyond
+// CloneShared: turn the clone into an inference-only replica (see
+// nn.CNNModel.Freeze).
+type freezer interface{ Freeze() }
+
 // Replicate returns a predictor that shares m's trained weights but
 // owns private inference scratch, so distinct replicas can predict
 // concurrently (the foundation of serve.Predictor's replica pool).
 //
 // Neural models are cloned through nn.ParallelModel.CloneShared — the
 // same shared-weight mechanism data-parallel training uses — plus a
-// fresh per-replica encoder and softmax buffer. Baseline and TF-IDF
-// models predict by reading immutable fitted state only, so Replicate
-// returns the receiver itself.
+// fresh per-replica encoder and softmax buffer, and the clone is frozen
+// before anything else can use it: no gradient accumulators, and the
+// weight layouts the forward pass multiplies against are derived here,
+// once, instead of on every prediction. Predictions stay bit-identical
+// to m's. Baseline and TF-IDF models predict by reading immutable
+// fitted state only, so Replicate returns the receiver itself.
 //
 // Replicas alias the original weights: mutating them (FineTune) while
-// replicas serve is a data race.
+// replicas serve is a data race, and a replica made before its
+// original's weights were mutated keeps layouts of the old weights — it
+// must be discarded, not reused. A replica is inference-only: FineTune
+// refuses it (Snapshot it first).
 func (m *Model) Replicate() *Model {
 	if m.neural.model == nil {
 		return m
@@ -169,17 +180,13 @@ func (m *Model) Replicate() *Model {
 		return m
 	}
 	replica := pm.CloneShared()
-	// Inference never calls Backward, so drop the gradient shadows
-	// CloneShared allocated for the training use case — they would
-	// otherwise double every serving replica's parameter memory.
-	for _, param := range replica.Params() {
-		param.G = nil
-	}
+	replica.(freezer).Freeze() // every nn.ParallelModel has it
 	r := &Model{
 		Name: m.Name, Task: m.Task, V: m.V, P: m.P, LogMin: m.LogMin,
 		neural: nnBackend{model: replica, vocab: m.neural.vocab},
 		maxLen: m.maxLen, rngSeed: m.rngSeed,
 		predictHook: m.predictHook,
+		frozen:      true,
 	}
 	r.bindNeuralPredict()
 	return r

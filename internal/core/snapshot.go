@@ -30,6 +30,7 @@ func (m *Model) Snapshot() *Model {
 		p.G = nil
 	}
 	c.neural = nnBackend{model: replica, vocab: m.neural.vocab}
+	c.frozen = false // the clone of a Replicate copy is an ordinary model again
 	c.bindNeuralPredict()
 	return &c
 }

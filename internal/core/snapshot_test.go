@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -109,5 +110,54 @@ func TestSnapshotVersionMetadata(t *testing.T) {
 	}
 	if snap2 := snap.Snapshot(); snap2.Version != 7 {
 		t.Fatalf("re-snapshot dropped Version: %d", snap2.Version)
+	}
+}
+
+// TestFineTuneRefusesReplica checks a Replicate copy is inference-only:
+// FineTune returns an error for it and leaves the weights it shares
+// with the original untouched, while a Snapshot — of the original or of
+// the replica — is still an ordinary model that fine-tunes.
+func TestFineTuneRefusesReplica(t *testing.T) {
+	split := snapshotTestSplit()
+	cfg := TinyConfig()
+	for _, name := range []string{"ccnn", "clstm"} {
+		m, err := Train(name, ErrorClassification, split.Train, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stmts := workload.Statements(split.Test[:20])
+		want := make([][]float64, len(stmts))
+		for i, s := range stmts {
+			want[i] = m.Probs(s)
+		}
+
+		rep := m.Replicate()
+		if _, err := FineTune(rep, split.Valid, cfg); err == nil {
+			t.Fatalf("%s: FineTune accepted a Replicate copy", name)
+		}
+		for i, s := range stmts {
+			got, again := m.Probs(s), rep.Probs(s)
+			for c := range got {
+				if math.Float64bits(got[c]) != math.Float64bits(want[i][c]) ||
+					math.Float64bits(again[c]) != math.Float64bits(want[i][c]) {
+					t.Fatalf("%s: refused FineTune moved the shared weights (stmt %d)", name, i)
+				}
+			}
+		}
+
+		for from, snap := range map[string]*Model{"original": m.Snapshot(), "replica": rep.Snapshot()} {
+			if _, err := FineTune(snap, split.Valid, cfg); err != nil {
+				t.Fatalf("%s: FineTune of a Snapshot of the %s: %v", name, from, err)
+			}
+			changed := false
+			for i, s := range stmts {
+				for c, p := range snap.Probs(s) {
+					changed = changed || p != want[i][c]
+				}
+			}
+			if !changed {
+				t.Fatalf("%s: fine-tuning a Snapshot of the %s moved nothing", name, from)
+			}
+		}
 	}
 }

@@ -24,10 +24,16 @@ import (
 //
 // Fine-tuning mutates m's parameters and returns m for chaining. It
 // fails for baseline and TF-IDF models, whose feature spaces are
-// frozen at fit time.
+// frozen at fit time, and for a Replicate copy, which is inference-only
+// and shares its weights with whatever its siblings are serving:
+// fine-tune the original or a Snapshot. Replicas made from m before the
+// call hold layouts of the old weights and must be discarded.
 func FineTune(m *Model, train []workload.Item, cfg Config) (*Model, error) {
 	if m.neural.model == nil {
 		return nil, fmt.Errorf("core: model %q cannot be fine-tuned (no neural backend)", m.Name)
+	}
+	if m.frozen {
+		return nil, fmt.Errorf("core: model %q is a Replicate copy and cannot be fine-tuned (fine-tune the original or a Snapshot)", m.Name)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	encoded := make([][]int, len(train))

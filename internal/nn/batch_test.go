@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -193,4 +194,35 @@ func BenchmarkLSTMRaggedBatch16(b *testing.B) {
 		}
 		perStmt(b)
 	})
+}
+
+// BenchmarkCNNForwardSingle times one statement through the word-CNN at
+// its serving shape (core.DefaultConfig: Embed 16, widths 3/4/5, 32
+// kernels) for a short, a typical and a long statement, on the trained
+// model as it is ("unfrozen": every call re-derives the kernel banks'
+// layouts) and on a Freeze()d replica ("frozen": what a server runs).
+// Both legs must report 0 allocs/op.
+func BenchmarkCNNForwardSingle(b *testing.B) {
+	rng := rand.New(rand.NewSource(17))
+	m := NewCNN(CNNConfig{Vocab: 500, Embed: 16, Widths: []int{3, 4, 5}, Kernels: 32, Dropout: 0.5, Outputs: 1}, rng)
+	legs := []struct {
+		name  string
+		model Model
+	}{{"unfrozen", m}, {"frozen", frozenClone(m)}}
+	for _, tokens := range []int{8, 20, 40} {
+		ids := make([]int, tokens)
+		for i := range ids {
+			ids[i] = rng.Intn(500)
+		}
+		for _, leg := range legs {
+			b.Run(fmt.Sprintf("tokens=%d/%s", tokens, leg.name), func(b *testing.B) {
+				b.ReportAllocs()
+				leg.model.Forward(ids, false, nil) // warm the scratch
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					leg.model.Forward(ids, false, nil)
+				}
+			})
+		}
+	}
 }

@@ -19,6 +19,11 @@ type Conv1D struct {
 	In    int // embedding dimension d
 	K     int // number of kernels
 
+	// wT is the kernel bank transposed to wlen×K, the layout score's
+	// GEMM reads; see transposed for when it is rebuilt.
+	wT     []float64
+	frozen bool
+
 	cache  ConvCache
 	bcache convBatchCache
 	pooled []float64
@@ -38,12 +43,32 @@ func NewConv1D(name string, width, in, k int, rng *rand.Rand) *Conv1D {
 func (c *Conv1D) Params() []*Param { return []*Param{c.W, c.B} }
 
 // CloneShared returns a replica sharing weights but owning private
-// gradients and scratch.
+// gradients and scratch. The replica is never frozen, whatever c is.
 func (c *Conv1D) CloneShared() *Conv1D {
 	return &Conv1D{
 		W: c.W.Shadow(), B: c.B.Shadow(),
 		Width: c.Width, In: c.In, K: c.K,
 	}
+}
+
+// transposed returns the kernel bank as score wants it, wlen×K. An
+// unfrozen layer re-transposes W on every call, because training moves
+// the weights every optimizer step; a frozen one returns the copy
+// freeze made. Either way the values are f64.Transpose of the current
+// W, so freezing cannot change a score.
+func (c *Conv1D) transposed() []float64 {
+	if !c.frozen {
+		wlen := c.Width * c.In
+		f64.Transpose(growF(&c.wT, wlen*c.K), c.W.W, c.K, wlen)
+	}
+	return c.wT
+}
+
+// freeze transposes the bank one last time and keeps it (see
+// CNNModel.Freeze).
+func (c *Conv1D) freeze() {
+	c.transposed()
+	c.frozen = true
 }
 
 // ConvCache stores the forward state needed by Backward, in buffers
@@ -54,9 +79,8 @@ type ConvCache struct {
 	argmax []int     // winning window start per kernel (-1: all <= 0)
 	pre    []float64 // pre-ReLU activation at the winning position
 
-	// Scoring scratch: the kernel bank transposed to wlen×K and the
-	// positions×K pre-activation matrix it produces.
-	wT, scores []float64
+	// Scoring scratch: the positions×K pre-activation matrix.
+	scores []float64
 
 	// Backward scratch.
 	dxsFlat []float64 // n*In
@@ -67,7 +91,7 @@ type ConvCache struct {
 // separate from ConvCache so batched serving never disturbs a training
 // pass's cached activations.
 type convBatchCache struct {
-	wT, scores []float64
+	scores []float64
 }
 
 // score fills scores (positions×K) with the pre-ReLU activations of
@@ -96,23 +120,27 @@ func (c *Conv1D) score(scores, x []float64, n, positions int, wT []float64) {
 // pool writes max-over-time ReLU pooling of scores (positions×K) into
 // pooled, returning the winning window start per kernel in argmax when
 // non-nil (-1 when every window is ≤ 0) and the winning pre-activation
-// in pre.
+// in pre. It is one pass over the rows of scores, every kernel's
+// running maximum advancing together: each kernel still sees its
+// positions in increasing order and moves only on a strict >, so the
+// first maximum wins and a NaN never does.
 func (c *Conv1D) pool(pooled, scores []float64, positions int, argmax []int, pre []float64) {
-	for k := 0; k < c.K; k++ {
-		best := 0.0
-		bestPos := -1
-		for j := 0; j < positions; j++ {
-			if sum := scores[j*c.K+k]; sum > best {
-				best = sum
-				bestPos = j
+	pooled = pooled[:c.K]
+	zeroF(pooled) // ReLU(max) == max(0, max_j pre_j)
+	for k := range argmax {
+		argmax[k] = -1
+	}
+	for j := 0; j < positions; j++ {
+		for k, sum := range scores[j*c.K : (j+1)*c.K] {
+			if sum > pooled[k] {
+				pooled[k] = sum
+				if argmax != nil {
+					argmax[k] = j
+				}
 			}
 		}
-		pooled[k] = best // ReLU(max) == max(0, max_j pre_j)
-		if argmax != nil {
-			argmax[k] = bestPos
-			pre[k] = best
-		}
 	}
+	copy(pre, pooled)
 }
 
 // Forward computes the pooled feature vector. Sequences shorter than
@@ -121,7 +149,8 @@ func (c *Conv1D) pool(pooled, scores []float64, positions int, argmax []int, pre
 //
 // The input rows are packed into one contiguous n×In buffer up front
 // and all windows are scored in a single strided GEMM (see score)
-// before the max/ReLU scan.
+// against the transposed bank (see transposed) before the max/ReLU
+// scan.
 func (c *Conv1D) Forward(xs [][]float64) ([]float64, *ConvCache) {
 	n := len(xs)
 	positions := n - c.Width + 1
@@ -137,11 +166,8 @@ func (c *Conv1D) Forward(xs [][]float64) ([]float64, *ConvCache) {
 	}
 	growI(&cache.argmax, c.K)
 	growF(&cache.pre, c.K)
-	wlen := c.Width * c.In
-	wT := growF(&cache.wT, wlen*c.K)
-	f64.Transpose(wT, c.W.W, c.K, wlen)
 	scores := growF(&cache.scores, positions*c.K)
-	c.score(scores, x, n, positions, wT)
+	c.score(scores, x, n, positions, c.transposed())
 	c.pool(pooled, scores, positions, cache.argmax, cache.pre)
 	return pooled, cache
 }
@@ -151,20 +177,18 @@ func (c *Conv1D) Forward(xs [][]float64) ([]float64, *ConvCache) {
 // are written to out[r*stride+col : r*stride+col+K] — stride/col place
 // the bank's slice inside a row of concatenated bank outputs. Row r is
 // bit-identical to Forward on the same example (identical score and
-// pool chains). Inference only: nothing is cached for Backward, and the
-// scratch is private to the layer replica.
+// pool chains, against the same transposed bank — see transposed).
+// Inference only: nothing is cached for Backward, and the scratch is
+// private to the layer replica.
 func (c *Conv1D) ForwardBatch(xb []float64, offs, lens []int, out []float64, stride, col int) {
-	wlen := c.Width * c.In
-	bc := &c.bcache
-	wT := growF(&bc.wT, wlen*c.K)
-	f64.Transpose(wT, c.W.W, c.K, wlen)
+	wT := c.transposed()
 	maxPos := 1
 	for _, n := range lens {
 		if p := n - c.Width + 1; p > maxPos {
 			maxPos = p
 		}
 	}
-	scores := growF(&bc.scores, maxPos*c.K)
+	scores := growF(&c.bcache.scores, maxPos*c.K)
 	for r, off := range offs {
 		n := lens[r]
 		positions := n - c.Width + 1

@@ -27,6 +27,18 @@ func (p *Param) Shadow() *Param {
 	return &Param{Name: p.Name, W: p.W, G: make([]float64, len(p.W))}
 }
 
+// frozenBackwardPanic is what Backward on a frozen model panics with: a
+// frozen replica has no gradient accumulators, and training through it
+// would move weights its kept layouts no longer match.
+const frozenBackwardPanic = "nn: Backward on a frozen model (inference-only, see Freeze)"
+
+// dropGrads releases the gradient accumulators of params.
+func dropGrads(params []*Param) {
+	for _, p := range params {
+		p.G = nil
+	}
+}
+
 // GradBuffer is one worker's private gradient shard: the shadow
 // parameters of a shared-weight replica, accumulated locally during a
 // batch and reduced into the master gradients afterwards.

@@ -35,6 +35,13 @@ type LSTMLayer struct {
 	Wx, Wh, B *Param
 	In, H     int
 
+	// wxT and whT are Wx and Wh transposed (In×4h and h×4h), so the
+	// input GEMM and the recurrent update run along contiguous length-4h
+	// rows instead of per-gate short dots; see transposed for when they
+	// are rebuilt. Backward reads whT for dhₜ₋₁ = Whᵀ·dpreₜ.
+	wxT, whT []float64
+	frozen   bool
+
 	cache  LSTMCache
 	bcache lstmBatchCache
 }
@@ -61,7 +68,7 @@ func NewLSTMLayer(name string, in, hidden int, rng *rand.Rand) *LSTMLayer {
 func (l *LSTMLayer) Params() []*Param { return []*Param{l.Wx, l.Wh, l.B} }
 
 // CloneShared returns a replica sharing weights but owning private
-// gradients and scratch.
+// gradients and scratch. The replica is never frozen, whatever l is.
 func (l *LSTMLayer) CloneShared() *LSTMLayer {
 	return &LSTMLayer{
 		Wx: l.Wx.Shadow(), Wh: l.Wh.Shadow(), B: l.B.Shadow(),
@@ -69,17 +76,32 @@ func (l *LSTMLayer) CloneShared() *LSTMLayer {
 	}
 }
 
+// transposed returns wxT and whT. An unfrozen layer re-transposes both
+// matrices on every call, because training moves the weights every
+// optimizer step; a frozen one returns the copies freeze made. Either
+// way the values are f64.Transpose of the current Wx and Wh, so
+// freezing cannot change an activation.
+func (l *LSTMLayer) transposed() (wxT, whT []float64) {
+	if !l.frozen {
+		h := l.H
+		f64.Transpose(growF(&l.wxT, l.In*4*h), l.Wx.W, 4*h, l.In)
+		f64.Transpose(growF(&l.whT, h*4*h), l.Wh.W, 4*h, h)
+	}
+	return l.wxT, l.whT
+}
+
+// freeze transposes both matrices one last time and keeps them (see
+// LSTMModel.Freeze).
+func (l *LSTMLayer) freeze() {
+	l.transposed()
+	l.frozen = true
+}
+
 // LSTMCache stores the forward activations needed by BPTT in flat
 // backing arrays owned by the layer and reused across calls.
 type LSTMCache struct {
 	xflat []float64 // inputs packed contiguously, n*In
 	n     int       // steps in the cached sequence
-
-	// Transposed weight copies, refreshed every Forward pass so the
-	// input GEMM and the recurrent update run along contiguous rows
-	// (In×4h and h×4h) instead of per-gate short dots. Backward
-	// reuses whT for dhₜ₋₁ = Whᵀ·dpreₜ.
-	wxT, whT []float64
 
 	// Flat per-step activations. pre is n*4h holding the gate
 	// pre-activations (input GEMM + bias + recurrent term); gates is
@@ -129,12 +151,7 @@ func (l *LSTMLayer) Forward(xs [][]float64) ([][]float64, *LSTMCache) {
 	for t, row := range xs {
 		copy(x[t*l.In:(t+1)*l.In], row)
 	}
-	// Transposed weights: products below run along contiguous length-4h
-	// rows instead of 4h short dots per step.
-	wxT := growF(&cache.wxT, l.In*4*h)
-	f64.Transpose(wxT, l.Wx.W, 4*h, l.In)
-	whT := growF(&cache.whT, h*4*h)
-	f64.Transpose(whT, l.Wh.W, 4*h, h)
+	wxT, whT := l.transposed()
 	// Sequence-level input GEMM, hoisted out of the recurrence:
 	// pre[t] = Wx·xₜ + b for every step at once (pre = bias rows +
 	// X·Wxᵀ), keeping Wx hot in cache instead of re-streaming it
@@ -243,9 +260,10 @@ func (l *LSTMLayer) Backward(cache *LSTMCache, dhs [][]float64) [][]float64 {
 			dpre[3*h+i] = dgo * gout[i] * (1 - gout[i])
 		}
 		// The recurrence proper: dhₜ₋₁ = Whᵀ·dpreₜ, read off the
-		// transposed copy Forward cached (h contiguous length-4h rows).
+		// transposed copy Forward left in the layer (h contiguous
+		// length-4h rows).
 		if t > 0 {
-			f64.GemvN(dhPrev, cache.whT, dpre)
+			f64.GemvN(dhPrev, l.whT, dpre)
 		}
 		dhNext, dhPrev = dhPrev, dhNext
 		// dcNext flows via the forget gate.
@@ -275,7 +293,6 @@ func (l *LSTMLayer) Backward(cache *LSTMCache, dhs [][]float64) [][]float64 {
 // lane-major activations sized by the largest batch seen, reused
 // across calls and never retained for Backward.
 type lstmBatchCache struct {
-	wxT, whT   []float64 // transposed weights (In×4h, h×4h), refreshed every call
 	pre        []float64 // current step: w×h candidate block, then w×3h gate block
 	hs         []float64 // T blocks of widths[t]×h hidden states
 	cA, cB, tc []float64 // w×h cell-state double buffer and tanh scratch
@@ -296,9 +313,10 @@ type lstmBatchCache struct {
 //
 // Per step the running lanes' gate pre-activations are Forward's own
 // products with w rows instead of one — Pre = 1·bᵀ + Xₜ·Wxᵀ + Hₜ₋₁·Whᵀ
-// against the transposed weights — written as two column blocks so
-// each nonlinearity is one call over contiguous memory: the w×h
-// candidates (TanhV) and the w×3h [update|forget|output] gates
+// against the same transposed weights (see transposed: rebuilt per call
+// on a trainable layer, kept on a frozen one) — written as two column
+// blocks so each nonlinearity is one call over contiguous memory: the
+// w×h candidates (TanhV) and the w×3h [update|forget|output] gates
 // (SigmoidV).
 //
 // Bit-identity with Forward: lane r's row of every product multiplies
@@ -319,10 +337,7 @@ func (l *LSTMLayer) ForwardBatch(x []float64, widths []int) []float64 {
 		total += w
 	}
 	bc := &l.bcache
-	wxT := growF(&bc.wxT, in*4*h)
-	f64.Transpose(wxT, l.Wx.W, 4*h, in)
-	whT := growF(&bc.whT, h*4*h)
-	f64.Transpose(whT, l.Wh.W, 4*h, h)
+	wxT, whT := l.transposed()
 	pre := growF(&bc.pre, n*4*h)
 	hs := growF(&bc.hs, total*h)
 	cPrev := growF(&bc.cA, n*h)

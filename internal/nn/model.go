@@ -56,6 +56,7 @@ type CNNModel struct {
 	Drop  Dropout
 	FC    *Dense
 
+	frozen bool // see Freeze
 	cache  cnnCache
 	bcache cnnBatchCache
 }
@@ -100,7 +101,8 @@ type cnnBatchCache struct {
 // network can be reconstructed in another process.
 func (m *CNNModel) Config() CNNConfig { return m.cfg }
 
-// CloneShared implements ParallelModel.
+// CloneShared implements ParallelModel. The clone is an ordinary
+// trainable replica even when m is frozen.
 func (m *CNNModel) CloneShared() Model {
 	c := &CNNModel{cfg: m.cfg, Drop: Dropout{P: m.Drop.P}}
 	c.Emb = m.Emb.CloneShared()
@@ -109,6 +111,25 @@ func (m *CNNModel) CloneShared() Model {
 	}
 	c.FC = m.FC.CloneShared()
 	return c
+}
+
+// Freeze makes m an inference replica for good: it drops every
+// parameter's gradient accumulator (which would otherwise double the
+// replica's parameter memory) and transposes each kernel bank once, so
+// Forward and ForwardBatch stop re-deriving that layout on every call
+// and read the kept copy instead — the same f64.Transpose of the same
+// weights, hence bit-identical outputs. It is meant for the replica
+// CloneShared just returned, before anything else can use it.
+//
+// The price is that the weights must not change afterwards: the kept
+// layouts would go stale, so a replica frozen before its weights were
+// mutated must be discarded. Backward on a frozen model panics.
+func (m *CNNModel) Freeze() {
+	dropGrads(m.Params())
+	for _, conv := range m.Convs {
+		conv.freeze()
+	}
+	m.frozen = true
 }
 
 // Forward implements Model.
@@ -176,6 +197,9 @@ func (m *CNNModel) ForwardBatch(ids [][]int) ([]float64, int) {
 
 // Backward implements Model.
 func (m *CNNModel) Backward(ids []int, cacheAny any, dout []float64) {
+	if m.frozen {
+		panic(frozenBackwardPanic)
+	}
 	cache := cacheAny.(*cnnCache)
 	dmasked := m.FC.Backward(cache.masked, dout)
 	dpooled := m.Drop.Backward(dmasked, cache.mask)
@@ -225,6 +249,7 @@ type LSTMModel struct {
 	Layers []*LSTMLayer
 	FC     *Dense
 
+	frozen bool // see Freeze
 	cache  lstmModelCache
 	bcache lstmBatchModelCache
 	dhs    [][]float64 // backward scratch: gradient into the top layer
@@ -268,7 +293,8 @@ type lstmBatchModelCache struct {
 // with (see CNNModel.Config).
 func (m *LSTMModel) Config() LSTMConfig { return m.cfg }
 
-// CloneShared implements ParallelModel.
+// CloneShared implements ParallelModel. The clone is an ordinary
+// trainable replica even when m is frozen.
 func (m *LSTMModel) CloneShared() Model {
 	c := &LSTMModel{cfg: m.cfg}
 	c.Emb = m.Emb.CloneShared()
@@ -277,6 +303,18 @@ func (m *LSTMModel) CloneShared() Model {
 	}
 	c.FC = m.FC.CloneShared()
 	return c
+}
+
+// Freeze makes m an inference replica for good, exactly as
+// CNNModel.Freeze does: gradient accumulators dropped, every layer's Wx
+// and Wh transposed once and kept, outputs bit-identical, weights not
+// to be changed afterwards, Backward panics.
+func (m *LSTMModel) Freeze() {
+	dropGrads(m.Params())
+	for _, l := range m.Layers {
+		l.freeze()
+	}
+	m.frozen = true
 }
 
 // Forward implements Model. Empty sequences are padded with the
@@ -396,6 +434,9 @@ func (m *LSTMModel) ForwardBatch(ids [][]int) ([]float64, int) {
 
 // Backward implements Model.
 func (m *LSTMModel) Backward(ids []int, cacheAny any, dout []float64) {
+	if m.frozen {
+		panic(frozenBackwardPanic)
+	}
 	if len(ids) == 0 {
 		m.padOne[0] = 0
 		ids = m.padOne[:]

@@ -15,6 +15,14 @@
 // kernel where the CPU has one, bit-identical to its Go loop), and
 // the LSTM computes its input transform as one sequence-level GEMM
 // hoisted out of the recurrence.
+//
+// A model is either trainable or frozen. Trainable is how NewCNN,
+// NewLSTM and CloneShared make it: parameters carry gradient
+// accumulators, and every forward pass re-derives the transposed weight
+// layouts its GEMMs read, because the optimizer moves the weights every
+// step. Freeze turns a CloneShared replica into an inference replica:
+// no accumulators, layouts derived once and kept, Backward panics, and
+// every output bit-identical to the trainable model's.
 package nn
 
 import (

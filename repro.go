@@ -312,8 +312,10 @@ type BreakerStats = client.BreakerStats
 // FineTune continues training a neural model on a new workload (the
 // transfer-learning extension of Section 8). Do not fine-tune a model
 // while a Predictor built directly on it serves it — replicas alias
-// its weights. A Service has no such hazard: it deploys immutable
-// snapshots, so the FineTune → Swap cycle is safe under live traffic.
+// its weights and keep layouts derived from them, so build a new
+// Predictor after fine-tuning instead of reusing the old one. A Service
+// has no such hazard: it deploys immutable snapshots, so the
+// FineTune → Swap cycle is safe under live traffic.
 func FineTune(m *Model, train []Item, cfg Config) (*Model, error) {
 	return core.FineTune(m, train, cfg)
 }
