@@ -9,17 +9,14 @@ package repro
 // numbers recorded in EXPERIMENTS.md.
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/serve"
 	"repro/internal/simdb"
 )
 
@@ -538,92 +535,9 @@ func BenchmarkPredictProbsInto(b *testing.B) {
 	}
 }
 
-// BenchmarkServePredict measures single-client request latency through
-// the serving layer (queue hop + replica inference): 0 allocs/op warm.
-func BenchmarkServePredict(b *testing.B) {
-	env := getBenchEnv(b)
-	q := "SELECT p.objid, p.ra FROM PhotoObj AS p WHERE p.ra BETWEEN 150 AND 152"
-	m, err := env.Model("ccnn", core.ErrorClassification, experiments.HomoInstance)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := serve.NewPredictor(m, serve.Options{Replicas: 1})
-	defer p.Close()
-	ctx := context.Background()
-	dst, err := p.ProbsIntoCtx(ctx, q, nil) // warm the request pool
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst, _ = p.ProbsIntoCtx(ctx, q, dst)
-	}
-}
-
-// BenchmarkServePredictCtx measures the request path under a
-// deadline-carrying context and the AdmitReject policy (deadline checks
-// + cancellation arbitration on top of the queue hop and replica
-// inference): the warm in-deadline path is still 0 allocs/op.
-func BenchmarkServePredictCtx(b *testing.B) {
-	env := getBenchEnv(b)
-	q := "SELECT p.objid, p.ra FROM PhotoObj AS p WHERE p.ra BETWEEN 150 AND 152"
-	m, err := env.Model("ccnn", core.ErrorClassification, experiments.HomoInstance)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := serve.NewPredictor(m, serve.Options{Replicas: 1, Admission: serve.AdmitReject})
-	defer p.Close()
-	// One deadline reused across requests: the benchmark measures the
-	// serving path, not context construction.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
-	defer cancel()
-	dst, err := p.ProbsIntoCtx(ctx, q, nil) // warm the request pool
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if dst, err = p.ProbsIntoCtx(ctx, q, dst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServeThroughput measures aggregate served predictions per
-// second with concurrent clients hammering a replica pool; replicas>1
-// scale on multi-core machines.
-func BenchmarkServeThroughput(b *testing.B) {
-	env := getBenchEnv(b)
-	q := "SELECT p.objid, p.ra FROM PhotoObj AS p WHERE p.ra BETWEEN 150 AND 152"
-	for _, name := range []string{"ccnn", "clstm"} {
-		m, err := env.Model(name, core.ErrorClassification, experiments.HomoInstance)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, replicas := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/replicas=%d", name, replicas), func(b *testing.B) {
-				p := serve.NewPredictor(m, serve.Options{Replicas: replicas})
-				defer p.Close()
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					dst := make([]float64, 0, 8)
-					for pb.Next() {
-						dst, _ = p.ProbsIntoCtx(context.Background(), q, dst)
-					}
-				})
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "served/s")
-			})
-		}
-	}
-}
-
 // BenchmarkPredictProbsBatch measures the fused n-row forward pass
-// directly at the core layer — one ProbsBatchInto call (what a serve
-// worker runs for a fused group) over a batch of distinct statements,
+// directly at the core layer — one ProbsBatchInto call (what serve
+// runs for a batch request) over a batch of distinct statements,
 // reported per statement — against which the per-example path
 // (BenchmarkPredictProbsInto) shows the batching win without any
 // serving-layer overhead. Warm path is 0 allocs/op.
@@ -649,49 +563,6 @@ func BenchmarkPredictProbsBatch(b *testing.B) {
 			nsPerStmt := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(stmts))
 			b.ReportMetric(nsPerStmt, "ns/stmt")
 		})
-	}
-}
-
-// BenchmarkServeBatchedThroughput measures aggregate throughput of one
-// replica under 16 concurrent clients per core, each sending single
-// statements (batch=1) or 16-statement batches (batch=16, one request
-// and one batched forward pass each). served/s counts statements;
-// eff-batch reports the mean forward-pass width actually run, which is
-// the callers' own batch size.
-func BenchmarkServeBatchedThroughput(b *testing.B) {
-	env := getBenchEnv(b)
-	q := "SELECT p.objid, p.ra FROM PhotoObj AS p WHERE p.ra BETWEEN 150 AND 152"
-	for _, name := range []string{"ccnn", "clstm"} {
-		m, err := env.Model(name, core.ErrorClassification, experiments.HomoInstance)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, batch := range []int{1, 16} {
-			b.Run(fmt.Sprintf("%s/batch=%d", name, batch), func(b *testing.B) {
-				p := serve.NewPredictor(m, serve.Options{Replicas: 1, QueueSize: 256})
-				defer p.Close()
-				stmts := make([]string, batch)
-				for i := range stmts {
-					stmts[i] = q
-				}
-				b.SetParallelism(16)
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					dst := make([]float64, 0, 8)
-					for pb.Next() {
-						if batch == 1 {
-							dst, _ = p.ProbsIntoCtx(context.Background(), q, dst)
-						} else {
-							p.ProbsBatchCtx(context.Background(), stmts)
-						}
-					}
-				})
-				b.StopTimer()
-				b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "served/s")
-				b.ReportMetric(p.Stats().EffectiveBatch, "eff-batch")
-			})
-		}
 	}
 }
 

@@ -19,10 +19,10 @@ import (
 //
 // Each eval call builds and closes its own short-lived Predictor.
 // Construction is cheap relative to what it serves — weight-sharing
-// replica clones plus a goroutine pool, microseconds against the
-// seconds each cached model took to train — and caching predictors in
-// Env would park worker goroutines for the Env's whole lifetime (Env
-// has no Close hook).
+// replica clones, microseconds against the seconds each cached model
+// took to train — so there is nothing worth caching in Env (a
+// Predictor owns no goroutine; a cached one would only pin the
+// replicas' scratch for the Env's whole lifetime).
 
 // evalWorkers resolves Scale.EvalWorkers (0 = GOMAXPROCS, negative =
 // sequential).

@@ -12,8 +12,9 @@ import (
 	"repro/internal/core"
 )
 
-// requestsServed is how many requests the workers have finished: each
-// records exactly one latency sample per request, whatever its width.
+// requestsServed is how many requests the replicas have run: each
+// request records exactly one latency sample, whatever its width, in
+// the ring of the replica it borrowed.
 func requestsServed(p *Predictor) (n uint64) {
 	for w := range p.stats.lat {
 		l := &p.stats.lat[w]
@@ -25,10 +26,10 @@ func requestsServed(p *Predictor) (n uint64) {
 }
 
 // gateModel installs a predict hook on m that counts every statement
-// it sees and parks the worker that runs the gate statement until the
-// returned release func is called; entered is signaled when a worker
-// reaches the gate. Install it before NewPredictor: replicas inherit
-// the hook when they are built.
+// it sees and parks the call that runs the gate statement — with the
+// replica it borrowed — until the returned release func is called;
+// entered is signaled when a call reaches the gate. Install it before
+// NewPredictor: replicas inherit the hook when they are built.
 func gateModel(t *testing.T, m *core.Model, gate string) (seen *atomic.Int64, entered chan struct{}, release func()) {
 	seen = new(atomic.Int64)
 	entered = make(chan struct{}, 1)
@@ -44,7 +45,7 @@ func gateModel(t *testing.T, m *core.Model, gate string) (seen *atomic.Int64, en
 	return seen, entered, sync.OnceFunc(func() { close(open) })
 }
 
-// waitQueueDepth polls until the predictor's queue holds n requests.
+// waitQueueDepth polls until n requests are waiting for a replica.
 func waitQueueDepth(t *testing.T, p *Predictor, n int) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); p.Stats().QueueDepth != n; {
@@ -203,9 +204,10 @@ func TestBatchAdmittedOrRejectedWhole(t *testing.T) {
 }
 
 // TestQueuedBatchCanceledUncomputed checks that a batch whose context
-// expires while it is queued is abandoned by the caller and released
-// by the worker that drains it, without the model ever seeing its
-// statements.
+// expires while it waits for a replica returns without the model ever
+// seeing its statements, and leaves nothing behind: QueueDepth is 0
+// the moment the only waiter has gone (nothing stays queued on a
+// departed caller's behalf, so its admission slot is free at once).
 func TestQueuedBatchCanceledUncomputed(t *testing.T) {
 	m := trainedModels(t)["ccnn"]
 	stmts := testStatements(9)
@@ -226,15 +228,14 @@ func TestQueuedBatchCanceledUncomputed(t *testing.T) {
 	if _, err := p.ProbsBatchCtx(ctx, stmts[1:]); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued batch err = %v, want DeadlineExceeded", err)
 	}
-	if s := p.Stats(); s.Canceled != 1 || s.QueueDepth != 1 {
-		t.Fatalf("Canceled = %d QueueDepth = %d, want 1 and 1", s.Canceled, s.QueueDepth)
+	if s := p.Stats(); s.Canceled != 1 || s.QueueDepth != 0 {
+		t.Fatalf("Canceled = %d QueueDepth = %d, want 1 and 0", s.Canceled, s.QueueDepth)
 	}
 	release()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	// A healthy call behind the abandoned batch proves the worker got
-	// past it.
+	// A healthy call after the expired batch: nothing of it runs now.
 	if _, err := p.ProbsIntoCtx(context.Background(), stmts[0], nil); err != nil {
 		t.Fatal(err)
 	}
@@ -419,9 +420,9 @@ func TestFusedPanicFallback(t *testing.T) {
 }
 
 // TestFusedBatchAllocFree proves the warm batch path is 0 allocs/op
-// at a fixed width: the pooled request's own arrays and the
-// capacity-reusing rows end to end. White-box: enqueue directly so the
-// rows written one round are the next round's buffers.
+// at a fixed width: the replica's own arrays and the capacity-reusing
+// rows end to end. White-box: the one-request function directly, so
+// the rows written one round are the next round's buffers.
 func TestFusedBatchAllocFree(t *testing.T) {
 	m := trainedModels(t)["clstm"]
 	stmts := testStatements(8)
@@ -430,12 +431,11 @@ func TestFusedBatchAllocFree(t *testing.T) {
 	ctx := context.Background()
 	dsts := make([][]float64, len(stmts))
 	round := func() {
-		r, _ := p.enqueue(ctx, probsKind, stmts, dsts)
-		<-r.done
-		copy(dsts, r.dsts)
-		p.release(r)
+		if err := p.serve(ctx, probsKind, stmts, dsts, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for i := 0; i < 4; i++ { // warm request pool, replica scratch, rows
+	for i := 0; i < 4; i++ { // warm the replica's arrays and scratch, and the rows
 		round()
 	}
 	if raceDetectorEnabled {

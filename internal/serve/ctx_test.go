@@ -3,84 +3,241 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
 )
 
-// workerlessPredictor builds a Predictor whose queue no worker drains,
-// so enqueue/await behavior (admission, cancellation while queued) can
-// be tested deterministically. Only the enqueue-side state is set up.
-func workerlessPredictor(opts Options) *Predictor {
-	opts = opts.withDefaults()
-	p := &Predictor{
-		opts:  opts,
-		queue: make(chan *request, opts.QueueSize),
-		start: time.Now(),
-	}
-	p.stats.lat = make([]latRing, 1)
-	p.reqPool.New = newRequest
-	return p
+// parkedPredictor builds a one-replica predictor over a ccnn whose
+// replica is on loan to a call parked inside the model (gateModel), so
+// what every other caller meets — admission, deadlines, Close — is
+// deterministic. seen counts the statements the model was shown (the
+// gate is the first), release lets the holder finish and holder
+// delivers its error.
+func parkedPredictor(t *testing.T, opts Options) (p *Predictor, seen *atomic.Int64, holder <-chan error, release func()) {
+	t.Helper()
+	m := trainedModels(t)["ccnn"]
+	gate := "GATE :: " + testStatements(1)[0]
+	seen, entered, release := gateModel(t, m, gate)
+	opts.Replicas = 1
+	p = NewPredictor(m, opts)
+	t.Cleanup(p.Close)
+	t.Cleanup(release) // runs before Close, which waits for the holder
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.ProbsIntoCtx(context.Background(), gate, nil)
+		done <- err
+	}()
+	<-entered
+	return p, seen, done, release
 }
 
-// TestEnqueueRejectsWhenQueueFull checks the AdmitReject policy
-// deterministically: with a capacity-1 queue and no workers draining,
-// the second request must fail with ErrQueueFull and be counted.
-func TestEnqueueRejectsWhenQueueFull(t *testing.T) {
-	p := workerlessPredictor(Options{Replicas: 1, QueueSize: 1, Admission: AdmitReject})
+// waiter starts a single-statement call that will have to wait for the
+// parked replica and delivers its error.
+func waiter(ctx context.Context, p *Predictor) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.ProbsIntoCtx(ctx, testStatements(1)[0], nil)
+		done <- err
+	}()
+	return done
+}
+
+// result receives a call's error, failing the test instead of hanging
+// it when the call never returns.
+func result(t *testing.T, call <-chan error) error {
+	t.Helper()
+	select {
+	case err := <-call:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("call did not return")
+		return nil
+	}
+}
+
+// TestRejectsAtQueueBound checks the AdmitReject policy: with the
+// replica on loan and QueueSize calls waiting, the next call is refused
+// with ErrQueueFull and counted, and the one that was admitted is
+// served.
+func TestRejectsAtQueueBound(t *testing.T) {
+	p, _, holder, release := parkedPredictor(t, Options{QueueSize: 1, Admission: AdmitReject})
 	ctx := context.Background()
-	if _, err := p.enqueue(ctx, probsKind, []string{"SELECT 1"}, [][]float64{nil}); err != nil {
-		t.Fatalf("first enqueue: %v", err)
+	admitted := waiter(ctx, p)
+	waitQueueDepth(t, p, 1)
+	if _, err := p.ProbsIntoCtx(ctx, "SELECT 2", nil); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("call past the bound: err = %v, want ErrQueueFull", err)
 	}
-	if _, err := p.enqueue(ctx, probsKind, []string{"SELECT 2"}, [][]float64{nil}); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("second enqueue err = %v, want ErrQueueFull", err)
+	if s := p.Stats(); s.Rejected != 1 || s.QueueDepth != 1 {
+		t.Fatalf("Rejected = %d QueueDepth = %d, want 1 and 1", s.Rejected, s.QueueDepth)
 	}
-	if got := p.Stats().Rejected; got != 1 {
-		t.Fatalf("Stats.Rejected = %d, want 1", got)
+	release()
+	if err := result(t, holder); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestEnqueueBlockHonorsDeadline checks the AdmitBlock policy: a full
-// queue plus an expiring context must yield context.DeadlineExceeded
-// rather than blocking forever.
-func TestEnqueueBlockHonorsDeadline(t *testing.T) {
-	p := workerlessPredictor(Options{Replicas: 1, QueueSize: 1, Admission: AdmitBlock})
-	if _, err := p.enqueue(context.Background(), probsKind, []string{"SELECT 1"}, [][]float64{nil}); err != nil {
-		t.Fatalf("first enqueue: %v", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	if _, err := p.enqueue(ctx, probsKind, []string{"SELECT 2"}, [][]float64{nil}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("blocked enqueue err = %v, want DeadlineExceeded", err)
+	if err := result(t, admitted); err != nil {
+		t.Fatalf("admitted waiter: %v", err)
 	}
 }
 
-// TestAwaitDeadlineWhileQueued checks that a request sitting in the
-// queue past its deadline returns context.DeadlineExceeded and is
-// marked abandoned, so a worker draining it later skips it instead of
-// writing into the caller's buffer.
-func TestAwaitDeadlineWhileQueued(t *testing.T) {
-	p := workerlessPredictor(Options{Replicas: 1, QueueSize: 4})
+// TestBlockedCallerHonorsDeadline checks the AdmitBlock policy: a call
+// past the bound waits with the others instead of being refused, and
+// an expiring context gets it context.DeadlineExceeded rather than a
+// wait without end.
+func TestBlockedCallerHonorsDeadline(t *testing.T) {
+	p, _, _, release := parkedPredictor(t, Options{QueueSize: 1, Admission: AdmitBlock})
+	first := waiter(context.Background(), p)
+	waitQueueDepth(t, p, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	r, err := p.enqueue(ctx, probsKind, []string{"SELECT 1"}, [][]float64{nil})
-	if err != nil {
-		t.Fatalf("enqueue: %v", err)
+	if _, err := p.ProbsIntoCtx(ctx, "SELECT 2", nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("blocked call err = %v, want DeadlineExceeded", err)
 	}
-	if err := p.await(ctx, r); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("await err = %v, want DeadlineExceeded", err)
+	if got := p.Stats().Rejected; got != 0 {
+		t.Fatalf("Stats.Rejected = %d under AdmitBlock, want 0", got)
 	}
-	if got := r.state.Load(); got != reqAbandoned {
-		t.Fatalf("request state = %d, want abandoned", got)
+	release()
+	if err := result(t, first); err != nil {
+		t.Fatalf("first waiter: %v", err)
 	}
-	// A worker draining the queue later must lose the ownership CAS.
-	if r.state.CompareAndSwap(reqQueued, reqRunning) {
-		t.Fatal("worker pickup CAS succeeded on an abandoned request")
+}
+
+// TestCanceledWaiterUncomputed checks that a call whose deadline
+// passes while it waits for a replica returns
+// context.DeadlineExceeded and is counted, that the model never sees
+// its statement, and that its dst is never written — it borrowed
+// nothing, so nothing can run on its behalf after it has returned.
+func TestCanceledWaiterUncomputed(t *testing.T) {
+	p, seen, holder, release := parkedPredictor(t, Options{QueueSize: 4})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	dst := []float64{-1, -1, -1, -1, -1, -1, -1, -1}
+	if got, err := p.ProbsIntoCtx(ctx, testStatements(1)[0], dst[:0]); !errors.Is(err, context.DeadlineExceeded) || got != nil {
+		t.Fatalf("expired waiter: probs = %v err = %v, want nil and DeadlineExceeded", got, err)
 	}
-	if got := p.Stats().Canceled; got != 1 {
-		t.Fatalf("Stats.Canceled = %d, want 1", got)
+	if s := p.Stats(); s.Canceled != 1 || s.QueueDepth != 0 {
+		t.Fatalf("Canceled = %d QueueDepth = %d, want 1 and 0", s.Canceled, s.QueueDepth)
+	}
+	release()
+	if err := result(t, holder); err != nil {
+		t.Fatal(err)
+	}
+	// A healthy call afterwards: had anything of the expired one stayed
+	// behind, it would run now.
+	if _, err := p.ProbsIntoCtx(context.Background(), "SELECT 2", nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := seen.Load(); got != 2 {
+		t.Fatalf("model saw %d statements, want 2 (the gate and the healthy call)", got)
+	}
+	for i, v := range dst {
+		if v != -1 {
+			t.Fatalf("dst[%d] = %v: the expired call's buffer was written", i, v)
+		}
+	}
+}
+
+// TestCanceledWaiterFreesSlot is the regression test for a leak the
+// request queue had: an expired waiter's request stayed queued, still
+// holding its admission slot, until a worker reached it, so under
+// AdmitReject the next caller was refused although nobody was waiting.
+// A waiter that gives up frees its place as it returns: the next
+// caller is admitted, waits, and is served.
+func TestCanceledWaiterFreesSlot(t *testing.T) {
+	p, _, holder, release := parkedPredictor(t, Options{QueueSize: 1, Admission: AdmitReject})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	if err := result(t, waiter(ctx, p)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("impatient waiter err = %v, want DeadlineExceeded", err)
+	}
+	next := waiter(context.Background(), p)
+	select {
+	case err := <-next:
+		t.Fatalf("the next caller returned (err = %v) while the replica was on loan, want it admitted and waiting", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	if err := result(t, holder); err != nil {
+		t.Fatal(err)
+	}
+	if err := result(t, next); err != nil {
+		t.Fatalf("the next caller, once a replica was free: %v", err)
+	}
+	if s := p.Stats(); s.Rejected != 0 || s.Canceled != 1 || s.Completed != 2 {
+		t.Fatalf("Rejected = %d Canceled = %d Completed = %d, want 0, 1, 2", s.Rejected, s.Canceled, s.Completed)
+	}
+}
+
+// TestCloseRefusesWaiters checks Close against calls in both states:
+// the call holding the replica finishes normally, the calls waiting
+// for it get ErrClosed without being computed, and Close — each of
+// several concurrent ones — returns only once the holder has put the
+// replica back.
+func TestCloseRefusesWaiters(t *testing.T) {
+	p, seen, holder, release := parkedPredictor(t, Options{})
+	var waiters [3]<-chan error
+	for i := range waiters {
+		waiters[i] = waiter(context.Background(), p)
+	}
+	waitQueueDepth(t, p, len(waiters))
+	closed := make(chan struct{}, 2)
+	for range cap(closed) {
+		go func() {
+			p.Close()
+			closed <- struct{}{}
+		}()
+	}
+	for i, w := range waiters {
+		if err := result(t, w); !errors.Is(err, ErrClosed) {
+			t.Fatalf("waiter %d err = %v, want ErrClosed", i, err)
+		}
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a call still held the replica")
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	if err := result(t, holder); err != nil {
+		t.Fatalf("holder: %v", err)
+	}
+	for range cap(closed) {
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Close did not return after the holder finished")
+		}
+	}
+	if s := p.Stats(); s.Completed != 1 || s.QueueDepth != 0 || seen.Load() != 1 {
+		t.Fatalf("Completed = %d QueueDepth = %d seen = %d, want 1, 0, 1", s.Completed, s.QueueDepth, seen.Load())
+	}
+}
+
+// TestIdlePredictorOwnsNoGoroutine checks that a Predictor runs
+// nothing of its own: the process has no more goroutines after
+// NewPredictor, between calls, and after Close than before. (No more,
+// not as many: a goroutine an earlier test left winding down may exit
+// meanwhile.)
+func TestIdlePredictorOwnsNoGoroutine(t *testing.T) {
+	m := trainedModels(t)["ccnn"]
+	before := runtime.NumGoroutine()
+	p := NewPredictor(m, Options{Replicas: 4})
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("%d goroutines after NewPredictor, %d before", got, before)
+	}
+	if _, err := p.ProbsIntoCtx(context.Background(), "SELECT 1", nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("%d goroutines between calls, %d before", got, before)
+	}
+	p.Close()
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("%d goroutines after Close, %d before", got, before)
 	}
 }
 

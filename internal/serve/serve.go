@@ -8,16 +8,28 @@
 // predict path reuses internal scratch, the allocation-free contract
 // of internal/nn), so a Predictor wraps it with a pool of shared-
 // weight inference replicas (core.Model.Replicate, built on the same
-// nn.ParallelModel.CloneShared mechanism as data-parallel training):
-// requests flow through a bounded queue to persistent worker
-// goroutines, each owning one replica.
+// nn.ParallelModel.CloneShared mechanism as data-parallel training).
+// A replica is borrowed, not mailed to: a call takes an idle replica
+// out of the pool, runs its forward pass on its own goroutine, and
+// puts the replica back. The Predictor owns no goroutine and a request
+// is never handed from one goroutine to another, so a caller and the
+// pool share nothing they would have to arbitrate.
 //
-// The caller's batch is the unit of work. A request carries the 1 to
-// MaxBatch statements of one call and a worker runs them as one
-// forward pass — core routes one statement to the scalar path and two
-// or more to the batched n-row path, so the choice follows the input
-// size. Workers never regroup what callers sent: statements from
-// different calls never share a forward pass.
+// The caller's batch is the unit of work. A request is the 1 to
+// MaxBatch statements of one call, run as one forward pass — core
+// routes one statement to the scalar path and two or more to the
+// batched n-row path, so the choice follows the input size.
+// Statements from different calls never share a forward pass.
+//
+// Waiting. A call that finds every replica on loan waits for one, in
+// arrival order, and while it waits it honors its context, the
+// admission policy and Close. A waiter whose context is canceled or
+// expires leaves at once: the place it held is free for the next
+// caller the moment it returns, and Stats().QueueDepth drops with it.
+// Close lets the calls that hold a replica finish, returns once every
+// replica is home, and answers the calls still waiting with ErrClosed
+// (a layer that swaps predictors retries those on the replacement, as
+// internal/service does).
 //
 // Because replicas share weights and the forward math is identical,
 // pooled predictions are bit-identical to direct sequential Model
@@ -36,47 +48,46 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/workpool"
 )
 
 // ErrClosed is returned by the prediction methods when the Predictor
 // has been closed.
 var ErrClosed = errors.New("serve: predictor closed")
 
-// ErrQueueFull is returned under the AdmitReject admission policy when
-// the request queue is full at enqueue time.
+// ErrQueueFull is returned under the AdmitReject admission policy to a
+// call that finds no idle replica and QueueSize calls already waiting.
 var ErrQueueFull = errors.New("serve: request queue full")
 
 // ErrPanicked is returned (wrapped, with the panic value) for a
 // request whose inference panicked. The panic is confined to that one
-// request: the worker recovers, the pool keeps serving, and a replica
-// that panics PanicLimit times is retired and rebuilt from the model
-// snapshot. Match with errors.Is.
+// request: the call recovers, the replica goes back to the pool, and a
+// replica that panics PanicLimit times is retired and rebuilt from the
+// model snapshot. Match with errors.Is.
 var ErrPanicked = errors.New("serve: model panicked")
 
-// AdmissionPolicy selects what happens when a request arrives and the
-// bounded queue is full.
+// AdmissionPolicy selects what happens to a request that arrives when
+// no replica is idle and QueueSize requests are already waiting.
 type AdmissionPolicy int
 
 const (
-	// AdmitBlock applies backpressure: senders wait for queue space,
-	// still honoring cancellation while they wait.
+	// AdmitBlock applies backpressure: the caller waits with the others,
+	// still honoring cancellation while it waits.
 	AdmitBlock AdmissionPolicy = iota
-	// AdmitReject fails fast: a request arriving at a full queue returns
-	// ErrQueueFull instead of waiting, bounding worst-case latency under
-	// overload (the admission-control mode a deadline-driven front-end
-	// wants).
+	// AdmitReject fails fast: the request returns ErrQueueFull instead of
+	// waiting, bounding worst-case latency under overload (the
+	// admission-control mode a deadline-driven front-end wants).
 	AdmitReject
 )
 
 // Options configures a Predictor.
 type Options struct {
-	// Replicas is the number of worker goroutines, each owning one
-	// shared-weight model replica. <= 0 selects GOMAXPROCS.
+	// Replicas is the number of shared-weight model replicas, hence of
+	// forward passes that can run at once. <= 0 selects GOMAXPROCS.
 	Replicas int
-	// QueueSize bounds the queue, counted in requests: a call of up to
-	// MaxBatch statements takes one slot and is admitted or refused
-	// whole. Senders block (backpressure) when it is full. <= 0 selects
+	// QueueSize bounds the requests waiting for a replica under
+	// AdmitReject: a call of up to MaxBatch statements is one request,
+	// admitted or refused whole. Under AdmitBlock a request past the
+	// bound waits too (backpressure). <= 0 selects
 	// max(4*Replicas, 2*MaxBatch).
 	QueueSize int
 	// MaxBatch is the most statements one request — hence one batched
@@ -84,7 +95,8 @@ type Options struct {
 	// into ceil(n/MaxBatch) requests, in input order, that spread over
 	// the pool. <= 0 selects 32.
 	MaxBatch int
-	// Admission selects the full-queue behavior (default AdmitBlock).
+	// Admission selects what a request past QueueSize meets (default
+	// AdmitBlock).
 	Admission AdmissionPolicy
 	// PanicLimit is how many panics one replica absorbs before it is
 	// retired and rebuilt from the model snapshot (fresh scratch state;
@@ -120,42 +132,18 @@ const (
 	logKind
 )
 
-// Request lifecycle states. A queued request is owned jointly by the
-// caller and the worker pool; the state CAS decides who wins when a
-// cancellation races a worker picking the request up.
-const (
-	reqQueued    uint32 = iota // waiting in the queue
-	reqRunning                 // a worker won the CAS and is computing it
-	reqAbandoned               // the caller won the CAS after cancellation
-)
-
-// request is the 1 to MaxBatch statements of one call, queued as a
-// unit. Requests are pooled: the statement, row and value arrays and
-// the done channel (buffered, capacity 1) are reused, so the warm
-// request path allocates nothing and keeps no pointer into the
-// caller's stack.
-type request struct {
-	kind  reqKind
-	stmts []string
-	dsts  [][]float64 // probsKind: row i's output buffer in, row i out
-	vals  []float64   // logKind: value i out
-	// one is where stmts, dsts and vals start out, so a single-statement
-	// request is one object even when the pool has to make a new one.
-	one struct {
-		stmt [1]string
-		dst  [1][]float64
-		val  [1]float64
-	}
-	// err is the request's failure (ErrPanicked-wrapped) set by the
-	// worker before the done signal; nil on success.
-	err  error
-	enq  time.Time
-	done chan struct{}
-	// state arbitrates caller cancellation vs. worker pickup: exactly
-	// one side transitions it away from reqQueued. An abandoned request
-	// is released back to the pool by the worker that drains it; a
-	// running one by the caller after the done signal.
-	state atomic.Uint32
+// replica is one shared-weight copy of the model and, while it is on
+// loan, the slot of the request running on it: the statement, row and
+// value arrays are the replica's own and are reused, so the warm
+// request path allocates nothing and core never holds a pointer into
+// the caller's stack. Only the call that borrowed it touches it.
+type replica struct {
+	model   *core.Model
+	ring    *latRing // this replica's latency samples
+	strikes int      // panics absorbed since the model was last rebuilt
+	stmts   []string
+	dsts    [][]float64 // probsKind: row i's output buffer in, row i out
+	vals    []float64   // logKind: value i out
 }
 
 // Predictor serves predictions from a pool of shared-weight replicas
@@ -167,96 +155,80 @@ type request struct {
 // first maximum), PredictLogCtx and PredictLogBatchCtx log-space
 // regression values (metrics.InverseLogTransform with Model().LogMin
 // recovers the label's units). A single-statement call is a batch of
-// one. All four honor cancellation and deadlines while a request is
-// queued, apply the configured admission policy, and return ErrClosed
+// one. All four honor cancellation and deadlines while they wait for a
+// replica, apply the configured admission policy, and return ErrClosed
 // after Close; the warm in-deadline single-statement path allocates
-// nothing.
+// nothing. The forward pass runs on the calling goroutine: an idle
+// Predictor owns none.
 //
-// Cancellation granularity: a context is honored up to the moment a
-// worker picks the request up. Once inference has started it runs to
+// Cancellation granularity: a context is honored up to the moment the
+// call has a replica in hand. Once inference has started it runs to
 // completion (a request is at most MaxBatch forward passes' worth of
 // work) and the call returns the result rather than the context error.
 type Predictor struct {
 	model *core.Model
 	opts  Options
 
-	queue    chan *request
-	pool     *workpool.Pool
-	replicas []*core.Model
-	reqPool  sync.Pool
-
-	mu          sync.RWMutex // guards closed against in-flight sends
-	closed      bool
-	workersDone chan struct{}
+	// idle holds every replica that is not on loan. Its capacity is
+	// Replicas, so putting one back never blocks, and its receive queue
+	// is first-in first-out, so waiters are served in arrival order.
+	idle      chan *replica
+	waiting   atomic.Int64  // calls waiting for a replica
+	closing   chan struct{} // closed by Close: refuse arrivals, wake waiters
+	closeOnce sync.Once
 
 	start time.Time
 	stats statsState
 }
 
-// NewPredictor builds and starts a predictor for a trained model. The
-// caller should Close it to release the worker goroutines, and must
-// not mutate the model (e.g. core.FineTune) while the predictor is
-// live — replicas alias its weights.
+// NewPredictor builds a predictor for a trained model. The caller
+// should Close it, and must not mutate the model (e.g. core.FineTune)
+// while the predictor is live — replicas alias its weights.
 func NewPredictor(m *core.Model, opts Options) *Predictor {
 	opts = opts.withDefaults()
 	p := &Predictor{
-		model:       m,
-		opts:        opts,
-		queue:       make(chan *request, opts.QueueSize),
-		replicas:    make([]*core.Model, opts.Replicas),
-		workersDone: make(chan struct{}),
-		start:       time.Now(),
-	}
-	for i := range p.replicas {
-		p.replicas[i] = m.Replicate()
+		model:   m,
+		opts:    opts,
+		idle:    make(chan *replica, opts.Replicas),
+		closing: make(chan struct{}),
+		start:   time.Now(),
 	}
 	p.stats.lat = make([]latRing, opts.Replicas)
-	p.reqPool.New = newRequest
-	p.pool = workpool.New(opts.Replicas)
-	go func() {
-		// Workers park in their request loops until Close; the pool's
-		// broadcast Run doubles as the "all workers exited" barrier.
-		p.pool.Run(p.worker)
-		p.pool.Close()
-		close(p.workersDone)
-	}()
+	for i := range p.stats.lat {
+		p.idle <- &replica{model: m.Replicate(), ring: &p.stats.lat[i]}
+	}
 	return p
-}
-
-// newRequest is the request pool's constructor.
-func newRequest() any {
-	r := &request{done: make(chan struct{}, 1)}
-	r.stmts, r.dsts, r.vals = r.one.stmt[:0], r.one.dst[:0], r.one.val[:0]
-	return r
 }
 
 // Model returns the wrapped model.
 func (p *Predictor) Model() *core.Model { return p.model }
 
-// Close drains in-flight requests, stops the workers, and releases the
-// pool. It is idempotent and safe to call from any number of
-// goroutines racing with in-flight enqueues: requests admitted before
-// Close complete normally, calls arriving after return ErrClosed.
+// Close shuts the predictor: calls that hold a replica finish
+// normally, calls waiting for one and calls arriving later return
+// ErrClosed, and Close returns once every replica is home. It is
+// idempotent and safe to call from any number of goroutines racing
+// with in-flight calls; every concurrent Close returns only then.
 func (p *Predictor) Close() {
-	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		close(p.queue)
-	}
-	p.mu.Unlock()
-	<-p.workersDone
+	p.closeOnce.Do(func() {
+		close(p.closing)
+		for range p.opts.Replicas {
+			<-p.idle
+		}
+	})
 }
 
 // ProbsIntoCtx writes the class distribution for a statement into dst
 // (grown only when capacity is insufficient) and returns the written
 // slice (nil for regression models). It honors ctx cancellation and
-// deadlines while the request is queued, returns ErrQueueFull under
+// deadlines while it waits for a replica, returns ErrQueueFull under
 // the AdmitReject policy, and ErrClosed after Close. With a
 // capacity-sufficient dst the warm in-deadline path performs zero
 // allocations.
 func (p *Predictor) ProbsIntoCtx(ctx context.Context, stmt string, dst []float64) ([]float64, error) {
+	// Straight to serve, not through do: what do hands its goroutines
+	// escapes, and these arrays must stay on the stack.
 	stmts, dsts := [1]string{stmt}, [1][]float64{dst}
-	if err := p.do(ctx, probsKind, stmts[:], dsts[:], nil); err != nil {
+	if err := p.serve(ctx, probsKind, stmts[:], dsts[:], nil); err != nil {
 		return nil, err
 	}
 	return dsts[0], nil
@@ -267,20 +239,20 @@ func (p *Predictor) ProbsIntoCtx(ctx context.Context, stmt string, dst []float64
 // close semantics.
 func (p *Predictor) PredictLogCtx(ctx context.Context, stmt string) (float64, error) {
 	stmts, vals := [1]string{stmt}, [1]float64{}
-	err := p.do(ctx, logKind, stmts[:], nil, vals[:])
+	err := p.serve(ctx, logKind, stmts[:], nil, vals[:])
 	return vals[0], err
 }
 
 // ProbsBatchCtx computes the class distribution for every statement,
-// in input order. Up to MaxBatch statements travel as one request and
-// run as one batched forward pass on one replica; a longer batch is
-// cut into MaxBatch-sized requests that spread over the pool. On error
+// in input order. Up to MaxBatch statements are one request and run as
+// one batched forward pass on one replica; a longer batch is cut into
+// MaxBatch-sized requests that spread over the pool. On error
 // (cancellation, rejection, close, a panicked statement) it returns
-// nil results and the first error; requests already in flight are
-// awaited or abandoned, never leaked.
+// nil results and the first error in input order, after every request
+// it started has put its replica back.
 func (p *Predictor) ProbsBatchCtx(ctx context.Context, stmts []string) ([][]float64, error) {
 	out := make([][]float64, len(stmts))
-	// Every row of the reply is carved from one slab (the worker fills
+	// Every row of the reply is carved from one slab (the model fills
 	// rows in place when they are big enough), each capped at its own
 	// end so an append on one row cannot reach the next.
 	m := p.model.Task.NumClasses()
@@ -305,197 +277,161 @@ func (p *Predictor) PredictLogBatchCtx(ctx context.Context, stmts []string) ([]f
 	return out, nil
 }
 
-// do runs one call end to end: cut stmts into requests of at most
-// MaxBatch statements and enqueue them in input order, then await
-// each, copy its rows (probsKind, into dsts) or values (logKind, into
-// vals) out and release it. It stops enqueueing at the first refusal
-// but still settles every request already in flight, and returns the
-// first error seen.
+// do runs one batch call. Up to MaxBatch statements are one request,
+// served right here. A longer batch is cut into MaxBatch-sized
+// requests, in input order, each served on a goroutine of its own so
+// that they borrow replicas side by side and each meets admission as
+// the separate request it is; the ones that must wait are parked
+// goroutines, as any other waiting call is. do returns when all of
+// them have, with the first error in input order.
 func (p *Predictor) do(ctx context.Context, kind reqKind, stmts []string, dsts [][]float64, vals []float64) error {
-	var one [1]*request // the usual call is one request: keep it off the heap
-	reqs := one[:0]
-	var firstErr error
-	for lo := 0; lo < len(stmts); lo += p.opts.MaxBatch {
-		hi := min(lo+p.opts.MaxBatch, len(stmts))
-		var rows [][]float64
-		if kind == probsKind {
-			rows = dsts[lo:hi]
-		}
-		r, err := p.enqueue(ctx, kind, stmts[lo:hi], rows)
-		if err != nil {
-			firstErr = err
-			break
-		}
-		reqs = append(reqs, r)
+	size := p.opts.MaxBatch
+	if len(stmts) <= size {
+		return p.serve(ctx, kind, stmts, dsts, vals)
 	}
-	for i, r := range reqs {
-		if err := p.await(ctx, r); err != nil {
-			if firstErr == nil {
-				firstErr = err
+	errs := make([]error, (len(stmts)+size-1)/size)
+	var wg sync.WaitGroup
+	for i := range errs {
+		lo, hi := i*size, min((i+1)*size, len(stmts))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if kind == probsKind {
+				errs[i] = p.serve(ctx, kind, stmts[lo:hi], dsts[lo:hi], nil)
+			} else {
+				errs[i] = p.serve(ctx, kind, stmts[lo:hi], nil, vals[lo:hi])
 			}
-			continue // abandoned; the draining worker releases it
-		}
-		if firstErr == nil {
-			firstErr = r.err
-		}
-		if kind == probsKind {
-			copy(dsts[i*p.opts.MaxBatch:], r.dsts)
-		} else {
-			copy(vals[i*p.opts.MaxBatch:], r.vals)
-		}
-		p.release(r)
+		}()
 	}
-	return firstErr
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// enqueue submits one request honoring ctx and the admission policy:
-// it returns ErrClosed after Close, ErrQueueFull when the queue is
-// full under AdmitReject, and ctx.Err() when ctx expires while waiting
-// for queue space under AdmitBlock. The statements and row buffers are
-// copied into the pooled request's own arrays.
-func (p *Predictor) enqueue(ctx context.Context, kind reqKind, stmts []string, dsts [][]float64) (*request, error) {
+// borrow takes a replica out of the pool for one request, waiting for
+// one when all are on loan. It returns ctx.Err() when ctx is done
+// before a replica is in hand, ErrClosed after Close — also to a call
+// that was already waiting — and ErrQueueFull under AdmitReject when
+// QueueSize calls are waiting already. A waiter that gives up is gone
+// from the count, and from the pool's receive queue, as it returns.
+func (p *Predictor) borrow(ctx context.Context) (*replica, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	r := p.reqPool.Get().(*request)
-	r.kind = kind
-	r.stmts = append(r.stmts[:0], stmts...)
-	if kind == probsKind {
-		r.dsts = append(r.dsts[:0], dsts...)
-	} else {
-		r.vals = slices.Grow(r.vals[:0], len(stmts))[:len(stmts)]
-	}
-	r.state.Store(reqQueued)
-	r.enq = time.Now()
-	p.mu.RLock()
-	if p.closed {
-		p.mu.RUnlock()
-		p.release(r)
-		return nil, ErrClosed
-	}
-	// Fast path: queue has room (the common case for both policies).
 	select {
-	case p.queue <- r:
-		p.mu.RUnlock()
+	case <-p.closing:
+		return nil, ErrClosed
+	default:
+	}
+	// Fast path: a replica is idle (the common case for both policies).
+	select {
+	case r := <-p.idle:
 		return r, nil
 	default:
 	}
-	if p.opts.Admission == AdmitReject {
-		p.mu.RUnlock()
-		p.release(r)
+	waiting := p.waiting.Add(1)
+	defer p.waiting.Add(-1)
+	if waiting > int64(p.opts.QueueSize) && p.opts.Admission == AdmitReject {
 		p.stats.rejected.Add(1)
 		return nil, ErrQueueFull
 	}
 	select {
-	case p.queue <- r:
-		p.mu.RUnlock()
+	case r := <-p.idle:
 		return r, nil
+	case <-p.closing:
+		return nil, ErrClosed
 	case <-ctx.Done():
-		p.mu.RUnlock()
-		p.release(r)
+		p.stats.canceled.Add(1)
 		return nil, ctx.Err()
 	}
 }
 
-// await waits for a request to complete, honoring ctx while it is
-// still queued. On cancellation it races the workers for ownership:
-// winning means the request is marked abandoned (the draining worker
-// releases it) and the context error is returned; losing means a
-// worker is already computing the result, which is imminent, so await
-// waits it out and returns nil. After a nil return the caller owns r
-// and must release it.
-func (p *Predictor) await(ctx context.Context, r *request) error {
-	select {
-	case <-r.done:
-		return nil
-	case <-ctx.Done():
-		if r.state.CompareAndSwap(reqQueued, reqAbandoned) {
-			p.stats.canceled.Add(1)
-			return ctx.Err()
-		}
-		// A worker won the pickup race (or already finished — select
-		// picks randomly among ready cases, so the done signal may
-		// already be buffered).
-		<-r.done
-		return nil
-	}
-}
-
-// release returns a request to the pool, dropping its references to
-// the caller's statements and buffers.
-func (p *Predictor) release(r *request) {
-	clear(r.stmts)
-	clear(r.dsts)
-	r.err = nil
-	p.reqPool.Put(r)
-}
-
-// worker is one replica loop: take a request, win the ownership CAS
-// against cancellation before touching it (its rows alias the caller's
-// buffers, and a caller that abandoned it has already returned), run
-// its statements as one forward pass, repeat until the queue closes.
+// serve runs one request — 1 to MaxBatch statements — on a borrowed
+// replica, on the caller's goroutine: copy the statements and row
+// buffers into the replica's own arrays, run them as one forward pass,
+// copy the rows (probsKind, into dsts) or values (logKind, into vals)
+// out, and put the replica back with its references to the caller's
+// statements and buffers cleared.
 //
 // Fault isolation: a forward that panics completes nothing, so the
-// worker re-runs that request's statements one by one and exactly the
-// poisoned ones count in Stats().Panics and as strikes against the
-// replica — at PanicLimit strikes it is retired and rebuilt from the
-// model snapshot. The request fails with a wrapped ErrPanicked; other
+// request's statements are re-run one by one and exactly the poisoned
+// ones count in Stats().Panics and as strikes against the replica — at
+// PanicLimit strikes its model is retired and rebuilt from the
+// snapshot. The request fails with a wrapped ErrPanicked; other
 // requests are untouched.
 //
-// All accounting happens before the done signal: a caller that
-// observed its request finish must find it reflected in Stats.
-func (p *Predictor) worker(w int) {
-	ring := &p.stats.lat[w]
-	strikes := 0
-	for r := range p.queue {
-		if !r.state.CompareAndSwap(reqQueued, reqRunning) {
-			p.release(r)
-			continue
-		}
-		n := len(r.stmts)
-		served, width := n, n
-		if v := forward(p.replicas[w], r, 0, n); v != nil {
-			served, width = 0, 1
-			for i := 0; i < n; i++ {
-				if n > 1 { // a lone statement has just been run alone
-					v = forward(p.replicas[w], r, i, i+1)
-				}
-				if v == nil {
-					served++
-					continue
-				}
-				if r.err == nil {
-					r.err = fmt.Errorf("%w: %v", ErrPanicked, v)
-				}
-				p.stats.panics.Add(1)
-				if strikes++; strikes >= p.opts.PanicLimit {
-					p.replicas[w] = p.model.Replicate()
-					p.stats.rebuilds.Add(1)
-					strikes = 0
-				}
+// All accounting happens before the replica goes back, so the sample
+// ring has one writer at a time, and before the call returns, so a
+// caller finds its finished request reflected in Stats.
+func (p *Predictor) serve(ctx context.Context, kind reqKind, stmts []string, dsts [][]float64, vals []float64) error {
+	start := time.Now()
+	r, err := p.borrow(ctx)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		clear(r.stmts)
+		clear(r.dsts)
+		p.idle <- r
+	}()
+	n := len(stmts)
+	r.stmts = append(r.stmts[:0], stmts...)
+	if kind == probsKind {
+		r.dsts = append(r.dsts[:0], dsts...)
+	} else {
+		r.vals = slices.Grow(r.vals[:0], n)[:n]
+	}
+	served, width := n, n
+	if v := r.forward(kind, 0, n); v != nil {
+		served, width = 0, 1
+		for i := 0; i < n; i++ {
+			if n > 1 { // a lone statement has just been run alone
+				v = r.forward(kind, i, i+1)
+			}
+			if v == nil {
+				served++
+				continue
+			}
+			if err == nil {
+				err = fmt.Errorf("%w: %v", ErrPanicked, v)
+			}
+			p.stats.panics.Add(1)
+			if r.strikes++; r.strikes >= p.opts.PanicLimit {
+				r.model = p.model.Replicate()
+				p.stats.rebuilds.Add(1)
+				r.strikes = 0
 			}
 		}
-		ring.record(time.Since(r.enq))
-		p.stats.completed.Add(uint64(served))
-		p.stats.widthSum.Add(uint64(served * width))
-		r.done <- struct{}{}
 	}
+	if kind == probsKind {
+		copy(dsts, r.dsts)
+	} else {
+		copy(vals, r.vals)
+	}
+	r.ring.record(time.Since(start))
+	p.stats.completed.Add(uint64(served))
+	p.stats.widthSum.Add(uint64(served * width))
+	return err
 }
 
-// forward runs statements lo..hi of r on rep as one model call —
-// core runs one statement on the scalar path and more as a batched
+// forward runs statements lo..hi of the request on r as one model call
+// — core runs one statement on the scalar path and more as a batched
 // n-row forward — and returns the recovered panic value, nil on
 // success. The deferred recover is nil on the success path, so the
 // warm no-fault path stays allocation-free.
-func forward(rep *core.Model, r *request, lo, hi int) (panicked any) {
+func (r *replica) forward(kind reqKind, lo, hi int) (panicked any) {
 	defer func() { panicked = recover() }()
-	switch r.kind {
+	switch kind {
 	case probsKind:
-		if rep.ProbsBatchInto(r.stmts[lo:hi], r.dsts[lo:hi:hi]) == nil {
+		if r.model.ProbsBatchInto(r.stmts[lo:hi], r.dsts[lo:hi:hi]) == nil {
 			clear(r.dsts[lo:hi]) // regression model: no distribution, not the caller's buffer
 		}
 	default:
-		if rep.PredictLogBatchInto(r.stmts[lo:hi], r.vals[lo:hi:hi]) == nil {
+		if r.model.PredictLogBatchInto(r.stmts[lo:hi], r.vals[lo:hi:hi]) == nil {
 			clear(r.vals[lo:hi]) // classification model: no log head, not a stale value
 		}
 	}

@@ -2,34 +2,34 @@ package serve
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// latRingSize is the number of latency samples each worker retains
+// latRingSize is the number of latency samples each replica retains
 // for the percentile estimates (a fixed ring, so recording is O(1)
 // and allocation-free).
 const latRingSize = 1024
 
 // statsState is the predictor's observability state: atomic counters
-// plus one latency sample ring per worker, so hot-path recording
+// plus one latency sample ring per replica, so hot-path recording
 // never contends across replicas.
 type statsState struct {
 	completed atomic.Uint64
 	widthSum  atomic.Uint64 // sum over completed predictions of their forward pass's width
 	rejected  atomic.Uint64 // AdmitReject refusals (ErrQueueFull)
-	canceled  atomic.Uint64 // requests abandoned while queued (ctx expiry)
+	canceled  atomic.Uint64 // requests that gave up waiting for a replica (ctx expiry)
 	panics    atomic.Uint64 // statements whose inference panicked
 	rebuilds  atomic.Uint64 // replicas retired and rebuilt after PanicLimit
 
-	lat []latRing // one per worker
+	lat []latRing // one per replica
 }
 
-// latRing is one worker's latency samples. The mutex is effectively
-// uncontended (only the owning worker records; Stats readers snapshot
-// rarely).
+// latRing is one replica's latency samples. The mutex is effectively
+// uncontended (only the call holding the replica records; Stats
+// readers snapshot rarely).
 type latRing struct {
 	mu  sync.Mutex
 	buf [latRingSize]int64 // nanoseconds
@@ -56,7 +56,7 @@ func (l *latRing) snapshotInto(dst []int64) []int64 {
 }
 
 // percentiles returns the p50 and p99 of the retained latency samples
-// (nearest-rank over the merged per-worker ring snapshots).
+// (nearest-rank over the merged per-replica ring snapshots).
 func (s *statsState) percentiles() (p50, p99 time.Duration) {
 	var samples []int64
 	for w := range s.lat {
@@ -66,7 +66,7 @@ func (s *statsState) percentiles() (p50, p99 time.Duration) {
 	if m == 0 {
 		return 0, 0
 	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	slices.Sort(samples)
 	p50 = time.Duration(samples[(m-1)*50/100])
 	p99 = time.Duration(samples[(m-1)*99/100])
 	return p50, p99
@@ -79,7 +79,7 @@ type Stats struct {
 	Completed uint64
 	// Rejected counts requests refused with ErrQueueFull under the
 	// AdmitReject admission policy; Canceled counts requests whose
-	// context expired while they were still queued.
+	// context expired while they were still waiting for a replica.
 	Rejected uint64
 	Canceled uint64
 	// Panics counts statements whose inference panicked (each fails its
@@ -87,15 +87,16 @@ type Stats struct {
 	// rebuilt from the shared-weight snapshot after PanicLimit strikes.
 	Panics   uint64
 	Rebuilds uint64
-	// QueueDepth is the number of requests currently waiting.
+	// QueueDepth is the number of requests waiting for a replica right
+	// now; one that gives up or is refused is gone from it at once.
 	QueueDepth int
 	// Uptime is the time since NewPredictor; Throughput is
 	// Completed/Uptime in predictions per second.
 	Uptime     time.Duration
 	Throughput float64
-	// P50 and P99 are request latencies (enqueue to completion, one
-	// sample per request whatever its width) over the most recent
-	// samples.
+	// P50 and P99 are request latencies (call entry to completion, the
+	// wait for a replica included; one sample per request whatever its
+	// width) over the most recent samples.
 	P50, P99 time.Duration
 	// EffectiveBatch is the mean, over completed predictions, of how
 	// many statements shared their forward pass: the callers' own batch
@@ -113,7 +114,7 @@ func (p *Predictor) Stats() Stats {
 		Canceled:   p.stats.canceled.Load(),
 		Panics:     p.stats.panics.Load(),
 		Rebuilds:   p.stats.rebuilds.Load(),
-		QueueDepth: len(p.queue),
+		QueueDepth: int(p.waiting.Load()),
 		Uptime:     time.Since(p.start),
 	}
 	if s.Uptime > 0 {

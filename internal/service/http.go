@@ -25,7 +25,7 @@ import (
 // only maps path and method onto the Op, hands it the body, and
 // encodes the reply. Request contexts propagate end to end: a client
 // disconnect or a deadline_ms expiry cancels the prediction while it
-// is queued, and admission-control rejections surface as 429s
+// waits for a replica, and admission-control rejections surface as 429s
 // attributed to the rejecting model's stats. /v1/healthz is the
 // readiness probe: 503 until the store warm-boot finishes (and after
 // Close), 200 once the service is ready to take traffic.

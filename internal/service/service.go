@@ -551,8 +551,8 @@ func predictOn(ctx context.Context, lp *livePool, e *entry, stmt string, dst []f
 }
 
 // predictBatchOn runs one batch against a specific live pool through
-// the serving layer's concurrent batch methods (enqueue all, then
-// await — the whole replica pool works the batch at once).
+// the serving layer's batch methods (a batch longer than MaxBatch
+// borrows several replicas side by side).
 func predictBatchOn(ctx context.Context, lp *livePool, e *entry, stmts []string) ([]Prediction, error) {
 	out := make([]Prediction, len(stmts))
 	if e.task.IsClassification() {
@@ -705,9 +705,9 @@ func (s *Service) Models() []ModelInfo {
 	return infos
 }
 
-// Close tears the registry down: every live pool is drained and
-// closed, and all further operations return ErrClosed. Idempotent and
-// safe under concurrent callers.
+// Close tears the registry down: every live pool is closed (requests
+// running on a replica finish first), and all further operations
+// return ErrClosed. Idempotent and safe under concurrent callers.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {

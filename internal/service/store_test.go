@@ -7,7 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/serve"
@@ -545,37 +547,66 @@ func TestPerModelAdmissionQuota(t *testing.T) {
 	s := New(Options{Serve: serve.Options{Replicas: 1, MaxBatch: 1}})
 	defer s.Close()
 	m := trainCCNN(t, core.ErrorClassification)
+	stmts := testStatements(10)
+	// The hook travels with the snapshots: whichever replica is shown
+	// the gate statement parks in it until the gate opens.
+	gate, entered, opened := "GATE :: "+stmts[0], make(chan struct{}), make(chan struct{})
+	m.SetPredictHook(func(stmt string) {
+		if stmt == gate {
+			close(entered)
+			<-opened
+		}
+	})
+	release := sync.OnceFunc(func() { close(opened) })
+	defer release() // before Close, which waits for the parked call
 	if _, err := s.Swap("quota", m, DeployOptions{Admission: AdmissionReject, QueueSize: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Swap("open", m); err != nil {
 		t.Fatal(err)
 	}
-	stmts := testStatements(10)
 	ctx := context.Background()
 
-	// A batch enqueues far faster than the single replica drains its
-	// 1-deep queue, so the quota model must reject; the open (blocking)
-	// model absorbs the same burst without a single 429.
+	// With the quota model's single replica on loan, a burst of 60
+	// one-statement requests has room for one waiter in its 1-deep
+	// queue, so the quota model must reject — whatever GOMAXPROCS is;
+	// the open (blocking) model absorbs the same burst without a single
+	// 429.
+	holder, refused := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := s.Predict(ctx, "quota", gate)
+		holder <- err
+	}()
+	<-entered
 	burst := make([]string, 60)
 	for i := range burst {
 		burst[i] = stmts[i%len(stmts)]
 	}
-	sawReject := false
-	for try := 0; try < 50 && !sawReject; try++ {
+	go func() {
 		_, err := s.PredictBatch(ctx, "quota", burst)
-		switch {
-		case errors.Is(err, serve.ErrQueueFull):
-			sawReject = true
-		case err != nil:
-			t.Fatalf("unexpected error: %v", err)
+		refused <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		quota, err := s.StatsSnapshot("quota")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := s.PredictBatch(ctx, "open", burst); err != nil {
-			t.Fatalf("open model errored: %v", err)
+		if quota.Stats.Rejected > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("quota model never rejected a 60-request burst into a 1-deep queue behind a busy replica")
 		}
 	}
-	if !sawReject {
-		t.Fatal("quota model never rejected a 60-request burst into a 1-deep queue")
+	release()
+	if err := <-holder; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-refused; !errors.Is(err, serve.ErrQueueFull) {
+		t.Fatalf("burst err = %v, want ErrQueueFull", err)
+	}
+	if _, err := s.PredictBatch(ctx, "open", burst); err != nil {
+		t.Fatalf("open model errored: %v", err)
 	}
 
 	quota, err := s.StatsSnapshot("quota")

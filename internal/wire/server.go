@@ -337,7 +337,8 @@ func opFor(t MsgType) (service.Op, bool) {
 
 // bstr views b as a string without copying. The view is passed to
 // service calls that do not retain the statement past the request
-// (serve clears the string on request release), and the backing job
+// (serve clears the replica's arrays before the replica goes back, on
+// the calling goroutine), and the backing job
 // buffer is not recycled until the reply is written, so the view
 // cannot outlive its bytes.
 func bstr(b []byte) string {

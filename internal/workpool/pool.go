@@ -3,8 +3,7 @@
 // goroutine fan-out (the training engine used to spawn Workers
 // goroutines for every mini-batch) with long-lived workers that are
 // handed jobs over per-worker channels, cutting spawn overhead for
-// tiny models and giving the serving layer a place to park replica
-// loops.
+// tiny models. core.Trainer is its one user.
 package workpool
 
 import "sync"
@@ -15,8 +14,6 @@ import "sync"
 //
 // Run is a broadcast barrier: it hands the job to every worker and
 // waits for all of them — the per-mini-batch fan-out of core.Trainer.
-// Long-lived components (serve.Predictor) instead submit a single Run
-// whose job loops on a request queue until shutdown.
 //
 // Run must not be called concurrently with itself or Close.
 type Pool struct {

@@ -128,29 +128,30 @@ func SplitByUser(items []Item, seed int64) Split {
 }
 
 // Predictor is a concurrent prediction service over a trained Model: a
-// pool of shared-weight inference replicas behind a bounded request
-// queue — a caller's batch travels as one request and runs as one
-// batched forward pass — returning results bit-identical to direct
-// Model calls.
+// pool of shared-weight inference replicas that callers borrow — a
+// caller's batch is one request and runs as one batched forward pass on
+// one replica, on the caller's goroutine — returning results
+// bit-identical to direct Model calls.
 type Predictor = serve.Predictor
 
-// ServeOptions configures NewPredictor (replica count, queue size in
-// requests, the most statements one request carries, admission
-// policy).
+// ServeOptions configures NewPredictor (replica count, how many
+// requests may wait for a replica, the most statements one request
+// carries, admission policy).
 type ServeOptions = serve.Options
 
 // ServeStats is a point-in-time snapshot of a Predictor's service
-// metrics (throughput, p50/p99 latency, queue depth).
+// metrics (throughput, p50/p99 latency, requests waiting).
 type ServeStats = serve.Stats
 
 // NewPredictor wraps a trained model in a concurrent prediction
-// service. Close the predictor to release its workers.
+// service. Close the predictor when done: calls holding a replica
+// finish, later and waiting ones return ErrClosed.
 func NewPredictor(m *Model, opts ServeOptions) *Predictor {
 	return serve.NewPredictor(m, opts)
 }
 
-// AdmissionPolicy selects the full-queue behavior of a Predictor's
-// prediction methods.
+// AdmissionPolicy selects what a Predictor's prediction methods do
+// when no replica is idle and QueueSize requests are already waiting.
 type AdmissionPolicy = serve.AdmissionPolicy
 
 // The admission policies: block (backpressure, the default) or reject
@@ -165,8 +166,8 @@ var (
 	// ErrClosed is returned for predictions against a closed Predictor
 	// or Service.
 	ErrClosed = serve.ErrClosed
-	// ErrQueueFull is returned under AdmitReject when the request queue
-	// is full at enqueue time.
+	// ErrQueueFull is returned under AdmitReject to a request that finds
+	// no idle replica and QueueSize requests already waiting.
 	ErrQueueFull = serve.ErrQueueFull
 	// ErrModelNotFound is returned for Service operations on an
 	// unregistered name.
