@@ -163,3 +163,26 @@ func BenchmarkGemvT(b *testing.B) {
 		})
 	}
 }
+
+func BenchmarkGemvTSeq(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	// The BPTT recurrence dhₜ₋₁ = Whᵀ·dpreₜ on Wh as stored (4h×h), at
+	// core.DefaultConfig's Hidden 32 and TinyConfig's 12. The third leg is
+	// what Backward ran before — GemvN over the transposed copy (plain
+	// Go on either path) — so one run prints the ratio.
+	for _, h := range []int{32, 12} {
+		a, x := randVec(rng, 4*h*h), randVec(rng, 4*h)
+		at := make([]float64, len(a))
+		Transpose(at, a, 4*h, h)
+		dst := make([]float64, h)
+		b.Run(fmt.Sprintf("lstm-bptt/outputs=%d/terms=%d", h, 4*h), func(b *testing.B) {
+			benchPaths(b, func() { GemvTSeq(dst, a, x) })
+			b.Run("gemvn-transposed", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					GemvN(dst, at, x)
+				}
+			})
+		})
+	}
+}

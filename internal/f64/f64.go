@@ -7,19 +7,22 @@
 // written for throughput on modern cores: 4-way unrolled inner loops
 // with independent accumulator lanes (breaking the loop-carried add
 // dependency) and slice re-slicing hints that let the compiler hoist
-// bounds checks. Three loops have a second implementation, run on amd64
+// bounds checks. Four loops have a second implementation, run on amd64
 // CPUs that report AVX2. The 4-term row update shared by GemmSW (hence
 // Gemm and GemmS), GemmTN and GemvT is a hand-written kernel
 // (gemm_amd64.s) holding a 16- or 4-column tile of C in YMM registers
-// across the whole shared dimension. The whole four-element blocks of
+// across the whole shared dimension. GemvTSeq's column sums are a second
+// kernel beside it: a 32-, 16-, 8- or 4-column tile of the output held
+// in YMM registers down all the rows. The whole four-element blocks of
 // TanhV and SigmoidV are two more (vecmath_amd64.s), sharing one
 // exp-rational core, four elements per YMM register. Which
 // implementation runs is read from the CPU once at package init —
 // there is no build tag, option or environment variable — and the Go
 // loops remain the only path on every other GOARCH or CPU, for every
-// GEMM shape narrower than one vector (w < 4 or k < 4), for the
-// n mod 4 tail of a nonlinearity and for any block holding an input
-// outside its branch-free range (see vecmath.go).
+// GEMM shape narrower than one vector (w < 4 or k < 4; GemvTSeq: fewer
+// than four outputs), for the n mod 4 tail of a nonlinearity and for
+// any block holding an input outside its branch-free range (see
+// vecmath.go).
 //
 // # Determinism
 //
@@ -31,19 +34,33 @@
 // kernels process output rows (or shared-dimension terms) in blocks
 // of four: within a block every output element accumulates its terms
 // sequentially in increasing index order, and leftover rows/terms
-// fall back to Dot or Axpy. The AVX2 kernel vectorises across output
+// fall back to Dot or Axpy. The AVX2 row update vectorises across output
 // columns only, so an output element never shares a sum with its
 // neighbours, and issues for each element exactly the Go loop's
 // sequence — t = ((a0·b0 + a1·b1) + a2·b2) + a3·b3, then c = c + t,
 // blocks in increasing index order, the leftover terms after them — as
 // separate multiplies and adds. It never uses a fused multiply-add,
-// which would skip the product's rounding. In every case the order is
-// a pure function of the operand shapes — never of slice capacity,
-// alignment, build flags, or which implementation ran — so results
-// are bit-identical run-to-run, across machines with and without
-// AVX2, and across call sites: direct and pooled inference agree
-// exactly because both route through these kernels. (Only a NaN's
-// payload bits, which nothing reads, may differ between the paths.)
+// which would skip the product's rounding.
+//
+// GemvTSeq's kernel holds GemvN's order the same way. It vectorises
+// across output columns only: each output is one lane of one
+// accumulator, summed down the rows in increasing index with its
+// neighbours merely running beside it. Accumulators start at +0 and the
+// first product is added to that, not stored, so a −0 product yields
+// the +0 that Go's `var s float64; s += p` does. Every row is
+// multiplied whatever x holds (GemvN has no zero-skip: Inf·0 must make
+// its NaN), and multiply and add stay separate instructions. The
+// len(dst) mod 4 outputs past the last whole vector are summed in Go in
+// Dot's lane order — what GemvN does with its leftover rows — so
+// GemvTSeq equals GemvN over the transposed matrix at every shape.
+//
+// In every case the order is a pure function of the operand shapes —
+// never of slice capacity, alignment, build flags, or which
+// implementation ran — so results are bit-identical run-to-run, across
+// machines with and without AVX2, and across call sites: direct and
+// pooled inference agree exactly because both route through these
+// kernels. (Only a NaN's payload bits, which nothing reads, may differ
+// between the paths.)
 //
 // TanhV and SigmoidV have no sums to order: each output is a function
 // of its own input alone. Their AVX2 kernels keep that by issuing, in
@@ -231,6 +248,64 @@ func GemvT(dst, a, x []float64) {
 		dst[i] = 0
 	}
 	GemmSW(dst, len(dst), x, len(x), a, len(dst), 1, len(dst), len(x))
+}
+
+// GemvTSeq computes dst = Aᵀ·x where A is a len(x)×len(dst) row-major
+// matrix, in GemvN's order rather than GemvT's: it is bit for bit
+// GemvN(dst, Aᵀ, x) without the transposed copy. Each of the first
+// len(dst)&^3 outputs is summed strictly sequentially in increasing row
+// index from +0, dst[c] = ((0 + A[0,c]·x[0]) + A[1,c]·x[1]) + …, with no
+// zero-skip; the len(dst) mod 4 leftover outputs use Dot's lane order
+// over their column (lanes by r mod 4), as GemvN's leftover rows do.
+// This is the BPTT recurrence dhₜ₋₁ = Whᵀ·dpreₜ read off Wh as stored.
+func GemvTSeq(dst, a, x []float64) {
+	w, k := len(dst), len(x)
+	if k > 0 {
+		_ = a[(k-1)*w : (k-1)*w+w] // the Go loop's last row: a short a panics on either path
+	}
+	w4 := w &^ 3
+	if useAVX2 && w4 > 0 && k > 0 {
+		colSumsSeq(&dst[0], &a[0], w, &x[0], w4, k)
+	} else {
+		// The same sums taken row by row, four rows a pass, so a is read
+		// contiguously: every dst[c] still receives its products one at
+		// a time in increasing r (Go adds left to right).
+		head := dst[:w4]
+		for c := range head {
+			head[c] = 0
+		}
+		r := 0
+		for ; r <= k-4; r += 4 {
+			x0, x1, x2, x3 := x[r], x[r+1], x[r+2], x[r+3]
+			a0 := a[r*w : r*w+w4][:len(head)] // len(head) == w4, said so the inner loop is check-free
+			a1 := a[(r+1)*w : (r+1)*w+w4][:len(head)]
+			a2 := a[(r+2)*w : (r+2)*w+w4][:len(head)]
+			a3 := a[(r+3)*w : (r+3)*w+w4][:len(head)]
+			for c := range head {
+				head[c] = head[c] + a0[c]*x0 + a1[c]*x1 + a2[c]*x2 + a3[c]*x3
+			}
+		}
+		for ; r < k; r++ {
+			xr, ar := x[r], a[r*w:r*w+w4]
+			for c := range head {
+				head[c] += ar[c] * xr
+			}
+		}
+	}
+	for c := w4; c < w; c++ {
+		var s0, s1, s2, s3, tail float64
+		r := 0
+		for ; r <= k-4; r += 4 {
+			s0 += a[r*w+c] * x[r]
+			s1 += a[(r+1)*w+c] * x[r+1]
+			s2 += a[(r+2)*w+c] * x[r+2]
+			s3 += a[(r+3)*w+c] * x[r+3]
+		}
+		for ; r < k; r++ {
+			tail += a[r*w+c] * x[r]
+		}
+		dst[c] = ((s0 + s1) + (s2 + s3)) + tail
+	}
 }
 
 // Gemm computes C += A·B for row-major C (m×n), A (m×k), B (k×n).

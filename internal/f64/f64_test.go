@@ -361,6 +361,19 @@ func testRandomizedAgainstNaive(t *testing.T) {
 				t.Fatalf("iter %d n=%d: Axpy[%d]", iter, n, i)
 			}
 		}
+		k, w := rng.Intn(40), rng.Intn(70)
+		am, xv := randVec(rng, k*w), randVec(rng, k)
+		dst := randVec(rng, w) // stale contents must be overwritten
+		GemvTSeq(dst, am, xv)
+		for c := range dst {
+			sum := 0.0
+			for r := 0; r < k; r++ {
+				sum += am[r*w+c] * xv[r]
+			}
+			if !close(dst[c], sum) {
+				t.Fatalf("iter %d k=%d w=%d: GemvTSeq[%d] = %v, naive %v", iter, k, w, c, dst[c], sum)
+			}
+		}
 	}
 }
 
@@ -386,6 +399,7 @@ func testKernelsAllocationFree(t *testing.T) {
 		"GemvN":     func() { GemvN(yn, a, x) },
 		"GemvNAdd":  func() { GemvNAdd(yn, a, x) },
 		"GemvT":     func() { GemvT(yt, a[:m*k], yn[:m]) },
+		"GemvTSeq":  func() { GemvTSeq(yt, a[:m*k], yn[:m]) },
 		"Gemm":      func() { Gemm(c, a, b, m, n, k) },
 		"GemmTN":    func() { GemmTN(c, a[:k*m], b, m, n, k) },
 	} {

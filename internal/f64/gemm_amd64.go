@@ -1,9 +1,10 @@
 package f64
 
 // useAVX2 selects the vector kernels: the row update under GemmSW,
-// GemmTN and GemvT, and the block kernels under TanhV and SigmoidV. It
-// is read from the CPU once, here; nothing configures it (the
-// package's tests flip it to run both paths).
+// GemmTN and GemvT, the column sums under GemvTSeq, and the block
+// kernels under TanhV and SigmoidV. It is read from the CPU once, here;
+// nothing configures it (the package's tests flip it to run both
+// paths).
 var useAVX2 = cpuHasAVX2()
 
 func cpuHasAVX2() bool
@@ -32,3 +33,15 @@ func sigmoidBlocks(dst, x *float64, blocks int) int
 
 //go:noescape
 func tanhBlocks(dst, x *float64, blocks int) int
+
+// colSumsSeq is the AVX2 kernel in gemm_amd64.s under GemvTSeq: for
+// c < w (a multiple of 4) and k ≥ 1 rows lda elements apart,
+//
+//	dst[c] = ((0 + a[c]·x[0]) + a[lda+c]·x[1]) + … + a[(k−1)·lda+c]·x[k−1]
+//
+// each column summed on its own, in increasing row order from +0, with
+// separate multiplies and adds. It checks nothing: the caller proves
+// every address in range.
+//
+//go:noescape
+func colSumsSeq(dst, a *float64, lda int, x *float64, w, k int)

@@ -128,3 +128,134 @@ loop4:
 done:
 	VZEROUPPER
 	RET
+
+// COLTERM adds one row's term to one 4-column accumulator: acc = acc +
+// a[r, cols]·x[r], the product rounded before the add as in the Go loop
+// (no fused multiply-add). AX points at row r of the tile, Y15 holds
+// x[r] broadcast; Y14 is the product, renamed per use by the CPU.
+#define COLTERM(off, acc) \
+	VMULPD off(AX), Y15, Y14; \
+	VADDPD Y14, acc, acc
+
+// COLROWS starts a tile's pass over all k rows; COLNEXT steps to the
+// next row and loops. AX walks a (R8 = lda in bytes), BX walks x.
+#define COLROWS \
+	MOVQ SI, AX; \
+	MOVQ DX, BX; \
+	MOVQ R10, R13
+
+#define COLNEXT(loop) \
+	ADDQ R8, AX; \
+	ADDQ $8, BX; \
+	DECQ R13; \
+	JNZ  loop
+
+// func colSumsSeq(dst, a *float64, lda int, x *float64, w, k int)
+//
+// dst[c] = ((0 + a[c]·x[0]) + a[lda+c]·x[1]) + … + a[(k−1)·lda+c]·x[k−1]
+// for c < w (a multiple of 4) and k ≥ 1: column sums of a k-row matrix
+// weighted by x, every column summed on its own in increasing row order
+// from +0 — the columns only run side by side. A tile stays in YMM
+// registers across all k rows and each dst element is stored once:
+// tiles of 32 columns (eight accumulators, so each one's add latency
+// hides behind the other seven), then what is left below 32 as at most
+// one tile each of 16, 8 and 4.
+TEXT ·colSumsSeq(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ lda+16(FP), R8
+	MOVQ x+24(FP), DX
+	MOVQ w+32(FP), CX
+	MOVQ k+40(FP), R10
+	SHLQ $3, R8
+
+tile32:
+	CMPQ CX, $32
+	JLT  tile16
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	COLROWS
+loop32:
+	VBROADCASTSD (BX), Y15
+	COLTERM(0, Y0)
+	COLTERM(32, Y1)
+	COLTERM(64, Y2)
+	COLTERM(96, Y3)
+	COLTERM(128, Y4)
+	COLTERM(160, Y5)
+	COLTERM(192, Y6)
+	COLTERM(224, Y7)
+	COLNEXT(loop32)
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	ADDQ $256, DI
+	ADDQ $256, SI
+	SUBQ $32, CX
+	JMP  tile32
+
+tile16:
+	CMPQ CX, $16
+	JLT  tile8
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	COLROWS
+loop16:
+	VBROADCASTSD (BX), Y15
+	COLTERM(0, Y0)
+	COLTERM(32, Y1)
+	COLTERM(64, Y2)
+	COLTERM(96, Y3)
+	COLNEXT(loop16)
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, SI
+	SUBQ $16, CX
+
+tile8:
+	CMPQ CX, $8
+	JLT  tile4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	COLROWS
+loop8:
+	VBROADCASTSD (BX), Y15
+	COLTERM(0, Y0)
+	COLTERM(32, Y1)
+	COLNEXT(loop8)
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ $64, DI
+	ADDQ $64, SI
+	SUBQ $8, CX
+
+tile4:
+	CMPQ CX, $4
+	JLT  done
+	VXORPD Y0, Y0, Y0
+	COLROWS
+loop4:
+	VBROADCASTSD (BX), Y15
+	COLTERM(0, Y0)
+	COLNEXT(loop4)
+	VMOVUPD Y0, (DI)
+
+done:
+	VZEROUPPER
+	RET

@@ -9,6 +9,10 @@ func rowUpdate4(c, a *float64, astride int, b *float64, ldb, w, kb int) {
 	panic("f64: no vector kernel on this GOARCH")
 }
 
+func colSumsSeq(dst, a *float64, lda int, x *float64, w, k int) {
+	panic("f64: no vector kernel on this GOARCH")
+}
+
 func sigmoidBlocks(dst, x *float64, blocks int) int {
 	panic("f64: no vector kernel on this GOARCH")
 }

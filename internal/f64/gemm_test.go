@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// setAVX2 forces the dispatch under GemmSW/GemmTN/GemvT and under
-// TanhV/SigmoidV and returns the call that restores it. Tests in this package run sequentially,
-// so flipping the package bool is safe.
+// setAVX2 forces the dispatch under GemmSW/GemmTN/GemvT/GemvTSeq and
+// under TanhV/SigmoidV and returns the call that restores it. Tests in
+// this package run sequentially, so flipping the package bool is safe.
 func setAVX2(on bool) (restore func()) {
 	old := useAVX2
 	useAVX2 = on
@@ -89,9 +89,17 @@ func gemvTRef(dst, a, x []float64) {
 	}
 }
 
-// diffGemmKernels runs GemmSW, GemmTN and GemvT at one shape through
-// the dispatching entry points and through the Go references on equal
-// copies of the operands and requires identical bits everywhere —
+// gemvTSeqRef is GemvTSeq's definition taken literally: GemvN over a
+// transposed copy of the k×w matrix.
+func gemvTSeqRef(dst, a, x []float64) {
+	at := make([]float64, len(a))
+	Transpose(at, a, len(x), len(dst))
+	GemvN(dst, at, x)
+}
+
+// diffGemmKernels runs GemmSW, GemmTN, GemvT and GemvTSeq at one shape
+// through the dispatching entry points and through the Go references on
+// equal copies of the operands and requires identical bits everywhere —
 // including the columns past w and the stride slack, which neither
 // side may touch. sc, sa, sb widen ldc, lda, ldb past the minimum.
 func diffGemmKernels(t *testing.T, rng *rand.Rand, m, w, k, sc, sa, sb int) {
@@ -126,15 +134,30 @@ func diffGemmKernels(t *testing.T, rng *rand.Rand, m, w, k, sc, sa, sb int) {
 	GemvT(got[:w], bt[:k*w], x)
 	gemvTRef(want[:w], bt[:k*w], x)
 	sameBits(t, "GemvT", got, want)
+
+	// The column-sum kernel against Transpose+GemvN, and against its own
+	// Go path (which the comparison above reaches only without AVX2).
+	got = append(got[:0], wildVec(rng, w+1)...)
+	want = append(want[:0], got...)
+	goPath := append([]float64(nil), got...)
+	GemvTSeq(got[:w], bt[:k*w], x)
+	gemvTSeqRef(want[:w], bt[:k*w], x)
+	sameBits(t, "GemvTSeq", got, want)
+	func() {
+		defer setAVX2(false)()
+		GemvTSeq(goPath[:w], bt[:k*w], x)
+	}()
+	sameBits(t, "GemvTSeq go path", goPath, want)
 }
 
 // TestGemmKernelsMatchReference is the seeded, tier-1 half of
-// FuzzGemmKernels: every w mod 16 and k mod 4 residue on both sides of
-// the tile sizes, then random shapes up to 140.
+// FuzzGemmKernels: every w mod 32 (the column-sum kernel's widest tile;
+// hence every w mod 16 and w mod 4) and k mod 4 residue on both sides
+// of the tile sizes, then random shapes up to 140.
 func TestGemmKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	for w := 0; w <= 37; w++ {
-		for _, k := range []int{0, 1, 3, 4, 5, 6, 7, 8, 33} {
+	for w := 0; w <= 69; w++ {
+		for _, k := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 33} {
 			diffGemmKernels(t, rng, 1+w%3, w, k, w%3, k%2, (w+k)%5)
 		}
 	}
@@ -190,8 +213,22 @@ func testGemmShortOperandPanics(t *testing.T) {
 		})
 	}
 	mustPanic(t, "GemvT short a", func() { GemvT(ones(w), ones(k*w-1), ones(k)) })
+	// GemvTSeq reads its shape off len(dst) and len(x), so a is the only
+	// operand that can be short of it — whichever path its last element
+	// belongs to (w = 20: the kernel's; w = 23, 3: a leftover column's).
+	// A dst one element short is the next narrower product: it must
+	// leave the element behind it alone.
+	for _, w := range []int{w, w + 3, 3} {
+		mustPanic(t, "GemvTSeq short a", func() { GemvTSeq(ones(w), ones(k*w-1), ones(k)) })
+	}
+	dst := ones(w)
+	GemvTSeq(dst[:w-1], ones(k*w), ones(k))
+	if dst[w-2] != k || dst[w-1] != 1 {
+		t.Errorf("GemvTSeq into dst[:w-1]: last two elements %v, %v; want %d, 1", dst[w-2], dst[w-1], k)
+	}
 	// The full-size calls do not panic.
 	GemmSW(ones(m*w), w, ones(m*k), k, ones(k*w), w, m, w, k)
 	GemmTN(ones(m*w), ones(k*m), ones(k*w), m, w, k)
 	GemvT(ones(w), ones(k*w), ones(k))
+	GemvTSeq(ones(w), ones(k*w), ones(k))
 }

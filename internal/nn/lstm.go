@@ -38,7 +38,8 @@ type LSTMLayer struct {
 	// wxT and whT are Wx and Wh transposed (In×4h and h×4h), so the
 	// input GEMM and the recurrent update run along contiguous length-4h
 	// rows instead of per-gate short dots; see transposed for when they
-	// are rebuilt. Backward reads whT for dhₜ₋₁ = Whᵀ·dpreₜ.
+	// are rebuilt. They are forward-only layouts: Backward reads Wx and
+	// Wh as stored.
 	wxT, whT []float64
 	frozen   bool
 
@@ -80,7 +81,8 @@ func (l *LSTMLayer) CloneShared() *LSTMLayer {
 // matrices on every call, because training moves the weights every
 // optimizer step; a frozen one returns the copies freeze made. Either
 // way the values are f64.Transpose of the current Wx and Wh, so
-// freezing cannot change an activation.
+// freezing cannot change an activation. Only the forward passes call
+// it; nothing in Backward depends on what it left in the layer.
 func (l *LSTMLayer) transposed() (wxT, whT []float64) {
 	if !l.frozen {
 		h := l.H
@@ -209,10 +211,11 @@ func (l *LSTMLayer) Forward(xs [][]float64) ([][]float64, *LSTMCache) {
 // and accumulates parameter gradients.
 //
 // The timestep loop only runs the true recurrence (gate gradients and
-// dhₜ₋₁ = Whᵀ·dpreₜ); every per-step gate gradient is stored, and the
-// parameter gradients (dWx += dpreᵀ·X, dWh += dpre[1:]ᵀ·H[:n-1],
-// db += Σₜ dpreₜ) and input gradients (dX = dpre·Wx) are computed
-// afterwards as sequence-level matrix products.
+// dhₜ₋₁ = Whᵀ·dpreₜ, taken off the untransposed Wh by f64.GemvTSeq);
+// every per-step gate gradient is stored, and the parameter gradients
+// (dWx += dpreᵀ·X, dWh += dpre[1:]ᵀ·H[:n-1], db += Σₜ dpreₜ) and input
+// gradients (dX = dpre·Wx) are computed afterwards as sequence-level
+// matrix products.
 func (l *LSTMLayer) Backward(cache *LSTMCache, dhs [][]float64) [][]float64 {
 	n := cache.n
 	h := l.H
@@ -259,11 +262,11 @@ func (l *LSTMLayer) Backward(cache *LSTMCache, dhs [][]float64) [][]float64 {
 			dpre[2*h+i] = dgf * gf[i] * (1 - gf[i])
 			dpre[3*h+i] = dgo * gout[i] * (1 - gout[i])
 		}
-		// The recurrence proper: dhₜ₋₁ = Whᵀ·dpreₜ, read off the
-		// transposed copy Forward left in the layer (h contiguous
-		// length-4h rows).
+		// The recurrence proper: dhₜ₋₁ = Whᵀ·dpreₜ on Wh as stored (4h×h,
+		// its rows the contiguous columns of whT): h column sums, each
+		// in increasing gate-row order — the bits GemvN gives over whT.
 		if t > 0 {
-			f64.GemvN(dhPrev, l.whT, dpre)
+			f64.GemvTSeq(dhPrev, l.Wh.W, dpre)
 		}
 		dhNext, dhPrev = dhPrev, dhNext
 		// dcNext flows via the forget gate.

@@ -11,10 +11,12 @@
 // has no assembly and no GPU code) but numerically correct — every
 // layer has a finite-difference gradient test — and fast: all dense
 // inner loops route through the unrolled, deterministically-ordered
-// kernels of repro/internal/f64 (whose GEMM row update is an AVX2
-// kernel where the CPU has one, bit-identical to its Go loop), and
-// the LSTM computes its input transform as one sequence-level GEMM
-// hoisted out of the recurrence.
+// kernels of repro/internal/f64 (whose GEMM row update and GemvTSeq
+// column sums are AVX2 kernels where the CPU has them, bit-identical to
+// their Go loops), and the LSTM computes its input transform as one
+// sequence-level GEMM hoisted out of the recurrence. Its backward
+// recurrence dhₜ₋₁ = Whᵀ·dpreₜ reads Wh as stored (f64.GemvTSeq); the
+// transposed weight copies are layouts of the forward passes only.
 //
 // A model is either trainable or frozen. Trainable is how NewCNN,
 // NewLSTM and CloneShared make it: parameters carry gradient
