@@ -160,17 +160,24 @@ type freezer interface{ Freeze() }
 // Neural models are cloned through nn.ParallelModel.CloneShared — the
 // same shared-weight mechanism data-parallel training uses — plus a
 // fresh per-replica encoder and softmax buffer, and the clone is frozen
-// before anything else can use it: no gradient accumulators, and the
-// weight layouts the forward pass multiplies against are derived here,
-// once, instead of on every prediction. Predictions stay bit-identical
-// to m's. Baseline and TF-IDF models predict by reading immutable
-// fitted state only, so Replicate returns the receiver itself.
+// before anything else can use it: no gradient accumulators, and what
+// the forward pass reads is derived from the weights here, once,
+// instead of on every prediction — transposed matrices for an LSTM,
+// and for a CNN whose vocabulary is small enough (every character
+// model; see nn.CNNModel.Freeze) tables of the convolution's partial
+// sums per token, so that a prediction adds table rows where m
+// multiplies. That makes Replicate the expensive call (about 0.3 ms and
+// 0.9 MiB for ccnn at DefaultConfig, a few ms and 12 KiB per
+// vocabulary entry for a tabled wcnn) and every prediction after it
+// the cheap one. Predictions stay bit-identical to m's. Baseline and
+// TF-IDF models predict by reading immutable fitted state only, so
+// Replicate returns the receiver itself.
 //
 // Replicas alias the original weights: mutating them (FineTune) while
 // replicas serve is a data race, and a replica made before its
-// original's weights were mutated keeps layouts of the old weights — it
-// must be discarded, not reused. A replica is inference-only: FineTune
-// refuses it (Snapshot it first).
+// original's weights were mutated keeps layouts and tables of the old
+// weights — it must be discarded, not reused. A replica is
+// inference-only: FineTune refuses it (Snapshot it first).
 func (m *Model) Replicate() *Model {
 	if m.neural.model == nil {
 		return m

@@ -131,6 +131,31 @@ func BenchmarkGemmS(b *testing.B) {
 	})
 }
 
+func BenchmarkWindowSumMax(b *testing.B) {
+	rng := rand.New(rand.NewSource(10))
+	// The widest bank of a frozen, tabled character CNN over one
+	// 96-character statement: 92 windows of 5 tokens, 4 table rows of 32
+	// kernels per token and offset (Embed 16), 76 characters — the same
+	// windows as BenchmarkGemmS above, whose GEMM (then a max-pool scan)
+	// this replaces: 92·5·4 row adds instead of 92·20 4-term blocks. The
+	// Tiny shape (8 kernels, 2 rows) runs the 4-column tile.
+	for _, sh := range []struct {
+		name          string
+		k, rows, span int
+	}{{"conv-table/windows=92/span=5/rows=4/k=32", 32, 4, 5}, {"conv-table/windows=92/span=5/rows=2/k=8", 8, 2, 5}} {
+		const vocab, tokens = 76, 96
+		table, bias := randVec(rng, vocab*sh.span*sh.rows*sh.k), randVec(rng, sh.k)
+		ids := make([]int, tokens)
+		for i := range ids {
+			ids[i] = rng.Intn(vocab)
+		}
+		dst := make([]float64, sh.k)
+		b.Run(sh.name, func(b *testing.B) {
+			benchPaths(b, func() { WindowSumMax(dst, bias, table, ids, sh.k, sh.rows, sh.span, sh.span) })
+		})
+	}
+}
+
 func BenchmarkGemmTN(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	// LSTM weight gradients summed over a statement: dWh += dpreᵀ·H,

@@ -7,22 +7,24 @@
 // written for throughput on modern cores: 4-way unrolled inner loops
 // with independent accumulator lanes (breaking the loop-carried add
 // dependency) and slice re-slicing hints that let the compiler hoist
-// bounds checks. Four loops have a second implementation, run on amd64
+// bounds checks. Five loops have a second implementation, run on amd64
 // CPUs that report AVX2. The 4-term row update shared by GemmSW (hence
 // Gemm and GemmS), GemmTN and GemvT is a hand-written kernel
 // (gemm_amd64.s) holding a 16- or 4-column tile of C in YMM registers
 // across the whole shared dimension. GemvTSeq's column sums are a second
 // kernel beside it: a 32-, 16-, 8- or 4-column tile of the output held
-// in YMM registers down all the rows. The whole four-element blocks of
-// TanhV and SigmoidV are two more (vecmath_amd64.s), sharing one
-// exp-rational core, four elements per YMM register. Which
-// implementation runs is read from the CPU once at package init —
-// there is no build tag, option or environment variable — and the Go
-// loops remain the only path on every other GOARCH or CPU, for every
-// GEMM shape narrower than one vector (w < 4 or k < 4; GemvTSeq: fewer
-// than four outputs), for the n mod 4 tail of a nonlinearity and for
-// any block holding an input outside its branch-free range (see
-// vecmath.go).
+// in YMM registers down all the rows. WindowSumMax's table sums are a
+// third: a 32- or 4-column tile of running window sums and of running
+// maxima, both held in YMM registers down all the windows of a
+// sequence. The whole four-element blocks of TanhV and SigmoidV are two
+// more (vecmath_amd64.s), sharing one exp-rational core, four elements
+// per YMM register. Which implementation runs is read from the CPU once
+// at package init — there is no build tag, option or environment
+// variable — and the Go loops remain the only path on every other
+// GOARCH or CPU, for every GEMM shape narrower than one vector (w < 4
+// or k < 4; GemvTSeq and WindowSumMax: the outputs past the last whole
+// vector), for the n mod 4 tail of a nonlinearity and for any block
+// holding an input outside its branch-free range (see vecmath.go).
 //
 // # Determinism
 //
@@ -53,6 +55,23 @@
 // len(dst) mod 4 outputs past the last whole vector are summed in Go in
 // Dot's lane order — what GemvN does with its leftover rows — so
 // GemvTSeq equals GemvN over the transposed matrix at every shape.
+//
+// WindowSumMax has no multiply to round: its table holds terms a GEMM
+// would have formed (a frozen convolution bank stores each 4-term block
+// sum of its scoring GEMM, computed by that GEMM's own expression) and
+// it adds them as that GEMM would. Its kernel, too, vectorises across
+// columns only. Every window's sum is one lane's chain, started from
+// the bias — not from zero with the bias added last — and extended one
+// table row at a time in increasing (offset, row) order by separate
+// adds: exactly `c = bias; c = c + t` per block. The maximum over
+// windows is VMAXPD with the sum as first source and the running
+// maximum, started at +0, as second: the instruction returns its second
+// source unless the first is strictly greater, so a tie keeps the
+// earlier window, −0 never replaces +0 and a NaN sum is passed over,
+// which is the Go loop's `if s > best { best = s }` bit for bit. A
+// caller that builds such a table by accumulating into it must prefill
+// it with −0, not +0: (−0) + t is t for every t, while (+0) + (−0) is
+// +0.
 //
 // In every case the order is a pure function of the operand shapes —
 // never of slice capacity, alignment, build flags, or which
@@ -448,6 +467,90 @@ func gemmTNGo(c, a, b []float64, m, n, k int) {
 		for ; l < k; l++ {
 			if v := a[l*m+i]; v != 0 {
 				Axpy(v, b[l*n:l*n+n], ci)
+			}
+		}
+	}
+}
+
+// WindowSumMax pools a table of precomputed row sums over the sliding
+// windows of a token sequence — a frozen convolution bank's score and
+// max-over-time in one pass, with no multiply left in it. table is a
+// matrix of k-wide rows, span·rows of them per id: the rows rows of id v
+// at window offset j start at row (v·span + j)·rows. For every window
+// start p ≤ len(ids) − width and every column c < k,
+//
+//	s = bias[c]; s += table[((ids[p+j]·span + j)·rows + b)·k + c]
+//
+// in increasing (j, b) for j < width, b < rows — one add per table row,
+// the chain starting from the bias, not from zero — and then
+//
+//	dst[c] = the first maximum of +0 and the windows' s, by strict >
+//
+// taken in increasing p, so a tie keeps the earlier window, a −0 or
+// negative maximum leaves +0, and a NaN sum neither wins nor poisons a
+// later window. width < span is the one truncated window of a sequence
+// shorter than the span (len(ids) == width then, in the convolution's
+// use); width == 0 pools the bias alone.
+//
+// WindowSumMax panics unless rows ≥ 1, span ≥ 1, 0 ≤ width ≤ span, width
+// ≤ len(ids), dst and bias hold k elements and every id addresses a whole
+// span·rows·k block of table (0 ≤ id < len(table)/(span·rows·k)): all of
+// it is proven here, on either implementation, before a table row is
+// read.
+func WindowSumMax(dst, bias, table []float64, ids []int, k, rows, width, span int) {
+	if k <= 0 {
+		return
+	}
+	if rows < 1 || span < 1 || width < 0 || width > span || width > len(ids) {
+		panic("f64: WindowSumMax: window shape out of range")
+	}
+	_, _ = dst[k-1], bias[k-1]
+	vocab := len(table) / (span * rows * k)
+	for _, id := range ids {
+		if uint(id) >= uint(vocab) {
+			panic("f64: WindowSumMax: id outside the table")
+		}
+	}
+	// The kernel takes the whole-vector columns of a window that reads
+	// at least one id (so ids and table are not empty); the Go loop takes
+	// what is left of the columns.
+	k4 := 0
+	if useAVX2 && width > 0 && k >= 4 {
+		k4 = k &^ 3
+		winSumMax(&dst[0], &bias[0], &table[0], &ids[0], len(ids)-width+1, width, rows, k, k4, span)
+	}
+	windowSumMaxGo(dst, bias, table, ids, k, rows, width, span, k4)
+}
+
+// windowSumMaxGo is WindowSumMax on columns [lo, k) in plain Go: every
+// column where the CPU has no AVX2, the k mod 4 columns past the last
+// whole vector where it has, and the reference the kernel must match bit
+// for bit. It walks the table row by row, as the kernel does, over
+// chunks of up to 32 columns whose running sums live on the stack.
+func windowSumMaxGo(dst, bias, table []float64, ids []int, k, rows, width, span, lo int) {
+	var sums [32]float64
+	positions := len(ids) - width + 1
+	for ; lo < k; lo += len(sums) {
+		n := min(k-lo, len(sums))
+		best, s := dst[lo:lo+n], sums[:n]
+		for c := range best {
+			best[c] = 0
+		}
+		for p := 0; p < positions; p++ {
+			copy(s, bias[lo:lo+n])
+			for j := 0; j < width; j++ {
+				r := (ids[p+j]*span+j)*rows*k + lo
+				for b := 0; b < rows; b++ {
+					for c, t := range table[r : r+n][:len(s)] {
+						s[c] += t
+					}
+					r += k
+				}
+			}
+			for c, v := range s {
+				if v > best[c] {
+					best[c] = v
+				}
 			}
 		}
 	}

@@ -402,6 +402,8 @@ func testKernelsAllocationFree(t *testing.T) {
 		"GemvTSeq":  func() { GemvTSeq(yt, a[:m*k], yn[:m]) },
 		"Gemm":      func() { Gemm(c, a, b, m, n, k) },
 		"GemmTN":    func() { GemmTN(c, a[:k*m], b, m, n, k) },
+		// 24 columns of a 2-id table, 3 rows per offset, windows of 2.
+		"WindowSumMax": func() { WindowSumMax(c[:n], b[:n], b, []int{1, 0, 0, 1}, n, 3, 2, 2) },
 	} {
 		if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
 			t.Fatalf("%s allocates %.0f times per call", name, allocs)

@@ -1,10 +1,10 @@
 package f64
 
 // useAVX2 selects the vector kernels: the row update under GemmSW,
-// GemmTN and GemvT, the column sums under GemvTSeq, and the block
-// kernels under TanhV and SigmoidV. It is read from the CPU once, here;
-// nothing configures it (the package's tests flip it to run both
-// paths).
+// GemmTN and GemvT, the column sums under GemvTSeq, the table sums
+// under WindowSumMax, and the block kernels under TanhV and SigmoidV.
+// It is read from the CPU once, here; nothing configures it (the
+// package's tests flip it to run both paths).
 var useAVX2 = cpuHasAVX2()
 
 func cpuHasAVX2() bool
@@ -45,3 +45,16 @@ func tanhBlocks(dst, x *float64, blocks int) int
 //
 //go:noescape
 func colSumsSeq(dst, a *float64, lda int, x *float64, w, k int)
+
+// winSumMax is the AVX2 kernel in gemm_amd64.s under WindowSumMax: for
+// c < w (a multiple of 4, ≤ k), over positions ≥ 1 window starts p,
+//
+//	s = bias[c]; s += table[((ids[p+j]·span + j)·rows + b)·k + c]
+//
+// in increasing (j, b), j < width, b < rows (both ≥ 1), then dst[c] =
+// the first maximum of +0 and the windows' s by strict >, in increasing
+// p. Separate adds, columns only. It checks nothing: the caller proves
+// every id, and with it every address, in range.
+//
+//go:noescape
+func winSumMax(dst, bias, table *float64, ids *int, positions, width, rows, k, w, span int)

@@ -259,3 +259,143 @@ loop4:
 done:
 	VZEROUPPER
 	RET
+
+// WINTOKEN starts one (window, offset) step of winSumMax: AX = this
+// tile's columns of the first table row of ids[p+j] at offset j, i.e.
+// table + ((ids[p+j]·span + j)·rows·k + tile)·8. R8 points at ids[p],
+// R10 is j, R13 span, R11 rows·k·8, DX table + tile.
+#define WINTOKEN \
+	MOVQ  (R8)(R10*8), AX; \
+	IMULQ R13, AX; \
+	ADDQ  R10, AX; \
+	IMULQ R11, AX; \
+	ADDQ  DX, AX
+
+// func winSumMax(dst, bias, table *float64, ids *int, positions, width, rows, k, w, span int)
+//
+// dst[c] = max over the positions ≥ 1 windows p, by strict > from +0 in
+// increasing p, of bias[c] + Σ table rows of the window: for j < width
+// (≥ 1) and b < rows (≥ 1) in increasing (j, b), row
+// (ids[p+j]·span + j)·rows + b of a table of k-wide rows — for c < w (a
+// multiple of 4, ≤ k). Columns only run side by side: a tile's running
+// sums and its running maxima both stay in YMM registers down all the
+// positions (32 columns: eight of each; then 4: one of each), the sums
+// reloaded from bias per window, one VADDPD per table row — separate adds
+// in the Go loop's order — and one VMAXPD per window whose first source
+// is the sum and second the running maximum: on a tie, on zeros of
+// either sign and on a NaN sum it returns the second, which is the Go
+// loop's `if s > best`. Each dst element is stored once. The twelve
+// general registers below R14 hold the pointers, strides and counters;
+// rows and width (loop bounds) and, per tile, ids and positions are
+// re-read from the frame.
+TEXT ·winSumMax(SB), NOSPLIT, $0-80
+	MOVQ  dst+0(FP), DI
+	MOVQ  bias+8(FP), SI
+	MOVQ  table+16(FP), DX
+	MOVQ  rows+48(FP), R11
+	MOVQ  k+56(FP), R12
+	MOVQ  w+64(FP), CX
+	MOVQ  span+72(FP), R13
+	SHLQ  $3, R12
+	IMULQ R12, R11
+
+tile32:
+	CMPQ   CX, $32
+	JLT    tile4
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+	VXORPD Y12, Y12, Y12
+	VXORPD Y13, Y13, Y13
+	VXORPD Y14, Y14, Y14
+	VXORPD Y15, Y15, Y15
+	MOVQ   ids+24(FP), R8
+	MOVQ   positions+32(FP), R9
+pos32:
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD 64(SI), Y2
+	VMOVUPD 96(SI), Y3
+	VMOVUPD 128(SI), Y4
+	VMOVUPD 160(SI), Y5
+	VMOVUPD 192(SI), Y6
+	VMOVUPD 224(SI), Y7
+	XORQ    R10, R10
+tok32:
+	WINTOKEN
+	MOVQ rows+48(FP), BX
+row32:
+	VADDPD (AX), Y0, Y0
+	VADDPD 32(AX), Y1, Y1
+	VADDPD 64(AX), Y2, Y2
+	VADDPD 96(AX), Y3, Y3
+	VADDPD 128(AX), Y4, Y4
+	VADDPD 160(AX), Y5, Y5
+	VADDPD 192(AX), Y6, Y6
+	VADDPD 224(AX), Y7, Y7
+	ADDQ   R12, AX
+	DECQ   BX
+	JNZ    row32
+	INCQ   R10
+	CMPQ   R10, width+40(FP)
+	JLT    tok32
+	VMAXPD Y8, Y0, Y8
+	VMAXPD Y9, Y1, Y9
+	VMAXPD Y10, Y2, Y10
+	VMAXPD Y11, Y3, Y11
+	VMAXPD Y12, Y4, Y12
+	VMAXPD Y13, Y5, Y13
+	VMAXPD Y14, Y6, Y14
+	VMAXPD Y15, Y7, Y15
+	ADDQ   $8, R8
+	DECQ   R9
+	JNZ    pos32
+	VMOVUPD Y8, (DI)
+	VMOVUPD Y9, 32(DI)
+	VMOVUPD Y10, 64(DI)
+	VMOVUPD Y11, 96(DI)
+	VMOVUPD Y12, 128(DI)
+	VMOVUPD Y13, 160(DI)
+	VMOVUPD Y14, 192(DI)
+	VMOVUPD Y15, 224(DI)
+	ADDQ    $256, DI
+	ADDQ    $256, SI
+	ADDQ    $256, DX
+	SUBQ    $32, CX
+	JMP     tile32
+
+tile4:
+	CMPQ   CX, $4
+	JLT    done
+	VXORPD Y8, Y8, Y8
+	MOVQ   ids+24(FP), R8
+	MOVQ   positions+32(FP), R9
+pos4:
+	VMOVUPD (SI), Y0
+	XORQ    R10, R10
+tok4:
+	WINTOKEN
+	MOVQ rows+48(FP), BX
+row4:
+	VADDPD (AX), Y0, Y0
+	ADDQ   R12, AX
+	DECQ   BX
+	JNZ    row4
+	INCQ   R10
+	CMPQ   R10, width+40(FP)
+	JLT    tok4
+	VMAXPD Y8, Y0, Y8
+	ADDQ   $8, R8
+	DECQ   R9
+	JNZ    pos4
+	VMOVUPD Y8, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	SUBQ    $4, CX
+	JMP     tile4
+
+done:
+	VZEROUPPER
+	RET

@@ -13,6 +13,10 @@ func colSumsSeq(dst, a *float64, lda int, x *float64, w, k int) {
 	panic("f64: no vector kernel on this GOARCH")
 }
 
+func winSumMax(dst, bias, table *float64, ids *int, positions, width, rows, k, w, span int) {
+	panic("f64: no vector kernel on this GOARCH")
+}
+
 func sigmoidBlocks(dst, x *float64, blocks int) int {
 	panic("f64: no vector kernel on this GOARCH")
 }

@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// setAVX2 forces the dispatch under GemmSW/GemmTN/GemvT/GemvTSeq and
-// under TanhV/SigmoidV and returns the call that restores it. Tests in
-// this package run sequentially, so flipping the package bool is safe.
+// setAVX2 forces the dispatch under GemmSW/GemmTN/GemvT/GemvTSeq/
+// WindowSumMax and under TanhV/SigmoidV and returns the call that
+// restores it. Tests in this package run sequentially, so flipping the
+// package bool is safe.
 func setAVX2(on bool) (restore func()) {
 	old := useAVX2
 	useAVX2 = on
@@ -97,11 +98,43 @@ func gemvTSeqRef(dst, a, x []float64) {
 	GemvN(dst, at, x)
 }
 
-// diffGemmKernels runs GemmSW, GemmTN, GemvT and GemvTSeq at one shape
-// through the dispatching entry points and through the Go references on
-// equal copies of the operands and requires identical bits everywhere —
-// including the columns past w and the stride slack, which neither
-// side may touch. sc, sa, sb widen ldc, lda, ldb past the minimum.
+// windowSumMaxRef is WindowSumMax's definition one element at a time:
+// each column on its own, every window's chain from the bias in (j, b)
+// order, the maximum by strict > from +0 in position order.
+func windowSumMaxRef(dst, bias, table []float64, ids []int, k, rows, width, span int) {
+	for c := 0; c < k; c++ {
+		best := 0.0
+		for p := 0; p+width <= len(ids); p++ {
+			s := bias[c]
+			for j := 0; j < width; j++ {
+				for b := 0; b < rows; b++ {
+					s += table[((ids[p+j]*span+j)*rows+b)*k+c]
+				}
+			}
+			if s > best {
+				best = s
+			}
+		}
+		dst[c] = best
+	}
+}
+
+// salt overwrites about one element in sixteen of v with the values
+// wildVec does not draw — NaN and −0 — and with ±Inf, which it draws too
+// rarely for a 40-window maximum to meet them in every column.
+func salt(rng *rand.Rand, v []float64) {
+	special := [...]float64{math.NaN(), math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}
+	for n := len(v) / 16; n > 0; n-- {
+		v[rng.Intn(len(v))] = special[rng.Intn(len(special))]
+	}
+}
+
+// diffGemmKernels runs GemmSW, GemmTN, GemvT, GemvTSeq and WindowSumMax
+// at one shape through the dispatching entry points and through the Go
+// references on equal copies of the operands and requires identical
+// bits everywhere — including the columns past w and the stride slack,
+// which neither side may touch. sc, sa, sb widen ldc, lda, ldb past the
+// minimum.
 func diffGemmKernels(t *testing.T, rng *rand.Rand, m, w, k, sc, sa, sb int) {
 	t.Helper()
 	ldc, lda, ldb := w+sc, k+sa, w+sb
@@ -148,12 +181,42 @@ func diffGemmKernels(t *testing.T, rng *rand.Rand, m, w, k, sc, sa, sb int) {
 		GemvTSeq(goPath[:w], bt[:k*w], x)
 	}()
 	sameBits(t, "GemvTSeq go path", goPath, want)
+
+	// The table kernel on w columns against the per-element loop, and
+	// against its own Go path. The rest of its shape is drawn here: 1…4
+	// rows per offset, a span of 1…5 offsets of which the window takes
+	// 0 (the bias alone) … all (fewer: the truncated window), 1…40
+	// positions, ids from a vocabulary small enough to repeat. Half the
+	// shapes are salted: a NaN sum must never win nor poison a later
+	// maximum, a −0 one never replace +0.
+	rows, span := 1+rng.Intn(4), 1+rng.Intn(5)
+	width, vocab := rng.Intn(span+1), 1+rng.Intn(6)
+	ids := make([]int, width+rng.Intn(40))
+	for i := range ids {
+		ids[i] = rng.Intn(vocab)
+	}
+	table, bias := wildVec(rng, vocab*span*rows*w), wildVec(rng, w)
+	if rng.Intn(2) == 0 {
+		salt(rng, table)
+		salt(rng, bias)
+	}
+	got = append(got[:0], wildVec(rng, w+1)...)
+	want = append(want[:0], got...)
+	goPath = append(goPath[:0], got...)
+	WindowSumMax(got, bias, table, ids, w, rows, width, span)
+	windowSumMaxRef(want, bias, table, ids, w, rows, width, span)
+	sameBits(t, "WindowSumMax", got, want)
+	func() {
+		defer setAVX2(false)()
+		WindowSumMax(goPath, bias, table, ids, w, rows, width, span)
+	}()
+	sameBits(t, "WindowSumMax go path", goPath, want)
 }
 
 // TestGemmKernelsMatchReference is the seeded, tier-1 half of
-// FuzzGemmKernels: every w mod 32 (the column-sum kernel's widest tile;
-// hence every w mod 16 and w mod 4) and k mod 4 residue on both sides
-// of the tile sizes, then random shapes up to 140.
+// FuzzGemmKernels: every w mod 32 (the widest tile of the column-sum
+// and table kernels; hence every w mod 16 and w mod 4) and k mod 4
+// residue on both sides of the tile sizes, then random shapes up to 140.
 func TestGemmKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for w := 0; w <= 69; w++ {
@@ -226,9 +289,36 @@ func testGemmShortOperandPanics(t *testing.T) {
 	if dst[w-2] != k || dst[w-1] != 1 {
 		t.Errorf("GemvTSeq into dst[:w-1]: last two elements %v, %v; want %d, 1", dst[w-2], dst[w-1], k)
 	}
+	// WindowSumMax names its column count, so all three slices can be
+	// short of it; a table one element short no longer holds the last
+	// id's block, which the ids address. An id past the table or below
+	// zero, and a window wider than the span or the sequence, panic too.
+	const rows, span, vocab = 2, 3, 4
+	ids := []int{vocab - 1, 0, vocab - 1, 1, vocab - 1}
+	tab := vocab * span * rows * w
+	for _, short := range []struct {
+		name             string
+		dst, bias, table int
+	}{{"dst", 1, 0, 0}, {"bias", 0, 1, 0}, {"table", 0, 0, 1}} {
+		mustPanic(t, "WindowSumMax short "+short.name, func() {
+			WindowSumMax(ones(w-short.dst), ones(w-short.bias), ones(tab-short.table), ids, w, rows, span, span)
+		})
+	}
+	for _, bad := range []int{vocab, -1} {
+		mustPanic(t, "WindowSumMax id outside the table", func() {
+			WindowSumMax(ones(w), ones(w), ones(tab), []int{0, 1, bad, 2}, w, rows, span, span)
+		})
+	}
+	mustPanic(t, "WindowSumMax width > span", func() { WindowSumMax(ones(w), ones(w), ones(tab), ids, w, rows, span+1, span) })
+	mustPanic(t, "WindowSumMax width > len(ids)", func() { WindowSumMax(ones(w), ones(w), ones(tab), ids[:2], w, rows, span, span) })
 	// The full-size calls do not panic.
 	GemmSW(ones(m*w), w, ones(m*k), k, ones(k*w), w, m, w, k)
 	GemmTN(ones(m*w), ones(k*m), ones(k*w), m, w, k)
 	GemvT(ones(w), ones(k*w), ones(k))
 	GemvTSeq(ones(w), ones(k*w), ones(k))
+	dst = ones(w)
+	WindowSumMax(dst, ones(w), ones(tab), ids, w, rows, span, span)
+	if dst[0] != 1+rows*span || dst[w-1] != 1+rows*span {
+		t.Errorf("WindowSumMax of ones: %v … %v, want %d", dst[0], dst[w-1], 1+rows*span)
+	}
 }

@@ -196,33 +196,101 @@ func BenchmarkLSTMRaggedBatch16(b *testing.B) {
 	})
 }
 
-// BenchmarkCNNForwardSingle times one statement through the word-CNN at
-// its serving shape (core.DefaultConfig: Embed 16, widths 3/4/5, 32
-// kernels) for a short, a typical and a long statement, on the trained
+// frozenCNN returns a frozen replica of m on the layout asked for,
+// whatever Freeze itself would choose for m: its tables, or the
+// transposed banks and the GEMM.
+func frozenCNN(m *CNNModel, tabled bool) *CNNModel {
+	rep := m.CloneShared().(*CNNModel)
+	rep.freeze(tabled)
+	return rep
+}
+
+// BenchmarkCNNForwardSingle times one statement through the CNN at its
+// serving shape (core.DefaultConfig: Embed 16, widths 3/4/5, 32
+// kernels): the word model for a short, a typical and a long statement,
+// and the character model (76 characters) at 137 tokens, the mean
+// statement of the benchmark harness's pool. Three legs: the trained
 // model as it is ("unfrozen": every call re-derives the kernel banks'
-// layouts) and on a Freeze()d replica ("frozen": what a server runs).
-// Both legs must report 0 allocs/op.
+// layouts), a frozen replica kept on the GEMM ("frozen-gemm": what
+// Freeze leaves a model it does not table) and a Freeze()d replica
+// ("frozen": what a server runs — both vocabularies are tabled), so
+// frozen-gemm ÷ frozen is what the tables buy. Every leg must report 0
+// allocs/op.
 func BenchmarkCNNForwardSingle(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
-	m := NewCNN(CNNConfig{Vocab: 500, Embed: 16, Widths: []int{3, 4, 5}, Kernels: 32, Dropout: 0.5, Outputs: 1}, rng)
-	legs := []struct {
-		name  string
-		model Model
-	}{{"unfrozen", m}, {"frozen", frozenClone(m)}}
-	for _, tokens := range []int{8, 20, 40} {
-		ids := make([]int, tokens)
-		for i := range ids {
-			ids[i] = rng.Intn(500)
+	for _, sh := range []struct {
+		name   string
+		vocab  int
+		tokens []int
+	}{{"word", 500, []int{8, 20, 40}}, {"char", 76, []int{137}}} {
+		m := NewCNN(CNNConfig{Vocab: sh.vocab, Embed: 16, Widths: []int{3, 4, 5}, Kernels: 32, Dropout: 0.5, Outputs: 1}, rng)
+		frozen := frozenClone(m).(*CNNModel)
+		if !frozen.tabled {
+			b.Fatalf("%s: Freeze did not table a vocabulary of %d", sh.name, sh.vocab)
 		}
-		for _, leg := range legs {
-			b.Run(fmt.Sprintf("tokens=%d/%s", tokens, leg.name), func(b *testing.B) {
-				b.ReportAllocs()
-				leg.model.Forward(ids, false, nil) // warm the scratch
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					leg.model.Forward(ids, false, nil)
+		legs := []struct {
+			name  string
+			model Model
+		}{{"unfrozen", m}, {"frozen-gemm", frozenCNN(m, false)}, {"frozen", frozen}}
+		for _, tokens := range sh.tokens {
+			ids := make([]int, tokens)
+			for i := range ids {
+				ids[i] = rng.Intn(sh.vocab)
+			}
+			for _, leg := range legs {
+				b.Run(fmt.Sprintf("%s/tokens=%d/%s", sh.name, tokens, leg.name), func(b *testing.B) {
+					b.ReportAllocs()
+					leg.model.Forward(ids, false, nil) // warm the scratch
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						leg.model.Forward(ids, false, nil)
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkCNNTableSweep is the measurement behind cnnTableBudget: the
+// frozen forward pass on the GEMM ("gemm") and on the tables ("table")
+// as the vocabulary, and with it the table (12 288 B per token at this
+// shape), grows past the caches. Each op runs 4 096 distinct 24-token
+// statements once — so nothing is hot but what the id distribution
+// makes hot — with ids drawn uniformly (no hot set: the table's worst
+// case) or Zipf(1.1) like words; ns/stmt is the figure to compare. The
+// GEMM's working set is the embedding rows, 128 B per token, so its leg
+// barely moves; the table's leg is the question.
+func BenchmarkCNNTableSweep(b *testing.B) {
+	const stmts, tokens = 4096, 24
+	for _, vocab := range []int{76, 484, 2000, 8000} {
+		rng := rand.New(rand.NewSource(18))
+		m := NewCNN(CNNConfig{Vocab: vocab, Embed: 16, Widths: []int{3, 4, 5}, Kernels: 32, Dropout: 0.5, Outputs: 1}, rng)
+		legs := []struct {
+			name  string
+			model *CNNModel
+		}{{"gemm", frozenCNN(m, false)}, {"table", frozenCNN(m, true)}}
+		zipf := rand.NewZipf(rng, 1.1, 1, uint64(vocab-1))
+		for _, dist := range []struct {
+			name string
+			draw func() int
+		}{{"uniform", func() int { return rng.Intn(vocab) }}, {"zipf", func() int { return int(zipf.Uint64()) }}} {
+			ids := make([][]int, stmts)
+			for r := range ids {
+				ids[r] = make([]int, tokens)
+				for i := range ids[r] {
+					ids[r][i] = dist.draw()
 				}
-			})
+			}
+			for _, leg := range legs {
+				b.Run(fmt.Sprintf("vocab=%d/%s/%s", vocab, dist.name, leg.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						for _, seq := range ids {
+							leg.model.Forward(seq, false, nil)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*stmts), "ns/stmt")
+				})
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 
 	"repro/internal/f64"
@@ -13,6 +14,11 @@ import (
 //
 // Forward/Backward reuse per-layer scratch buffers; use CloneShared to
 // obtain independent replicas for concurrent workers.
+//
+// A frozen bank keeps exactly one layout derived from its weights: the
+// transposed bank wT, or — on a tabled model, see CNNModel.Freeze — the
+// table built from it, in which case only poolTable may run: Forward
+// and ForwardBatch need the wT a tabled bank gave up, and panic.
 type Conv1D struct {
 	W, B  *Param
 	Width int // window size m
@@ -23,6 +29,9 @@ type Conv1D struct {
 	// GEMM reads; see transposed for when it is rebuilt.
 	wT     []float64
 	frozen bool
+	// table holds, on a tabled bank, every 4-term block sum score's GEMM
+	// could form: V·Width·(In/4) rows of K; see tabulate.
+	table []float64
 
 	cache  ConvCache
 	bcache convBatchCache
@@ -69,6 +78,68 @@ func (c *Conv1D) transposed() []float64 {
 func (c *Conv1D) freeze() {
 	c.transposed()
 	c.frozen = true
+}
+
+// tableLen is the number of table elements the bank would need for a
+// vocabulary of vocab tokens, or ok == false where it cannot have a
+// table: a block of four GEMM terms must lie inside one token's
+// embedding, i.e. In must be a multiple of 4.
+func (c *Conv1D) tableLen(vocab int) (n int, ok bool) {
+	if c.In < 4 || c.In%4 != 0 {
+		return 0, false
+	}
+	return vocab * c.Width * (c.In / 4) * c.K, true
+}
+
+// tabulate replaces the frozen bank's wT by the table poolTable reads:
+// for token v, window offset j < Width and block b < In/4, the K-wide
+// row (v·Width + j)·(In/4) + b holds
+//
+//	((e₀·w₀ + e₁·w₁) + e₂·w₂) + e₃·w₃
+//
+// over components 4b…4b+3 of v's embedding and rows j·In+4b…+3 of wT —
+// the term score's GEMM adds to a window's sum for that block, in that
+// expression, because GemmSW computes it: per (j, b) one product of the
+// tokens' four embedding components with the four rows of wT, into a
+// table prefilled with −0 ((−0) + t is t for every t, a −0 included; +0
+// would turn a −0 term into +0). Eight tokens go at a time, so that the
+// prefill and the Width·In/4 products over it meet in the L1 cache.
+func (c *Conv1D) tabulate(e *Embedding) {
+	rows := c.In / 4
+	n, _ := c.tableLen(e.V)
+	t := make([]float64, n)
+	negZero := math.Copysign(0, -1)
+	perToken := c.Width * rows * c.K
+	const chunk = 8
+	for v := 0; v < e.V; v += chunk {
+		m := min(chunk, e.V-v)
+		blk := t[v*perToken : (v+m)*perToken]
+		for i := range blk {
+			blk[i] = negZero
+		}
+		for j := 0; j < c.Width; j++ {
+			for b := 0; b < rows; b++ {
+				l := j*c.In + 4*b // first of the block's four GEMM terms
+				f64.GemmSW(blk[(j*rows+b)*c.K:], perToken, e.P.W[v*c.In+4*b:], c.In, c.wT[l*c.K:], c.K, m, c.K, 4)
+			}
+		}
+	}
+	c.table, c.wT = t, nil
+}
+
+// poolTable is score and pool on a tabled bank, straight from the token
+// ids (already clamped to the vocabulary): per window the bias, then
+// the table row of every (offset, block) in increasing order — the
+// chain score's GEMM runs, its multiply-adds done once, in tabulate —
+// and the strict-> maximum from +0 over the windows in increasing
+// position, which is pool. A sequence shorter than Width is one window
+// truncated to its length, as in score.
+func (c *Conv1D) poolTable(pooled []float64, ids []int) {
+	width := c.Width
+	if len(ids) < width {
+		width = len(ids)
+	}
+	f64.WindowSumMax(pooled, c.B.W, c.table, ids, c.K, c.In/4, width, c.Width)
 }
 
 // ConvCache stores the forward state needed by Backward, in buffers

@@ -6,33 +6,73 @@ import (
 	"testing"
 )
 
+// frozenCase is one architecture TestFrozenMatchesUnfrozen freezes.
+// tabled says which side of CNNModel.Freeze's one branch its replica
+// must land on, so the test cannot pass through the other unnoticed.
+type frozenCase struct {
+	name   string
+	model  BatchModel
+	tabled bool
+}
+
 // frozenTestModels builds the two served architectures with random
-// weights: the paper's three kernel widths and its three LSTM layers.
-func frozenTestModels() map[string]BatchModel {
-	return map[string]BatchModel{
-		"cnn": NewCNN(CNNConfig{
-			Vocab: 60, Embed: 8, Widths: []int{3, 4, 5}, Kernels: 6,
+// weights — the paper's three kernel widths and its three LSTM layers —
+// and the CNN at every shape that decides how its frozen replica runs:
+// embeddings of one, two and four 4-term blocks per token with kernel
+// counts that are whole 32- and 4-column tiles, both, or leave a
+// column or two to the Go loop (tabled); an embedding no block divides
+// and a vocabulary whose tables exceed cnnTableBudget (not tabled).
+// Biases are non-zero: a window's sum starts from them.
+func frozenTestModels() []frozenCase {
+	cnn := func(vocab, embed, kernels int) *CNNModel {
+		rng := rand.New(rand.NewSource(11))
+		m := NewCNN(CNNConfig{
+			Vocab: vocab, Embed: embed, Widths: []int{3, 4, 5}, Kernels: kernels,
 			Dropout: 0.5, Outputs: 4,
-		}, rand.New(rand.NewSource(11))),
-		"lstm": NewLSTM(LSTMConfig{
+		}, rng)
+		for _, conv := range m.Convs {
+			for k := range conv.B.W {
+				conv.B.W[k] = rng.NormFloat64() / 4
+			}
+		}
+		return m
+	}
+	return []frozenCase{
+		{"cnn", cnn(60, 8, 6), true},
+		{"cnn-embed=4-kernels=8", cnn(76, 4, 8), true},
+		{"cnn-embed=8-kernels=36", cnn(76, 8, 36), true},
+		{"cnn-embed=16-kernels=32", cnn(76, 16, 32), true}, // core.DefaultConfig's ccnn
+		{"cnn-embed=16-kernels=6", cnn(76, 16, 6), true},
+		{"cnn-embed=6", cnn(76, 6, 8), false},
+		{"cnn-over-budget", cnn(700, 16, 32), false}, // 700 × 12 288 B > 8 MiB
+		{"lstm", NewLSTM(LSTMConfig{
 			Vocab: 60, Embed: 8, Hidden: 12, Layers: 3, Outputs: 1,
-		}, rand.New(rand.NewSource(12))),
+		}, rand.New(rand.NewSource(12))), false},
 	}
 }
 
 // frozenTestIDs is a ragged batch of 16 that opens with the edge
-// lengths: empty, one token, shorter than the narrowest window.
+// lengths — empty, one token, every length around the three window
+// widths — and ends with the longest statement a character model sees.
+// Ids −1 and 76 lie outside every test vocabulary and must read as
+// token 0.
 func frozenTestIDs() [][]int {
 	rng := rand.New(rand.NewSource(13))
-	ids := [][]int{{}, {7}, {3, 59}}
-	for len(ids) < 16 {
-		seq := make([]int, 3+rng.Intn(30))
-		for i := range seq {
-			seq[i] = rng.Intn(60)
+	seq := func(n int) []int {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = rng.Intn(60)
 		}
-		ids = append(ids, seq)
+		return ids
 	}
-	return ids
+	ids := [][]int{{}, {7}, {3, 59}, {-1, 4, 76}, seq(4), seq(5)}
+	for len(ids) < 15 {
+		s := seq(3 + rng.Intn(30))
+		s[rng.Intn(len(s))] = 76 * rng.Intn(2) // 0 or out of range
+		s[rng.Intn(len(s))] = -1
+		ids = append(ids, s)
+	}
+	return append(ids, seq(160))
 }
 
 // frozenClone returns a frozen CloneShared replica of m.
@@ -42,13 +82,18 @@ func frozenClone(m BatchModel) BatchModel {
 	return rep.(BatchModel)
 }
 
-// keptLayouts returns the transposed weight copies of every layer of m.
+// keptLayouts returns the layout every layer of a frozen m derived from
+// its weights: the transposed copies, or a tabled bank's table.
 func keptLayouts(m Model) [][]float64 {
 	var kept [][]float64
 	switch m := m.(type) {
 	case *CNNModel:
 		for _, c := range m.Convs {
-			kept = append(kept, c.wT)
+			if m.tabled {
+				kept = append(kept, c.table)
+			} else {
+				kept = append(kept, c.wT)
+			}
 		}
 	case *LSTMModel:
 		for _, l := range m.Layers {
@@ -87,12 +132,27 @@ func mustPanic(t *testing.T, name string, fn func()) {
 // a CloneShared of it is an ordinary trainable replica again.
 func TestFrozenMatchesUnfrozen(t *testing.T) {
 	ids := frozenTestIDs()
-	for name, m := range frozenTestModels() {
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range frozenTestModels() {
+		m := tc.model
+		t.Run(tc.name, func(t *testing.T) {
 			fz := frozenClone(m)
 			for _, p := range fz.Params() {
 				if p.G != nil {
 					t.Fatalf("param %s keeps a gradient accumulator after Freeze", p.Name)
+				}
+			}
+			if cnn, ok := fz.(*CNNModel); ok {
+				if cnn.tabled != tc.tabled {
+					t.Fatalf("frozen replica tabled = %v, want %v", cnn.tabled, tc.tabled)
+				}
+				for i, conv := range cnn.Convs {
+					if (conv.table != nil) != tc.tabled || (conv.wT != nil) == tc.tabled {
+						t.Fatalf("bank %d keeps table %v and wT %v: want exactly one, the table %v",
+							i, conv.table != nil, conv.wT != nil, tc.tabled)
+					}
+				}
+				if bytes, _ := cnn.tableBytes(); tc.tabled && bytes > cnnTableBudget {
+					t.Fatalf("tables take %d bytes, budget %d", bytes, cnnTableBudget)
 				}
 			}
 			for round := 0; round < 2; round++ {
@@ -135,7 +195,11 @@ func TestFrozenMatchesUnfrozen(t *testing.T) {
 			dout[0] = 1
 			mustPanic(t, "Backward on a frozen replica", func() { fz.Backward(ids[5], cache, dout) })
 
-			// CloneShared of a frozen replica trains like any other replica.
+			// CloneShared of a frozen replica trains like any other replica,
+			// and has no table of its own.
+			if cnn, ok := fz.(ParallelModel).CloneShared().(*CNNModel); ok && (cnn.tabled || cnn.Convs[0].table != nil) {
+				t.Fatal("clone of a frozen replica is tabled")
+			}
 			grads := func(rep Model) [][]float64 {
 				out, cache := rep.Forward(ids[5], true, rand.New(rand.NewSource(14)))
 				if len(out) != len(dout) {
@@ -163,6 +227,43 @@ func TestFrozenMatchesUnfrozen(t *testing.T) {
 				t.Fatal("clone of a frozen replica accumulated no gradient")
 			}
 		})
+	}
+}
+
+// TestTabulateStoresBlockSums pins what a tabled bank keeps: entry
+// (v, j, b, k) is the 4-term block sum of score's GEMM written out in
+// Go — components 4b…4b+3 of v's embedding against kernel k's weights
+// at offset j — bit for bit, the sign of a zero included: two tokens
+// embed to all +0 and all −0, so that entries of either sign occur (the
+// table is accumulated into; a +0 prefill would lose every −0).
+func TestTabulateStoresBlockSums(t *testing.T) {
+	m := NewCNN(CNNConfig{Vocab: 12, Embed: 8, Widths: []int{3, 4, 5}, Kernels: 6, Outputs: 2}, rand.New(rand.NewSource(19)))
+	d := m.Emb.D
+	for i := 0; i < d; i++ {
+		m.Emb.P.W[1*d+i] = 0
+		m.Emb.P.W[2*d+i] = math.Copysign(0, -1)
+	}
+	negZeros := 0
+	for _, c := range frozenCNN(m, true).Convs {
+		rows, wlen := c.In/4, c.Width*c.In
+		if len(c.table) != m.Emb.V*c.Width*rows*c.K {
+			t.Fatalf("width %d: table of %d entries", c.Width, len(c.table))
+		}
+		for i, got := range c.table {
+			k, b, j, v := i%c.K, i/c.K%rows, i/c.K/rows%c.Width, i/c.K/rows/c.Width
+			e := m.Emb.P.W[v*d+4*b:]
+			w := c.W.W[k*wlen+j*c.In+4*b:]
+			want := e[0]*w[0] + e[1]*w[1] + e[2]*w[2] + e[3]*w[3]
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("width %d token %d offset %d block %d kernel %d: table holds %v, block sum %v", c.Width, v, j, b, k, got, want)
+			}
+			if got == 0 && math.Signbit(got) {
+				negZeros++
+			}
+		}
+	}
+	if negZeros == 0 {
+		t.Fatal("no −0 entry occurred: the case the prefill exists for went untested")
 	}
 }
 

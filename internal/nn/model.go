@@ -57,9 +57,22 @@ type CNNModel struct {
 	FC    *Dense
 
 	frozen bool // see Freeze
+	tabled bool // frozen, and every bank holds a table instead of wT
 	cache  cnnCache
 	bcache cnnBatchCache
 }
+
+// cnnTableBudget is the most table memory, in bytes, a frozen CNN
+// replica takes: Freeze tables a model whose banks' tables together
+// fit, and no other. A table entry per (token, offset, block, kernel)
+// is 12 288 B per vocabulary entry at core.DefaultConfig's shape, so
+// the budget admits vocabularies up to 682 there — every character
+// model, a word model over a few hundred distinct tokens — and never a
+// paper-scale word vocabulary (20 000 tokens: 245 MB). Past a few
+// thousand tokens a table that has left the cache is no faster than the
+// GEMM it replaces; BenchmarkCNNTableSweep is the measurement this
+// constant rests on.
+const cnnTableBudget = 8 << 20
 
 // NewCNN builds a CNN model.
 func NewCNN(cfg CNNConfig, rng *rand.Rand) *CNNModel {
@@ -81,6 +94,7 @@ type cnnCache struct {
 	pooled []float64 // concatenated, pre-dropout
 	masked []float64 // post-dropout (input to FC)
 	mask   []float64
+	ids    []int // a tabled forward's token ids, clamped to the vocabulary
 
 	// Backward scratch.
 	dxsFlat []float64
@@ -115,36 +129,93 @@ func (m *CNNModel) CloneShared() Model {
 
 // Freeze makes m an inference replica for good: it drops every
 // parameter's gradient accumulator (which would otherwise double the
-// replica's parameter memory) and transposes each kernel bank once, so
-// Forward and ForwardBatch stop re-deriving that layout on every call
-// and read the kept copy instead — the same f64.Transpose of the same
-// weights, hence bit-identical outputs. It is meant for the replica
-// CloneShared just returned, before anything else can use it.
+// replica's parameter memory) and derives, once, the layout each kernel
+// bank's forward pass reads, so Forward and ForwardBatch stop deriving
+// it on every call. It is meant for the replica CloneShared just
+// returned, before anything else can use it.
+//
+// Which layout is read off the model. Every operand of the banks' GEMM
+// is now a constant — a token's embedding row, a bank's kernels — so
+// where every bank can have one (Embed a multiple of 4, see
+// Conv1D.tableLen) and the tables together fit cnnTableBudget, each
+// bank keeps a table of the 4-term block sums that GEMM would form
+// (Conv1D.tabulate), and a forward pass sums table rows by token id and
+// max-pools them in one kernel (Conv1D.poolTable): no embedding copies,
+// no packed input, no score matrix, no multiply. Otherwise each bank
+// keeps its kernels transposed (the f64.Transpose an unfrozen forward
+// redoes per call) and runs the same embed → score → pool path as an
+// unfrozen model. All banks or none, one layout per bank, and the
+// outputs are bit-identical to the unfrozen model's either way: a table
+// entry is the GEMM's own term, added in the GEMM's own order.
 //
 // The price is that the weights must not change afterwards: the kept
 // layouts would go stale, so a replica frozen before its weights were
 // mutated must be discarded. Backward on a frozen model panics.
 func (m *CNNModel) Freeze() {
+	bytes, ok := m.tableBytes()
+	m.freeze(ok && bytes <= cnnTableBudget)
+}
+
+// freeze is Freeze with the choice of layout made by the caller (the
+// package's benchmarks measure both on one model).
+func (m *CNNModel) freeze(tabled bool) {
 	dropGrads(m.Params())
 	for _, conv := range m.Convs {
 		conv.freeze()
+		if tabled {
+			conv.tabulate(m.Emb)
+		}
 	}
-	m.frozen = true
+	m.frozen, m.tabled = true, tabled
+}
+
+// tableBytes is the memory the banks' tables would take together; ok
+// is false if some bank cannot have one.
+func (m *CNNModel) tableBytes() (bytes int, ok bool) {
+	for _, conv := range m.Convs {
+		n, ok := conv.tableLen(m.Emb.V)
+		if !ok {
+			return 0, false
+		}
+		bytes += 8 * n
+	}
+	return bytes, true
+}
+
+// poolTabled writes the concatenated bank outputs of one statement into
+// pooled on a tabled model. Ids outside the vocabulary become token 0
+// first, once for all banks, exactly as Embedding.Forward clamps them.
+func (m *CNNModel) poolTabled(pooled []float64, ids []int) {
+	clamped := growI(&m.cache.ids, len(ids))
+	for i, id := range ids {
+		if id < 0 || id >= m.Emb.V {
+			id = 0
+		}
+		clamped[i] = id
+	}
+	k := m.cfg.Kernels
+	for ci, conv := range m.Convs {
+		conv.poolTable(pooled[ci*k:(ci+1)*k], clamped)
+	}
 }
 
 // Forward implements Model.
 func (m *CNNModel) Forward(ids []int, train bool, rng *rand.Rand) ([]float64, any) {
-	xs := m.Emb.Forward(ids)
 	cache := &m.cache
-	cache.xs = xs
-	cache.convs = cache.convs[:0]
-	pooled := growF(&cache.pooled, m.cfg.Kernels*len(m.Convs))[:0]
-	for _, conv := range m.Convs {
-		p, cc := conv.Forward(xs)
-		cache.convs = append(cache.convs, cc)
-		pooled = append(pooled, p...)
+	k := m.cfg.Kernels
+	pooled := growF(&cache.pooled, k*len(m.Convs))
+	if m.tabled {
+		m.poolTabled(pooled, ids)
+	} else {
+		xs := m.Emb.Forward(ids)
+		cache.xs = xs
+		cache.convs = cache.convs[:0]
+		for ci, conv := range m.Convs {
+			p, cc := conv.Forward(xs)
+			cache.convs = append(cache.convs, cc)
+			copy(pooled[ci*k:(ci+1)*k], p)
+		}
 	}
-	cache.pooled = pooled
 	masked, mask := m.Drop.Forward(pooled, train, rng)
 	cache.masked, cache.mask = masked, mask
 	return m.FC.Forward(masked), cache
@@ -154,8 +225,10 @@ func (m *CNNModel) Forward(ids []int, train bool, rng *rand.Rand) ([]float64, an
 // are packed back to back into one buffer, each kernel bank scores and
 // pools the whole batch in one call (writing its slice of each row of
 // the concatenated pooled matrix), and the output layer maps the n×F
-// pooled matrix to n×Outputs. Dropout is identity at inference, so the
-// per-row compute chain matches Forward exactly.
+// pooled matrix to n×Outputs. A tabled model (see Freeze) fills each
+// row of the pooled matrix from its tables, as Forward does, and packs
+// nothing. Dropout is identity at inference, so the per-row compute
+// chain matches Forward exactly.
 func (m *CNNModel) ForwardBatch(ids [][]int) ([]float64, int) {
 	n := len(ids)
 	outDim := m.cfg.Outputs
@@ -169,27 +242,33 @@ func (m *CNNModel) ForwardBatch(ids [][]int) ([]float64, int) {
 		copy(out, y)
 		return out, outDim
 	}
-	d := m.cfg.Embed
-	offs := growI(&bc.offs, n)
-	lens := growI(&bc.lens, n)
-	total := 0
-	for r, seq := range ids {
-		offs[r] = total * d
-		lens[r] = len(seq)
-		total += len(seq)
-	}
-	xb := growF(&bc.xb, total*d)
-	pos := 0
-	for _, seq := range ids {
-		for _, id := range seq {
-			copy(xb[pos:pos+d], m.Emb.Lookup(id))
-			pos += d
-		}
-	}
 	stride := m.cfg.Kernels * len(m.Convs)
 	pooled := growF(&bc.pooled, n*stride)
-	for ci, conv := range m.Convs {
-		conv.ForwardBatch(xb, offs, lens, pooled, stride, ci*m.cfg.Kernels)
+	if m.tabled {
+		for r, seq := range ids {
+			m.poolTabled(pooled[r*stride:(r+1)*stride], seq)
+		}
+	} else {
+		d := m.cfg.Embed
+		offs := growI(&bc.offs, n)
+		lens := growI(&bc.lens, n)
+		total := 0
+		for r, seq := range ids {
+			offs[r] = total * d
+			lens[r] = len(seq)
+			total += len(seq)
+		}
+		xb := growF(&bc.xb, total*d)
+		pos := 0
+		for _, seq := range ids {
+			for _, id := range seq {
+				copy(xb[pos:pos+d], m.Emb.Lookup(id))
+				pos += d
+			}
+		}
+		for ci, conv := range m.Convs {
+			conv.ForwardBatch(xb, offs, lens, pooled, stride, ci*m.cfg.Kernels)
+		}
 	}
 	m.FC.ForwardBatch(out, pooled, n)
 	return out, outDim
@@ -305,10 +384,10 @@ func (m *LSTMModel) CloneShared() Model {
 	return c
 }
 
-// Freeze makes m an inference replica for good, exactly as
-// CNNModel.Freeze does: gradient accumulators dropped, every layer's Wx
-// and Wh transposed once and kept, outputs bit-identical, weights not
-// to be changed afterwards, Backward panics.
+// Freeze makes m an inference replica for good, under CNNModel.Freeze's
+// contract: gradient accumulators dropped, every layer's Wx and Wh
+// transposed once and kept, outputs bit-identical, weights not to be
+// changed afterwards, Backward panics.
 func (m *LSTMModel) Freeze() {
 	dropGrads(m.Params())
 	for _, l := range m.Layers {

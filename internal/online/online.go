@@ -348,11 +348,13 @@ func (p *Pipeline) processWindow(name string, st *state, window []ingest.Record,
 	// Rollback watch: the previous window swapped Watch in over Prev.
 	// Re-score both on this window's holdout — traffic neither has
 	// trained on — and undo the swap if it regressed in production.
+	// Like the canary below, each is scored on a private frozen replica,
+	// never on the registry's shared snapshot.
 	if st.Watch != 0 && st.Watch == liveV && st.Prev != 0 {
 		prevM, err := svc.VersionModel(name, st.Prev)
 		if err == nil {
-			liveScore := score(task, liveM, holdItems)
-			prevScore := score(task, prevM, holdItems)
+			liveScore := score(task, liveM.Replicate(), holdItems)
+			prevScore := score(task, prevM.Replicate(), holdItems)
 			margin := p.opts.Margin
 			if margin < 0 {
 				margin = 0

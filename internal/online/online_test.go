@@ -2,6 +2,7 @@ package online
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -217,6 +218,24 @@ func TestPostSwapRollback(t *testing.T) {
 	}
 	if svc.Models()[0].LiveVersion != 1 {
 		t.Fatalf("live version after rollback = %+v", svc.Models()[0])
+	}
+
+	// The watch scores private frozen replicas. That must be the decision
+	// the registry's own snapshots give when scored directly, to the
+	// digit: same two scores on the window's held-out tail.
+	var hold []workload.Item
+	for _, stmt := range testStatements(8)[6:] { // Holdout 0.25 of Window 8
+		hold = append(hold, workload.Item{Statement: stmt, ErrorClass: simdb.ErrorClass(oracle.PredictClass(stmt))})
+	}
+	v1, err1 := svc.VersionModel("m", 1)
+	v2, err2 := svc.VersionModel("m", 2)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	want := fmt.Sprintf("rolled back v2 → v1 (live %.4f vs prev %.4f on %d held out)",
+		score(v2.Task, v2, hold), score(v1.Task, v1, hold), len(hold))
+	if st.LastDecision != want {
+		t.Fatalf("decision = %q, scoring the snapshots directly gives %q", st.LastDecision, want)
 	}
 }
 
