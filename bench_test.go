@@ -1,15 +1,14 @@
 package repro
 
-// Benchmark harness: one testing.B benchmark per table and figure of
-// the paper's evaluation, plus ablation benches for the design choices
-// called out in DESIGN.md. Each benchmark regenerates its table/figure
-// on the shared small-scale environment and reports a headline metric
-// via b.ReportMetric, so `go test -bench=.` reproduces the full
-// evaluation end to end. Run cmd/experiments for the default-scale
-// numbers recorded in EXPERIMENTS.md.
+// One testing.B benchmark per table and figure of the paper's
+// evaluation, plus ablation benches for its design choices. Each
+// regenerates its table/figure on the shared small-scale environment
+// and reports a headline metric via b.ReportMetric, so `go test
+// -bench=.` reproduces the evaluation end to end; cmd/experiments
+// prints the default-scale numbers. Serving and training speed are not
+// measured here: `go run ./bench` is the one source of those numbers.
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -18,6 +17,8 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/simdb"
+	"repro/internal/sqlparse"
+	"repro/internal/workload"
 )
 
 var (
@@ -206,9 +207,9 @@ func BenchmarkFigure20Repetition(b *testing.B) {
 	}
 }
 
-// Ablation benches (DESIGN.md Section 6).
+// Ablation benches.
 
-func ablationSplit(b *testing.B) Split {
+func ablationSplit(b *testing.B) workload.Split {
 	b.Helper()
 	env := getBenchEnv(b)
 	return env.SDSSSplit
@@ -223,16 +224,16 @@ func BenchmarkAblationCharVsWord(b *testing.B) {
 	cfg := env.Scale.Cfg
 	var charLoss, wordLoss float64
 	for i := 0; i < b.N; i++ {
-		cm, err := core.Train("ccnn", CPUTimePrediction, split.Train, cfg)
+		cm, err := core.Train("ccnn", core.CPUTimePrediction, split.Train, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		wm, err := core.Train("wcnn", CPUTimePrediction, split.Train, cfg)
+		wm, err := core.Train("wcnn", core.CPUTimePrediction, split.Train, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		charLoss = core.EvaluateRegressor(cm, CPUTimePrediction, split.Test).Loss
-		wordLoss = core.EvaluateRegressor(wm, CPUTimePrediction, split.Test).Loss
+		charLoss = core.EvaluateRegressor(cm, core.CPUTimePrediction, split.Test).Loss
+		wordLoss = core.EvaluateRegressor(wm, core.CPUTimePrediction, split.Test).Loss
 	}
 	b.ReportMetric(charLoss, "char-loss")
 	b.ReportMetric(wordLoss, "word-loss")
@@ -245,20 +246,20 @@ func BenchmarkAblationLoss(b *testing.B) {
 	cfg := getBenchEnv(b).Scale.Cfg
 	var logLoss, rawMSE float64
 	for i := 0; i < b.N; i++ {
-		m, err := core.Train("ctfidf", AnswerSizePrediction, split.Train, cfg)
+		m, err := core.Train("ctfidf", core.AnswerSizePrediction, split.Train, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ev := core.EvaluateRegressor(m, AnswerSizePrediction, split.Test)
+		ev := core.EvaluateRegressor(m, core.AnswerSizePrediction, split.Test)
 		logLoss = ev.MSE
 		// Raw-label alternative: qerror of predicting the raw mean.
-		_, raw := AnswerSizePrediction.Labels(split.Train)
+		_, raw := core.AnswerSizePrediction.Labels(split.Train)
 		mean := 0.0
 		for _, v := range raw {
 			mean += v
 		}
 		mean /= float64(len(raw))
-		_, testRaw := AnswerSizePrediction.Labels(split.Test)
+		_, testRaw := core.AnswerSizePrediction.Labels(split.Test)
 		preds := make([]float64, len(testRaw))
 		for j := range preds {
 			preds[j] = mean
@@ -283,18 +284,18 @@ func BenchmarkAblationKernels(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := base
 		cfg.Widths = []int{3, 4, 5}
-		m1, err := core.Train("ccnn", ErrorClassification, split.Train, cfg)
+		m1, err := core.Train("ccnn", core.ErrorClassification, split.Train, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		cfg.Widths = []int{3}
-		m2, err := core.Train("ccnn", ErrorClassification, split.Train, cfg)
+		m2, err := core.Train("ccnn", core.ErrorClassification, split.Train, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		test := split.Test
-		multi = core.EvaluateClassifier(m1, ErrorClassification, test).Loss
-		single = core.EvaluateClassifier(m2, ErrorClassification, test).Loss
+		multi = core.EvaluateClassifier(m1, core.ErrorClassification, test).Loss
+		single = core.EvaluateClassifier(m2, core.ErrorClassification, test).Loss
 	}
 	b.ReportMetric(multi, "widths345-loss")
 	b.ReportMetric(single, "width3-loss")
@@ -309,17 +310,17 @@ func BenchmarkAblationLSTMDepth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := base
 		cfg.LSTMLayers = 3
-		m3, err := core.Train("clstm", ErrorClassification, split.Train, cfg)
+		m3, err := core.Train("clstm", core.ErrorClassification, split.Train, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		cfg.LSTMLayers = 1
-		m1, err := core.Train("clstm", ErrorClassification, split.Train, cfg)
+		m1, err := core.Train("clstm", core.ErrorClassification, split.Train, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		deep = core.EvaluateClassifier(m3, ErrorClassification, split.Test).Loss
-		shallow = core.EvaluateClassifier(m1, ErrorClassification, split.Test).Loss
+		deep = core.EvaluateClassifier(m3, core.ErrorClassification, split.Test).Loss
+		shallow = core.EvaluateClassifier(m1, core.ErrorClassification, split.Test).Loss
 	}
 	b.ReportMetric(deep, "layers3-loss")
 	b.ReportMetric(shallow, "layers1-loss")
@@ -333,17 +334,17 @@ func BenchmarkAblationVocab(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := base
 		cfg.MaxFeatures = 500
-		m1, err := core.Train("ctfidf", ErrorClassification, split.Train, cfg)
+		m1, err := core.Train("ctfidf", core.ErrorClassification, split.Train, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		cfg.MaxFeatures = 20000
-		m2, err := core.Train("ctfidf", ErrorClassification, split.Train, cfg)
+		m2, err := core.Train("ctfidf", core.ErrorClassification, split.Train, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		small = core.EvaluateClassifier(m1, ErrorClassification, split.Test).Loss
-		large = core.EvaluateClassifier(m2, ErrorClassification, split.Test).Loss
+		small = core.EvaluateClassifier(m1, core.ErrorClassification, split.Test).Loss
+		large = core.EvaluateClassifier(m2, core.ErrorClassification, split.Test).Loss
 	}
 	b.ReportMetric(small, "v500-loss")
 	b.ReportMetric(large, "v20k-loss")
@@ -358,7 +359,7 @@ func BenchmarkAblationTransfer(b *testing.B) {
 	var res core.TransferResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = core.TransferExperiment("ccnn", CPUTimePrediction,
+		res, err = core.TransferExperiment("ccnn", core.CPUTimePrediction,
 			env.SDSSSplit.Train, split.Train, split.Test, cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -381,11 +382,11 @@ func BenchmarkAblationMultiTask(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		st, err := env.Model("ccnn", ErrorClassification, experiments.HomoInstance)
+		st, err := env.Model("ccnn", core.ErrorClassification, experiments.HomoInstance)
 		if err != nil {
 			b.Fatal(err)
 		}
-		truth, _ := ErrorClassification.Labels(split.Test)
+		truth, _ := core.ErrorClassification.Labels(split.Test)
 		correct := 0
 		for j, item := range split.Test {
 			if mt.Predict(item.Statement).ErrorClass == truth[j] {
@@ -393,7 +394,7 @@ func BenchmarkAblationMultiTask(b *testing.B) {
 			}
 		}
 		mtAcc = float64(correct) / float64(len(split.Test))
-		stAcc = core.EvaluateClassifier(st, ErrorClassification, split.Test).Accuracy
+		stAcc = core.EvaluateClassifier(st, core.ErrorClassification, split.Test).Accuracy
 	}
 	b.ReportMetric(mtAcc, "multitask-acc")
 	b.ReportMetric(stAcc, "singletask-acc")
@@ -407,17 +408,17 @@ func BenchmarkAblationCompression(b *testing.B) {
 	cfg := env.Scale.Cfg
 	var full, compressed float64
 	for i := 0; i < b.N; i++ {
-		mFull, err := core.Train("ctfidf", ErrorClassification, split.Train, cfg)
+		mFull, err := core.Train("ctfidf", core.ErrorClassification, split.Train, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		small := Compress(split.Train, len(split.Train)/2)
-		mComp, err := core.Train("ctfidf", ErrorClassification, small, cfg)
+		small := workload.Compress(split.Train, len(split.Train)/2)
+		mComp, err := core.Train("ctfidf", core.ErrorClassification, small, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		full = core.EvaluateClassifier(mFull, ErrorClassification, split.Test).Accuracy
-		compressed = core.EvaluateClassifier(mComp, ErrorClassification, split.Test).Accuracy
+		full = core.EvaluateClassifier(mFull, core.ErrorClassification, split.Test).Accuracy
+		compressed = core.EvaluateClassifier(mComp, core.ErrorClassification, split.Test).Accuracy
 	}
 	b.ReportMetric(full, "full-acc")
 	b.ReportMetric(compressed, "compressed-acc")
@@ -431,7 +432,7 @@ func BenchmarkSQLParse(b *testing.B) {
 	   ON s.objid = p.objid WHERE (s.flags_g = 0 OR p.psfmagerr_g <= 0.2))`
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if f := Analyze(q); !f.Parsed {
+		if f := sqlparse.ExtractFeatures(q); !f.Parsed {
 			b.Fatal("parse failed")
 		}
 	}
@@ -448,127 +449,9 @@ func BenchmarkSimDBExecute(b *testing.B) {
 	}
 }
 
-func BenchmarkWorkloadGeneration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		w := GenerateSDSS(300, int64(i))
-		if len(w.Items) == 0 {
-			b.Fatal("empty workload")
-		}
-	}
-}
-
-func BenchmarkCNNForward(b *testing.B) {
-	env := getBenchEnv(b)
-	m, err := env.Model("ccnn", ErrorClassification, experiments.HomoInstance)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := "SELECT p.objid, p.ra FROM PhotoObj AS p WHERE p.ra BETWEEN 150 AND 152"
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if p := m.Probs(q); len(p) != 3 {
-			b.Fatal("probs")
-		}
-	}
-}
-
-func BenchmarkLSTMForward(b *testing.B) {
-	env := getBenchEnv(b)
-	m, err := env.Model("clstm", ErrorClassification, experiments.HomoInstance)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := "SELECT p.objid, p.ra FROM PhotoObj AS p WHERE p.ra BETWEEN 150 AND 152"
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if p := m.Probs(q); len(p) != 3 {
-			b.Fatal("probs")
-		}
-	}
-}
-
-// BenchmarkPredictClass measures the warm single-prediction path for
-// the neural models (PredictClass reads the model's softmax scratch
-// directly): 0 allocs/op.
-func BenchmarkPredictClass(b *testing.B) {
-	env := getBenchEnv(b)
-	q := "SELECT p.objid, p.ra FROM PhotoObj AS p WHERE p.ra BETWEEN 150 AND 152"
-	for _, name := range []string{"ccnn", "wcnn", "clstm", "wlstm"} {
-		m, err := env.Model(name, core.ErrorClassification, experiments.HomoInstance)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m = m.Replicate() // the frozen replica a server predicts on
-		b.Run(name, func(b *testing.B) {
-			m.PredictClass(q) // warm the scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.PredictClass(q)
-			}
-		})
-	}
-}
-
-// BenchmarkPredictProbsInto measures the warm distribution path with a
-// caller-owned output buffer: 0 allocs/op.
-func BenchmarkPredictProbsInto(b *testing.B) {
-	env := getBenchEnv(b)
-	q := "SELECT p.objid, p.ra FROM PhotoObj AS p WHERE p.ra BETWEEN 150 AND 152"
-	for _, name := range []string{"ccnn", "clstm"} {
-		m, err := env.Model(name, core.ErrorClassification, experiments.HomoInstance)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m = m.Replicate() // the frozen replica a server predicts on
-		b.Run(name, func(b *testing.B) {
-			dst := make([]float64, 0, 8)
-			dst = m.ProbsInto(q, dst)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst = m.ProbsInto(q, dst)
-			}
-		})
-	}
-}
-
-// BenchmarkPredictProbsBatch measures the fused n-row forward pass
-// directly at the core layer — one ProbsBatchInto call (what serve
-// runs for a batch request) over a batch of distinct statements,
-// reported per statement — against which the per-example path
-// (BenchmarkPredictProbsInto) shows the batching win without any
-// serving-layer overhead. Warm path is 0 allocs/op.
-func BenchmarkPredictProbsBatch(b *testing.B) {
-	env := getBenchEnv(b)
-	stmts := make([]string, 16)
-	for i := range stmts {
-		stmts[i] = env.SDSSSplit.Test[i%len(env.SDSSSplit.Test)].Statement
-	}
-	for _, name := range []string{"ccnn", "clstm"} {
-		m, err := env.Model(name, core.ErrorClassification, experiments.HomoInstance)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			dst := m.ProbsBatchInto(stmts, nil) // warm the batch scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst = m.ProbsBatchInto(stmts, dst)
-			}
-			b.StopTimer()
-			nsPerStmt := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(stmts))
-			b.ReportMetric(nsPerStmt, "ns/stmt")
-		})
-	}
-}
-
 func BenchmarkTFIDFPredict(b *testing.B) {
 	env := getBenchEnv(b)
-	m, err := env.Model("ctfidf", ErrorClassification, experiments.HomoInstance)
+	m, err := env.Model("ctfidf", core.ErrorClassification, experiments.HomoInstance)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -596,46 +479,4 @@ func minOf(v []float64) float64 {
 		}
 	}
 	return m
-}
-
-// benchTrainItems builds a fixed small workload and config for the
-// training-throughput benchmarks.
-func benchTrainItems() ([]Item, core.Config) {
-	env := experiments.NewEnv(experiments.Scale{
-		SDSSSessions: 300, SQLShareUsers: 4, SQLShareQueriesPerUser: 8,
-		Cfg: core.TinyConfig(), Seed: 1,
-	})
-	cfg := core.TinyConfig()
-	cfg.Epochs = 1
-	items := env.SDSSSplit.Train
-	if len(items) > 256 {
-		items = items[:256]
-	}
-	return items, cfg
-}
-
-// BenchmarkTrainStep measures end-to-end mini-batch training throughput
-// (forward+backward+optimizer) for the neural models, reported as
-// training steps (examples) per second. The workers=N variants exercise
-// the data-parallel engine (core.Trainer); speedups over workers=1
-// require GOMAXPROCS >= N.
-func BenchmarkTrainStep(b *testing.B) {
-	items, base := benchTrainItems()
-	for _, name := range []string{"ccnn", "clstm"} {
-		for _, w := range []int{1, 2, 4} {
-			cfg := base
-			cfg.Workers = w
-			b.Run(fmt.Sprintf("%s/workers=%d", name, w), func(b *testing.B) {
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := core.Train(name, core.ErrorClassification, items, cfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-				steps := float64(len(items) * cfg.Epochs)
-				b.ReportMetric(steps*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
-			})
-		}
-	}
 }

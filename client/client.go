@@ -9,7 +9,7 @@
 //   - Per-request deadlines: Options.Timeout bounds every attempt (on
 //     top of whatever deadline the caller's context carries), and
 //     deadlines propagate server-side so an expired request is
-//     cancelled while queued, not served late.
+//     cancelled while it waits for a replica, not served late.
 //   - Bounded retries with exponential backoff on 429, 5xx, and
 //     transport errors — predictions are pure functions of the
 //     deployed snapshot, so retrying them is always safe. Deploys are
@@ -80,7 +80,7 @@ type Prediction = service.Prediction
 type ModelInfo = service.ModelInfo
 
 // DeployOptions are the per-deployment pool overrides accepted by
-// /v1/deploy (admission policy, queue bound, replicas).
+// /v1/deploy (admission policy, waiting bound, replicas).
 type DeployOptions = service.DeployOptions
 
 // Admission policy names for DeployOptions.

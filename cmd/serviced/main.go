@@ -51,7 +51,10 @@
 // when it beats the live version on held-out recent traffic by at
 // least -canary-margin — with automatic rollback if the swap regresses
 // on the next window. Decisions persist in the store, so a cluster
-// sharing -store-dir converges on the adapted model.
+// sharing -store-dir converges on the adapted model — from one learner:
+// -online is refused together with -store-refresh, because two nodes
+// learning against one store can register the same next version number.
+// Run -online on one node and -store-refresh on the others.
 //
 // SIGINT/SIGTERM triggers graceful shutdown: the listeners stop
 // accepting, in-flight HTTP and wire requests finish (bounded by
@@ -150,9 +153,9 @@ func flagSet() (fs *flag.FlagSet, parsed func() (config, error)) {
 	models := fs.String("models", "ccnn", "comma-separated models to serve (warm-booted from the store or trained)")
 	taskName := fs.String("task", "error", "task: error, session, cpu, answer, elapsed")
 	replicas := fs.Int("replicas", runtime.GOMAXPROCS(0), "inference replicas per deployed model")
-	queue := fs.Int("queue", 0, "request queue size per model (0 = default)")
+	queue := fs.Int("queue", 0, "calls allowed to wait for a replica, per model (0 = default)")
 	maxBatch := fs.Int("max-batch", 32, "most statements one request (one batched forward pass) carries; longer batches are cut")
-	admission := fs.String("admission", "reject", "full-queue policy: reject (429) or block")
+	admission := fs.String("admission", "reject", "what a call past the -queue bound meets: reject (429) or block")
 	sessions := fs.Int("sessions", 1400, "synthetic SDSS sessions for training data")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	pprofAddr := fs.String("pprof-addr", "", "listen address for net/http/pprof profiling endpoints (empty = disabled)")
@@ -195,6 +198,11 @@ func flagSet() (fs *flag.FlagSet, parsed func() (config, error)) {
 		}
 		if cfg.online && cfg.ingestDir == "" {
 			return config{}, errors.New("serviced: -online requires -ingest-dir (the pipeline trains from the ingest WAL)")
+		}
+		if cfg.online && cfg.storeRefresh > 0 {
+			return config{}, errors.New("serviced: -online cannot be combined with -store-refresh: every such node runs its own learner " +
+				"against the shared store, and two can register the same next version number; run -online on one node " +
+				"without -store-refresh and let the other nodes poll")
 		}
 		if cfg.onlineWindow <= 1 {
 			return config{}, fmt.Errorf("serviced: -online-window must be > 1, got %d", cfg.onlineWindow)

@@ -62,10 +62,22 @@ func TestParseFlags(t *testing.T) {
 		{"-models", " , "},
 		{"-task", "nonsense"},
 		{"-admission", "maybe"},
+		{"-online", "-ingest-dir", "wal", "-store-dir", "store", "-store-refresh", "1s"},
 	} {
 		if _, err := parseFlags(bad); err == nil {
 			t.Errorf("parseFlags(%v) accepted invalid flags", bad)
 		}
+	}
+
+	// One learner per shared store: the refusal says why, and -online
+	// alone on that store still starts.
+	online := []string{"-online", "-ingest-dir", "wal", "-store-dir", "store"}
+	if _, err := parseFlags(online); err != nil {
+		t.Errorf("parseFlags(%v) = %v", online, err)
+	}
+	_, err = parseFlags(append(online, "-store-refresh", "1s"))
+	if err == nil || !strings.Contains(err.Error(), "same next version number") {
+		t.Errorf("-online with -store-refresh: err = %v, want the reason named", err)
 	}
 }
 

@@ -88,6 +88,22 @@ func TestMedianRejectsClassification(t *testing.T) {
 	}
 }
 
+func TestModelNamesComplete(t *testing.T) {
+	want := map[string]bool{
+		"mfreq": true, "median": true, "opt": true,
+		"ctfidf": true, "wtfidf": true,
+		"clstm": true, "wlstm": true, "ccnn": true, "wcnn": true,
+	}
+	if len(ModelNames) != len(want) {
+		t.Fatalf("ModelNames = %v", ModelNames)
+	}
+	for _, n := range ModelNames {
+		if !want[n] {
+			t.Fatalf("unexpected model %q", n)
+		}
+	}
+}
+
 func TestTrainUnknownModel(t *testing.T) {
 	if _, err := Train("gpt", ErrorClassification, nil, TinyConfig()); err == nil {
 		t.Fatal("unknown model should fail")

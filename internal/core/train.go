@@ -4,12 +4,12 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/sqllex"
 	"repro/internal/workload"
-	"repro/internal/workpool"
 )
 
 // trainNeural fits one of the four neural models (ccnn, wcnn, clstm,
@@ -168,9 +168,9 @@ type trainWorker struct {
 // worker w's replica-bound step function; it is called once per worker
 // up front. rng drives the epoch shuffles (and, for the sequential
 // path, dropout — preserving the legacy RNG stream exactly). The
-// parallel path fans batches across a persistent workpool.Pool rather
-// than spawning goroutines per batch, so tiny models no longer pay
-// per-batch spawn overhead.
+// parallel path runs worker 0's share of each batch on the calling
+// goroutine and starts one goroutine per other worker; state is bound
+// to the worker index, not to a goroutine.
 func (t Trainer) run(n int, rng *rand.Rand, opt *nn.Optimizer, params []*nn.Param,
 	newWorker func(w int) trainWorker) {
 	order := make([]int, n)
@@ -201,11 +201,10 @@ func (t Trainer) run(n int, rng *rand.Rand, opt *nn.Optimizer, params []*nn.Para
 		state[w] = newWorker(w)
 		rngs[w] = rand.New(rand.NewSource(0))
 	}
-	pool := workpool.New(workers)
-	defer pool.Close()
 	// One job closure reused for every batch; the loop variables it
-	// captures are updated between Run barriers.
+	// captures are updated only while no worker runs.
 	var e, start, end int
+	var wg sync.WaitGroup
 	batchJob := func(w int) {
 		wr := state[w]
 		wrng := rngs[w]
@@ -221,7 +220,15 @@ func (t Trainer) run(n int, rng *rand.Rand, opt *nn.Optimizer, params []*nn.Para
 			if end > n {
 				end = n
 			}
-			pool.Run(batchJob)
+			wg.Add(workers - 1)
+			for w := 1; w < workers; w++ {
+				go func() {
+					defer wg.Done()
+					batchJob(w)
+				}()
+			}
+			batchJob(0)
+			wg.Wait()
 			// Reduce worker shards in worker order so the accumulation
 			// order is deterministic for a fixed worker count.
 			for w := 1; w < workers; w++ {

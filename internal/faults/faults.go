@@ -34,8 +34,7 @@ import (
 var ErrInjected = errors.New("faults: injected error")
 
 // Op names the operation class a Rule matches. The store wrapper emits
-// OpPut/OpGet/OpList/OpDelete; HTTP-level injectors (servebench's
-// loopback fault server) emit OpHTTP with the request path as the key.
+// OpPut/OpGet/OpList/OpDelete.
 type Op string
 
 const (
@@ -43,7 +42,6 @@ const (
 	OpGet    Op = "get"
 	OpList   Op = "list"
 	OpDelete Op = "delete"
-	OpHTTP   Op = "http"
 	// OpAny matches every operation.
 	OpAny Op = ""
 )

@@ -1,8 +1,7 @@
 // Package ingest is the serving layer's durable request log: an
 // append-only, segmented, checksummed WAL of served statements and
 // their observed outcomes — the data source for the online fine-tune
-// pipeline (internal/online) and for workload replay (servebench
-// -ingest-replay).
+// pipeline (internal/online).
 //
 // The paper's models are trained once on a fixed corpus, but a serving
 // system sees the workload drift. Closing that loop needs the traffic

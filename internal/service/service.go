@@ -62,9 +62,9 @@ var ErrNoIngest = errors.New("service: no ingest log configured")
 // Options configures a Service.
 type Options struct {
 	// Serve is the replica-pool template applied to every deployed
-	// version (replica count, queue size, batching, admission policy).
-	// Individual deployments can override the admission policy, queue
-	// bound, and replica count via DeployOptions.
+	// version (replica count, waiting bound, batching, admission
+	// policy). Individual deployments can override the admission policy,
+	// waiting bound, and replica count via DeployOptions.
 	Serve serve.Options
 	// Store, when non-nil, makes the registry durable: every Register
 	// persists the snapshot's artifact, every Deploy persists the live
@@ -106,11 +106,11 @@ const (
 type DeployOptions struct {
 	// Replicas overrides the template replica count when > 0.
 	Replicas int `json:"replicas,omitempty"`
-	// QueueSize bounds this deployment's request queue when > 0 (the
-	// admission quota: requests beyond it are rejected or blocked per
-	// Admission).
+	// QueueSize bounds the calls waiting for one of this deployment's
+	// replicas when > 0 (the admission quota: calls beyond it are
+	// rejected or blocked per Admission).
 	QueueSize int `json:"queue_size,omitempty"`
-	// Admission selects this deployment's full-queue policy:
+	// Admission selects what a call past that bound meets:
 	// AdmissionBlock, AdmissionReject, or AdmissionInherit ("") for the
 	// template's.
 	Admission string `json:"admission,omitempty"`
@@ -379,7 +379,7 @@ func (s *Service) Register(name string, m *core.Model) (ModelInfo, error) {
 // previous pool finishes its in-flight requests and is closed.
 // version <= 0 selects the latest. At most one DeployOptions may be
 // given; it overrides the service-wide pool template (admission
-// policy, queue bound, replicas) for this deployment only. Requests
+// policy, waiting bound, replicas) for this deployment only. Requests
 // racing the swap retry onto the new pool, so a deploy drops nothing.
 //
 // On a store-backed service the live version and its options are
@@ -458,7 +458,7 @@ func (s *Service) Swap(name string, m *core.Model, opts ...DeployOptions) (Model
 // Predict runs the task-appropriate prediction for name's live
 // version: class distribution and argmax for classification models,
 // log- and raw-space values for regression models. ctx bounds the
-// whole request (admission and queueing included).
+// whole request (admission and the wait for a replica included).
 func (s *Service) Predict(ctx context.Context, name, stmt string) (Prediction, error) {
 	return s.PredictInto(ctx, name, stmt, nil)
 }

@@ -656,81 +656,3 @@ func TestZeroAllocLoopbackWithIngest(t *testing.T) {
 		t.Errorf("WAL got %d records, want every served predict (>= 500)", st.Appended)
 	}
 }
-
-func BenchmarkWirePredict(b *testing.B) {
-	svc := testService(b)
-	ctx := context.Background()
-	_, addr := startServer(b, svc, "tcp", ServerOptions{})
-	cl := testClient(b, "tcp", addr, ClientOptions{Conns: 1})
-	stmt := testStatements(1)[0]
-	var probs []float64
-	var err error
-	for i := 0; i < 100; i++ {
-		if _, probs, err = cl.PredictInto(ctx, "errors", stmt, probs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, probs, err = cl.PredictInto(ctx, "errors", stmt, probs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWirePredictUnix(b *testing.B) {
-	svc := testService(b)
-	ctx := context.Background()
-	_, addr := startServer(b, svc, "unix", ServerOptions{})
-	cl := testClient(b, "unix", addr, ClientOptions{Conns: 1})
-	stmt := testStatements(1)[0]
-	var probs []float64
-	var err error
-	for i := 0; i < 100; i++ {
-		if _, probs, err = cl.PredictInto(ctx, "errors", stmt, probs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, probs, err = cl.PredictInto(ctx, "errors", stmt, probs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWirePredictPipelined(b *testing.B) {
-	svc := testService(b)
-	ctx := context.Background()
-	_, addr := startServer(b, svc, "tcp", ServerOptions{})
-	cl := testClient(b, "tcp", addr, ClientOptions{Conns: 1})
-	stmt := testStatements(1)[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		var probs []float64
-		var err error
-		for pb.Next() {
-			if _, probs, err = cl.PredictInto(ctx, "errors", stmt, probs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkWirePredictBatch8(b *testing.B) {
-	svc := testService(b)
-	ctx := context.Background()
-	_, addr := startServer(b, svc, "tcp", ServerOptions{})
-	cl := testClient(b, "tcp", addr, ClientOptions{Conns: 1})
-	stmts := testStatements(8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cl.PredictBatch(ctx, "errors", stmts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

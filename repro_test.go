@@ -9,14 +9,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-)
 
-func TestFacadeAnalyze(t *testing.T) {
-	f := Analyze("SELECT * FROM PhotoObj WHERE r < 22")
-	if !f.Parsed || f.NumTables != 1 {
-		t.Fatalf("features = %+v", f)
-	}
-}
+	"repro/internal/core"
+	"repro/internal/serve"
+	"repro/internal/service"
+)
 
 func TestFacadeEndToEnd(t *testing.T) {
 	w := GenerateSDSS(600, 5)
@@ -28,7 +25,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	cfg.Epochs = 1
 	cfg.Embed, cfg.Hidden, cfg.Kernels = 8, 12, 8
 	cfg.CharMaxLen = 60
-	m, err := Train("ccnn", AnswerSizePrediction, split.Train, cfg)
+	m, err := Train("ccnn", core.AnswerSizePrediction, split.Train, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,36 +34,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-func TestFacadeSQLShare(t *testing.T) {
-	w := GenerateSQLShare(6, 15, 5)
-	if len(w.Items) == 0 {
-		t.Fatal("empty workload")
-	}
-	split := SplitByUser(w.Items, 5)
-	if len(split.Train) == 0 || len(split.Test) == 0 {
-		t.Fatal("split empty")
-	}
-}
-
-func TestModelNamesComplete(t *testing.T) {
-	want := map[string]bool{
-		"mfreq": true, "median": true, "opt": true,
-		"ctfidf": true, "wtfidf": true,
-		"clstm": true, "wlstm": true, "ccnn": true, "wcnn": true,
-	}
-	if len(ModelNames) != len(want) {
-		t.Fatalf("ModelNames = %v", ModelNames)
-	}
-	for _, n := range ModelNames {
-		if !want[n] {
-			t.Fatalf("unexpected model %q", n)
-		}
-	}
-}
-
 // TestFacadeService exercises the Service front door end to end
 // through the facade: register + deploy, ctx predict, HTTP handler,
-// hot swap, and the exported sentinel errors.
+// and hot swap.
 func TestFacadeService(t *testing.T) {
 	w := GenerateSDSS(400, 3)
 	split := SplitRandom(w.Items, 3)
@@ -79,11 +49,11 @@ func TestFacadeService(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	svc := NewService(ServiceOptions{Serve: ServeOptions{Replicas: 2, Admission: AdmitReject}})
+	svc := NewService(ServiceOptions{Serve: ServeOptions{Replicas: 2, Admission: serve.AdmitReject}})
 	defer svc.Close()
 	ctx := context.Background()
 	stmt := split.Test[0].Statement
-	if _, err := svc.Predict(ctx, "errors", stmt); !errors.Is(err, ErrModelNotFound) {
+	if _, err := svc.Predict(ctx, "errors", stmt); !errors.Is(err, service.ErrNotFound) {
 		t.Fatalf("predict unregistered err = %v", err)
 	}
 	info, err := svc.Swap("errors", m)
@@ -113,7 +83,7 @@ func TestFacadeService(t *testing.T) {
 		t.Fatalf("HTTP predict status = %d", resp.StatusCode)
 	}
 	var body struct {
-		Results []Prediction `json:"results"`
+		Results []service.Prediction `json:"results"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)

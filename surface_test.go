@@ -23,7 +23,11 @@ import (
 //     outside the declaring package, tests and examples — because an
 //     option nobody sets is a constant with extra configurations to
 //     test. The few that are deliberately test-only are listed in
-//     unsetAllowed with the reason.
+//     unsetAllowed with the reason;
+//   - TestFacadeSurface pins the root package's exported names and
+//     fails when one of them is used by no program under examples/: the
+//     facade is those programs' path through the module, not a second
+//     name for everything below it.
 
 // pinnedMethods is the exported method set of each serving type.
 var pinnedMethods = map[string][]string{
@@ -45,10 +49,17 @@ var optionStructs = map[string][]string{
 	"repro/client":           {"Options"},
 }
 
+// libraryOption is why repro/client's caller-facing knobs stay options
+// though no program in this module sets them.
+const libraryOption = "library option: the client's programs are the module's importers, and examples/service sets all three"
+
 // unsetAllowed lists option fields no program sets, with why each is
-// still an option. They are candidates for constants once a benchmark
-// sweep says which value to freeze.
+// still an option. The test seams are candidates for constants once a
+// benchmark sweep says which value to freeze.
 var unsetAllowed = map[string]string{
+	"repro/client.Options.Timeout":            libraryOption,
+	"repro/client.Options.Retries":            libraryOption,
+	"repro/client.Options.Hedge":              libraryOption,
 	"repro/internal/serve.Options.PanicLimit": "test seam: the panic-isolation tests lower it to force replica rebuilds",
 	"repro/internal/wire.ClientOptions.Conns": "test seam: the pipelining tests pin one connection to force out-of-order replies onto it",
 	"repro/client.Options.ProbeInterval":      "test seam: the cluster tests (and examples/cluster) shorten it so failover shows within a test's patience",
@@ -223,6 +234,91 @@ func TestServingSurfaceOptions(t *testing.T) {
 	for field := range unsetAllowed {
 		if _, ok := fields[field]; !ok {
 			t.Errorf("unsetAllowed names %s, which no longer exists", field)
+		}
+	}
+}
+
+// pinnedFacade is the root package's exported names.
+var pinnedFacade = []string{
+	"AdmissionReject", "ClientOptions", "DefaultConfig", "DeployOptions", "ErrorClassification", "FineTune",
+	"GenerateSDSS", "IngestOptions", "NewClient", "NewDirStore", "NewService", "NewServiceHandler",
+	"NewWireServer", "OnlineOptions", "OpenIngest", "ServeOptions", "Service", "ServiceOptions",
+	"SplitRandom", "StartOnline", "Train", "WireServerOptions",
+}
+
+func TestFacadeSurface(t *testing.T) {
+	var got []string
+	for _, f := range moduleSources(t) {
+		if f.pkgPath != "repro" {
+			continue
+		}
+		for _, decl := range f.ast.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.IsExported() {
+					got = append(got, d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						if spec.Name.IsExported() {
+							got = append(got, spec.Name.Name)
+						}
+					case *ast.ValueSpec:
+						for _, name := range spec.Names {
+							if name.IsExported() {
+								got = append(got, name.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(got)
+	if strings.Join(got, " ") != strings.Join(pinnedFacade, " ") {
+		t.Errorf("root package exported names changed:\n got  %v\n want %v\n"+
+			"the facade holds what examples/ use and nothing else; if this is deliberate, update pinnedFacade",
+			got, pinnedFacade)
+	}
+
+	// Every facade name is selected from the root package by an example.
+	mains, err := filepath.Glob("examples/*/main.go")
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("examples/*/main.go: %v (%d files)", err, len(mains))
+	}
+	used := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, p := range mains {
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local := "" // the name this file imports the root package under
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"repro"` {
+				local = "repro"
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+			}
+		}
+		if local == "" {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == local {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	for _, name := range got {
+		if !used[name] {
+			t.Errorf("repro.%s is used by no program under examples/: callers reach it through its own package; delete the re-export", name)
 		}
 	}
 }
