@@ -149,43 +149,190 @@ type errMismatch int
 func (e errMismatch) Error() string { return "replica batched output mismatch" }
 
 // TestForwardBatchAllocFree guards the 0 allocs/op contract for warm
-// batched inference at a fixed batch width.
+// batched inference at a fixed batch: the mixed one, one whose lanes
+// all share a prefix, and a branching one whose blocks grow with depth
+// (1, 2, 4 and 8 nodes under 8 lanes — the LSTM's scratch is sized by
+// the widest block, which is neither the first nor the lane count).
 func TestForwardBatchAllocFree(t *testing.T) {
-	ids := batchTestIDs()
+	shared := make([][]int, 6)
+	for r := range shared {
+		shared[r] = append([]int{4, 9, 1, 33, 7, 2, 15}, r, r+1)
+	}
+	var growing [][]int
+	for r := 0; r < 8; r++ {
+		growing = append(growing, []int{7, 10 + r/4, 20 + r/2, 30 + r})
+	}
 	for name, m := range batchTestModels() {
 		t.Run(name, func(t *testing.T) {
-			m.ForwardBatch(ids) // warm the scratch
-			if allocs := testing.AllocsPerRun(50, func() { m.ForwardBatch(ids) }); allocs != 0 {
-				t.Errorf("ForwardBatch allocs/op = %v, want 0", allocs)
+			for _, ids := range [][][]int{batchTestIDs(), shared, growing} {
+				m.ForwardBatch(ids) // warm the scratch
+				if allocs := testing.AllocsPerRun(50, func() { m.ForwardBatch(ids) }); allocs != 0 {
+					t.Errorf("ForwardBatch allocs/op = %v, want 0", allocs)
+				}
 			}
 		})
 	}
+}
+
+// lstmLayouts returns m and a frozen replica of it on either layout:
+// the first layer's table, and every layer on the GEMM.
+func lstmLayouts(m *LSTMModel) map[string]*LSTMModel {
+	tabled, gemm := m.CloneShared().(*LSTMModel), m.CloneShared().(*LSTMModel)
+	tabled.freeze(true)
+	gemm.freeze(false)
+	return map[string]*LSTMModel{"unfrozen": m, "frozen-tabled": tabled, "frozen-gemm": gemm}
+}
+
+// checkBatchMatchesScalar fails unless every row of m.ForwardBatch(ids)
+// equals ref.Forward on that example bit for bit.
+func checkBatchMatchesScalar(t *testing.T, ref Model, m BatchModel, ids [][]int) {
+	t.Helper()
+	out, outDim := m.ForwardBatch(ids)
+	if len(out) != len(ids)*outDim {
+		t.Fatalf("out len = %d, want %d", len(out), len(ids)*outDim)
+	}
+	for r, seq := range ids {
+		want, _ := ref.Forward(seq, false, nil)
+		if got := out[r*outDim : (r+1)*outDim]; !sameBits(got, want) {
+			t.Fatalf("row %d %v: batched %v != scalar %v", r, seq, got, want)
+		}
+	}
+}
+
+// TestForwardBatchSharedPrefixes runs the shapes a batch's prefix tree
+// takes that batchTestIDs does not have (it holds one exact duplicate
+// and no branch) through the 2- and the 3-layer LSTM, unfrozen and
+// frozen on both layouts: every row must equal the trained model's
+// scalar Forward bit for bit, in request order whatever order the
+// lanes were laid out in.
+func TestForwardBatchSharedPrefixes(t *testing.T) {
+	same := make([][]int, 16)
+	for r := range same {
+		same[r] = []int{4, 9, 1, 33, 7, 2, 15}
+	}
+	mixed := [][]int{
+		{5, 6, 7, 8, 9}, {5, 6, 7}, {5, 6, 7, 8, 9, 10, 11}, // a proper prefix of another and of a third
+		{1, 2, 3, 4}, {2, 2, 3, 4}, // part at step 0
+		{5, 1, 7, 8},                                                  // parts from the first three at step 1
+		{20, 21, 22, 23, 1}, {20, 21, 22, 23, 2}, {20, 21, 22, 23, 1}, // part at the last step
+	}
+	type batch struct {
+		name  string
+		ids   [][]int
+		nodes int // distinct prefixes: what the batch must cost
+	}
+	batches := []batch{
+		{"all-identical", same, 7},
+		{"prefixes-and-branches", mixed, 24},
+		// Two empty sequences run as the pad token: one node with {0}.
+		{"empty-and-pad", [][]int{{}, {0}, {}, {0, 3}}, 2},
+		// −3 and 999 both read as token 0, at the same position.
+		{"clamped", [][]int{{4, -3, 5}, {4, 999, 5}, {4, 0, 5}, {4, 59, 5}}, 5},
+	}
+	for p, perm := range [][]int{{8, 7, 6, 5, 4, 3, 2, 1, 0}, {4, 0, 8, 2, 6, 1, 5, 3, 7}, {2, 1, 0, 5, 4, 3, 8, 7, 6}} {
+		ids := make([][]int, len(mixed))
+		for i, j := range perm {
+			ids[i] = mixed[j]
+		}
+		batches = append(batches, batch{fmt.Sprintf("permutation-%d", p), ids, 24})
+	}
+	for _, name := range []string{"lstm-class", "lstm-reg"} {
+		ref := batchTestModels()[name].(*LSTMModel)
+		for layout, m := range lstmLayouts(ref) {
+			for _, b := range batches {
+				t.Run(name+"/"+layout+"/"+b.name, func(t *testing.T) {
+					checkBatchMatchesScalar(t, ref, m, b.ids)
+					if nodes := len(m.bcache.trie.tok); nodes != b.nodes {
+						t.Errorf("batch ran as %d nodes, want %d", nodes, b.nodes)
+					}
+				})
+			}
+		}
+	}
+}
+
+// FuzzLSTMBatchTrie turns the fuzz bytes into up to 32 sequences over
+// three tokens, so that shared prefixes, duplicates and prefixes of one
+// another are the rule, and checks every row of ForwardBatch against the
+// trained model's scalar Forward bit for bit, on the model itself and on
+// frozen replicas of both layouts. A byte is a token (0, 1, 2), the end
+// of a sequence (3: two in a row make an empty one) or an id outside
+// the vocabulary (4: reads as token 0).
+func FuzzLSTMBatchTrie(f *testing.F) {
+	ref := NewLSTM(LSTMConfig{Vocab: 3, Embed: 4, Hidden: 5, Layers: 2, Outputs: 2}, rand.New(rand.NewSource(21)))
+	legs := lstmLayouts(ref)
+	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 3, 0, 1, 2, 2})
+	f.Add([]byte{3, 3, 0, 3, 4, 3, 1})
+	f.Add([]byte{1, 3, 1, 1, 3, 1, 1, 1, 3, 2, 3, 2, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ids := [][]int{nil}
+		for _, b := range data {
+			switch v := int(b % 5); {
+			case v < 3:
+				ids[len(ids)-1] = append(ids[len(ids)-1], v)
+			case v == 4:
+				ids[len(ids)-1] = append(ids[len(ids)-1], 9)
+			case len(ids) < 32:
+				ids = append(ids, nil)
+			}
+		}
+		for _, m := range legs {
+			checkBatchMatchesScalar(t, ref, m, ids)
+		}
+	})
 }
 
 // BenchmarkLSTMRaggedBatch16 times one ragged 16-statement batch — the
 // serving shape: core.DefaultConfig's char-LSTM sizes, lengths drawn
 // from 50–160 — through ForwardBatch ("batch") and through 16 scalar
 // Forward calls ("scalar"), both as ns/stmt. Batching must not cost
-// more per statement than not batching.
+// more per statement than not batching. The tokens of those 16 are
+// random, so they share nothing past a step or two: "batch" is the
+// guard on what the trie's bookkeeping costs a batch it cannot help.
+// "templated" is the batch it is for — 16 statements from 4 templates,
+// each a shared head of 40–120 tokens and four tails of 10–40 — and
+// also reports trie nodes per lane-step, the share of the work left.
 func BenchmarkLSTMRaggedBatch16(b *testing.B) {
 	rng := rand.New(rand.NewSource(16))
 	m := NewLSTM(LSTMConfig{Vocab: 100, Embed: 16, Hidden: 32, Layers: 3, Outputs: 3}, rng)
+	seq := func(n int) []int {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = rng.Intn(100)
+		}
+		return ids
+	}
 	ids := make([][]int, 16)
 	for r := range ids {
-		ids[r] = make([]int, 50+rng.Intn(111))
-		for i := range ids[r] {
-			ids[r][i] = rng.Intn(100)
+		ids[r] = seq(50 + rng.Intn(111))
+	}
+	var templated [][]int
+	for len(templated) < 16 {
+		head := seq(40 + rng.Intn(81))
+		for tail := 0; tail < 4; tail++ {
+			templated = append(templated, append(head[:len(head):len(head)], seq(10+rng.Intn(31))...))
 		}
 	}
+	rng.Shuffle(len(templated), func(i, j int) { templated[i], templated[j] = templated[j], templated[i] })
 	perStmt := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ids)), "ns/stmt")
 	}
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.ForwardBatch(ids)
-		}
-		perStmt(b)
-	})
+	for _, leg := range []struct {
+		name string
+		ids  [][]int
+	}{{"batch", ids}, {"templated", templated}} {
+		b.Run(leg.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.ForwardBatch(leg.ids)
+			}
+			perStmt(b)
+			steps := 0
+			for _, s := range leg.ids {
+				steps += len(s)
+			}
+			b.ReportMetric(float64(len(m.bcache.trie.tok))/float64(steps), "nodes/lane-step")
+		})
+	}
 	b.Run("scalar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, seq := range ids {
@@ -251,7 +398,7 @@ func BenchmarkCNNForwardSingle(b *testing.B) {
 	}
 }
 
-// BenchmarkCNNTableSweep is the measurement behind cnnTableBudget: the
+// BenchmarkCNNTableSweep is the measurement behind tableBudget: the
 // frozen forward pass on the GEMM ("gemm") and on the tables ("table")
 // as the vocabulary, and with it the table (12 288 B per token at this
 // shape), grows past the caches. Each op runs 4 096 distinct 24-token

@@ -4,15 +4,30 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/f64"
 )
 
 // frozenCase is one architecture TestFrozenMatchesUnfrozen freezes.
-// tabled says which side of CNNModel.Freeze's one branch its replica
-// must land on, so the test cannot pass through the other unnoticed.
+// tabled says which side of Freeze's one branch its replica must land
+// on, so the test cannot pass through the other unnoticed; forced cases
+// are put there by freeze(tabled) instead, for a layout Freeze would
+// not pick at a size a test can afford.
 type frozenCase struct {
 	name   string
 	model  BatchModel
 	tabled bool
+	forced bool
+}
+
+// frozen returns a frozen CloneShared replica of the case's model.
+func (tc frozenCase) frozen() BatchModel {
+	if !tc.forced {
+		return frozenClone(tc.model)
+	}
+	rep := tc.model.(ParallelModel).CloneShared()
+	rep.(interface{ freeze(tabled bool) }).freeze(tc.tabled)
+	return rep.(BatchModel)
 }
 
 // frozenTestModels builds the two served architectures with random
@@ -21,8 +36,11 @@ type frozenCase struct {
 // embeddings of one, two and four 4-term blocks per token with kernel
 // counts that are whole 32- and 4-column tiles, both, or leave a
 // column or two to the Go loop (tabled); an embedding no block divides
-// and a vocabulary whose tables exceed cnnTableBudget (not tabled).
-// Biases are non-zero: a window's sum starts from them.
+// and a vocabulary whose tables exceed tableBudget (not tabled). The
+// LSTM comes as Freeze leaves it at a served size (first layer tabled),
+// with the same weights kept on the GEMM, and over a vocabulary whose
+// table exceeds the budget. Biases are non-zero: a window's sum, and a
+// table row, starts from them.
 func frozenTestModels() []frozenCase {
 	cnn := func(vocab, embed, kernels int) *CNNModel {
 		rng := rand.New(rand.NewSource(11))
@@ -37,17 +55,28 @@ func frozenTestModels() []frozenCase {
 		}
 		return m
 	}
+	lstm := func(vocab, embed int) *LSTMModel {
+		rng := rand.New(rand.NewSource(12))
+		m := NewLSTM(LSTMConfig{Vocab: vocab, Embed: embed, Hidden: 12, Layers: 3, Outputs: 1}, rng)
+		for _, l := range m.Layers {
+			for i := range l.B.W {
+				l.B.W[i] += rng.NormFloat64() / 4
+			}
+		}
+		return m
+	}
 	return []frozenCase{
-		{"cnn", cnn(60, 8, 6), true},
-		{"cnn-embed=4-kernels=8", cnn(76, 4, 8), true},
-		{"cnn-embed=8-kernels=36", cnn(76, 8, 36), true},
-		{"cnn-embed=16-kernels=32", cnn(76, 16, 32), true}, // core.DefaultConfig's ccnn
-		{"cnn-embed=16-kernels=6", cnn(76, 16, 6), true},
-		{"cnn-embed=6", cnn(76, 6, 8), false},
-		{"cnn-over-budget", cnn(700, 16, 32), false}, // 700 × 12 288 B > 8 MiB
-		{"lstm", NewLSTM(LSTMConfig{
-			Vocab: 60, Embed: 8, Hidden: 12, Layers: 3, Outputs: 1,
-		}, rand.New(rand.NewSource(12))), false},
+		{name: "cnn", model: cnn(60, 8, 6), tabled: true},
+		{name: "cnn-embed=4-kernels=8", model: cnn(76, 4, 8), tabled: true},
+		{name: "cnn-embed=8-kernels=36", model: cnn(76, 8, 36), tabled: true},
+		{name: "cnn-embed=16-kernels=32", model: cnn(76, 16, 32), tabled: true}, // core.DefaultConfig's ccnn
+		{name: "cnn-embed=16-kernels=6", model: cnn(76, 16, 6), tabled: true},
+		{name: "cnn-embed=6", model: cnn(76, 6, 8)},
+		{name: "cnn-over-budget", model: cnn(700, 16, 32)}, // 700 × 12 288 B > 8 MiB
+		{name: "lstm", model: lstm(60, 8), tabled: true},
+		{name: "lstm-gemm", model: lstm(60, 8), forced: true},
+		{name: "lstm-embed=6", model: lstm(60, 6), tabled: true}, // two input terms past the last block of four
+		{name: "lstm-over-budget", model: lstm(22000, 8)},        // 22 000 × 4·12 × 8 B > 8 MiB
 	}
 }
 
@@ -97,7 +126,11 @@ func keptLayouts(m Model) [][]float64 {
 		}
 	case *LSTMModel:
 		for _, l := range m.Layers {
-			kept = append(kept, l.wxT, l.whT)
+			if l.table != nil {
+				kept = append(kept, l.table, l.whT)
+			} else {
+				kept = append(kept, l.wxT, l.whT)
+			}
 		}
 	}
 	return kept
@@ -135,7 +168,7 @@ func TestFrozenMatchesUnfrozen(t *testing.T) {
 	for _, tc := range frozenTestModels() {
 		m := tc.model
 		t.Run(tc.name, func(t *testing.T) {
-			fz := frozenClone(m)
+			fz := tc.frozen()
 			for _, p := range fz.Params() {
 				if p.G != nil {
 					t.Fatalf("param %s keeps a gradient accumulator after Freeze", p.Name)
@@ -151,8 +184,19 @@ func TestFrozenMatchesUnfrozen(t *testing.T) {
 							i, conv.table != nil, conv.wT != nil, tc.tabled)
 					}
 				}
-				if bytes, _ := cnn.tableBytes(); tc.tabled && bytes > cnnTableBudget {
-					t.Fatalf("tables take %d bytes, budget %d", bytes, cnnTableBudget)
+				if bytes, _ := cnn.tableBytes(); tc.tabled && bytes > tableBudget {
+					t.Fatalf("tables take %d bytes, budget %d", bytes, tableBudget)
+				}
+			}
+			if lstm, ok := fz.(*LSTMModel); ok {
+				for i, l := range lstm.Layers {
+					if want := tc.tabled && i == 0; (l.table != nil) != want || (l.wxT != nil) == want {
+						t.Fatalf("layer %d keeps table %v and wxT %v: want exactly one, the table %v",
+							i, l.table != nil, l.wxT != nil, want)
+					}
+				}
+				if bytes := 8 * len(lstm.Layers[0].table); bytes > tableBudget {
+					t.Fatalf("table takes %d bytes, budget %d", bytes, tableBudget)
 				}
 			}
 			for round := 0; round < 2; round++ {
@@ -173,7 +217,7 @@ func TestFrozenMatchesUnfrozen(t *testing.T) {
 			// White box: a forward on a frozen replica reads the kept
 			// layouts and never rewrites them. (The sentinel corrupts this
 			// replica's outputs, so it gets its own.)
-			marked := frozenClone(m)
+			marked := tc.frozen()
 			kept := keptLayouts(marked)
 			if len(kept) == 0 {
 				t.Fatal("no kept layouts found")
@@ -197,8 +241,15 @@ func TestFrozenMatchesUnfrozen(t *testing.T) {
 
 			// CloneShared of a frozen replica trains like any other replica,
 			// and has no table of its own.
-			if cnn, ok := fz.(ParallelModel).CloneShared().(*CNNModel); ok && (cnn.tabled || cnn.Convs[0].table != nil) {
-				t.Fatal("clone of a frozen replica is tabled")
+			switch clone := fz.(ParallelModel).CloneShared().(type) {
+			case *CNNModel:
+				if clone.tabled || clone.Convs[0].table != nil {
+					t.Fatal("clone of a frozen replica is tabled")
+				}
+			case *LSTMModel:
+				if clone.Layers[0].table != nil {
+					t.Fatal("clone of a frozen replica is tabled")
+				}
 			}
 			grads := func(rep Model) [][]float64 {
 				out, cache := rep.Forward(ids[5], true, rand.New(rand.NewSource(14)))
@@ -264,6 +315,58 @@ func TestTabulateStoresBlockSums(t *testing.T) {
 	}
 	if negZeros == 0 {
 		t.Fatal("no −0 entry occurred: the case the prefill exists for went untested")
+	}
+}
+
+// TestLSTMTabulateStoresGemmRows pins what a tabled first layer keeps:
+// row v is the bias with token v's embedding run through the input GEMM
+// on top — the bias copied, then one f64.GemmSW row against Wxᵀ — element
+// by element and bit for bit, at an Embed that is whole blocks of four
+// and at one that leaves two terms to the zero-skipping tail. Two gate
+// units have a −0 bias and all-positive weights and two tokens embed to
+// all +0 and all −0, so that rows whose −0 survives occur (the row is
+// accumulated into a copy of the bias; starting from +0 and adding the
+// bias last would lose every one).
+func TestLSTMTabulateStoresGemmRows(t *testing.T) {
+	for _, embed := range []int{8, 6} {
+		m := NewLSTM(LSTMConfig{Vocab: 12, Embed: embed, Hidden: 5, Layers: 2, Outputs: 2}, rand.New(rand.NewSource(20)))
+		l := m.Layers[0]
+		h4 := 4 * l.H
+		negZero := math.Copysign(0, -1)
+		for i := 0; i < embed; i++ {
+			m.Emb.P.W[1*embed+i] = 0
+			m.Emb.P.W[2*embed+i] = negZero
+		}
+		for _, unit := range []int{3, 11} {
+			l.B.W[unit] = negZero
+			for i := 0; i < embed; i++ {
+				l.Wx.W[unit*embed+i] = math.Abs(l.Wx.W[unit*embed+i])
+			}
+		}
+		wxT := make([]float64, embed*h4)
+		f64.Transpose(wxT, l.Wx.W, h4, embed)
+		rep := m.CloneShared().(*LSTMModel)
+		rep.freeze(true)
+		table := rep.Layers[0].table
+		if len(table) != m.Emb.V*h4 {
+			t.Fatalf("embed %d: table of %d entries, want %d", embed, len(table), m.Emb.V*h4)
+		}
+		negZeros := 0
+		for v := 0; v < m.Emb.V; v++ {
+			want := append([]float64(nil), l.B.W...)
+			f64.GemmSW(want, h4, m.Emb.Lookup(v), embed, wxT, h4, 1, h4, embed)
+			for j, got := range table[v*h4 : (v+1)*h4] {
+				if math.Float64bits(got) != math.Float64bits(want[j]) {
+					t.Fatalf("embed %d token %d unit %d: table holds %v, bias; GemmSW gives %v", embed, v, j, got, want[j])
+				}
+				if got == 0 && math.Signbit(got) {
+					negZeros++
+				}
+			}
+		}
+		if negZeros == 0 {
+			t.Fatalf("embed %d: no −0 entry occurred: the case the bias-first order exists for went untested", embed)
+		}
 	}
 }
 

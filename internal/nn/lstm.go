@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/f64"
 )
@@ -42,6 +43,9 @@ type LSTMLayer struct {
 	// Wh as stored.
 	wxT, whT []float64
 	frozen   bool
+	// table replaces wxT on a frozen first layer whose inputs are token
+	// embeddings (see tabulate): row v is b + Wx·E[v], 4h values.
+	table []float64
 
 	cache  LSTMCache
 	bcache lstmBatchCache
@@ -97,6 +101,23 @@ func (l *LSTMLayer) transposed() (wxT, whT []float64) {
 func (l *LSTMLayer) freeze() {
 	l.transposed()
 	l.frozen = true
+}
+
+// tabulate replaces the frozen layer's wxT by the table forwardTabled
+// and ForwardBatch read when the layer's inputs are rows of e: row v is
+// what Forward's input GEMM leaves in pre for a step whose input is
+// token v's embedding — the bias, then the Wx terms — because the same
+// statements compute it, with the vocabulary as the sequence. The
+// recurrent product is added on top of that row either way, so reading
+// it back changes no bit (a −0 bias included: the row starts as a copy).
+func (l *LSTMLayer) tabulate(e *Embedding) {
+	h := l.H
+	t := make([]float64, e.V*4*h)
+	for v := 0; v < e.V; v++ {
+		copy(t[v*4*h:(v+1)*4*h], l.B.W)
+	}
+	f64.Gemm(t, e.P.W, l.wxT, e.V, 4*h, l.In)
+	l.table, l.wxT = t, nil
 }
 
 // LSTMCache stores the forward activations needed by BPTT in flat
@@ -162,6 +183,35 @@ func (l *LSTMLayer) Forward(xs [][]float64) ([][]float64, *LSTMCache) {
 		copy(cache.pre[t*4*h:(t+1)*4*h], l.B.W)
 	}
 	f64.Gemm(cache.pre, x, wxT, n, 4*h, l.In)
+	l.recur(n, whT)
+	return cache.hsRows, cache
+}
+
+// forwardTabled is Forward on a tabled layer (see tabulate) over the
+// embeddings of ids: each step's pre starts as a copy of its token's
+// table row where Forward computes that row. An id outside the
+// vocabulary reads as token 0, as Embedding.Forward reads it.
+func (l *LSTMLayer) forwardTabled(ids []int) ([][]float64, *LSTMCache) {
+	n := len(ids)
+	h := l.H
+	cache := &l.cache
+	cache.ensure(n, h, 0)
+	vocab := len(l.table) / (4 * h)
+	for t, id := range ids {
+		if id < 0 || id >= vocab {
+			id = 0
+		}
+		copy(cache.pre[t*4*h:(t+1)*4*h], l.table[id*4*h:(id+1)*4*h])
+	}
+	l.recur(n, l.whT)
+	return cache.hsRows, cache
+}
+
+// recur runs the timestep loop over the n rows of cache.pre, which hold
+// b + Wx·xₜ on entry.
+func (l *LSTMLayer) recur(n int, whT []float64) {
+	h := l.H
+	cache := &l.cache
 	for t := 0; t < n; t++ {
 		pre := cache.pre[t*4*h : (t+1)*4*h]
 		if t > 0 {
@@ -202,7 +252,6 @@ func (l *LSTMLayer) Forward(xs [][]float64) ([][]float64, *LSTMCache) {
 			hVec[i] = gout[i] * tc[i]
 		}
 	}
-	return cache.hsRows, cache
 }
 
 // Backward runs BPTT. dhs[t] is the gradient flowing into h_t from
@@ -292,72 +341,184 @@ func (l *LSTMLayer) Backward(cache *LSTMCache, dhs [][]float64) [][]float64 {
 	return dxs
 }
 
-// lstmBatchCache is the inference-only scratch of ForwardBatch:
-// lane-major activations sized by the largest batch seen, reused
-// across calls and never retained for Backward.
+// lstmTrie is the layout of one batch: the prefix tree of its token
+// sequences. Every function the stacked layers compute at step t is a
+// function of the tokens up to t alone, so lanes that share a prefix
+// share those values, and the batched path computes them once: it runs
+// one row per node — per distinct prefix — where a lane-per-row layout
+// runs one per lane-step. A duplicate statement, a statement that is a
+// proper prefix of another and two that part at step 0 are all just
+// shapes of the tree, and a batch costs its node count.
+//
+// Nodes are stored block after block by depth: block t holds the
+// widths[t] distinct prefixes of length t+1, in the lexicographic order
+// of the lanes through them, so a node's children are adjacent and
+// parents are non-decreasing along a block.
+type lstmTrie struct {
+	widths []int // widths[t]: nodes at depth t, every one positive
+	tok    []int // per node: the token that ends its prefix, clamped to the vocabulary
+	parent []int // per node: its parent, an index into tok (block t−1); 0 in block 0
+	end    []int // per lane, in request order: the node its sequence ends in
+
+	// build's scratch: the lanes' clamped tokens back to back (lane r is
+	// seq[off[r]:off[r+1]]), the lanes in lexicographic order, each one's
+	// common-prefix length with its predecessor there, and per depth the
+	// next free node and the node of the lane in hand.
+	seq, off, order, lcp, next, path []int
+}
+
+// build lays out the batch ids over a vocabulary of vocab tokens. An id
+// outside it reads as token 0 and an empty sequence as the one token 0,
+// as on the scalar path, and both share nodes accordingly. Sorted
+// lexicographically, the lanes through any one node are adjacent, so
+// whatever a lane shares with any earlier lane it shares with its
+// predecessor: its first lcp nodes are the predecessor's, and it opens
+// a new node at every depth from lcp on.
+func (tr *lstmTrie) build(ids [][]int, vocab int) {
+	n := len(ids)
+	off := growI(&tr.off, n+1)
+	total, depth := 0, 0
+	for r, s := range ids {
+		off[r] = total
+		l := max(len(s), 1)
+		total += l
+		depth = max(depth, l)
+	}
+	off[n] = total
+	seq := growI(&tr.seq, total)
+	for r, s := range ids {
+		lane := seq[off[r]:off[r+1]]
+		lane[0] = 0
+		for i, id := range s {
+			if id < 0 || id >= vocab {
+				id = 0
+			}
+			lane[i] = id
+		}
+	}
+	order := growI(&tr.order, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return slices.Compare(seq[off[a]:off[a+1]], seq[off[b]:off[b+1]])
+	})
+	lcp := growI(&tr.lcp, n)
+	widths := growI(&tr.widths, depth)
+	clear(widths)
+	var prev []int
+	for k, r := range order {
+		lane := seq[off[r]:off[r+1]]
+		c := 0
+		for c < len(prev) && c < len(lane) && prev[c] == lane[c] {
+			c++
+		}
+		lcp[k] = c
+		for t := c; t < len(lane); t++ {
+			widths[t]++
+		}
+		prev = lane
+	}
+	next := growI(&tr.next, depth)
+	nodes := 0
+	for t, w := range widths {
+		next[t] = nodes
+		nodes += w
+	}
+	tok, parent := growI(&tr.tok, nodes), growI(&tr.parent, nodes)
+	end := growI(&tr.end, n)
+	path := growI(&tr.path, depth)
+	for k, r := range order {
+		lane := seq[off[r]:off[r+1]]
+		for t := lcp[k]; t < len(lane); t++ {
+			node := next[t]
+			next[t]++
+			tok[node], parent[node] = lane[t], 0
+			if t > 0 {
+				parent[node] = path[t-1]
+			}
+			path[t] = node
+		}
+		end[r] = path[len(lane)-1]
+	}
+}
+
+// lstmBatchCache is the inference-only scratch of ForwardBatch: node-
+// major activations sized by the largest batch seen, reused across
+// calls and never retained for Backward.
 type lstmBatchCache struct {
 	pre        []float64 // current step: w×h candidate block, then w×3h gate block
-	hs         []float64 // T blocks of widths[t]×h hidden states
+	hs         []float64 // one widths[t]×h block of hidden states per step
+	hPrev      []float64 // w×h: the current block's parents' hidden states, gathered
 	cA, cB, tc []float64 // w×h cell-state double buffer and tanh scratch
 }
 
-// ForwardBatch runs the layer over an n-example batch packed
-// lane-major, one block per timestep holding only the lanes still
-// running at that step: block t is a widths[t]×In matrix, lane r's
-// input at x[In·(off(t)+r) : In·(off(t)+r+1)], where off(t) =
-// widths[0] + … + widths[t−1]. It returns the hidden states in the
-// same layout (block t is widths[t]×h at h·off(t)), owned by the layer
-// and valid until the next ForwardBatch call. There are len(widths)
-// steps; widths must be positive and non-increasing (callers sort
-// lanes longest first). A ragged batch therefore costs exactly the
-// sum of its lane lengths, and a lane that ends simply drops off the
-// end of the next block: nothing is padded, repacked or recomputed,
-// and a narrow step runs the same code as a full one.
+// ForwardBatch runs the layer over a batch laid out as tr: one row per
+// node, block after block — block t of x is a widths[t]×In matrix whose
+// row r is the input at the node tr.tok[off(t)+r] names, off(t) =
+// widths[0] + … + widths[t−1]. It returns the hidden states in the same
+// layout (block t is widths[t]×h at h·off(t)), owned by the layer and
+// valid until the next ForwardBatch call. A batch therefore costs its
+// distinct prefixes; nothing is padded or recomputed, and a narrow
+// block runs the same code as a wide one. A tabled layer (see tabulate)
+// takes its inputs from tr.tok and ignores x.
 //
-// Per step the running lanes' gate pre-activations are Forward's own
-// products with w rows instead of one — Pre = 1·bᵀ + Xₜ·Wxᵀ + Hₜ₋₁·Whᵀ
-// against the same transposed weights (see transposed: rebuilt per call
-// on a trainable layer, kept on a frozen one) — written as two column
-// blocks so each nonlinearity is one call over contiguous memory: the
-// w×h candidates (TanhV) and the w×3h [update|forget|output] gates
-// (SigmoidV).
+// Per step the nodes' gate pre-activations are Forward's own products
+// with w rows instead of one — Pre = 1·bᵀ + Xₜ·Wxᵀ + Hₜ₋₁·Whᵀ against the
+// same transposed weights (see transposed: rebuilt per call on a
+// trainable layer, kept on a frozen one), the first two terms read from
+// the table where there is one — written as two column blocks so each
+// nonlinearity is one call over contiguous memory: the w×h candidates
+// (TanhV) and the w×3h [update|forget|output] gates (SigmoidV). Row r
+// of Hₜ₋₁ is the hidden state of r's parent, copied next to its
+// siblings' so the recurrent product has one contiguous operand; the
+// parent's cell state is read where it lies.
 //
-// Bit-identity with Forward: lane r's row of every product multiplies
+// Bit-identity with Forward: a node's row of every product multiplies
 // the same float pairs in the same order as Forward's sequence-level
-// input GEMM and per-step recurrent GEMM do for example r (bias, then
-// Wx terms in increasing input index four at a time, then Wh terms
-// likewise; a GEMM's per-element order does not depend on how many
-// rows or which columns it computes), and the nonlinearities are the
-// same element functions. Lanes never mix, so lane r of every block
-// equals the scalar path on example r bit-for-bit whatever the widths.
+// input GEMM and per-step recurrent GEMM do at that step of any example
+// through the node (bias, then Wx terms in increasing input index four
+// at a time, then Wh terms likewise; a GEMM's per-element order does
+// not depend on how many rows or which columns it computes), and the
+// nonlinearities are the same element functions. Rows never mix, so
+// every node equals the scalar path on its prefix bit for bit whatever
+// else the batch holds.
 //
 // Inference only: no cache is retained for Backward.
-func (l *LSTMLayer) ForwardBatch(x []float64, widths []int) []float64 {
+func (l *LSTMLayer) ForwardBatch(x []float64, tr *lstmTrie) []float64 {
 	h, in := l.H, l.In
-	n, total := 0, 0 // widest step; lanes over all steps
-	for _, w := range widths {
-		n = max(n, w)
-		total += w
-	}
+	n := slices.Max(tr.widths) // widest block
 	bc := &l.bcache
 	wxT, whT := l.transposed()
 	pre := growF(&bc.pre, n*4*h)
-	hs := growF(&bc.hs, total*h)
+	hs := growF(&bc.hs, len(tr.tok)*h)
+	hPrev := growF(&bc.hPrev, n*h)
 	cPrev := growF(&bc.cA, n*h)
 	cCur := growF(&bc.cB, n*h)
 	tcBuf := growF(&bc.tc, n*h)
-	off, wPrev := 0, 0 // lanes in the blocks before step t; step t−1's width
-	for t, w := range widths {
+	off, offPrev := 0, 0 // first node of block t and of block t−1
+	for t, w := range tr.widths {
 		cand, gates := pre[:w*h], pre[w*h:w*4*h]
-		for r := 0; r < w; r++ {
-			copy(cand[r*h:(r+1)*h], l.B.W[:h])
-			copy(gates[r*3*h:(r+1)*3*h], l.B.W[h:])
+		if l.table != nil {
+			for r, v := range tr.tok[off : off+w] {
+				row := l.table[v*4*h : (v+1)*4*h]
+				copy(cand[r*h:(r+1)*h], row[:h])
+				copy(gates[r*3*h:(r+1)*3*h], row[h:])
+			}
+		} else {
+			for r := 0; r < w; r++ {
+				copy(cand[r*h:(r+1)*h], l.B.W[:h])
+				copy(gates[r*3*h:(r+1)*3*h], l.B.W[h:])
+			}
+			xt := x[in*off : in*(off+w)]
+			f64.GemmSW(cand, h, xt, in, wxT, 4*h, w, h, in)
+			f64.GemmSW(gates, 3*h, xt, in, wxT[h:], 4*h, w, 3*h, in)
 		}
-		xt := x[in*off : in*(off+w)]
-		f64.GemmSW(cand, h, xt, in, wxT, 4*h, w, h, in)
-		f64.GemmSW(gates, 3*h, xt, in, wxT[h:], 4*h, w, 3*h, in)
+		parents := tr.parent[off : off+w]
 		if t > 0 {
-			hPrev := hs[h*(off-wPrev) : h*(off-wPrev+w)]
+			for r, p := range parents {
+				copy(hPrev[r*h:(r+1)*h], hs[p*h:(p+1)*h])
+			}
 			f64.GemmSW(cand, h, hPrev, h, whT, 4*h, w, h, h)
 			f64.GemmSW(gates, 3*h, hPrev, h, whT[h:], 4*h, w, 3*h, h)
 		}
@@ -365,14 +526,15 @@ func (l *LSTMLayer) ForwardBatch(x []float64, widths []int) []float64 {
 		f64.SigmoidV(gates, gates)
 		c := cCur[:w*h]
 		for r := 0; r < w; r++ {
-			cr, candr := c[r*h:(r+1)*h], cand[r*h:(r+1)*h]
-			gu, gf := gates[r*3*h:r*3*h+h], gates[r*3*h+h:r*3*h+2*h]
+			// Every row is cut [:h], so the loops below index check-free.
+			cr, candr := c[r*h:][:h], cand[r*h:][:h]
+			gu, gf := gates[r*3*h:][:h], gates[r*3*h+h:][:h]
 			if t == 0 {
 				for i := range cr {
 					cr[i] = gu[i] * candr[i]
 				}
 			} else {
-				cp := cPrev[r*h : (r+1)*h]
+				cp := cPrev[(parents[r]-offPrev)*h:][:h]
 				for i := range cr {
 					cr[i] = gu[i]*candr[i] + gf[i]*cp[i]
 				}
@@ -382,15 +544,14 @@ func (l *LSTMLayer) ForwardBatch(x []float64, widths []int) []float64 {
 		f64.TanhV(tc, c)
 		ht := hs[h*off : h*(off+w)]
 		for r := 0; r < w; r++ {
-			hr, tcr := ht[r*h:(r+1)*h], tc[r*h:(r+1)*h]
-			gout := gates[r*3*h+2*h : (r+1)*3*h]
+			hr, tcr := ht[r*h:][:h], tc[r*h:][:h]
+			gout := gates[r*3*h+2*h:][:h]
 			for i := range hr {
 				hr[i] = gout[i] * tcr[i]
 			}
 		}
 		cPrev, cCur = cCur, cPrev
-		off += w
-		wPrev = w
+		offPrev, off = off, off+w
 	}
 	return hs
 }

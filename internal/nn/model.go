@@ -62,17 +62,18 @@ type CNNModel struct {
 	bcache cnnBatchCache
 }
 
-// cnnTableBudget is the most table memory, in bytes, a frozen CNN
-// replica takes: Freeze tables a model whose banks' tables together
-// fit, and no other. A table entry per (token, offset, block, kernel)
-// is 12 288 B per vocabulary entry at core.DefaultConfig's shape, so
-// the budget admits vocabularies up to 682 there — every character
-// model, a word model over a few hundred distinct tokens — and never a
-// paper-scale word vocabulary (20 000 tokens: 245 MB). Past a few
-// thousand tokens a table that has left the cache is no faster than the
-// GEMM it replaces; BenchmarkCNNTableSweep is the measurement this
+// tableBudget is the most table memory, in bytes, a frozen replica
+// takes: Freeze tables a CNN whose banks' tables together fit, an LSTM
+// whose first layer's table fits, and no other. A CNN's entry per
+// (token, offset, block, kernel) is 12 288 B per vocabulary entry at
+// core.DefaultConfig's shape, so the budget admits vocabularies up to
+// 682 there — every character model, a word model over a few hundred
+// distinct tokens — and never a paper-scale word vocabulary (20 000
+// tokens: 245 MB; the LSTM's 1 024 B per token there is 20 MB). Past a
+// few thousand tokens a table that has left the cache is no faster than
+// the GEMM it replaces; BenchmarkCNNTableSweep is the measurement this
 // constant rests on.
-const cnnTableBudget = 8 << 20
+const tableBudget = 8 << 20
 
 // NewCNN builds a CNN model.
 func NewCNN(cfg CNNConfig, rng *rand.Rand) *CNNModel {
@@ -137,7 +138,7 @@ func (m *CNNModel) CloneShared() Model {
 // Which layout is read off the model. Every operand of the banks' GEMM
 // is now a constant — a token's embedding row, a bank's kernels — so
 // where every bank can have one (Embed a multiple of 4, see
-// Conv1D.tableLen) and the tables together fit cnnTableBudget, each
+// Conv1D.tableLen) and the tables together fit tableBudget, each
 // bank keeps a table of the 4-term block sums that GEMM would form
 // (Conv1D.tabulate), and a forward pass sums table rows by token id and
 // max-pools them in one kernel (Conv1D.poolTable): no embedding copies,
@@ -153,7 +154,7 @@ func (m *CNNModel) CloneShared() Model {
 // mutated must be discarded. Backward on a frozen model panics.
 func (m *CNNModel) Freeze() {
 	bytes, ok := m.tableBytes()
-	m.freeze(ok && bytes <= cnnTableBudget)
+	m.freeze(ok && bytes <= tableBudget)
 }
 
 // freeze is Freeze with the choice of layout made by the caller (the
@@ -359,13 +360,10 @@ type lstmModelCache struct {
 // lstmBatchModelCache is the inference-only batch scratch, sized by the
 // largest batch seen and reused across ForwardBatch calls.
 type lstmBatchModelCache struct {
-	lens   []int     // true step count per example (empty sequences pad to 1)
-	order  []int     // lane order, longest sequence first
-	widths []int     // per-step active width (lanes whose sequence reaches t)
-	offs   []int     // offs[t] = widths[0]+…+widths[t−1], block t's lane offset
-	xb     []float64 // lane-major input: T blocks of widths[t]×Embed
-	last   []float64 // n × Hidden final hidden states
-	out    []float64 // n × Outputs logits
+	trie lstmTrie
+	xb   []float64 // node-major input: one widths[t]×Embed block per step
+	last []float64 // n × Hidden final hidden states
+	out  []float64 // n × Outputs logits
 }
 
 // Config returns the architecture configuration the model was built
@@ -387,11 +385,26 @@ func (m *LSTMModel) CloneShared() Model {
 // Freeze makes m an inference replica for good, under CNNModel.Freeze's
 // contract: gradient accumulators dropped, every layer's Wx and Wh
 // transposed once and kept, outputs bit-identical, weights not to be
-// changed afterwards, Backward panics.
+// changed afterwards, Backward panics. The first layer's input
+// transform b + Wx·E[v] is by then a function of the token alone: where
+// one 4·Hidden row of it per vocabulary entry fits tableBudget
+// (core.DefaultConfig's clstm: 77 × 1 024 B; a 20 000-word wlstm does
+// not) the layer keeps that table in place of its Wxᵀ
+// (LSTMLayer.tabulate), and Forward and ForwardBatch copy a row where
+// they ran a 4·Hidden × Embed product.
 func (m *LSTMModel) Freeze() {
+	m.freeze(8*m.Emb.V*4*m.cfg.Hidden <= tableBudget)
+}
+
+// freeze is Freeze with the choice of layout made by the caller (the
+// package's tests run both on one model).
+func (m *LSTMModel) freeze(tabled bool) {
 	dropGrads(m.Params())
 	for _, l := range m.Layers {
 		l.freeze()
+	}
+	if tabled {
+		m.Layers[0].tabulate(m.Emb)
 	}
 	m.frozen = true
 }
@@ -403,10 +416,18 @@ func (m *LSTMModel) Forward(ids []int, train bool, rng *rand.Rand) ([]float64, a
 		m.padOne[0] = 0
 		ids = m.padOne[:]
 	}
-	xs := m.Emb.Forward(ids)
 	cache := &m.cache
 	cache.layerCaches = cache.layerCaches[:0]
-	for _, layer := range m.Layers {
+	var xs [][]float64
+	upper := m.Layers
+	if m.Layers[0].table != nil {
+		hs, lc := m.Layers[0].forwardTabled(ids)
+		cache.layerCaches = append(cache.layerCaches, lc)
+		xs, upper = hs, m.Layers[1:]
+	} else {
+		xs = m.Emb.Forward(ids)
+	}
+	for _, layer := range upper {
 		hs, lc := layer.Forward(xs)
 		cache.layerCaches = append(cache.layerCaches, lc)
 		xs = hs
@@ -415,16 +436,16 @@ func (m *LSTMModel) Forward(ids []int, train bool, rng *rand.Rand) ([]float64, a
 	return m.FC.Forward(cache.last), cache
 }
 
-// ForwardBatch implements BatchModel. The batch is packed lane-major
-// — T timestep blocks, block t a widths[t]×Embed matrix holding only
-// the lanes still running at step t — so every LSTM layer advances the
-// running examples one step per pair of GEMMs (see
-// LSTMLayer.ForwardBatch). Ragged lengths cost their true sum, not
-// T×n: lanes are ordered longest first, each step's block holds the
-// lanes whose sequence reaches it (a row prefix), and each lane's
-// logits read from its own final step lens[r]−1. Lanes are independent
-// rows throughout, so both the reordering and the narrowing leave
-// every example bit-identical to the scalar path.
+// ForwardBatch implements BatchModel. The batch is laid out as the
+// prefix tree of its token sequences (lstmTrie): lanes are ordered
+// lexicographically, every distinct prefix is one node, and block t of
+// every layer holds one row per node of depth t, so each LSTM layer
+// advances all running prefixes one step per pair of GEMMs (see
+// LSTMLayer.ForwardBatch) and a batch costs its distinct prefixes, not
+// the sum of its lane lengths and never T×n. Each lane's logits read
+// from the node its sequence ends in. Rows are independent throughout,
+// so neither the order nor the sharing is visible in the output: every
+// example is bit-identical to the scalar path, in request order.
 func (m *LSTMModel) ForwardBatch(ids [][]int) ([]float64, int) {
 	n := len(ids)
 	outDim := m.cfg.Outputs
@@ -440,72 +461,23 @@ func (m *LSTMModel) ForwardBatch(ids [][]int) ([]float64, int) {
 	}
 	d := m.cfg.Embed
 	h := m.cfg.Hidden
-	lens := growI(&bc.lens, n)
-	T := 1
-	for r, seq := range ids {
-		l := len(seq)
-		if l == 0 {
-			l = 1 // the scalar path pads empty sequences to one unknown token
-		}
-		lens[r] = l
-		if l > T {
-			T = l
+	tr := &bc.trie
+	tr.build(ids, m.Emb.V)
+	var x []float64
+	if m.Layers[0].table == nil {
+		x = growF(&bc.xb, len(tr.tok)*d)
+		for node, id := range tr.tok {
+			copy(x[node*d:(node+1)*d], m.Emb.Lookup(id))
 		}
 	}
-	// Lanes run longest first (stable insertion sort: batches are small
-	// and this allocates nothing), so the set of still-active lanes at
-	// any step is a row prefix and each step can narrow its working
-	// width to the lanes that still have input. A ragged batch then
-	// costs the sum of its lane lengths, not T×n; reordering is
-	// invisible in the output because lanes never mix in the batched
-	// path and the logits scatter back through order.
-	order := growI(&bc.order, n)
-	for i := range order {
-		order[i] = i
-	}
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && lens[order[j]] > lens[order[j-1]]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	// widths[t] = how many lanes still have a token at step t; with
-	// lens[order] non-increasing that is the first sorted position whose
-	// lane has ended. offs[t] is the lane count of the blocks before
-	// step t, which places block t in the compact lane-major layout
-	// LSTMLayer.ForwardBatch documents.
-	widths := growI(&bc.widths, T)
-	offs := growI(&bc.offs, T)
-	w, total := n, 0
-	for t := 0; t < T; t++ {
-		for w > 0 && lens[order[w-1]] <= t {
-			w--
-		}
-		widths[t], offs[t] = w, total
-		total += w
-	}
-	xb := growF(&bc.xb, total*d)
-	for t := 0; t < T; t++ {
-		blk := xb[offs[t]*d:]
-		for k := 0; k < widths[t]; k++ {
-			seq := ids[order[k]]
-			id := 0
-			if t < len(seq) {
-				id = seq[t] // t ≥ len only for the empty-sequence pad lane
-			}
-			copy(blk[k*d:(k+1)*d], m.Emb.Lookup(id))
-		}
-	}
-	x := xb
 	for _, layer := range m.Layers {
-		x = layer.ForwardBatch(x, widths)
+		x = layer.ForwardBatch(x, tr)
 	}
-	// Gather each lane's final step into example-major rows in original
-	// request order; the head then writes out in request order directly.
+	// Gather each lane's final node into example-major rows in request
+	// order; the head then writes out in request order directly.
 	last := growF(&bc.last, n*h)
-	for k := 0; k < n; k++ {
-		r := order[k]
-		o := offs[lens[r]-1] + k
-		copy(last[r*h:(r+1)*h], x[o*h:(o+1)*h])
+	for r, node := range tr.end {
+		copy(last[r*h:(r+1)*h], x[node*h:(node+1)*h])
 	}
 	m.FC.ForwardBatch(out, last, n)
 	return out, outDim

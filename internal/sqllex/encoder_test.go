@@ -106,3 +106,59 @@ func TestCharsInterned(t *testing.T) {
 		t.Fatalf("CharsWithSpace = %v", spaced)
 	}
 }
+
+// FuzzEncoderMatchesTokens is the differential behind a contract the
+// layers above lean on: equal text gives equal ids (a batched LSTM runs
+// statements that share a prefix of ids as one row). The fused
+// Encoder.Encode must give the ids of Chars/Words + Vocabulary.Encode
+// at both granularities and both of core.DefaultConfig's length caps
+// (40 words, 160 characters; each cap is tried at each granularity),
+// and an encoder reused across inputs — its rune, literal and key
+// scratch carried over from whatever it encoded last, the fuzzer's
+// previous inputs included — must answer like a fresh one. The input is
+// cut in two so that one execution alone already reuses the scratch:
+// first half, second half, first half again.
+func FuzzEncoderMatchesTokens(f *testing.F) {
+	var charSeqs, wordSeqs [][]string
+	for _, q := range encoderCorpus[:6] {
+		charSeqs = append(charSeqs, Chars(q))
+		wordSeqs = append(wordSeqs, Words(q))
+	}
+	vocabs := [2]*Vocabulary{BuildVocabulary(charSeqs, 0), BuildVocabulary(wordSeqs, 40)}
+	type leg struct {
+		word   bool
+		maxLen int
+		reused *Encoder
+	}
+	var legs []leg
+	for g, word := range []bool{false, true} {
+		for _, maxLen := range []int{40, 160} {
+			legs = append(legs, leg{word, maxLen, NewEncoder(vocabs[g], word, maxLen)})
+		}
+	}
+	for _, q := range encoderCorpus {
+		f.Add(q, len(q)/2)
+	}
+	f.Fuzz(func(t *testing.T, q string, cut int) {
+		if cut < 0 || cut > len(q) {
+			cut = len(q) / 2
+		}
+		parts := []string{q[:cut], q[cut:], q[:cut]} // a cut inside a rune leaves invalid UTF-8 on both sides: also an input
+		for _, lg := range legs {
+			vocab := vocabs[0]
+			tokens := Chars
+			if lg.word {
+				vocab, tokens = vocabs[1], Words
+			}
+			for _, part := range parts {
+				want := vocab.Encode(tokens(part), lg.maxLen)
+				if got := NewEncoder(vocab, lg.word, lg.maxLen).Encode(part); !equalInts(got, want) {
+					t.Fatalf("word=%v maxLen=%d %q: fresh encoder\n got %v\nwant %v", lg.word, lg.maxLen, part, got, want)
+				}
+				if got := lg.reused.Encode(part); !equalInts(got, want) {
+					t.Fatalf("word=%v maxLen=%d %q: reused encoder\n got %v\nwant %v", lg.word, lg.maxLen, part, got, want)
+				}
+			}
+		}
+	})
+}
