@@ -120,12 +120,12 @@ type Config struct {
 	LSTMLR    float64
 	BatchSize int
 	Clip      float64
-	// Workers is the number of goroutines the training engine fans each
-	// mini-batch across (see Trainer). 1 (the default) reproduces the
-	// legacy sequential loop bit-for-bit; <= 0 selects
+	// Workers is the number of workers the training engine fans each
+	// mini-batch across (see Trainer: one loop; one worker draws dropout
+	// from the training RNG). 1 is the default; <= 0 selects
 	// min(GOMAXPROCS, BatchSize). Values > 1 keep training deterministic
-	// for a fixed worker count but reorder floating-point gradient
-	// accumulation relative to the sequential path.
+	// for a fixed worker count but draw dropout per example and reorder
+	// floating-point gradient accumulation relative to one worker.
 	Workers int
 	// Traditional models.
 	NGramMax    int

@@ -109,10 +109,11 @@ type stepScratch struct {
 // reduced into the master parameters in worker order before the
 // optimizer step.
 //
-// Determinism contract:
-//   - Workers == 1 runs the legacy sequential loop and is bit-identical
-//     to the pre-engine behavior (shuffle and dropout draw from the
-//     single training RNG in the original order).
+// There is one loop; the worker count changes only where dropout draws
+// from:
+//   - Workers == 1 draws dropout from the training RNG, between the
+//     epoch shuffles and in example order — the stream training has
+//     used since before the engine existed, bit for bit.
 //   - Workers > 1 derives each example's dropout RNG from (Seed, epoch,
 //     batch slot), so dropout masks do not depend on the worker count
 //     or goroutine scheduling. For a fixed worker count results are
@@ -120,10 +121,10 @@ type stepScratch struct {
 //     vs. Workers == 1 with dropout disabled) final weights agree up to
 //     floating-point summation order (~1e-12 per step).
 type Trainer struct {
-	// Workers is the number of training goroutines per batch.
-	// <= 0 selects min(GOMAXPROCS, batch size); 1 is sequential.
+	// Workers is the number of training workers per batch.
+	// <= 0 selects min(GOMAXPROCS, batch size).
 	Workers int
-	// Seed drives the per-example dropout RNGs of the parallel path.
+	// Seed drives the per-example dropout RNGs (Workers > 1).
 	Seed int64
 	// Batch is the mini-batch size (examples per optimizer step).
 	Batch int
@@ -164,13 +165,13 @@ type trainWorker struct {
 	grads *nn.GradBuffer
 }
 
-// run executes the epoch/batch/optimizer skeleton. newWorker(w) builds
+// run executes the epoch/batch/reduce/step skeleton. newWorker(w) builds
 // worker w's replica-bound step function; it is called once per worker
-// up front. rng drives the epoch shuffles (and, for the sequential
-// path, dropout — preserving the legacy RNG stream exactly). The
-// parallel path runs worker 0's share of each batch on the calling
-// goroutine and starts one goroutine per other worker; state is bound
-// to the worker index, not to a goroutine.
+// up front. rng drives the epoch shuffles. Worker 0's share of each
+// batch runs on the calling goroutine and every other worker's on a
+// goroutine of its own; state is bound to the worker index, not to a
+// goroutine. With one worker no goroutine starts and nothing is reduced,
+// and the one thing that differs is the dropout stream (see Trainer).
 func (t Trainer) run(n int, rng *rand.Rand, opt *nn.Optimizer, params []*nn.Param,
 	newWorker func(w int) trainWorker) {
 	order := make([]int, n)
@@ -178,23 +179,6 @@ func (t Trainer) run(n int, rng *rand.Rand, opt *nn.Optimizer, params []*nn.Para
 		order[i] = i
 	}
 	workers := t.resolveWorkers()
-	if workers == 1 {
-		w0 := newWorker(0)
-		for e := 0; e < t.Epochs; e++ {
-			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-			for start := 0; start < n; start += t.Batch {
-				end := start + t.Batch
-				if end > n {
-					end = n
-				}
-				for _, i := range order[start:end] {
-					w0.step(rng, i)
-				}
-				scaleAndStep(opt, params, end-start)
-			}
-		}
-		return
-	}
 	state := make([]trainWorker, workers)
 	rngs := make([]*rand.Rand, workers)
 	for w := range state {
@@ -206,11 +190,13 @@ func (t Trainer) run(n int, rng *rand.Rand, opt *nn.Optimizer, params []*nn.Para
 	var e, start, end int
 	var wg sync.WaitGroup
 	batchJob := func(w int) {
-		wr := state[w]
-		wrng := rngs[w]
 		for k := start + w; k < end; k += workers {
-			wrng.Seed(exampleSeed(t.Seed, e, k))
-			wr.step(wrng, order[k])
+			wrng := rng // one worker: dropout continues the training RNG's stream
+			if workers > 1 {
+				wrng = rngs[w]
+				wrng.Seed(exampleSeed(t.Seed, e, k))
+			}
+			state[w].step(wrng, order[k])
 		}
 	}
 	for e = 0; e < t.Epochs; e++ {

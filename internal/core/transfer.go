@@ -122,36 +122,24 @@ func TransferExperiment(name string, task Task, source, targetTrain, targetTest 
 // MultiTaskModel predicts error class, answer size, and CPU time from
 // one shared encoder — the multi-task direction of Section 8 ("use
 // multi-task models that learn correlations between the query labels").
-// A single CNN encoder feeds three output heads; training sums the
-// three losses.
+// The encoder is a character CNN (nn.CNNModel) whose own dense layer is
+// the error head; two regression heads read the same features, and
+// training sums the three losses.
 type MultiTaskModel struct {
 	V, P int
 
-	emb    *nn.Embedding
-	convs  []*nn.Conv1D
-	drop   nn.Dropout
-	headE  *nn.Dense // error logits (3)
-	headA  *nn.Dense // answer size (1)
-	headC  *nn.Dense // CPU time (1)
-	vocab  vocabEncoder
+	enc    *nn.CNNModel // enc.FC: error logits (3)
+	headA  *nn.Dense    // answer size (1)
+	headC  *nn.Dense    // CPU time (1)
+	vocab  *sqllex.Vocabulary
 	maxLen int
 	// Log-transform minima for the two regression heads.
 	AnsLogMin, CPULogMin float64
-	kernels              int
 
 	// Reusable scratch (one example in flight at a time per instance;
 	// parallel training gives each worker its own replica).
-	pooledBuf    []float64
-	cachesBuf    []*nn.ConvCache
-	dxsFlat      []float64
-	dxs          [][]float64
 	dE           []float64
 	doutA, doutC [1]float64
-}
-
-type vocabEncoder interface {
-	Encode(tokens []string, maxLen int) []int
-	Size() int
 }
 
 // MultiTaskPrediction bundles the three predictions.
@@ -170,23 +158,19 @@ func TrainMultiTask(train []workload.Item, cfg Config) (*MultiTaskModel, error) 
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	seqs := tokenizeAll("ccnn", train)
-	vocab := buildVocab(seqs)
+	vocab := sqllex.BuildVocabulary(seqs, 0)
 	encoded := make([][]int, len(train))
 	for i, seq := range seqs {
 		encoded[i] = vocab.Encode(seq, cfg.CharMaxLen)
 	}
 
-	m := &MultiTaskModel{vocab: vocab, maxLen: cfg.CharMaxLen, kernels: cfg.Kernels}
-	m.emb = nn.NewEmbedding("emb", vocab.Size(), cfg.Embed, rng)
-	for _, wdt := range cfg.Widths {
-		m.convs = append(m.convs, nn.NewConv1D("conv", wdt, cfg.Embed, cfg.Kernels, rng))
-	}
-	m.drop = nn.Dropout{P: cfg.Dropout}
-	featDim := cfg.Kernels * len(cfg.Widths)
-	m.headE = nn.NewDense("headE", featDim, simdbNumErrorClasses, rng)
-	m.headA = nn.NewDense("headA", featDim, 1, rng)
-	m.headC = nn.NewDense("headC", featDim, 1, rng)
-	m.V = vocab.Size()
+	m := &MultiTaskModel{vocab: vocab, maxLen: cfg.CharMaxLen, V: vocab.Size()}
+	m.enc = nn.NewCNN(nn.CNNConfig{
+		Vocab: vocab.Size(), Embed: cfg.Embed, Widths: cfg.Widths,
+		Kernels: cfg.Kernels, Dropout: cfg.Dropout, Outputs: ErrorClassification.NumClasses(),
+	}, rng)
+	m.headA = nn.NewDense("headA", m.enc.FC.In, 1, rng)
+	m.headC = nn.NewDense("headC", m.enc.FC.In, 1, rng)
 
 	errLabels, _ := ErrorClassification.Labels(train)
 	_, ansRaw := AnswerSizePrediction.Labels(train)
@@ -206,7 +190,13 @@ func TrainMultiTask(train []workload.Item, cfg Config) (*MultiTaskModel, error) 
 		rep := m
 		var gb *nn.GradBuffer
 		if w > 0 {
-			rep = m.cloneShared()
+			// A training replica: shared weights, private gradients and
+			// scratch (see nn.ParallelModel).
+			rep = &MultiTaskModel{
+				enc:   m.enc.CloneShared().(*nn.CNNModel),
+				headA: m.headA.CloneShared(),
+				headC: m.headC.CloneShared(),
+			}
 			gb = nn.NewGradBuffer(rep.params())
 		}
 		return trainWorker{
@@ -219,116 +209,45 @@ func TrainMultiTask(train []workload.Item, cfg Config) (*MultiTaskModel, error) 
 	return m, nil
 }
 
-// cloneShared returns a training replica sharing weights with m but
-// owning private gradients and scratch (see nn.ParallelModel).
-func (m *MultiTaskModel) cloneShared() *MultiTaskModel {
-	c := &MultiTaskModel{
-		emb:     m.emb.CloneShared(),
-		drop:    nn.Dropout{P: m.drop.P},
-		headE:   m.headE.CloneShared(),
-		headA:   m.headA.CloneShared(),
-		headC:   m.headC.CloneShared(),
-		kernels: m.kernels,
-	}
-	for _, cv := range m.convs {
-		c.convs = append(c.convs, cv.CloneShared())
-	}
-	return c
-}
-
-const simdbNumErrorClasses = 3
-
+// params lists the encoder's parameters (embedding, banks, error head),
+// then the answer and CPU heads'.
 func (m *MultiTaskModel) params() []*nn.Param {
-	params := m.emb.Params()
-	for _, c := range m.convs {
-		params = append(params, c.Params()...)
-	}
-	params = append(params, m.headE.Params()...)
-	params = append(params, m.headA.Params()...)
-	params = append(params, m.headC.Params()...)
-	return params
+	return append(append(m.enc.Params(), m.headA.Params()...), m.headC.Params()...)
 }
 
-// encodeFeatures runs the shared encoder, reusing the model's scratch.
-func (m *MultiTaskModel) encodeFeatures(ids []int, train bool, rng *rand.Rand) (feat, preDrop []float64, caches []*nn.ConvCache, xs [][]float64, mask []float64) {
-	xs = m.emb.Forward(ids)
-	if cap(m.pooledBuf) < m.kernels*len(m.convs) {
-		m.pooledBuf = make([]float64, 0, m.kernels*len(m.convs))
-	}
-	pooled := m.pooledBuf[:0]
-	caches = m.cachesBuf[:0]
-	for _, conv := range m.convs {
-		p, cc := conv.Forward(xs)
-		caches = append(caches, cc)
-		pooled = append(pooled, p...)
-	}
-	m.pooledBuf, m.cachesBuf = pooled, caches
-	masked, mk := m.drop.Forward(pooled, train, rng)
-	return masked, pooled, caches, xs, mk
-}
-
-// step runs one multi-task forward/backward accumulation.
+// step runs one multi-task forward/backward accumulation: the three
+// heads' losses over one set of features, their gradients summed into
+// the encoder's backward pass.
 func (m *MultiTaskModel) step(ids []int, errLabel int, ansLog, cpuLog float64, rng *rand.Rand) {
-	feat, _, caches, xs, mask := m.encodeFeatures(ids, true, rng)
+	feat, cache := m.enc.Features(ids, true, rng)
 
-	outE := m.headE.Forward(feat)
+	outE := m.enc.FC.Forward(feat)
 	nn.SoftmaxCEInto(outE, errLabel, growFloats(&m.dE, len(outE)))
 	outA := m.headA.Forward(feat)
 	_, dA := nn.HuberLoss(outA[0], ansLog, 1)
 	outC := m.headC.Forward(feat)
 	_, dC := nn.HuberLoss(outC[0], cpuLog, 1)
 
-	dfeat := m.headE.Backward(feat, m.dE)
+	dfeat := m.enc.FC.Backward(feat, m.dE)
 	m.doutA[0] = dA
 	dfeatA := m.headA.Backward(feat, m.doutA[:])
 	m.doutC[0] = dC
 	dfeatC := m.headC.Backward(feat, m.doutC[:])
 	f64.AddTo(dfeat, dfeatA)
 	f64.AddTo(dfeat, dfeatC)
-	dpooled := m.drop.Backward(dfeat, mask)
-
-	n := len(xs)
-	if cap(m.dxsFlat) < n*m.emb.D {
-		m.dxsFlat = make([]float64, n*m.emb.D)
-	}
-	m.dxsFlat = m.dxsFlat[:n*m.emb.D]
-	for i := range m.dxsFlat {
-		m.dxsFlat[i] = 0
-	}
-	if cap(m.dxs) < n {
-		m.dxs = make([][]float64, n)
-	}
-	dxs := m.dxs[:n]
-	for i := range dxs {
-		dxs[i] = m.dxsFlat[i*m.emb.D : (i+1)*m.emb.D]
-	}
-	off := 0
-	for ci, conv := range m.convs {
-		dconv := conv.Backward(caches[ci], dpooled[off:off+m.kernels])
-		for t := range dconv {
-			f64.AddTo(dxs[t], dconv[t])
-		}
-		off += m.kernels
-	}
-	m.emb.Backward(ids, dxs)
+	m.enc.BackwardFeatures(ids, cache, dfeat)
 }
 
 // Predict returns all three property predictions for a statement.
 func (m *MultiTaskModel) Predict(stmt string) MultiTaskPrediction {
 	ids := m.vocab.Encode(Tokenize("ccnn", stmt), m.maxLen)
-	feat, _, _, _, _ := m.encodeFeatures(ids, false, nil)
-	probs := nn.Softmax(m.headE.Forward(feat))
-	best := 0
-	for c := range probs {
-		if probs[c] > probs[best] {
-			best = c
-		}
-	}
+	feat, _ := m.enc.Features(ids, false, nil)
+	probs := nn.Softmax(m.enc.FC.Forward(feat))
 	ans := m.headA.Forward(feat)[0]
 	cpu := m.headC.Forward(feat)[0]
 	return MultiTaskPrediction{
 		ErrorProbs: probs,
-		ErrorClass: best,
+		ErrorClass: argmax(probs),
 		AnswerSize: metrics.InverseLogTransform(ans, m.AnsLogMin),
 		CPUTime:    metrics.InverseLogTransform(cpu, m.CPULogMin),
 	}
@@ -337,10 +256,6 @@ func (m *MultiTaskModel) Predict(stmt string) MultiTaskPrediction {
 // PredictLog returns the log-space regression outputs (answer, cpu).
 func (m *MultiTaskModel) PredictLog(stmt string) (ansLog, cpuLog float64) {
 	ids := m.vocab.Encode(Tokenize("ccnn", stmt), m.maxLen)
-	feat, _, _, _, _ := m.encodeFeatures(ids, false, nil)
+	feat, _ := m.enc.Features(ids, false, nil)
 	return m.headA.Forward(feat)[0], m.headC.Forward(feat)[0]
-}
-
-func buildVocab(seqs [][]string) vocabEncoder {
-	return sqllex.BuildVocabulary(seqs, 0)
 }

@@ -1,8 +1,18 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/synth"
@@ -149,5 +159,81 @@ func TestMultiTaskLogPredictConsistent(t *testing.T) {
 	backCPU := math.Log(pred.CPUTime + 1 - m.CPULogMin)
 	if math.Abs(backAns-ansLog) > 1e-6 || math.Abs(backCPU-cpuLog) > 1e-6 {
 		t.Fatal("raw and log predictions inconsistent")
+	}
+}
+
+// multiTaskDigest is what one TrainMultiTask run is pinned to: the bits
+// of every parameter in params() order, and of everything Predict and
+// PredictLog return over 16 fixed statements.
+type multiTaskDigest struct {
+	Params      string `json:"params_sha256"`
+	Predictions string `json:"predictions_sha256"`
+}
+
+// TestMultiTaskPinned is TestIdentityPinned for the Section 8 multi-task
+// model: testdata/multitask.json is written at the commit before a
+// change to the model or the trainer (-update) and must pass unchanged
+// after it. Workers 1 pins the one-worker dropout stream (the training
+// RNG), Workers 2 the per-example one.
+func TestMultiTaskPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests are pinned on amd64: %s's compiler may fuse multiply-adds, which legitimately rounds differently", runtime.GOARCH)
+	}
+	items := synth.NewSDSS(synth.SDSSConfig{Sessions: 150, HitsPerSessionMax: 2, Seed: 36}).Generate().Items
+	pool := workload.Statements(synth.NewSDSS(synth.SDSSConfig{Sessions: 40, HitsPerSessionMax: 2, Seed: 37}).Generate().Items)[:16]
+
+	got := map[string]multiTaskDigest{}
+	for _, workers := range []int{1, 2} {
+		cfg := TinyConfig()
+		cfg.Epochs = 2
+		cfg.Workers = workers
+		m, err := TrainMultiTask(items, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var word [8]byte
+		hash := func(vals ...float64) {
+			for _, v := range vals {
+				binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+				h.Write(word[:])
+			}
+		}
+		for _, p := range m.params() {
+			hash(p.W...)
+		}
+		d := multiTaskDigest{Params: hex.EncodeToString(h.Sum(nil))}
+		h.Reset()
+		for _, stmt := range pool {
+			pred := m.Predict(stmt)
+			hash(pred.ErrorProbs...)
+			hash(float64(pred.ErrorClass), pred.AnswerSize, pred.CPUTime)
+			hash(m.PredictLog(stmt))
+		}
+		d.Predictions = hex.EncodeToString(h.Sum(nil))
+		got[fmt.Sprintf("workers%d", workers)] = d
+	}
+
+	path := filepath.Join("testdata", "multitask.json")
+	if flag.Lookup("update").Value.String() == "true" { // identity_test.go's flag
+		blob, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (generate it at the parent commit with -update)", err)
+	}
+	want := map[string]multiTaskDigest{}
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("multi-task model moved:\n got  %+v\n want %+v", got, want)
 	}
 }

@@ -53,12 +53,6 @@ type Scale struct {
 	// machines prefer one or the other. -1 selects
 	// min(GOMAXPROCS, batch size).
 	TrainWorkers int
-	// EvalWorkers is the serve.Predictor replica count the evaluation
-	// loops fan test statements across. 0 (the default) selects
-	// GOMAXPROCS; negative forces the sequential direct-model path.
-	// Pooled and sequential evaluation are bit-identical, so this only
-	// changes wall-clock time.
-	EvalWorkers int
 }
 
 // effectiveCfg resolves the per-model training config, applying the
@@ -108,6 +102,10 @@ type Env struct {
 	SDSSCatalog  *simdb.Catalog
 	UserCatalogs map[string]*simdb.Catalog
 
+	// The structural analyses behind Figures 3–8, each computed on first
+	// use and kept for the Env's lifetime.
+	sdssAnalysis, sqlShareAnalysis func() *workload.Analysis
+
 	mu     sync.Mutex
 	models map[modelKey]*modelEntry
 
@@ -150,6 +148,8 @@ func NewEnv(scale Scale) *Env {
 		models:      map[modelKey]*modelEntry{},
 	}
 	env.UserCatalogs = sqlGen.Catalogs()
+	env.sdssAnalysis = sync.OnceValue(func() *workload.Analysis { return workload.Analyze(env.SDSS) })
+	env.sqlShareAnalysis = sync.OnceValue(func() *workload.Analysis { return workload.Analyze(env.SQLShare) })
 	env.SDSSSplit = workload.RandomSplit(env.SDSS.Items, 0.1, 0.1, rand.New(rand.NewSource(scale.Seed+7)))
 	env.HomoSplit = workload.RandomSplit(env.SQLShare.Items, 0.1, 0.1, rand.New(rand.NewSource(scale.Seed+8)))
 	env.HeteroSplit = workload.UserSplit(env.SQLShare.Items, 0.07, 0.1, rand.New(rand.NewSource(scale.Seed+9)))

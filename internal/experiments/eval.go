@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/serve"
@@ -24,35 +23,12 @@ import (
 // Predictor owns no goroutine; a cached one would only pin the
 // replicas' scratch for the Env's whole lifetime).
 
-// evalWorkers resolves Scale.EvalWorkers (0 = GOMAXPROCS, negative =
-// sequential).
-func (e *Env) evalWorkers() int {
-	w := e.Scale.EvalWorkers
-	if w == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
-}
-
-// statements extracts the statement column of a test split.
-func statements(items []workload.Item) []string {
-	out := make([]string, len(items))
-	for i, item := range items {
-		out[i] = item.Statement
-	}
-	return out
-}
-
 // evalClassifier computes classification metrics for m on test,
-// fanning the predictions across a replica pool.
-func (e *Env) evalClassifier(m *core.Model, task core.Task, test []workload.Item) core.EvalClassification {
-	w := e.evalWorkers()
-	if w < 1 {
-		return core.EvaluateClassifier(m, task, test)
-	}
-	p := serve.NewPredictor(m, serve.Options{Replicas: w})
+// fanning the predictions across a pool of GOMAXPROCS replicas.
+func evalClassifier(m *core.Model, task core.Task, test []workload.Item) core.EvalClassification {
+	p := serve.NewPredictor(m, serve.Options{})
 	defer p.Close()
-	probs, err := p.ProbsBatchCtx(context.Background(), statements(test))
+	probs, err := p.ProbsBatchCtx(context.Background(), workload.Statements(test))
 	if err != nil {
 		// The pool is private, never closed early, and blocks rather than
 		// rejects: only a model panic can land here.
@@ -62,15 +38,11 @@ func (e *Env) evalClassifier(m *core.Model, task core.Task, test []workload.Item
 }
 
 // evalRegressor computes regression metrics for m on test, fanning the
-// predictions across a replica pool.
-func (e *Env) evalRegressor(m *core.Model, task core.Task, test []workload.Item) core.EvalRegression {
-	w := e.evalWorkers()
-	if w < 1 {
-		return core.EvaluateRegressor(m, task, test)
-	}
-	p := serve.NewPredictor(m, serve.Options{Replicas: w})
+// predictions across a pool of GOMAXPROCS replicas.
+func evalRegressor(m *core.Model, task core.Task, test []workload.Item) core.EvalRegression {
+	p := serve.NewPredictor(m, serve.Options{})
 	defer p.Close()
-	logs, err := p.PredictLogBatchCtx(context.Background(), statements(test))
+	logs, err := p.PredictLogBatchCtx(context.Background(), workload.Statements(test))
 	if err != nil {
 		panic(err) // as in evalClassifier: a model panic, re-raised
 	}

@@ -4,33 +4,12 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sqlparse"
 	"repro/internal/workload"
 )
-
-var analysisCache struct {
-	mu   sync.Mutex
-	byWL map[*workload.Workload]*workload.Analysis
-}
-
-// analysisOf computes (and caches) the workload analysis.
-func analysisOf(w *workload.Workload) *workload.Analysis {
-	analysisCache.mu.Lock()
-	defer analysisCache.mu.Unlock()
-	if analysisCache.byWL == nil {
-		analysisCache.byWL = map[*workload.Workload]*workload.Analysis{}
-	}
-	if a, ok := analysisCache.byWL[w]; ok {
-		return a
-	}
-	a := workload.Analyze(w)
-	analysisCache.byWL[w] = a
-	return a
-}
 
 // PropertyStats pairs a structural property with its distribution
 // summary (the caption statistics of Figures 3 and 4).
@@ -42,13 +21,13 @@ type PropertyStats struct {
 // FigureStructural reproduces Figure 3 (SDSS) or Figure 4 (SQLShare):
 // the distribution statistics of the ten syntactic properties.
 func FigureStructural(env *Env, sdss bool) ([]PropertyStats, string) {
-	w := env.SQLShare
+	analysis := env.sqlShareAnalysis
 	title := "Figure 4: structural properties of SQLShare query statements"
 	if sdss {
-		w = env.SDSS
+		analysis = env.sdssAnalysis
 		title = "Figure 3: structural properties of SDSS query statements"
 	}
-	a := analysisOf(w)
+	a := analysis()
 	out := make([]PropertyStats, len(sqlparse.FeatureNames))
 	for j, name := range sqlparse.FeatureNames {
 		out[j] = PropertyStats{Name: name, Summary: a.FeatureSummaries[j]}
@@ -77,8 +56,8 @@ type Figure6Result struct {
 // Figure6 reproduces the label distributions (classification and
 // regression) of Figure 6.
 func Figure6(env *Env) (Figure6Result, string) {
-	aSDSS := analysisOf(env.SDSS)
-	aSQL := analysisOf(env.SQLShare)
+	aSDSS := env.sdssAnalysis()
+	aSQL := env.sqlShareAnalysis()
 	res := Figure6Result{
 		ErrorCounts:   aSDSS.ErrorClassCounts,
 		SessionCounts: aSDSS.SessionClassCounts,
@@ -111,23 +90,16 @@ func Figure6(env *Env) (Figure6Result, string) {
 	return res, b.String()
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Figure7 reproduces the Pearson correlation matrices of the ten
 // structural properties (SDSS and SQLShare).
 func Figure7(env *Env, sdss bool) ([][]float64, string) {
-	w := env.SQLShare
+	analysis := env.sqlShareAnalysis
 	name := "SQLShare"
 	if sdss {
-		w = env.SDSS
+		analysis = env.sdssAnalysis
 		name = "SDSS"
 	}
-	m := analysisOf(w).Correlation
+	m := analysis().Correlation
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 7 (%s): correlation matrix of structural properties\n", name)
 	b.WriteString(strings.Repeat(" ", 14))
@@ -160,7 +132,7 @@ type Figure8Result struct {
 
 // Figure8 reproduces the SDSS per-session-class box statistics.
 func Figure8(env *Env) (Figure8Result, string) {
-	a := analysisOf(env.SDSS)
+	a := env.sdssAnalysis()
 	res := Figure8Result{
 		AnswerSize: workload.BySessionClass(env.SDSS, a, func(item workload.Item, _ sqlparse.Features) (float64, bool) {
 			return item.AnswerSize, item.AnswerSize >= 0
@@ -209,7 +181,7 @@ func Figure12(env *Env, task core.Task) ([]Figure12Row, error) {
 	}
 	rows := make([]Figure12Row, 0, len(names))
 	for _, name := range names {
-		ev := env.evalRegressor(models[name], task, test)
+		ev := evalRegressor(models[name], task, test)
 		row := Figure12Row{Model: name, Overall: ev.MSE, ByClass: make([]float64, workload.NumSessionClasses)}
 		counts := make([]int, workload.NumSessionClasses)
 		sums := make([]float64, workload.NumSessionClasses)
@@ -289,7 +261,7 @@ func Figure13(env *Env) (*Figure13Result, error) {
 	}
 	res := &Figure13Result{ByModel: map[string][3][]BinnedError{}}
 	for _, name := range names {
-		ev := env.evalRegressor(models[name], core.AnswerSizePrediction, test)
+		ev := evalRegressor(models[name], core.AnswerSizePrediction, test)
 		sq := squaredErrors(ev)
 		var curves [3][]BinnedError
 		curves[0] = binByLog(sq, feats, func(f sqlparse.Features) float64 { return float64(f.NumChars) })
@@ -336,7 +308,7 @@ func Figure14(env *Env, setting Setting) (*Figure14Result, error) {
 		CharCurves: map[string][]BinnedError{},
 	}
 	for _, name := range names {
-		ev := env.evalRegressor(models[name], core.CPUTimePrediction, test)
+		ev := evalRegressor(models[name], core.CPUTimePrediction, test)
 		sq := squaredErrors(ev)
 		res.MSEByModel[name] = ev.MSE
 		res.CharCurves[name] = binByLog(sq, feats, func(f sqlparse.Features) float64 { return float64(f.NumChars) })

@@ -77,7 +77,7 @@ func Table2(env *Env) ([]Table2Row, error) {
 			errName, regName = "mfreq", "median"
 		}
 		em := errModels[errName]
-		ev := env.evalClassifier(em, core.ErrorClassification, test)
+		ev := evalClassifier(em, core.ErrorClassification, test)
 		row := Table2Row{
 			Model:      name,
 			V:          em.V,
@@ -88,8 +88,8 @@ func Table2(env *Env) ([]Table2Row, error) {
 			FNonSevere: ev.PerClass[2].F1,
 			ErrLoss:    ev.Loss,
 		}
-		row.CPULoss = env.evalRegressor(cpuModels[regName], core.CPUTimePrediction, test).Loss
-		row.AnsLoss = env.evalRegressor(ansModels[regName], core.AnswerSizePrediction, test).Loss
+		row.CPULoss = evalRegressor(cpuModels[regName], core.CPUTimePrediction, test).Loss
+		row.AnsLoss = evalRegressor(ansModels[regName], core.AnswerSizePrediction, test).Loss
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -132,7 +132,7 @@ func qerrorTable(env *Env, task core.Task, setting Setting, percentiles []float6
 	}
 	rows := make([]QErrorRow, 0, len(names))
 	for _, name := range names {
-		ev := env.evalRegressor(models[name], task, test)
+		ev := evalRegressor(models[name], task, test)
 		rows = append(rows, QErrorRow{
 			Model:       name,
 			Percentiles: percentiles,
@@ -182,7 +182,7 @@ func Table4(env *Env) ([]Table4Row, error) {
 	}
 	rows := make([]Table4Row, 0, len(names))
 	for _, name := range names {
-		ev := env.evalClassifier(models[name], core.SessionClassification, test)
+		ev := evalClassifier(models[name], core.SessionClassification, test)
 		f := make([]float64, workload.NumSessionClasses)
 		for c := range f {
 			f[c] = ev.PerClass[c].F1
@@ -236,7 +236,7 @@ func Table5(env *Env) ([]Table5Row, error) {
 		if err != nil {
 			return nil, core.EvalRegression{}, err
 		}
-		return m, env.evalRegressor(m, core.CPUTimePrediction, env.SplitFor(setting).Test), nil
+		return m, evalRegressor(m, core.CPUTimePrediction, env.SplitFor(setting).Test), nil
 	}
 
 	for _, name := range names {

@@ -1,9 +1,9 @@
 // Package f64 provides the small dense float64 math kernels behind
 // the hot paths of internal/nn: dot products, scaled vector updates,
 // matrix–vector products, the small GEMM shapes used by the
-// sequence-level LSTM input transform, and the vectorized
-// transcendentals (ExpV, TanhV, SigmoidV — see vecmath.go) behind the
-// batched gate nonlinearities. The kernels are Go without unsafe,
+// sequence-level LSTM input transform, and the transcendentals (ExpV,
+// TanhV, SigmoidV — see vecmath.go) behind the gate nonlinearities. The
+// kernels are Go without unsafe,
 // written for throughput on modern cores: 4-way unrolled inner loops
 // with independent accumulator lanes (breaking the loop-carried add
 // dependency) and slice re-slicing hints that let the compiler hoist
@@ -21,10 +21,13 @@
 // per YMM register. Which implementation runs is read from the CPU once
 // at package init — there is no build tag, option or environment
 // variable — and the Go loops remain the only path on every other
-// GOARCH or CPU, for every GEMM shape narrower than one vector (w < 4
+// GOARCH or CPU and for every GEMM shape narrower than one vector (w < 4
 // or k < 4; GemvTSeq and WindowSumMax: the outputs past the last whole
-// vector), for the n mod 4 tail of a nonlinearity and for any block
-// holding an input outside its branch-free range (see vecmath.go).
+// vector). A nonlinearity's Go loop is its element function (exp1,
+// tanh1, sigmoid1) applied to each input in turn: that is all of ExpV,
+// which has no kernel, and for TanhV and SigmoidV everything but the
+// whole blocks on AVX2 — the n mod 4 tail and any block holding an input
+// outside a kernel's branch-free range (see vecmath.go).
 //
 // # Determinism
 //

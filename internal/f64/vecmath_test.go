@@ -268,14 +268,23 @@ func benchArgs(n int) []float64 {
 	return x
 }
 
+// reportPerElt reports a finished b.N loop over n-element calls as ns/elt.
+func reportPerElt(b *testing.B, n int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elt")
+}
+
+// BenchmarkExpV has the same two legs as the gates although ExpV has no
+// kernel, so its "go" leg is the control for theirs.
 func BenchmarkExpV(b *testing.B) {
 	x := benchArgs(1024)
 	dst := make([]float64, len(x))
-	b.ReportAllocs()
-	b.SetBytes(int64(8 * len(x)))
-	for i := 0; i < b.N; i++ {
-		ExpV(dst, x)
-	}
+	benchLegs(b, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ExpV(dst, x)
+		}
+		reportPerElt(b, len(x))
+	})
 }
 
 func BenchmarkExpStd(b *testing.B) {
@@ -319,7 +328,7 @@ func benchGate(b *testing.B, f func(dst, x []float64), lstmBlock string, lstmElt
 				for i := 0; i < b.N; i++ {
 					f(dst, in.x)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(in.x)), "ns/elt")
+				reportPerElt(b, len(in.x))
 			})
 		})
 	}

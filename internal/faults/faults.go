@@ -153,14 +153,6 @@ func (in *Injector) Add(r Rule) *Injector {
 	return in
 }
 
-// Reset clears the schedule, counters, and event log, keeping the PRNG
-// state. For reseeding, build a fresh injector.
-func (in *Injector) Reset() {
-	in.mu.Lock()
-	in.rules, in.events, in.seq, in.fired = nil, nil, 0, 0
-	in.mu.Unlock()
-}
-
 // Decide evaluates the schedule against one operation. The first rule
 // that fires wins; non-firing matches still advance that rule's match
 // window, so "fail the 3rd Put" means the 3rd matching Put whatever
@@ -246,10 +238,6 @@ type Store struct {
 func NewStore(inner Blob, inj *Injector) *Store {
 	return &Store{inner: inner, inj: inj, sleep: time.Sleep}
 }
-
-// Inner returns the wrapped store (chaos tests reach through to verify
-// or damage ground truth without tripping the schedule).
-func (s *Store) Inner() Blob { return s.inner }
 
 // Put implements the store contract with injection: latency rules
 // delay it, error rules fail it without touching the inner store, and

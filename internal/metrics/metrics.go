@@ -72,21 +72,6 @@ func PerClassF(pred, truth []int, numClasses int) []ClassStats {
 	return stats
 }
 
-// ConfusionMatrix returns counts[i][j] = number of instances with true
-// class i predicted as class j.
-func ConfusionMatrix(pred, truth []int, numClasses int) [][]int {
-	m := make([][]int, numClasses)
-	for i := range m {
-		m[i] = make([]int, numClasses)
-	}
-	for i := range truth {
-		if truth[i] >= 0 && truth[i] < numClasses && pred[i] >= 0 && pred[i] < numClasses {
-			m[truth[i]][pred[i]]++
-		}
-	}
-	return m
-}
-
 // MSE is the mean squared error between predictions and (typically
 // log-transformed) labels.
 func MSE(pred, truth []float64) float64 {
@@ -123,17 +108,6 @@ func Huber(r, delta float64) float64 {
 		return 0.5 * r * r
 	}
 	return delta * (a - 0.5*delta)
-}
-
-// HuberGrad is the derivative of Huber with respect to the residual.
-func HuberGrad(r, delta float64) float64 {
-	if math.Abs(r) <= delta {
-		return r
-	}
-	if r > 0 {
-		return delta
-	}
-	return -delta
 }
 
 // CrossEntropyMean is the mean negative log-probability of the true

@@ -41,26 +41,6 @@ func TestPerClassFZeroSupport(t *testing.T) {
 	}
 }
 
-func TestConfusionMatrix(t *testing.T) {
-	pred := []int{0, 1, 1, 0}
-	truth := []int{0, 1, 0, 1}
-	m := ConfusionMatrix(pred, truth, 2)
-	if m[0][0] != 1 || m[1][1] != 1 || m[0][1] != 1 || m[1][0] != 1 {
-		t.Fatalf("confusion = %v", m)
-	}
-	// Out-of-range labels are ignored.
-	m2 := ConfusionMatrix([]int{5}, []int{0}, 2)
-	total := 0
-	for _, row := range m2 {
-		for _, v := range row {
-			total += v
-		}
-	}
-	if total != 0 {
-		t.Fatal("out-of-range predictions must be skipped")
-	}
-}
-
 func TestMSE(t *testing.T) {
 	if got := MSE([]float64{1, 2}, []float64{1, 4}); !almost(got, 2) {
 		t.Fatalf("MSE = %v, want 2", got)
@@ -79,15 +59,6 @@ func TestHuberLinearRegion(t *testing.T) {
 	}
 	if !almost(Huber(-3, 1), 2.5) {
 		t.Fatal("Huber should be symmetric")
-	}
-}
-
-func TestHuberGrad(t *testing.T) {
-	if !almost(HuberGrad(0.5, 1), 0.5) {
-		t.Fatal("grad in quadratic region is r")
-	}
-	if !almost(HuberGrad(5, 1), 1) || !almost(HuberGrad(-5, 1), -1) {
-		t.Fatal("grad in linear region is ±delta")
 	}
 }
 

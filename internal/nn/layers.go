@@ -248,13 +248,3 @@ func HuberLoss(pred, target, delta float64) (loss, dpred float64) {
 	}
 	return delta * (math.Abs(r) - 0.5*delta), -delta
 }
-
-// Relu applies max(0, x) elementwise in place and returns x.
-func Relu(x []float64) []float64 {
-	for i, v := range x {
-		if v < 0 {
-			x[i] = 0
-		}
-	}
-	return x
-}

@@ -200,8 +200,19 @@ func (m *CNNModel) poolTabled(pooled []float64, ids []int) {
 	}
 }
 
-// Forward implements Model.
+// Forward implements Model: Features, then the dense head.
 func (m *CNNModel) Forward(ids []int, train bool, rng *rand.Rand) ([]float64, any) {
+	feat, cache := m.Features(ids, train, rng)
+	return m.FC.Forward(feat), cache
+}
+
+// Features runs the encoder half of Forward — ids → embedding → kernel
+// banks → dropout — and returns the features the dense head reads, in
+// model-owned scratch valid until the next call. A model with heads of
+// its own beside FC (core.MultiTaskModel) calls it directly, applies its
+// heads, and hands the summed gradient of the features, with the cache,
+// to BackwardFeatures.
+func (m *CNNModel) Features(ids []int, train bool, rng *rand.Rand) ([]float64, any) {
 	cache := &m.cache
 	k := m.cfg.Kernels
 	pooled := growF(&cache.pooled, k*len(m.Convs))
@@ -217,9 +228,8 @@ func (m *CNNModel) Forward(ids []int, train bool, rng *rand.Rand) ([]float64, an
 			copy(pooled[ci*k:(ci+1)*k], p)
 		}
 	}
-	masked, mask := m.Drop.Forward(pooled, train, rng)
-	cache.masked, cache.mask = masked, mask
-	return m.FC.Forward(masked), cache
+	cache.masked, cache.mask = m.Drop.Forward(pooled, train, rng)
+	return cache.masked, cache
 }
 
 // ForwardBatch implements BatchModel: the embeddings of every example
@@ -275,14 +285,23 @@ func (m *CNNModel) ForwardBatch(ids [][]int) ([]float64, int) {
 	return out, outDim
 }
 
-// Backward implements Model.
+// Backward implements Model: the dense head, then BackwardFeatures.
 func (m *CNNModel) Backward(ids []int, cacheAny any, dout []float64) {
 	if m.frozen {
 		panic(frozenBackwardPanic)
 	}
+	m.BackwardFeatures(ids, cacheAny, m.FC.Backward(cacheAny.(*cnnCache).masked, dout))
+}
+
+// BackwardFeatures is the encoder half of Backward: given the gradient
+// of the features Features returned, it accumulates the gradients of
+// the banks and the embedding (dropout → banks → embedding).
+func (m *CNNModel) BackwardFeatures(ids []int, cacheAny any, dfeat []float64) {
+	if m.frozen {
+		panic(frozenBackwardPanic)
+	}
 	cache := cacheAny.(*cnnCache)
-	dmasked := m.FC.Backward(cache.masked, dout)
-	dpooled := m.Drop.Backward(dmasked, cache.mask)
+	dpooled := m.Drop.Backward(dfeat, cache.mask)
 	n := len(cache.xs)
 	growF(&cache.dxsFlat, n*m.cfg.Embed)
 	zeroF(cache.dxsFlat)

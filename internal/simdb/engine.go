@@ -246,22 +246,6 @@ func (o *Optimizer) EstimateCost(query string) float64 {
 	return total
 }
 
-// EstimateRows returns the optimizer's cardinality estimate.
-func (o *Optimizer) EstimateRows(query string) float64 {
-	stmts, err := sqlparse.Parse(query)
-	if err != nil {
-		return 0
-	}
-	est := &estimator{cat: o.Catalog, Uniform: true}
-	total := 0.0
-	for _, stmt := range stmts {
-		if sel, ok := stmt.(*sqlparse.SelectStmt); ok {
-			total += est.estimateSelect(sel, nil).Rows
-		}
-	}
-	return total
-}
-
 // queryRand returns a PRNG seeded by the FNV-1a hash of the query text,
 // making all simulated noise deterministic per statement.
 func queryRand(query string) *rand.Rand {

@@ -393,31 +393,15 @@ func VocabularyFromTokens(tokens []string) (*Vocabulary, error) {
 }
 
 // Encode maps tokens to ids, truncating to maxLen when maxLen > 0. The
-// result is freshly allocated at its exact final size; hot paths that
-// can recycle the output should use EncodeInto.
+// result is freshly allocated at its exact final size.
 func (v *Vocabulary) Encode(tokens []string, maxLen int) []int {
-	n := encodeLen(len(tokens), maxLen)
-	return v.encode(tokens, make([]int, 0, n), n)
-}
-
-// EncodeInto encodes into dst's backing array (growing it only when
-// capacity is insufficient) and returns the encoded slice. The result
-// aliases dst and is only valid until the next EncodeInto call with the
-// same buffer.
-func (v *Vocabulary) EncodeInto(tokens []string, maxLen int, dst []int) []int {
-	return v.encode(tokens, dst[:0], encodeLen(len(tokens), maxLen))
-}
-
-func encodeLen(n, maxLen int) int {
+	n := len(tokens)
 	if maxLen > 0 && n > maxLen {
-		return maxLen
+		n = maxLen
 	}
-	return n
-}
-
-func (v *Vocabulary) encode(tokens []string, ids []int, n int) []int {
-	for i := 0; i < n; i++ {
-		ids = append(ids, v.ID(tokens[i]))
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = v.ID(tokens[i])
 	}
 	return ids
 }

@@ -407,8 +407,9 @@ func TestParseTotalProperty(t *testing.T) {
 // Property: lexing is total and terminates with EOF.
 func TestLexTotalProperty(t *testing.T) {
 	f := func(s string) bool {
-		toks := Lex(s)
-		return len(toks) > 0 && toks[len(toks)-1].Kind == TokEOF
+		st := borrowToks(s)
+		defer releaseToks(st)
+		return len(st.toks) > 0 && st.toks[len(st.toks)-1].Kind == TokEOF
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)

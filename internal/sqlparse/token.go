@@ -58,26 +58,6 @@ type lexer struct {
 	pos   int
 }
 
-func newLexer(input string) *lexer {
-	return &lexer{runes: []rune(input)}
-}
-
-// Lex tokenizes the whole input. It never fails: unknown characters
-// become single-character operator tokens. The returned slice is
-// freshly allocated; the parsing hot path uses pooled lexer state
-// instead (see lexState).
-func Lex(input string) []Token {
-	lx := newLexer(input)
-	var toks []Token
-	for {
-		tok := lx.next()
-		toks = append(toks, tok)
-		if tok.Kind == TokEOF {
-			return toks
-		}
-	}
-}
-
 // lexState is the reusable tokenizer state threaded through the pooled
 // parsing path: the lexer's rune buffer plus the token slice, both
 // recycled across queries (the sync.Pool parser idiom used by

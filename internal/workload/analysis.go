@@ -107,56 +107,3 @@ func BySessionClass(w *Workload, a *Analysis, value func(item Item, f sqlparse.F
 	}
 	return out
 }
-
-// Histogram buckets values into log-spaced bins and returns (bin lower
-// bound, count) pairs — the log-log histograms of Figures 3, 4, and 6.
-func Histogram(values []float64, base float64) []HistogramBin {
-	if base <= 1 {
-		base = 2
-	}
-	counts := map[int]int{}
-	minBin, maxBin := 0, 0
-	first := true
-	for _, v := range values {
-		bin := 0
-		for x := v; x >= base; x /= base {
-			bin++
-		}
-		if v < 0 {
-			bin = -1
-		}
-		counts[bin]++
-		if first || bin < minBin {
-			minBin = bin
-		}
-		if first || bin > maxBin {
-			maxBin = bin
-		}
-		first = false
-	}
-	if first {
-		return nil
-	}
-	var bins []HistogramBin
-	lower := 1.0
-	for b := 0; b < minBin; b++ {
-		lower *= base
-	}
-	for b := minBin; b <= maxBin; b++ {
-		lo := lower
-		if b < 0 {
-			lo = -1
-		}
-		bins = append(bins, HistogramBin{Lower: lo, Count: counts[b]})
-		if b >= 0 {
-			lower *= base
-		}
-	}
-	return bins
-}
-
-// HistogramBin is one bucket of Histogram.
-type HistogramBin struct {
-	Lower float64
-	Count int
-}

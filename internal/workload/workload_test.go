@@ -205,26 +205,6 @@ func TestLabelAccessors(t *testing.T) {
 	}
 }
 
-func TestHistogramLogBins(t *testing.T) {
-	bins := Histogram([]float64{1, 2, 4, 8, 8, 8}, 2)
-	if len(bins) == 0 {
-		t.Fatal("no bins")
-	}
-	total := 0
-	for _, b := range bins {
-		total += b.Count
-	}
-	if total != 6 {
-		t.Fatalf("total count = %d, want 6", total)
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	if bins := Histogram(nil, 2); bins != nil {
-		t.Fatal("empty input should produce nil")
-	}
-}
-
 func TestAnalyzeCounts(t *testing.T) {
 	w := &Workload{Items: []Item{
 		{Statement: "SELECT * FROM t", ErrorClass: simdb.Success, Class: Bot, AnswerSize: 10, CPUTime: 1},
