@@ -8,7 +8,7 @@ import (
 
 // ErrCircuitOpen is returned (without any network attempt) for calls to
 // an endpoint whose circuit breaker is open: recent attempts failed at
-// or above the configured rate, so the client sheds load off the
+// or above the trip rate (see Options), so the client sheds load off the
 // struggling server until a half-open probe succeeds. Match with
 // errors.Is. Short-circuited calls are never retried — the breaker IS
 // the retry policy while it is open.
@@ -42,6 +42,16 @@ type BreakerStats struct {
 	ShortCircuited uint64 `json:"short_circuited"`
 	// Opened counts how many times the breaker tripped.
 	Opened uint64 `json:"opened"`
+}
+
+// breakerPolicy is when an endpoint's circuit opens and for how long: a
+// failure rate of at least threshold over a full window of attempts
+// trips it, and it then rejects calls for cooldown before letting one
+// half-open probe through.
+type breakerPolicy struct {
+	threshold float64
+	window    int
+	cooldown  time.Duration
 }
 
 // breaker is one endpoint's circuit state. The zero value plus a ring

@@ -67,16 +67,12 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	fs := &failingServer{status: http.StatusInternalServerError}
 	srv := httptest.NewServer(fs.handler())
 	defer srv.Close()
-	c, err := New(srv.URL, Options{
-		Retries:          -1, // isolate the breaker from the retry loop
-		BreakerThreshold: 0.5,
-		BreakerWindow:    4,
-		BreakerCooldown:  time.Second,
-	})
+	c, err := New(srv.URL, Options{Retries: -1}) // isolate the breaker from the retry loop
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	c.policy.window = 4
 	clk := newFakeClock()
 	clk.install(c)
 	ctx := context.Background()
@@ -145,11 +141,12 @@ func TestBreakerHealthzExempt(t *testing.T) {
 	fs := &failingServer{status: http.StatusServiceUnavailable}
 	srv := httptest.NewServer(fs.handler())
 	defer srv.Close()
-	c, err := New(srv.URL, Options{Retries: -1, BreakerWindow: 2})
+	c, err := New(srv.URL, Options{Retries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	c.policy.window = 2
 	clk := newFakeClock()
 	clk.install(c)
 	ctx := context.Background()
@@ -186,7 +183,7 @@ func TestRetryAfterHonored(t *testing.T) {
 		w.Write([]byte(`{"results":[{"name":"errors","version":1,"classification":true,"class":0}]}`))
 	}))
 	defer srv.Close()
-	c, err := New(srv.URL, Options{Retries: 3, Backoff: 50 * time.Millisecond})
+	c, err := New(srv.URL, Options{Retries: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +212,7 @@ func TestRetryAfterHonored(t *testing.T) {
 		w.Write([]byte(`{"results":[{"name":"errors","version":1,"classification":true,"class":0}]}`))
 	}))
 	defer srv2.Close()
-	c2, err := New(srv2.URL, Options{Retries: 3, Backoff: 50 * time.Millisecond})
+	c2, err := New(srv2.URL, Options{Retries: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,27 +233,31 @@ func TestRetryAfterHonored(t *testing.T) {
 	}
 }
 
-// TestBreakerDisabled: a negative threshold turns the breaker off —
-// every attempt reaches the wire no matter how many fail.
-func TestBreakerDisabled(t *testing.T) {
+// TestBreakerWaitsForFullWindow: the breaker trips only on a full
+// window of evidence, so fewer failures than the window — at the policy
+// every client runs — never short-circuit, and every attempt reaches
+// the wire. The failover tests rely on this to keep the breaker out of
+// their way.
+func TestBreakerWaitsForFullWindow(t *testing.T) {
 	fs := &failingServer{status: http.StatusInternalServerError}
 	srv := httptest.NewServer(fs.handler())
 	defer srv.Close()
-	c, err := New(srv.URL, Options{Retries: -1, BreakerThreshold: -1})
+	c, err := New(srv.URL, Options{Retries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	instantSleep(c)
-	for i := 0; i < 30; i++ {
+	under := c.policy.window - 1
+	for i := 0; i < under; i++ {
 		if _, err := c.Predict(context.Background(), "errors", "SELECT 1"); errors.Is(err, ErrCircuitOpen) {
-			t.Fatal("disabled breaker short-circuited")
+			t.Fatalf("breaker short-circuited after %d failures, window %d", i, c.policy.window)
 		}
 	}
-	if got := fs.calls.Load(); got != 30 {
-		t.Fatalf("server saw %d calls, want 30", got)
+	if got := fs.calls.Load(); got != int64(under) {
+		t.Fatalf("server saw %d calls, want %d", got, under)
 	}
-	if br := c.Breakers(); len(br) != 0 {
-		t.Fatalf("disabled breaker reported stats: %+v", br)
+	if br := c.Breakers(); len(br) != 1 || br[0].State != BreakerClosed || br[0].Failures != uint64(under) {
+		t.Fatalf("Breakers() = %+v, want one closed breaker with %d failures", br, under)
 	}
 }

@@ -143,7 +143,6 @@ func TestClusterChaosInProcessFaults(t *testing.T) {
 		Addrs:         urls,
 		Timeout:       10 * time.Second,
 		Retries:       4,
-		Backoff:       2 * time.Millisecond,
 		ProbeInterval: 10 * time.Millisecond,
 	})
 	if err != nil {
@@ -151,7 +150,8 @@ func TestClusterChaosInProcessFaults(t *testing.T) {
 	}
 	defer c.Close()
 
-	primaryURL := cluster.NewRing(urls, 0).Order("chaos")[0]
+	ring := cluster.NewRing(urls, 0)
+	primaryURL := ring.Addrs()[ring.OrderInto("chaos", nil)[0]]
 	primary := byURL[primaryURL]
 
 	var successes, failures, mismatches atomic.Uint64

@@ -152,7 +152,19 @@ func (e *APIError) retryable() bool {
 }
 
 // Options configures a Client. The zero value is usable: no default
-// deadline, 2 retries with 50ms base backoff, no hedging, single node.
+// deadline, 2 retries, no hedging, single node.
+//
+// Fixed for every client: a retry that re-targets a node already tried
+// waits 50ms, doubling per retry (or the server's Retry-After hint);
+// and each node's endpoints carry their own circuit breaker, which
+// opens once half of a full window of 10 attempts failed with server
+// trouble (5xx, 429, transport errors), short-circuits calls with
+// ErrCircuitOpen for 1s, then lets one half-open probe decide whether
+// to close or re-open. One node's trouble never trips another's
+// circuit, an open breaker on the preferred node short-circuits
+// straight to the fallback with zero network calls to the tripped
+// node, and /v1/healthz is always exempt, so readiness polling keeps
+// working while everything else is tripped.
 type Options struct {
 	// Addrs lists additional cluster node base URLs beyond New's
 	// baseURL (which may be empty when Addrs is set). Mixed schemes are
@@ -175,9 +187,6 @@ type Options struct {
 	// nodes: each retry fails over to the next node in ring order, and
 	// a fresh node is tried immediately, without backoff.
 	Retries int
-	// Backoff is the delay before the first retry, doubling per
-	// subsequent retry. <= 0 selects the default of 50ms.
-	Backoff time.Duration
 	// Hedge, when > 0, arms request hedging for predictions: an
 	// attempt that has not completed within this delay — or that fails
 	// with a retryable error sooner — is raced by one duplicate, and
@@ -186,25 +195,11 @@ type Options struct {
 	// attempts total. In cluster mode the duplicate goes to a
 	// different node than the primary.
 	Hedge time.Duration
-	// BreakerThreshold is the failure rate over a full BreakerWindow of
-	// attempts that opens an endpoint's circuit breaker (short-circuit
-	// calls with ErrCircuitOpen instead of hammering a failing server).
-	// Breakers are per node per endpoint: one node's trouble never
-	// trips another's circuit, and an open breaker on the preferred
-	// node short-circuits straight to the fallback with zero network
-	// calls to the tripped node.
-	// 0 selects the default of 0.5; negative disables the breaker.
-	// /v1/healthz is always exempt, so readiness polling keeps working
-	// while everything else is tripped.
-	BreakerThreshold float64
-	// BreakerWindow is the rolling attempt window per endpoint (and the
-	// minimum evidence before the breaker can trip). <= 0 selects 10.
-	BreakerWindow int
-	// BreakerCooldown is how long an open breaker rejects calls before
-	// letting one half-open probe through; the probe's outcome closes or
-	// re-opens the circuit. <= 0 selects 1s.
-	BreakerCooldown time.Duration
 }
+
+// backoff is the delay before the first retry to a node already tried
+// this call, doubling per subsequent retry.
+const backoff = 50 * time.Millisecond
 
 // resolved returns opts with defaults applied.
 func (o Options) resolved() Options {
@@ -212,21 +207,6 @@ func (o Options) resolved() Options {
 		o.Retries = 2
 	} else if o.Retries < 0 {
 		o.Retries = 0
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 50 * time.Millisecond
-	}
-	if o.BreakerThreshold == 0 {
-		o.BreakerThreshold = 0.5
-	}
-	if o.BreakerWindow <= 0 {
-		o.BreakerWindow = 10
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = time.Second
-	}
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = 500 * time.Millisecond
 	}
 	return o
 }
@@ -266,10 +246,12 @@ type Client struct {
 	tracker *cluster.Tracker
 	opts    Options
 
-	// sleep and now are the backoff and breaker clocks, swappable in
-	// tests for deterministic timing.
-	sleep func(ctx context.Context, d time.Duration) error
-	now   func() time.Time
+	// sleep and now are the backoff and breaker clocks, and policy the
+	// breakers' trip rule, swappable in tests for deterministic timing
+	// and small windows.
+	sleep  func(ctx context.Context, d time.Duration) error
+	now    func() time.Time
+	policy breakerPolicy
 
 	// routes pools []int failover-order scratch so routing a request
 	// allocates nothing on the warm path.
@@ -305,9 +287,10 @@ func New(baseURL string, opts Options) (*Client, error) {
 		addrs = append(addrs, canon)
 	}
 	c := &Client{
-		opts:  opts.resolved(),
-		sleep: sleepCtx,
-		now:   time.Now,
+		opts:   opts.resolved(),
+		sleep:  sleepCtx,
+		now:    time.Now,
+		policy: breakerPolicy{threshold: 0.5, window: 10, cooldown: time.Second},
 	}
 	// The ring dedupes and sorts; building nodes from its Addrs keeps
 	// node indices aligned with ring orders on every client regardless
@@ -329,7 +312,7 @@ func New(baseURL string, opts Options) (*Client, error) {
 				return c.probeNode(ctx, n)
 			}
 		}
-		c.tracker = cluster.NewTracker(probes, cluster.TrackerOptions{Interval: c.opts.ProbeInterval})
+		c.tracker = cluster.NewTracker(probes, c.opts.ProbeInterval)
 	}
 	return c, nil
 }
@@ -816,7 +799,7 @@ func runOp[T any](c *Client, ctx context.Context, key, endpoint string, retryabl
 		// the retry re-targets a node already tried this op (single
 		// node, or a wrapped cycle): hammering the same node is what
 		// retries-with-backoff exist to avoid.
-		if pos >= len(*order) && c.sleep(ctx, retryDelay(err, c.opts.Backoff<<retried)) != nil {
+		if pos >= len(*order) && c.sleep(ctx, retryDelay(err, backoff<<retried)) != nil {
 			break
 		}
 		retried++
@@ -933,7 +916,7 @@ func runOpHedged[T any](c *Client, ctx context.Context, key, endpoint string, op
 func opOnce[T any](c *Client, ctx context.Context, n *node, endpoint string, op attemptFunc[T]) (T, error) {
 	br := c.breakerFor(n, endpoint)
 	if br != nil {
-		if err := br.allow(c.now(), c.opts.BreakerCooldown); err != nil {
+		if err := br.allow(c.now(), c.policy.cooldown); err != nil {
 			var zero T
 			return zero, err
 		}
@@ -954,20 +937,20 @@ func (c *Client) attemptCtx(ctx context.Context) (context.Context, context.Cance
 	return ctx, func() {}
 }
 
-// recordBreaker feeds one attempt outcome into br (when breakers are
-// on). Expiry of the caller's own context is not evidence about server
-// health; the attempt records as a success so the breaker's window is
-// left alone (and a half-open probe is released for the next real
-// attempt).
+// recordBreaker feeds one attempt outcome into br (nil for the exempt
+// readiness probe). Expiry of the caller's own context is not evidence
+// about server health; the attempt records as a success so the
+// breaker's window is left alone (and a half-open probe is released for
+// the next real attempt).
 func (c *Client) recordBreaker(br *breaker, outer context.Context, err error) {
 	if br == nil {
 		return
 	}
 	if err != nil && outer.Err() != nil {
-		br.record(false, c.now(), c.opts.BreakerThreshold)
+		br.record(false, c.now(), c.policy.threshold)
 		return
 	}
-	br.record(err != nil && isBreakerFailure(err), c.now(), c.opts.BreakerThreshold)
+	br.record(err != nil && isBreakerFailure(err), c.now(), c.policy.threshold)
 }
 
 // isBreakerFailure classifies an attempt error for the breaker: server
@@ -982,12 +965,8 @@ func isBreakerFailure(err error) bool {
 }
 
 // breakerFor returns n's circuit breaker for path, creating it on
-// first use. nil when breakers are disabled and for the exempt
-// readiness probe.
+// first use; nil for the exempt readiness probe.
 func (c *Client) breakerFor(n *node, endpoint string) *breaker {
-	if c.opts.BreakerThreshold < 0 {
-		return nil
-	}
 	if endpoint == "/v1/healthz" {
 		return nil
 	}
@@ -995,7 +974,7 @@ func (c *Client) breakerFor(n *node, endpoint string) *breaker {
 	defer n.bmu.Unlock()
 	br, ok := n.breakers[endpoint]
 	if !ok {
-		br = newBreaker(c.opts.BreakerWindow)
+		br = newBreaker(c.policy.window)
 		n.breakers[endpoint] = br
 	}
 	return br

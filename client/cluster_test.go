@@ -90,8 +90,9 @@ func byRingOrder(t *testing.T, key string, nodes []*testNode) []*testNode {
 		byAddr[n.addr()] = n
 	}
 	out := make([]*testNode, 0, len(nodes))
-	for _, a := range cluster.NewRing(addrs, 0).Order(key) {
-		out = append(out, byAddr[a])
+	ring := cluster.NewRing(addrs, 0)
+	for _, i := range ring.OrderInto(key, nil) {
+		out = append(out, byAddr[ring.Addrs()[i]])
 	}
 	return out
 }
@@ -104,10 +105,9 @@ const idleProbes = time.Hour
 // request, the cluster client completes every prediction — correctly —
 // through the fallback nodes, burning retry budget but never failing.
 func TestClusterFailover(t *testing.T) {
-	svc, nodes, c := newCluster(t, 3, Options{
-		ProbeInterval:    idleProbes,
-		BreakerThreshold: -1, // isolate failover from the breaker
-	})
+	// Eight requests feed the primary's breaker eight failures: under
+	// its window, so the breaker stays out of the way.
+	svc, nodes, c := newCluster(t, 3, Options{ProbeInterval: idleProbes})
 	instantSleep(c)
 	ctx := context.Background()
 	order := byRingOrder(t, "errors", nodes)
@@ -144,11 +144,8 @@ func TestClusterFailover(t *testing.T) {
 // requests go straight to the fallback with ZERO network calls to the
 // tripped node, and after the cooldown a half-open probe re-admits it.
 func TestClusterBreakerShortCircuitsToFallback(t *testing.T) {
-	_, nodes, c := newCluster(t, 2, Options{
-		ProbeInterval:   idleProbes,
-		BreakerWindow:   4,
-		BreakerCooldown: time.Second,
-	})
+	_, nodes, c := newCluster(t, 2, Options{ProbeInterval: idleProbes})
+	c.policy.window = 4
 	instantSleep(c)
 	now := time.Unix(1000, 0)
 	c.now = func() time.Time { return now }
@@ -209,9 +206,8 @@ func TestClusterBreakerShortCircuitsToFallback(t *testing.T) {
 // the other node.
 func TestHedgeGoesToDifferentNode(t *testing.T) {
 	_, nodes, c := newCluster(t, 2, Options{
-		ProbeInterval:    idleProbes,
-		BreakerThreshold: -1,
-		Hedge:            5 * time.Millisecond,
+		ProbeInterval: idleProbes,
+		Hedge:         5 * time.Millisecond,
 	})
 	// The caller's deadline is shorter than the primary's injected
 	// stall: the call can only succeed inside it if the hedge targeted
@@ -241,10 +237,7 @@ func TestHedgeGoesToDifferentNode(t *testing.T) {
 // TestTrackerReroutesAndReadmits: health probes demote a dead node so
 // requests skip it entirely, and re-admit it once it answers again.
 func TestTrackerReroutesAndReadmits(t *testing.T) {
-	_, nodes, c := newCluster(t, 2, Options{
-		ProbeInterval:    5 * time.Millisecond,
-		BreakerThreshold: -1,
-	})
+	_, nodes, c := newCluster(t, 2, Options{ProbeInterval: 5 * time.Millisecond})
 	instantSleep(c)
 	ctx := context.Background()
 	order := byRingOrder(t, "errors", nodes)
@@ -385,9 +378,9 @@ func TestMixedSchemeCluster(t *testing.T) {
 func TestAllNodesShortCircuit(t *testing.T) {
 	_, nodes, c := newCluster(t, 2, Options{
 		ProbeInterval: idleProbes,
-		BreakerWindow: 3,
 		Retries:       8, // plenty of budget: the windows still fill
 	})
+	c.policy.window = 3
 	instantSleep(c)
 	ctx := context.Background()
 	stmt := testStatements(1)[0]

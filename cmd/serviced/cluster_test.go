@@ -192,7 +192,6 @@ func TestClusterSIGKILL(t *testing.T) {
 		Addrs:         urls,
 		Timeout:       10 * time.Second,
 		Retries:       4,
-		Backoff:       5 * time.Millisecond,
 		ProbeInterval: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -202,7 +201,8 @@ func TestClusterSIGKILL(t *testing.T) {
 
 	// SIGKILL the node the ring prefers for this model — the worst
 	// case: every request's first choice dies.
-	primaryURL := cluster.NewRing(urls, 0).Order("ccnn")[0]
+	ring := cluster.NewRing(urls, 0)
+	primaryURL := ring.Addrs()[ring.OrderInto("ccnn", nil)[0]]
 	primary := procs[strings.TrimPrefix(primaryURL, "http://")]
 
 	var successes, failures, mismatches atomic.Uint64

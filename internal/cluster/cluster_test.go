@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -17,19 +18,19 @@ func TestRingDeterministic(t *testing.T) {
 	addrs := []string{"http://a:1", "tcp://b:2", "unix:///c.sock"}
 	r1 := NewRing(addrs, 0)
 	r2 := NewRing([]string{"unix:///c.sock", "http://a:1", "tcp://b:2", "http://a:1"}, 0)
+	if !reflect.DeepEqual(r1.Addrs(), r2.Addrs()) {
+		t.Fatalf("Addrs differ across construction orders: %v vs %v", r1.Addrs(), r2.Addrs())
+	}
 	keys := []string{"ccnn", "wlstm", "clstm", "errors", "", "a-very-long-model-name"}
 	for _, k := range keys {
-		o1, o2 := r1.Order(k), r2.Order(k)
+		o1, o2 := r1.OrderInto(k, nil), r2.OrderInto(k, nil)
 		if len(o1) != 3 || len(o2) != 3 {
-			t.Fatalf("Order(%q) lengths = %d, %d, want 3", k, len(o1), len(o2))
+			t.Fatalf("OrderInto(%q) lengths = %d, %d, want 3", k, len(o1), len(o2))
 		}
 		for i := range o1 {
 			if o1[i] != o2[i] {
-				t.Fatalf("Order(%q) differs across construction orders: %v vs %v", k, o1, o2)
+				t.Fatalf("OrderInto(%q) differs across construction orders: %v vs %v", k, o1, o2)
 			}
-		}
-		if r1.Addrs()[r1.Primary(k)] != o1[0] {
-			t.Fatalf("Primary(%q) = %s, Order starts %s", k, r1.Addrs()[r1.Primary(k)], o1[0])
 		}
 	}
 }
@@ -67,7 +68,7 @@ func TestRingDistribution(t *testing.T) {
 	counts := make([]int, 3)
 	const keys = 3000
 	for i := 0; i < keys; i++ {
-		counts[r.Primary(fmt.Sprintf("model-%d", i))]++
+		counts[r.OrderInto(fmt.Sprintf("model-%d", i), nil)[0]]++
 	}
 	for i, c := range counts {
 		share := float64(c) / keys
@@ -83,7 +84,7 @@ func TestRingSpreadsPrimaries(t *testing.T) {
 	r := NewRing([]string{"a", "b", "c"}, 0)
 	primaries := map[int]bool{}
 	for i := 0; i < 100; i++ {
-		primaries[r.Primary(fmt.Sprintf("m%d", i))] = true
+		primaries[r.OrderInto(fmt.Sprintf("m%d", i), nil)[0]] = true
 	}
 	if len(primaries) != 3 {
 		t.Fatalf("100 keys landed on only %d of 3 nodes", len(primaries))
@@ -116,7 +117,7 @@ func TestTrackerStateMachine(t *testing.T) {
 	}
 	// A long interval keeps the background loop asleep; the test drives
 	// every transition via ProbeNow.
-	tr := NewTracker([]Probe{probe}, TrackerOptions{Interval: time.Hour, DownAfter: 2, Seed: 1})
+	tr := NewTracker([]Probe{probe}, time.Hour)
 	defer tr.Close()
 
 	if s := tr.ProbeNow(0); s != StateUp {
@@ -148,40 +149,6 @@ func TestTrackerStateMachine(t *testing.T) {
 	}
 }
 
-// TestTrackerOnChange: transitions (and only transitions) fire the
-// callback.
-func TestTrackerOnChange(t *testing.T) {
-	var fail atomic.Bool
-	var changes []string
-	tr := NewTracker([]Probe{func(ctx context.Context) (bool, error) {
-		if fail.Load() {
-			return false, errors.New("down")
-		}
-		return false, nil
-	}}, TrackerOptions{
-		Interval: time.Hour, DownAfter: 1, Seed: 1,
-		OnChange: func(node int, from, to State) {
-			changes = append(changes, fmt.Sprintf("%d:%s->%s", node, from, to))
-		},
-	})
-	defer tr.Close()
-	tr.ProbeNow(0) // up -> up: no change
-	fail.Store(true)
-	tr.ProbeNow(0) // up -> down
-	tr.ProbeNow(0) // down -> down: no change
-	fail.Store(false)
-	tr.ProbeNow(0) // down -> up
-	want := []string{"0:up->down", "0:down->up"}
-	if len(changes) != len(want) {
-		t.Fatalf("changes = %v, want %v", changes, want)
-	}
-	for i := range want {
-		if changes[i] != want[i] {
-			t.Fatalf("changes = %v, want %v", changes, want)
-		}
-	}
-}
-
 // TestTrackerBackgroundLoop: the probe loop runs by itself at the
 // configured interval and flips state without ProbeNow.
 func TestTrackerBackgroundLoop(t *testing.T) {
@@ -192,7 +159,7 @@ func TestTrackerBackgroundLoop(t *testing.T) {
 			return false, errors.New("down")
 		}
 		return false, nil
-	}}, TrackerOptions{Interval: 2 * time.Millisecond, DownAfter: 2, Seed: 42})
+	}}, 2*time.Millisecond)
 	defer tr.Close()
 
 	deadline := time.Now().Add(5 * time.Second)
@@ -222,7 +189,7 @@ func TestTrackerCloseNoLeak(t *testing.T) {
 			return false, ctx.Err()
 		}
 	}
-	tr := NewTracker(probes, TrackerOptions{Interval: time.Millisecond, Seed: 3})
+	tr := NewTracker(probes, time.Millisecond)
 	time.Sleep(10 * time.Millisecond) // let loops spin a few cycles
 	tr.Close()
 	tr.Close() // idempotent
@@ -248,7 +215,7 @@ func TestTrackerCloseNoLeak(t *testing.T) {
 // check the jitter draw itself is within [0, Interval/4].
 func TestTrackerJitterBounds(t *testing.T) {
 	// The jitter contract keeps the worst-case probe period under
-	// 1.25×Interval; DownAfter=2 then bounds down-detection latency to
+	// 1.25×Interval; downAfter=2 then bounds down-detection latency to
 	// ~2.5×Interval. This pins the arithmetic the client README quotes.
 	interval := 400 * time.Millisecond
 	maxJitter := interval / 4

@@ -11,7 +11,7 @@
 // function of the node address list (every client with the same node
 // set computes the same preferred node and the same fallback order for
 // a model, without any coordination), and the probe loop's jitter is
-// drawn from a seeded generator so multi-node tests replay exactly.
+// drawn from a fixed-seed generator so multi-node tests replay exactly.
 package cluster
 
 import (
@@ -80,9 +80,6 @@ func NewRing(addrs []string, vnodes int) *Ring {
 // not mutate it.
 func (r *Ring) Addrs() []string { return r.addrs }
 
-// Len returns the node count.
-func (r *Ring) Len() int { return len(r.addrs) }
-
 // OrderInto appends key's full node preference order to dst (node
 // indices into Addrs, preferred node first, every node exactly once)
 // and returns it. The order is the ring walk clockwise from the key's
@@ -117,27 +114,6 @@ func (r *Ring) OrderInto(key string, dst []int) []int {
 		}
 	}
 	return dst
-}
-
-// Order returns key's node preference order as addresses, preferred
-// node first. A convenience wrapper over OrderInto that allocates.
-func (r *Ring) Order(key string) []string {
-	idx := r.OrderInto(key, make([]int, 0, len(r.addrs)))
-	out := make([]string, len(idx))
-	for i, n := range idx {
-		out[i] = r.addrs[n]
-	}
-	return out
-}
-
-// Primary returns key's preferred node index (-1 for an empty ring).
-func (r *Ring) Primary(key string) int {
-	if len(r.addrs) == 0 {
-		return -1
-	}
-	h := hashKey(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	return r.points[start%len(r.points)].node
 }
 
 // hashKey is the ring's hash: FNV-1a 64 with a murmur-style finalizer,

@@ -20,7 +20,7 @@ const (
 	// degraded (e.g. a warm boot that quarantined artifacts). Routable,
 	// but deprioritized behind Up nodes in failover order.
 	StateDegraded
-	// StateDown: DownAfter consecutive probes failed. Skipped by
+	// StateDown: downAfter consecutive probes failed. Skipped by
 	// routing until a probe succeeds again.
 	StateDown
 )
@@ -43,44 +43,16 @@ func (s State) String() string {
 // answers but reports a degraded state.
 type Probe func(ctx context.Context) (degraded bool, err error)
 
-// TrackerOptions tunes a Tracker. The zero value is usable.
-type TrackerOptions struct {
-	// Interval is the base probe period per node (default 500ms). Each
-	// cycle adds jitter drawn from the seeded generator so a node fleet
-	// never thunders in lockstep, yet a fixed seed replays exactly.
-	Interval time.Duration
-	// Timeout bounds one probe attempt (default Interval).
-	Timeout time.Duration
-	// DownAfter is how many consecutive probe failures mark a node Down
-	// (default 2: one lost probe is noise, two is a pattern).
-	DownAfter int
-	// Seed seeds the jitter generator (any fixed value gives a
-	// reproducible probe schedule).
-	Seed int64
-	// OnChange, when set, is called (from the probe goroutine) on every
-	// state transition.
-	OnChange func(node int, from, to State)
-}
-
-func (o TrackerOptions) withDefaults() TrackerOptions {
-	if o.Interval <= 0 {
-		o.Interval = 500 * time.Millisecond
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = o.Interval
-	}
-	if o.DownAfter <= 0 {
-		o.DownAfter = 2
-	}
-	return o
-}
+// downAfter is how many consecutive probe failures mark a node Down:
+// one lost probe is noise, two is a pattern.
+const downAfter = 2
 
 // Tracker maintains per-node health states from background probe
-// loops: one goroutine per node, each probing at Interval plus seeded
+// loops: one goroutine per node, each probing at its interval plus
 // jitter. State reads are lock-free. Close stops every probe loop and
 // waits for them — a closed tracker leaks no goroutines.
 type Tracker struct {
-	opts     TrackerOptions
+	interval time.Duration
 	states   []atomic.Uint32
 	failures []atomic.Int32 // consecutive probe failures per node
 	probes   []Probe
@@ -94,12 +66,18 @@ type Tracker struct {
 
 // NewTracker starts a tracker over probes (one per node, indexed like
 // the ring's Addrs). Every node starts Up; the loops begin probing
-// immediately.
-func NewTracker(probes []Probe, opts TrackerOptions) *Tracker {
-	opts = opts.withDefaults()
+// immediately. Each probe is bounded by interval, each cycle sleeps
+// interval plus jitter of up to a quarter interval — drawn from a
+// generator seeded by the node's index, so a fleet never thunders in
+// lockstep yet every schedule replays exactly — and downAfter
+// consecutive failures mark a node Down. interval <= 0 selects 500ms.
+func NewTracker(probes []Probe, interval time.Duration) *Tracker {
+	if interval <= 0 {
+		interval = 500 * time.Millisecond
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	t := &Tracker{
-		opts:     opts,
+		interval: interval,
 		states:   make([]atomic.Uint32, len(probes)),
 		failures: make([]atomic.Int32, len(probes)),
 		probes:   probes,
@@ -119,9 +97,6 @@ func (t *Tracker) State(i int) State {
 	return State(t.states[i].Load())
 }
 
-// Len returns the tracked node count.
-func (t *Tracker) Len() int { return len(t.states) }
-
 // Close stops every probe loop and waits for them to exit. Idempotent.
 func (t *Tracker) Close() {
 	t.closeOnce.Do(func() {
@@ -139,17 +114,17 @@ func (t *Tracker) ProbeNow(i int) State {
 	return t.State(i)
 }
 
-// loop is one node's probe cycle: sleep (jitter first, then Interval
+// loop is one node's probe cycle: sleep (jitter first, then interval
 // plus jitter), probe, apply the state machine, repeat until Close.
 // Starting with a jitter-only sleep spreads a fleet's probes apart
 // from the first cycle and leaves a window for synchronous callers
 // (ProbeNow) to drive the state machine undisturbed.
 func (t *Tracker) loop(i int) {
 	defer t.wg.Done()
-	// Per-node generator: deterministic for a fixed seed, decorrelated
-	// across nodes so their probe times drift apart.
-	rng := rand.New(rand.NewSource(t.opts.Seed + int64(i)*7919))
-	delay := time.Duration(rng.Int63n(int64(t.opts.Interval)/4 + 1))
+	// Per-node generator: deterministic, decorrelated across nodes so
+	// their probe times drift apart.
+	rng := rand.New(rand.NewSource(int64(i) * 7919))
+	delay := time.Duration(rng.Int63n(int64(t.interval)/4 + 1))
 	for {
 		timer := time.NewTimer(delay)
 		select {
@@ -159,14 +134,14 @@ func (t *Tracker) loop(i int) {
 		case <-timer.C:
 		}
 		t.probeOnce(i)
-		delay = t.opts.Interval + time.Duration(rng.Int63n(int64(t.opts.Interval)/4+1))
+		delay = t.interval + time.Duration(rng.Int63n(int64(t.interval)/4+1))
 	}
 }
 
 // probeOnce runs one probe for node i and applies the state machine
 // against the node's shared consecutive-failure counter.
 func (t *Tracker) probeOnce(i int) {
-	ctx, cancel := context.WithTimeout(t.ctx, t.opts.Timeout)
+	ctx, cancel := context.WithTimeout(t.ctx, t.interval)
 	degraded, err := t.probes[i](ctx)
 	cancel()
 	if t.ctx.Err() != nil {
@@ -174,22 +149,14 @@ func (t *Tracker) probeOnce(i int) {
 	}
 	switch {
 	case err != nil:
-		if t.failures[i].Add(1) >= int32(t.opts.DownAfter) {
-			t.transition(i, StateDown)
+		if t.failures[i].Add(1) >= downAfter {
+			t.states[i].Store(uint32(StateDown))
 		}
 	case degraded:
 		t.failures[i].Store(0)
-		t.transition(i, StateDegraded)
+		t.states[i].Store(uint32(StateDegraded))
 	default:
 		t.failures[i].Store(0)
-		t.transition(i, StateUp)
-	}
-}
-
-// transition applies a state change and fires OnChange when it is one.
-func (t *Tracker) transition(i int, to State) {
-	from := State(t.states[i].Swap(uint32(to)))
-	if from != to && t.opts.OnChange != nil {
-		t.opts.OnChange(i, from, to)
+		t.states[i].Store(uint32(StateUp))
 	}
 }

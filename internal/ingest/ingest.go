@@ -214,15 +214,10 @@ func decodeBody(body []byte) (Record, error) {
 	return rec, nil
 }
 
-// Options tunes a WAL. The zero value is usable.
+// Options tunes a WAL. The zero value is usable. Segment size and
+// retention are fixed: the live segment rotates once it reaches 1 MiB,
+// and after a rotation the oldest sealed segments beyond 8 are deleted.
 type Options struct {
-	// SegmentBytes rotates the live segment once it reaches this size
-	// (default 1 MiB).
-	SegmentBytes int64
-	// MaxSegments is the retention bound: after a rotation, the oldest
-	// sealed segments beyond this count are deleted. 0 selects the
-	// default of 8; negative keeps every segment.
-	MaxSegments int
 	// Sync fsyncs after every append. Off by default: the log is a
 	// training data feed, not a commitment ledger — losing the tail of
 	// unsynced records on a crash costs training examples, not
@@ -230,12 +225,21 @@ type Options struct {
 	Sync bool
 }
 
+// limits bound the segments one WAL writes and keeps: the live segment
+// rotates once it reaches segmentBytes, and after a rotation the oldest
+// sealed segments beyond maxSegments are deleted.
+type limits struct {
+	segmentBytes int64
+	maxSegments  int
+}
+
 // WAL is the append side of the log: one live segment file, rotated
 // and pruned under the retention bound. Safe for concurrent use;
 // appends are allocation-free once warm.
 type WAL struct {
-	dir  string
-	opts Options
+	dir    string
+	opts   Options
+	limits limits
 
 	appended atomic.Uint64
 	pruned   atomic.Uint64
@@ -273,16 +277,15 @@ type Stats struct {
 // fresh segment is started, so a damaged log degrades instead of
 // refusing to open.
 func Open(dir string, opts Options) (*WAL, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = 1 << 20
-	}
-	if opts.MaxSegments == 0 {
-		opts.MaxSegments = 8
-	}
+	return open(dir, opts, limits{segmentBytes: 1 << 20, maxSegments: 8})
+}
+
+// open is Open under the given segment bounds.
+func open(dir string, opts Options, lim limits) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ingest: open %s: %w", dir, err)
 	}
-	w := &WAL{dir: dir, opts: opts}
+	w := &WAL{dir: dir, opts: opts, limits: lim}
 	seqs, err := Segments(dir)
 	if err != nil {
 		return nil, err
@@ -439,7 +442,7 @@ func (w *WAL) Append(rec Record) error {
 		}
 	}
 	w.appended.Add(1)
-	if w.size >= w.opts.SegmentBytes {
+	if w.size >= w.limits.segmentBytes {
 		return w.rotate()
 	}
 	return nil
@@ -465,14 +468,11 @@ func (w *WAL) rotate() error {
 // Best effort: a failed delete is retried at the next rotation. Caller
 // holds w.mu.
 func (w *WAL) prune() {
-	if w.opts.MaxSegments <= 0 {
-		return
-	}
 	seqs, err := Segments(w.dir)
 	if err != nil {
 		return
 	}
-	for len(seqs) > w.opts.MaxSegments && seqs[0] != w.seq {
+	for len(seqs) > w.limits.maxSegments && seqs[0] != w.seq {
 		if os.Remove(SegmentPath(w.dir, seqs[0])) == nil {
 			w.pruned.Add(1)
 		}

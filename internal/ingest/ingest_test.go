@@ -132,7 +132,7 @@ func TestReopenAppendsContinue(t *testing.T) {
 
 func TestRotationAndRetention(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{SegmentBytes: 256, MaxSegments: 3})
+	w, err := open(dir, Options{}, limits{segmentBytes: 256, maxSegments: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestRotationAndRetention(t *testing.T) {
 
 func TestReaderResumeFromPos(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{SegmentBytes: 512})
+	w, err := open(dir, Options{}, limits{segmentBytes: 512, maxSegments: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestDamagedHeaderSetAside(t *testing.T) {
 
 func TestReaderSkipsCorruptSealedSegment(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{SegmentBytes: 512, MaxSegments: -1})
+	w, err := open(dir, Options{}, limits{segmentBytes: 512, maxSegments: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

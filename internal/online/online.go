@@ -59,12 +59,9 @@ type Options struct {
 	// model registered at Start.
 	Models []string
 	// Window is the number of observed records that triggers a
-	// fine-tune (default 32).
+	// fine-tune (default 32). Its last quarter (holdout) is held out of
+	// training and used for the canary evaluation.
 	Window int
-	// Holdout is the fraction of each window held out of training and
-	// used for the canary evaluation (default 0.25, clamped so both
-	// slices are non-empty).
-	Holdout float64
 	// Margin is the score improvement the candidate must show on the
 	// holdout to be swapped in: accuracy points for classification
 	// tasks, Huber-loss points for regression. Zero accepts any
@@ -80,6 +77,11 @@ type Options struct {
 	// Logf, when set, receives pipeline decisions and failures.
 	Logf func(format string, args ...any)
 }
+
+// holdout is the fraction of each window held out of training for the
+// canary evaluation. Windows hold at least 2 records, so both slices
+// are non-empty.
+const holdout = 0.25
 
 // state is one model's durable pipeline progress (JSON in the store
 // under "online/<model>").
@@ -130,9 +132,6 @@ func Start(opts Options) (*Pipeline, error) {
 	}
 	if opts.Window <= 1 {
 		opts.Window = 32
-	}
-	if opts.Holdout <= 0 || opts.Holdout >= 1 {
-		opts.Holdout = 0.25
 	}
 	if opts.Interval <= 0 {
 		opts.Interval = 200 * time.Millisecond
@@ -335,13 +334,7 @@ func (p *Pipeline) processWindow(name string, st *state, window []ingest.Record,
 	}
 	task := liveM.Task
 
-	holdN := int(float64(len(window))*p.opts.Holdout + 0.5)
-	if holdN < 1 {
-		holdN = 1
-	}
-	if holdN >= len(window) {
-		holdN = len(window) - 1
-	}
+	holdN := int(float64(len(window))*holdout + 0.5)
 	trainItems := toItems(task, window[:len(window)-holdN])
 	holdItems := toItems(task, window[len(window)-holdN:])
 

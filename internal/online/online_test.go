@@ -83,7 +83,7 @@ func testOpts(svc *service.Service, store service.Store, dir string, margin floa
 	cfg.Epochs = 8
 	return Options{
 		Service: svc, Store: store, Dir: dir, Models: []string{"m"},
-		Window: 8, Holdout: 0.25, Margin: margin,
+		Window: 8, Margin: margin,
 		Interval: 5 * time.Millisecond, Config: cfg,
 	}
 }
@@ -224,7 +224,7 @@ func TestPostSwapRollback(t *testing.T) {
 	// the registry's own snapshots give when scored directly, to the
 	// digit: same two scores on the window's held-out tail.
 	var hold []workload.Item
-	for _, stmt := range testStatements(8)[6:] { // Holdout 0.25 of Window 8
+	for _, stmt := range testStatements(8)[6:] { // holdout 0.25 of Window 8
 		hold = append(hold, workload.Item{Statement: stmt, ErrorClass: simdb.ErrorClass(oracle.PredictClass(stmt))})
 	}
 	v1, err1 := svc.VersionModel("m", 1)

@@ -331,7 +331,7 @@ func TestFusedMixedKindsConcurrent(t *testing.T) {
 // poisoned statement fails exactly its own call with ErrPanicked and
 // counts exactly one panic (the worker re-runs the request's
 // statements one by one to find it), the replica is rebuilt at
-// PanicLimit strikes, and concurrent callers on the same pool keep
+// panicLimit strikes, and concurrent callers on the same pool keep
 // getting correct results.
 func TestFusedPanicFallback(t *testing.T) {
 	m := trainedModels(t)["clstm"]
@@ -347,7 +347,7 @@ func TestFusedPanicFallback(t *testing.T) {
 		}
 	})
 	defer m.SetPredictHook(nil)
-	p := NewPredictor(m, Options{Replicas: 1, PanicLimit: 2})
+	p := NewPredictor(m, Options{Replicas: 1})
 	defer p.Close()
 	ctx := context.Background()
 
@@ -396,7 +396,7 @@ func TestFusedPanicFallback(t *testing.T) {
 
 	poisoned := append(append([]string{}, stmts[:5]...), poison)
 	poisoned = append(poisoned, stmts[5:8]...)
-	for round, wantRebuilds := range []uint64{0, 1, 1} {
+	for round, wantRebuilds := range []uint64{0, 0, 1, 1, 1, 2} {
 		rows, err := p.ProbsBatchCtx(ctx, poisoned)
 		if !errors.Is(err, ErrPanicked) || rows != nil {
 			t.Fatalf("poisoned batch: rows = %v err = %v, want nil and ErrPanicked", rows, err)
@@ -414,8 +414,8 @@ func TestFusedPanicFallback(t *testing.T) {
 	}
 	// The healthy statements beside the poison were served (their rows
 	// discarded with the failed call); the poison itself never counts.
-	if s := p.Stats(); s.Completed != healthy.Load()+3*8 {
-		t.Fatalf("Completed = %d, want %d", s.Completed, healthy.Load()+3*8)
+	if s := p.Stats(); s.Completed != healthy.Load()+6*8 {
+		t.Fatalf("Completed = %d, want %d", s.Completed, healthy.Load()+6*8)
 	}
 }
 

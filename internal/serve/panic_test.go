@@ -75,7 +75,7 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestPanicReplicaRebuild drives one replica past PanicLimit and checks
+// TestPanicReplicaRebuild drives one replica past panicLimit and checks
 // it is retired and rebuilt from the snapshot: Stats().Rebuilds counts
 // the rebuilds and post-rebuild predictions are still bit-identical.
 func TestPanicReplicaRebuild(t *testing.T) {
@@ -90,18 +90,18 @@ func TestPanicReplicaRebuild(t *testing.T) {
 	})
 	defer m.SetPredictHook(nil)
 
-	p := NewPredictor(m, Options{Replicas: 1, MaxBatch: 1, PanicLimit: 2})
+	p := NewPredictor(m, Options{Replicas: 1, MaxBatch: 1})
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	for i := 0; i < 4; i++ { // 4 panics at limit 2 → two rebuilds
+	for i := 0; i < 2*panicLimit; i++ { // two rebuilds
 		if _, err := p.ProbsIntoCtx(ctx, poison, nil); !errors.Is(err, ErrPanicked) {
 			t.Fatalf("poisoned request err = %v, want ErrPanicked", err)
 		}
 	}
 	st := p.Stats()
-	if st.Panics != 4 || st.Rebuilds != 2 {
-		t.Fatalf("Stats panics=%d rebuilds=%d, want 4 and 2", st.Panics, st.Rebuilds)
+	if st.Panics != 2*panicLimit || st.Rebuilds != 2 {
+		t.Fatalf("Stats panics=%d rebuilds=%d, want %d and 2", st.Panics, st.Rebuilds, 2*panicLimit)
 	}
 	got, err := p.ProbsIntoCtx(ctx, stmts[1], nil)
 	if err != nil {

@@ -61,7 +61,7 @@ var ErrQueueFull = errors.New("serve: request queue full")
 // ErrPanicked is returned (wrapped, with the panic value) for a
 // request whose inference panicked. The panic is confined to that one
 // request: the call recovers, the replica goes back to the pool, and a
-// replica that panics PanicLimit times is retired and rebuilt from the
+// replica that panics three times is retired and rebuilt from the
 // model snapshot. Match with errors.Is.
 var ErrPanicked = errors.New("serve: model panicked")
 
@@ -98,11 +98,12 @@ type Options struct {
 	// Admission selects what a request past QueueSize meets (default
 	// AdmitBlock).
 	Admission AdmissionPolicy
-	// PanicLimit is how many panics one replica absorbs before it is
-	// retired and rebuilt from the model snapshot (fresh scratch state;
-	// weights are shared and immutable either way). <= 0 selects 3.
-	PanicLimit int
 }
+
+// panicLimit is how many panics one replica absorbs before it is
+// retired and rebuilt from the model snapshot (fresh scratch state;
+// weights are shared and immutable either way).
+const panicLimit = 3
 
 // withDefaults resolves unset options.
 func (o Options) withDefaults() Options {
@@ -111,9 +112,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 32
-	}
-	if o.PanicLimit <= 0 {
-		o.PanicLimit = 3
 	}
 	if o.QueueSize <= 0 {
 		o.QueueSize = 4 * o.Replicas
@@ -360,7 +358,7 @@ func (p *Predictor) borrow(ctx context.Context) (*replica, error) {
 // Fault isolation: a forward that panics completes nothing, so the
 // request's statements are re-run one by one and exactly the poisoned
 // ones count in Stats().Panics and as strikes against the replica — at
-// PanicLimit strikes its model is retired and rebuilt from the
+// panicLimit strikes its model is retired and rebuilt from the
 // snapshot. The request fails with a wrapped ErrPanicked; other
 // requests are untouched.
 //
@@ -400,7 +398,7 @@ func (p *Predictor) serve(ctx context.Context, kind reqKind, stmts []string, dst
 				err = fmt.Errorf("%w: %v", ErrPanicked, v)
 			}
 			p.stats.panics.Add(1)
-			if r.strikes++; r.strikes >= p.opts.PanicLimit {
+			if r.strikes++; r.strikes >= panicLimit {
 				r.model = p.model.Replicate()
 				p.stats.rebuilds.Add(1)
 				r.strikes = 0

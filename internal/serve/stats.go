@@ -22,7 +22,7 @@ type statsState struct {
 	rejected  atomic.Uint64 // AdmitReject refusals (ErrQueueFull)
 	canceled  atomic.Uint64 // requests that gave up waiting for a replica (ctx expiry)
 	panics    atomic.Uint64 // statements whose inference panicked
-	rebuilds  atomic.Uint64 // replicas retired and rebuilt after PanicLimit
+	rebuilds  atomic.Uint64 // replicas retired and rebuilt after panicLimit
 
 	lat []latRing // one per replica
 }
@@ -84,7 +84,7 @@ type Stats struct {
 	Canceled uint64
 	// Panics counts statements whose inference panicked (each fails its
 	// call with ErrPanicked); Rebuilds counts replicas retired and
-	// rebuilt from the shared-weight snapshot after PanicLimit strikes.
+	// rebuilt from the shared-weight snapshot after three strikes.
 	Panics   uint64
 	Rebuilds uint64
 	// QueueDepth is the number of requests waiting for a replica right

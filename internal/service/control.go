@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"time"
 )
@@ -116,7 +117,8 @@ type PredictRequest struct {
 	Statement  string   `json:"statement,omitempty"`
 	Statements []string `json:"statements,omitempty"`
 	// DeadlineMs bounds the request server-side (on top of whatever
-	// deadline the client connection already carries).
+	// deadline the client connection already carries). Values past the
+	// wire frame's u32 range (~49.7 days) count as that range's largest.
 	DeadlineMs int `json:"deadline_ms,omitempty"`
 }
 
@@ -239,8 +241,11 @@ func (s *Service) opPredict(ctx context.Context, body []byte) (any, error) {
 		return nil, badRequest("statement and statements are mutually exclusive")
 	}
 	if req.DeadlineMs > 0 {
+		// Clamped before it becomes a Duration, which would overflow
+		// into the past above ~292 years.
+		ms := min(int64(req.DeadlineMs), math.MaxUint32)
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMs)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
 		defer cancel()
 	}
 	stmts := req.Statements

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -96,6 +97,28 @@ func TestHTTPPredictRoundTrip(t *testing.T) {
 		}
 		if batch.Results[i].Raw != want.Raw || batch.Results[i].Classification {
 			t.Fatalf("batch[%d] = %+v", i, batch.Results[i])
+		}
+	}
+}
+
+// TestHTTPPredictLongDeadline: a deadline_ms too large for a Duration
+// is the longest deadline the wire frame carries, not an overflow into
+// an already-expired one (an immediate 504).
+func TestHTTPPredictLongDeadline(t *testing.T) {
+	_, srv := newTestServer(t)
+	stmt := testStatements(1)[0]
+	for _, tc := range []struct {
+		name string
+		ms   int
+	}{
+		{"u32 max", math.MaxUint32},
+		{"first Duration overflow", 9_223_372_036_855},
+		{"int max", math.MaxInt},
+	} {
+		resp := postJSON(t, srv.URL+"/v1/predict", PredictRequest{Model: "errors", Statement: stmt, DeadlineMs: tc.ms})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: deadline_ms %d: status = %d, want 200", tc.name, tc.ms, resp.StatusCode)
 		}
 	}
 }

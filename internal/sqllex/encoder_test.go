@@ -101,10 +101,6 @@ func TestCharsInterned(t *testing.T) {
 	if &asciiTokens['a'] == nil || toks[0] != asciiTokens['a'] {
 		t.Fatal("token not interned")
 	}
-	spaced := CharsWithSpace("a b")
-	if len(spaced) != 3 || spaced[1] != " " {
-		t.Fatalf("CharsWithSpace = %v", spaced)
-	}
 }
 
 // FuzzEncoderMatchesTokens is the differential behind a contract the

@@ -59,26 +59,6 @@ func Chars(query string) []string {
 	return tokens
 }
 
-// CharsWithSpace splits a query into character tokens keeping a single
-// space token between non-space runs. CNN models benefit from the word
-// boundary signal. Token strings are interned for the ASCII range.
-func CharsWithSpace(query string) []string {
-	tokens := make([]string, 0, len(query))
-	pendingSpace := false
-	for _, r := range query {
-		if unicode.IsSpace(r) {
-			pendingSpace = len(tokens) > 0
-			continue
-		}
-		if pendingSpace {
-			tokens = append(tokens, asciiTokens[' '])
-			pendingSpace = false
-		}
-		tokens = append(tokens, charToken(r))
-	}
-	return tokens
-}
-
 // wordScratch is the reusable state of one word-tokenizer run: the
 // decoded rune buffer plus the normalized-literal scratch.
 type wordScratch struct {

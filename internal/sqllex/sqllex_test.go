@@ -24,22 +24,6 @@ func TestCharsPaperExample(t *testing.T) {
 	}
 }
 
-func TestCharsWithSpaceCollapsesRuns(t *testing.T) {
-	got := CharsWithSpace("a   b")
-	want := []string{"a", " ", "b"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("CharsWithSpace = %v, want %v", got, want)
-	}
-}
-
-func TestCharsWithSpaceTrims(t *testing.T) {
-	got := CharsWithSpace("  ab ")
-	want := []string{"a", "b"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("CharsWithSpace = %v, want %v", got, want)
-	}
-}
-
 func TestWordsBasic(t *testing.T) {
 	got := Words("SELECT * FROM PhotoTag WHERE objId=5")
 	want := []string{"SELECT", "*", "FROM", "PhotoTag", "WHERE", "objId", "=", DigitToken}
@@ -303,7 +287,6 @@ func isUnicodeSpace(r rune) bool {
 func TestTokenizersTotalProperty(t *testing.T) {
 	f := func(s string) bool {
 		_ = Chars(s)
-		_ = CharsWithSpace(s)
 		_ = Words(s)
 		_ = StatementType(s)
 		return true

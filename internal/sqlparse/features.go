@@ -55,14 +55,21 @@ var FeatureNames = []string{
 // token-level heuristics, mirroring how the paper's ANTLR pipeline
 // degrades on malformed entries.
 func ExtractFeatures(query string) Features {
+	st := borrowToks(query)
+	defer releaseToks(st)
+	return featuresOf(query, st.toks)
+}
+
+// featuresOf is ExtractFeatures over query's lexed tokens.
+func featuresOf(query string, toks []Token) Features {
 	f := Features{
 		NumChars:      countNonSpaceChars(query),
 		NumWords:      len(sqllex.Words(query)),
 		StatementType: sqllex.StatementType(query),
 	}
-	stmts, err := Parse(query)
+	stmts, err := parseTokens(toks)
 	if err != nil {
-		heuristicStructure(query, &f)
+		heuristicStructure(toks, &f)
 		return f
 	}
 	f.Parsed = true
@@ -96,22 +103,9 @@ func countNonSpaceChars(query string) int {
 
 // heuristicStructure estimates structural counts from tokens when the
 // parser fails, so that workload analysis covers every entry.
-func heuristicStructure(query string, f *Features) {
-	st := borrowToks(query)
-	defer releaseToks(st)
-	toks := st.toks
-	depth, maxDepth := 0, 0
+func heuristicStructure(toks []Token, f *Features) {
 	for i, t := range toks {
 		switch t.Kind {
-		case TokLParen:
-			depth++
-			if depth > maxDepth {
-				maxDepth = depth
-			}
-		case TokRParen:
-			if depth > 0 {
-				depth--
-			}
 		case TokIdent:
 			if strings.EqualFold(t.Text, "JOIN") {
 				f.NumJoins++
@@ -125,8 +119,8 @@ func heuristicStructure(query string, f *Features) {
 			}
 		}
 	}
-	// Parenthesis depth over-counts nestedness (arithmetic grouping);
-	// report only depth attributable to SELECT keywords.
+	// Parenthesis depth would over-count nestedness (arithmetic
+	// grouping); report only depth attributable to SELECT keywords.
 	selects := 0
 	for _, t := range toks {
 		if t.IsKeyword("SELECT") {
@@ -136,7 +130,6 @@ func heuristicStructure(query string, f *Features) {
 	if selects > 1 {
 		f.NestednessLevel = selects - 1
 	}
-	_ = maxDepth
 }
 
 type featureWalker struct {

@@ -1,0 +1,107 @@
+package sqlparse
+
+import (
+	"go/scanner"
+	"go/token"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"testing"
+)
+
+// FuzzParse is the differential behind the pooled parse state
+// (borrowToks/releaseToks): Parse and ExtractFeatures, which lex into a
+// recycled lexState, must answer exactly like the same functions over a
+// freshly allocated one — statements deep-equal, error text equal,
+// feature vectors equal bit for bit — and neither may panic. Another
+// statement is parsed through the pool first, so the state query lexes
+// into holds that statement's runes and tokens: a reference into
+// recycled state shows as a difference.
+func FuzzParse(f *testing.F) {
+	between := "SELECT a, b FROM t WHERE c = 1"
+	for _, s := range testLiterals(f) {
+		f.Add(s, between)
+	}
+	// Statements drawn from synth's SDSS and SQLShare generators (seed 1).
+	for _, s := range []string{
+		"SELECT z FROM SpecObj WHERE specobjid=122169136768973484",
+		"SELECT p.flags,s.ra FROM SpecObj s, PhotoObj p WHERE s.bestobjid=p.objid AND s.zconf > 0.47 AND p.r < 16.24",
+		"select p.extinction_r,p.status,p.run,p.z,s.mjd,s.dec,s.bestobjid from specobj as s inner join photoobj as p on s.bestobjid=p.objid where s.zconf > 0.64",
+		"SELECT t0.objid FROM Galaxy AS t0 JOIN PhotoPrimary AS t1 ON t0.objid = t1.objid JOIN Star AS t3 ON t1.objid = t3.objid WHERE t0.ra BETWEEN 24.786529 AND 159.895627",
+		"SELECT run_id, group_id, id, concentration FROM u000_field_sequences WHERE group_id < 6.07 AND concentration LIKE '%test%' ORDER BY group_id",
+		"SELECT station, min(taxon) FROM u000_measurements GROUP BY station",
+	} {
+		f.Add(s, between)
+		f.Add(between, s)
+	}
+	f.Fuzz(func(t *testing.T, query, other string) {
+		fresh := new(lexState)
+		fresh.lex(query)
+		wantStmts, wantErr := parseTokens(fresh.toks)
+		wantFeat := featuresOf(query, fresh.toks)
+
+		_, _ = Parse(other)
+		gotStmts, gotErr := Parse(query)
+		if errText(gotErr) != errText(wantErr) {
+			t.Fatalf("Parse(%q) error: pooled %q, fresh %q", query, errText(gotErr), errText(wantErr))
+		}
+		if !reflect.DeepEqual(gotStmts, wantStmts) {
+			t.Fatalf("Parse(%q): pooled and fresh statements differ", query)
+		}
+
+		ExtractFeatures(other)
+		gotFeat := ExtractFeatures(query)
+		if gotFeat != wantFeat {
+			t.Fatalf("ExtractFeatures(%q): pooled %+v, fresh %+v", query, gotFeat, wantFeat)
+		}
+		gv, wv := gotFeat.Vector(), wantFeat.Vector()
+		for i := range wv {
+			if math.Float64bits(gv[i]) != math.Float64bits(wv[i]) {
+				t.Fatalf("ExtractFeatures(%q).Vector()[%d]: pooled %v, fresh %v", query, i, gv[i], wv[i])
+			}
+		}
+	})
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// testLiterals returns every string literal in this package's test
+// files: the parser and feature tests' inputs (and, harmlessly, their
+// messages) as seeds.
+func testLiterals(tb testing.TB) []string {
+	tb.Helper()
+	files, err := filepath.Glob("*_test.go")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out []string
+	fset := token.NewFileSet()
+	for _, name := range files {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var sc scanner.Scanner
+		sc.Init(fset.AddFile(name, -1, len(src)), src, nil, 0)
+		for {
+			_, tok, lit := sc.Scan()
+			if tok == token.EOF {
+				break
+			}
+			if tok != token.STRING {
+				continue
+			}
+			if s, err := strconv.Unquote(lit); err == nil && s != "" {
+				out = append(out, s)
+			}
+		}
+	}
+	return out
+}

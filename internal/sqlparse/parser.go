@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 )
@@ -11,7 +12,13 @@ import (
 func Parse(input string) ([]Statement, error) {
 	st := borrowToks(input)
 	defer releaseToks(st)
-	p := &parser{toks: st.toks}
+	return parseTokens(st.toks)
+}
+
+// parseTokens is Parse over a lexed token stream ending in TokEOF. It
+// reads toks only; the statements it returns share nothing with them.
+func parseTokens(toks []Token) ([]Statement, error) {
+	p := &parser{toks: toks}
 	var stmts []Statement
 	for {
 		for p.peek().Kind == TokSemicolon {
@@ -74,30 +81,7 @@ func (p *parser) advance() Token {
 }
 
 func (p *parser) errorf(format string, args ...interface{}) error {
-	msg := format
-	if len(args) > 0 {
-		msg = sprintf(format, args...)
-	}
-	return &ParseError{Pos: p.peek().Pos, Msg: msg}
-}
-
-func sprintf(format string, args ...interface{}) string {
-	b := strings.Builder{}
-	frag := strings.SplitN(format, "%q", 2)
-	if len(frag) == 2 && len(args) == 1 {
-		b.WriteString(frag[0])
-		b.WriteString(strconv.Quote(toString(args[0])))
-		b.WriteString(frag[1])
-		return b.String()
-	}
-	return format
-}
-
-func toString(v interface{}) string {
-	if s, ok := v.(string); ok {
-		return s
-	}
-	return ""
+	return &ParseError{Pos: p.peek().Pos, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (p *parser) acceptKeyword(kw string) bool {

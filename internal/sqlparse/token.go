@@ -74,6 +74,13 @@ var lexPool = sync.Pool{New: func() any { return new(lexState) }}
 // releaseToks when done with the token slice and must not retain it.
 func borrowToks(input string) *lexState {
 	st := lexPool.Get().(*lexState)
+	st.lex(input)
+	return st
+}
+
+// lex tokenizes input into st.toks (ending in TokEOF), reusing st's
+// buffers whatever they held before.
+func (st *lexState) lex(input string) {
 	st.lx.runes = st.lx.runes[:0]
 	for _, r := range input {
 		st.lx.runes = append(st.lx.runes, r)
@@ -84,7 +91,7 @@ func borrowToks(input string) *lexState {
 		tok := st.lx.next()
 		st.toks = append(st.toks, tok)
 		if tok.Kind == TokEOF {
-			return st
+			return
 		}
 	}
 }

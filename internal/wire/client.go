@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -232,16 +233,24 @@ func (cc *clientConn) decodeReply(ca *call, t MsgType, payload []byte) {
 
 // deadlineMs converts ctx's deadline into the frame's server-side
 // deadline hint (0 = none). An already-expired context short-circuits.
+// The remainder rounds up, so the server's deadline is never shorter
+// than the caller's (under 1ms left still ships 1ms), and one past the
+// field's range (~49.7 days) ships the largest value instead of
+// wrapping.
 func deadlineMs(ctx context.Context) (uint32, error) {
 	dl, ok := ctx.Deadline()
 	if !ok {
 		return 0, nil
 	}
-	ms := time.Until(dl).Milliseconds()
-	if ms <= 0 {
+	d := time.Until(dl)
+	if d <= 0 {
 		return 0, context.DeadlineExceeded
 	}
-	return uint32(ms), nil
+	ms := d / time.Millisecond
+	if d%time.Millisecond != 0 {
+		ms++
+	}
+	return uint32(min(ms, math.MaxUint32)), nil
 }
 
 // exchange is one request/reply: it sends a t frame whose payload enc

@@ -240,6 +240,38 @@ func TestErrorMapping(t *testing.T) {
 	}
 }
 
+// remainingCtx carries a deadline d after the moment Deadline is
+// called, so the remainder deadlineMs computes is d less a few
+// nanoseconds however slow the machine.
+type remainingCtx struct {
+	context.Context
+	d time.Duration
+}
+
+func (c remainingCtx) Deadline() (time.Time, bool) { return time.Now().Add(c.d), true }
+
+// TestDeadlineMsRoundsUpAndClamps: the frame's deadline is the caller's
+// remainder rounded up to whole milliseconds — never shorter than the
+// caller's, so a context with under 1ms left is sent, not failed
+// locally — and a remainder past the u32 field is clamped, not wrapped
+// into a tiny server-side deadline.
+func TestDeadlineMsRoundsUpAndClamps(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		d    time.Duration
+		want uint32
+	}{
+		{"sub-millisecond remainder", 500 * time.Microsecond, 1},
+		{"fractional remainder", 1500 * time.Microsecond, 2},
+		{"2^32+5 ms", (1<<32 + 5) * time.Millisecond, math.MaxUint32},
+	} {
+		got, err := deadlineMs(remainingCtx{context.Background(), tc.d})
+		if err != nil || got != tc.want {
+			t.Errorf("%s: deadlineMs = %d, %v; want %d, nil", tc.name, got, err, tc.want)
+		}
+	}
+}
+
 // TestControlPlane: the JSON control ops answer with the same shapes
 // the HTTP handlers marshal, because they marshal the same structs.
 func TestControlPlane(t *testing.T) {

@@ -48,7 +48,6 @@ var optionStructs = map[string][]string{
 	"repro/internal/wire":    {"ServerOptions", "ClientOptions"},
 	"repro/internal/ingest":  {"Options"},
 	"repro/internal/online":  {"Options"},
-	"repro/internal/cluster": {"TrackerOptions"},
 	"repro/client":           {"Options"},
 }
 
@@ -57,29 +56,15 @@ var optionStructs = map[string][]string{
 const libraryOption = "library option: the client's programs are the module's importers, and examples/service sets all three"
 
 // unsetAllowed lists option fields no program sets, with why each is
-// still an option. The test seams are candidates for constants once a
-// benchmark sweep says which value to freeze.
+// still an option.
 var unsetAllowed = map[string]string{
 	"repro/client.Options.Timeout":            libraryOption,
 	"repro/client.Options.Retries":            libraryOption,
 	"repro/client.Options.Hedge":              libraryOption,
-	"repro/internal/serve.Options.PanicLimit": "test seam: the panic-isolation tests lower it to force replica rebuilds",
 	"repro/internal/wire.ClientOptions.Conns": "test seam: the pipelining tests pin one connection to force out-of-order replies onto it",
 	"repro/client.Options.ProbeInterval":      "test seam: the cluster tests (and examples/cluster) shorten it so failover shows within a test's patience",
-	"repro/client.Options.Backoff":            "test seam: the retry tests shrink it to keep retries fast",
-	"repro/client.Options.BreakerThreshold":   "test seam: the breaker tests disable or tighten the breaker",
-	"repro/client.Options.BreakerWindow":      "test seam: the breaker tests shrink the evidence window",
-	"repro/client.Options.BreakerCooldown":    "test seam: the breaker tests shorten the half-open cooldown",
-
-	"repro/internal/ingest.Options.SegmentBytes":      "test seam: the rotation, retention and tail-follow tests shrink segments to a few hundred bytes",
-	"repro/internal/ingest.Options.MaxSegments":       "test seam: the retention tests tighten the bound or keep every segment",
-	"repro/internal/ingest.Options.Sync":              "durability setting: fsync after every append, for a deployment that cannot lose the unsynced tail of its feedback",
-	"repro/internal/online.Options.Holdout":           "test seam: the learner tests fix the held-out share of their 8-record windows",
-	"repro/internal/online.Options.Interval":          "test seam: the learner tests (and examples/online) poll the WAL's live edge every few milliseconds",
-	"repro/internal/cluster.TrackerOptions.Timeout":   "test seam: defaults to Interval, which is what the client sets; kept so a probe can be bounded apart from its period",
-	"repro/internal/cluster.TrackerOptions.DownAfter": "test seam: the tracker tests mark a node Down after one or two failures",
-	"repro/internal/cluster.TrackerOptions.Seed":      "test seam: the tracker tests fix the jitter schedule",
-	"repro/internal/cluster.TrackerOptions.OnChange":  "test seam: the tracker tests record state transitions through it",
+	"repro/internal/ingest.Options.Sync":      "durability setting: fsync after every append, for a deployment that cannot lose the unsynced tail of its feedback",
+	"repro/internal/online.Options.Interval":  "test seam: the learner tests (and examples/online) poll the WAL's live edge every few milliseconds",
 }
 
 // sourceFile is one parsed non-test Go file of the module.
