@@ -7,17 +7,14 @@
 // that encodes the API's operational contract:
 //
 //   - Per-request deadlines: Options.Timeout bounds every attempt (on
-//     top of whatever deadline the caller's context carries), and
-//     deadlines propagate server-side so an expired request is
-//     cancelled while it waits for a replica, not served late.
+//     top of whatever deadline the caller's context carries), and the
+//     attempt's remaining time propagates server-side as deadline_ms on
+//     both transports, so an expired request is cancelled while it
+//     waits for a replica, not served late.
 //   - Bounded retries with exponential backoff on 429, 5xx, and
 //     transport errors — predictions are pure functions of the
 //     deployed snapshot, so retrying them is always safe. Deploys are
 //     never retried implicitly.
-//   - Optional request hedging: with Options.Hedge set, a prediction
-//     that has not answered within the hedge delay is raced by a
-//     second identical attempt, and the first response wins — the
-//     classic tail-latency amortization for replicated serving.
 //   - Server-paced backoff: a 429/503 carrying a Retry-After header is
 //     retried after the server's hint, not the client's exponential
 //     guess.
@@ -40,10 +37,9 @@
 // first live node in ring order and, on transport error, 5xx, or an
 // open breaker, fail over to the next: the retry budget spans nodes
 // (failing over to a fresh node happens immediately, without backoff),
-// an open breaker is skipped without consuming the budget, and hedged
-// duplicates go to a different node than the primary, turning hedging
-// into cross-replica tail insurance. Down nodes are deprioritized, not
-// banned — probes re-admit a node the moment it answers again.
+// and an open breaker is skipped without consuming the budget. Down
+// nodes are deprioritized, not banned — probes re-admit a node the
+// moment it answers again.
 //
 // Result types are shared with the service layer (re-exported here
 // and from the repro facade), so a prediction obtained over the wire
@@ -152,7 +148,7 @@ func (e *APIError) retryable() bool {
 }
 
 // Options configures a Client. The zero value is usable: no default
-// deadline, 2 retries, no hedging, single node.
+// deadline, 2 retries, single node.
 //
 // Fixed for every client: a retry that re-targets a node already tried
 // waits 50ms, doubling per retry (or the server's Retry-After hint);
@@ -179,7 +175,7 @@ type Options struct {
 	ProbeInterval time.Duration
 	// Timeout is the per-attempt deadline applied to every request
 	// when > 0, layered under any caller context deadline. Each retry
-	// or hedge attempt gets a fresh allowance.
+	// gets a fresh allowance.
 	Timeout time.Duration
 	// Retries is the maximum number of re-attempts after a retryable
 	// failure (429, 5xx, transport error). 0 selects the default of 2;
@@ -187,14 +183,6 @@ type Options struct {
 	// nodes: each retry fails over to the next node in ring order, and
 	// a fresh node is tried immediately, without backoff.
 	Retries int
-	// Hedge, when > 0, arms request hedging for predictions: an
-	// attempt that has not completed within this delay — or that fails
-	// with a retryable error sooner — is raced by one duplicate, and
-	// the first successful response wins. The hedge doubles as the
-	// retry for hedged calls, so a hedged call issues at most two
-	// attempts total. In cluster mode the duplicate goes to a
-	// different node than the primary.
-	Hedge time.Duration
 }
 
 // backoff is the delay before the first retry to a node already tried
@@ -218,7 +206,7 @@ type node struct {
 	base string // HTTP base URL ("" for wire nodes)
 	http *http.Client
 	// wire, when non-nil, replaces HTTP with the binary wire transport
-	// (tcp:// and unix:// addresses). Retry, hedging, breaker, and
+	// (tcp:// and unix:// addresses). Retry, breaker, deadline, and
 	// sentinel-error semantics are identical across transports.
 	wire *wire.Client
 
@@ -266,7 +254,7 @@ type Client struct {
 //	tcp://host:port    binary wire protocol over TCP
 //	unix:///path.sock  binary wire protocol over a unix socket
 //
-// Every client behavior — retries, hedging, breakers, sentinel errors,
+// Every client behavior — retries, deadlines, breakers, sentinel errors,
 // server-paced backoff, ring routing and failover — is
 // transport-independent.
 func New(baseURL string, opts Options) (*Client, error) {
@@ -401,7 +389,7 @@ type NodeStats struct {
 	// Served counts successful calls answered by this node.
 	Served uint64 `json:"served"`
 	// Failovers counts served calls that were routed here after the
-	// preferred node failed, short-circuited, or lost a hedge race.
+	// preferred node failed or short-circuited.
 	Failovers uint64 `json:"failovers"`
 }
 
@@ -490,21 +478,10 @@ func wireErr(err error) error {
 // body (also the predict breaker's endpoint name on every transport).
 var predictMethod, predictPath = service.OpPredict.Route()
 
-// deadlineMs converts the configured per-attempt timeout into the
-// deadline_ms the HTTP predict body ships server-side.
-func (c *Client) deadlineMs() int {
-	if c.opts.Timeout <= 0 {
-		return 0
-	}
-	// Round up so the server-side deadline is never shorter than the
-	// client's (a sub-millisecond timeout still ships 1ms).
-	return int((c.opts.Timeout + time.Millisecond - 1) / time.Millisecond)
-}
-
-// Predict runs one prediction against model's live version. It is
-// retried (and hedged, if configured) on retryable failures; the
-// configured Timeout also rides to the server as deadline_ms so the
-// request is cancelled server-side, not just abandoned.
+// Predict runs one prediction against model's live version, retried
+// on retryable failures. Each attempt's remaining time rides to the
+// server as deadline_ms, so the request is cancelled server-side, not
+// just abandoned.
 func (c *Client) Predict(ctx context.Context, model, statement string) (Prediction, error) {
 	pr, _, err := c.PredictInto(ctx, model, statement, nil)
 	return pr, err
@@ -513,23 +490,11 @@ func (c *Client) Predict(ctx context.Context, model, statement string) (Predicti
 // PredictInto is Predict with caller-owned result storage: class
 // probabilities are decoded into probs (grown only when capacity is
 // insufficient) and the returned slice is passed back in on the next
-// call. Over a wire transport with Options.Timeout == 0 and hedging
-// off, a warm PredictInto performs zero allocations end to end — the
-// service layer's PredictInto contract extended through the client.
-// Callers that retain the result across calls must copy Probs.
+// call. Over a wire transport with Options.Timeout == 0, a warm
+// PredictInto performs zero allocations end to end — the service
+// layer's PredictInto contract extended through the client. Callers
+// that retain the result across calls must copy Probs.
 func (c *Client) PredictInto(ctx context.Context, model, statement string, probs []float64) (Prediction, []float64, error) {
-	if c.opts.Hedge > 0 {
-		// Hedging races goroutines and cannot share one probs buffer;
-		// it allocates by nature.
-		pr, err := runOpHedged(c, ctx, model, predictPath, func(ctx context.Context, n *node) (Prediction, error) {
-			if n.wire != nil {
-				pr, err := n.wire.Predict(ctx, model, statement)
-				return pr, wireErr(err)
-			}
-			return n.predictHTTP(ctx, model, statement, c.deadlineMs())
-		})
-		return pr, probs, err
-	}
 	// runOp only calls the attempt, so this closure (and the probs it
 	// updates) stays on the stack: the warm path allocates nothing.
 	pr, err := runOp(c, ctx, model, predictPath, true, func(ctx context.Context, n *node) (Prediction, error) {
@@ -538,31 +503,31 @@ func (c *Client) PredictInto(ctx context.Context, model, statement string, probs
 			probs = out
 			return pr, wireErr(err)
 		}
-		return n.predictHTTP(ctx, model, statement, c.deadlineMs())
+		prs, err := n.predictHTTP(ctx, service.PredictRequest{Model: model, Statement: statement})
+		if err != nil {
+			return Prediction{}, err
+		}
+		if len(prs) != 1 {
+			return Prediction{}, fmt.Errorf("client: predict returned %d results for 1 statement", len(prs))
+		}
+		return prs[0], nil
 	})
 	return pr, probs, err
 }
 
-// predictHTTP is one single-statement predict over a node's HTTP
-// transport (the JSON round trip allocates; the 0-alloc contract is
-// the wire transport's).
-func (n *node) predictHTTP(ctx context.Context, model, statement string, deadlineMs int) (Prediction, error) {
-	body, err := marshalBody(service.PredictRequest{Model: model, Statement: statement, DeadlineMs: deadlineMs})
+// predictHTTP is one predict over a node's HTTP transport, shipping
+// the attempt's remaining time as req's deadline_ms (the JSON round
+// trip allocates; the 0-alloc contract is the wire transport's).
+func (n *node) predictHTTP(ctx context.Context, req service.PredictRequest) ([]Prediction, error) {
+	dl, err := service.DeadlineMs(ctx)
 	if err != nil {
-		return Prediction{}, err
+		return nil, err
 	}
-	results, err := n.predictBody(ctx, body)
+	req.DeadlineMs = int(dl)
+	body, err := marshalBody(req)
 	if err != nil {
-		return Prediction{}, err
+		return nil, err
 	}
-	if len(results) != 1 {
-		return Prediction{}, fmt.Errorf("client: predict returned %d results for 1 statement", len(results))
-	}
-	return results[0], nil
-}
-
-// predictBody posts one encoded predict body and decodes the results.
-func (n *node) predictBody(ctx context.Context, body []byte) ([]Prediction, error) {
 	data, err := n.attempt(ctx, predictMethod, predictPath, body)
 	if err != nil {
 		return nil, err
@@ -575,25 +540,17 @@ func (n *node) predictBody(ctx context.Context, body []byte) ([]Prediction, erro
 }
 
 // PredictBatch runs one prediction per statement, in input order, with
-// the same retry/hedging semantics as Predict.
+// the same retry semantics as Predict.
 func (c *Client) PredictBatch(ctx context.Context, model string, statements []string) ([]Prediction, error) {
 	if len(statements) == 0 {
 		return nil, nil
 	}
-	var body []byte
-	out, err := runOpHedged(c, ctx, model, predictPath, func(ctx context.Context, n *node) ([]Prediction, error) {
+	out, err := runOp(c, ctx, model, predictPath, true, func(ctx context.Context, n *node) ([]Prediction, error) {
 		if n.wire != nil {
 			prs, err := n.wire.PredictBatch(ctx, model, statements)
 			return prs, wireErr(err)
 		}
-		if body == nil {
-			var err error
-			body, err = marshalBody(service.PredictRequest{Model: model, Statements: statements, DeadlineMs: c.deadlineMs()})
-			if err != nil {
-				return nil, err
-			}
-		}
-		return n.predictBody(ctx, body)
+		return n.predictHTTP(ctx, service.PredictRequest{Model: model, Statements: statements})
 	})
 	if err != nil {
 		return nil, err
@@ -712,7 +669,7 @@ func (c *Client) WaitReady(ctx context.Context) error {
 }
 
 // attemptFunc is one transport attempt against one node: an HTTP round
-// trip or a wire protocol exchange. The retry, hedging, failover, and
+// trip or a wire protocol exchange. The retry, failover, and
 // breaker layers below are written against this shape, so both
 // transports — and the typed predict path and the control plane —
 // share one policy implementation and cannot drift.
@@ -746,8 +703,8 @@ func (c *Client) putRoute(order *[]int) {
 	c.routes.Put(order)
 }
 
-// runOp performs op with the client's retry budget (when retryable)
-// but without hedging, failing over across the key's route: a
+// runOp performs op with the client's retry budget (when retryable),
+// failing over across the key's route: a
 // retryable failure advances to the next node (consuming budget), an
 // open breaker skips to the next node without consuming budget, and a
 // full cycle of short-circuits fails fast with ErrCircuitOpen. This is
@@ -838,75 +795,6 @@ func retryDelay(err error, backoff time.Duration) time.Duration {
 		return apiErr.RetryAfter
 	}
 	return backoff
-}
-
-// runOpHedged performs a prediction op: hedged when configured, plain
-// retries otherwise. The hedged duplicate goes to the next node in the
-// key's route when the cluster has one — cross-replica tail insurance
-// — and an open breaker on the primary launches the alternate
-// immediately instead of waiting out the hedge delay.
-func runOpHedged[T any](c *Client, ctx context.Context, key, endpoint string, op attemptFunc[T]) (T, error) {
-	if c.opts.Hedge <= 0 {
-		return runOp(c, ctx, key, endpoint, true, op)
-	}
-	order := c.route(key)
-	primary := c.nodes[(*order)[0]]
-	alternate := primary
-	if len(*order) > 1 {
-		alternate = c.nodes[(*order)[1]]
-	}
-	c.putRoute(order)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel() // reels the losing racer in
-	type result struct {
-		n   *node
-		v   T
-		err error
-	}
-	results := make(chan result, 2)
-	attempt := func(n *node) {
-		v, err := opOnce(c, ctx, n, endpoint, op)
-		results <- result{n, v, err}
-	}
-	go attempt(primary)
-	launched := 1
-	hedge := time.NewTimer(c.opts.Hedge)
-	defer hedge.Stop()
-	var firstErr error
-	for done := 0; done < launched; {
-		select {
-		case <-hedge.C:
-			if launched == 1 {
-				launched = 2
-				go attempt(alternate)
-			}
-		case r := <-results:
-			if r.err == nil {
-				r.n.served.Add(1)
-				if r.n != primary {
-					r.n.failovers.Add(1)
-				}
-				return r.v, nil
-			}
-			done++
-			if firstErr == nil || errors.Is(firstErr, ErrCircuitOpen) {
-				firstErr = r.err
-			}
-			// A failure before the hedge delay launches the hedge
-			// immediately (when the failure is worth re-attempting, or
-			// was a free short-circuit): the hedge doubles as the retry,
-			// so enabling hedging never makes a call less resilient than
-			// Retries >= 1 — and never strands a call on a node whose
-			// breaker is open when another node could answer.
-			if launched == 1 && ctx.Err() == nil &&
-				(isRetryable(r.err) || (errors.Is(r.err, ErrCircuitOpen) && alternate != primary)) {
-				launched = 2
-				go attempt(alternate)
-			}
-		}
-	}
-	var zero T
-	return zero, firstErr
 }
 
 // opOnce performs a single attempt against one node, applying the

@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"math/rand"
@@ -320,120 +321,51 @@ func TestPerRequestTimeout(t *testing.T) {
 	}
 }
 
-// TestHedging checks the tail-latency contract: a slow first attempt
-// is raced by a hedge, the fast response wins, and exactly two
-// requests are issued.
-func TestHedging(t *testing.T) {
-	svc := service.New(service.Options{Serve: serve.Options{Replicas: 2}})
-	defer svc.Close()
-	if _, err := svc.Swap("errors", testModel()); err != nil {
-		t.Fatal(err)
-	}
-	inner := service.NewHandler(svc)
-	var calls atomic.Int64
-	release := make(chan struct{})
+// TestHTTPDeadlineMsIsAttemptRemainder checks the HTTP transport ships
+// the attempt's remaining time as deadline_ms, like the wire transport:
+// the caller's own deadline when no Timeout is set, and the caller's
+// when it is shorter than Timeout.
+func TestHTTPDeadlineMsIsAttemptRemainder(t *testing.T) {
+	var shipped atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			// First attempt stalls until the test ends: only the hedge
-			// can answer.
-			select {
-			case <-release:
-			case <-r.Context().Done():
-			}
+		var req service.PredictRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		inner.ServeHTTP(w, r)
+		shipped.Store(int64(req.DeadlineMs))
+		json.NewEncoder(w).Encode(service.PredictResponse{
+			Results: make([]Prediction, max(1, len(req.Statements))),
+		})
 	}))
 	defer srv.Close()
-	defer close(release)
-
-	c, err := New(srv.URL, Options{Hedge: 20 * time.Millisecond, Retries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	pr, err := c.Predict(ctx, "errors", testStatements(1)[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr.Version != 1 {
-		t.Fatalf("hedged prediction = %+v", pr)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("%d requests, want 2 (primary + hedge)", got)
-	}
-}
-
-// TestHedgeOnEarlyFailure checks a retryable failure arriving before
-// the hedge delay launches the hedge immediately: enabling hedging
-// must never make a call less resilient than a plain retry.
-func TestHedgeOnEarlyFailure(t *testing.T) {
-	svc := service.New(service.Options{Serve: serve.Options{Replicas: 1}})
-	defer svc.Close()
-	if _, err := svc.Swap("errors", testModel()); err != nil {
-		t.Fatal(err)
-	}
-	h, calls := flakyHandler(1, http.StatusServiceUnavailable, service.NewHandler(svc))
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-	// Hedge delay far beyond the test: only the failure-triggered
-	// launch can save this call.
-	c, err := New(srv.URL, Options{Hedge: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Predict(context.Background(), "errors", testStatements(1)[0]); err != nil {
-		t.Fatalf("hedged call did not recover from a transient 503: %v", err)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("%d requests, want 2", got)
-	}
-
-	// A non-retryable failure must still fail fast without a hedge.
-	h404, calls404 := flakyHandler(1<<30, http.StatusNotFound, nil)
-	srv404 := httptest.NewServer(h404)
-	defer srv404.Close()
-	c404, err := New(srv404.URL, Options{Hedge: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c404.Close()
-	if _, err := c404.Predict(context.Background(), "ghost", "SELECT 1"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound", err)
-	}
-	if got := calls404.Load(); got != 1 {
-		t.Fatalf("%d requests, want 1 (no hedge on 404)", got)
-	}
-}
-
-// TestHedgeNotLaunchedWhenFast checks a fast primary never spawns the
-// hedge request.
-func TestHedgeNotLaunchedWhenFast(t *testing.T) {
-	svc := service.New(service.Options{Serve: serve.Options{Replicas: 1}})
-	defer svc.Close()
-	if _, err := svc.Swap("errors", testModel()); err != nil {
-		t.Fatal(err)
-	}
-	inner := service.NewHandler(svc)
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		inner.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-	c, err := New(srv.URL, Options{Hedge: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Predict(context.Background(), "errors", testStatements(1)[0]); err != nil {
-		t.Fatal(err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("%d requests, want 1", got)
+	for _, tc := range []struct {
+		name            string
+		timeout, caller time.Duration
+	}{
+		{"no Timeout", 0, 250 * time.Millisecond},
+		{"Timeout past the caller's deadline", 10 * time.Second, 50 * time.Millisecond},
+	} {
+		c, err := New(srv.URL, Options{Timeout: tc.timeout, Retries: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), tc.caller)
+		check := func(call string, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: %s: %v", tc.name, call, err)
+			}
+			if ms := shipped.Load(); ms <= 0 || ms > tc.caller.Milliseconds() {
+				t.Errorf("%s: %s shipped deadline_ms %d, want in (0, %d]", tc.name, call, ms, tc.caller.Milliseconds())
+			}
+		}
+		_, err = c.Predict(ctx, "errors", "SELECT 1")
+		check("Predict", err)
+		_, err = c.PredictBatch(ctx, "errors", []string{"SELECT 1", "SELECT 2"})
+		check("PredictBatch", err)
+		cancel()
+		c.Close()
 	}
 }
 

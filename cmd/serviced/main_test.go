@@ -341,17 +341,41 @@ func TestGracefulShutdownDrain(t *testing.T) {
 		batch[i] = probeStatements[i%len(probeStatements)]
 	}
 	resc := make(chan error, 1)
-	go func() {
+	waitInFlight(t, c, "ccnn", func() {
 		out, err := c.PredictBatch(context.Background(), "ccnn", batch)
 		if err == nil && len(out) != len(batch) {
 			err = context.DeadlineExceeded
 		}
 		resc <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // let the batch reach the server
+	})
 	stopServiced(t, done)
 	if err := <-resc; err != nil {
 		t.Fatalf("in-flight batch failed during graceful shutdown: %v", err)
+	}
+}
+
+// waitInFlight runs send on its own goroutine and returns once the
+// server is working on it: a request waits for model's replica, or
+// more have completed than before send started. With -replicas 1 and
+// -admission block, a 2 000-statement batch is 63 requests, 62 of which
+// wait.
+func waitInFlight(t *testing.T, c *client.Client, model string, send func()) {
+	t.Helper()
+	ctx := context.Background()
+	st, err := c.Stats(ctx, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := st.Completed
+	go send()
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		st, err := c.Stats(ctx, model)
+		if err == nil && (st.Stats.QueueDepth > 0 || st.Completed > before) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("batch never reached the server: stats %+v, %v", st, err)
+		}
 	}
 }
 
@@ -387,14 +411,13 @@ func TestWireGracefulDrain(t *testing.T) {
 		batch[i] = probeStatements[i%len(probeStatements)]
 	}
 	resc := make(chan error, 1)
-	go func() {
+	waitInFlight(t, ch, "ccnn", func() {
 		out, err := cw.PredictBatch(context.Background(), "ccnn", batch)
 		if err == nil && len(out) != len(batch) {
 			err = context.DeadlineExceeded
 		}
 		resc <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // let the batch reach the server
+	})
 	stopServiced(t, done)
 	if err := <-resc; err != nil {
 		t.Fatalf("in-flight wire batch failed during graceful shutdown: %v", err)

@@ -6,7 +6,7 @@
 // It trains a character CNN, deploys it (with a per-model admission
 // quota) into a durable registry, serves it over HTTP and the binary
 // wire protocol simultaneously, drives concurrent deadline-bounded
-// traffic through the typed client (retries + hedging on), swaps a
+// traffic through the typed client (retries on), swaps a
 // fine-tuned v2 live mid-traffic with zero downtime, checks the two
 // transports answer bit-identically, then simulates a restart: a
 // fresh Service over the same store directory warm-boots v2 and
@@ -72,7 +72,7 @@ func main() {
 	fmt.Printf("deployed %s v%d (store: %s)\n", info.Name, info.Version, storeDir)
 
 	// 3. Serve the /v1 API and build the typed client on it: 5ms
-	// per-request deadlines, bounded retries, 2ms hedging.
+	// per-request deadlines, bounded retries.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(err)
@@ -83,7 +83,6 @@ func main() {
 	c, err := repro.NewClient("http://"+ln.Addr().String(), repro.ClientOptions{
 		Timeout: 5 * time.Millisecond,
 		Retries: 2,
-		Hedge:   2 * time.Millisecond,
 	})
 	if err != nil {
 		panic(err)

@@ -122,6 +122,42 @@ type PredictRequest struct {
 	DeadlineMs int `json:"deadline_ms,omitempty"`
 }
 
+// DeadlineMs is the deadline_ms a predict request ships for ctx, on
+// either transport: the time left until ctx's deadline (0 = none). An
+// already-expired context fails before any I/O. The remainder rounds
+// up, so the server's deadline is never shorter than the caller's
+// (under 1ms left still ships 1ms), and one past the wire frame's u32
+// range (~49.7 days) ships the largest value instead of wrapping.
+func DeadlineMs(ctx context.Context) (uint32, error) {
+	dl, ok := ctx.Deadline()
+	if !ok {
+		return 0, nil
+	}
+	d := time.Until(dl)
+	if d <= 0 {
+		return 0, context.DeadlineExceeded
+	}
+	ms := d / time.Millisecond
+	if d%time.Millisecond != 0 {
+		ms++
+	}
+	return uint32(min(ms, math.MaxUint32)), nil
+}
+
+// WithDeadlineMs bounds parent by a received deadline_ms. A value <= 0
+// means none: parent comes back with a no-op cancel and no timer, the
+// allocation-free path. Values past the u32 range count as its largest,
+// clamped before they become a Duration, which would overflow into the
+// past above ~292 years.
+func WithDeadlineMs(parent context.Context, ms int64) (context.Context, context.CancelFunc) {
+	if ms <= 0 {
+		return parent, noCancel
+	}
+	return context.WithTimeout(parent, time.Duration(min(ms, math.MaxUint32))*time.Millisecond)
+}
+
+func noCancel() {}
+
 // PredictResponse is the POST /v1/predict reply: one prediction per
 // statement, in input order.
 type PredictResponse struct {
@@ -240,14 +276,8 @@ func (s *Service) opPredict(ctx context.Context, body []byte) (any, error) {
 	if req.Statement != "" && len(req.Statements) != 0 {
 		return nil, badRequest("statement and statements are mutually exclusive")
 	}
-	if req.DeadlineMs > 0 {
-		// Clamped before it becomes a Duration, which would overflow
-		// into the past above ~292 years.
-		ms := min(int64(req.DeadlineMs), math.MaxUint32)
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
-		defer cancel()
-	}
+	ctx, cancel := WithDeadlineMs(ctx, int64(req.DeadlineMs))
+	defer cancel()
 	stmts := req.Statements
 	if len(stmts) == 0 {
 		stmts = []string{req.Statement}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/serve"
@@ -119,6 +121,38 @@ func TestHTTPPredictLongDeadline(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("%s: deadline_ms %d: status = %d, want 200", tc.name, tc.ms, resp.StatusCode)
+		}
+	}
+}
+
+// remainingCtx carries a deadline d after the moment Deadline is
+// called, so the remainder DeadlineMs computes is d less a few
+// nanoseconds however slow the machine.
+type remainingCtx struct {
+	context.Context
+	d time.Duration
+}
+
+func (c remainingCtx) Deadline() (time.Time, bool) { return time.Now().Add(c.d), true }
+
+// TestDeadlineMsRoundsUpAndClamps: the shipped deadline is the caller's
+// remainder rounded up to whole milliseconds — never shorter than the
+// caller's, so a context with under 1ms left is sent, not failed
+// locally — and a remainder past the u32 field is clamped, not wrapped
+// into a tiny server-side deadline.
+func TestDeadlineMsRoundsUpAndClamps(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		d    time.Duration
+		want uint32
+	}{
+		{"sub-millisecond remainder", 500 * time.Microsecond, 1},
+		{"fractional remainder", 1500 * time.Microsecond, 2},
+		{"2^32+5 ms", (1<<32 + 5) * time.Millisecond, math.MaxUint32},
+	} {
+		got, err := DeadlineMs(remainingCtx{context.Background(), tc.d})
+		if err != nil || got != tc.want {
+			t.Errorf("%s: DeadlineMs = %d, %v; want %d, nil", tc.name, got, err, tc.want)
 		}
 	}
 }

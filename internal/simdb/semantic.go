@@ -242,11 +242,9 @@ func (a *analyzer) bindTableRef(ref sqlparse.TableRef, sc *scope) error {
 		}
 		return nil
 	case *sqlparse.SubqueryRef:
-		inner, err := a.analyzeSelect(r.Select, sc.parent)
-		if err != nil {
+		if _, err := a.analyzeSelect(r.Select, sc.parent); err != nil {
 			return err
 		}
-		_ = inner
 		cols := exportedColumns(r.Select)
 		alias := r.Alias
 		if alias == "" {
@@ -295,13 +293,6 @@ func isUserSpace(name *sqlparse.TableName) bool {
 		}
 	}
 	return false
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func tableDisplay(name *sqlparse.TableName) string {

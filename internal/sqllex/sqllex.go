@@ -329,12 +329,6 @@ func (v *Vocabulary) ID(tok string) int {
 	return 0
 }
 
-// Contains reports whether tok is in the vocabulary.
-func (v *Vocabulary) Contains(tok string) bool {
-	_, ok := v.index[tok]
-	return ok
-}
-
 // Token returns the token string for an id.
 func (v *Vocabulary) Token(id int) string {
 	if id < 0 || id >= len(v.words) {

@@ -163,10 +163,10 @@ func TestBuildVocabularyFrequencyOrder(t *testing.T) {
 	if v.Size() != 3 {
 		t.Fatalf("Size = %d, want 3", v.Size())
 	}
-	if !v.Contains("a") || !v.Contains("b") {
+	if v.ID("a") == 0 || v.ID("b") == 0 {
 		t.Fatalf("expected a and b in vocabulary")
 	}
-	if v.Contains("c") {
+	if v.ID("c") != 0 {
 		t.Fatal("c should have been cut by maxSize")
 	}
 }

@@ -22,12 +22,6 @@ type SDSSConfig struct {
 	Seed              int64
 }
 
-// DefaultSDSSConfig returns the configuration used by the experiment
-// harness at its scaled-down default size.
-func DefaultSDSSConfig() SDSSConfig {
-	return SDSSConfig{Sessions: 14000, HitsPerSessionMax: 3, Seed: 1}
-}
-
 // classWeights reproduce the session-class imbalance of Figure 6b:
 // no_web_hit 44.8%, bot 26.1%, browser 20.4%, program 7.9%,
 // anonymous 0.76%, unknown small. The admin weight is nominal: the

@@ -17,12 +17,6 @@ type SQLShareConfig struct {
 	Seed           int64
 }
 
-// DefaultSQLShareConfig returns the scaled-down default used by the
-// experiment harness (paper: 26,728 queries over many users).
-func DefaultSQLShareConfig() SQLShareConfig {
-	return SQLShareConfig{Users: 60, QueriesPerUser: 55, Seed: 2}
-}
-
 // SQLShareGenerator produces a SQLShare-like workload: per-user
 // uploaded schemas and short-term ad-hoc analytics over them.
 type SQLShareGenerator struct {

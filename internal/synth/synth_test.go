@@ -256,12 +256,3 @@ func TestMisspellChangesIdentifier(t *testing.T) {
 		t.Fatalf("misspell should nearly always change the input: %d/50", changed)
 	}
 }
-
-func TestDefaultConfigs(t *testing.T) {
-	if c := DefaultSDSSConfig(); c.Sessions <= 0 || c.HitsPerSessionMax <= 0 {
-		t.Fatal("bad default SDSS config")
-	}
-	if c := DefaultSQLShareConfig(); c.Users <= 0 || c.QueriesPerUser <= 0 {
-		t.Fatal("bad default SQLShare config")
-	}
-}

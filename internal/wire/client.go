@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -231,37 +230,15 @@ func (cc *clientConn) decodeReply(ca *call, t MsgType, payload []byte) {
 	}
 }
 
-// deadlineMs converts ctx's deadline into the frame's server-side
-// deadline hint (0 = none). An already-expired context short-circuits.
-// The remainder rounds up, so the server's deadline is never shorter
-// than the caller's (under 1ms left still ships 1ms), and one past the
-// field's range (~49.7 days) ships the largest value instead of
-// wrapping.
-func deadlineMs(ctx context.Context) (uint32, error) {
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return 0, nil
-	}
-	d := time.Until(dl)
-	if d <= 0 {
-		return 0, context.DeadlineExceeded
-	}
-	ms := d / time.Millisecond
-	if d%time.Millisecond != 0 {
-		ms++
-	}
-	return uint32(min(ms, math.MaxUint32)), nil
-}
-
 // exchange is one request/reply: it sends a t frame whose payload enc
-// appends (given the server-side deadline hint derived from ctx) and
-// waits for the reply, decoded into a pooled call. On success the
+// appends (given the deadline_ms service.DeadlineMs derives from ctx)
+// and waits for the reply, decoded into a pooled call. On success the
 // caller copies its result out of the call and recycles it; every
 // failure — expired ctx, dead transport, typed *ServerError reply —
 // comes back as the error with the call already recycled. enc is only
 // called, never retained, so callers' closures stay on their stacks.
 func (c *Client) exchange(ctx context.Context, t MsgType, probs []float64, enc func(dst []byte, deadlineMs uint32) []byte) (*call, error) {
-	dl, err := deadlineMs(ctx)
+	dl, err := service.DeadlineMs(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -355,12 +332,6 @@ func (c *Client) PredictInto(ctx context.Context, model, stmt string, probs []fl
 	pr, out := ca.pred, ca.probs
 	c.recycle(ca)
 	return pr, out, nil
-}
-
-// Predict requests one prediction with freshly allocated results.
-func (c *Client) Predict(ctx context.Context, model, stmt string) (service.Prediction, error) {
-	pr, _, err := c.PredictInto(ctx, model, stmt, nil)
-	return pr, err
 }
 
 // PredictBatch requests predictions for every statement in one frame;

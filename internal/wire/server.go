@@ -348,27 +348,15 @@ func bstr(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// requestCtx builds the request context from the frame's deadline_ms.
-// deadline 0 reuses the server's base context (the allocation-free
-// warm path); a positive deadline costs one timer, same as HTTP.
-func (s *Server) requestCtx(deadlineMs uint32) (context.Context, context.CancelFunc) {
-	if deadlineMs == 0 {
-		return s.baseCtx, nil
-	}
-	return context.WithTimeout(s.baseCtx, time.Duration(deadlineMs)*time.Millisecond)
-}
-
 func (s *Server) handlePredict(j *job) {
 	model, stmt, deadlineMs, err := decodePredictReq(j.in)
 	if err != nil {
 		s.replyError(j, http.StatusBadRequest, err)
 		return
 	}
-	ctx, cancel := s.requestCtx(deadlineMs)
+	ctx, cancel := service.WithDeadlineMs(s.baseCtx, int64(deadlineMs))
 	pr, err := s.svc.PredictInto(ctx, bstr(model), bstr(stmt), j.probs)
-	if cancel != nil {
-		cancel()
-	}
+	cancel()
 	if pr.Probs != nil {
 		j.probs = pr.Probs // keep the (possibly grown) scratch
 	}
@@ -397,11 +385,9 @@ func (s *Server) handlePredictBatch(j *job) {
 		strs = append(strs, bstr(b))
 	}
 	j.stmtStrs = strs
-	ctx, cancel := s.requestCtx(deadlineMs)
+	ctx, cancel := service.WithDeadlineMs(s.baseCtx, int64(deadlineMs))
 	prs, err := s.svc.PredictBatch(ctx, bstr(model), strs)
-	if cancel != nil {
-		cancel()
-	}
+	cancel()
 	if err != nil {
 		s.replyError(j, service.StatusFor(err), err)
 		return

@@ -132,7 +132,7 @@ func TestPredictBitIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := cl.Predict(ctx, model, stmt)
+					got, _, err := cl.PredictInto(ctx, model, stmt, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -210,14 +210,14 @@ func TestErrorMapping(t *testing.T) {
 	_, addr := startServer(t, svc, "tcp", ServerOptions{})
 	cl := testClient(t, "tcp", addr, ClientOptions{})
 
-	if _, err := cl.Predict(ctx, "nope", "SELECT 1"); wireStatus(err) != http.StatusNotFound {
+	if _, _, err := cl.PredictInto(ctx, "nope", "SELECT 1", nil); wireStatus(err) != http.StatusNotFound {
 		t.Fatalf("unknown model err = %v, want 404", err)
 	}
 
 	if _, err := svc.Register("parked", classModel()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Predict(ctx, "parked", "SELECT 1"); wireStatus(err) != http.StatusConflict {
+	if _, _, err := cl.PredictInto(ctx, "parked", "SELECT 1", nil); wireStatus(err) != http.StatusConflict {
 		t.Fatalf("undeployed model err = %v, want 409", err)
 	}
 
@@ -226,7 +226,7 @@ func TestErrorMapping(t *testing.T) {
 	expired, cancel := context.WithTimeout(ctx, time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond)
-	if _, err := cl.Predict(expired, "errors", "SELECT 1"); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := cl.PredictInto(expired, "errors", "SELECT 1", nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired ctx err = %v, want DeadlineExceeded", err)
 	}
 
@@ -235,40 +235,8 @@ func TestErrorMapping(t *testing.T) {
 	if _, err := cl.Call(ctx, MsgStats, []byte("{not json")); wireStatus(err) != http.StatusBadRequest {
 		t.Fatalf("bad stats payload err = %v, want 400", err)
 	}
-	if _, err := cl.Predict(ctx, "errors", testStatements(1)[0]); err != nil {
+	if _, _, err := cl.PredictInto(ctx, "errors", testStatements(1)[0], nil); err != nil {
 		t.Fatalf("connection did not survive a payload error: %v", err)
-	}
-}
-
-// remainingCtx carries a deadline d after the moment Deadline is
-// called, so the remainder deadlineMs computes is d less a few
-// nanoseconds however slow the machine.
-type remainingCtx struct {
-	context.Context
-	d time.Duration
-}
-
-func (c remainingCtx) Deadline() (time.Time, bool) { return time.Now().Add(c.d), true }
-
-// TestDeadlineMsRoundsUpAndClamps: the frame's deadline is the caller's
-// remainder rounded up to whole milliseconds — never shorter than the
-// caller's, so a context with under 1ms left is sent, not failed
-// locally — and a remainder past the u32 field is clamped, not wrapped
-// into a tiny server-side deadline.
-func TestDeadlineMsRoundsUpAndClamps(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		d    time.Duration
-		want uint32
-	}{
-		{"sub-millisecond remainder", 500 * time.Microsecond, 1},
-		{"fractional remainder", 1500 * time.Microsecond, 2},
-		{"2^32+5 ms", (1<<32 + 5) * time.Millisecond, math.MaxUint32},
-	} {
-		got, err := deadlineMs(remainingCtx{context.Background(), tc.d})
-		if err != nil || got != tc.want {
-			t.Errorf("%s: deadlineMs = %d, %v; want %d, nil", tc.name, got, err, tc.want)
-		}
 	}
 }
 
@@ -292,7 +260,7 @@ func TestControlPlane(t *testing.T) {
 		t.Fatalf("models = %+v", infos)
 	}
 
-	if _, err := cl.Predict(ctx, "errors", testStatements(1)[0]); err != nil {
+	if _, _, err := cl.PredictInto(ctx, "errors", testStatements(1)[0], nil); err != nil {
 		t.Fatal(err)
 	}
 	js, err = cl.Call(ctx, MsgStats, []byte(`{"model":"errors"}`))
@@ -428,7 +396,7 @@ func TestConnKillMidRequest(t *testing.T) {
 	cl := testClient(t, "tcp", ln.Addr().String(), ClientOptions{Conns: 1})
 	done := make(chan error, 1)
 	go func() {
-		_, err := cl.Predict(context.Background(), "errors", "SELECT 1")
+		_, _, err := cl.PredictInto(context.Background(), "errors", "SELECT 1", nil)
 		done <- err
 	}()
 
@@ -465,7 +433,7 @@ func TestConnKillMidRequest(t *testing.T) {
 		frame = appendPredictReply(frame, &pr)
 		nc.Write(endFrame(frame, 0))
 	}()
-	pr, err := cl.Predict(context.Background(), "m", "SELECT 1")
+	pr, _, err := cl.PredictInto(context.Background(), "m", "SELECT 1", nil)
 	if err != nil {
 		t.Fatalf("redial after kill: %v", err)
 	}
@@ -511,7 +479,7 @@ func TestGracefulDrain(t *testing.T) {
 					return
 				default:
 				}
-				pr, err := cl.Predict(ctx, "errors", stmt)
+				pr, _, err := cl.PredictInto(ctx, "errors", stmt, nil)
 				mu.Lock()
 				switch {
 				case err == nil && predEqual(pr, want):
@@ -551,7 +519,7 @@ func TestGracefulDrain(t *testing.T) {
 	t.Logf("drain: %d ok, %d transport-failed, 0 wrong", ok, transport)
 
 	// Post-shutdown connections are refused outright.
-	if _, err := cl.Predict(ctx, "errors", stmt); !errors.Is(err, ErrTransport) {
+	if _, _, err := cl.PredictInto(ctx, "errors", stmt, nil); !errors.Is(err, ErrTransport) {
 		t.Fatalf("post-shutdown predict err = %v, want ErrTransport", err)
 	}
 }

@@ -157,20 +157,19 @@ func NewWireServer(s *Service, opts WireServerOptions) *wire.Server { return wir
 // `serviced -store-dir` uses.
 func NewDirStore(dir string) (*service.DirStore, error) { return service.NewDirStore(dir) }
 
-// ClientOptions configures NewClient (timeout, retry budget, backoff,
-// hedge delay, cluster node set).
+// ClientOptions configures NewClient (timeout, retry budget, probe
+// interval, cluster node set).
 type ClientOptions = client.Options
 
 // NewClient creates a typed /v1 API client for the service at baseURL:
-// per-request deadlines, bounded retries with backoff on 429/5xx,
-// optional hedged requests, connection reuse. The scheme picks the
+// per-request deadlines, bounded retries on 429/5xx, connection
+// reuse. The scheme picks the
 // transport: "http://host:port" (JSON API) or "tcp://host:port" /
 // "unix:///path.sock" (the binary wire protocol) — same methods, same
 // typed errors (client.ErrOverloaded, client.ErrUnavailable,
 // client.ErrCircuitOpen). With opts.Addrs listing several nodes (mixed
 // schemes allowed; baseURL may then be empty) it is cluster-aware:
-// consistent-hash routing by model name, health-probed failover, and
-// cross-node hedging.
+// consistent-hash routing by model name and health-probed failover.
 func NewClient(baseURL string, opts ClientOptions) (*client.Client, error) {
 	return client.New(baseURL, opts)
 }

@@ -53,14 +53,13 @@ var optionStructs = map[string][]string{
 
 // libraryOption is why repro/client's caller-facing knobs stay options
 // though no program in this module sets them.
-const libraryOption = "library option: the client's programs are the module's importers, and examples/service sets all three"
+const libraryOption = "library option: the client's programs are the module's importers, and examples/service sets both"
 
 // unsetAllowed lists option fields no program sets, with why each is
 // still an option.
 var unsetAllowed = map[string]string{
 	"repro/client.Options.Timeout":            libraryOption,
 	"repro/client.Options.Retries":            libraryOption,
-	"repro/client.Options.Hedge":              libraryOption,
 	"repro/internal/wire.ClientOptions.Conns": "test seam: the pipelining tests pin one connection to force out-of-order replies onto it",
 	"repro/client.Options.ProbeInterval":      "test seam: the cluster tests (and examples/cluster) shorten it so failover shows within a test's patience",
 	"repro/internal/ingest.Options.Sync":      "durability setting: fsync after every append, for a deployment that cannot lose the unsynced tail of its feedback",
