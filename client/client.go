@@ -75,17 +75,6 @@ type Prediction = service.Prediction
 // /v1/models and /v1/deploy.
 type ModelInfo = service.ModelInfo
 
-// DeployOptions are the per-deployment pool overrides accepted by
-// /v1/deploy (admission policy, waiting bound, replicas).
-type DeployOptions = service.DeployOptions
-
-// Admission policy names for DeployOptions.
-const (
-	AdmissionInherit = service.AdmissionInherit
-	AdmissionBlock   = service.AdmissionBlock
-	AdmissionReject  = service.AdmissionReject
-)
-
 // ModelStats is one model's service metrics, as served by /v1/stats
 // and the wire transport's stats reply — the service layer's single
 // snapshot shape, so the two transports expose identical fields.
@@ -572,20 +561,14 @@ func (c *Client) Models(ctx context.Context) ([]ModelInfo, error) {
 	return out, nil
 }
 
-// Deploy makes version of model live (version 0 = latest), optionally
-// overriding the pool template for this deployment. Deploys are not
-// retried: the caller decides whether re-issuing one is appropriate.
-// In cluster mode the deploy routes to the model's ring-preferred node
-// — writes for one model funnel through one node — and the shared
-// store propagates it to the rest of the cluster.
-func (c *Client) Deploy(ctx context.Context, model string, version int, opts ...DeployOptions) (ModelInfo, error) {
-	if len(opts) > 1 {
-		return ModelInfo{}, errors.New("client: deploy: at most one DeployOptions")
-	}
+// Deploy makes version of model live (version 0 = latest) on a pool
+// built from the server's template. Deploys are not retried: the
+// caller decides whether re-issuing one is appropriate. In cluster
+// mode the deploy routes to the model's ring-preferred node — writes
+// for one model funnel through one node — and the shared store
+// propagates it to the rest of the cluster.
+func (c *Client) Deploy(ctx context.Context, model string, version int) (ModelInfo, error) {
 	req := service.DeployRequest{Model: model, Version: version}
-	if len(opts) == 1 {
-		req.DeployOptions = opts[0]
-	}
 	var info ModelInfo
 	if err := c.call(ctx, model, service.OpDeploy, req, &info, false); err != nil {
 		return ModelInfo{}, err

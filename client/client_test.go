@@ -117,7 +117,7 @@ func TestPredictRoundTrip(t *testing.T) {
 }
 
 // TestModelsDeployStats checks the registry endpoints through the
-// typed client, including per-deployment quota options.
+// typed client.
 func TestModelsDeployStats(t *testing.T) {
 	_, c := newServedService(t, Options{})
 	ctx := context.Background()
@@ -130,12 +130,11 @@ func TestModelsDeployStats(t *testing.T) {
 		t.Fatalf("Models = %+v", models)
 	}
 
-	dopts := DeployOptions{Admission: AdmissionReject, QueueSize: 9, Replicas: 1}
-	info, err := c.Deploy(ctx, "errors", 0, dopts)
+	info, err := c.Deploy(ctx, "errors", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Live || info.Deploy != dopts {
+	if !info.Live {
 		t.Fatalf("Deploy info = %+v", info)
 	}
 
@@ -146,7 +145,7 @@ func TestModelsDeployStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Stats.Completed == 0 || st.Info.Deploy != dopts {
+	if st.Stats.Completed == 0 || st.Info.LiveVersion != info.LiveVersion {
 		t.Fatalf("Stats = %+v", st)
 	}
 }

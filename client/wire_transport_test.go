@@ -112,11 +112,11 @@ func TestWireTransportRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.Info.Name != "errors" || st.Completed == 0 {
+			if st.Info.Name != "errors" || st.Stats.Completed == 0 {
 				t.Fatalf("stats = %+v", st)
 			}
 
-			info, err := c.Deploy(ctx, "errors", 0, DeployOptions{QueueSize: 32})
+			info, err := c.Deploy(ctx, "errors", 0)
 			if err != nil {
 				t.Fatal(err)
 			}

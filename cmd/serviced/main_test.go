@@ -366,11 +366,11 @@ func waitInFlight(t *testing.T, c *client.Client, model string, send func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := st.Completed
+	before := st.Stats.Completed
 	go send()
 	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
 		st, err := c.Stats(ctx, model)
-		if err == nil && (st.Stats.QueueDepth > 0 || st.Completed > before) {
+		if err == nil && (st.Stats.QueueDepth > 0 || st.Stats.Completed > before) {
 			return
 		}
 		if time.Now().After(deadline) {

@@ -3,13 +3,13 @@
 // deadlines while a fine-tuned successor is hot-swapped in, with the
 // registry persisted so a restart serves the same bits.
 //
-// It trains a character CNN, deploys it (with a per-model admission
-// quota) into a durable registry, serves it over HTTP and the binary
-// wire protocol simultaneously, drives concurrent deadline-bounded
-// traffic through the typed client (retries on), swaps a
-// fine-tuned v2 live mid-traffic with zero downtime, checks the two
-// transports answer bit-identically, then simulates a restart: a
-// fresh Service over the same store directory warm-boots v2 and
+// It trains a character CNN, deploys it into a durable registry on the
+// service's two-replica pool template, serves it over HTTP and the
+// binary wire protocol simultaneously, drives concurrent
+// deadline-bounded traffic through the typed client (retries on),
+// swaps a fine-tuned v2 live mid-traffic with zero downtime, checks
+// the two transports answer bit-identically, then simulates a restart:
+// a fresh Service over the same store directory warm-boots v2 and
 // answers bit-identically.
 //
 //	go run ./examples/service
@@ -61,11 +61,7 @@ func main() {
 	if _, err := svc.WarmBoot(); err != nil { // empty store: flips ready
 		panic(err)
 	}
-	// Per-model admission quota: this deployment rejects (429) beyond a
-	// 64-deep queue instead of queueing unboundedly.
-	info, err := svc.Swap("errors", model, repro.DeployOptions{
-		Admission: repro.AdmissionReject, QueueSize: 64,
-	})
+	info, err := svc.Swap("errors", model)
 	if err != nil {
 		panic(err)
 	}
@@ -133,7 +129,7 @@ func main() {
 				default:
 				}
 				if _, err := c.Predict(context.Background(), "errors", stmts[rng.Intn(len(stmts))]); err != nil {
-					missed.Add(1) // deadline expired or quota rejected
+					missed.Add(1) // deadline expired
 					continue
 				}
 				served.Add(1)

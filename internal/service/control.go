@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"time"
@@ -89,10 +91,17 @@ func (e badRequestError) Is(target error) bool { return target == ErrBadRequest 
 
 func badRequest(msg string) error { return badRequestError{errors.New(msg)} }
 
-// decode parses a request body into req.
+// decode parses a request body into req. A field req does not have is
+// the caller's mistake, not something to ignore, and so is anything
+// after the one JSON value.
 func decode(body []byte, req any) error {
-	if err := json.Unmarshal(body, req); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
 		return badRequestError{err}
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return badRequest("trailing data after the request body")
 	}
 	return nil
 }
@@ -165,12 +174,11 @@ type PredictResponse struct {
 }
 
 // DeployRequest is the deploy body shared by POST /v1/deploy and the
-// wire transport's MsgDeploy payload: the model, an optional version
-// (0 = latest), and per-deployment pool overrides.
+// wire transport's MsgDeploy payload: the model and an optional
+// version (0 = latest).
 type DeployRequest struct {
 	Model   string `json:"model"`
 	Version int    `json:"version,omitempty"`
-	DeployOptions
 }
 
 // StatsRequest names the model whose metrics are wanted: the query of
@@ -214,12 +222,7 @@ func (s *Service) opDeploy(_ context.Context, body []byte) (any, error) {
 	if req.Model == "" {
 		return nil, badRequest("model required")
 	}
-	// Reject bad overrides up front as the caller's mistake; Deploy
-	// itself would report them as a failed deploy.
-	if _, err := req.DeployOptions.apply(s.opts.Serve); err != nil {
-		return nil, badRequestError{err}
-	}
-	return reply(s.Deploy(req.Model, req.Version, req.DeployOptions))
+	return reply(s.Deploy(req.Model, req.Version))
 }
 
 func (s *Service) opStats(_ context.Context, body []byte) (any, error) {

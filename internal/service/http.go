@@ -15,7 +15,7 @@ import (
 //
 //	POST /v1/predict  {"model","statement"|"statements",["deadline_ms"]}
 //	GET  /v1/models
-//	POST /v1/deploy   {"model",["version"],["admission"],["queue_size"],["replicas"]}
+//	POST /v1/deploy   {"model",["version"]}
 //	GET  /v1/stats?model=NAME
 //	GET  /v1/healthz
 //	POST /v1/admin/gc

@@ -179,7 +179,7 @@ func TestHTTPModelsAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := decodeJSON[StatsSnapshot](t, resp)
-	if st.Completed == 0 || st.Info.Name != "errors" {
+	if st.Stats.Completed == 0 || st.Info.Name != "errors" {
 		t.Fatalf("stats = %+v", st)
 	}
 	if resp, _ := http.Get(srv.URL + "/v1/stats"); resp.StatusCode != http.StatusBadRequest {
@@ -248,38 +248,18 @@ func TestHTTPHealthz(t *testing.T) {
 	}
 }
 
-// TestHTTPDeployQuota checks per-model admission quotas plumb through
-// /v1/deploy and come back out of /v1/models and /v1/stats.
+// TestHTTPDeployQuota checks that /v1/deploy takes no pool overrides:
+// a deploy body carrying one is refused as the caller's mistake. Every
+// pool runs the service-wide template.
 func TestHTTPDeployQuota(t *testing.T) {
 	_, srv := newTestServer(t)
-	resp := postJSON(t, srv.URL+"/v1/deploy", DeployRequest{
-		Model: "errors",
-		DeployOptions: DeployOptions{
-			Admission: AdmissionReject, QueueSize: 7, Replicas: 1,
-		},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("deploy status = %d", resp.StatusCode)
-	}
-	info := decodeJSON[ModelInfo](t, resp)
-	if info.Deploy.Admission != AdmissionReject || info.Deploy.QueueSize != 7 {
-		t.Fatalf("deploy info = %+v", info)
-	}
-	sresp, err := http.Get(srv.URL + "/v1/stats?model=errors")
+	bad, err := http.Post(srv.URL+"/v1/deploy", "application/json",
+		strings.NewReader(`{"model":"errors","admission":"maybe"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := decodeJSON[StatsSnapshot](t, sresp)
-	if st.Info.Deploy.Admission != AdmissionReject || st.Info.Deploy.QueueSize != 7 {
-		t.Fatalf("stats deploy info = %+v", st.Info)
-	}
-
-	bad := postJSON(t, srv.URL+"/v1/deploy", DeployRequest{
-		Model:         "errors",
-		DeployOptions: DeployOptions{Admission: "maybe"},
-	})
 	if bad.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad admission status = %d", bad.StatusCode)
+		t.Fatalf("deploy with an override status = %d", bad.StatusCode)
 	}
 	bad.Body.Close()
 }

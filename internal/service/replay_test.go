@@ -113,7 +113,7 @@ func populatedStore(t *testing.T) *MemStore {
 	if _, err := s.Deploy("errors", 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Deploy("errors", 3, DeployOptions{Admission: AdmissionReject, QueueSize: 5}); err != nil {
+	if _, err := s.Deploy("errors", 3); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Swap("rows", trainCCNN(t, core.AnswerSizePrediction)); err != nil {

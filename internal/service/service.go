@@ -15,11 +15,10 @@
 //
 // With a Store configured, the registry is durable: Register writes
 // each snapshot through internal/artifact as a checksummed binary
-// blob, Deploy records the live version and its per-deployment
-// options, and WarmBoot replays the store after a restart — every
-// version is reloadable (rollback works across restarts) and the
-// reloaded models predict bit-identically to the process that trained
-// them.
+// blob, Deploy records the live version, and WarmBoot replays the
+// store after a restart — every version is reloadable (rollback works
+// across restarts) and the reloaded models predict bit-identically to
+// the process that trained them.
 package service
 
 import (
@@ -61,15 +60,15 @@ var ErrNoIngest = errors.New("service: no ingest log configured")
 
 // Options configures a Service.
 type Options struct {
-	// Serve is the replica-pool template applied to every deployed
-	// version (replica count, waiting bound, batching, admission
-	// policy). Individual deployments can override the admission policy,
-	// waiting bound, and replica count via DeployOptions.
+	// Serve is the replica-pool template every deployed version runs
+	// (replica count, waiting bound, batching, admission policy). Each
+	// model gets its own pool from it, so the waiting bound and the
+	// rejection count are per model while the values are service-wide.
 	Serve serve.Options
 	// Store, when non-nil, makes the registry durable: every Register
 	// persists the snapshot's artifact, every Deploy persists the live
-	// version and its options, and WarmBoot reloads both after a
-	// restart. nil keeps the registry memory-only.
+	// version, and WarmBoot reloads both after a restart. nil keeps the
+	// registry memory-only.
 	Store Store
 	// Retain, when > 0, is the model GC retention policy: after every
 	// Deploy/Swap the registry keeps only the newest Retain versions of
@@ -88,67 +87,6 @@ type Options struct {
 	// stays allocation-free. Observe records are never sampled — ground
 	// truth is always logged.
 	IngestEvery int
-}
-
-// Admission policy names for DeployOptions and the HTTP API. The empty
-// string inherits the service-wide template.
-const (
-	AdmissionInherit = ""
-	AdmissionBlock   = "block"
-	AdmissionReject  = "reject"
-)
-
-// DeployOptions are per-deployment overrides of the service-wide
-// replica-pool template — the per-model admission quotas of a
-// multi-tenant server: one model can reject under overload (bounded
-// worst-case latency, attributable 429s in its own Stats) while
-// another backpressures.
-type DeployOptions struct {
-	// Replicas overrides the template replica count when > 0.
-	Replicas int `json:"replicas,omitempty"`
-	// QueueSize bounds the calls waiting for one of this deployment's
-	// replicas when > 0 (the admission quota: calls beyond it are
-	// rejected or blocked per Admission).
-	QueueSize int `json:"queue_size,omitempty"`
-	// Admission selects what a call past that bound meets:
-	// AdmissionBlock, AdmissionReject, or AdmissionInherit ("") for the
-	// template's.
-	Admission string `json:"admission,omitempty"`
-}
-
-// apply resolves the overrides against the template.
-func (o DeployOptions) apply(base serve.Options) (serve.Options, error) {
-	if o.Replicas > 0 {
-		base.Replicas = o.Replicas
-	}
-	if o.QueueSize > 0 {
-		base.QueueSize = o.QueueSize
-	}
-	switch o.Admission {
-	case AdmissionInherit:
-	case AdmissionBlock:
-		base.Admission = serve.AdmitBlock
-	case AdmissionReject:
-		base.Admission = serve.AdmitReject
-	default:
-		return base, fmt.Errorf("service: unknown admission policy %q (want %q or %q)",
-			o.Admission, AdmissionBlock, AdmissionReject)
-	}
-	return base, nil
-}
-
-// resolveDeploy resolves a Deploy or Swap call's optional override (at
-// most one) against the service-wide pool template.
-func (s *Service) resolveDeploy(opts []DeployOptions) (DeployOptions, serve.Options, error) {
-	var dopts DeployOptions
-	if len(opts) > 1 {
-		return dopts, serve.Options{}, errors.New("at most one DeployOptions")
-	}
-	if len(opts) == 1 {
-		dopts = opts[0]
-	}
-	serveOpts, err := dopts.apply(s.opts.Serve)
-	return dopts, serveOpts, err
 }
 
 // ModelInfo describes one registered model at one version.
@@ -172,10 +110,6 @@ type ModelInfo struct {
 	// registry listings LiveVersion is the deployed version (0 = none).
 	Live        bool `json:"live"`
 	LiveVersion int  `json:"live_version"`
-	// Deploy holds the live deployment's per-model overrides (zero
-	// value = the service-wide template), so quota configuration is
-	// visible wherever 429s are attributed.
-	Deploy DeployOptions `json:"deploy,omitzero"`
 }
 
 // Prediction is one task-appropriate prediction with its provenance:
@@ -196,11 +130,9 @@ type Prediction struct {
 }
 
 // livePool is one deployed version: a predictor pool bound to an
-// immutable snapshot, plus the per-deployment options it was started
-// with. Swaps replace the whole struct atomically.
+// immutable snapshot. Swaps replace the whole struct atomically.
 type livePool struct {
 	version int
-	opts    DeployOptions
 	pred    *serve.Predictor
 }
 
@@ -257,17 +189,16 @@ func (e *entry) version(v int) *core.Model {
 	return e.versions[v-1]
 }
 
-// swapLive starts a replica pool over version and swaps it in
-// atomically; the previous pool finishes its in-flight requests and is
-// closed. Every pool is born here. Callers hold e.mu and have checked
-// that the version is intact and, under that lock, that the service is
-// not closed — so a pool can never be born after Close tore the others
-// down.
-func (e *entry) swapLive(version int, dopts DeployOptions, serveOpts serve.Options) {
+// swapLive starts a replica pool over version from the service's pool
+// template and swaps it in atomically; the previous pool finishes its
+// in-flight requests and is closed. Every pool is born here. Callers
+// hold e.mu and have checked that the version is intact and, under
+// that lock, that the service is not closed — so a pool can never be
+// born after Close tore the others down.
+func (e *entry) swapLive(version int, opts serve.Options) {
 	next := &livePool{
 		version: version,
-		opts:    dopts,
-		pred:    serve.NewPredictor(e.versions[version-1], serveOpts),
+		pred:    serve.NewPredictor(e.versions[version-1], opts),
 	}
 	if prev := e.live.Swap(next); prev != nil {
 		prev.pred.Close() // drains in-flight requests before returning
@@ -377,19 +308,13 @@ func (s *Service) Register(name string, m *core.Model) (ModelInfo, error) {
 // Deploy makes the given version of name live, starting a fresh
 // replica pool over its snapshot and atomically swapping it in; the
 // previous pool finishes its in-flight requests and is closed.
-// version <= 0 selects the latest. At most one DeployOptions may be
-// given; it overrides the service-wide pool template (admission
-// policy, waiting bound, replicas) for this deployment only. Requests
-// racing the swap retry onto the new pool, so a deploy drops nothing.
+// version <= 0 selects the latest. The pool runs the service-wide
+// template (Options.Serve). Requests racing the swap retry onto the
+// new pool, so a deploy drops nothing.
 //
-// On a store-backed service the live version and its options are
-// persisted before the swap, so a later WarmBoot redeploys exactly
-// this deployment.
-func (s *Service) Deploy(name string, version int, opts ...DeployOptions) (ModelInfo, error) {
-	dopts, serveOpts, err := s.resolveDeploy(opts)
-	if err != nil {
-		return ModelInfo{}, fmt.Errorf("service: deploy %q: %w", name, err)
-	}
+// On a store-backed service the live version is persisted before the
+// swap, so a later WarmBoot redeploys exactly this deployment.
+func (s *Service) Deploy(name string, version int) (ModelInfo, error) {
 	e, err := s.entry(name)
 	if err != nil {
 		return ModelInfo{}, err
@@ -422,7 +347,7 @@ func (s *Service) Deploy(name string, version int, opts ...DeployOptions) (Model
 	// deploy, and what makes this node's own deploys win generation
 	// ties against markers it merely observed.
 	if s.opts.Store != nil {
-		rec, err := json.Marshal(liveRecord{Version: version, Gen: e.gen + 1, DeployOptions: dopts})
+		rec, err := json.Marshal(liveRecord{Version: version, Gen: e.gen + 1})
 		if err != nil {
 			return ModelInfo{}, fmt.Errorf("service: deploy %q: %w", name, err)
 		}
@@ -431,7 +356,7 @@ func (s *Service) Deploy(name string, version int, opts ...DeployOptions) (Model
 		}
 	}
 	e.gen++
-	e.swapLive(version, dopts, serveOpts)
+	e.swapLive(version, s.opts.Serve)
 	// Retention is enforced at the moment history grows stale — best
 	// effort: a store hiccup during pruning must not undo a deploy that
 	// already succeeded (GC() retries it on demand).
@@ -440,19 +365,13 @@ func (s *Service) Deploy(name string, version int, opts ...DeployOptions) (Model
 }
 
 // Swap registers m as a new version and deploys it in one step — the
-// FineTune → redeploy one-liner. Optional DeployOptions as in Deploy.
-func (s *Service) Swap(name string, m *core.Model, opts ...DeployOptions) (ModelInfo, error) {
-	// Validate the deploy options before registering: a bad option
-	// must not leave an orphaned (and, on a durable registry,
-	// persisted) version behind a failed Swap.
-	if _, _, err := s.resolveDeploy(opts); err != nil {
-		return ModelInfo{}, fmt.Errorf("service: swap %q: %w", name, err)
-	}
+// FineTune → redeploy one-liner.
+func (s *Service) Swap(name string, m *core.Model) (ModelInfo, error) {
 	info, err := s.Register(name, m)
 	if err != nil {
 		return ModelInfo{}, err
 	}
-	return s.Deploy(name, info.Version, opts...)
+	return s.Deploy(name, info.Version)
 }
 
 // Predict runs the task-appropriate prediction for name's live
@@ -840,12 +759,11 @@ func parseKey(key string) (name string, version int, isArtifact, ok bool) {
 }
 
 // liveRecord is the persisted live-deployment marker: which version
-// serves, under which per-deployment options, at which deployment
-// generation (the shared-store tie-breaker; see entry.gen).
+// serves, at which deployment generation (the shared-store
+// tie-breaker; see entry.gen).
 type liveRecord struct {
 	Version int   `json:"version"`
 	Gen     int64 `json:"gen,omitempty"`
-	DeployOptions
 }
 
 // quarantinePrefix parks blobs the boot path classified as damaged.
@@ -895,11 +813,10 @@ func (s *Service) BootReport() *BootReport {
 // WarmBoot replays the configured store into an empty registry: every
 // persisted version is decoded (checksums verified) and reinstalled
 // under its original version number, and each model's recorded live
-// deployment is restarted with its recorded options. On success the
-// service reports Ready. Models never deployed stay registered but
-// cold, exactly as before the restart; rollback to any persisted
-// version keeps working because all intact versions are reloaded, not
-// just the live ones.
+// deployment is restarted. On success the service reports Ready.
+// Models never deployed stay registered but cold, exactly as before
+// the restart; rollback to any persisted version keeps working because
+// all intact versions are reloaded, not just the live ones.
 //
 // WarmBoot survives damage instead of dying of it. A corrupt,
 // truncated, or mislabeled artifact is moved under the quarantine/
@@ -963,16 +880,16 @@ func (s *Service) WarmBoot() (*BootReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("service: warm boot: %w", err)
 		}
-		target, dopts := rec.Version, rec.DeployOptions
+		target := rec.Version
 		e.mu.Lock()
 		fallback := e.latest()
 		switch {
 		case rec.Version == 0:
-			target, dopts = fallback, DeployOptions{}
+			target = fallback
 			rep.detailf("live marker for %q was damaged; deploying highest intact version v%d", name, target)
 		case e.version(target) == nil:
 			rep.detailf("live version v%d of %q is not intact; falling back to v%d", target, name, fallback)
-			target, dopts = fallback, DeployOptions{}
+			target = fallback
 		default:
 			// Restoring an intact marker must not mint a new
 			// generation: a rebooting node re-adopts the cluster's
@@ -985,7 +902,7 @@ func (s *Service) WarmBoot() (*BootReport, error) {
 			e.gen = rec.Gen - 1
 		}
 		e.mu.Unlock()
-		info, err := s.Deploy(name, target, dopts)
+		info, err := s.Deploy(name, target)
 		if err != nil {
 			// Deploying an intact version should only fail on store
 			// trouble (the live-marker write); leave the model cold and
@@ -1035,10 +952,8 @@ func (s *Service) entry(name string) (*entry, error) {
 // entry as a whole). Callers hold e.mu or tolerate a racy Versions.
 func (e *entry) info(version int) ModelInfo {
 	liveV := 0
-	var deploy DeployOptions
 	if lp := e.live.Load(); lp != nil {
 		liveV = lp.version
-		deploy = lp.opts
 	}
 	if version == 0 {
 		version = len(e.versions)
@@ -1048,7 +963,6 @@ func (e *entry) info(version int) ModelInfo {
 		Classification: e.task.IsClassification(),
 		Version:        version, Versions: len(e.versions), Available: e.available(),
 		Live: liveV == version && liveV != 0, LiveVersion: liveV,
-		Deploy: deploy,
 	}
 }
 

@@ -9,13 +9,8 @@ import "repro/internal/serve"
 // (EffectiveBatch, Panics, Rebuilds, ...) can never be present
 // on one transport and missing on the other.
 type StatsSnapshot struct {
-	Info      ModelInfo   `json:"info"`
-	Completed uint64      `json:"completed"`
-	Rejected  uint64      `json:"rejected"`
-	Canceled  uint64      `json:"canceled"`
-	P50       string      `json:"p50"`
-	P99       string      `json:"p99"`
-	Stats     serve.Stats `json:"stats"`
+	Info  ModelInfo   `json:"info"`
+	Stats serve.Stats `json:"stats"`
 	// Online is the online-learning pipeline's state: service-wide
 	// ingest counters plus this model's trainer progress. Present only
 	// when the service has an ingest log or an online pipeline
@@ -64,29 +59,18 @@ func (s *Service) StatsSnapshot(name string) (StatsSnapshot, error) {
 	e.mu.Lock()
 	info := e.info(lp.version)
 	e.mu.Unlock()
-	st := lp.pred.Stats()
-	snap := StatsSnapshot{
-		Info: info, Completed: st.Completed, Rejected: st.Rejected, Canceled: st.Canceled,
-		P50: st.P50.String(), P99: st.P99.String(), Stats: st,
-	}
+	snap := StatsSnapshot{Info: info, Stats: lp.pred.Stats()}
 	provider := s.onlineStats.Load()
 	if s.opts.Ingest != nil || provider != nil {
-		online := OnlineStats{
-			Sampled:  s.ingestSampled.Load(),
-			Observed: s.ingestObserved.Load(),
-			Dropped:  s.ingestDropped.Load(),
-		}
+		var online OnlineStats
 		if provider != nil {
 			if ps, ok := (*provider)(name); ok {
-				online.Consumed = ps.Consumed
-				online.Windows = ps.Windows
-				online.Candidates = ps.Candidates
-				online.Swaps = ps.Swaps
-				online.Rollbacks = ps.Rollbacks
-				online.Rejected = ps.Rejected
-				online.LastDecision = ps.LastDecision
+				online = ps
 			}
 		}
+		online.Sampled = s.ingestSampled.Load()
+		online.Observed = s.ingestObserved.Load()
+		online.Dropped = s.ingestDropped.Load()
 		snap.Online = &online
 	}
 	return snap, nil

@@ -189,8 +189,7 @@ func TestPersistenceRestart(t *testing.T) {
 	if _, err := core.FineTune(m, testSplit().Valid, core.TinyConfig()); err != nil {
 		t.Fatal(err)
 	}
-	dopts := DeployOptions{Admission: AdmissionReject, QueueSize: 64, Replicas: 2}
-	if _, err := s1.Swap("errors", m, dopts); err != nil {
+	if _, err := s1.Swap("errors", m); err != nil {
 		t.Fatal(err)
 	}
 	v1 := make([][]float64, len(stmts))
@@ -212,8 +211,8 @@ func TestPersistenceRestart(t *testing.T) {
 		}
 		v1[i] = pr.Probs
 	}
-	// Leave v2 live (with its quota options) for the restart.
-	if _, err := s1.Deploy("errors", 2, dopts); err != nil {
+	// Leave v2 live for the restart.
+	if _, err := s1.Deploy("errors", 2); err != nil {
 		t.Fatal(err)
 	}
 	s1.Close()
@@ -244,9 +243,6 @@ func TestPersistenceRestart(t *testing.T) {
 	info := rep.Deployed[0]
 	if info.Name != "errors" || info.LiveVersion != 2 || info.Versions != 2 {
 		t.Fatalf("warm boot info = %+v", info)
-	}
-	if info.Deploy != dopts {
-		t.Fatalf("deployment options lost across restart: %+v, want %+v", info.Deploy, dopts)
 	}
 	for i, stmt := range stmts {
 		pr, err := s2.Predict(ctx, "errors", stmt)
@@ -509,25 +505,6 @@ func TestRegisterUnserializableWithStore(t *testing.T) {
 	}
 }
 
-// TestSwapValidatesOptionsFirst: a Swap with bad options must fail
-// before registering — especially on a durable registry, where an
-// orphaned version would shift rollback numbers forever.
-func TestSwapValidatesOptionsFirst(t *testing.T) {
-	store := NewMemStore()
-	s := New(Options{Serve: serve.Options{Replicas: 1}, Store: store})
-	defer s.Close()
-	m := trainCCNN(t, core.ErrorClassification)
-	if _, err := s.Swap("errors", m, DeployOptions{Admission: "maybe"}); err == nil {
-		t.Fatal("Swap accepted an unknown admission policy")
-	}
-	if models := s.Models(); len(models) != 0 {
-		t.Fatalf("failed Swap left a registered version: %+v", models)
-	}
-	if keys, _ := store.List(); len(keys) != 0 {
-		t.Fatalf("failed Swap persisted artifacts: %v", keys)
-	}
-}
-
 // TestRegisterEmptyName: an empty registry name can never round-trip
 // through the store key schema, so it is rejected up front.
 func TestRegisterEmptyName(t *testing.T) {
@@ -538,13 +515,13 @@ func TestRegisterEmptyName(t *testing.T) {
 	}
 }
 
-// TestPerModelAdmissionQuota deploys two models with different
-// admission policies and hammers the quota-bounded one: its stats must
-// attribute rejections to it alone, while the blocking model never
-// rejects. This is the per-model 429 attribution contract of
-// /v1/stats.
+// TestPerModelAdmissionQuota deploys two models on one rejecting pool
+// template and saturates one of them: its stats must attribute the
+// rejections to it alone, while the other model — its own pool, its
+// own waiting bound — keeps answering and counts none. This is the
+// per-model 429 attribution contract of /v1/stats.
 func TestPerModelAdmissionQuota(t *testing.T) {
-	s := New(Options{Serve: serve.Options{Replicas: 1, MaxBatch: 1}})
+	s := New(Options{Serve: serve.Options{Replicas: 1, MaxBatch: 1, QueueSize: 1, Admission: serve.AdmitReject}})
 	defer s.Close()
 	m := trainCCNN(t, core.ErrorClassification)
 	stmts := testStatements(10)
@@ -559,7 +536,7 @@ func TestPerModelAdmissionQuota(t *testing.T) {
 	})
 	release := sync.OnceFunc(func() { close(opened) })
 	defer release() // before Close, which waits for the parked call
-	if _, err := s.Swap("quota", m, DeployOptions{Admission: AdmissionReject, QueueSize: 1}); err != nil {
+	if _, err := s.Swap("quota", m); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Swap("open", m); err != nil {
@@ -570,8 +547,8 @@ func TestPerModelAdmissionQuota(t *testing.T) {
 	// With the quota model's single replica on loan, a burst of 60
 	// one-statement requests has room for one waiter in its 1-deep
 	// queue, so the quota model must reject — whatever GOMAXPROCS is;
-	// the open (blocking) model absorbs the same burst without a single
-	// 429.
+	// the open model's pool is not the one saturated, so it still
+	// answers.
 	holder, refused := make(chan error, 1), make(chan error, 1)
 	go func() {
 		_, err := s.Predict(ctx, "quota", gate)
@@ -598,15 +575,15 @@ func TestPerModelAdmissionQuota(t *testing.T) {
 			t.Fatal("quota model never rejected a 60-request burst into a 1-deep queue behind a busy replica")
 		}
 	}
+	if _, err := s.Predict(ctx, "open", stmts[1]); err != nil {
+		t.Fatalf("open model errored while the quota model was saturated: %v", err)
+	}
 	release()
 	if err := <-holder; err != nil {
 		t.Fatal(err)
 	}
 	if err := <-refused; !errors.Is(err, serve.ErrQueueFull) {
 		t.Fatalf("burst err = %v, want ErrQueueFull", err)
-	}
-	if _, err := s.PredictBatch(ctx, "open", burst); err != nil {
-		t.Fatalf("open model errored: %v", err)
 	}
 
 	quota, err := s.StatsSnapshot("quota")
@@ -617,15 +594,9 @@ func TestPerModelAdmissionQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, qinfo, ostats, oinfo := quota.Stats, quota.Info, open.Stats, open.Info
-	if qinfo.Deploy.Admission != AdmissionReject || qinfo.Deploy.QueueSize != 1 {
-		t.Fatalf("quota deployment options not reported: %+v", qinfo.Deploy)
-	}
-	if oinfo.Deploy != (DeployOptions{}) {
-		t.Fatalf("open deployment reports overrides it never had: %+v", oinfo.Deploy)
-	}
+	qs, ostats := quota.Stats, open.Stats
 	if ostats.Rejected != 0 {
-		t.Fatalf("blocking model attributed %d rejections", ostats.Rejected)
+		t.Fatalf("open model attributed %d rejections", ostats.Rejected)
 	}
 	if qs.Rejected == 0 {
 		t.Fatal("callers saw ErrQueueFull but the quota model's stats attribute none")

@@ -115,9 +115,9 @@ func (s *Service) adopt(rep *SyncReport, e *entry, rec liveRecord) error {
 	if rec.Gen <= e.gen {
 		return nil
 	}
-	if cur := e.live.Load(); cur != nil && cur.version == rec.Version && cur.opts == rec.DeployOptions {
-		// Already serving exactly this deployment (typically our own
-		// marker read back): adopt the generation, skip the pool churn.
+	if cur := e.live.Load(); cur != nil && cur.version == rec.Version {
+		// Already serving this version (typically our own marker read
+		// back): adopt the generation, skip the pool churn.
 		e.gen = rec.Gen
 		return nil
 	}
@@ -126,15 +126,10 @@ func (s *Service) adopt(rep *SyncReport, e *entry, rec liveRecord) error {
 			e.name, rec.Version, rec.Gen)
 		return nil
 	}
-	serveOpts, err := rec.DeployOptions.apply(s.opts.Serve)
-	if err != nil {
-		rep.detailf("live marker for %q carries bad deploy options: %v", e.name, err)
-		return nil
-	}
 	if s.isClosed() {
 		return ErrClosed
 	}
-	e.swapLive(rec.Version, rec.DeployOptions, serveOpts)
+	e.swapLive(rec.Version, s.opts.Serve)
 	e.gen = rec.Gen
 	rep.Applied = append(rep.Applied, e.info(rec.Version))
 	return nil

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/serve"
 )
@@ -379,5 +381,74 @@ func TestWatchStoreExitsOnClose(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("stop() hung after Close")
+	}
+}
+
+// TestParentFormatStore boots and syncs a store written before
+// deployments lost their pool overrides: the live marker still carries
+// admission/queue_size/replicas fields. Readers ignore them, so the
+// model redeploys at the same version and generation under the
+// template, and the marker is rewritten as just {version, gen}.
+func TestParentFormatStore(t *testing.T) {
+	store := NewMemStore()
+	m := trainCCNN(t, core.ErrorClassification)
+	snap := m.Snapshot()
+	snap.Version = 1
+	data, err := artifact.Encode(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(artifactKey("errors", 1), data); err != nil {
+		t.Fatal(err)
+	}
+	old := `{"version":1,"gen":3,"admission":"reject","queue_size":5,"replicas":1}`
+	if err := store.Put(liveKey("errors"), []byte(old)); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	stmts := testStatements(8)
+	predictsLike := func(s *Service) {
+		t.Helper()
+		for _, stmt := range stmts {
+			pr, err := s.Predict(ctx, "errors", stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := bitsOf(pr.Probs), bitsOf(m.Probs(stmt)); pr.Version != 1 || !slices.Equal(got, want) {
+				t.Fatalf("v%d predicts %v, model %v", pr.Version, got, want)
+			}
+		}
+	}
+
+	a := New(Options{Serve: serve.Options{Replicas: 1}, Store: store})
+	defer a.Close()
+	rep, err := a.WarmBoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Degraded || rep.Quarantined != 0 || len(rep.Deployed) != 1 || rep.Deployed[0].LiveVersion != 1 {
+		t.Fatalf("boot report = %+v", rep)
+	}
+	predictsLike(a)
+	if marker, err := store.Get(liveKey("errors")); err != nil || string(marker) != `{"version":1,"gen":3}` {
+		t.Fatalf("rewritten live marker = %s, %v", marker, err)
+	}
+	if info, err := json.Marshal(rep.Deployed[0]); err != nil || strings.Contains(string(info), `"deploy"`) {
+		t.Fatalf("ModelInfo JSON = %s, %v", info, err)
+	}
+
+	b := New(Options{Serve: serve.Options{Replicas: 1}, Store: store})
+	defer b.Close()
+	srep, err := b.SyncStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(srep.Applied) != 1 || srep.Applied[0].LiveVersion != 1 || srep.Quarantined != 0 {
+		t.Fatalf("second node's sync = %+v", srep)
+	}
+	predictsLike(b)
+	if again, err := a.SyncStore(); err != nil || again.Changed() {
+		t.Fatalf("first node's next sync = %+v, %v; want nothing applied", again, err)
 	}
 }

@@ -35,10 +35,11 @@ func TestControlPlaneTransportParity(t *testing.T) {
 		{"models/ok", service.OpModels, "", false, 200},
 		{"models/closed", service.OpModels, "", true, 200},
 
-		{"deploy/ok", service.OpDeploy, `{"model":"errors","replicas":1}`, false, 200},
+		{"deploy/ok", service.OpDeploy, `{"model":"errors"}`, false, 200},
 		{"deploy/bad json", service.OpDeploy, `{`, false, 400},
 		{"deploy/missing model", service.OpDeploy, `{}`, false, 400},
 		{"deploy/bad options", service.OpDeploy, `{"model":"errors","admission":"maybe"}`, false, 400},
+		{"deploy/unknown field", service.OpDeploy, `{"model":"errors","admision":"reject"}`, false, 400},
 		{"deploy/unknown model", service.OpDeploy, `{"model":"ghost"}`, false, 404},
 		{"deploy/closed", service.OpDeploy, `{"model":"errors"}`, true, 503},
 

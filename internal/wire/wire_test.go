@@ -271,7 +271,7 @@ func TestControlPlane(t *testing.T) {
 	if err := json.Unmarshal(js, &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Info.Name != "errors" || snap.Completed == 0 {
+	if snap.Info.Name != "errors" || snap.Stats.Completed == 0 {
 		t.Fatalf("stats snapshot = %+v", snap)
 	}
 	// The snapshot must be the same struct the HTTP handler returns.
@@ -295,7 +295,7 @@ func TestControlPlane(t *testing.T) {
 		t.Fatalf("healthz = %+v", h)
 	}
 
-	js, err = cl.Call(ctx, MsgDeploy, []byte(`{"model":"errors","replicas":1}`))
+	js, err = cl.Call(ctx, MsgDeploy, []byte(`{"model":"errors"}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,23 +110,15 @@ func SplitRandom(items []workload.Item, seed int64) workload.Split {
 type Service = service.Service
 
 // ServiceOptions configures NewService; its Serve field is the replica
-// pool template applied to every deployed version, its Store field
-// (optional) makes the registry durable.
+// pool template every deployed version runs (each model its own pool,
+// all with the same values), its Store field (optional) makes the
+// registry durable.
 type ServiceOptions = service.Options
 
 // ServeOptions is that pool template: replica count, how many calls
 // may wait for a replica, the most statements one call carries, and
 // what a call past the waiting bound meets.
 type ServeOptions = serve.Options
-
-// DeployOptions are per-deployment overrides of the pool template: the
-// per-model admission quota (policy + waiting bound) and replica count.
-type DeployOptions = service.DeployOptions
-
-// AdmissionReject is the DeployOptions admission policy that answers a
-// call past the waiting bound with an overload error instead of
-// blocking it ("" inherits the template).
-const AdmissionReject = service.AdmissionReject
 
 // NewService creates an empty model registry. Close it to drain and
 // release every deployed replica pool. With ServiceOptions.Store set,

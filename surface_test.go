@@ -18,12 +18,13 @@ import (
 //   - TestServingSurfaceMethods pins the exported method sets of
 //     serve.Predictor and service.Service, so a new entry point is a
 //     reviewed decision rather than an accretion;
-//   - TestServingSurfaceOptions fails when a field of one of the
-//     serving stack's option structs is written by no program — nothing
-//     outside the declaring package, tests and examples — because an
-//     option nobody sets is a constant with extra configurations to
-//     test. The few that are deliberately test-only are listed in
-//     unsetAllowed with the reason;
+//   - TestServingSurfaceOptions fails when a field of an option struct
+//     is written by no program — nothing outside the declaring package,
+//     tests and examples — because an option nobody sets is a constant
+//     with extra configurations to test. The option structs are found
+//     by name (optionStructs), so a new one is guarded the moment it is
+//     declared. The few fields that are deliberately test-only are
+//     listed in unsetAllowed with the reason;
 //   - TestFacadeSurface pins the root package's exported names and
 //     fails when one of them is used by no program under examples/: the
 //     facade is those programs' path through the module, not a second
@@ -39,16 +40,6 @@ var pinnedMethods = map[string][]string{
 		"Predict", "PredictBatch", "PredictInto", "Ready", "Register", "SetOnlineStats", "StatsSnapshot",
 		"Swap", "SyncStore", "VersionModel", "WarmBoot", "WatchStore",
 	},
-}
-
-// optionStructs are the guarded option types, by declaring package.
-var optionStructs = map[string][]string{
-	"repro/internal/serve":   {"Options"},
-	"repro/internal/service": {"Options"},
-	"repro/internal/wire":    {"ServerOptions", "ClientOptions"},
-	"repro/internal/ingest":  {"Options"},
-	"repro/internal/online":  {"Options"},
-	"repro/client":           {"Options"},
 }
 
 // libraryOption is why repro/client's caller-facing knobs stay options
@@ -131,26 +122,46 @@ func TestServingSurfaceMethods(t *testing.T) {
 	}
 }
 
+// optionStructs finds the guarded option types, keyed "pkg.Type": every
+// exported struct type named Options or …Options declared outside
+// bench/ (moduleSources already skips tests and examples/). Aliases
+// such as the facade's re-exports are not struct types and are not
+// found twice.
+func optionStructs(files []sourceFile) map[string]*ast.StructType {
+	structs := map[string]*ast.StructType{}
+	for _, f := range files {
+		if f.pkgPath == "repro/bench" || strings.HasPrefix(f.pkgPath, "repro/bench/") {
+			continue
+		}
+		for _, decl := range f.ast.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				if ok && ts.Name.IsExported() && strings.HasSuffix(ts.Name.Name, "Options") {
+					structs[f.pkgPath+"."+ts.Name.Name] = st
+				}
+			}
+		}
+	}
+	return structs
+}
+
 func TestServingSurfaceOptions(t *testing.T) {
 	files := moduleSources(t)
+	guarded := optionStructs(files)
 
 	// Declared fields of every guarded struct.
 	fields := map[string]bool{} // "pkg.Type.Field" → set by some program
-	for _, f := range files {
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			spec, ok := n.(*ast.TypeSpec)
-			if !ok || !guarded(f.pkgPath, spec.Name.Name) {
-				return true
+	for typ, st := range guarded {
+		for _, field := range st.Fields.List {
+			for _, name := range field.Names {
+				fields[typ+"."+name.Name] = false
 			}
-			if st, ok := spec.Type.(*ast.StructType); ok {
-				for _, field := range st.Fields.List {
-					for _, name := range field.Names {
-						fields[f.pkgPath+"."+spec.Name.Name+"."+name.Name] = false
-					}
-				}
-			}
-			return true
-		})
+		}
 	}
 
 	// Writes from outside the declaring package: keyed composite
@@ -174,10 +185,13 @@ func TestServingSurfaceOptions(t *testing.T) {
 				return ""
 			}
 			pkg, ok := sel.X.(*ast.Ident)
-			if !ok || !guarded(imports[pkg.Name], sel.Sel.Name) {
+			if !ok {
 				return ""
 			}
-			return imports[pkg.Name] + "." + sel.Sel.Name
+			if typ := imports[pkg.Name] + "." + sel.Sel.Name; guarded[typ] != nil {
+				return typ
+			}
+			return ""
 		}
 		vars := map[string]string{} // variable name → "pkg.Type" (file-wide; good enough here)
 		ast.Inspect(f.ast, func(n ast.Node) bool {
@@ -237,7 +251,7 @@ func TestServingSurfaceOptions(t *testing.T) {
 
 // pinnedFacade is the root package's exported names.
 var pinnedFacade = []string{
-	"AdmissionReject", "ClientOptions", "DefaultConfig", "DeployOptions", "ErrorClassification", "FineTune",
+	"ClientOptions", "DefaultConfig", "ErrorClassification", "FineTune",
 	"GenerateSDSS", "IngestOptions", "NewClient", "NewDirStore", "NewService", "NewServiceHandler",
 	"NewWireServer", "OnlineOptions", "OpenIngest", "ServeOptions", "Service", "ServiceOptions",
 	"SplitRandom", "StartOnline", "Train", "WireServerOptions",
@@ -318,13 +332,4 @@ func TestFacadeSurface(t *testing.T) {
 			t.Errorf("repro.%s is used by no program under examples/: callers reach it through its own package; delete the re-export", name)
 		}
 	}
-}
-
-func guarded(pkgPath, typeName string) bool {
-	for _, name := range optionStructs[pkgPath] {
-		if name == typeName {
-			return true
-		}
-	}
-	return false
 }
