@@ -5,12 +5,13 @@
 //
 //	experiments -all                     # everything, default scale
 //	experiments -table 2                 # one table
-//	experiments -figure 13               # one figure
+//	experiments -table 2,3 -figure 13    # a selection
 //	experiments -scale small -all        # quick run
 //	experiments -all -out EXPERIMENTS.txt
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -21,28 +22,29 @@ import (
 	"repro/internal/experiments"
 )
 
-// parseInts parses a comma-separated list of integers, skipping blanks.
-func parseInts(s string) []int {
+// parseInts parses flag name's comma-separated list of integers,
+// skipping blanks; a malformed entry is an error naming it.
+func parseInts(name, s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
-		if n, err := strconv.Atoi(part); err == nil {
-			out = append(out, n)
+		n, err := strconv.Atoi(part)
+		if err != nil {
+			return nil, fmt.Errorf("-%s: bad entry %q", name, part)
 		}
+		out = append(out, n)
 	}
-	return out
+	return out, nil
 }
 
 func main() {
 	var (
 		scale   = flag.String("scale", "default", "dataset scale: small or default")
-		table   = flag.Int("table", 0, "regenerate one table (1-7)")
-		figure  = flag.Int("figure", 0, "regenerate one figure (3,4,6,7,8,12,13,14,20)")
-		tables  = flag.String("tables", "", "comma-separated table numbers")
-		figures = flag.String("figures", "", "comma-separated figure numbers")
+		table   = flag.String("table", "", "comma-separated tables to regenerate (1-7)")
+		figure  = flag.String("figure", "", "comma-separated figures to regenerate (3,4,6,7,8,12,13,14,20)")
 		all     = flag.Bool("all", false, "regenerate every table and figure")
 		out     = flag.String("out", "", "also write the report to this file")
 		seed    = flag.Int64("seed", 1, "generator seed")
@@ -50,6 +52,16 @@ func main() {
 		workers = flag.Int("workers", 0, "training goroutines per mini-batch (0: config default, -1: min(GOMAXPROCS, batch))")
 	)
 	flag.Parse()
+	tables, terr := parseInts("table", *table)
+	figures, ferr := parseInts("figure", *figure)
+	err := errors.Join(terr, ferr)
+	if err != nil || !*all && len(tables)+len(figures) == 0 {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+		}
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var sc experiments.Scale
 	switch *scale {
@@ -74,38 +86,22 @@ func main() {
 		time.Since(start).Round(time.Millisecond), len(env.SDSS.Items), len(env.SQLShare.Items))
 
 	var report string
-	var err error
-	switch {
-	case *all:
+	if *all {
 		report, err = experiments.RunAll(env)
-	case *table > 0:
-		report, err = experiments.RunTable(env, *table)
-	case *figure > 0:
-		report, err = experiments.RunFigure(env, *figure)
-	case *tables != "" || *figures != "":
-		var b strings.Builder
-		for _, n := range parseInts(*tables) {
-			text, terr := experiments.RunTable(env, n)
-			if terr != nil {
-				err = terr
+	} else {
+		var parts []string
+		for i, n := range append(tables, figures...) {
+			run := experiments.RunTable
+			if i >= len(tables) {
+				run = experiments.RunFigure
+			}
+			var text string
+			if text, err = run(env, n); err != nil {
 				break
 			}
-			b.WriteString(text + "\n")
+			parts = append(parts, text)
 		}
-		if err == nil {
-			for _, n := range parseInts(*figures) {
-				text, ferr := experiments.RunFigure(env, n)
-				if ferr != nil {
-					err = ferr
-					break
-				}
-				b.WriteString(text + "\n")
-			}
-		}
-		report = b.String()
-	default:
-		flag.Usage()
-		os.Exit(2)
+		report = strings.Join(parts, "\n")
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)

@@ -59,8 +59,9 @@ type Options struct {
 	// model registered at Start.
 	Models []string
 	// Window is the number of observed records that triggers a
-	// fine-tune (default 32). Its last quarter (holdout) is held out of
-	// training and used for the canary evaluation.
+	// fine-tune (0 means 32; 1 or fewer is an error, since a window must
+	// split). Its last quarter (holdout) is held out of training and
+	// used for the canary evaluation.
 	Window int
 	// Margin is the score improvement the candidate must show on the
 	// holdout to be swapped in: accuracy points for classification
@@ -130,8 +131,11 @@ func Start(opts Options) (*Pipeline, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("online: Dir is required")
 	}
-	if opts.Window <= 1 {
+	switch {
+	case opts.Window == 0:
 		opts.Window = 32
+	case opts.Window < 2:
+		return nil, fmt.Errorf("online: Window %d cannot be split into training and holdout records", opts.Window)
 	}
 	if opts.Interval <= 0 {
 		opts.Interval = 200 * time.Millisecond

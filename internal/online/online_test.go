@@ -304,6 +304,23 @@ func TestRestartResumesFromDurableState(t *testing.T) {
 	}
 }
 
+// TestStartRefusesUnsplittableWindow checks a window too small to hold
+// both a training and a holdout record is refused rather than replaced
+// by the default.
+func TestStartRefusesUnsplittableWindow(t *testing.T) {
+	store := service.NewMemStore()
+	svc, w := newStack(t, store)
+	for _, window := range []int{1, -4} {
+		opts := testOpts(svc, store, w.Dir(), 0)
+		opts.Window = window
+		p, err := Start(opts)
+		if err == nil {
+			p.Close()
+			t.Fatalf("Window %d: pipeline started", window)
+		}
+	}
+}
+
 func testStatements(n int) []string {
 	items := testSplit().Test
 	if len(items) > n {

@@ -13,14 +13,11 @@ import (
 )
 
 // requestsServed is how many requests the replicas have run: each
-// request records exactly one latency sample, whatever its width, in
-// the ring of the replica it borrowed.
+// request counts exactly once, whatever its width, in the latency
+// histogram.
 func requestsServed(p *Predictor) (n uint64) {
-	for w := range p.stats.lat {
-		l := &p.stats.lat[w]
-		l.mu.Lock()
-		n += l.n
-		l.mu.Unlock()
+	for b := range p.stats.lat {
+		n += p.stats.lat[b].Load()
 	}
 	return n
 }

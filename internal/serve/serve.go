@@ -137,8 +137,7 @@ const (
 // the caller's stack. Only the call that borrowed it touches it.
 type replica struct {
 	model   *core.Model
-	ring    *latRing // this replica's latency samples
-	strikes int      // panics absorbed since the model was last rebuilt
+	strikes int // panics absorbed since the model was last rebuilt
 	stmts   []string
 	dsts    [][]float64 // probsKind: row i's output buffer in, row i out
 	vals    []float64   // logKind: value i out
@@ -191,9 +190,8 @@ func NewPredictor(m *core.Model, opts Options) *Predictor {
 		closing: make(chan struct{}),
 		start:   time.Now(),
 	}
-	p.stats.lat = make([]latRing, opts.Replicas)
-	for i := range p.stats.lat {
-		p.idle <- &replica{model: m.Replicate(), ring: &p.stats.lat[i]}
+	for range opts.Replicas {
+		p.idle <- &replica{model: m.Replicate()}
 	}
 	return p
 }
@@ -362,9 +360,8 @@ func (p *Predictor) borrow(ctx context.Context) (*replica, error) {
 // snapshot. The request fails with a wrapped ErrPanicked; other
 // requests are untouched.
 //
-// All accounting happens before the replica goes back, so the sample
-// ring has one writer at a time, and before the call returns, so a
-// caller finds its finished request reflected in Stats.
+// All accounting happens before the call returns, so a caller finds
+// its finished request reflected in Stats.
 func (p *Predictor) serve(ctx context.Context, kind reqKind, stmts []string, dsts [][]float64, vals []float64) error {
 	start := time.Now()
 	r, err := p.borrow(ctx)
@@ -410,7 +407,7 @@ func (p *Predictor) serve(ctx context.Context, kind reqKind, stmts []string, dst
 	} else {
 		copy(vals, r.vals)
 	}
-	r.ring.record(time.Since(start))
+	p.stats.lat[latBucket(uint64(max(time.Since(start), 0)))].Add(1)
 	p.stats.completed.Add(uint64(served))
 	p.stats.widthSum.Add(uint64(served * width))
 	return err

@@ -2,20 +2,19 @@ package serve
 
 import (
 	"fmt"
-	"slices"
-	"sync"
+	"math/bits"
 	"sync/atomic"
 	"time"
 )
 
-// latRingSize is the number of latency samples each replica retains
-// for the percentile estimates (a fixed ring, so recording is O(1)
-// and allocation-free).
-const latRingSize = 1024
+// latBuckets is the number of latency histogram buckets: eight
+// log-linear buckets per power of two of nanoseconds, values below 16
+// ns one bucket each, the last ending at 2⁶³-1.
+const latBuckets = 488
 
-// statsState is the predictor's observability state: atomic counters
-// plus one latency sample ring per replica, so hot-path recording
-// never contends across replicas.
+// statsState is the predictor's observability state: atomic counters,
+// one of them per latency bucket, so recording a request is one atomic
+// add and a snapshot takes no lock.
 type statsState struct {
 	completed atomic.Uint64
 	widthSum  atomic.Uint64 // sum over completed predictions of their forward pass's width
@@ -24,52 +23,37 @@ type statsState struct {
 	panics    atomic.Uint64 // statements whose inference panicked
 	rebuilds  atomic.Uint64 // replicas retired and rebuilt after panicLimit
 
-	lat []latRing // one per replica
+	lat [latBuckets]atomic.Uint64 // requests served, by latBucket of their latency
 }
 
-// latRing is one replica's latency samples. The mutex is effectively
-// uncontended (only the call holding the replica records; Stats
-// readers snapshot rarely).
-type latRing struct {
-	mu  sync.Mutex
-	buf [latRingSize]int64 // nanoseconds
-	n   uint64             // total samples ever recorded
+// latBucket is the histogram bucket of a latency of ns nanoseconds:
+// the bucket index's high bits are the power of two, its low three
+// bits the next three bits of ns below the leading one.
+func latBucket(ns uint64) int {
+	s := bits.Len64(ns|8) - 4
+	return 8*s + int(ns>>s)
 }
 
-func (l *latRing) record(d time.Duration) {
-	l.mu.Lock()
-	l.buf[l.n%latRingSize] = int64(d)
-	l.n++
-	l.mu.Unlock()
+// latUpper is the largest latency, in nanoseconds, that bucket b holds.
+func latUpper(b int) uint64 {
+	s := max(b/8-1, 0)
+	return uint64(b-8*s+1)<<s - 1
 }
 
-// snapshotInto appends the ring's retained samples to dst.
-func (l *latRing) snapshotInto(dst []int64) []int64 {
-	l.mu.Lock()
-	m := l.n
-	if m > latRingSize {
-		m = latRingSize
+// latRank is the upper bound of the bucket holding the nearest-rank
+// q-th percentile, rank (n-1)*q/100 from 0, of the n latencies counted
+// in h.
+func latRank(h *[latBuckets]uint64, n, q uint64) time.Duration {
+	if n == 0 {
+		return 0
 	}
-	dst = append(dst, l.buf[:m]...)
-	l.mu.Unlock()
-	return dst
-}
-
-// percentiles returns the p50 and p99 of the retained latency samples
-// (nearest-rank over the merged per-replica ring snapshots).
-func (s *statsState) percentiles() (p50, p99 time.Duration) {
-	var samples []int64
-	for w := range s.lat {
-		samples = s.lat[w].snapshotInto(samples)
+	rank, seen := (n-1)*q/100, uint64(0)
+	for b, c := range h {
+		if seen += c; seen > rank {
+			return time.Duration(latUpper(b))
+		}
 	}
-	m := len(samples)
-	if m == 0 {
-		return 0, 0
-	}
-	slices.Sort(samples)
-	p50 = time.Duration(samples[(m-1)*50/100])
-	p99 = time.Duration(samples[(m-1)*99/100])
-	return p50, p99
+	return 0
 }
 
 // Stats is a point-in-time snapshot of a Predictor's service metrics.
@@ -95,8 +79,11 @@ type Stats struct {
 	Uptime     time.Duration
 	Throughput float64
 	// P50 and P99 are request latencies (call entry to completion, the
-	// wait for a replica included; one sample per request whatever its
-	// width) over the most recent samples.
+	// wait for a replica included; one count per request whatever its
+	// width) over every request since NewPredictor. Each is the upper
+	// bound of the histogram bucket holding the nearest-rank percentile:
+	// never below the true value, at most 12.5% above it, exact below
+	// 16 ns.
 	P50, P99 time.Duration
 	// EffectiveBatch is the mean, over completed predictions, of how
 	// many statements shared their forward pass: the callers' own batch
@@ -106,7 +93,8 @@ type Stats struct {
 }
 
 // Stats snapshots the predictor's service metrics. Safe to call
-// concurrently with predictions and after Close.
+// concurrently with predictions and after Close; it takes no lock and
+// allocates nothing.
 func (p *Predictor) Stats() Stats {
 	s := Stats{
 		Completed:  p.stats.completed.Load(),
@@ -123,7 +111,13 @@ func (p *Predictor) Stats() Stats {
 	if s.Completed > 0 {
 		s.EffectiveBatch = float64(p.stats.widthSum.Load()) / float64(s.Completed)
 	}
-	s.P50, s.P99 = p.stats.percentiles()
+	var h [latBuckets]uint64
+	var n uint64
+	for b := range h {
+		h[b] = p.stats.lat[b].Load()
+		n += h[b]
+	}
+	s.P50, s.P99 = latRank(&h, n, 50), latRank(&h, n, 99)
 	return s
 }
 

@@ -54,6 +54,10 @@ func serveOp(s *Service, op Op, w http.ResponseWriter, r *http.Request) {
 		// A GET carries its input as query parameters; ops take JSON.
 		query := make(map[string]string)
 		for k, v := range r.URL.Query() {
+			if len(v) > 1 {
+				writeError(w, http.StatusBadRequest, errors.New("query parameter "+k+" is repeated"))
+				return
+			}
 			query[k] = v[0]
 		}
 		body, _ = json.Marshal(query) // a string map always encodes

@@ -311,6 +311,9 @@ func TestHTTPErrorMapping(t *testing.T) {
 			return http.Post(srv.URL+"/v1/deploy", "application/json",
 				strings.NewReader(`{"model":"ghost"}`))
 		}, http.StatusNotFound},
+		{"stats repeated query parameter", func() (*http.Response, error) {
+			return http.Get(srv.URL + "/v1/stats?model=errors&model=ghost")
+		}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := tc.do()
