@@ -6,10 +6,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -19,7 +21,7 @@ import (
 	"repro/internal/workload"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/identity.json from this build's results")
+var update = flag.Bool("update", false, "rewrite the pinned testdata/*.json goldens from this build's results")
 
 // The benchmark harness's training set-up (bench/config.go, bench/rig.go),
 // repeated here so the pinned digests describe the models the harness
@@ -165,4 +167,99 @@ func bitsDigest(vals []float64) string {
 		h.Write(word[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// The shard FineTune is pinned on: the first fineTuneShard items of a
+// third synth run, which neither the pinned models nor the pool saw.
+const (
+	fineTuneSeed     = 1_000_006
+	fineTuneSessions = 400
+	fineTuneShard    = 256
+)
+
+// fineTuneDigest is what one fine-tuned model is pinned to: its
+// artifact bytes and the Float64bits of its scalar predictions over
+// the identity pool.
+type fineTuneDigest struct {
+	Artifact string `json:"artifact_sha256"`
+	Scalar   string `json:"scalar_sha256"`
+}
+
+// TestFineTunePinned is TestIdentityPinned for FineTune: Snapshots of
+// the identity-pinned ccnn (error classes) and wcnn (cpu time, which
+// trains on log labels under the source model's minimum) are
+// fine-tuned on a shard of another synth run at one and two workers,
+// and the artifact hashes and scalar prediction digests are compared
+// with testdata/finetune.json, written at the commit before a change
+// to the trainer (-update) and passed unchanged after it.
+func TestFineTunePinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests are pinned on amd64: %s's compiler may fuse multiply-adds, which legitimately rounds differently", runtime.GOARCH)
+	}
+	train := synth.NewSDSS(synth.SDSSConfig{Sessions: identitySessions, HitsPerSessionMax: 3, Seed: identitySeed}).Generate()
+	split := workload.RandomSplit(train.Items, 0.1, 0.1, rand.New(rand.NewSource(identitySeed+7)))
+	pool := workload.Statements(synth.NewSDSS(synth.SDSSConfig{Sessions: identityPoolSess, HitsPerSessionMax: 3, Seed: identityPoolSeed}).Generate().Items)[:identityPool]
+	shard := synth.NewSDSS(synth.SDSSConfig{Sessions: fineTuneSessions, HitsPerSessionMax: 3, Seed: fineTuneSeed}).Generate().Items
+	if len(shard) < fineTuneShard {
+		t.Fatalf("shard run has %d items, need %d", len(shard), fineTuneShard)
+	}
+	shard = shard[:fineTuneShard]
+
+	cfg := core.DefaultConfig()
+	cfg.Epochs = 1
+	cfg.Workers = 2
+	cfg.Seed = identitySeed
+
+	got := map[string]fineTuneDigest{}
+	for _, mt := range []struct {
+		name string
+		task core.Task
+	}{
+		{"ccnn", core.ErrorClassification},
+		{"wcnn", core.CPUTimePrediction},
+	} {
+		src, err := core.Train(mt.name, mt.task, split.Train, cfg)
+		if err != nil {
+			t.Fatalf("train %s: %v", mt.name, err)
+		}
+		for _, workers := range []int{1, 2} {
+			ft := cfg
+			ft.Workers = workers
+			m, err := core.FineTune(src.Snapshot(), shard, ft)
+			if err != nil {
+				t.Fatalf("fine-tune %s at %d workers: %v", mt.name, workers, err)
+			}
+			blob, err := artifact.Encode(m)
+			if err != nil {
+				t.Fatalf("encode %s: %v", mt.name, err)
+			}
+			sum := sha256.Sum256(blob)
+			d := fineTuneDigest{Artifact: hex.EncodeToString(sum[:])}
+			d.Scalar, _ = predictionDigests(m, pool)
+			got[fmt.Sprintf("%s/workers%d", mt.name, workers)] = d
+		}
+	}
+
+	path := filepath.Join("testdata", "finetune.json")
+	if *update {
+		blob, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (generate it at the parent commit with -update)", err)
+	}
+	want := map[string]fineTuneDigest{}
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("fine-tuned models moved:\n got  %+v\n want %+v", got, want)
+	}
 }
