@@ -77,7 +77,9 @@ func main() {
 	if *epochs > 0 {
 		sc.Cfg.Epochs = *epochs
 	}
-	sc.TrainWorkers = *workers
+	if *workers != 0 {
+		sc.Cfg.Workers = *workers
+	}
 
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "generating workloads (scale=%s, seed=%d)...\n", *scale, *seed)

@@ -356,9 +356,9 @@ func TestGracefulShutdownDrain(t *testing.T) {
 
 // waitInFlight runs send on its own goroutine and returns once the
 // server is working on it: a request waits for model's replica, or
-// more have completed than before send started. With -replicas 1 and
-// -admission block, a 2 000-statement batch is 63 requests, 62 of which
-// wait.
+// more have completed than before send started. With -replicas 1, a
+// 2 000-statement batch is 63 requests run one after another on the
+// call's goroutine, so it is still in flight when the first completes.
 func waitInFlight(t *testing.T, c *client.Client, model string, send func()) {
 	t.Helper()
 	ctx := context.Background()

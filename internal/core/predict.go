@@ -28,6 +28,14 @@ func growFloats(buf *[]float64, n int) []float64 {
 	return *buf
 }
 
+// newEncoder returns a fused tokenize+encode sqllex.Encoder over the
+// model's vocabulary at its granularity and input budget — the one way
+// a neural model turns a statement into token ids, for training and
+// prediction alike.
+func (m *Model) newEncoder() *sqllex.Encoder {
+	return sqllex.NewEncoder(m.neural.vocab, len(m.Name) > 0 && m.Name[0] == 'w', m.maxLen)
+}
+
 // bindNeuralPredict (re)builds the model's prediction closures around
 // its neural backend with fresh per-instance scratch: a fused
 // tokenize+encode sqllex.Encoder and a softmax output buffer. The warm
@@ -35,8 +43,7 @@ func growFloats(buf *[]float64, n int) []float64 {
 // for concurrent use (see Replicate).
 func (m *Model) bindNeuralPredict() {
 	backend := m.neural
-	word := len(m.Name) > 0 && m.Name[0] == 'w'
-	enc := sqllex.NewEncoder(backend.vocab, word, m.maxLen)
+	enc := m.newEncoder()
 	if bm, ok := backend.model.(nn.BatchModel); ok {
 		// The fused batch forward: encode every statement (copying the
 		// ids out of the encoder's reused scratch into one flat buffer)

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/metrics"
@@ -12,29 +14,19 @@ import (
 	"repro/internal/workload"
 )
 
-// trainNeural fits one of the four neural models (ccnn, wcnn, clstm,
-// wlstm) with the paper's training recipe: AdaMax, learning rate 1e-3,
-// batch size 16, gradient clipping, cross-entropy or Huber loss on
-// log-transformed labels.
+// trainNeural builds one of the four neural models (ccnn, wcnn, clstm,
+// wlstm) — vocabulary, initialized network, and for regression the log
+// labels and the output bias warm-started at their mean — and fits it
+// with the paper's training recipe (see fit).
 func trainNeural(name string, task Task, train []workload.Item, cfg Config) (*Model, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	word := name[0] == 'w'
-	maxLen := cfg.CharMaxLen
-	if word {
-		maxLen = cfg.WordMaxLen
+	maxLen, vocabMax := cfg.CharMaxLen, 0 // characters: unbounded (small anyway)
+	if name[0] == 'w' {
+		maxLen, vocabMax = cfg.WordMaxLen, cfg.WordVocabMax
 	}
 	// Build the vocabulary from training tokens (pooled tokenizer: one
 	// interned string per distinct token across the whole corpus).
-	seqs := tokenizeAll(name, train)
-	vocabMax := 0 // characters: unbounded (small anyway)
-	if word {
-		vocabMax = cfg.WordVocabMax
-	}
-	vocab := sqllex.BuildVocabulary(seqs, vocabMax)
-	encoded := make([][]int, len(train))
-	for i, seq := range seqs {
-		encoded[i] = vocab.Encode(seq, maxLen)
-	}
+	vocab := sqllex.BuildVocabulary(tokenizeAll(name, train), vocabMax)
 
 	outputs := 1
 	if task.IsClassification() {
@@ -53,53 +45,85 @@ func trainNeural(name string, task Task, train []workload.Item, cfg Config) (*Mo
 			Layers: cfg.LSTMLayers, Outputs: outputs,
 		}, rng)
 	}
-	lr := cfg.LR
-	if cfg.LSTMLR > 0 && (name == "clstm" || name == "wlstm") {
-		lr = cfg.LSTMLR
-	}
-	opt := nn.NewOptimizer(nn.AdaMax, lr, cfg.Clip)
-	params := model.Params()
-
 	m := &Model{
-		Name: name, Task: task, V: vocab.Size(), P: nn.ParamCount(params),
+		Name: name, Task: task, V: vocab.Size(), P: nn.ParamCount(model.Params()),
 		neural: nnBackend{model: model, vocab: vocab},
 		maxLen: maxLen, rngSeed: cfg.Seed,
 	}
-
-	trainer := NewTrainer(cfg)
-	if task.IsClassification() {
-		labels, _ := task.Labels(train)
-		trainer.trainModel(model, opt, params, len(encoded), rng, func(mm nn.Model, sc *stepScratch, wrng *rand.Rand, i int) {
-			out, cache := mm.Forward(encoded[i], true, wrng)
-			nn.SoftmaxCEInto(out, labels[i], growFloats(&sc.dlogits, len(out)))
-			mm.Backward(encoded[i], cache, sc.dlogits)
-		})
-		m.bindNeuralPredict()
-		return m, nil
+	var logs []float64
+	if !task.IsClassification() {
+		_, raw := task.Labels(train)
+		logs, m.LogMin = metrics.LogTransform(raw)
+		warmStartBias(model, meanOf(logs))
 	}
-
-	_, raw := task.Labels(train)
-	logs, min := metrics.LogTransform(raw)
-	m.LogMin = min
-	warmStartBias(model, meanOf(logs))
-	trainer.trainModel(model, opt, params, len(encoded), rng, func(mm nn.Model, sc *stepScratch, wrng *rand.Rand, i int) {
-		out, cache := mm.Forward(encoded[i], true, wrng)
-		_, dpred := nn.HuberLoss(out[0], logs[i], 1)
-		sc.dout[0] = dpred
-		mm.Backward(encoded[i], cache, sc.dout[:])
-	})
+	// The training RNG runs on from weight initialization.
+	if err := m.fit(train, logs, cfg, rng, cfg.Seed); err != nil {
+		return nil, err
+	}
 	m.bindNeuralPredict()
 	return m, nil
 }
 
-// stepScratch is per-worker training scratch — the logit-gradient
-// buffer of SoftmaxCEInto and the single-output gradient of the
-// regression head — so the per-step loss computation allocates
-// nothing (a ROADMAP hot-spot: SoftmaxCE used to allocate two slices
-// per training step).
-type stepScratch struct {
-	dlogits []float64
-	dout    [1]float64
+// fit trains m's network from its current weights with the paper's
+// recipe — AdaMax at cfg.LR (cfg.LSTMLR for the LSTMs when set),
+// mini-batches, clipping, and cross-entropy on class labels or Huber
+// loss on logs, the log-transformed regression labels (nil for a
+// classifier) — over statements encoded as serving encodes them. rng
+// drives the epoch shuffles and one worker's dropout, seed more
+// workers' dropout (see Trainer). A class outside the task's range
+// fails the call before any step.
+func (m *Model) fit(train []workload.Item, logs []float64, cfg Config, rng *rand.Rand, seed int64) error {
+	var labels []int
+	if n := m.Task.NumClasses(); m.Task.IsClassification() {
+		labels, _ = m.Task.Labels(train)
+		for i, c := range labels {
+			if c < 0 || c >= n {
+				return fmt.Errorf("core: %s: training item %d has class %d, outside [0, %d)", m.Name, i, c, n)
+			}
+		}
+	}
+	encoded := encodeAll(m.newEncoder(), train)
+	lr := cfg.LR
+	if cfg.LSTMLR > 0 && (m.Name == "clstm" || m.Name == "wlstm") {
+		lr = cfg.LSTMLR
+	}
+	model := m.neural.model
+	trainer := NewTrainer(cfg)
+	trainer.Seed = seed
+	trainer.run(len(encoded), rng, nn.NewOptimizer(nn.AdaMax, lr, cfg.Clip), model.Params(), func(w int) trainWorker {
+		rep, tw := model, trainWorker{}
+		if w > 0 {
+			// A replica sharing the weights, with private gradients and
+			// scratch (every neural backend is an nn.ParallelModel).
+			rep = model.(nn.ParallelModel).CloneShared()
+			tw.grads = nn.NewGradBuffer(rep.Params())
+		}
+		// The worker's loss gradients, reused every step.
+		var dlogits []float64
+		var dout [1]float64
+		tw.step = func(wrng *rand.Rand, i int) {
+			out, cache := rep.Forward(encoded[i], true, wrng)
+			if labels == nil {
+				_, dout[0] = nn.HuberLoss(out[0], logs[i], 1)
+				rep.Backward(encoded[i], cache, dout[:])
+				return
+			}
+			nn.SoftmaxCEInto(out, labels[i], growFloats(&dlogits, len(out)))
+			rep.Backward(encoded[i], cache, dlogits)
+		}
+		return tw
+	})
+	return nil
+}
+
+// encodeAll encodes every item's statement with enc into ids of its
+// own, for a training loop to keep.
+func encodeAll(enc *sqllex.Encoder, items []workload.Item) [][]int {
+	encoded := make([][]int, len(items))
+	for i, item := range items {
+		encoded[i] = slices.Clone(enc.Encode(item.Statement))
+	}
+	return encoded
 }
 
 // Trainer is the data-parallel mini-batch training engine. Each
@@ -223,29 +247,6 @@ func (t Trainer) run(n int, rng *rand.Rand, opt *nn.Optimizer, params []*nn.Para
 			scaleAndStep(opt, params, end-start)
 		}
 	}
-}
-
-// trainModel runs the engine over a model implementing the generic
-// Forward/Backward interface. step must run forward+backward for
-// example i on the given replica with the given dropout RNG, using sc
-// for per-step loss scratch (one scratch per worker).
-func (t Trainer) trainModel(model nn.Model, opt *nn.Optimizer, params []*nn.Param,
-	n int, rng *rand.Rand, step func(m nn.Model, sc *stepScratch, rng *rand.Rand, i int)) {
-	pm, parallel := model.(nn.ParallelModel)
-	if !parallel {
-		t.Workers = 1
-	}
-	t.run(n, rng, opt, params, func(w int) trainWorker {
-		sc := &stepScratch{}
-		if w == 0 {
-			return trainWorker{step: func(rng *rand.Rand, i int) { step(model, sc, rng, i) }}
-		}
-		replica := pm.CloneShared()
-		return trainWorker{
-			step:  func(rng *rand.Rand, i int) { step(replica, sc, rng, i) },
-			grads: nn.NewGradBuffer(replica.Params()),
-		}
-	})
 }
 
 // scaleAndStep averages the summed batch gradient and applies one

@@ -27,7 +27,10 @@ import (
 // frozen at fit time, and for a Replicate copy, which is inference-only
 // and shares its weights with whatever its siblings are serving:
 // fine-tune the original or a Snapshot. Replicas made from m before the
-// call hold layouts of the old weights and must be discarded.
+// call hold layouts of the old weights and must be discarded. A class
+// label outside the task's range fails the call before any step, with
+// m's weights untouched. FineTune and Train share one training loop
+// (fit); FineTune starts it from m's weights.
 func FineTune(m *Model, train []workload.Item, cfg Config) (*Model, error) {
 	if m.neural.model == nil {
 		return nil, fmt.Errorf("core: model %q cannot be fine-tuned (no neural backend)", m.Name)
@@ -35,51 +38,27 @@ func FineTune(m *Model, train []workload.Item, cfg Config) (*Model, error) {
 	if m.frozen {
 		return nil, fmt.Errorf("core: model %q is a Replicate copy and cannot be fine-tuned (fine-tune the original or a Snapshot)", m.Name)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	encoded := make([][]int, len(train))
-	for i, item := range train {
-		encoded[i] = m.neural.vocab.Encode(Tokenize(m.Name, item.Statement), m.maxLen)
-	}
-	lr := cfg.LR
-	if cfg.LSTMLR > 0 && (m.Name == "clstm" || m.Name == "wlstm") {
-		lr = cfg.LSTMLR
-	}
-	opt := nn.NewOptimizer(nn.AdaMax, lr, cfg.Clip)
-	params := m.neural.model.Params()
-	for _, p := range params {
+	for _, p := range m.neural.model.Params() {
 		// Registry snapshots drop their gradient shadows (inference
 		// never reads them); fine-tuning one starts by rebuilding them.
 		if len(p.G) != len(p.W) {
 			p.G = make([]float64, len(p.W))
 		}
 	}
-	model := m.neural.model
-	trainer := NewTrainer(cfg)
-	trainer.Seed = cfg.Seed + 1 // distinct dropout stream from pre-training
-
-	if m.Task.IsClassification() {
-		labels, _ := m.Task.Labels(train)
-		trainer.trainModel(model, opt, params, len(encoded), rng, func(mm nn.Model, sc *stepScratch, wrng *rand.Rand, i int) {
-			out, cache := mm.Forward(encoded[i], true, wrng)
-			nn.SoftmaxCEInto(out, labels[i], growFloats(&sc.dlogits, len(out)))
-			mm.Backward(encoded[i], cache, sc.dlogits)
-		})
-		return m, nil
+	var logs []float64
+	if !m.Task.IsClassification() {
+		// Regression: keep the SOURCE transform minimum so predictions
+		// stay on a single consistent scale across source and target.
+		_, raw := m.Task.Labels(train)
+		logs = make([]float64, len(raw))
+		for i, v := range raw {
+			logs[i] = logWithMin(v, m.LogMin)
+		}
 	}
-
-	// Regression: keep the SOURCE transform minimum so predictions stay
-	// on a single consistent scale across source and target.
-	_, raw := m.Task.Labels(train)
-	logs := make([]float64, len(raw))
-	for i, v := range raw {
-		logs[i] = logWithMin(v, m.LogMin)
+	// A fresh training RNG and dropout seed, distinct from pre-training's.
+	if err := m.fit(train, logs, cfg, rand.New(rand.NewSource(cfg.Seed+1)), cfg.Seed+1); err != nil {
+		return nil, err
 	}
-	trainer.trainModel(model, opt, params, len(encoded), rng, func(mm nn.Model, sc *stepScratch, wrng *rand.Rand, i int) {
-		out, cache := mm.Forward(encoded[i], true, wrng)
-		_, dpred := nn.HuberLoss(out[0], logs[i], 1)
-		sc.dout[0] = dpred
-		mm.Backward(encoded[i], cache, sc.dout[:])
-	})
 	return m, nil
 }
 
@@ -128,11 +107,10 @@ func TransferExperiment(name string, task Task, source, targetTrain, targetTest 
 type MultiTaskModel struct {
 	V, P int
 
-	enc    *nn.CNNModel // enc.FC: error logits (3)
-	headA  *nn.Dense    // answer size (1)
-	headC  *nn.Dense    // CPU time (1)
-	vocab  *sqllex.Vocabulary
-	maxLen int
+	enc   *nn.CNNModel    // enc.FC: error logits (3)
+	headA *nn.Dense       // answer size (1)
+	headC *nn.Dense       // CPU time (1)
+	lex   *sqllex.Encoder // statement → token ids, as serving encodes
 	// Log-transform minima for the two regression heads.
 	AnsLogMin, CPULogMin float64
 
@@ -157,14 +135,9 @@ func TrainMultiTask(train []workload.Item, cfg Config) (*MultiTaskModel, error) 
 		return nil, fmt.Errorf("core: empty training set")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	seqs := tokenizeAll("ccnn", train)
-	vocab := sqllex.BuildVocabulary(seqs, 0)
-	encoded := make([][]int, len(train))
-	for i, seq := range seqs {
-		encoded[i] = vocab.Encode(seq, cfg.CharMaxLen)
-	}
-
-	m := &MultiTaskModel{vocab: vocab, maxLen: cfg.CharMaxLen, V: vocab.Size()}
+	vocab := sqllex.BuildVocabulary(tokenizeAll("ccnn", train), 0)
+	m := &MultiTaskModel{lex: sqllex.NewEncoder(vocab, false, cfg.CharMaxLen), V: vocab.Size()}
+	encoded := encodeAll(m.lex, train)
 	m.enc = nn.NewCNN(nn.CNNConfig{
 		Vocab: vocab.Size(), Embed: cfg.Embed, Widths: cfg.Widths,
 		Kernels: cfg.Kernels, Dropout: cfg.Dropout, Outputs: ErrorClassification.NumClasses(),
@@ -240,7 +213,7 @@ func (m *MultiTaskModel) step(ids []int, errLabel int, ansLog, cpuLog float64, r
 
 // Predict returns all three property predictions for a statement.
 func (m *MultiTaskModel) Predict(stmt string) MultiTaskPrediction {
-	ids := m.vocab.Encode(Tokenize("ccnn", stmt), m.maxLen)
+	ids := m.lex.Encode(stmt)
 	feat, _ := m.enc.Features(ids, false, nil)
 	probs := nn.Softmax(m.enc.FC.Forward(feat))
 	ans := m.headA.Forward(feat)[0]
@@ -255,7 +228,7 @@ func (m *MultiTaskModel) Predict(stmt string) MultiTaskPrediction {
 
 // PredictLog returns the log-space regression outputs (answer, cpu).
 func (m *MultiTaskModel) PredictLog(stmt string) (ansLog, cpuLog float64) {
-	ids := m.vocab.Encode(Tokenize("ccnn", stmt), m.maxLen)
+	ids := m.lex.Encode(stmt)
 	feat, _ := m.enc.Features(ids, false, nil)
 	return m.headA.Forward(feat)[0], m.headC.Forward(feat)[0]
 }

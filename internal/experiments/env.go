@@ -43,29 +43,12 @@ type Scale struct {
 	SDSSSessions           int
 	SQLShareUsers          int
 	SQLShareQueriesPerUser int
-	Cfg                    core.Config
-	Seed                   int64
-	// TrainWorkers, when non-zero, overrides Cfg.Workers: the number of
-	// goroutines the training engine uses per mini-batch inside each
-	// model (core.Trainer). This intra-model parallelism composes with
-	// the harness's across-model parallelism (TrainAll): total
-	// concurrency is roughly #models x TrainWorkers, so on small
-	// machines prefer one or the other. -1 selects
-	// min(GOMAXPROCS, batch size).
-	TrainWorkers int
-}
-
-// effectiveCfg resolves the per-model training config, applying the
-// TrainWorkers override.
-func (s Scale) effectiveCfg() core.Config {
-	cfg := s.Cfg
-	switch {
-	case s.TrainWorkers > 0:
-		cfg.Workers = s.TrainWorkers
-	case s.TrainWorkers < 0:
-		cfg.Workers = 0 // auto: min(GOMAXPROCS, batch)
-	}
-	return cfg
+	// Cfg is every model's training config. Its Workers (per
+	// mini-batch, inside one model) composes with TrainAll's
+	// across-model parallelism: total concurrency is roughly
+	// #models x Workers, so on small machines prefer one or the other.
+	Cfg  core.Config
+	Seed int64
 }
 
 // DefaultScale is the full scaled-down reproduction (roughly 1/50 of
@@ -139,7 +122,6 @@ func NewEnv(scale Scale) *Env {
 		Users: scale.SQLShareUsers, QueriesPerUser: scale.SQLShareQueriesPerUser,
 		Seed: scale.Seed + 100,
 	})
-	scale.Cfg = scale.effectiveCfg()
 	env := &Env{
 		Scale:       scale,
 		SDSS:        sdssGen.Generate(),

@@ -21,7 +21,7 @@
 //
 // Every decision is durable: per-model progress (WAL position,
 // counters, rollback watch) persists in the service's store under
-// "online/<model>" — a key shape the registry's WarmBoot and SyncStore
+// "online/<model>" — a key shape the registry's WarmBoot and syncStore
 // ignore as foreign — and the position is persisted only after a
 // window's decision commits. A crash mid-window therefore replays the
 // same records on restart, and because fine-tuning is sequential

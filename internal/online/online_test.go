@@ -2,6 +2,7 @@ package online
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -318,6 +319,56 @@ func TestStartRefusesUnsplittableWindow(t *testing.T) {
 			p.Close()
 			t.Fatalf("Window %d: pipeline started", window)
 		}
+	}
+}
+
+// TestOutOfRangeLabelStopsLearner replays a WAL written before Observe
+// checked classes: one observed record carries class 7 for a
+// three-class model. Fine-tuning on it must stop that model's learner
+// with a log line — not panic the process — and leave the live version
+// deployed and serving.
+func TestOutOfRangeLabelStopsLearner(t *testing.T) {
+	store := service.NewMemStore()
+	svc, w := newStack(t, store)
+	stmts := testStatements(8)
+	for i, stmt := range stmts {
+		class := int32(0)
+		if i == 0 { // a training record, not a held-out one
+			class = 7
+		}
+		rec := ingest.Record{Time: time.Now().UnixNano(), Kind: ingest.Observed, Model: "m", Statement: stmt, Class: class}
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var mu sync.Mutex
+	var lines []string
+	opts := testOpts(svc, store, w.Dir(), 0)
+	opts.Logf = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}
+	p, err := Start(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	waitFor(t, "the learner to stop", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.ContainsFunc(lines, func(l string) bool {
+			return strings.Contains(l, "stopping trainer") && strings.Contains(l, "class 7")
+		})
+	})
+	if st := onlineStats(t, svc); st.Windows != 0 || st.Candidates != 0 || st.Swaps != 0 {
+		t.Fatalf("pipeline stats = %+v, want no window decided", st)
+	}
+	if v, _, err := svc.LiveVersion("m"); err != nil || v != 1 {
+		t.Fatalf("live version = %d, %v; want v1", v, err)
+	}
+	if _, err := svc.Predict(context.Background(), "m", stmts[0]); err != nil {
+		t.Fatalf("predict after the learner stopped: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -197,6 +198,60 @@ func TestBatchAdmittedOrRejectedWhole(t *testing.T) {
 	}
 	if s := p.Stats(); s.Completed != uint64(2+len(batch)) || s.Rejected != 1 {
 		t.Fatalf("Completed = %d Rejected = %d, want %d and 1", s.Completed, s.Rejected, 2+len(batch))
+	}
+}
+
+// TestLongBatchOnIdlePoolAdmitted checks that a batch cut into more
+// requests than the admission queue holds is still served on an idle
+// pool under AdmitReject: its requests run on at most Replicas
+// goroutines, so the call never has more of them waiting than it can
+// run, and none is refused. The predict hook slows every statement so
+// the requests would overlap if they were all started at once.
+func TestLongBatchOnIdlePoolAdmitted(t *testing.T) {
+	m := trainedModels(t)["ccnn"]
+	m.SetPredictHook(func(string) { time.Sleep(100 * time.Microsecond) })
+	defer m.SetPredictHook(nil)
+	p := NewPredictor(m, Options{Replicas: 1, Admission: AdmitReject})
+	defer p.Close()
+	base := testStatements(64)
+	stmts := make([]string, (p.opts.QueueSize+3)*p.opts.MaxBatch) // 67 requests at the defaults
+	for i := range stmts {
+		stmts[i] = base[i%len(base)]
+	}
+	rows, err := p.ProbsBatchCtx(context.Background(), stmts)
+	if err != nil {
+		t.Fatalf("batch of %d statements on an idle pool: %v", len(stmts), err)
+	}
+	if len(rows) != len(stmts) {
+		t.Fatalf("got %d rows, want %d", len(rows), len(stmts))
+	}
+	if s := p.Stats(); s.Rejected != 0 || s.Completed != uint64(len(stmts)) {
+		t.Fatalf("Rejected = %d Completed = %d, want 0 and %d", s.Rejected, s.Completed, len(stmts))
+	}
+}
+
+// TestLongBatchFirstErrorInInputOrder checks a long batch's error
+// contract with helpers serving its requests side by side: the call
+// returns the error of the earliest failing request, and only after
+// every request has run — both poisoned statements count as panics.
+func TestLongBatchFirstErrorInInputOrder(t *testing.T) {
+	m := trainedModels(t)["ccnn"]
+	stmts := testStatements(8)
+	stmts[3], stmts[6] = "POISON-A", "POISON-B" // requests 1 and 3 of 4
+	m.SetPredictHook(func(stmt string) {
+		if strings.HasPrefix(stmt, "POISON") {
+			panic(stmt)
+		}
+	})
+	defer m.SetPredictHook(nil)
+	p := NewPredictor(m, Options{Replicas: 2, MaxBatch: 2})
+	defer p.Close()
+	_, err := p.ProbsBatchCtx(context.Background(), stmts)
+	if !errors.Is(err, ErrPanicked) || !strings.Contains(err.Error(), "POISON-A") {
+		t.Fatalf("err = %v, want ErrPanicked from POISON-A", err)
+	}
+	if got := p.Stats().Panics; got != 2 {
+		t.Fatalf("Panics = %d, want 2: every request runs before the call returns", got)
 	}
 }
 

@@ -242,7 +242,9 @@ func (p *Predictor) PredictLogCtx(ctx context.Context, stmt string) (float64, er
 // ProbsBatchCtx computes the class distribution for every statement,
 // in input order. Up to MaxBatch statements are one request and run as
 // one batched forward pass on one replica; a longer batch is cut into
-// MaxBatch-sized requests that spread over the pool. On error
+// MaxBatch-sized requests that spread over the pool, run by at most
+// Replicas goroutines (the caller's included), so a long batch never
+// fills the admission queue by itself. On error
 // (cancellation, rejection, close, a panicked statement) it returns
 // nil results and the first error in input order, after every request
 // it started has put its replica back.
@@ -275,30 +277,37 @@ func (p *Predictor) PredictLogBatchCtx(ctx context.Context, stmts []string) ([]f
 
 // do runs one batch call. Up to MaxBatch statements are one request,
 // served right here. A longer batch is cut into MaxBatch-sized
-// requests, in input order, each served on a goroutine of its own so
-// that they borrow replicas side by side and each meets admission as
-// the separate request it is; the ones that must wait are parked
-// goroutines, as any other waiting call is. do returns when all of
-// them have, with the first error in input order.
+// requests, in input order, served by at most Replicas goroutines —
+// the caller and Replicas-1 helpers, each taking the next request in
+// input order — so the call borrows replicas side by side but never
+// has more requests waiting than it could run. do returns when every
+// request has, with the first error in input order.
 func (p *Predictor) do(ctx context.Context, kind reqKind, stmts []string, dsts [][]float64, vals []float64) error {
 	size := p.opts.MaxBatch
 	if len(stmts) <= size {
 		return p.serve(ctx, kind, stmts, dsts, vals)
 	}
 	errs := make([]error, (len(stmts)+size-1)/size)
-	var wg sync.WaitGroup
-	for i := range errs {
-		lo, hi := i*size, min((i+1)*size, len(stmts))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	var next atomic.Int64
+	run := func() {
+		for i := int(next.Add(1) - 1); i < len(errs); i = int(next.Add(1) - 1) {
+			lo, hi := i*size, min((i+1)*size, len(stmts))
 			if kind == probsKind {
 				errs[i] = p.serve(ctx, kind, stmts[lo:hi], dsts[lo:hi], nil)
 			} else {
 				errs[i] = p.serve(ctx, kind, stmts[lo:hi], nil, vals[lo:hi])
 			}
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(p.opts.Replicas, len(errs)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
 		}()
 	}
+	run()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

@@ -77,7 +77,7 @@ func TestChaosCorruptionAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("corruption killed the boot: %v", err)
 	}
-	if !s2.Ready() {
+	if !s2.isReady() {
 		t.Fatal("node did not reach ready")
 	}
 	if rep.Quarantined != 1 || !rep.Degraded || rep.Loaded != 2 {

@@ -242,7 +242,7 @@ func (s *Service) opStats(_ context.Context, body []byte) (any, error) {
 // curl) can tell a clean boot from a degraded one that quarantined
 // artifacts.
 func (s *Service) opHealthz(context.Context, []byte) (any, error) {
-	h, ready := s.Health()
+	h, ready := s.health()
 	if !ready {
 		return h, errNotReady
 	}

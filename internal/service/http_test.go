@@ -13,14 +13,21 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/serve"
 )
 
 // newTestServer spins up a Service with one deployed classification
-// model and one deployed regression model behind the HTTP handler.
+// model and one deployed regression model behind the HTTP handler,
+// with an ingest log for feedback.
 func newTestServer(t *testing.T) (*Service, *httptest.Server) {
 	t.Helper()
-	s := New(Options{Serve: serve.Options{Replicas: 1}})
+	w, err := ingest.Open(t.TempDir(), ingest.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	s := New(Options{Serve: serve.Options{Replicas: 1}, Ingest: w})
 	if _, err := s.Swap("errors", trainCCNN(t, core.ErrorClassification)); err != nil {
 		t.Fatal(err)
 	}
@@ -313,6 +320,14 @@ func TestHTTPErrorMapping(t *testing.T) {
 		}, http.StatusNotFound},
 		{"stats repeated query parameter", func() (*http.Response, error) {
 			return http.Get(srv.URL + "/v1/stats?model=errors&model=ghost")
+		}, http.StatusBadRequest},
+		{"ingest class out of range", func() (*http.Response, error) {
+			return http.Post(srv.URL+"/v1/ingest", "application/json",
+				strings.NewReader(`{"model":"errors","statement":"SELECT 1","class":7}`))
+		}, http.StatusBadRequest},
+		{"ingest negative class", func() (*http.Response, error) {
+			return http.Post(srv.URL+"/v1/ingest", "application/json",
+				strings.NewReader(`{"model":"errors","statement":"SELECT 1","class":-1}`))
 		}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {

@@ -12,7 +12,7 @@ import (
 
 // This file is how a store is read back into a registry — the one
 // implementation WarmBoot (a restart replaying its own store) and
-// SyncStore (a node converging on a store other nodes write) share:
+// syncStore (a node converging on a store other nodes write) share:
 // scan classifies the keys and parses live markers, install decodes,
 // validates and installs artifact versions, and every blob that fails
 // a check is quarantined the same way. The two callers differ only in

@@ -14,7 +14,7 @@ import (
 // TestReplayWarmBootMatchesSyncStore is the differential test behind
 // the shared store-replay code: a fresh Service that reads a populated
 // store back through WarmBoot, and one that reads an identical copy
-// back through SyncStore, must end in the same registry state — same
+// back through syncStore, must end in the same registry state — same
 // versions, holes, live versions, deploy options and generations, and
 // bit-identical predictions — first on an intact store, then with one
 // artifact corrupted, which both must quarantine identically.
@@ -40,7 +40,7 @@ func TestReplayWarmBootMatchesSyncStore(t *testing.T) {
 			}
 			synced := New(Options{Serve: serve.Options{Replicas: 1}, Store: syncStore})
 			defer synced.Close()
-			syncRep, err := synced.SyncStore()
+			syncRep, err := synced.syncStore()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -152,7 +152,7 @@ type entry struct {
 	live     atomic.Pointer[livePool]
 	// gen is the generation of the entry's current deployment — the
 	// cluster tie-breaker. A local Deploy persists gen+1 in its live
-	// marker; SyncStore applies a marker observed in a shared store only
+	// marker; syncStore applies a marker observed in a shared store only
 	// when its generation exceeds this one, so a node's own explicit
 	// deploys win ties against anything it merely observed. Guarded by
 	// mu.
@@ -246,9 +246,9 @@ func New(opts Options) *Service {
 	return s
 }
 
-// Ready reports whether the service finished warm-booting and is not
+// isReady reports whether the service finished warm-booting and is not
 // closed — the /v1/healthz contract.
-func (s *Service) Ready() bool {
+func (s *Service) isReady() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.ready.Load() && !s.closed
@@ -343,7 +343,7 @@ func (s *Service) Deploy(name string, version int) (ModelInfo, error) {
 	// Persist intent first: if the marker cannot be written the old
 	// pool keeps serving and the store never claims a deployment that
 	// did not happen. The marker carries the next generation: in a
-	// shared store this is what lets other nodes' SyncStore adopt the
+	// shared store this is what lets other nodes' syncStore adopt the
 	// deploy, and what makes this node's own deploys win generation
 	// ties against markers it merely observed.
 	if s.opts.Store != nil {
@@ -523,13 +523,19 @@ func (s *Service) sampleIngest(stmt string, pr *Prediction) {
 // label (raw units) in value. Observed records are what the online
 // pipeline fine-tunes and canary-gates on. The model must be
 // registered; the service must have an ingest log (ErrNoIngest
-// otherwise).
+// otherwise). A class outside [0, NumClasses) of a classification
+// model matches ErrBadRequest and is not logged: no learner could
+// train on it.
 func (s *Service) Observe(name, stmt string, class int, value float64) error {
 	if s.opts.Ingest == nil {
 		return ErrNoIngest
 	}
-	if _, err := s.entry(name); err != nil {
+	e, err := s.entry(name)
+	if err != nil {
 		return err
+	}
+	if n := e.task.NumClasses(); e.task.IsClassification() && (class < 0 || class >= n) {
+		return badRequestError{fmt.Errorf("service: observe %q: class %d outside [0, %d)", name, class, n)}
 	}
 	if err := s.logIngest(ingest.Observed, name, stmt, class, value); err != nil {
 		return fmt.Errorf("service: observe %q: %w", name, err)
@@ -804,16 +810,10 @@ func (r *BootReport) detailf(format string, args ...any) {
 	r.Details = append(r.Details, fmt.Sprintf(format, args...))
 }
 
-// BootReport returns the report of the completed WarmBoot, or nil if
-// no warm boot has run.
-func (s *Service) BootReport() *BootReport {
-	return s.boot.Load()
-}
-
 // WarmBoot replays the configured store into an empty registry: every
 // persisted version is decoded (checksums verified) and reinstalled
 // under its original version number, and each model's recorded live
-// deployment is restarted. On success the service reports Ready.
+// deployment is restarted. On success /v1/healthz reports ready.
 // Models never deployed stay registered but cold, exactly as before
 // the restart; rollback to any persisted version keeps working because
 // all intact versions are reloaded, not just the live ones.

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/serve"
 	"repro/internal/synth"
 	"repro/internal/workload"
@@ -349,6 +351,49 @@ func TestRegressionPrediction(t *testing.T) {
 	again, err := s.PredictInto(context.Background(), "rows", stmt, nil)
 	if err != nil || again.Raw != pr.Raw {
 		t.Fatalf("PredictInto raw = %v, %v", again.Raw, err)
+	}
+}
+
+// TestObserveRejectsClassOutOfRange checks that feedback carrying a
+// class the model cannot have is refused as the caller's mistake —
+// ErrBadRequest, 400 on both transports — and never reaches the ingest
+// log, where the online learner would train on it; a valid class and
+// any class sent for a regression model (which ignores it) are logged.
+func TestObserveRejectsClassOutOfRange(t *testing.T) {
+	w, err := ingest.Open(t.TempDir(), ingest.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	s := New(Options{Serve: serve.Options{Replicas: 1}, Ingest: w})
+	defer s.Close()
+	if _, err := s.Swap("errors", trainCCNN(t, core.ErrorClassification)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Swap("rows", trainCCNN(t, core.AnswerSizePrediction)); err != nil {
+		t.Fatal(err)
+	}
+	n := core.ErrorClassification.NumClasses()
+	for _, class := range []int{-1, n, 7} {
+		err := s.Observe("errors", "SELECT 1", class, 0)
+		if !errors.Is(err, ErrBadRequest) || StatusFor(err) != http.StatusBadRequest {
+			t.Fatalf("Observe(class %d) = %v, want ErrBadRequest (400)", class, err)
+		}
+	}
+	for _, obs := range []struct {
+		model string
+		class int
+	}{{"errors", 0}, {"errors", n - 1}, {"rows", 7}} {
+		if err := s.Observe(obs.model, "SELECT 1", obs.class, 3); err != nil {
+			t.Fatalf("Observe(%s, class %d): %v", obs.model, obs.class, err)
+		}
+	}
+	snap, err := s.StatsSnapshot("errors")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Online.Observed != 3 || snap.Online.Dropped != 0 {
+		t.Fatalf("ingest counters = %+v, want 3 observed, 0 dropped", *snap.Online)
 	}
 }
 

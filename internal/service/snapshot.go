@@ -84,14 +84,14 @@ type Health struct {
 	Boot   *BootReport `json:"boot,omitempty"`
 }
 
-// Health reports the service's readiness state and whether it is ready
+// health reports the service's readiness state and whether it is ready
 // to take traffic (the HTTP handler maps ready=false onto a 503, the
 // wire server onto a typed unavailable error).
-func (s *Service) Health() (Health, bool) {
-	if !s.Ready() {
-		return Health{Status: "warming up", Boot: s.BootReport()}, false
+func (s *Service) health() (Health, bool) {
+	if !s.isReady() {
+		return Health{Status: "warming up", Boot: s.boot.Load()}, false
 	}
-	h := Health{Status: "ok", Boot: s.BootReport()}
+	h := Health{Status: "ok", Boot: s.boot.Load()}
 	if h.Boot != nil && h.Boot.Degraded {
 		h.Status = "degraded"
 	}

@@ -173,13 +173,13 @@ func TestPersistenceRestart(t *testing.T) {
 	stmts := testStatements(20)
 
 	s1 := New(opts)
-	if s1.Ready() {
+	if s1.isReady() {
 		t.Fatal("store-backed service claims ready before WarmBoot")
 	}
 	if _, err := s1.WarmBoot(); err != nil {
 		t.Fatal(err)
 	}
-	if !s1.Ready() {
+	if !s1.isReady() {
 		t.Fatal("not ready after empty-store WarmBoot")
 	}
 	m := trainCCNN(t, core.ErrorClassification)
@@ -224,14 +224,14 @@ func TestPersistenceRestart(t *testing.T) {
 	}
 	s2 := New(Options{Serve: serve.Options{Replicas: 1}, Store: store2})
 	defer s2.Close()
-	if s2.Ready() {
+	if s2.isReady() {
 		t.Fatal("restarted service claims ready before WarmBoot")
 	}
 	rep, err := s2.WarmBoot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s2.Ready() {
+	if !s2.isReady() {
 		t.Fatal("not ready after WarmBoot")
 	}
 	if rep.Degraded || len(rep.Details) != 0 {
@@ -333,7 +333,7 @@ func TestWarmBootValidation(t *testing.T) {
 	if !rep3.Degraded || rep3.Quarantined != 1 || rep3.Loaded != 0 {
 		t.Fatalf("boot report = %+v, want degraded, quarantined=1", rep3)
 	}
-	if !s3.Ready() {
+	if !s3.isReady() {
 		t.Fatal("degraded boot did not reach ready")
 	}
 	if models := s3.Models(); len(models) != 0 {
@@ -392,7 +392,7 @@ func TestWarmBootValidation(t *testing.T) {
 	if !rep5.Degraded || len(rep5.Deployed) != 0 {
 		t.Fatalf("boot report = %+v, want degraded with no deployments", rep5)
 	}
-	if !s5.Ready() {
+	if !s5.isReady() {
 		t.Fatal("node with lost deployment did not reach ready")
 	}
 }
@@ -545,24 +545,24 @@ func TestPerModelAdmissionQuota(t *testing.T) {
 	ctx := context.Background()
 
 	// With the quota model's single replica on loan, a burst of 60
-	// one-statement requests has room for one waiter in its 1-deep
-	// queue, so the quota model must reject — whatever GOMAXPROCS is;
-	// the open model's pool is not the one saturated, so it still
-	// answers.
-	holder, refused := make(chan error, 1), make(chan error, 1)
+	// concurrent one-statement callers has room for one waiter in its
+	// 1-deep queue, so the quota model must reject — whatever GOMAXPROCS
+	// is; the open model's pool is not the one saturated, so it still
+	// answers. (The burst is 60 callers, not one 60-statement batch: a
+	// batch runs its requests on at most Replicas goroutines, so it
+	// never has more of them waiting than it could run.)
+	holder, burst := make(chan error, 1), make(chan error, 60)
 	go func() {
 		_, err := s.Predict(ctx, "quota", gate)
 		holder <- err
 	}()
 	<-entered
-	burst := make([]string, 60)
-	for i := range burst {
-		burst[i] = stmts[i%len(stmts)]
+	for i := range cap(burst) {
+		go func() {
+			_, err := s.Predict(ctx, "quota", stmts[i%len(stmts)])
+			burst <- err
+		}()
 	}
-	go func() {
-		_, err := s.PredictBatch(ctx, "quota", burst)
-		refused <- err
-	}()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
 		quota, err := s.StatsSnapshot("quota")
 		if err != nil {
@@ -572,7 +572,7 @@ func TestPerModelAdmissionQuota(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("quota model never rejected a 60-request burst into a 1-deep queue behind a busy replica")
+			t.Fatal("quota model never rejected a burst of 60 callers into a 1-deep queue behind a busy replica")
 		}
 	}
 	if _, err := s.Predict(ctx, "open", stmts[1]); err != nil {
@@ -582,8 +582,14 @@ func TestPerModelAdmissionQuota(t *testing.T) {
 	if err := <-holder; err != nil {
 		t.Fatal(err)
 	}
-	if err := <-refused; !errors.Is(err, serve.ErrQueueFull) {
-		t.Fatalf("burst err = %v, want ErrQueueFull", err)
+	refused := 0
+	for range cap(burst) {
+		switch err := <-burst; {
+		case errors.Is(err, serve.ErrQueueFull):
+			refused++
+		case err != nil:
+			t.Fatalf("burst caller: err = %v, want nil or ErrQueueFull", err)
+		}
 	}
 
 	quota, err := s.StatsSnapshot("quota")
@@ -598,8 +604,8 @@ func TestPerModelAdmissionQuota(t *testing.T) {
 	if ostats.Rejected != 0 {
 		t.Fatalf("open model attributed %d rejections", ostats.Rejected)
 	}
-	if qs.Rejected == 0 {
-		t.Fatal("callers saw ErrQueueFull but the quota model's stats attribute none")
+	if qs.Rejected == 0 || qs.Rejected != uint64(refused) {
+		t.Fatalf("%d callers saw ErrQueueFull but the quota model's stats attribute %d", refused, qs.Rejected)
 	}
 	t.Logf("quota model attributed %d rejections; open model 0", qs.Rejected)
 }

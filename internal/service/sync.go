@@ -9,14 +9,14 @@ import (
 
 // This file is the shared-store control plane: nodes that point at the
 // same store directory converge on one registry state without any RPC
-// between them. Each SyncStore pass re-lists the store, installs
+// between them. Each syncStore pass re-lists the store, installs
 // artifact versions this node has not seen, and adopts live markers
 // written by other nodes — but only when the marker's generation
 // exceeds the entry's (see entry.gen), so a node's own explicit
 // deploys always win ties. Damage discovered mid-sync gets exactly
 // WarmBoot's quarantine treatment.
 
-// SyncReport summarizes one SyncStore pass. The zero value means "no
+// SyncReport summarizes one syncStore pass. The zero value means "no
 // change observed".
 type SyncReport struct {
 	// Loaded counts artifact versions newly installed this pass.
@@ -49,7 +49,7 @@ func (r *SyncReport) detailf(format string, args ...any) {
 	r.Details = append(r.Details, fmt.Sprintf(format, args...))
 }
 
-// SyncStore performs one convergence pass against the store: it
+// syncStore performs one convergence pass against the store: it
 // installs artifact versions registered by other nodes (creating
 // registry entries for models this node has never seen), and applies
 // live markers whose generation is newer than the local entry's.
@@ -60,7 +60,7 @@ func (r *SyncReport) detailf(format string, args ...any) {
 //
 // A no-op on a storeless service. Safe for concurrent use with every
 // other Service method.
-func (s *Service) SyncStore() (*SyncReport, error) {
+func (s *Service) syncStore() (*SyncReport, error) {
 	rep := &SyncReport{}
 	if s.opts.Store == nil {
 		return rep, nil
@@ -135,7 +135,7 @@ func (s *Service) adopt(rep *SyncReport, e *entry, rec liveRecord) error {
 	return nil
 }
 
-// WatchStore starts a background goroutine that runs SyncStore every
+// WatchStore starts a background goroutine that runs syncStore every
 // interval — the poll loop that makes serviced nodes sharing one store
 // directory converge without a control plane. logf (optional) receives
 // one line per pass that changed anything and one per sync error. The
@@ -159,7 +159,7 @@ func (s *Service) WatchStore(interval time.Duration, logf func(format string, ar
 				return
 			case <-ticker.C:
 			}
-			rep, err := s.SyncStore()
+			rep, err := s.syncStore()
 			if err != nil {
 				if errors.Is(err, ErrClosed) {
 					return

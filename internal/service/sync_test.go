@@ -62,7 +62,7 @@ func TestSyncConvergence(t *testing.T) {
 		t.Fatal("node B served a model it never synced")
 	}
 
-	rep, err := b.SyncStore()
+	rep, err := b.syncStore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestSyncConvergence(t *testing.T) {
 	}
 
 	// A second pass is a no-op: same marker generation, nothing new.
-	rep, err = b.SyncStore()
+	rep, err = b.syncStore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestSyncFollowsRedeploy(t *testing.T) {
 	if _, err := a.Swap("m", m); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.SyncStore(); err != nil {
+	if _, err := b.syncStore(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -120,7 +120,7 @@ func TestSyncFollowsRedeploy(t *testing.T) {
 	if _, err := a.Swap("m", m2); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := b.SyncStore()
+	rep, err := b.syncStore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestSyncLocalWinsTies(t *testing.T) {
 	if _, err := a.Register("m", m2); err != nil { // v2, not deployed
 		t.Fatal(err)
 	}
-	if _, err := b.SyncStore(); err != nil { // B at gen 1, serving v1
+	if _, err := b.syncStore(); err != nil { // B at gen 1, serving v1
 		t.Fatal(err)
 	}
 
@@ -168,7 +168,7 @@ func TestSyncLocalWinsTies(t *testing.T) {
 	if err := b.opts.Store.Put(liveKey("m"), rec); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := b.SyncStore()
+	rep, err := b.syncStore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestSyncLocalWinsTies(t *testing.T) {
 	if err := b.opts.Store.Put(liveKey("m"), rec); err != nil {
 		t.Fatal(err)
 	}
-	rep, err = b.SyncStore()
+	rep, err = b.syncStore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestSyncQuarantinesDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := b.SyncStore()
+	rep, err := b.syncStore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestParentFormatStore(t *testing.T) {
 
 	b := New(Options{Serve: serve.Options{Replicas: 1}, Store: store})
 	defer b.Close()
-	srep, err := b.SyncStore()
+	srep, err := b.syncStore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestParentFormatStore(t *testing.T) {
 		t.Fatalf("second node's sync = %+v", srep)
 	}
 	predictsLike(b)
-	if again, err := a.SyncStore(); err != nil || again.Changed() {
+	if again, err := a.syncStore(); err != nil || again.Changed() {
 		t.Fatalf("first node's next sync = %+v, %v; want nothing applied", again, err)
 	}
 }

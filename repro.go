@@ -190,7 +190,7 @@ type OnlineOptions = online.Options
 // canaries it on held-out recent traffic, deploys only gated
 // improvements, and rolls back a swap whose live metrics regress. All
 // decisions are persisted in the Service's Store, so they survive
-// restarts and propagate through WarmBoot/SyncStore.
+// restarts and propagate through WarmBoot/WatchStore.
 func StartOnline(opts OnlineOptions) (*online.Pipeline, error) {
 	return online.Start(opts)
 }

@@ -36,9 +36,9 @@ var pinnedMethods = map[string][]string{
 		"Close", "Model", "PredictLogBatchCtx", "PredictLogCtx", "ProbsBatchCtx", "ProbsIntoCtx", "Stats",
 	},
 	"repro/internal/service.Service": {
-		"BootReport", "Close", "Control", "Deploy", "GC", "Health", "LiveVersion", "Models", "Observe",
-		"Predict", "PredictBatch", "PredictInto", "Ready", "Register", "SetOnlineStats", "StatsSnapshot",
-		"Swap", "SyncStore", "VersionModel", "WarmBoot", "WatchStore",
+		"Close", "Control", "Deploy", "GC", "LiveVersion", "Models", "Observe", "Predict", "PredictBatch",
+		"PredictInto", "Register", "SetOnlineStats", "StatsSnapshot", "Swap", "VersionModel", "WarmBoot",
+		"WatchStore",
 	},
 }
 
