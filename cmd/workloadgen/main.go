@@ -11,9 +11,12 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/sqlparse"
@@ -48,7 +51,8 @@ func main() {
 	fmt.Printf("%s workload: %d unique statements\n\n", *kind, n)
 
 	fmt.Println("Statement types:")
-	for typ, count := range a.StatementTypes {
+	for _, typ := range byCount(a.StatementTypes) {
+		count := a.StatementTypes[typ]
 		fmt.Printf("    %-8s %7d (%.2f%%)\n", typ, count, 100*float64(count)/float64(n))
 	}
 	fmt.Println("\nError classes:")
@@ -86,12 +90,28 @@ func main() {
 	}
 }
 
-func writeTSV(path string, w *workload.Workload) error {
+// byCount returns counts' keys by count, largest first, then by key, so
+// the listing is the same on every run.
+func byCount(counts map[string]int) []string {
+	keys := slices.Collect(maps.Keys(counts))
+	slices.SortFunc(keys, func(a, b string) int {
+		return cmp.Or(cmp.Compare(counts[b], counts[a]), strings.Compare(a, b))
+	})
+	return keys
+}
+
+// writeTSV writes the items to path. A failed write, flush or close is
+// an error: the file would be truncated.
+func writeTSV(path string, w *workload.Workload) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	bw := bufio.NewWriter(f)
 	fmt.Fprintln(bw, "statement\terror_class\tanswer_size\tcpu_time\telapsed\tsession_class\tuser\trepeats")
 	for _, item := range w.Items {

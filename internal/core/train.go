@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/lazyrand"
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/sqllex"
@@ -139,8 +140,9 @@ func encodeAll(enc *sqllex.Encoder, items []workload.Item) [][]int {
 //     epoch shuffles and in example order — the stream training has
 //     used since before the engine existed, bit for bit.
 //   - Workers > 1 derives each example's dropout RNG from (Seed, epoch,
-//     batch slot), so dropout masks do not depend on the worker count
-//     or goroutine scheduling. For a fixed worker count results are
+//     batch slot): math/rand's stream for that seed, seeded in O(1) by
+//     lazyrand. Dropout masks do not depend on the worker count or
+//     goroutine scheduling. For a fixed worker count results are
 //     fully deterministic; across different worker counts (including
 //     vs. Workers == 1 with dropout disabled) final weights agree up to
 //     floating-point summation order (~1e-12 per step).
@@ -207,7 +209,7 @@ func (t Trainer) run(n int, rng *rand.Rand, opt *nn.Optimizer, params []*nn.Para
 	rngs := make([]*rand.Rand, workers)
 	for w := range state {
 		state[w] = newWorker(w)
-		rngs[w] = rand.New(rand.NewSource(0))
+		rngs[w] = rand.New(lazyrand.New(0)) // reseeded per example: O(1) seeds
 	}
 	// One job closure reused for every batch; the loop variables it
 	// captures are updated only while no worker runs.

@@ -1,11 +1,12 @@
 package simdb
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 
+	"repro/internal/lazyrand"
 	"repro/internal/sqlparse"
 )
 
@@ -81,13 +82,14 @@ func NewEngine(cat *Catalog) *Engine {
 // Execute parses, analyzes, and "runs" a raw statement, producing its
 // ground-truth labels.
 func (en *Engine) Execute(query string) Result {
-	rng := queryRand(query)
 	stmts, err := sqlparse.Parse(query)
 	if err != nil {
 		// Rejected by the portal: the statement never reaches the
-		// database (the paper's severe class).
+		// database (the paper's severe class), so it draws no noise.
 		return Result{Error: Severe, AnswerSize: -1, CPUTime: 0}
 	}
+	rng := queryRand(query)
+	defer queryRands.Put(rng)
 	scale := en.CostScale
 	if scale <= 0 {
 		scale = 1
@@ -246,12 +248,24 @@ func (o *Optimizer) EstimateCost(query string) float64 {
 	return total
 }
 
-// queryRand returns a PRNG seeded by the FNV-1a hash of the query text,
-// making all simulated noise deterministic per statement.
+// queryRands holds math/rand streams over lazily seeded sources, so a
+// statement's stream allocates nothing and its seed computes only the
+// register words its few draws read.
+var queryRands = sync.Pool{New: func() any { return rand.New(lazyrand.New(0)) }}
+
+// queryRand returns a PRNG seeded by the 64-bit FNV-1a hash of the
+// query text, making all simulated noise deterministic per statement:
+// the stream rand.NewSource would give that seed. Put it back in
+// queryRands when done.
 func queryRand(query string) *rand.Rand {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(query))
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(query); i++ {
+		h ^= uint64(query[i])
+		h *= 1099511628211
+	}
+	rng := queryRands.Get().(*rand.Rand)
+	rng.Seed(int64(h))
+	return rng
 }
 
 // lognoise draws a multiplicative log-normal noise factor e^{sigma*Z}.

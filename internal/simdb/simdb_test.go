@@ -1,6 +1,7 @@
 package simdb
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"strings"
 	"testing"
@@ -371,5 +372,26 @@ func TestAnswerMonotoneInRangeWidth(t *testing.T) {
 	if narrow.AnswerSize >= wide.AnswerSize {
 		t.Fatalf("narrow range (%d) should return fewer rows than wide (%d)",
 			narrow.AnswerSize, wide.AnswerSize)
+	}
+}
+
+// TestQueryRandMatchesFNVSeed: a statement's noise stream is
+// math/rand's stream seeded with the 64-bit FNV-1a hash of its text,
+// also when the pooled stream it reuses was drawn from before.
+func TestQueryRandMatchesFNVSeed(t *testing.T) {
+	for _, q := range []string{"", "SELECT 1", "select top 10 * from PhotoObj where ra > 180", strings.Repeat("x", 5000)} {
+		h := fnv.New64a()
+		h.Write([]byte(q))
+		want := rand.New(rand.NewSource(int64(h.Sum64())))
+		for round := 0; round < 2; round++ {
+			got := queryRand(q)
+			for d := 0; d < 700; d++ {
+				if w, g := want.Float64(), got.Float64(); w != g {
+					t.Fatalf("%q round %d draw %d: %v, want %v", q, round, d, g, w)
+				}
+			}
+			queryRands.Put(got)
+			want.Seed(int64(h.Sum64()))
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"repro/internal/lazyrand"
 	"repro/internal/simdb"
 	"repro/internal/workload"
 )
@@ -48,8 +49,9 @@ type SDSSGenerator struct {
 	catalog *simdb.Catalog
 	engine  *simdb.Engine
 	rng     *rand.Rand
-	popular []string // shared pool of popular exact statements
-	hotIDs  []string // famous objects everyone looks up
+	session *rand.Rand // reseeded from rng per session; lazily seeded
+	popular []string   // shared pool of popular exact statements
+	hotIDs  []string   // famous objects everyone looks up
 }
 
 // NewSDSS creates a generator with its own catalog and engine.
@@ -66,6 +68,7 @@ func NewSDSS(cfg SDSSConfig) *SDSSGenerator {
 		catalog: cat,
 		engine:  simdb.NewEngine(cat),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		session: rand.New(lazyrand.New(0)),
 	}
 	g.buildPopularPool()
 	return g
@@ -119,7 +122,8 @@ func (g *SDSSGenerator) GenerateLog() []workload.RawEntry {
 		hits := 1 + g.rng.Intn(g.cfg.HitsPerSessionMax)
 		// Bots repeat one template within a session with fresh
 		// constants; humans write each query independently.
-		b := &queryBuilder{rng: rand.New(rand.NewSource(g.rng.Int63()))}
+		g.session.Seed(g.rng.Int63())
+		b := &queryBuilder{rng: g.session}
 		var botTemplate func(*queryBuilder) string
 		if class == workload.Bot {
 			botTemplate = g.botTemplates()[g.rng.Intn(len(g.botTemplates()))]
