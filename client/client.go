@@ -416,12 +416,12 @@ func (c *Client) probeNode(ctx context.Context, n *node) (degraded bool, err err
 	return false, nil
 }
 
-// control is one control-plane exchange against this node: the op's
-// wire frame, or its HTTP route. A GET carries its JSON body's fields
+// control is one control-plane exchange against this node: the op in
+// a wire control frame, or its HTTP route. A GET carries its JSON body's fields
 // as query parameters instead (the server's handler reverses this).
 func (n *node) control(ctx context.Context, op service.Op, body []byte) ([]byte, error) {
 	if n.wire != nil {
-		data, err := n.wire.Call(ctx, wire.MsgFor(op), body)
+		data, err := n.wire.Call(ctx, op, body)
 		return data, wireErr(err)
 	}
 	method, path := op.Route()

@@ -7,7 +7,10 @@ import (
 	"io"
 	"math"
 	"net"
+	"net/http"
 	"path/filepath"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -195,11 +198,12 @@ func fakeWireServer(t *testing.T) (addr string, conns *atomic.Int64) {
 						return // mid-request connection kill
 					}
 					// Regression predict reply: name "m", version 1,
-					// kind 0, log bits, raw bits.
+					// kind 0, count 1, log bits, raw bits.
 					body := binary.LittleEndian.AppendUint16(nil, 1)
 					body = append(body, 'm')
 					body = binary.LittleEndian.AppendUint32(body, 1)
 					body = append(body, 0)
+					body = binary.LittleEndian.AppendUint32(body, 1)
 					body = binary.LittleEndian.AppendUint64(body, math.Float64bits(2.5))
 					body = binary.LittleEndian.AppendUint64(body, math.Float64bits(12.5))
 					if _, err := nc.Write(wire.AppendFrame(nil, wire.MsgPredictReply, h.ID, body)); err != nil {
@@ -249,6 +253,68 @@ func TestWireTransportRetriesConnKill(t *testing.T) {
 	c2.Close()
 	if _, err := c2.Predict(context.Background(), "m", "SELECT 1"); !errors.Is(err, wire.ErrTransport) {
 		t.Fatalf("closed-client predict err = %v, want ErrTransport", err)
+	}
+}
+
+// TestWireOversizeRefused: a predict the wire frame cannot carry is
+// the 413 HTTP answers a body past the same cap, after one attempt —
+// not a dropped connection to retry, and no evidence against the node:
+// callers sharing the client keep being served and the breaker stays
+// closed.
+func TestWireOversizeRefused(t *testing.T) {
+	_, c := newWireService(t, "unix", Options{})
+	instantSleep(c)
+	ctx := context.Background()
+	huge := strings.Repeat("x", wire.DefaultMaxPayload+1)
+	is413 := func(err error) bool {
+		var apiErr *APIError
+		return errors.As(err, &apiErr) && apiErr.Status == http.StatusRequestEntityTooLarge
+	}
+
+	if _, err := c.Predict(ctx, "errors", huge); !is413(err) {
+		t.Fatalf("oversize predict err = %v, want *APIError{413}", err)
+	}
+	if brs := c.Breakers(); len(brs) != 1 || brs[0].Successes+brs[0].Failures != 1 || brs[0].Failures != 0 {
+		t.Fatalf("after one oversize predict: breakers %+v, want one attempt, no failure", brs)
+	}
+
+	stmt := testStatements(1)[0]
+	stop := make(chan struct{})
+	const callers = 4
+	errs := make(chan error, callers)
+	var wg sync.WaitGroup
+	for w := 0; w < callers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if _, err := c.Predict(ctx, "errors", stmt); err != nil {
+					errs <- err
+					return
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := c.Predict(ctx, "errors", huge); !is413(err) {
+			t.Errorf("oversize predict %d err = %v, want *APIError{413}", i, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Errorf("concurrent predict: %v", err)
+	}
+	for _, br := range c.Breakers() {
+		if br.State != BreakerClosed || br.Opened != 0 || br.Failures != 0 {
+			t.Fatalf("breaker %+v, want closed with no failures", br)
+		}
 	}
 }
 

@@ -15,14 +15,17 @@ import (
 // exposes besides the binary predict frames, which fields a request
 // must carry, how they are validated, which Service call runs, and
 // what shape answers. It lives here once. The HTTP handler maps
-// path+method onto an Op, the wire server maps a frame type onto an
-// Op, and both hand the JSON body to Control and encode whatever comes
+// path+method onto an Op, a wire control frame carries the Op itself,
+// and both hand the JSON body to Control and encode whatever comes
 // back — so the two transports cannot drift, and the typed client
 // builds its requests from the same exported shapes.
 
 // Op identifies one control-plane operation.
 type Op uint8
 
+// An Op's value is the op byte of a wire control frame, so peers built
+// at different commits must agree on it: a new op is appended before
+// numOps, and existing ones are never reordered or removed.
 const (
 	// OpModels lists registered models: no input, []ModelInfo out.
 	OpModels Op = iota
@@ -41,8 +44,8 @@ const (
 	// in, IngestResponse out.
 	OpIngest
 	// OpPredict is the JSON predict body: PredictRequest in,
-	// PredictResponse out. Only HTTP routes it; the wire transport's
-	// predict frames are a separate, binary, allocation-free format.
+	// PredictResponse out. The wire transport's predict frame is the
+	// same request in a binary, allocation-free format.
 	OpPredict
 	numOps
 )
@@ -173,30 +176,27 @@ type PredictResponse struct {
 	Results []Prediction `json:"results"`
 }
 
-// DeployRequest is the deploy body shared by POST /v1/deploy and the
-// wire transport's MsgDeploy payload: the model and an optional
-// version (0 = latest).
+// DeployRequest is the OpDeploy body, on either transport: the model
+// and an optional version (0 = latest).
 type DeployRequest struct {
 	Model   string `json:"model"`
 	Version int    `json:"version,omitempty"`
 }
 
-// StatsRequest names the model whose metrics are wanted: the query of
-// GET /v1/stats and the wire transport's MsgStats payload.
+// StatsRequest names the model whose metrics are wanted: the OpStats
+// body, which travels as the query of GET /v1/stats.
 type StatsRequest struct {
 	Model string `json:"model"`
 }
 
-// GCResponse is the retention-pass reply shared by POST /v1/admin/gc
-// and the wire transport's MsgGC.
+// GCResponse is the OpGC reply, on either transport.
 type GCResponse struct {
 	Results []GCResult `json:"results"`
 }
 
-// IngestRequest is the feedback body shared by POST /v1/ingest and the
-// wire transport's MsgIngest payload: a served statement and its
-// observed ground-truth outcome (class for classification tasks, value
-// in raw units for regression tasks).
+// IngestRequest is the OpIngest body, on either transport: a served
+// statement and its observed ground-truth outcome (class for
+// classification tasks, value in raw units for regression tasks).
 type IngestRequest struct {
 	Model     string  `json:"model"`
 	Statement string  `json:"statement"`

@@ -64,6 +64,22 @@ func decodeJSON[T any](t *testing.T, resp *http.Response) T {
 
 // TestHTTPPredictRoundTrip checks /v1/predict for classification and
 // regression, single and batch, against direct service calls.
+// TestOpValuesPinned: an Op's value is the wire control frame's op
+// byte, so renumbering one breaks every peer built before the change.
+func TestOpValuesPinned(t *testing.T) {
+	for op, want := range map[Op]uint8{
+		OpModels: 0, OpDeploy: 1, OpStats: 2, OpHealthz: 3, OpGC: 4, OpIngest: 5, OpPredict: 6,
+	} {
+		if uint8(op) != want {
+			method, path := op.Route()
+			t.Errorf("%s %s: op %d, want %d", method, path, op, want)
+		}
+	}
+	if numOps != 7 {
+		t.Errorf("%d ops, want 7: pin the new op's value here", numOps)
+	}
+}
+
 func TestHTTPPredictRoundTrip(t *testing.T) {
 	s, srv := newTestServer(t)
 	stmts := testStatements(5)

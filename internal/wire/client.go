@@ -5,7 +5,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,18 +93,18 @@ type call struct {
 	done chan struct{} // buffered(1); one signal per use
 
 	// Reply destinations, populated by the connection reader:
-	pred   service.Prediction
-	probs  []float64 // caller scratch in, decoded values out
-	preds  []service.Prediction
+	preds  []service.Prediction // one[:0] in, decoded predictions out
+	probs  []float64            // caller scratch in, decoded values out
+	one    [1]service.Prediction
 	js     []byte
 	srvErr *ServerError
 	err    error
 }
 
 func (ca *call) reset() {
-	ca.pred = service.Prediction{}
-	ca.probs = nil
+	ca.one[0] = service.Prediction{}
 	ca.preds = nil
+	ca.probs = nil
 	ca.js = nil
 	ca.srvErr = nil
 	ca.err = nil
@@ -213,9 +215,7 @@ func (cc *clientConn) intern(b []byte) string {
 func (cc *clientConn) decodeReply(ca *call, t MsgType, payload []byte) {
 	switch t {
 	case MsgPredictReply:
-		ca.probs, ca.err = decodePredictReply(payload, &ca.pred, ca.probs, cc.intern)
-	case MsgPredictBatchReply:
-		ca.preds, ca.err = decodePredictBatchReply(payload, cc.intern)
+		ca.preds, ca.probs, ca.err = decodePredictReply(payload, ca.preds, ca.probs, cc.intern)
 	case MsgJSON:
 		ca.js = append([]byte(nil), payload...)
 	case MsgError:
@@ -230,20 +230,27 @@ func (cc *clientConn) decodeReply(ca *call, t MsgType, payload []byte) {
 	}
 }
 
-// exchange is one request/reply: it sends a t frame whose payload enc
-// appends (given the deadline_ms service.DeadlineMs derives from ctx)
-// and waits for the reply, decoded into a pooled call. On success the
-// caller copies its result out of the call and recycles it; every
-// failure — expired ctx, dead transport, typed *ServerError reply —
-// comes back as the error with the call already recycled. enc is only
-// called, never retained, so callers' closures stay on their stacks.
-func (c *Client) exchange(ctx context.Context, t MsgType, probs []float64, enc func(dst []byte, deadlineMs uint32) []byte) (*call, error) {
+// exchange is one request/reply: it sends a t frame whose size-byte
+// payload enc appends (given the deadline_ms service.DeadlineMs
+// derives from ctx) and waits for the reply, decoded into a pooled
+// call. On success the caller copies its result out of the call and
+// recycles it; every failure — a payload no frame can carry, expired
+// ctx, dead transport, typed *ServerError reply — comes back as the
+// error with the call already recycled. enc is only called, never
+// retained, so callers' closures stay on their stacks.
+func (c *Client) exchange(ctx context.Context, t MsgType, size int, probs []float64, enc func(dst []byte, deadlineMs uint32) []byte) (*call, error) {
+	if size > DefaultMaxPayload {
+		// The server would drop the connection on this frame: refuse it
+		// here, with the status HTTP gives a body past the same cap.
+		return nil, &ServerError{Status: http.StatusRequestEntityTooLarge,
+			Message: fmt.Sprintf("%d-byte payload exceeds the %d-byte frame limit", size, DefaultMaxPayload)}
+	}
 	dl, err := service.DeadlineMs(ctx)
 	if err != nil {
 		return nil, err
 	}
 	ca := c.callPool.Get().(*call)
-	ca.probs = probs
+	ca.preds, ca.probs = ca.one[:0], probs
 	err = c.roundTrip(ctx, t, ca, dl, enc)
 	if err == nil {
 		err = ca.err
@@ -323,13 +330,11 @@ func (c *Client) roundTrip(ctx context.Context, t MsgType, ca *call, dl uint32, 
 // prediction's Probs field aliases the returned slice; pass it back in
 // on the next call for an allocation-free warm path.
 func (c *Client) PredictInto(ctx context.Context, model, stmt string, probs []float64) (service.Prediction, []float64, error) {
-	ca, err := c.exchange(ctx, MsgPredict, probs, func(dst []byte, dl uint32) []byte {
-		return appendPredictReq(dst, model, stmt, dl)
-	})
+	ca, err := c.predict(ctx, model, []string{stmt}, probs)
 	if err != nil {
 		return service.Prediction{}, probs, err
 	}
-	pr, out := ca.pred, ca.probs
+	pr, out := ca.preds[0], ca.probs
 	c.recycle(ca)
 	return pr, out, nil
 }
@@ -337,25 +342,48 @@ func (c *Client) PredictInto(ctx context.Context, model, stmt string, probs []fl
 // PredictBatch requests predictions for every statement in one frame;
 // the server fans the batch across its replica pool.
 func (c *Client) PredictBatch(ctx context.Context, model string, stmts []string) ([]service.Prediction, error) {
-	ca, err := c.exchange(ctx, MsgPredictBatch, nil, func(dst []byte, dl uint32) []byte {
-		return appendPredictBatchReq(dst, model, stmts, dl)
-	})
+	ca, err := c.predict(ctx, model, stmts, nil)
 	if err != nil {
 		return nil, err
 	}
 	preds := ca.preds
+	if len(preds) == 1 {
+		// Decoded into the call's own array, which goes back to the pool.
+		preds = []service.Prediction{preds[0]}
+	}
 	c.recycle(ca)
 	return preds, nil
 }
 
-// Call performs a control-plane request (stats, healthz, models,
-// deploy, gc, ingest): reqJSON is the request's JSON payload (nil for
-// the empty-bodied messages) and the reply document is returned.
+// predict exchanges one MsgPredict carrying stmts. A model name longer
+// than the frame's u16 length prefix is refused before any I/O as the
+// 400 it is, so it cannot wrap into a different request.
+func (c *Client) predict(ctx context.Context, model string, stmts []string, probs []float64) (*call, error) {
+	if len(model) > math.MaxUint16 {
+		return nil, &ServerError{Status: http.StatusBadRequest,
+			Message: fmt.Sprintf("%d-byte model name exceeds the frame's %d-byte limit", len(model), math.MaxUint16)}
+	}
+	ca, err := c.exchange(ctx, MsgPredict, predictReqLen(model, stmts), probs, func(dst []byte, dl uint32) []byte {
+		return appendPredictReq(dst, model, stmts, dl)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(ca.preds) != len(stmts) {
+		err = fmt.Errorf("%w: %d predictions for %d statements", ErrFormat, len(ca.preds), len(stmts))
+		c.recycle(ca)
+		return nil, err
+	}
+	return ca, nil
+}
+
+// Call performs a control-plane request: reqJSON is op's JSON body
+// (nil for the ops that take none) and the reply document is returned.
 // Control-plane requests rely on ctx alone; no deadline hint is sent.
 // Failures reported by the server are *ServerError.
-func (c *Client) Call(ctx context.Context, t MsgType, reqJSON []byte) ([]byte, error) {
-	ca, err := c.exchange(ctx, t, nil, func(dst []byte, _ uint32) []byte {
-		return append(dst, reqJSON...)
+func (c *Client) Call(ctx context.Context, op service.Op, reqJSON []byte) ([]byte, error) {
+	ca, err := c.exchange(ctx, MsgControl, 1+len(reqJSON), nil, func(dst []byte, _ uint32) []byte {
+		return appendControlReq(dst, op, reqJSON)
 	})
 	if err != nil {
 		return nil, err

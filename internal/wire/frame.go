@@ -18,12 +18,15 @@
 //	magic "RPW\x01" (u32) | version u8 | type u8 | reserved u16 = 0 |
 //	request id u64 | payload length u32 | payload
 //
-// Responses may arrive in any order; the request ID ties a reply frame
-// to its request. Control-plane messages (models, deploy, stats,
-// healthz, gc) carry JSON payloads — they are rare and share their
-// struct shapes with the HTTP handlers, so the two transports cannot
-// drift. The predict data plane is fully binary and allocation-free
-// warm on both sides via per-connection reused buffers.
+// Requests come in two shapes, as on HTTP: MsgPredict carries one or
+// more statements (one statement is a batch of one), and MsgControl
+// carries a service.Op byte and that op's JSON body, which the server
+// hands unchanged to service.Control — the op table HTTP routes to —
+// so the two transports cannot drift. Replies are MsgPredictReply,
+// MsgJSON or MsgError, and may arrive in any order; the request ID
+// ties a reply frame to its request. The predict data plane is fully
+// binary and allocation-free warm on both sides via per-connection
+// reused buffers.
 package wire
 
 import (
@@ -36,9 +39,10 @@ import (
 )
 
 // Version is the current protocol version. Both sides reject frames
-// from unknown versions with ErrVersion rather than guessing at their
-// layout.
-const Version = 1
+// from any other version with ErrVersion rather than guessing at their
+// layout. Version 1 had a message type per control op and separate
+// single and batch predict messages.
+const Version = 2
 
 // magic identifies a protocol frame ("RPW" + format generation 1).
 var magic = [4]byte{'R', 'P', 'W', 0x01}
@@ -49,7 +53,7 @@ const HeaderSize = 20
 // DefaultMaxPayload is the payload-length cap Server and Client apply
 // (the same cap the HTTP handler puts on request bodies). A frame
 // claiming more is rejected before any payload-sized allocation and
-// the connection is closed.
+// the connection is closed; the Client refuses to send one.
 const DefaultMaxPayload = service.MaxBodyBytes
 
 // Typed frame decode failures. All are wrapped with context; match
@@ -84,31 +88,14 @@ type MsgType uint8
 
 // Request message types (client → server).
 const (
-	// MsgPredict is a single prediction: binary payload
-	// model | deadline_ms | statement.
+	// MsgPredict asks for one prediction per statement: binary payload
+	// model | deadline_ms | count | count × statement. One statement is
+	// a batch of one.
 	MsgPredict MsgType = 0x01
-	// MsgPredictBatch is a batch prediction: binary payload
-	// model | deadline_ms | count | statements.
-	MsgPredictBatch MsgType = 0x02
-	// MsgStats requests a model's service metrics: JSON payload
-	// {"model": name}; reply is a MsgJSON service.StatsSnapshot.
-	MsgStats MsgType = 0x03
-	// MsgHealthz probes readiness: empty payload; reply is a MsgJSON
-	// service.Health, or a typed unavailable error while warming up.
-	MsgHealthz MsgType = 0x04
-	// MsgModels lists registered models: empty payload; reply is a
-	// MsgJSON []service.ModelInfo.
-	MsgModels MsgType = 0x05
-	// MsgDeploy deploys a model version: JSON payload matching the
-	// POST /v1/deploy body; reply is a MsgJSON service.ModelInfo.
-	MsgDeploy MsgType = 0x06
-	// MsgGC runs the retention pass: empty payload; reply is a MsgJSON
-	// {"results": [...]}.
-	MsgGC MsgType = 0x07
-	// MsgIngest logs ground-truth feedback for a served statement: JSON
-	// payload matching the POST /v1/ingest body; reply is a MsgJSON
-	// service.IngestResponse.
-	MsgIngest MsgType = 0x08
+	// MsgControl runs one control-plane operation: the first payload
+	// byte is the service.Op, the rest is that op's JSON body (empty for
+	// the ops that take none); the reply is a MsgJSON document.
+	MsgControl MsgType = 0x02
 )
 
 // Reply message types (server → client).
@@ -118,17 +105,16 @@ const (
 	// exact HTTP status service.StatusFor assigns the same error, so
 	// sentinel mapping is identical across transports.
 	MsgError MsgType = 0x20
-	// MsgPredictReply answers MsgPredict with a binary prediction.
+	// MsgPredictReply answers MsgPredict: binary payload
+	// name | version | kind | count | count × prediction.
 	MsgPredictReply MsgType = 0x21
-	// MsgPredictBatchReply answers MsgPredictBatch.
-	MsgPredictBatchReply MsgType = 0x22
-	// MsgJSON answers a control-plane request with a JSON document.
-	MsgJSON MsgType = 0x23
+	// MsgJSON answers MsgControl with a JSON document.
+	MsgJSON MsgType = 0x22
 )
 
 // validType reports whether t is a known message type.
 func validType(t MsgType) bool {
-	return (t >= MsgPredict && t <= MsgIngest) || (t >= MsgError && t <= MsgJSON)
+	return (t >= MsgPredict && t <= MsgControl) || (t >= MsgError && t <= MsgJSON)
 }
 
 // String names the message type for logs and errors.
@@ -136,26 +122,12 @@ func (t MsgType) String() string {
 	switch t {
 	case MsgPredict:
 		return "predict"
-	case MsgPredictBatch:
-		return "predict-batch"
-	case MsgStats:
-		return "stats"
-	case MsgHealthz:
-		return "healthz"
-	case MsgModels:
-		return "models"
-	case MsgDeploy:
-		return "deploy"
-	case MsgGC:
-		return "gc"
-	case MsgIngest:
-		return "ingest"
+	case MsgControl:
+		return "control"
 	case MsgError:
 		return "error"
 	case MsgPredictReply:
 		return "predict-reply"
-	case MsgPredictBatchReply:
-		return "predict-batch-reply"
 	case MsgJSON:
 		return "json-reply"
 	default:

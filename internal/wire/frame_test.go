@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -43,7 +44,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestBeginEndFrame(t *testing.T) {
-	buf := AppendFrame(nil, MsgHealthz, 1, nil) // prior frame in the buffer
+	buf := AppendFrame(nil, MsgControl, 1, nil) // prior frame in the buffer
 	start := len(buf)
 	buf = beginFrame(buf, MsgPredictReply, 7)
 	buf = append(buf, "payload bytes"...)
@@ -79,6 +80,7 @@ func TestFrameDecodeErrors(t *testing.T) {
 		{"short header", valid[:HeaderSize-1], ErrTruncated},
 		{"bad magic", corrupt(func(b []byte) { b[0] = 'X' }), ErrFormat},
 		{"bad version", corrupt(func(b []byte) { b[4] = 99 }), ErrVersion},
+		{"version 1", corrupt(func(b []byte) { b[4] = 1 }), ErrVersion},
 		{"unknown type", corrupt(func(b []byte) { b[5] = 0xEE }), ErrFormat},
 		{"reserved bits", corrupt(func(b []byte) { b[6] = 1 }), ErrFormat},
 		{"truncated payload", valid[:len(valid)-1], ErrTruncated},
@@ -132,8 +134,8 @@ func TestBatchReplyRowsShareOneSlab(t *testing.T) {
 		prs[i] = testPrediction()
 		prs[i].Probs = []float64{float64(i), 0.5, -float64(i)}
 	}
-	payload := appendPredictBatchReply(nil, prs)
-	got, err := decodePredictBatchReply(payload, intern)
+	payload := appendPredictReply(nil, prs)
+	got, _, err := decodePredictReply(payload, nil, nil, intern)
 	if err != nil || len(got) != len(prs) {
 		t.Fatalf("decode: %d predictions, %v", len(got), err)
 	}
@@ -152,14 +154,14 @@ func TestBatchReplyRowsShareOneSlab(t *testing.T) {
 		t.Fatal("an append on row 0 reached row 1")
 	}
 	if !raceEnabled {
-		if allocs := testing.AllocsPerRun(100, func() { decodePredictBatchReply(payload, intern) }); allocs != 2 {
+		if allocs := testing.AllocsPerRun(100, func() { decodePredictReply(payload, nil, nil, intern) }); allocs != 2 {
 			t.Errorf("decoding a 16-row reply: %v allocs, want 2 (predictions, row slab)", allocs)
 		}
 	}
 
 	prs[5].Probs = []float64{1, 2, 3, 4, 5}
 	prs[9].Probs = nil
-	got, err = decodePredictBatchReply(appendPredictBatchReply(nil, prs), intern)
+	got, _, err = decodePredictReply(appendPredictReply(nil, prs), nil, nil, intern)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,15 +179,16 @@ func TestBatchReplyRowsShareOneSlab(t *testing.T) {
 	// 16 000 rows claimed and a first row of 8 000 floats: each count
 	// passes its own check against the 64 KiB present, their product is
 	// a gigabyte. The slab is sized by what the payload can still hold.
-	evil := appendPredictBatchReply(nil, prs[:0])
-	evil[len(evil)-5] = kindClassification
-	binary.LittleEndian.PutUint32(evil[len(evil)-4:], 16000)
+	evil := appendString16(nil, "m")
+	evil = binary.LittleEndian.AppendUint32(evil, 3) // version
+	evil = append(evil, kindClassification)
+	evil = binary.LittleEndian.AppendUint32(evil, 16000)
 	evil = binary.LittleEndian.AppendUint32(evil, 0)    // class
 	evil = binary.LittleEndian.AppendUint32(evil, 8000) // row length
 	evil = append(evil, make([]byte, 64<<10)...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = decodePredictBatchReply(evil, intern)
+	_, _, err = decodePredictReply(evil, nil, nil, intern)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("row counts the payload cannot back: err = %v, want ErrTruncated", err)
@@ -225,22 +228,18 @@ func TestFrameReaderStream(t *testing.T) {
 	}
 }
 
-// FuzzFrameDecode hammers the frame decoder (and, for the binary
-// request/reply types, the payload decoders behind it) with corrupt
-// input: it must return typed errors, never panic, and never trust a
-// corrupt length claim.
+// FuzzFrameDecode hammers the frame decoder with corrupt input: it
+// must return typed errors, never panic, and never trust a corrupt
+// length claim. FuzzPayloadDecode does the same for what frames carry.
 func FuzzFrameDecode(f *testing.F) {
-	f.Add(AppendFrame(nil, MsgPredict, 1, appendPredictReq(nil, "m", "SELECT 1", 250)))
-	f.Add(AppendFrame(nil, MsgPredictBatch, 2, appendPredictBatchReq(nil, "m", []string{"a", "b"}, 0)))
-	pr := testPrediction()
-	f.Add(AppendFrame(nil, MsgPredictReply, 3, appendPredictReply(nil, &pr)))
-	f.Add(AppendFrame(nil, MsgError, 4, appendErrorReply(nil, 429, 1, "queue full")))
+	for _, seed := range payloadSeeds() {
+		f.Add(AppendFrame(nil, seed.t, 1, seed.p))
+	}
 	f.Add([]byte("RPW\x01garbage"))
 	evil := AppendFrame(nil, MsgPredict, 5, nil)
 	binary.LittleEndian.PutUint32(evil[16:], 0xFFFFFFFF)
 	f.Add(evil)
 
-	intern := func(b []byte) string { return string(b) }
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, payload, rest, err := DecodeFrame(data, 1<<16)
 		if err != nil {
@@ -259,19 +258,83 @@ func FuzzFrameDecode(f *testing.F) {
 		if !bytes.Equal(re, data[:HeaderSize+h.Len]) {
 			t.Fatal("re-encoded frame differs from input")
 		}
-		// The payload decoders must hold the same never-panic contract.
-		switch h.Type {
-		case MsgPredict:
-			decodePredictReq(payload)
-		case MsgPredictBatch:
-			decodePredictBatchReq(payload, nil)
-		case MsgPredictReply:
-			var dst service.Prediction
-			decodePredictReply(payload, &dst, nil, intern)
-		case MsgPredictBatchReply:
-			decodePredictBatchReply(payload, intern)
-		case MsgError:
-			decodeErrorReply(payload)
+	})
+}
+
+// payloadSeeds are encoder output for each payload shape: one
+// statement, a batch of 16, a regression reply, a classification
+// reply, and an error.
+func payloadSeeds() []struct {
+	t MsgType
+	p []byte
+} {
+	batch := make([]string, 16)
+	for i := range batch {
+		batch[i] = fmt.Sprintf("SELECT %d FROM t", i)
+	}
+	reg := service.Prediction{Name: "cpu", Version: 2, Log: -1.5, Raw: 0.03}
+	return []struct {
+		t MsgType
+		p []byte
+	}{
+		{MsgPredict, appendPredictReq(nil, "m", []string{"SELECT 1"}, 250)},
+		{MsgPredict, appendPredictReq(nil, "m", batch, 0)},
+		{MsgPredictReply, appendPredictReply(nil, []service.Prediction{reg})},
+		{MsgPredictReply, appendPredictReply(nil, []service.Prediction{testPrediction(), testPrediction()})},
+		{MsgError, appendErrorReply(nil, 429, 1, "queue full")},
+		{MsgControl, appendControlReq(nil, service.OpStats, []byte(`{"model":"m"}`))},
+	}
+}
+
+// FuzzPayloadDecode runs arbitrary bytes through every payload decoder:
+// none may panic, none may allocate more than the payload can back,
+// and whatever decodes must re-encode to the same bytes.
+func FuzzPayloadDecode(f *testing.F) {
+	for _, seed := range payloadSeeds() {
+		f.Add(seed.p)
+	}
+	intern := func(b []byte) string { return string(b) }
+	f.Fuzz(func(t *testing.T, p []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		model, dl, stmts, reqErr := decodePredictReq(p, nil)
+		preds, _, replyErr := decodePredictReply(p, nil, nil, intern)
+		status, retry, msg, errErr := decodeErrorReply(p)
+		op, body, ctlErr := decodeControlReq(p)
+		runtime.ReadMemStats(&after)
+		// Statement views and predictions are sized by counts the payload
+		// backs at 4 bytes an item, the message is copied: tens of bytes
+		// per payload byte, never a count times a row length.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(256*len(p))+64<<10 {
+			t.Fatalf("decoding a %d-byte payload allocated %d bytes", len(p), grew)
+		}
+
+		var re [][]byte
+		if reqErr == nil {
+			strs := make([]string, len(stmts))
+			for i, s := range stmts {
+				strs[i] = string(s)
+			}
+			re = append(re, appendPredictReq(nil, string(model), strs, dl))
+		}
+		if replyErr == nil {
+			re = append(re, appendPredictReply(nil, preds))
+		}
+		if errErr == nil {
+			re = append(re, appendErrorReply(nil, status, retry, msg))
+		}
+		if ctlErr == nil {
+			re = append(re, appendControlReq(nil, op, body))
+		}
+		for _, b := range re {
+			if !bytes.Equal(b, p) {
+				t.Fatalf("re-encoded payload differs from input\nin:  %x\nout: %x", p, b)
+			}
+		}
+		for _, err := range []error{reqErr, replyErr, errErr, ctlErr} {
+			if err != nil && !errors.Is(err, ErrFormat) && !errors.Is(err, ErrTruncated) {
+				t.Fatalf("untyped payload error %v", err)
+			}
 		}
 	})
 }

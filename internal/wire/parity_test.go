@@ -167,7 +167,7 @@ func wireExchange(t *testing.T, cl *Client, op service.Op, body string) (int, in
 	if body != "" {
 		payload = []byte(body)
 	}
-	js, err := cl.Call(context.Background(), MsgFor(op), payload)
+	js, err := cl.Call(context.Background(), op, payload)
 	if err == nil {
 		return http.StatusOK, 0, append(js, '\n') // json.Encoder terminates documents
 	}

@@ -10,14 +10,15 @@ import (
 
 // Payload layouts (all little-endian, strings length-prefixed):
 //
-//	MsgPredict:           model u16+bytes | deadline_ms u32 | statement u32+bytes
-//	MsgPredictBatch:      model u16+bytes | deadline_ms u32 | count u32 | count × (statement u32+bytes)
-//	MsgPredictReply:      name u16+bytes | version u32 | kind u8 |
-//	                        kind 1 (classification): class u32 | n u32 | n × f64 bits
-//	                        kind 0 (regression):     log f64 bits | raw f64 bits
-//	MsgPredictBatchReply: name u16+bytes | version u32 | kind u8 | count u32 | count × item
-//	MsgError:             status u16 | retry-after seconds u16 | message u32+bytes
+//	MsgPredict:      model u16+bytes | deadline_ms u32 | count u32 | count × (statement u32+bytes)
+//	MsgControl:      op u8 | JSON body
+//	MsgPredictReply: name u16+bytes | version u32 | kind u8 | count u32 | count × item
+//	                   kind 1 (classification) item: class u32 | n u32 | n × f64 bits
+//	                   kind 0 (regression) item:     log f64 bits | raw f64 bits
+//	MsgError:        status u16 | retry-after seconds u16 | message u32+bytes
 //
+// Counts are at least 1. A request's predictions all run on one
+// snapshot, so a reply ships name, version, and kind once.
 // Probabilities travel as raw IEEE-754 bit patterns (the artifact
 // format's idiom), so a prediction served over the wire is bit-
 // identical to the same prediction read off the pool directly.
@@ -27,13 +28,14 @@ const (
 	kindClassification = 1
 )
 
-// maxStatements caps the statement count one batch request may claim;
+// maxStatements caps the statement count one predict request may claim;
 // an honest count also fits the payload (each statement costs at least
 // its 4-byte length prefix), which decode enforces before allocating.
 const maxStatements = 1 << 20
 
 // appendString16 appends a u16-length-prefixed string (model and
-// registry names; their length is bounded far below 64KiB).
+// registry names; the client refuses a longer model name before
+// encoding it).
 func appendString16(dst []byte, s string) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
 	return append(dst, s...)
@@ -45,15 +47,17 @@ func appendString32(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// appendPredictReq encodes a MsgPredict payload.
-func appendPredictReq(dst []byte, model, stmt string, deadlineMs uint32) []byte {
-	dst = appendString16(dst, model)
-	dst = binary.LittleEndian.AppendUint32(dst, deadlineMs)
-	return appendString32(dst, stmt)
+// predictReqLen is the length of the payload appendPredictReq encodes.
+func predictReqLen(model string, stmts []string) int {
+	n := 2 + len(model) + 4 + 4
+	for _, s := range stmts {
+		n += 4 + len(s)
+	}
+	return n
 }
 
-// appendPredictBatchReq encodes a MsgPredictBatch payload.
-func appendPredictBatchReq(dst []byte, model string, stmts []string, deadlineMs uint32) []byte {
+// appendPredictReq encodes a MsgPredict payload.
+func appendPredictReq(dst []byte, model string, stmts []string, deadlineMs uint32) []byte {
 	dst = appendString16(dst, model)
 	dst = binary.LittleEndian.AppendUint32(dst, deadlineMs)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(stmts)))
@@ -63,54 +67,36 @@ func appendPredictBatchReq(dst []byte, model string, stmts []string, deadlineMs 
 	return dst
 }
 
-// appendPredictReply encodes a MsgPredictReply payload.
-func appendPredictReply(dst []byte, pr *service.Prediction) []byte {
-	dst = appendString16(dst, pr.Name)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(pr.Version))
-	if pr.Classification {
-		dst = append(dst, kindClassification)
-		return appendPredictItem(dst, pr)
-	}
-	dst = append(dst, kindRegression)
-	return appendPredictItem(dst, pr)
+// appendControlReq encodes a MsgControl payload.
+func appendControlReq(dst []byte, op service.Op, body []byte) []byte {
+	return append(append(dst, byte(op)), body...)
 }
 
-// appendPredictBatchReply encodes a MsgPredictBatchReply payload. A
-// batch runs entirely on one snapshot, so name, version, and kind are
-// shipped once.
-func appendPredictBatchReply(dst []byte, prs []service.Prediction) []byte {
+// appendPredictReply encodes a MsgPredictReply payload for prs, which
+// holds at least one prediction.
+func appendPredictReply(dst []byte, prs []service.Prediction) []byte {
 	kind := byte(kindRegression)
-	if len(prs) > 0 && prs[0].Classification {
+	if prs[0].Classification {
 		kind = kindClassification
 	}
-	var name string
-	var version int
-	if len(prs) > 0 {
-		name, version = prs[0].Name, prs[0].Version
-	}
-	dst = appendString16(dst, name)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(version))
+	dst = appendString16(dst, prs[0].Name)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(prs[0].Version))
 	dst = append(dst, kind)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(prs)))
 	for i := range prs {
-		dst = appendPredictItem(dst, &prs[i])
-	}
-	return dst
-}
-
-// appendPredictItem encodes one prediction body (class + probs, or
-// log + raw).
-func appendPredictItem(dst []byte, pr *service.Prediction) []byte {
-	if pr.Classification {
+		pr := &prs[i]
+		if kind == kindRegression {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(pr.Log))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(pr.Raw))
+			continue
+		}
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(pr.Class))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(pr.Probs)))
 		for _, v := range pr.Probs {
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 		}
-		return dst
 	}
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(pr.Log))
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(pr.Raw))
+	return dst
 }
 
 // appendErrorReply encodes a MsgError payload.
@@ -120,30 +106,15 @@ func appendErrorReply(dst []byte, status, retryAfterSec int, msg string) []byte 
 	return appendString32(dst, msg)
 }
 
-// decodePredictReq parses a MsgPredict payload. model and stmt alias
-// the payload buffer — valid only while the caller owns it.
-func decodePredictReq(p []byte) (model, stmt []byte, deadlineMs uint32, err error) {
+// decodePredictReq parses a MsgPredict payload, appending statement
+// views onto stmts[:0] (reused across requests). model and the views
+// alias the payload buffer — valid only while the caller owns it.
+func decodePredictReq(p []byte, stmts [][]byte) (model []byte, deadlineMs uint32, out [][]byte, err error) {
 	d := pdec{buf: p}
 	model = d.bytes16()
 	deadlineMs = d.u32()
-	stmt = d.bytes32()
-	if err := d.finish(); err != nil {
-		return nil, nil, 0, err
-	}
-	return model, stmt, deadlineMs, nil
-}
-
-// decodePredictBatchReq parses a MsgPredictBatch payload, appending
-// statement views onto stmts (reused across requests). The views alias
-// the payload buffer.
-func decodePredictBatchReq(p []byte, stmts [][]byte) (model []byte, deadlineMs uint32, out [][]byte, err error) {
-	d := pdec{buf: p}
-	model = d.bytes16()
-	deadlineMs = d.u32()
-	n := int(d.u32())
-	// Shape check before trusting the count: each statement costs at
-	// least its 4-byte length prefix.
-	if d.err == nil && (n > maxStatements || n > d.remaining()/4) {
+	n := d.count(4) // a statement costs at least its length prefix
+	if n > maxStatements {
 		d.fail()
 	}
 	out = stmts[:0]
@@ -151,111 +122,73 @@ func decodePredictBatchReq(p []byte, stmts [][]byte) (model []byte, deadlineMs u
 		out = append(out, d.bytes32())
 	}
 	if err := d.finish(); err != nil {
-		return nil, 0, nil, err
+		return nil, 0, out[:0], err
 	}
 	return model, deadlineMs, out, nil
 }
 
-// decodePredictReply parses a MsgPredictReply into pr, writing
-// probabilities into probs (grown only when capacity is insufficient)
-// and returning the written slice for reuse. pr.Name is interned per
-// connection by the caller; here it is allocated only when it changes.
-func decodePredictReply(p []byte, pr *service.Prediction, probs []float64, intern func([]byte) string) ([]float64, error) {
+// decodeControlReq parses a MsgControl payload; body aliases it.
+func decodeControlReq(p []byte) (op service.Op, body []byte, err error) {
+	d := pdec{buf: p}
+	op = service.Op(d.byte())
+	if d.err != nil {
+		return 0, nil, d.err
+	}
+	return op, p[1:], nil
+}
+
+// decodePredictReply parses a MsgPredictReply, appending its
+// predictions onto preds[:0] and their probabilities onto slab[:0],
+// each grown only when short — so a caller that passes back what it
+// got decodes the next reply of the same shape without allocating.
+// Every Probs row views the slab, capped at its own end so an append
+// on one row cannot reach the next. The name is interned by the caller.
+func decodePredictReply(p []byte, preds []service.Prediction, slab []float64, intern func([]byte) string) ([]service.Prediction, []float64, error) {
 	d := pdec{buf: p}
 	name := d.bytes16()
 	version := int(d.u32())
 	kind := d.byte()
-	probs = probs[:0]
-	switch kind {
-	case kindClassification:
-		pr.Classification = true
-		pr.Class = int(d.u32())
-		n := int(d.u32())
-		if d.err == nil && n > d.remaining()/8 {
-			d.fail()
-		}
-		if d.err == nil && cap(probs) < n {
-			// One right-sized grow instead of append doubling from nil —
-			// a bare Predict (no reused buffer) pays 1 alloc, not ~4.
-			probs = make([]float64, 0, n)
-		}
-		for i := 0; i < n && d.err == nil; i++ {
-			probs = append(probs, d.f64())
-		}
-		pr.Probs = probs
-		pr.Log, pr.Raw = 0, 0
-	case kindRegression:
-		pr.Classification = false
-		pr.Class = 0
-		pr.Probs = nil
-		pr.Log = d.f64()
-		pr.Raw = d.f64()
-	default:
-		if d.err == nil {
-			d.err = fmt.Errorf("%w: unknown prediction kind %d", ErrFormat, kind)
-		}
+	if d.err == nil && kind != kindClassification && kind != kindRegression {
+		d.err = fmt.Errorf("%w: unknown prediction kind %d", ErrFormat, kind)
 	}
-	if err := d.finish(); err != nil {
-		return probs, err
-	}
-	pr.Name = intern(name)
-	pr.Version = version
-	return probs, nil
-}
-
-// decodePredictBatchReply parses a MsgPredictBatchReply into a fresh
-// prediction slice (batch results are retention-safe by construction).
-func decodePredictBatchReply(p []byte, intern func([]byte) string) ([]service.Prediction, error) {
-	d := pdec{buf: p}
-	name := intern(d.bytes16())
-	version := int(d.u32())
-	kind := d.byte()
-	n := int(d.u32())
-	// Every item costs at least 4 bytes (class) or 16 (log+raw).
-	if d.err == nil && (kind != kindClassification && kind != kindRegression || n > d.remaining()/4) {
-		if d.err == nil && kind != kindClassification && kind != kindRegression {
-			d.err = fmt.Errorf("%w: unknown prediction kind %d", ErrFormat, kind)
-		} else {
-			d.fail()
-		}
-	}
+	n := d.count(4) // an item is at least a class (4 bytes) or log+raw (16)
+	preds, slab = preds[:0], slab[:0]
 	if d.err != nil {
-		return nil, d.err
+		return preds, slab, d.err
 	}
-	out := make([]service.Prediction, 0, n)
-	var slab []float64 // backs every Probs row of the reply
+	if cap(preds) < n {
+		preds = make([]service.Prediction, 0, n)
+	}
+	pr := service.Prediction{Name: intern(name), Version: version, Classification: kind == kindClassification}
 	for i := 0; i < n && d.err == nil; i++ {
-		pr := service.Prediction{Name: name, Version: version}
-		if kind == kindClassification {
-			pr.Classification = true
-			pr.Class = int(d.u32())
-			m := int(d.u32())
-			if d.err == nil && m > d.remaining()/8 {
-				d.fail()
-				break
-			}
-			if cap(slab)-len(slab) < m {
-				// Rows of one reply are equally long, so this runs once;
-				// what is left of the payload bounds what a count can claim.
-				slab = make([]float64, 0, min((n-i)*m, d.remaining()/8))
-			}
-			// Capped at the row's own end: an append on one row cannot
-			// reach the next.
-			pr.Probs = slab[len(slab) : len(slab) : len(slab)+m]
-			slab = slab[:len(slab)+m]
-			for k := 0; k < m && d.err == nil; k++ {
-				pr.Probs = append(pr.Probs, d.f64())
-			}
-		} else {
+		if kind == kindRegression {
 			pr.Log = d.f64()
 			pr.Raw = d.f64()
+			preds = append(preds, pr)
+			continue
 		}
-		out = append(out, pr)
+		pr.Class = int(d.u32())
+		m := int(d.u32())
+		if d.err == nil && m > d.remaining()/8 {
+			d.fail()
+			break
+		}
+		if cap(slab)-len(slab) < m {
+			// Rows of one reply are equally long, so this runs once;
+			// what is left of the payload bounds what a count can claim.
+			slab = make([]float64, 0, min((n-i)*m, d.remaining()/8))
+		}
+		pr.Probs = slab[len(slab) : len(slab) : len(slab)+m]
+		slab = slab[:len(slab)+m]
+		for k := 0; k < m; k++ {
+			pr.Probs = append(pr.Probs, d.f64())
+		}
+		preds = append(preds, pr)
 	}
 	if err := d.finish(); err != nil {
-		return nil, err
+		return preds[:0], slab[:0], err
 	}
-	return out, nil
+	return preds, slab, nil
 }
 
 // decodeErrorReply parses a MsgError payload. The message is copied
@@ -330,6 +263,23 @@ func (d *pdec) f64() float64 {
 		return 0
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
+}
+
+// count reads an item count and checks it before anything is sized
+// by it: at least one item, and no more than the rest of the payload
+// holds at minSize bytes an item.
+func (d *pdec) count(minSize int) int {
+	n := int(d.u32())
+	switch {
+	case d.err != nil:
+	case n == 0:
+		d.err = fmt.Errorf("%w: zero item count", ErrFormat)
+	case n > d.remaining()/minSize:
+		d.fail()
+	default:
+		return n
+	}
+	return 0
 }
 
 // bytes16 reads a u16-length-prefixed byte field as a payload view.

@@ -249,10 +249,12 @@ type job struct {
 	id   uint64
 	in   []byte
 	out  []byte
+	// one holds a single statement's prediction for the reply encoder.
+	one [1]service.Prediction
 	// probs is the PredictInto scratch; the reply encoder copies the
 	// values out before the job is recycled.
 	probs []float64
-	// stmts holds batch statement views into in.
+	// stmts holds statement views into in.
 	stmts [][]byte
 	// stmtStrs holds the unsafe string headers over stmts for the
 	// service call.
@@ -283,56 +285,9 @@ func (s *Server) handle(j *job) {
 	switch j.typ {
 	case MsgPredict:
 		s.handlePredict(j)
-	case MsgPredictBatch:
-		s.handlePredictBatch(j)
-	default:
-		op, ok := opFor(j.typ)
-		if !ok {
-			s.replyError(j, http.StatusBadRequest, fmt.Errorf("wire: unhandled request type %s", j.typ))
-			return
-		}
-		// The control plane: the frame type picks the op, the service's
-		// op table does the rest (cold path; allocation is fine here).
-		reply, err := s.svc.Control(s.baseCtx, op, j.in)
-		if err != nil {
-			s.replyError(j, service.StatusFor(err), err)
-			return
-		}
-		body, err := json.Marshal(reply)
-		if err != nil {
-			s.replyError(j, http.StatusInternalServerError, err)
-			return
-		}
-		j.out = beginFrame(j.out[:0], MsgJSON, j.id)
-		j.out = append(j.out, body...)
-		j.conn.write(endFrame(j.out, 0))
+	case MsgControl:
+		s.handleControl(j)
 	}
-}
-
-// controlMsg is the wire half of the control contract: the request
-// frame type that carries each of the service's control-plane ops.
-var controlMsg = [...]MsgType{
-	service.OpModels:  MsgModels,
-	service.OpDeploy:  MsgDeploy,
-	service.OpStats:   MsgStats,
-	service.OpHealthz: MsgHealthz,
-	service.OpGC:      MsgGC,
-	service.OpIngest:  MsgIngest,
-}
-
-// MsgFor returns the request frame type that carries op, one of the six
-// ops above (service.OpPredict is HTTP's JSON predict body; over the
-// wire predictions travel as MsgPredict / MsgPredictBatch).
-func MsgFor(op service.Op) MsgType { return controlMsg[op] }
-
-// opFor is MsgFor's inverse.
-func opFor(t MsgType) (service.Op, bool) {
-	for op, msg := range controlMsg {
-		if msg == t {
-			return service.Op(op), true
-		}
-	}
-	return 0, false
 }
 
 // bstr views b as a string without copying. The view is passed to
@@ -348,52 +303,63 @@ func bstr(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
+// handlePredict runs a MsgPredict. The statement count picks the
+// service call: one statement takes Service.PredictInto, the
+// allocation-free path, and more take PredictBatch, which works them
+// across the replica pool. The two answer bit-identically.
 func (s *Server) handlePredict(j *job) {
-	model, stmt, deadlineMs, err := decodePredictReq(j.in)
-	if err != nil {
-		s.replyError(j, http.StatusBadRequest, err)
-		return
-	}
-	ctx, cancel := service.WithDeadlineMs(s.baseCtx, int64(deadlineMs))
-	pr, err := s.svc.PredictInto(ctx, bstr(model), bstr(stmt), j.probs)
-	cancel()
-	if pr.Probs != nil {
-		j.probs = pr.Probs // keep the (possibly grown) scratch
-	}
-	if err != nil {
-		s.replyError(j, service.StatusFor(err), err)
-		return
-	}
-	j.out = beginFrame(j.out[:0], MsgPredictReply, j.id)
-	j.out = appendPredictReply(j.out, &pr)
-	j.conn.write(endFrame(j.out, 0))
-}
-
-func (s *Server) handlePredictBatch(j *job) {
-	model, deadlineMs, stmts, err := decodePredictBatchReq(j.in, j.stmts)
+	model, deadlineMs, stmts, err := decodePredictReq(j.in, j.stmts)
 	j.stmts = stmts[:0]
 	if err != nil {
 		s.replyError(j, http.StatusBadRequest, err)
 		return
 	}
-	if len(stmts) == 0 {
-		s.replyError(j, http.StatusBadRequest, errors.New("wire: empty statement batch"))
-		return
-	}
-	strs := j.stmtStrs[:0]
-	for _, b := range stmts {
-		strs = append(strs, bstr(b))
-	}
-	j.stmtStrs = strs
 	ctx, cancel := service.WithDeadlineMs(s.baseCtx, int64(deadlineMs))
-	prs, err := s.svc.PredictBatch(ctx, bstr(model), strs)
+	prs := j.one[:]
+	if len(stmts) == 1 {
+		prs[0], err = s.svc.PredictInto(ctx, bstr(model), bstr(stmts[0]), j.probs)
+		if prs[0].Probs != nil {
+			j.probs = prs[0].Probs // keep the (possibly grown) scratch
+		}
+	} else {
+		strs := j.stmtStrs[:0]
+		for _, b := range stmts {
+			strs = append(strs, bstr(b))
+		}
+		j.stmtStrs = strs
+		prs, err = s.svc.PredictBatch(ctx, bstr(model), strs)
+	}
 	cancel()
 	if err != nil {
 		s.replyError(j, service.StatusFor(err), err)
 		return
 	}
-	j.out = beginFrame(j.out[:0], MsgPredictBatchReply, j.id)
-	j.out = appendPredictBatchReply(j.out, prs)
+	j.out = beginFrame(j.out[:0], MsgPredictReply, j.id)
+	j.out = appendPredictReply(j.out, prs)
+	j.conn.write(endFrame(j.out, 0))
+}
+
+// handleControl runs a MsgControl through the service's op table, the
+// one HTTP routes to (cold path; allocation is fine here). An op byte
+// the table does not know is Control's 400, like any bad request.
+func (s *Server) handleControl(j *job) {
+	op, body, err := decodeControlReq(j.in)
+	if err != nil {
+		s.replyError(j, http.StatusBadRequest, err)
+		return
+	}
+	reply, err := s.svc.Control(s.baseCtx, op, body)
+	if err != nil {
+		s.replyError(j, service.StatusFor(err), err)
+		return
+	}
+	js, err := json.Marshal(reply)
+	if err != nil {
+		s.replyError(j, http.StatusInternalServerError, err)
+		return
+	}
+	j.out = beginFrame(j.out[:0], MsgJSON, j.id)
+	j.out = append(j.out, js...)
 	j.conn.write(endFrame(j.out, 0))
 }
 

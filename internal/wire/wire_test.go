@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -232,7 +233,7 @@ func TestErrorMapping(t *testing.T) {
 
 	// A malformed payload on a well-framed request gets a 400 error
 	// frame and the connection keeps serving.
-	if _, err := cl.Call(ctx, MsgStats, []byte("{not json")); wireStatus(err) != http.StatusBadRequest {
+	if _, err := cl.Call(ctx, service.OpStats, []byte("{not json")); wireStatus(err) != http.StatusBadRequest {
 		t.Fatalf("bad stats payload err = %v, want 400", err)
 	}
 	if _, _, err := cl.PredictInto(ctx, "errors", testStatements(1)[0], nil); err != nil {
@@ -248,7 +249,7 @@ func TestControlPlane(t *testing.T) {
 	_, addr := startServer(t, svc, "tcp", ServerOptions{})
 	cl := testClient(t, "tcp", addr, ClientOptions{})
 
-	js, err := cl.Call(ctx, MsgModels, nil)
+	js, err := cl.Call(ctx, service.OpModels, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestControlPlane(t *testing.T) {
 	if _, _, err := cl.PredictInto(ctx, "errors", testStatements(1)[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	js, err = cl.Call(ctx, MsgStats, []byte(`{"model":"errors"}`))
+	js, err = cl.Call(ctx, service.OpStats, []byte(`{"model":"errors"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestControlPlane(t *testing.T) {
 		t.Fatalf("wire info %+v != direct %+v", snap.Info, direct.Info)
 	}
 
-	js, err = cl.Call(ctx, MsgHealthz, nil)
+	js, err = cl.Call(ctx, service.OpHealthz, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func TestControlPlane(t *testing.T) {
 		t.Fatalf("healthz = %+v", h)
 	}
 
-	js, err = cl.Call(ctx, MsgDeploy, []byte(`{"model":"errors"}`))
+	js, err = cl.Call(ctx, service.OpDeploy, []byte(`{"model":"errors"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,11 +307,11 @@ func TestControlPlane(t *testing.T) {
 	if !info.Live {
 		t.Fatalf("deploy info = %+v", info)
 	}
-	if _, err := cl.Call(ctx, MsgDeploy, []byte(`{"model":"errors","admission":"bogus"}`)); wireStatus(err) != http.StatusBadRequest {
+	if _, err := cl.Call(ctx, service.OpDeploy, []byte(`{"model":"errors","admission":"bogus"}`)); wireStatus(err) != http.StatusBadRequest {
 		t.Fatalf("bad deploy options err = %v, want 400", err)
 	}
 
-	js, err = cl.Call(ctx, MsgGC, nil)
+	js, err = cl.Call(ctx, service.OpGC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +431,7 @@ func TestConnKillMidRequest(t *testing.T) {
 		}
 		pr := testPrediction()
 		frame := beginFrame(nil, MsgPredictReply, h.ID)
-		frame = appendPredictReply(frame, &pr)
+		frame = appendPredictReply(frame, []service.Prediction{pr})
 		nc.Write(endFrame(frame, 0))
 	}()
 	pr, _, err := cl.PredictInto(context.Background(), "m", "SELECT 1", nil)
@@ -524,12 +525,10 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestPanicIsolation: a statement that panics a handler fails that one
-// request with a 500-class error frame; the connection and server keep
-// serving. (Induced via a request the service layer panics on is not
-// available, so this drives the handler's recover through a crafted
-// oversized-batch decode panic path instead: decode failures reply 400
-// and the recover path is covered by the unhandled-type guard.)
+// TestUnknownRequestHandled: a well-framed control request the server
+// cannot run — a malformed body, no op byte, an op byte the op table
+// does not know — gets a 400 error frame, and the connection keeps
+// serving.
 func TestUnknownRequestHandled(t *testing.T) {
 	svc := testService(t)
 	_, addr := startServer(t, svc, "tcp", ServerOptions{})
@@ -539,32 +538,62 @@ func TestUnknownRequestHandled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	// MsgStats with a valid frame but empty payload: malformed JSON →
-	// 400 error frame, connection survives.
-	if _, err := nc.Write(AppendFrame(nil, MsgStats, 77, nil)); err != nil {
-		t.Fatal(err)
-	}
 	fr := frameReader{r: nc, maxPayload: DefaultMaxPayload}
-	h, payload, err := fr.next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Type != MsgError || h.ID != 77 {
-		t.Fatalf("reply = %+v", h)
-	}
-	status, _, _, err := decodeErrorReply(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", status)
+	for id, payload := range map[uint64][]byte{
+		77: {byte(service.OpStats)}, // empty body: malformed JSON
+		78: nil,                     // no op byte
+		79: {0xEE, '{', '}'},        // unknown op
+	} {
+		if _, err := nc.Write(AppendFrame(nil, MsgControl, id, payload)); err != nil {
+			t.Fatal(err)
+		}
+		h, reply, err := fr.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Type != MsgError || h.ID != id {
+			t.Fatalf("request %d: reply = %+v", id, h)
+		}
+		status, _, msg, err := decodeErrorReply(reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status != http.StatusBadRequest {
+			t.Fatalf("request %d: status = %d (%s), want 400", id, status, msg)
+		}
 	}
 	// Connection still serves.
-	if _, err := nc.Write(AppendFrame(nil, MsgHealthz, 78, nil)); err != nil {
+	if _, err := nc.Write(AppendFrame(nil, MsgControl, 80, []byte{byte(service.OpHealthz)})); err != nil {
 		t.Fatal(err)
 	}
-	if h, _, err = fr.next(); err != nil || h.Type != MsgJSON || h.ID != 78 {
+	if h, _, err := fr.next(); err != nil || h.Type != MsgJSON || h.ID != 80 {
 		t.Fatalf("follow-up reply = %+v, %v", h, err)
+	}
+}
+
+// TestClientRefusesUnframable: a request the frame cannot carry — a
+// payload past DefaultMaxPayload, a model name past the u16 length
+// prefix — is refused with the typed status before any I/O. The
+// client here points at no server at all, so a dial would surface as
+// ErrTransport instead.
+func TestClientRefusesUnframable(t *testing.T) {
+	cl := testClient(t, "unix", filepath.Join(t.TempDir(), "none.sock"), ClientOptions{})
+	ctx := context.Background()
+	huge := strings.Repeat("x", DefaultMaxPayload)
+	if _, _, err := cl.PredictInto(ctx, "m", huge, nil); wireStatus(err) != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize predict err = %v, want 413", err)
+	}
+	if _, err := cl.PredictBatch(ctx, "m", []string{huge[:DefaultMaxPayload/2], huge[:DefaultMaxPayload/2]}); wireStatus(err) != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize batch err = %v, want 413", err)
+	}
+	if _, err := cl.Call(ctx, service.OpIngest, []byte(huge)); wireStatus(err) != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize control err = %v, want 413", err)
+	}
+	if _, _, err := cl.PredictInto(ctx, strings.Repeat("m", 1<<16), "SELECT 1", nil); wireStatus(err) != http.StatusBadRequest {
+		t.Fatalf("64 KiB model name err = %v, want 400", err)
+	}
+	if _, _, err := cl.PredictInto(ctx, "m", "SELECT 1", nil); !errors.Is(err, ErrTransport) {
+		t.Fatalf("framable predict err = %v, want ErrTransport from the dial", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package workload
 import (
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/sqllex"
 )
@@ -67,73 +66,4 @@ func Compress(items []Item, maxItems int) []Item {
 		}
 	}
 	return out
-}
-
-// CompressionStats summarizes a workload's template redundancy.
-type CompressionStats struct {
-	Items     int
-	Templates int
-	// LargestTemplate is the population of the most repeated template.
-	LargestTemplate int
-}
-
-// TemplateStats computes template redundancy statistics.
-func TemplateStats(items []Item) CompressionStats {
-	counts := map[string]int{}
-	largest := 0
-	for _, item := range items {
-		key := Template(item.Statement)
-		counts[key]++
-		if counts[key] > largest {
-			largest = counts[key]
-		}
-	}
-	return CompressionStats{Items: len(items), Templates: len(counts), LargestTemplate: largest}
-}
-
-// TimedHit is one logged interaction (SQL query or web request) with
-// its origin and timestamp, the unit of the session-identification
-// problem (Section 2).
-type TimedHit struct {
-	IP        string
-	Time      time.Time
-	Statement string
-}
-
-// Sessionize groups hits into sessions following the paper's
-// definition (Sections 2 and 4.1): a session is an ordered sequence of
-// hits from a single IP address such that gaps between consecutive
-// hits are no longer than gap (30 minutes in SDSS). Hits are sorted by
-// time within each IP; sessions are returned in order of their first
-// hit.
-func Sessionize(hits []TimedHit, gap time.Duration) [][]TimedHit {
-	byIP := map[string][]TimedHit{}
-	for _, h := range hits {
-		byIP[h.IP] = append(byIP[h.IP], h)
-	}
-	var sessions [][]TimedHit
-	ips := make([]string, 0, len(byIP))
-	for ip := range byIP {
-		ips = append(ips, ip)
-	}
-	sort.Strings(ips)
-	for _, ip := range ips {
-		hs := byIP[ip]
-		sort.Slice(hs, func(i, j int) bool { return hs[i].Time.Before(hs[j].Time) })
-		var cur []TimedHit
-		for _, h := range hs {
-			if len(cur) > 0 && h.Time.Sub(cur[len(cur)-1].Time) > gap {
-				sessions = append(sessions, cur)
-				cur = nil
-			}
-			cur = append(cur, h)
-		}
-		if len(cur) > 0 {
-			sessions = append(sessions, cur)
-		}
-	}
-	sort.SliceStable(sessions, func(i, j int) bool {
-		return sessions[i][0].Time.Before(sessions[j][0].Time)
-	})
-	return sessions
 }

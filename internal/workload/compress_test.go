@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestTemplateCollapsesConstants(t *testing.T) {
@@ -69,98 +68,6 @@ func TestCompressSizeProperty(t *testing.T) {
 			want = maxItems
 		}
 		return len(out) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTemplateStats(t *testing.T) {
-	items := []Item{
-		{Statement: "SELECT a FROM t WHERE x=1"},
-		{Statement: "SELECT a FROM t WHERE x=2"},
-		{Statement: "SELECT b FROM u"},
-	}
-	s := TemplateStats(items)
-	if s.Items != 3 || s.Templates != 2 || s.LargestTemplate != 2 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestSessionizeGapRule(t *testing.T) {
-	t0 := time.Date(2020, 2, 21, 10, 0, 0, 0, time.UTC)
-	hits := []TimedHit{
-		{IP: "1.1.1.1", Time: t0, Statement: "q1"},
-		{IP: "1.1.1.1", Time: t0.Add(10 * time.Minute), Statement: "q2"},
-		{IP: "1.1.1.1", Time: t0.Add(50 * time.Minute), Statement: "q3"}, // 40-min gap
-		{IP: "2.2.2.2", Time: t0.Add(5 * time.Minute), Statement: "q4"},
-	}
-	sessions := Sessionize(hits, 30*time.Minute)
-	if len(sessions) != 3 {
-		t.Fatalf("sessions = %d, want 3", len(sessions))
-	}
-	// First session: q1, q2 from IP 1.
-	if len(sessions[0]) != 2 || sessions[0][0].Statement != "q1" {
-		t.Fatalf("first session = %+v", sessions[0])
-	}
-}
-
-func TestSessionizeUnsortedInput(t *testing.T) {
-	t0 := time.Date(2020, 2, 21, 10, 0, 0, 0, time.UTC)
-	hits := []TimedHit{
-		{IP: "a", Time: t0.Add(20 * time.Minute), Statement: "late"},
-		{IP: "a", Time: t0, Statement: "early"},
-	}
-	sessions := Sessionize(hits, 30*time.Minute)
-	if len(sessions) != 1 || sessions[0][0].Statement != "early" {
-		t.Fatalf("sessions = %+v", sessions)
-	}
-}
-
-func TestSessionizeEmptyInput(t *testing.T) {
-	if got := Sessionize(nil, time.Minute); len(got) != 0 {
-		t.Fatal("empty input")
-	}
-}
-
-// Property: sessionization partitions the hits (no loss, no
-// duplication) and respects the gap invariant within each session.
-func TestSessionizePartitionProperty(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw % 50)
-		t0 := time.Date(2020, 2, 21, 0, 0, 0, 0, time.UTC)
-		s := seed
-		next := func(mod int64) int64 {
-			s = s*6364136223846793005 + 1442695040888963407
-			v := s % mod
-			if v < 0 {
-				v = -v
-			}
-			return v
-		}
-		hits := make([]TimedHit, n)
-		for i := range hits {
-			hits[i] = TimedHit{
-				IP:        fmt.Sprintf("ip%d", next(4)),
-				Time:      t0.Add(time.Duration(next(600)) * time.Minute),
-				Statement: fmt.Sprintf("q%d", i),
-			}
-		}
-		gap := 30 * time.Minute
-		sessions := Sessionize(hits, gap)
-		total := 0
-		for _, sess := range sessions {
-			total += len(sess)
-			for i := 1; i < len(sess); i++ {
-				if sess[i].Time.Sub(sess[i-1].Time) > gap {
-					return false
-				}
-				if sess[i].IP != sess[0].IP {
-					return false
-				}
-			}
-		}
-		return total == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
