@@ -38,14 +38,9 @@ type Table struct {
 	byName map[string]*Column
 }
 
-// Column returns the named column, or nil.
+// Column returns the named column, or nil. It only reads the index
+// Catalog.AddTable built, so concurrent lookups are safe.
 func (t *Table) Column(name string) *Column {
-	if t.byName == nil {
-		t.byName = make(map[string]*Column, len(t.Columns))
-		for i := range t.Columns {
-			t.byName[strings.ToLower(t.Columns[i].Name)] = &t.Columns[i]
-		}
-	}
 	return t.byName[strings.ToLower(name)]
 }
 
@@ -83,8 +78,13 @@ func (c *Catalog) Procedure(name string) *Function {
 	return c.Procedures[strings.ToLower(name)]
 }
 
-// AddTable registers a table.
+// AddTable registers a table and indexes its columns by name; the
+// table's Columns must not change afterwards.
 func (c *Catalog) AddTable(t *Table) {
+	t.byName = make(map[string]*Column, len(t.Columns))
+	for i := range t.Columns {
+		t.byName[strings.ToLower(t.Columns[i].Name)] = &t.Columns[i]
+	}
 	c.Tables[strings.ToLower(t.Name)] = t
 }
 

@@ -55,6 +55,10 @@ type Result struct {
 // that labels are a learnable-but-noisy function of the query text —
 // matching a real system where the same statement gets slightly
 // different timings across runs but aggregated labels are stable.
+//
+// Execute is safe for concurrent use once the catalog is built: it
+// only reads the engine and its catalog, so a label is a pure function
+// of (engine, statement) whichever goroutine computes it.
 type Engine struct {
 	Catalog *Catalog
 	// AnswerNoise and TimeNoise are log-normal sigma parameters.

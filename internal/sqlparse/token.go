@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokenKind identifies the lexical class of a token.
@@ -52,19 +53,23 @@ func (t Token) IsKeyword(kw string) bool {
 }
 
 // lexer turns an input string into tokens, skipping whitespace and
-// comments.
+// comments. It walks the input's bytes: i is the byte offset and pos the
+// rune offset Token.Pos reports, counted as the walk advances. The input
+// is valid UTF-8 (lexState.lex makes it so), so a byte below
+// utf8.RuneSelf is a whole rune, no byte of a longer rune equals an
+// ASCII one, and a token's text is the slice of input it covers.
 type lexer struct {
-	runes []rune
-	pos   int
+	src string
+	i   int
+	pos int
 }
 
 // lexState is the reusable tokenizer state threaded through the pooled
-// parsing path: the lexer's rune buffer plus the token slice, both
-// recycled across queries (the sync.Pool parser idiom used by
-// production SQL frontends). Token.Text values are fresh strings, so
-// AST nodes built from pooled tokens stay valid after release.
+// parsing path: the token slice, recycled across queries (the sync.Pool
+// parser idiom used by production SQL frontends). Token.Text values are
+// substrings of the input, so AST nodes built from pooled tokens stay
+// valid after release and keep the statement they came from alive.
 type lexState struct {
-	lx   lexer
 	toks []Token
 }
 
@@ -79,16 +84,17 @@ func borrowToks(input string) *lexState {
 }
 
 // lex tokenizes input into st.toks (ending in TokEOF), reusing st's
-// buffers whatever they held before.
+// buffer whatever it held before. Input that is not valid UTF-8 is
+// first rewritten as its runes, each bad byte becoming U+FFFD as range
+// decodes it, so texts and positions are those of the decoded runes.
 func (st *lexState) lex(input string) {
-	st.lx.runes = st.lx.runes[:0]
-	for _, r := range input {
-		st.lx.runes = append(st.lx.runes, r)
+	if !utf8.ValidString(input) {
+		input = string([]rune(input))
 	}
-	st.lx.pos = 0
+	lx := lexer{src: input}
 	st.toks = st.toks[:0]
 	for {
-		tok := st.lx.next()
+		tok := lx.next()
 		st.toks = append(st.toks, tok)
 		if tok.Kind == TokEOF {
 			return
@@ -96,84 +102,136 @@ func (st *lexState) lex(input string) {
 	}
 }
 
-// releaseToks returns pooled tokenizer state.
-func releaseToks(st *lexState) { lexPool.Put(st) }
+// releaseToks returns pooled tokenizer state, its tokens zeroed so the
+// pool holds no statement text.
+func releaseToks(st *lexState) {
+	clear(st.toks)
+	lexPool.Put(st)
+}
+
+// runeAt decodes the rune at byte offset j < len(lx.src).
+func (lx *lexer) runeAt(j int) (rune, int) {
+	if b := lx.src[j]; b < utf8.RuneSelf {
+		return rune(b), 1
+	}
+	return utf8.DecodeRuneInString(lx.src[j:])
+}
+
+// byteAt returns the byte at offset j, or 0 past the end.
+func (lx *lexer) byteAt(j int) byte {
+	if j < len(lx.src) {
+		return lx.src[j]
+	}
+	return 0
+}
+
+// advance moves past one rune of w bytes.
+func (lx *lexer) advance(w int) {
+	lx.i += w
+	lx.pos++
+}
+
+// skipTo moves to byte offset j, counting the runes passed.
+func (lx *lexer) skipTo(j int) {
+	lx.pos += utf8.RuneCountInString(lx.src[lx.i:j])
+	lx.i = j
+}
+
+// skipPast moves past the first sep at or after byte offset j, or to
+// the end of input when there is none.
+func (lx *lexer) skipPast(j int, sep string) {
+	if k := strings.Index(lx.src[j:], sep); k >= 0 {
+		lx.skipTo(j + k + len(sep))
+		return
+	}
+	lx.skipTo(len(lx.src))
+}
 
 func (lx *lexer) next() Token {
 	lx.skipSpaceAndComments()
-	if lx.pos >= len(lx.runes) {
-		return Token{Kind: TokEOF, Pos: lx.pos}
+	start, pos := lx.i, lx.pos
+	if start >= len(lx.src) {
+		return Token{Kind: TokEOF, Pos: pos}
 	}
-	start := lx.pos
-	r := lx.runes[lx.pos]
+	r, w := lx.runeAt(start)
+	kind := TokOperator
 	switch {
 	case isIdentStart(r):
-		for lx.pos < len(lx.runes) && isIdentPart(lx.runes[lx.pos]) {
-			lx.pos++
+		lx.advance(w)
+		for lx.i < len(lx.src) {
+			if b := lx.src[lx.i]; b < utf8.RuneSelf {
+				if !identByte[b] {
+					break
+				}
+				lx.advance(1)
+				continue
+			}
+			r, w := utf8.DecodeRuneInString(lx.src[lx.i:])
+			if !isIdentPart(r) {
+				break
+			}
+			lx.advance(w)
 		}
-		return Token{Kind: TokIdent, Text: string(lx.runes[start:lx.pos]), Pos: start}
+		kind = TokIdent
 	case unicode.IsDigit(r):
 		lx.lexNumber()
-		return Token{Kind: TokNumber, Text: string(lx.runes[start:lx.pos]), Pos: start}
+		kind = TokNumber
 	case r == '\'':
 		lx.lexString()
-		return Token{Kind: TokString, Text: string(lx.runes[start:lx.pos]), Pos: start}
-	case r == '"' || r == '[':
-		lx.lexQuotedIdent(r)
-		return Token{Kind: TokIdent, Text: string(lx.runes[start:lx.pos]), Pos: start}
+		kind = TokString
+	case r == '"':
+		lx.skipPast(start+1, `"`)
+		kind = TokIdent
+	case r == '[':
+		lx.skipPast(start+1, "]")
+		kind = TokIdent
 	case r == '(':
-		lx.pos++
-		return Token{Kind: TokLParen, Text: "(", Pos: start}
+		lx.advance(1)
+		kind = TokLParen
 	case r == ')':
-		lx.pos++
-		return Token{Kind: TokRParen, Text: ")", Pos: start}
+		lx.advance(1)
+		kind = TokRParen
 	case r == ',':
-		lx.pos++
-		return Token{Kind: TokComma, Text: ",", Pos: start}
+		lx.advance(1)
+		kind = TokComma
 	case r == '.':
-		lx.pos++
-		return Token{Kind: TokDot, Text: ".", Pos: start}
+		lx.advance(1)
+		kind = TokDot
 	case r == ';':
-		lx.pos++
-		return Token{Kind: TokSemicolon, Text: ";", Pos: start}
+		lx.advance(1)
+		kind = TokSemicolon
 	case r == '*':
-		lx.pos++
-		return Token{Kind: TokStar, Text: "*", Pos: start}
+		lx.advance(1)
+		kind = TokStar
 	default:
 		// Multi-character operators.
-		if lx.pos+1 < len(lx.runes) {
-			two := string(lx.runes[lx.pos : lx.pos+2])
-			switch two {
+		if start+1 < len(lx.src) {
+			switch lx.src[start : start+2] {
 			case "<=", ">=", "<>", "!=", "||", "!<", "!>":
+				lx.i += 2
 				lx.pos += 2
-				return Token{Kind: TokOperator, Text: two, Pos: start}
+				return Token{Kind: TokOperator, Text: lx.src[start:lx.i], Pos: pos}
 			}
 		}
-		lx.pos++
-		return Token{Kind: TokOperator, Text: string(r), Pos: start}
+		lx.advance(w)
 	}
+	return Token{Kind: kind, Text: lx.src[start:lx.i], Pos: pos}
 }
 
 func (lx *lexer) skipSpaceAndComments() {
-	for lx.pos < len(lx.runes) {
-		r := lx.runes[lx.pos]
+	for lx.i < len(lx.src) {
+		r, w := lx.runeAt(lx.i)
 		switch {
 		case unicode.IsSpace(r):
-			lx.pos++
-		case r == '-' && lx.pos+1 < len(lx.runes) && lx.runes[lx.pos+1] == '-':
-			for lx.pos < len(lx.runes) && lx.runes[lx.pos] != '\n' {
-				lx.pos++
-			}
-		case r == '/' && lx.pos+1 < len(lx.runes) && lx.runes[lx.pos+1] == '*':
-			lx.pos += 2
-			for lx.pos+1 < len(lx.runes) && !(lx.runes[lx.pos] == '*' && lx.runes[lx.pos+1] == '/') {
-				lx.pos++
-			}
-			if lx.pos+1 < len(lx.runes) {
-				lx.pos += 2
+			lx.advance(w)
+		case r == '-' && lx.byteAt(lx.i+1) == '-':
+			if k := strings.IndexByte(lx.src[lx.i:], '\n'); k >= 0 {
+				lx.skipTo(lx.i + k)
 			} else {
-				lx.pos = len(lx.runes)
+				lx.skipTo(len(lx.src))
 			}
+		case r == '/' && lx.byteAt(lx.i+1) == '*':
+			lx.skipPast(lx.i+2, "*/")
 		default:
 			return
 		}
@@ -182,61 +240,71 @@ func (lx *lexer) skipSpaceAndComments() {
 
 func (lx *lexer) lexNumber() {
 	// Hex literal (SDSS object ids).
-	if lx.runes[lx.pos] == '0' && lx.pos+1 < len(lx.runes) &&
-		(lx.runes[lx.pos+1] == 'x' || lx.runes[lx.pos+1] == 'X') {
+	if lx.src[lx.i] == '0' && (lx.byteAt(lx.i+1) == 'x' || lx.byteAt(lx.i+1) == 'X') {
+		lx.i += 2
 		lx.pos += 2
-		for lx.pos < len(lx.runes) && isHex(lx.runes[lx.pos]) {
-			lx.pos++
+		for lx.i < len(lx.src) {
+			r, w := lx.runeAt(lx.i)
+			if !isHex(r) {
+				return
+			}
+			lx.advance(w)
 		}
 		return
 	}
 	seenDot, seenExp := false, false
-	for lx.pos < len(lx.runes) {
-		r := lx.runes[lx.pos]
+	for lx.i < len(lx.src) {
+		r, w := lx.runeAt(lx.i)
 		switch {
 		case unicode.IsDigit(r):
-			lx.pos++
+			lx.advance(w)
 		case r == '.' && !seenDot && !seenExp:
 			seenDot = true
-			lx.pos++
-		case (r == 'e' || r == 'E') && !seenExp && lx.pos+1 < len(lx.runes) &&
-			(unicode.IsDigit(lx.runes[lx.pos+1]) || lx.runes[lx.pos+1] == '+' || lx.runes[lx.pos+1] == '-'):
+			lx.advance(w)
+		case (r == 'e' || r == 'E') && !seenExp && lx.i+1 < len(lx.src) && lx.expSign(lx.i+1):
 			seenExp = true
-			lx.pos += 2
+			lx.advance(w)
+			_, w = lx.runeAt(lx.i)
+			lx.advance(w)
 		default:
 			return
 		}
 	}
 }
 
+// expSign reports whether the rune at byte offset j may follow an
+// exponent's e: a digit or a sign.
+func (lx *lexer) expSign(j int) bool {
+	r, _ := lx.runeAt(j)
+	return unicode.IsDigit(r) || r == '+' || r == '-'
+}
+
+// lexString moves past a quoted string literal, a doubled quote being
+// an escaped one; an unterminated literal runs to the end of input.
 func (lx *lexer) lexString() {
-	lx.pos++ // opening quote
-	for lx.pos < len(lx.runes) {
-		if lx.runes[lx.pos] == '\'' {
-			if lx.pos+1 < len(lx.runes) && lx.runes[lx.pos+1] == '\'' {
-				lx.pos += 2
-				continue
-			}
-			lx.pos++
+	j := lx.i + 1 // past the opening quote
+	for {
+		k := strings.IndexByte(lx.src[j:], '\'')
+		if k < 0 {
+			lx.skipTo(len(lx.src))
 			return
 		}
-		lx.pos++
+		j += k + 1
+		if lx.byteAt(j) != '\'' {
+			lx.skipTo(j)
+			return
+		}
+		j++
 	}
 }
 
-func (lx *lexer) lexQuotedIdent(open rune) {
-	close := '"'
-	if open == '[' {
-		close = ']'
+// identByte[b] is isIdentPart(rune(b)) for each ASCII byte b.
+var identByte = func() (t [utf8.RuneSelf]bool) {
+	for b := range t {
+		t[b] = isIdentPart(rune(b))
 	}
-	lx.pos++
-	for lx.pos < len(lx.runes) && lx.runes[lx.pos] != close {
-		lx.pos++
-	}
-	if lx.pos < len(lx.runes) {
-		lx.pos++
-	}
-}
+	return t
+}()
 
 func isIdentStart(r rune) bool {
 	return unicode.IsLetter(r) || r == '_' || r == '@' || r == '#'

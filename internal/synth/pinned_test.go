@@ -26,25 +26,18 @@ var update = flag.Bool("update", false, "rewrite testdata/generators.json from t
 // compared with testdata/generators.json. The file is written at the
 // commit *before* a change to a generator, the simulated engine or
 // their random streams (go test ./internal/synth/ -run
-// TestGeneratorsPinned -update) and must pass unchanged after it.
+// TestGeneratorsPinned -update) and must pass unchanged after it. The
+// generators label on GOMAXPROCS goroutines, so the digests are taken
+// at GOMAXPROCS 1, 2 and 4 and must all equal the file.
 func TestGeneratorsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digests are pinned on amd64: %s's compiler may fuse multiply-adds, which legitimately rounds differently", runtime.GOARCH)
 	}
-	got := map[string]string{}
-	for _, run := range []struct {
-		name string
-		seed int64
-	}{{"sdss-20200614", 20200614}, {"sdss-7", 7}} {
-		cfg := SDSSConfig{Sessions: 1400, HitsPerSessionMax: 3, Seed: run.seed}
-		got[run.name+"/log"] = logDigest(NewSDSS(cfg).GenerateLog())
-		got[run.name+"/workload"] = itemsDigest(NewSDSS(cfg).Generate().Items)
-	}
-	got["sqlshare-3/workload"] = itemsDigest(NewSQLShare(SQLShareConfig{Users: 8, QueriesPerUser: 30, Seed: 3}).Generate().Items)
-
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	path := filepath.Join("testdata", "generators.json")
 	if *update {
-		blob, err := json.MarshalIndent(got, "", "  ")
+		runtime.GOMAXPROCS(1)
+		blob, err := json.MarshalIndent(generatorDigests(), "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,14 +57,33 @@ func TestGeneratorsPinned(t *testing.T) {
 	if err := json.Unmarshal(blob, &want); err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
-	for name, w := range want {
-		if g := got[name]; g != w {
-			t.Errorf("%s moved:\n got  %s\n want %s", name, g, w)
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := generatorDigests()
+		for name, w := range want {
+			if g := got[name]; g != w {
+				t.Errorf("GOMAXPROCS %d: %s moved:\n got  %s\n want %s", procs, name, g, w)
+			}
+		}
+		if len(want) != len(got) {
+			t.Errorf("%s pins %d runs, the test generates %d", path, len(want), len(got))
 		}
 	}
-	if len(want) != len(got) {
-		t.Errorf("%s pins %d runs, the test generates %d", path, len(want), len(got))
+}
+
+// generatorDigests generates the pinned runs and digests them by name.
+func generatorDigests() map[string]string {
+	got := map[string]string{}
+	for _, run := range []struct {
+		name string
+		seed int64
+	}{{"sdss-20200614", 20200614}, {"sdss-7", 7}} {
+		cfg := SDSSConfig{Sessions: 1400, HitsPerSessionMax: 3, Seed: run.seed}
+		got[run.name+"/log"] = logDigest(NewSDSS(cfg).GenerateLog())
+		got[run.name+"/workload"] = itemsDigest(NewSDSS(cfg).Generate().Items)
 	}
+	got["sqlshare-3/workload"] = itemsDigest(NewSQLShare(SQLShareConfig{Users: 8, QueriesPerUser: 30, Seed: 3}).Generate().Items)
+	return got
 }
 
 // logDigest hashes every field of every raw log entry.

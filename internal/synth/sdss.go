@@ -115,8 +115,12 @@ func (g *SDSSGenerator) buildPopularPool() {
 }
 
 // GenerateLog simulates all sessions and returns the raw log entries.
+// Statements are labelled as they are drawn, on every core, once per
+// distinct statement; the log is the same at any GOMAXPROCS.
 func (g *SDSSGenerator) GenerateLog() []workload.RawEntry {
+	lab := newLabeller()
 	var log []workload.RawEntry
+	var slots []int
 	for s := 0; s < g.cfg.Sessions; s++ {
 		class := g.pickClass()
 		hits := 1 + g.rng.Intn(g.cfg.HitsPerSessionMax)
@@ -144,9 +148,13 @@ func (g *SDSSGenerator) GenerateLog() []workload.RawEntry {
 				Statement: stmt,
 				SessionID: s,
 				Class:     class,
-				Result:    g.engine.Execute(stmt),
 			})
+			slots = append(slots, lab.add(g.engine, stmt))
 		}
+	}
+	labels := lab.results()
+	for i, s := range slots {
+		log[i].Result = labels[s]
 	}
 	return log
 }

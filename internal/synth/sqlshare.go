@@ -47,8 +47,11 @@ func (g *SQLShareGenerator) Catalogs() map[string]*simdb.Catalog { return g.cata
 
 // Generate returns the extracted SQLShare-like workload. Each item
 // carries its owning user (for the Heterogeneous Schema user split).
+// Statements are labelled as they are drawn, as in SDSSGenerator.GenerateLog.
 func (g *SQLShareGenerator) Generate() *workload.Workload {
+	lab := newLabeller()
 	var sampled []workload.RawEntry
+	var slots []int
 	session := 0
 	for u := 0; u < g.cfg.Users; u++ {
 		user := fmt.Sprintf("u%03d", u)
@@ -75,10 +78,15 @@ func (g *SQLShareGenerator) Generate() *workload.Workload {
 				SessionID: session,
 				Class:     workload.Program, // not used for SQLShare problems
 				User:      user,
-				Result:    engine.Execute(stmt),
 			})
+			// The user's catalog and CostScale are final by now.
+			slots = append(slots, lab.add(engine, stmt))
 			session++
 		}
+	}
+	labels := lab.results()
+	for i, s := range slots {
+		sampled[i].Result = labels[s]
 	}
 	return workload.Dedup(sampled)
 }
