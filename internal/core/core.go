@@ -288,22 +288,14 @@ func Tokenize(modelName, stmt string) []string {
 }
 
 // tokenizeAll tokenizes every item at the model's granularity, for
-// vocabulary building and featurization over a whole training set.
-// Word models run through one pooled, interning sqllex.WordTokenizer
-// for the pass, so repeated tokens share a single string instead of
-// allocating per occurrence (the last tokenization hot spot named in
-// ROADMAP); character tokens are already interned.
+// vocabulary building and featurization over a whole training set. The
+// tokens are substrings of the statements, so a pass allocates one
+// slice per statement (and one string per digit-normalized literal);
+// the vocabulary and the featurizer copy the tokens they keep.
 func tokenizeAll(modelName string, items []workload.Item) [][]string {
 	seqs := make([][]string, len(items))
-	if len(modelName) > 0 && modelName[0] == 'w' {
-		wt := sqllex.NewWordTokenizer()
-		for i, item := range items {
-			seqs[i] = wt.Words(item.Statement)
-		}
-		return seqs
-	}
 	for i, item := range items {
-		seqs[i] = sqllex.Chars(item.Statement)
+		seqs[i] = Tokenize(modelName, item.Statement)
 	}
 	return seqs
 }

@@ -25,8 +25,8 @@ func trainNeural(name string, task Task, train []workload.Item, cfg Config) (*Mo
 	if name[0] == 'w' {
 		maxLen, vocabMax = cfg.WordMaxLen, cfg.WordVocabMax
 	}
-	// Build the vocabulary from training tokens (pooled tokenizer: one
-	// interned string per distinct token across the whole corpus).
+	// Build the vocabulary from training tokens (substrings of the
+	// statements; the vocabulary copies the ones it keeps).
 	vocab := sqllex.BuildVocabulary(tokenizeAll(name, train), vocabMax)
 
 	outputs := 1

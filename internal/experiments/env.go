@@ -52,7 +52,8 @@ type Scale struct {
 }
 
 // DefaultScale is the full scaled-down reproduction (roughly 1/50 of
-// the paper's data sizes; Section 2 of DESIGN.md).
+// the paper's data sizes; core.DefaultConfig says how training is
+// scaled to match).
 func DefaultScale() Scale {
 	return Scale{
 		SDSSSessions: 14000, SQLShareUsers: 60, SQLShareQueriesPerUser: 60,

@@ -1,31 +1,25 @@
 package sqllex
 
-import (
-	"unicode"
-	"unicode/utf8"
-)
-
 // Encoder fuses tokenization and vocabulary encoding into one
 // allocation-free pipeline: it never materializes the intermediate
-// []string token sequence, looking ids up directly from reusable rune
-// and byte scratch instead. It produces exactly the ids of
+// []string token sequence, looking each token up as the substring of
+// the statement it is (a normalized literal, from reusable byte
+// scratch). It produces exactly the ids of
 //
 //	vocab.Encode(Words(query), maxLen)   // word granularity
 //	vocab.Encode(Chars(query), maxLen)   // character granularity
 //
-// (the word path shares scanWords with Words, so the two pipelines
-// cannot drift apart). An Encoder owns its scratch and is therefore
-// not safe for concurrent use; serving replicas each get their own.
+// (each granularity shares its scanner with the tokenizer, so the two
+// pipelines cannot drift apart). An Encoder owns its scratch and is
+// therefore not safe for concurrent use; serving replicas each get
+// their own.
 type Encoder struct {
 	vocab  *Vocabulary
 	word   bool
 	maxLen int
 
-	ids   []int
-	runes []rune // decoded query (word mode)
-	lit   []rune // normalized-literal scratch (word mode)
-	key   []byte // UTF-8 scratch for vocabulary lookups
-	emit  func(tok []rune, s string) bool
+	ids []int
+	lit []byte // normalized-literal scratch (word mode)
 }
 
 // NewEncoder builds an encoder for the vocabulary at the given
@@ -33,73 +27,39 @@ type Encoder struct {
 // ids (the models' fixed input budget); the scan stops as soon as the
 // cap is reached.
 func NewEncoder(vocab *Vocabulary, word bool, maxLen int) *Encoder {
-	e := &Encoder{vocab: vocab, word: word, maxLen: maxLen}
-	if word {
-		// Bound once so the per-call scan allocates no closure.
-		e.emit = func(tok []rune, s string) bool {
-			var id int
-			if tok != nil {
-				id = e.idOfRunes(tok)
-			} else {
-				id = e.vocab.ID(s)
-			}
-			e.ids = append(e.ids, id)
-			return e.maxLen <= 0 || len(e.ids) < e.maxLen
-		}
-	}
-	return e
+	return &Encoder{vocab: vocab, word: word, maxLen: maxLen}
 }
 
 // Encode tokenizes and encodes query. The returned slice is owned by
-// the Encoder and valid only until the next Encode call.
+// the Encoder and valid only until the next Encode call. It allocates
+// nothing once warm, unless query is not valid UTF-8 (word mode then
+// decodes it once).
 func (e *Encoder) Encode(query string) []int {
 	e.ids = e.ids[:0]
 	if e.word {
-		runes := e.runes[:0]
-		for _, r := range query {
-			runes = append(runes, r)
+		sc := newWordScanner(query)
+		for tok := sc.next(); tok != ""; tok = sc.next() {
+			if lit := normalized(tok, e.lit); lit != nil {
+				e.lit = lit
+				// A map index by string(bytes) does not allocate.
+				e.ids = append(e.ids, e.vocab.index[string(lit)])
+			} else {
+				e.ids = append(e.ids, e.vocab.ID(tok))
+			}
+			if e.full() {
+				break
+			}
 		}
-		e.runes = runes
-		scanWords(runes, &e.lit, e.emit)
 		return e.ids
 	}
-	for _, r := range query {
-		if unicode.IsSpace(r) {
-			continue
+	for i := 0; i < len(query) && !e.full(); {
+		var tok string
+		if tok, i = nextChar(query, i); tok != "" {
+			e.ids = append(e.ids, e.vocab.ID(tok))
 		}
-		if e.maxLen > 0 && len(e.ids) >= e.maxLen {
-			break
-		}
-		e.ids = append(e.ids, e.idOfRune(r))
 	}
 	return e.ids
 }
 
-// idOfRune looks up a single-character token without allocating.
-func (e *Encoder) idOfRune(r rune) int {
-	if r >= 0 && r < 128 {
-		return e.vocab.ID(asciiTokens[r])
-	}
-	e.key = utf8.AppendRune(e.key[:0], r)
-	return e.idOfKey()
-}
-
-// idOfRunes looks up a multi-rune token without allocating, going
-// through the byte scratch so the map access needs no string
-// conversion allocation.
-func (e *Encoder) idOfRunes(tok []rune) int {
-	key := e.key[:0]
-	for _, r := range tok {
-		key = utf8.AppendRune(key, r)
-	}
-	e.key = key
-	return e.idOfKey()
-}
-
-func (e *Encoder) idOfKey() int {
-	// The string([]byte) conversion in a map index does not allocate.
-	if id, ok := e.vocab.index[string(e.key)]; ok {
-		return id
-	}
-	return 0
-}
+// full reports whether the sequence has reached the length cap.
+func (e *Encoder) full() bool { return e.maxLen > 0 && len(e.ids) >= e.maxLen }

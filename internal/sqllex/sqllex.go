@@ -12,8 +12,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"unicode"
+	"unicode/utf8"
 )
 
 // DigitToken is the placeholder substituted for numeric literals in
@@ -24,256 +24,197 @@ const DigitToken = "<DIGIT>"
 // out-of-vocabulary tokens.
 const UnknownToken = "<UNK>"
 
-// asciiTokens interns the single-character token strings of the ASCII
-// range, so character-level tokenization and single-character operator
-// tokens do not allocate a fresh string per token.
-var asciiTokens = func() [128]string {
-	var t [128]string
-	for i := range t {
-		t[i] = string(rune(i))
-	}
-	return t
-}()
-
-// charToken returns the canonical (interned for ASCII) single-character
-// token string for r.
-func charToken(r rune) string {
-	if r >= 0 && r < 128 {
-		return asciiTokens[r]
-	}
-	return string(r)
-}
-
 // Chars splits a query into character-level tokens. Whitespace runs are
 // collapsed and dropped, matching the paper's character counting
 // convention ("48 tokens at the character level (excluding spaces)").
-// Token strings are interned for the ASCII range.
+// Each token is the substring of query its rune covers, so Chars
+// allocates the result slice and nothing else.
 func Chars(query string) []string {
 	tokens := make([]string, 0, len(query))
-	for _, r := range query {
-		if unicode.IsSpace(r) {
-			continue
+	for i := 0; i < len(query); {
+		var tok string
+		if tok, i = nextChar(query, i); tok != "" {
+			tokens = append(tokens, tok)
 		}
-		tokens = append(tokens, charToken(r))
 	}
 	return tokens
 }
 
-// wordScratch is the reusable state of one word-tokenizer run: the
-// decoded rune buffer plus the normalized-literal scratch.
-type wordScratch struct {
-	runes, lit []rune
-}
+// badRune is the token of a byte that begins no valid UTF-8 rune.
+const badRune = string(utf8.RuneError)
 
-// wordScratchPool recycles tokenizer scratch so repeated tokenization
-// (workload generation, feature extraction, vocabulary building) stops
-// re-allocating it per query.
-var wordScratchPool = sync.Pool{
-	New: func() any {
-		return &wordScratch{runes: make([]rune, 0, 256)}
-	},
+// nextChar returns the character token at byte offset i of s and the
+// offset after it. The token is the rune's own bytes, badRune for a
+// byte that begins no valid rune (as range decodes it), or "" for
+// whitespace, which is not a token.
+func nextChar(s string, i int) (tok string, next int) {
+	if b := s[i]; b < utf8.RuneSelf {
+		if spaceByte[b] {
+			return "", i + 1
+		}
+		return s[i : i+1], i + 1
+	}
+	r, w := utf8.DecodeRuneInString(s[i:])
+	switch {
+	case unicode.IsSpace(r):
+		return "", i + w
+	case r == utf8.RuneError && w == 1:
+		return badRune, i + 1
+	}
+	return s[i : i+w], i + w
 }
 
 // Words splits a query into word-level tokens. Identifiers and keywords
 // become single tokens; punctuation and operators are tokens of their
 // own; numeric literals are replaced by DigitToken. SQL string literals
 // are kept as single tokens (their content is usually a constant and is
-// digit-normalized as well).
+// digit-normalized as well). Every token but DigitToken and a literal
+// whose digits were normalized is a substring of query, so Words
+// allocates the result slice and one string per normalized literal
+// (and, for input that is not valid UTF-8, one decoded copy of it).
 func Words(query string) []string {
-	ws := wordScratchPool.Get().(*wordScratch)
-	runes := ws.runes[:0]
-	for _, r := range query {
-		runes = append(runes, r)
-	}
-	defer func() {
-		ws.runes = runes
-		wordScratchPool.Put(ws)
-	}()
+	sc := newWordScanner(query)
 	// Word tokens run ~4 characters on average in SQL text; pre-size to
 	// avoid growth reallocations on typical statements.
-	tokens := make([]string, 0, len(runes)/4+4)
-	scanWords(runes, &ws.lit, func(tok []rune, s string) bool {
-		if tok != nil {
-			s = string(tok)
+	tokens := make([]string, 0, len(sc.src)/4+4)
+	var scratch [64]byte
+	for tok := sc.next(); tok != ""; tok = sc.next() {
+		if lit := normalized(tok, scratch[:0]); lit != nil {
+			tok = string(lit)
 		}
-		tokens = append(tokens, s)
-		return true
-	})
+		tokens = append(tokens, tok)
+	}
 	return tokens
 }
 
-// scanWords runs the word tokenizer over runes, invoking emit once per
-// token, in order. Each token arrives either as a rune slice (tok) or,
-// when it has a canonical interned form (DigitToken, operators,
-// single-character punctuation), as a string; exactly one of the two is
-// set. tok may alias runes or *lit and is only valid during the call.
-// lit is caller-owned scratch for normalized string literals. emit
-// returns false to stop the scan early (e.g. when an encoder hit its
-// length cap). Words and Encoder share this scanner so the string and
-// id pipelines can never drift apart.
-func scanWords(runes []rune, lit *[]rune, emit func(tok []rune, s string) bool) {
-	n := len(runes)
-	i := 0
-	for i < n {
-		r := runes[i]
+// wordScanner is the word tokenizer: it walks a statement's bytes and
+// hands out one token per next call, the substring of the statement it
+// covers (DigitToken for a numeric constant). A string literal comes
+// out as written; normalized gives its token. Words and Encoder share
+// the scanner, so the string and id pipelines cannot drift apart.
+type wordScanner struct {
+	src string // the statement, valid UTF-8
+	i   int    // byte offset of the next token
+}
+
+// newWordScanner starts a scan of query. Input that is not valid UTF-8
+// is first rewritten as its runes, each bad byte becoming U+FFFD as
+// range decodes it, so the tokens are those of the decoded runes.
+func newWordScanner(query string) wordScanner {
+	if !utf8.ValidString(query) {
+		query = string([]rune(query))
+	}
+	return wordScanner{src: query}
+}
+
+// next returns the next token, or "" at the end of the statement.
+func (sc *wordScanner) next() string {
+	s := sc.src
+	for sc.i < len(s) {
+		i := sc.i
+		r, w := runeAt(s, i)
 		switch {
 		case unicode.IsSpace(r):
-			i++
-		case isIdentStart(r):
-			j := i
-			for j < n && isIdentPart(runes[j]) {
-				j++
-			}
-			if !emit(runes[i:j], "") {
-				return
-			}
-			i = j
+			sc.i += w
+			continue
+		case IsIdentStart(r):
+			sc.i, _ = IdentEnd(s, i)
 		case unicode.IsDigit(r):
-			// Hex constants such as SDSS object ids (0x112d075f80360018).
-			if r == '0' && i+1 < n && (runes[i+1] == 'x' || runes[i+1] == 'X') {
-				j := i + 2
-				for j < n && isHexDigit(runes[j]) {
-					j++
-				}
-				if !emit(nil, DigitToken) {
-					return
-				}
-				i = j
-				continue
-			}
-			j := i
-			for j < n && (unicode.IsDigit(runes[j]) || runes[j] == '.' ||
-				((runes[j] == 'e' || runes[j] == 'E') && j+1 < n && (unicode.IsDigit(runes[j+1]) || runes[j+1] == '+' || runes[j+1] == '-')) ||
-				((runes[j] == '+' || runes[j] == '-') && j > i && (runes[j-1] == 'e' || runes[j-1] == 'E'))) {
-				j++
-			}
-			if !emit(nil, DigitToken) {
-				return
-			}
-			i = j
+			sc.i = numberEnd(s, i)
+			return DigitToken
 		case r == '\'':
-			j := i + 1
-			for j < n {
-				if runes[j] == '\'' {
-					if j+1 < n && runes[j+1] == '\'' { // escaped quote
-						j += 2
-						continue
-					}
-					j++
-					break
-				}
-				j++
-			}
-			if !emit(normalizeLiteralRunes(runes[i:j], lit), "") {
-				return
-			}
-			i = j
+			sc.i = LiteralEnd(s, i)
 		case r == '"' || r == '[':
-			close := '"'
+			close := byte('"')
 			if r == '[' {
 				close = ']'
 			}
-			j := i + 1
-			for j < n && runes[j] != close {
-				j++
+			sc.i = len(s)
+			if k := strings.IndexByte(s[i+1:], close); k >= 0 {
+				sc.i = i + k + 2
 			}
-			if j < n {
-				j++
-			}
-			if !emit(runes[i:j], "") {
-				return
-			}
-			i = j
 		default:
-			// Multi-character operators first.
-			if i+1 < n {
-				if op := twoCharOp(r, runes[i+1]); op != "" {
-					if !emit(nil, op) {
-						return
-					}
-					i += 2
-					continue
+			sc.i = i + w
+			if i+2 <= len(s) {
+				switch s[i : i+2] {
+				case "<=", "<>", ">=", "!=", "||", "--", "/*", "*/":
+					sc.i = i + 2
 				}
 			}
-			if !emit(nil, charToken(r)) {
-				return
-			}
-			i++
 		}
-	}
-}
-
-// twoCharOp returns the interned two-character operator starting with
-// (a, b), or "" when the pair is not an operator.
-func twoCharOp(a, b rune) string {
-	switch a {
-	case '<':
-		if b == '=' {
-			return "<="
-		}
-		if b == '>' {
-			return "<>"
-		}
-	case '>':
-		if b == '=' {
-			return ">="
-		}
-	case '!':
-		if b == '=' {
-			return "!="
-		}
-	case '|':
-		if b == '|' {
-			return "||"
-		}
-	case '-':
-		if b == '-' {
-			return "--"
-		}
-	case '/':
-		if b == '*' {
-			return "/*"
-		}
-	case '*':
-		if b == '/' {
-			return "*/"
-		}
+		return s[i:sc.i]
 	}
 	return ""
 }
 
-// normalizeLiteralRunes replaces digit runs inside a quoted string
-// literal with a '#' marker so that constant-only variations of the
-// same template map to the same token, writing the result into *dst
-// (grown as needed) and returning it.
-func normalizeLiteralRunes(litRunes []rune, dst *[]rune) []rune {
-	out := (*dst)[:0]
-	inDigits := false
-	for _, r := range litRunes {
-		if unicode.IsDigit(r) {
-			if !inDigits {
-				out = append(out, '#')
-				inDigits = true
+// numberEnd returns the byte offset past the numeric constant starting
+// at byte offset i of s: a hex constant such as an SDSS object id
+// (0x112d075f80360018), or a run of digits, dots and exponents.
+func numberEnd(s string, i int) int {
+	j := i
+	if s[i] == '0' && i+1 < len(s) && (s[i+1] == 'x' || s[i+1] == 'X') {
+		for j += 2; j < len(s); {
+			r, w := runeAt(s, j)
+			if !IsHexDigit(r) {
+				break
 			}
+			j += w
+		}
+		return j
+	}
+	for j < len(s) {
+		r, w := runeAt(s, j)
+		switch {
+		case unicode.IsDigit(r) || r == '.':
+		case r == 'e' || r == 'E':
+			if j+w == len(s) {
+				return j
+			}
+			if n, _ := runeAt(s, j+w); !unicode.IsDigit(n) && n != '+' && n != '-' {
+				return j
+			}
+		case r == '+' || r == '-':
+			// An exponent's sign; j > i, as s[i] is a digit.
+			if s[j-1] != 'e' && s[j-1] != 'E' {
+				return j
+			}
+		default:
+			return j
+		}
+		j += w
+	}
+	return j
+}
+
+// normalized returns the token of the word s when s is a string literal
+// holding digits: s with each run of digits replaced by one '#', so that
+// constant-only variations of the same template map to the same token,
+// built in buf's backing array. It returns nil for any other word, which
+// is its own token.
+func normalized(s string, buf []byte) []byte {
+	if s[0] != '\'' {
+		return nil
+	}
+	out, done := buf[:0], 0 // s[:done] is in out
+	for i := 0; i < len(s); {
+		r, w := runeAt(s, i)
+		if !unicode.IsDigit(r) {
+			i += w
 			continue
 		}
-		inDigits = false
-		out = append(out, r)
+		out = append(append(out, s[done:i]...), '#')
+		for i < len(s) {
+			if r, w = runeAt(s, i); !unicode.IsDigit(r) {
+				break
+			}
+			i += w
+		}
+		done = i
 	}
-	*dst = out
-	return out
-}
-
-func isIdentStart(r rune) bool {
-	return unicode.IsLetter(r) || r == '_' || r == '@' || r == '#'
-}
-
-func isIdentPart(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '$' || r == '@' || r == '#'
-}
-
-func isHexDigit(r rune) bool {
-	return unicode.IsDigit(r) || (r >= 'a' && r <= 'f') || (r >= 'A' && r <= 'F')
+	if done == 0 { // s opens with a quote, so done > 0 once a run was replaced
+		return nil
+	}
+	return append(out, s[done:]...)
 }
 
 // NGrams returns all n-grams (as joined strings) of the token sequence
@@ -296,10 +237,12 @@ func NGrams(tokens []string, maxN int) []string {
 }
 
 // Vocabulary maps tokens to dense integer ids. Index 0 is reserved for
-// the unknown token.
+// the unknown token. A vocabulary stores its own copy of each token, so
+// it keeps no statement it was built from alive.
 type Vocabulary struct {
 	index map[string]int
 	words []string
+	ascii [utf8.RuneSelf]int // ids of the single-byte tokens, 0 if absent
 }
 
 // NewVocabulary creates a vocabulary whose id 0 is UnknownToken.
@@ -315,18 +258,27 @@ func (v *Vocabulary) Add(tok string) int {
 	if id, ok := v.index[tok]; ok {
 		return id
 	}
+	return v.put(tok)
+}
+
+// put appends a copy of tok, absent from v, as the next id.
+func (v *Vocabulary) put(tok string) int {
+	tok = strings.Clone(tok)
 	id := len(v.words)
 	v.index[tok] = id
 	v.words = append(v.words, tok)
+	if len(tok) == 1 && tok[0] < utf8.RuneSelf {
+		v.ascii[tok[0]] = id
+	}
 	return id
 }
 
 // ID returns the id for tok, or 0 (unknown) if absent.
 func (v *Vocabulary) ID(tok string) int {
-	if id, ok := v.index[tok]; ok {
-		return id
+	if len(tok) == 1 && tok[0] < utf8.RuneSelf {
+		return v.ascii[tok[0]]
 	}
-	return 0
+	return v.index[tok]
 }
 
 // Token returns the token string for an id.
@@ -360,8 +312,7 @@ func VocabularyFromTokens(tokens []string) (*Vocabulary, error) {
 		if _, dup := v.index[tok]; dup {
 			return nil, fmt.Errorf("sqllex: duplicate vocabulary token %q", tok)
 		}
-		v.index[tok] = len(v.words)
-		v.words = append(v.words, tok)
+		v.put(tok)
 	}
 	return v, nil
 }

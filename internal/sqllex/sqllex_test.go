@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestCharsExcludesSpaces(t *testing.T) {
@@ -293,5 +294,46 @@ func TestTokenizersTotalProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pointsInto reports whether tok's bytes lie inside s's.
+func pointsInto(tok, s string) bool {
+	if tok == "" || s == "" {
+		return false
+	}
+	p, base := uintptr(unsafe.Pointer(unsafe.StringData(tok))), uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	return p >= base && p < base+uintptr(len(s))
+}
+
+// TestVocabularyHoldsNoStatementText checks every way of building a
+// vocabulary copies its tokens: Words' tokens are substrings of the
+// statement, and a vocabulary keeping one would keep the whole
+// statement alive for as long as the model it encodes for.
+func TestVocabularyHoldsNoStatementText(t *testing.T) {
+	q := string([]byte("SELECT objid FROM PhotoObj WHERE name = 'abc'"))
+	toks := Words(q)
+	if !pointsInto(toks[1], q) {
+		t.Fatalf("Words token %q is not a substring of the statement; the check below would prove nothing", toks[1])
+	}
+	added := NewVocabulary()
+	for _, tok := range toks {
+		added.Add(tok)
+	}
+	fromTokens, err := VocabularyFromTokens(append([]string{UnknownToken}, toks...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]*Vocabulary{
+		"Add": added, "VocabularyFromTokens": fromTokens, "BuildVocabulary": BuildVocabulary([][]string{toks}, 0),
+	} {
+		if v.Size() != len(toks)+1 {
+			t.Fatalf("%s: Size = %d, want %d", name, v.Size(), len(toks)+1)
+		}
+		for _, tok := range v.Tokens() {
+			if pointsInto(tok, q) {
+				t.Errorf("%s: token %q points into the statement", name, tok)
+			}
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package sqlparse
 
-import "unicode"
+import (
+	"unicode"
+
+	"repro/internal/sqllex"
+)
 
 // runeLexer is the lexer as it was first written: it copies the input
 // into a []rune and turns every token back into a fresh string. It is
@@ -36,8 +40,8 @@ func (lx *runeLexer) next() Token {
 	start := lx.pos
 	r := lx.runes[lx.pos]
 	switch {
-	case isIdentStart(r):
-		for lx.pos < len(lx.runes) && isIdentPart(lx.runes[lx.pos]) {
+	case sqllex.IsIdentStart(r):
+		for lx.pos < len(lx.runes) && sqllex.IsIdentPart(lx.runes[lx.pos]) {
 			lx.pos++
 		}
 		return Token{Kind: TokIdent, Text: string(lx.runes[start:lx.pos]), Pos: start}
@@ -114,7 +118,7 @@ func (lx *runeLexer) lexNumber() {
 	if lx.runes[lx.pos] == '0' && lx.pos+1 < len(lx.runes) &&
 		(lx.runes[lx.pos+1] == 'x' || lx.runes[lx.pos+1] == 'X') {
 		lx.pos += 2
-		for lx.pos < len(lx.runes) && isHex(lx.runes[lx.pos]) {
+		for lx.pos < len(lx.runes) && sqllex.IsHexDigit(lx.runes[lx.pos]) {
 			lx.pos++
 		}
 		return

@@ -16,6 +16,8 @@ import (
 	"sync"
 	"unicode"
 	"unicode/utf8"
+
+	"repro/internal/sqllex"
 )
 
 // TokenKind identifies the lexical class of a token.
@@ -156,28 +158,16 @@ func (lx *lexer) next() Token {
 	r, w := lx.runeAt(start)
 	kind := TokOperator
 	switch {
-	case isIdentStart(r):
-		lx.advance(w)
-		for lx.i < len(lx.src) {
-			if b := lx.src[lx.i]; b < utf8.RuneSelf {
-				if !identByte[b] {
-					break
-				}
-				lx.advance(1)
-				continue
-			}
-			r, w := utf8.DecodeRuneInString(lx.src[lx.i:])
-			if !isIdentPart(r) {
-				break
-			}
-			lx.advance(w)
-		}
+	case sqllex.IsIdentStart(r):
+		end, runes := sqllex.IdentEnd(lx.src, start)
+		lx.i = end
+		lx.pos += runes
 		kind = TokIdent
 	case unicode.IsDigit(r):
 		lx.lexNumber()
 		kind = TokNumber
 	case r == '\'':
-		lx.lexString()
+		lx.skipTo(sqllex.LiteralEnd(lx.src, start))
 		kind = TokString
 	case r == '"':
 		lx.skipPast(start+1, `"`)
@@ -245,7 +235,7 @@ func (lx *lexer) lexNumber() {
 		lx.pos += 2
 		for lx.i < len(lx.src) {
 			r, w := lx.runeAt(lx.i)
-			if !isHex(r) {
+			if !sqllex.IsHexDigit(r) {
 				return
 			}
 			lx.advance(w)
@@ -277,45 +267,6 @@ func (lx *lexer) lexNumber() {
 func (lx *lexer) expSign(j int) bool {
 	r, _ := lx.runeAt(j)
 	return unicode.IsDigit(r) || r == '+' || r == '-'
-}
-
-// lexString moves past a quoted string literal, a doubled quote being
-// an escaped one; an unterminated literal runs to the end of input.
-func (lx *lexer) lexString() {
-	j := lx.i + 1 // past the opening quote
-	for {
-		k := strings.IndexByte(lx.src[j:], '\'')
-		if k < 0 {
-			lx.skipTo(len(lx.src))
-			return
-		}
-		j += k + 1
-		if lx.byteAt(j) != '\'' {
-			lx.skipTo(j)
-			return
-		}
-		j++
-	}
-}
-
-// identByte[b] is isIdentPart(rune(b)) for each ASCII byte b.
-var identByte = func() (t [utf8.RuneSelf]bool) {
-	for b := range t {
-		t[b] = isIdentPart(rune(b))
-	}
-	return t
-}()
-
-func isIdentStart(r rune) bool {
-	return unicode.IsLetter(r) || r == '_' || r == '@' || r == '#'
-}
-
-func isIdentPart(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '$' || r == '@' || r == '#'
-}
-
-func isHex(r rune) bool {
-	return unicode.IsDigit(r) || (r >= 'a' && r <= 'f') || (r >= 'A' && r <= 'F')
 }
 
 // ParseError describes a failure to parse a statement, with the rune

@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"repro/internal/nn"
 	"repro/internal/sqllex"
@@ -76,7 +77,9 @@ func FitFeaturizer(sequences [][]string, maxN, maxFeatures int) *Featurizer {
 	f := &Featurizer{MaxN: maxN, index: make(map[string]int, len(keys)), idf: make([]float64, len(keys))}
 	n := float64(len(sequences))
 	for i, k := range keys {
-		f.index[k] = i
+		// A unigram is a token, a substring of the statement it came
+		// from: the copy keeps no training statement alive.
+		f.index[strings.Clone(k)] = i
 		f.idf[i] = math.Log((1+n)/(1+float64(stats[k].df))) + 1
 	}
 	return f

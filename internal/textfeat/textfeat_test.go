@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/sqllex"
 )
@@ -21,6 +22,20 @@ func TestFeaturizerVocabularyCap(t *testing.T) {
 	f := FitFeaturizer(seqs("SELECT a FROM t", "SELECT b FROM t"), 2, 5)
 	if f.NumFeatures() != 5 {
 		t.Fatalf("features = %d, want 5", f.NumFeatures())
+	}
+}
+
+// TestFeaturizerHoldsNoStatementText checks the featurizer copies the
+// n-grams it keeps: a unigram is a Words token, a substring of its
+// statement, and keeping it would keep the statement alive.
+func TestFeaturizerHoldsNoStatementText(t *testing.T) {
+	q := string([]byte("SELECT objid FROM PhotoObj"))
+	f := FitFeaturizer([][]string{sqllex.Words(q)}, 2, 0)
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(q)))
+	for g := range f.index {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(g))); p >= lo && p < lo+uintptr(len(q)) {
+			t.Errorf("n-gram %q points into the statement", g)
+		}
 	}
 }
 
