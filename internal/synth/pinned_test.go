@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/simdb"
+	"repro/internal/sqlparse"
 	"repro/internal/workload"
 )
 
@@ -22,7 +23,8 @@ var update = flag.Bool("update", false, "rewrite testdata/generators.json from t
 // TestGeneratorsPinned is the bit-identity ledger of the workload
 // generators: SHA-256 digests over every statement, session id and
 // label of an SDSS raw log and extracted workload (1 400 sessions, the
-// benchmark's seed and another) and of a small SQLShare workload,
+// benchmark's seed and another) and of a small SQLShare workload, and
+// over each workload's syntactic features and `opt` cost estimates,
 // compared with testdata/generators.json. The file is written at the
 // commit *before* a change to a generator, the simulated engine or
 // their random streams (go test ./internal/synth/ -run
@@ -80,10 +82,43 @@ func generatorDigests() map[string]string {
 	}{{"sdss-20200614", 20200614}, {"sdss-7", 7}} {
 		cfg := SDSSConfig{Sessions: 1400, HitsPerSessionMax: 3, Seed: run.seed}
 		got[run.name+"/log"] = logDigest(NewSDSS(cfg).GenerateLog())
-		got[run.name+"/workload"] = itemsDigest(NewSDSS(cfg).Generate().Items)
+		g := NewSDSS(cfg)
+		items := g.Generate().Items
+		got[run.name+"/workload"] = itemsDigest(items)
+		got[run.name+"/features"] = featuresDigest(items)
+		got[run.name+"/opt"] = optDigest(items, func(string) *simdb.Catalog { return g.Catalog() })
 	}
-	got["sqlshare-3/workload"] = itemsDigest(NewSQLShare(SQLShareConfig{Users: 8, QueriesPerUser: 30, Seed: 3}).Generate().Items)
+	sq := NewSQLShare(SQLShareConfig{Users: 8, QueriesPerUser: 30, Seed: 3})
+	items := sq.Generate().Items
+	got["sqlshare-3/workload"] = itemsDigest(items)
+	got["sqlshare-3/features"] = featuresDigest(items)
+	got["sqlshare-3/opt"] = optDigest(items, func(user string) *simdb.Catalog { return sq.Catalogs()[user] })
 	return got
+}
+
+// featuresDigest hashes every item's ten syntactic properties and
+// statement type (the inputs of Figures 3-8).
+func featuresDigest(items []workload.Item) string {
+	d := digester{sha256.New()}
+	for _, it := range items {
+		f := sqlparse.ExtractFeatures(it.Statement)
+		for _, v := range f.Vector() {
+			d.float(v)
+		}
+		d.str(f.StatementType)
+	}
+	return d.sum()
+}
+
+// optDigest hashes the `opt` baseline's cost estimate of every item
+// (Table 5), each under the catalog its database has.
+func optDigest(items []workload.Item, catalog func(user string) *simdb.Catalog) string {
+	d := digester{sha256.New()}
+	for _, it := range items {
+		opt := simdb.Optimizer{Catalog: catalog(it.User)}
+		d.float(opt.EstimateCost(it.Statement))
+	}
+	return d.sum()
 }
 
 // logDigest hashes every field of every raw log entry.
