@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/lazyrand"
+	"repro/internal/sqllex"
 	"repro/internal/sqlparse"
 )
 
@@ -210,12 +211,9 @@ func isScalarAggregate(sel *sqlparse.SelectStmt) bool {
 		if item.Star {
 			return false
 		}
-		if fc, ok := item.Expr.(*sqlparse.FuncCall); ok {
-			switch strings.ToUpper(fc.BareName) {
-			case "COUNT", "SUM", "AVG", "MIN", "MAX", "STDEV", "VAR":
-				hasAgg = true
-				continue
-			}
+		if fc, ok := item.Expr.(*sqlparse.FuncCall); ok && sqllex.IsAggregateFunction(fc.BareName) {
+			hasAgg = true
+			continue
 		}
 		return false
 	}

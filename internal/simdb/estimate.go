@@ -134,27 +134,19 @@ func (e *estimator) estimateSelect(sel *sqlparse.SelectStmt, parent *relSet) pla
 		where = e.analyzePredicate(sel.Where, rs)
 	}
 
-	// Implicit equi-joins in comma-style FROM lists: reflected in the
-	// selectivity computed by analyzePredicate via column-pair
-	// predicates, so no extra handling needed here.
-
-	rowsBeforeFilter := est.Rows
 	est.Rows *= clamp01(where.selectivity)
 
 	// Scan costs: indexed relations seek, others scan fully.
-	scanned := 0.0
 	maxScan := 0.0
 	for _, r := range rs.rels {
 		rows := r.rows
 		if r.indexed && r.table != nil {
 			seekRows := math.Max(r.rows*r.seekSel, 1)
 			est.Cost += cpuIndexSeek + seekRows*cpuPerRowScan
-			scanned += seekRows
 			maxScan = math.Max(maxScan, seekRows)
 			continue
 		}
 		est.Cost += rows * cpuPerRowScan
-		scanned += rows
 		maxScan = math.Max(maxScan, rows)
 	}
 	est.Cost += joinCost
@@ -163,8 +155,6 @@ func (e *estimator) estimateSelect(sel *sqlparse.SelectStmt, parent *relSet) pla
 		est.Cost += where.funcCostRow * maxScan
 	}
 	est.Cost += where.subCost
-	_ = rowsBeforeFilter
-	_ = scanned
 
 	// Aggregation and grouping.
 	hasAggregate := false
@@ -565,28 +555,25 @@ func constValue(e sqlparse.Expr) (float64, bool) {
 }
 
 // columnOf digs the principal column reference out of an operand
-// expression (possibly wrapped in arithmetic or functions).
-func (e *estimator) columnOf(expr sqlparse.Expr, rs *relSet) (*relation, *Column) {
-	switch x := expr.(type) {
-	case *sqlparse.ColumnRef:
-		return rs.column(x)
-	case *sqlparse.BinaryExpr:
-		if r, c := e.columnOf(x.Left, rs); c != nil {
-			return r, c
+// expression (possibly wrapped in arithmetic or functions): the first
+// column in source order that resolves to column statistics, not
+// looking inside CASE, IN, BETWEEN or subqueries.
+func (e *estimator) columnOf(expr sqlparse.Expr, rs *relSet) (rel *relation, col *Column) {
+	sqlparse.Inspect(expr, func(n sqlparse.Expr) bool {
+		if col != nil {
+			return false
 		}
-		return e.columnOf(x.Right, rs)
-	case *sqlparse.UnaryExpr:
-		return e.columnOf(x.Expr, rs)
-	case *sqlparse.CastExpr:
-		return e.columnOf(x.Expr, rs)
-	case *sqlparse.FuncCall:
-		for _, a := range x.Args {
-			if r, c := e.columnOf(a, rs); c != nil {
-				return r, c
+		switch x := n.(type) {
+		case *sqlparse.ColumnRef:
+			if r, c := rs.column(x); c != nil {
+				rel, col = r, c
 			}
+		case *sqlparse.CaseExpr, *sqlparse.InExpr, *sqlparse.BetweenExpr:
+			return false
 		}
-	}
-	return nil, nil
+		return col == nil
+	})
+	return rel, col
 }
 
 // funcInfo describes the function-evaluation cost of an expression.
@@ -596,65 +583,40 @@ type funcInfo struct {
 	hasAggregate bool
 }
 
+// exprFuncInfo sums the row-wise function and cast costs of expr and
+// the cost of its subqueries, in source order. An IN's tested
+// expression is costed before its subquery.
 func (e *estimator) exprFuncInfo(expr sqlparse.Expr, rs *relSet) funcInfo {
 	var fi funcInfo
-	e.collectFuncInfo(expr, rs, &fi)
-	return fi
-}
-
-func (e *estimator) collectFuncInfo(expr sqlparse.Expr, rs *relSet, fi *funcInfo) {
-	switch x := expr.(type) {
-	case *sqlparse.FuncCall:
-		if f := e.cat.Function(x.BareName); f != nil {
-			fi.costPerRow += f.CostPerCall
-			if f.Aggregate {
-				fi.hasAggregate = true
+	var visit func(sqlparse.Expr) bool
+	visit = func(n sqlparse.Expr) bool {
+		switch x := n.(type) {
+		case *sqlparse.FuncCall:
+			if f := e.cat.Function(x.BareName); f != nil {
+				fi.costPerRow += f.CostPerCall
+				if f.Aggregate {
+					fi.hasAggregate = true
+				}
+			} else {
+				fi.costPerRow += 1e-6 // unknown function, nominal cost
 			}
-		} else {
-			fi.costPerRow += 1e-6 // unknown function, nominal cost
+		case *sqlparse.CastExpr:
+			fi.costPerRow += 4e-8
+		case *sqlparse.SubqueryExpr:
+			fi.subCost += e.estimateSelect(x.Select, rs).Cost
+		case *sqlparse.ExistsExpr:
+			fi.subCost += e.estimateSelect(x.Subquery, rs).Cost
+		case *sqlparse.InExpr:
+			if x.Subquery != nil {
+				sqlparse.Inspect(x.Expr, visit)
+				fi.subCost += e.estimateSelect(x.Subquery, rs).Cost
+				return false
+			}
 		}
-		for _, a := range x.Args {
-			e.collectFuncInfo(a, rs, fi)
-		}
-	case *sqlparse.BinaryExpr:
-		e.collectFuncInfo(x.Left, rs, fi)
-		e.collectFuncInfo(x.Right, rs, fi)
-	case *sqlparse.UnaryExpr:
-		e.collectFuncInfo(x.Expr, rs, fi)
-	case *sqlparse.CastExpr:
-		fi.costPerRow += 4e-8
-		e.collectFuncInfo(x.Expr, rs, fi)
-	case *sqlparse.CaseExpr:
-		if x.Operand != nil {
-			e.collectFuncInfo(x.Operand, rs, fi)
-		}
-		for _, w := range x.Whens {
-			e.collectFuncInfo(w.When, rs, fi)
-			e.collectFuncInfo(w.Then, rs, fi)
-		}
-		if x.Else != nil {
-			e.collectFuncInfo(x.Else, rs, fi)
-		}
-	case *sqlparse.SubqueryExpr:
-		sub := e.estimateSelect(x.Select, rs)
-		fi.subCost += sub.Cost
-	case *sqlparse.ExistsExpr:
-		sub := e.estimateSelect(x.Subquery, rs)
-		fi.subCost += sub.Cost
-	case *sqlparse.InExpr:
-		e.collectFuncInfo(x.Expr, rs, fi)
-		for _, item := range x.List {
-			e.collectFuncInfo(item, rs, fi)
-		}
-		if x.Subquery != nil {
-			sub := e.estimateSelect(x.Subquery, rs)
-			fi.subCost += sub.Cost
-		}
-	case *sqlparse.BetweenExpr:
-		e.collectFuncInfo(x.Expr, rs, fi)
-		e.collectFuncInfo(x.Lo, rs, fi)
-		e.collectFuncInfo(x.Hi, rs, fi)
+		return true
 	}
+	sqlparse.Inspect(expr, visit)
+	return fi
 }
 
 // groupCount estimates the number of groups for GROUP BY expressions.

@@ -299,78 +299,37 @@ func tableDisplay(name *sqlparse.TableName) string {
 	return strings.Join(name.Parts, ".")
 }
 
+// checkExpr resolves every column, function and subquery of e in
+// source order and returns the first failure. An IN's tested
+// expression is checked before its subquery.
 func (a *analyzer) checkExpr(e sqlparse.Expr, sc *scope) error {
-	switch x := e.(type) {
-	case *sqlparse.ColumnRef:
-		return a.checkColumn(x, sc)
-	case *sqlparse.BinaryExpr:
-		if err := a.checkExpr(x.Left, sc); err != nil {
-			return err
+	var err error
+	sqlparse.Inspect(e, func(n sqlparse.Expr) bool {
+		if err != nil {
+			return false
 		}
-		return a.checkExpr(x.Right, sc)
-	case *sqlparse.UnaryExpr:
-		return a.checkExpr(x.Expr, sc)
-	case *sqlparse.FuncCall:
-		if a.cat.Function(x.BareName) == nil {
-			return &SemanticError{Kind: "function", Name: x.Name}
-		}
-		for _, arg := range x.Args {
-			if err := a.checkExpr(arg, sc); err != nil {
-				return err
+		switch x := n.(type) {
+		case *sqlparse.ColumnRef:
+			err = a.checkColumn(x, sc)
+		case *sqlparse.FuncCall:
+			if a.cat.Function(x.BareName) == nil {
+				err = &SemanticError{Kind: "function", Name: x.Name}
+			}
+		case *sqlparse.SubqueryExpr:
+			_, err = a.analyzeSelect(x.Select, sc)
+		case *sqlparse.ExistsExpr:
+			_, err = a.analyzeSelect(x.Subquery, sc)
+		case *sqlparse.InExpr:
+			if x.Subquery != nil {
+				if err = a.checkExpr(x.Expr, sc); err == nil {
+					_, err = a.analyzeSelect(x.Subquery, sc)
+				}
+				return false
 			}
 		}
-		return nil
-	case *sqlparse.CastExpr:
-		return a.checkExpr(x.Expr, sc)
-	case *sqlparse.CaseExpr:
-		if x.Operand != nil {
-			if err := a.checkExpr(x.Operand, sc); err != nil {
-				return err
-			}
-		}
-		for _, w := range x.Whens {
-			if err := a.checkExpr(w.When, sc); err != nil {
-				return err
-			}
-			if err := a.checkExpr(w.Then, sc); err != nil {
-				return err
-			}
-		}
-		if x.Else != nil {
-			return a.checkExpr(x.Else, sc)
-		}
-		return nil
-	case *sqlparse.SubqueryExpr:
-		_, err := a.analyzeSelect(x.Select, sc)
-		return err
-	case *sqlparse.ExistsExpr:
-		_, err := a.analyzeSelect(x.Subquery, sc)
-		return err
-	case *sqlparse.InExpr:
-		if err := a.checkExpr(x.Expr, sc); err != nil {
-			return err
-		}
-		for _, item := range x.List {
-			if err := a.checkExpr(item, sc); err != nil {
-				return err
-			}
-		}
-		if x.Subquery != nil {
-			_, err := a.analyzeSelect(x.Subquery, sc)
-			return err
-		}
-		return nil
-	case *sqlparse.BetweenExpr:
-		if err := a.checkExpr(x.Expr, sc); err != nil {
-			return err
-		}
-		if err := a.checkExpr(x.Lo, sc); err != nil {
-			return err
-		}
-		return a.checkExpr(x.Hi, sc)
-	default:
-		return nil
-	}
+		return err == nil
+	})
+	return err
 }
 
 func (a *analyzer) checkColumn(c *sqlparse.ColumnRef, sc *scope) error {

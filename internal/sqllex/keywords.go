@@ -36,12 +36,12 @@ func IsAggregateFunction(name string) bool {
 	return aggregateFunctions[strings.ToUpper(name)]
 }
 
-// StatementType classifies the leading verb of a raw statement. The
-// workload analysis (Section 4.3.1) reports the breakdown of SELECT vs
-// EXECUTE/CREATE/DROP/UPDATE/ALTER and combinations.
-func StatementType(query string) string {
-	toks := Words(query)
-	for _, t := range toks {
+// StatementType classifies the leading verb of a raw statement from
+// its word tokens (Words). The workload analysis (Section 4.3.1)
+// reports the breakdown of SELECT vs EXECUTE/CREATE/DROP/UPDATE/ALTER
+// and combinations.
+func StatementType(words []string) string {
+	for _, t := range words {
 		u := strings.ToUpper(t)
 		switch u {
 		case "SELECT", "INSERT", "UPDATE", "DELETE", "CREATE", "DROP",

@@ -207,7 +207,7 @@ func TestStatementType(t *testing.T) {
 		{"   ", "EMPTY"},
 	}
 	for _, c := range cases {
-		if got := StatementType(c.q); got != c.want {
+		if got := StatementType(Words(c.q)); got != c.want {
 			t.Errorf("StatementType(%q) = %q, want %q", c.q, got, c.want)
 		}
 	}
@@ -289,7 +289,7 @@ func TestTokenizersTotalProperty(t *testing.T) {
 	f := func(s string) bool {
 		_ = Chars(s)
 		_ = Words(s)
-		_ = StatementType(s)
+		_ = StatementType(Words(s))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {

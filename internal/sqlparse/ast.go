@@ -169,6 +169,49 @@ func (*CaseExpr) exprNode()     {}
 func (*CastExpr) exprNode()     {}
 func (*StarExpr) exprNode()     {}
 
+// Inspect walks the expression tree rooted at e in source order, as
+// go/ast.Inspect does: it calls f(e) and, when f returns true, inspects
+// e's operands in turn — a BinaryExpr's left then right; a CaseExpr's
+// operand, each WHEN then its THEN, and its ELSE; an InExpr's tested
+// expression then its list; a BetweenExpr's expression, low and high
+// bound. Nil operands are skipped. A subquery (SubqueryExpr, ExistsExpr,
+// an InExpr's Subquery) is not entered: f meets the node that holds it
+// and walks the SELECT itself if it wants to.
+func Inspect(e Expr, f func(Expr) bool) {
+	if e == nil || !f(e) {
+		return
+	}
+	switch x := e.(type) {
+	case *BinaryExpr:
+		Inspect(x.Left, f)
+		Inspect(x.Right, f)
+	case *UnaryExpr:
+		Inspect(x.Expr, f)
+	case *FuncCall:
+		for _, a := range x.Args {
+			Inspect(a, f)
+		}
+	case *CastExpr:
+		Inspect(x.Expr, f)
+	case *CaseExpr:
+		Inspect(x.Operand, f)
+		for _, w := range x.Whens {
+			Inspect(w.When, f)
+			Inspect(w.Then, f)
+		}
+		Inspect(x.Else, f)
+	case *InExpr:
+		Inspect(x.Expr, f)
+		for _, item := range x.List {
+			Inspect(item, f)
+		}
+	case *BetweenExpr:
+		Inspect(x.Expr, f)
+		Inspect(x.Lo, f)
+		Inspect(x.Hi, f)
+	}
+}
+
 // Non-SELECT statements get shallow parses: the workload analysis only
 // needs their verb and referenced tables, and the execution simulator
 // rejects or cost-models them coarsely.

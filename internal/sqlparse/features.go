@@ -62,10 +62,11 @@ func ExtractFeatures(query string) Features {
 
 // featuresOf is ExtractFeatures over query's lexed tokens.
 func featuresOf(query string, toks []Token) Features {
+	words := sqllex.Words(query)
 	f := Features{
 		NumChars:      countNonSpaceChars(query),
-		NumWords:      len(sqllex.Words(query)),
-		StatementType: sqllex.StatementType(query),
+		NumWords:      len(words),
+		StatementType: sqllex.StatementType(words),
 	}
 	stmts, err := parseTokens(toks)
 	if err != nil {
@@ -210,33 +211,18 @@ func (w *featureWalker) walkSelect(sel *SelectStmt, depth int) {
 	}
 }
 
+// collectSelectColumns records the columns a select-list expression
+// names, without descending into IN, BETWEEN or subqueries.
 func (w *featureWalker) collectSelectColumns(e Expr) {
-	switch x := e.(type) {
-	case *ColumnRef:
-		w.selectCols[strings.ToLower(x.Name())] = true
-	case *BinaryExpr:
-		w.collectSelectColumns(x.Left)
-		w.collectSelectColumns(x.Right)
-	case *UnaryExpr:
-		w.collectSelectColumns(x.Expr)
-	case *FuncCall:
-		for _, a := range x.Args {
-			w.collectSelectColumns(a)
+	Inspect(e, func(n Expr) bool {
+		switch x := n.(type) {
+		case *ColumnRef:
+			w.selectCols[strings.ToLower(x.Name())] = true
+		case *InExpr, *BetweenExpr:
+			return false
 		}
-	case *CastExpr:
-		w.collectSelectColumns(x.Expr)
-	case *CaseExpr:
-		if x.Operand != nil {
-			w.collectSelectColumns(x.Operand)
-		}
-		for _, wh := range x.Whens {
-			w.collectSelectColumns(wh.When)
-			w.collectSelectColumns(wh.Then)
-		}
-		if x.Else != nil {
-			w.collectSelectColumns(x.Else)
-		}
-	}
+		return true
+	})
 }
 
 func (w *featureWalker) walkTableRef(ref TableRef, depth int) {
@@ -274,8 +260,8 @@ func (w *featureWalker) walkPredicate(e Expr, depth int) {
 			return
 		case "=", "<", ">", "<=", ">=", "<>", "!=", "!<", "!>", "LIKE":
 			w.predicates++
-			w.countPredicateColumns(x.Left, depth)
-			w.countPredicateColumns(x.Right, depth)
+			w.countPredicateColumns(x.Left)
+			w.countPredicateColumns(x.Right)
 			w.walkExpr(x.Left, depth, true)
 			w.walkExpr(x.Right, depth, true)
 			return
@@ -284,22 +270,22 @@ func (w *featureWalker) walkPredicate(e Expr, depth int) {
 	case *UnaryExpr:
 		if x.Op == "IS NULL" || x.Op == "IS NOT NULL" {
 			w.predicates++
-			w.countPredicateColumns(x.Expr, depth)
+			w.countPredicateColumns(x.Expr)
 			w.walkExpr(x.Expr, depth, true)
 			return
 		}
 		w.walkPredicate(x.Expr, depth)
 	case *BetweenExpr:
 		w.predicates++
-		w.countPredicateColumns(x.Expr, depth)
-		w.countPredicateColumns(x.Lo, depth)
-		w.countPredicateColumns(x.Hi, depth)
+		w.countPredicateColumns(x.Expr)
+		w.countPredicateColumns(x.Lo)
+		w.countPredicateColumns(x.Hi)
 		w.walkExpr(x.Expr, depth, true)
 		w.walkExpr(x.Lo, depth, true)
 		w.walkExpr(x.Hi, depth, true)
 	case *InExpr:
 		w.predicates++
-		w.countPredicateColumns(x.Expr, depth)
+		w.countPredicateColumns(x.Expr)
 		w.walkExpr(x.Expr, depth, true)
 		for _, item := range x.List {
 			w.walkExpr(item, depth, true)
@@ -316,87 +302,53 @@ func (w *featureWalker) walkPredicate(e Expr, depth int) {
 }
 
 // countPredicateColumns counts column references within a predicate
-// operand without descending into subqueries (those columns belong to
-// the subquery's own predicates).
-func (w *featureWalker) countPredicateColumns(e Expr, depth int) {
-	switch x := e.(type) {
-	case *ColumnRef:
-		w.predicateCols++
-	case *BinaryExpr:
-		w.countPredicateColumns(x.Left, depth)
-		w.countPredicateColumns(x.Right, depth)
-	case *UnaryExpr:
-		w.countPredicateColumns(x.Expr, depth)
-	case *FuncCall:
-		for _, a := range x.Args {
-			w.countPredicateColumns(a, depth)
+// operand without descending into IN, BETWEEN or subqueries (those
+// columns belong to their own predicates).
+func (w *featureWalker) countPredicateColumns(e Expr) {
+	Inspect(e, func(n Expr) bool {
+		switch n.(type) {
+		case *ColumnRef:
+			w.predicateCols++
+		case *InExpr, *BetweenExpr:
+			return false
 		}
-	case *CastExpr:
-		w.countPredicateColumns(x.Expr, depth)
-	case *CaseExpr:
-		if x.Operand != nil {
-			w.countPredicateColumns(x.Operand, depth)
-		}
-		for _, wh := range x.Whens {
-			w.countPredicateColumns(wh.When, depth)
-			w.countPredicateColumns(wh.Then, depth)
-		}
-		if x.Else != nil {
-			w.countPredicateColumns(x.Else, depth)
-		}
-	}
+		return true
+	})
 }
 
 // walkExpr visits general expressions, counting function calls and
 // descending into subqueries. inPredicate suppresses double-counting of
 // predicates handled by walkPredicate.
 func (w *featureWalker) walkExpr(e Expr, depth int, inPredicate bool) {
-	switch x := e.(type) {
-	case *BinaryExpr:
-		if !inPredicate && (x.Op == "AND" || x.Op == "OR" || isComparison(x.Op) || x.Op == "LIKE") {
-			w.walkPredicate(x, depth)
-			return
-		}
-		w.walkExpr(x.Left, depth, inPredicate)
-		w.walkExpr(x.Right, depth, inPredicate)
-	case *UnaryExpr:
-		w.walkExpr(x.Expr, depth, inPredicate)
-	case *FuncCall:
-		w.functions++
-		if depth > 0 && sqllex.IsAggregateFunction(x.BareName) {
-			w.nestedAgg = true
-		}
-		for _, a := range x.Args {
-			w.walkExpr(a, depth, inPredicate)
-		}
-	case *CastExpr:
-		w.walkExpr(x.Expr, depth, inPredicate)
-	case *CaseExpr:
-		if x.Operand != nil {
+	Inspect(e, func(n Expr) bool {
+		switch x := n.(type) {
+		case *BinaryExpr:
+			if !inPredicate && (x.Op == "AND" || x.Op == "OR" || isComparison(x.Op) || x.Op == "LIKE") {
+				w.walkPredicate(x, depth)
+				return false
+			}
+		case *FuncCall:
+			w.functions++
+			if depth > 0 && sqllex.IsAggregateFunction(x.BareName) {
+				w.nestedAgg = true
+			}
+		case *CaseExpr:
 			w.walkExpr(x.Operand, depth, inPredicate)
-		}
-		for _, wh := range x.Whens {
-			w.walkPredicate(wh.When, depth)
-			w.walkExpr(wh.Then, depth, inPredicate)
-		}
-		if x.Else != nil {
+			for _, wh := range x.Whens {
+				w.walkPredicate(wh.When, depth)
+				w.walkExpr(wh.Then, depth, inPredicate)
+			}
 			w.walkExpr(x.Else, depth, inPredicate)
-		}
-	case *SubqueryExpr:
-		w.walkSelect(x.Select, depth+1)
-	case *ExistsExpr:
-		w.walkSelect(x.Subquery, depth+1)
-	case *InExpr:
-		w.walkExpr(x.Expr, depth, inPredicate)
-		for _, item := range x.List {
-			w.walkExpr(item, depth, inPredicate)
-		}
-		if x.Subquery != nil {
+			return false
+		case *SubqueryExpr:
+			w.walkSelect(x.Select, depth+1)
+		case *ExistsExpr:
 			w.walkSelect(x.Subquery, depth+1)
+		case *InExpr:
+			if x.Subquery != nil {
+				w.walkSelect(x.Subquery, depth+1)
+			}
 		}
-	case *BetweenExpr:
-		w.walkExpr(x.Expr, depth, inPredicate)
-		w.walkExpr(x.Lo, depth, inPredicate)
-		w.walkExpr(x.Hi, depth, inPredicate)
-	}
+		return true
+	})
 }
