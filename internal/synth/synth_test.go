@@ -1,7 +1,10 @@
 package synth
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -25,6 +28,44 @@ func TestSDSSGenerateDeterministic(t *testing.T) {
 	for i := range w1.Items {
 		if w1.Items[i] != w2.Items[i] {
 			t.Fatalf("item %d differs", i)
+		}
+	}
+}
+
+// TestGenerateMatchesExtract holds Generate, which labels only the hit
+// each session keeps, to the paper's two steps over the fully labelled
+// log: workload.Extract(GenerateLog()) with the Seed+1 stream. It also
+// counts Generate's executions: one per distinct kept statement, never
+// more than Sessions (1 040 for the benchmark's training workload, whose
+// raw log has 2 022 distinct statements).
+func TestGenerateMatchesExtract(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, seed := range []int64{20200614, 7, 1} {
+			for _, sessions := range []int{1, 60, 1400} {
+				for _, hits := range []int{1, 2, 3, 7} {
+					cfg := SDSSConfig{Sessions: sessions, HitsPerSessionMax: hits, Seed: seed}
+					name := fmt.Sprintf("procs=%d/seed=%d/sessions=%d/hits=%d", procs, seed, sessions, hits)
+					got := NewSDSS(cfg).Generate().Items
+					want := workload.Extract(NewSDSS(cfg).GenerateLog(), rand.New(rand.NewSource(seed+1))).Items
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: Generate differs from Extract(GenerateLog())", name)
+					}
+					lab := newLabeller()
+					NewSDSS(cfg).simulate(lab, rand.New(rand.NewSource(seed+1)))
+					if lab.n != len(got) || lab.n > sessions {
+						t.Fatalf("%s: Generate ran %d executions for %d items of %d sessions", name, lab.n, len(got), sessions)
+					}
+					if seed == 20200614 && sessions == 1400 && hits == 3 {
+						logLab := newLabeller()
+						NewSDSS(cfg).simulate(logLab, nil)
+						if lab.n != 1040 || logLab.n != 2022 {
+							t.Fatalf("%s: executions %d (Generate) and %d (GenerateLog), want 1040 and 2022", name, lab.n, logLab.n)
+						}
+					}
+				}
+			}
 		}
 	}
 }

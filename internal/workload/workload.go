@@ -113,34 +113,23 @@ func Extract(log []RawEntry, rng *rand.Rand) *Workload {
 }
 
 // Dedup performs the second extraction step on already-sampled entries:
-// group identical statements and aggregate labels.
+// group identical statements and aggregate labels. Items come in the
+// order their statements are first seen.
 func Dedup(sampled []RawEntry) *Workload {
-	type group struct {
-		entries []RawEntry
-		first   int
-	}
-	groups := map[string]*group{}
-	order := 0
+	group := map[string]int{} // statement → its index in groups
+	var groups [][]RawEntry
 	for _, e := range sampled {
-		g, ok := groups[e.Statement]
+		i, ok := group[e.Statement]
 		if !ok {
-			g = &group{first: order}
-			order++
-			groups[e.Statement] = g
+			i = len(groups)
+			group[e.Statement] = i
+			groups = append(groups, nil)
 		}
-		g.entries = append(g.entries, e)
+		groups[i] = append(groups[i], e)
 	}
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		return groups[keys[i]].first < groups[keys[j]].first
-	})
-	w := &Workload{Items: make([]Item, 0, len(keys))}
-	for _, stmt := range keys {
-		g := groups[stmt]
-		w.Items = append(w.Items, aggregate(stmt, g.entries))
+	w := &Workload{Items: make([]Item, len(groups))}
+	for i, entries := range groups {
+		w.Items[i] = aggregate(entries[0].Statement, entries)
 	}
 	return w
 }

@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -60,14 +63,88 @@ func TestDedupMajorityVote(t *testing.T) {
 }
 
 func TestDedupPreservesFirstSeenOrder(t *testing.T) {
-	sampled := []RawEntry{
-		entry("b", 0, Bot, simdb.Result{}),
-		entry("a", 1, Bot, simdb.Result{}),
-		entry("b", 2, Bot, simdb.Result{}),
+	for _, c := range []struct {
+		stmts []string
+		want  []string
+	}{
+		{[]string{"b", "a", "b"}, []string{"b", "a"}},
+		// "c" is first seen after "a" has repeated: it stays last.
+		{[]string{"a", "b", "a", "a", "b", "a", "c", "a"}, []string{"a", "b", "c"}},
+	} {
+		sampled := make([]RawEntry, len(c.stmts))
+		for i, stmt := range c.stmts {
+			sampled[i] = entry(stmt, i, Bot, simdb.Result{})
+		}
+		if got := Statements(Dedup(sampled).Items); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Dedup(%v) order = %v, want %v", c.stmts, got, c.want)
+		}
 	}
-	w := Dedup(sampled)
-	if w.Items[0].Statement != "b" || w.Items[1].Statement != "a" {
-		t.Fatalf("order = %v", []string{w.Items[0].Statement, w.Items[1].Statement})
+}
+
+// dedupSorted is Dedup as it was before it collected groups in
+// first-seen order: it sorts the statements by their first sighting
+// afterwards. Kept as the oracle for TestDedupMatchesSortedProperty.
+func dedupSorted(sampled []RawEntry) *Workload {
+	type group struct {
+		entries []RawEntry
+		first   int
+	}
+	groups := map[string]*group{}
+	order := 0
+	for _, e := range sampled {
+		g, ok := groups[e.Statement]
+		if !ok {
+			g = &group{first: order}
+			order++
+			groups[e.Statement] = g
+		}
+		g.entries = append(g.entries, e)
+	}
+	keys := make([]string, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		return groups[keys[i]].first < groups[keys[j]].first
+	})
+	w := &Workload{Items: make([]Item, 0, len(keys))}
+	for _, stmt := range keys {
+		g := groups[stmt]
+		w.Items = append(w.Items, aggregate(stmt, g.entries))
+	}
+	return w
+}
+
+// Property: over sampled logs whose statements repeat interleaved,
+// Dedup equals the sort-based oracle, labels and order alike.
+func TestDedupMatchesSortedProperty(t *testing.T) {
+	type draw struct {
+		Stmt, Class, Err, User uint8
+		Answer                 uint16
+		CPU, Elapsed           float64
+	}
+	f := func(draws []draw) bool {
+		sampled := make([]RawEntry, len(draws))
+		for i, d := range draws {
+			sampled[i] = RawEntry{
+				// Few statements, so most repeat and first sightings
+				// interleave with repeats of earlier ones.
+				Statement: fmt.Sprintf("q%d", d.Stmt%13),
+				SessionID: i,
+				Class:     SessionClass(d.Class % NumSessionClasses),
+				User:      fmt.Sprintf("u%d", d.User%3),
+				Result: simdb.Result{
+					Error:      simdb.ErrorClass(d.Err % uint8(simdb.NumErrorClasses)),
+					AnswerSize: int64(d.Answer),
+					CPUTime:    d.CPU,
+					Elapsed:    d.Elapsed,
+				},
+			}
+		}
+		return reflect.DeepEqual(Dedup(sampled), dedupSorted(sampled))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
 
