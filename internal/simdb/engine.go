@@ -3,7 +3,6 @@ package simdb
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 
 	"repro/internal/lazyrand"
@@ -124,16 +123,17 @@ func (en *Engine) Execute(query string) Result {
 	return total
 }
 
+// executeStatement labels one parsed statement. Its names bind in the
+// walk that estimates its plan (Catalog.plan); the draws from rng follow.
 func (en *Engine) executeStatement(stmt sqlparse.Statement, rng *rand.Rand) Result {
-	if err := en.Catalog.Analyze(stmt); err != nil {
+	p, err := en.Catalog.plan(stmt)
+	if err != nil {
 		// Binding failure inside the DBMS: non-severe error. The server
 		// still spent compile time.
 		return Result{Error: NonSevere, AnswerSize: -1, CPUTime: round3(0.002 + 0.01*rng.Float64())}
 	}
-	est := &estimator{cat: en.Catalog}
 	switch s := stmt.(type) {
 	case *sqlparse.SelectStmt:
-		p := est.estimateSelect(s, nil)
 		rows := p.Rows * lognoise(rng, en.AnswerNoise)
 		cpu := (p.Cost + cpuStatementMin) * lognoise(rng, en.TimeNoise)
 		ans := int64(math.Round(rows))
@@ -153,20 +153,12 @@ func (en *Engine) executeStatement(stmt sqlparse.Statement, rng *rand.Rand) Resu
 		}
 		return Result{Error: Success, AnswerSize: ans, CPUTime: cpu}
 	case *sqlparse.ExecStmt:
-		bare := s.Proc
-		if i := strings.LastIndex(bare, "."); i >= 0 {
-			bare = bare[i+1:]
-		}
-		proc := en.Catalog.Procedure(bare)
-		cpu := proc.CostPerCall * lognoise(rng, en.TimeNoise)
+		cpu := p.Cost * lognoise(rng, en.TimeNoise)
 		rows := int64(math.Round(20 * lognoise(rng, 1.2)))
 		return Result{Error: Success, AnswerSize: rows, CPUTime: cpu}
 	case *sqlparse.InsertStmt:
 		cpu := 0.01 + float64(s.Rows)*1e-5
-		if s.Select != nil {
-			p := est.estimateSelect(s.Select, nil)
-			cpu += p.Cost + p.Rows*5e-8
-		}
+		cpu += p.Cost + p.Rows*5e-8 // zero for INSERT … VALUES
 		return Result{Error: Success, AnswerSize: 0, CPUTime: cpu * lognoise(rng, en.TimeNoise)}
 	case *sqlparse.UpdateStmt, *sqlparse.DeleteStmt:
 		// Writes to shared catalog tables are denied; user-space writes

@@ -33,48 +33,63 @@ type planEstimate struct {
 	Width float64 // output columns
 }
 
-// estimator walks SELECT trees computing cardinality and cost. The same
-// walker serves the "true" execution simulation (accurate statistics,
-// function costs included) and, with Uniform set, the `opt` baseline's
-// imprecise analytic model (uniformity assumptions, function costs
-// ignored).
+// estimator walks SELECT trees computing cardinality and cost, and
+// binds every name it meets in the same walk: the only walk over a
+// SELECT. The same walker serves the "true" execution simulation
+// (accurate statistics, function costs included) and, with Uniform set,
+// the `opt` baseline's imprecise analytic model (uniformity assumptions,
+// function costs ignored). A statement that fails binding is still
+// estimated, because the baseline costs it.
 type estimator struct {
 	cat *Catalog
 	// Uniform switches to the optimizer's simplified assumptions:
 	// fixed default selectivities and no row-wise function costs.
 	Uniform bool
+	// err is the first name that failed to bind (see Catalog.plan).
+	err error
+	// bindOnly marks the walk that binds a clause the cost model never
+	// reads (bind): it writes no relation state, so the subqueries it
+	// estimates move no other estimate.
+	bindOnly bool
 }
 
 // relation is one bound FROM-list entry.
 type relation struct {
-	alias   string
-	table   *Table  // nil for derived relations
-	rows    float64 // current cardinality
-	indexed bool    // an index-seek predicate applies
-	seekSel float64 // selectivity of the seek predicate
+	alias   string          // lower-cased by relSet.add
+	table   *Table          // nil for derived relations
+	cols    map[string]bool // a derived relation's exported columns; nil means any
+	rows    float64         // current cardinality
+	indexed bool            // an index-seek predicate applies
+	seekSel float64         // selectivity of the seek predicate
 }
 
-// relSet tracks the relations visible to predicate analysis within one
-// SELECT, chained to the enclosing query for correlated references.
+// relSet is the scope of one SELECT: the relations visible to binding
+// and predicate analysis, in FROM order, chained to the enclosing query
+// for correlated references.
 type relSet struct {
 	parent *relSet
 	rels   []*relation
-	byName map[string]*relation
 }
 
 func newRelSet(parent *relSet) *relSet {
-	return &relSet{parent: parent, byName: map[string]*relation{}}
+	return &relSet{parent: parent}
 }
 
 func (rs *relSet) add(r *relation) {
+	r.alias = strings.ToLower(r.alias)
 	rs.rels = append(rs.rels, r)
-	rs.byName[strings.ToLower(r.alias)] = r
 }
 
+// lookup returns the relation the estimate reads for alias: the last one
+// added under it at the innermost level that has one. Binding resolves
+// a collision differently (bound).
 func (rs *relSet) lookup(alias string) *relation {
+	alias = strings.ToLower(alias)
 	for s := rs; s != nil; s = s.parent {
-		if r, ok := s.byName[strings.ToLower(alias)]; ok {
-			return r
+		for i := len(s.rels) - 1; i >= 0; i-- {
+			if s.rels[i].alias == alias {
+				return s.rels[i]
+			}
 		}
 	}
 	return nil
@@ -128,11 +143,16 @@ func (e *estimator) estimateSelect(sel *sqlparse.SelectStmt, parent *relSet) pla
 		joinCost += p.Cost
 	}
 
-	// Predicate analysis over WHERE.
+	// Predicate analysis over WHERE, which binds after the select list:
+	// its first failure waits until the list is bound.
+	bound := e.err
+	e.err = nil
 	where := predInfo{selectivity: 1}
 	if sel.Where != nil {
 		where = e.analyzePredicate(sel.Where, rs)
 	}
+	whereErr := e.err
+	e.err = bound
 
 	est.Rows *= clamp01(where.selectivity)
 
@@ -173,6 +193,9 @@ func (e *estimator) estimateSelect(sel *sqlparse.SelectStmt, parent *relSet) pla
 			hasAggregate = true
 		}
 	}
+	if e.err == nil {
+		e.err = whereErr
+	}
 	if width == 0 {
 		width = 1
 	}
@@ -191,6 +214,23 @@ func (e *estimator) estimateSelect(sel *sqlparse.SelectStmt, parent *relSet) pla
 	case hasAggregate:
 		est.Cost += est.Rows * cpuAggRow
 		est.Rows = 1
+	}
+	// The cost model reads neither HAVING without GROUP BY nor ORDER BY:
+	// they only bind.
+	if len(sel.GroupBy) == 0 && sel.Having != nil && e.err == nil {
+		e.err = e.bind(sel.Having, rs)
+	}
+	for _, o := range sel.OrderBy {
+		if e.err != nil {
+			break
+		}
+		// ORDER BY may reference select-list aliases; tolerate
+		// resolution failures against aliases only.
+		err := e.bind(o.Expr, rs)
+		if se, ok := err.(*SemanticError); ok && se.Kind == "column" && selectListAlias(sel, se.Name) {
+			continue
+		}
+		e.err = err
 	}
 
 	if sel.Distinct {
@@ -266,6 +306,11 @@ func (e *estimator) estimateTableRef(ref sqlparse.TableRef, rs *relSet) planEsti
 			rel.table = t
 			rel.rows = float64(t.Rows)
 		} else {
+			// MyDB/user tables are outside the shared catalog: an
+			// opaque relation accepting any column.
+			if e.err == nil && !isUserSpace(r) {
+				e.err = &SemanticError{Kind: "table", Name: tableDisplay(r)}
+			}
 			rel.rows = defaultTableRows
 		}
 		rs.add(rel)
@@ -291,7 +336,7 @@ func (e *estimator) estimateTableRef(ref sqlparse.TableRef, rs *relSet) planEsti
 		if alias == "" {
 			alias = "_derived"
 		}
-		rs.add(&relation{alias: alias, rows: inner.Rows})
+		rs.add(&relation{alias: alias, cols: exportedColumns(r.Select), rows: inner.Rows})
 		return inner
 	}
 	return planEstimate{Rows: 1}
@@ -388,6 +433,11 @@ func (e *estimator) analyzePredicate(expr sqlparse.Expr, rs *relSet) predInfo {
 			info.subCost += sub.Cost
 			info.selectivity = 0.3
 		default:
+			for _, item := range x.List {
+				if e.err == nil {
+					e.err = e.bind(item, rs)
+				}
+			}
 			k := float64(len(x.List))
 			if _, col := e.columnOf(x.Expr, rs); col != nil && col.Distinct > 0 && !e.Uniform {
 				info.selectivity = clamp01(k / float64(col.Distinct))
@@ -475,7 +525,7 @@ func (e *estimator) analyzeComparison(x *sqlparse.BinaryExpr, rs *relSet) predIn
 		}
 		// Index-seek detection: selective equality on a real column
 		// with literal operand.
-		if rel != nil && rel.table != nil && col != nil && lit != nil &&
+		if !e.bindOnly && rel != nil && rel.table != nil && col != nil && lit != nil &&
 			float64(col.Distinct) > float64(rel.table.Rows)/50 {
 			rel.indexed = true
 			rel.seekSel = info.selectivity
@@ -584,13 +634,18 @@ type funcInfo struct {
 }
 
 // exprFuncInfo sums the row-wise function and cast costs of expr and
-// the cost of its subqueries, in source order. An IN's tested
-// expression is costed before its subquery.
+// the cost of its subqueries, in source order, binding every column and
+// function it meets. An IN's tested expression is costed before its
+// subquery.
 func (e *estimator) exprFuncInfo(expr sqlparse.Expr, rs *relSet) funcInfo {
 	var fi funcInfo
 	var visit func(sqlparse.Expr) bool
 	visit = func(n sqlparse.Expr) bool {
 		switch x := n.(type) {
+		case *sqlparse.ColumnRef:
+			if e.err == nil {
+				e.err = rs.bindColumn(x)
+			}
 		case *sqlparse.FuncCall:
 			if f := e.cat.Function(x.BareName); f != nil {
 				fi.costPerRow += f.CostPerCall
@@ -599,6 +654,9 @@ func (e *estimator) exprFuncInfo(expr sqlparse.Expr, rs *relSet) funcInfo {
 				}
 			} else {
 				fi.costPerRow += 1e-6 // unknown function, nominal cost
+				if e.err == nil {
+					e.err = &SemanticError{Kind: "function", Name: x.Name}
+				}
 			}
 		case *sqlparse.CastExpr:
 			fi.costPerRow += 4e-8
@@ -619,10 +677,14 @@ func (e *estimator) exprFuncInfo(expr sqlparse.Expr, rs *relSet) funcInfo {
 	return fi
 }
 
-// groupCount estimates the number of groups for GROUP BY expressions.
+// groupCount binds the GROUP BY expressions and estimates the number of
+// groups they make.
 func (e *estimator) groupCount(groupBy []sqlparse.Expr, rs *relSet, inputRows float64) float64 {
 	product := 1.0
 	for _, g := range groupBy {
+		if e.err == nil {
+			e.err = e.bind(g, rs)
+		}
 		if cr, ok := g.(*sqlparse.ColumnRef); ok {
 			if _, col := rs.column(cr); col != nil && col.Distinct > 0 {
 				product *= float64(col.Distinct)
@@ -632,6 +694,15 @@ func (e *estimator) groupCount(groupBy []sqlparse.Expr, rs *relSet, inputRows fl
 		product *= 100 // default distinct guess
 	}
 	return math.Max(math.Min(product, inputRows), 1)
+}
+
+// bind binds the names of expr, in a clause the cost model never reads,
+// and returns the first that fails. Its subqueries are estimated by a
+// bindOnly walk, so they write no relation state.
+func (e *estimator) bind(expr sqlparse.Expr, rs *relSet) error {
+	b := estimator{cat: e.cat, bindOnly: true}
+	b.exprFuncInfo(expr, rs)
+	return b.err
 }
 
 func clamp01(v float64) float64 {

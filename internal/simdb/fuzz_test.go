@@ -1,6 +1,7 @@
 package simdb_test
 
 import (
+	"fmt"
 	"go/scanner"
 	"go/token"
 	"os"
@@ -15,11 +16,16 @@ import (
 // FuzzExecute holds the labeller to its pure-function contract on any
 // input against the SDSS catalog: Execute does not panic and gives the
 // same Result twice, and the `opt` estimate and the syntactic features
-// of the same statement do not panic either. It is seeded with the
-// string literals of the parser's tests.
+// of the same statement do not panic either. Every statement that
+// parses binds as the reference binder (bindref_test.go) binds it: both
+// succeed, or both fail on the same name. It is seeded with the string
+// literals of the parser's tests and the binding edge cases.
 func FuzzExecute(f *testing.F) {
 	for _, s := range parserTestStatements(f) {
 		f.Add(s)
+	}
+	for _, c := range bindingEdgeCases {
+		f.Add(c.query)
 	}
 	cat := simdb.NewSDSSCatalog()
 	en := simdb.NewEngine(cat)
@@ -31,6 +37,15 @@ func FuzzExecute(f *testing.F) {
 		}
 		opt.EstimateCost(query)
 		sqlparse.ExtractFeatures(query)
+		stmts, err := sqlparse.Parse(query)
+		if err != nil {
+			return
+		}
+		for _, s := range stmts {
+			if got, want := cat.Analyze(s), refAnalyze(cat, s); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("Analyze(%q) = %v, reference binder %v", query, got, want)
+			}
+		}
 	})
 }
 

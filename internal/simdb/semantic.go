@@ -20,182 +20,119 @@ func (e *SemanticError) Error() string {
 	return fmt.Sprintf("simdb: unknown %s %q", e.Kind, e.Name)
 }
 
-// scope is the name-resolution environment of one SELECT, chained to
-// enclosing scopes for correlated subqueries.
-type scope struct {
-	parent *scope
-	// tables maps alias (or bare table name) -> catalog table; derived
-	// tables map to nil with their column set in derived.
-	tables  map[string]*Table
-	derived map[string]map[string]bool // alias -> exported column names (nil = any)
-	order   []string                   // resolution order for bare columns
-}
-
-func newScope(parent *scope) *scope {
-	return &scope{
-		parent:  parent,
-		tables:  map[string]*Table{},
-		derived: map[string]map[string]bool{},
-	}
-}
-
-func (s *scope) addTable(alias string, t *Table) {
-	key := strings.ToLower(alias)
-	s.tables[key] = t
-	s.order = append(s.order, key)
-}
-
-func (s *scope) addDerived(alias string, cols map[string]bool) {
-	key := strings.ToLower(alias)
-	s.derived[key] = cols
-	s.order = append(s.order, key)
-}
-
-// resolveQualified resolves qualifier.column. It reports ok=false when
-// the qualifier is unknown; col may be nil for derived tables.
-func (s *scope) resolveQualified(qualifier, column string) (col *Column, ok bool) {
-	key := strings.ToLower(qualifier)
-	for sc := s; sc != nil; sc = sc.parent {
-		if t, found := sc.tables[key]; found {
-			if t == nil {
-				return nil, true
-			}
-			c := t.Column(column)
-			if c == nil {
-				return nil, false
-			}
-			return c, true
-		}
-		if cols, found := sc.derived[key]; found {
-			if cols == nil {
-				return nil, true
-			}
-			return nil, cols[strings.ToLower(column)]
-		}
-	}
-	return nil, false
-}
-
-// resolveBare resolves an unqualified column against every table in
-// scope (innermost first).
-func (s *scope) resolveBare(column string) (col *Column, ok bool) {
-	for sc := s; sc != nil; sc = sc.parent {
-		for _, key := range sc.order {
-			if t := sc.tables[key]; t != nil {
-				if c := t.Column(column); c != nil {
-					return c, true
-				}
-				continue
-			}
-			if cols, found := sc.derived[key]; found {
-				if cols == nil || cols[strings.ToLower(column)] {
-					return nil, true
-				}
-			}
-		}
-	}
-	return nil, false
-}
-
-// analyzer performs semantic analysis of a statement against a catalog.
-type analyzer struct {
-	cat *Catalog
-}
-
 // Analyze checks that every table, column, function, and procedure a
 // statement references exists in the catalog. It returns nil on success
-// or the first *SemanticError found.
+// or the first *SemanticError found; the names bind in the walk that
+// estimates the statement's cost.
 func (c *Catalog) Analyze(stmt sqlparse.Statement) error {
-	a := &analyzer{cat: c}
+	_, err := c.plan(stmt)
+	return err
+}
+
+// plan binds every name stmt references and estimates, in the same walk,
+// the SELECT it runs: a SELECT's own or an INSERT's source. An EXEC's
+// plan costs one call of its procedure. The error is the first name that
+// failed to bind, in the order FROM, select list, WHERE, GROUP BY,
+// HAVING, ORDER BY, set operand.
+func (c *Catalog) plan(stmt sqlparse.Statement) (planEstimate, error) {
+	var sel *sqlparse.SelectStmt
 	switch s := stmt.(type) {
 	case *sqlparse.SelectStmt:
-		_, err := a.analyzeSelect(s, nil)
-		return err
+		sel = s
 	case *sqlparse.InsertStmt:
 		// INSERT targets user-writable space (SDSS MyDB); accept the
-		// target but validate a SELECT source.
-		if s.Select != nil {
-			_, err := a.analyzeSelect(s.Select, nil)
-			return err
-		}
-		return nil
+		// target but bind a SELECT source.
+		sel = s.Select
 	case *sqlparse.UpdateStmt:
-		t := a.lookupTable(s.Table)
-		if t == nil && !isUserSpace(s.Table) {
-			return &SemanticError{Kind: "table", Name: tableDisplay(s.Table)}
-		}
-		return nil
+		return planEstimate{}, c.bindTarget(s.Table)
 	case *sqlparse.DeleteStmt:
-		t := a.lookupTable(s.Table)
-		if t == nil && !isUserSpace(s.Table) {
-			return &SemanticError{Kind: "table", Name: tableDisplay(s.Table)}
-		}
-		return nil
-	case *sqlparse.CreateStmt, *sqlparse.AlterStmt:
-		return nil // DDL in user space
-	case *sqlparse.DropStmt:
-		return nil
+		return planEstimate{}, c.bindTarget(s.Table)
 	case *sqlparse.ExecStmt:
 		bare := s.Proc
 		if i := strings.LastIndex(bare, "."); i >= 0 {
 			bare = bare[i+1:]
 		}
-		if c.Procedure(bare) == nil {
-			return &SemanticError{Kind: "procedure", Name: s.Proc}
+		proc := c.Procedure(bare)
+		if proc == nil {
+			return planEstimate{}, &SemanticError{Kind: "procedure", Name: s.Proc}
 		}
-		return nil
-	default:
-		return nil
+		return planEstimate{Cost: proc.CostPerCall}, nil
 	}
+	if sel == nil {
+		return planEstimate{}, nil // INSERT … VALUES and DDL work in user space
+	}
+	e := estimator{cat: c}
+	p := e.estimateSelect(sel, nil)
+	return p, e.err
 }
 
-// analyzeSelect resolves one SELECT and returns its scope.
-func (a *analyzer) analyzeSelect(sel *sqlparse.SelectStmt, parent *scope) (*scope, error) {
-	sc := newScope(parent)
-	for _, ref := range sel.From {
-		if err := a.bindTableRef(ref, sc); err != nil {
-			return nil, err
-		}
+// bindTarget checks the table an UPDATE or DELETE writes: a catalog
+// table or one in the user's own space.
+func (c *Catalog) bindTarget(name *sqlparse.TableName) error {
+	if name != nil && len(name.Parts) > 0 && c.Table(name.Parts[len(name.Parts)-1]) != nil {
+		return nil
 	}
-	for _, item := range sel.Columns {
-		if item.Star {
-			continue
-		}
-		if err := a.checkExpr(item.Expr, sc); err != nil {
-			return nil, err
-		}
+	if isUserSpace(name) {
+		return nil
 	}
-	if sel.Where != nil {
-		if err := a.checkExpr(sel.Where, sc); err != nil {
-			return nil, err
-		}
-	}
-	for _, g := range sel.GroupBy {
-		if err := a.checkExpr(g, sc); err != nil {
-			return nil, err
-		}
-	}
-	if sel.Having != nil {
-		if err := a.checkExpr(sel.Having, sc); err != nil {
-			return nil, err
-		}
-	}
-	for _, o := range sel.OrderBy {
-		// ORDER BY may reference select-list aliases; tolerate
-		// resolution failures against aliases only.
-		if err := a.checkExpr(o.Expr, sc); err != nil {
-			if se, ok := err.(*SemanticError); ok && se.Kind == "column" && selectListAlias(sel, se.Name) {
-				continue
+	return &SemanticError{Kind: "table", Name: tableDisplay(name)}
+}
+
+// bindColumn returns a *SemanticError when no relation in scope exports
+// the referenced column. A qualifier names, at the innermost level that
+// binds it, the last catalog table under that alias, else the last
+// derived relation; a bare name binds when a relation some alias names
+// that way has it.
+func (rs *relSet) bindColumn(ref *sqlparse.ColumnRef) error {
+	n := len(ref.Parts)
+	switch n {
+	case 0:
+		return nil
+	case 1:
+		for s := rs; s != nil; s = s.parent {
+			for _, r := range s.rels {
+				if r.has(ref.Parts[0]) && s.bound(r.alias) == r {
+					return nil
+				}
 			}
-			return nil, err
+		}
+		return &SemanticError{Kind: "column", Name: ref.Parts[0]}
+	}
+	alias := strings.ToLower(ref.Parts[n-2])
+	for s := rs; s != nil; s = s.parent {
+		if r := s.bound(alias); r != nil {
+			if r.has(ref.Parts[n-1]) {
+				return nil
+			}
+			break
 		}
 	}
-	if sel.Next != nil {
-		if _, err := a.analyzeSelect(sel.Next, parent); err != nil {
-			return nil, err
+	return &SemanticError{Kind: "column", Name: strings.Join(ref.Parts, ".")}
+}
+
+// bound returns the relation alias names for binding at rs's own level:
+// the last catalog table bound under it, else the last derived relation.
+func (rs *relSet) bound(alias string) *relation {
+	var derived *relation
+	for i := len(rs.rels) - 1; i >= 0; i-- {
+		if r := rs.rels[i]; r.alias == alias {
+			if r.table != nil {
+				return r
+			}
+			if derived == nil {
+				derived = r
+			}
 		}
 	}
-	return sc, nil
+	return derived
+}
+
+// has reports whether the relation exports column.
+func (r *relation) has(column string) bool {
+	if r.table != nil {
+		return r.table.Column(column) != nil
+	}
+	return r.cols == nil || r.cols[strings.ToLower(column)]
 }
 
 func selectListAlias(sel *sqlparse.SelectStmt, name string) bool {
@@ -205,55 +142,6 @@ func selectListAlias(sel *sqlparse.SelectStmt, name string) bool {
 		}
 	}
 	return false
-}
-
-func (a *analyzer) bindTableRef(ref sqlparse.TableRef, sc *scope) error {
-	switch r := ref.(type) {
-	case *sqlparse.TableName:
-		t := a.lookupTable(r)
-		if t == nil {
-			if isUserSpace(r) {
-				// MyDB/user tables are outside the shared catalog; treat
-				// as an opaque derived relation accepting any column.
-				alias := r.Alias
-				if alias == "" {
-					alias = r.Parts[len(r.Parts)-1]
-				}
-				sc.addDerived(alias, nil)
-				return nil
-			}
-			return &SemanticError{Kind: "table", Name: tableDisplay(r)}
-		}
-		if r.Alias != "" {
-			sc.addTable(r.Alias, t)
-		} else {
-			sc.addTable(r.Parts[len(r.Parts)-1], t)
-		}
-		return nil
-	case *sqlparse.JoinRef:
-		if err := a.bindTableRef(r.Left, sc); err != nil {
-			return err
-		}
-		if err := a.bindTableRef(r.Right, sc); err != nil {
-			return err
-		}
-		if r.On != nil {
-			return a.checkExpr(r.On, sc)
-		}
-		return nil
-	case *sqlparse.SubqueryRef:
-		if _, err := a.analyzeSelect(r.Select, sc.parent); err != nil {
-			return err
-		}
-		cols := exportedColumns(r.Select)
-		alias := r.Alias
-		if alias == "" {
-			alias = "_derived"
-		}
-		sc.addDerived(alias, cols)
-		return nil
-	}
-	return nil
 }
 
 // exportedColumns lists the output column names of a SELECT; nil means
@@ -276,13 +164,6 @@ func exportedColumns(sel *sqlparse.SelectStmt) map[string]bool {
 	return cols
 }
 
-func (a *analyzer) lookupTable(name *sqlparse.TableName) *Table {
-	if name == nil || len(name.Parts) == 0 {
-		return nil
-	}
-	return a.cat.Table(name.Parts[len(name.Parts)-1])
-}
-
 // isUserSpace reports whether the table reference targets the user's
 // private database (SDSS CasJobs MyDB convention).
 func isUserSpace(name *sqlparse.TableName) bool {
@@ -297,59 +178,4 @@ func isUserSpace(name *sqlparse.TableName) bool {
 
 func tableDisplay(name *sqlparse.TableName) string {
 	return strings.Join(name.Parts, ".")
-}
-
-// checkExpr resolves every column, function and subquery of e in
-// source order and returns the first failure. An IN's tested
-// expression is checked before its subquery.
-func (a *analyzer) checkExpr(e sqlparse.Expr, sc *scope) error {
-	var err error
-	sqlparse.Inspect(e, func(n sqlparse.Expr) bool {
-		if err != nil {
-			return false
-		}
-		switch x := n.(type) {
-		case *sqlparse.ColumnRef:
-			err = a.checkColumn(x, sc)
-		case *sqlparse.FuncCall:
-			if a.cat.Function(x.BareName) == nil {
-				err = &SemanticError{Kind: "function", Name: x.Name}
-			}
-		case *sqlparse.SubqueryExpr:
-			_, err = a.analyzeSelect(x.Select, sc)
-		case *sqlparse.ExistsExpr:
-			_, err = a.analyzeSelect(x.Subquery, sc)
-		case *sqlparse.InExpr:
-			if x.Subquery != nil {
-				if err = a.checkExpr(x.Expr, sc); err == nil {
-					_, err = a.analyzeSelect(x.Subquery, sc)
-				}
-				return false
-			}
-		}
-		return err == nil
-	})
-	return err
-}
-
-func (a *analyzer) checkColumn(c *sqlparse.ColumnRef, sc *scope) error {
-	if sc == nil {
-		return nil
-	}
-	switch len(c.Parts) {
-	case 0:
-		return nil
-	case 1:
-		if _, ok := sc.resolveBare(c.Parts[0]); !ok {
-			return &SemanticError{Kind: "column", Name: c.Parts[0]}
-		}
-		return nil
-	default:
-		qualifier := c.Parts[len(c.Parts)-2]
-		column := c.Parts[len(c.Parts)-1]
-		if _, ok := sc.resolveQualified(qualifier, column); !ok {
-			return &SemanticError{Kind: "column", Name: strings.Join(c.Parts, ".")}
-		}
-		return nil
-	}
 }
