@@ -91,13 +91,13 @@ func (m *Model) fit(train []workload.Item, logs []float64, cfg Config, rng *rand
 	model := m.neural.model
 	trainer := NewTrainer(cfg)
 	trainer.Seed = seed
-	trainer.run(len(encoded), rng, nn.NewOptimizer(nn.AdaMax, lr, cfg.Clip), model.Params(), func(w int) trainWorker {
+	trainer.run(len(encoded), rng, nn.NewOptimizer(lr, cfg.Clip), model.Params(), func(w int) trainWorker {
 		rep, tw := model, trainWorker{}
 		if w > 0 {
 			// A replica sharing the weights, with private gradients and
 			// scratch (every neural backend is an nn.ParallelModel).
 			rep = model.(nn.ParallelModel).CloneShared()
-			tw.grads = nn.NewGradBuffer(rep.Params())
+			tw.grads = rep.Params()
 		}
 		// The worker's loss gradients, reused every step.
 		var dlogits []float64
@@ -184,11 +184,12 @@ func (t Trainer) resolveWorkers() int {
 }
 
 // trainWorker is one training worker: a step function bound to a model
-// replica, plus the gradient shard reduced after each batch (nil for
-// worker 0, which accumulates directly into the master parameters).
+// replica, plus the replica's parameters, whose gradients are reduced
+// into the master's after each batch (nil for worker 0, which
+// accumulates directly into the master parameters).
 type trainWorker struct {
 	step  func(rng *rand.Rand, i int)
-	grads *nn.GradBuffer
+	grads []*nn.Param
 }
 
 // run executes the epoch/batch/reduce/step skeleton. newWorker(w) builds
@@ -244,7 +245,7 @@ func (t Trainer) run(n int, rng *rand.Rand, opt *nn.Optimizer, params []*nn.Para
 			// Reduce worker shards in worker order so the accumulation
 			// order is deterministic for a fixed worker count.
 			for w := 1; w < workers; w++ {
-				state[w].grads.ReduceInto(params)
+				nn.ReduceGrads(params, state[w].grads)
 			}
 			scaleAndStep(opt, params, end-start)
 		}

@@ -156,12 +156,12 @@ func TrainMultiTask(train []workload.Item, cfg Config) (*MultiTaskModel, error) 
 
 	params := m.params()
 	m.P = nn.ParamCount(params)
-	opt := nn.NewOptimizer(nn.AdaMax, cfg.LR, cfg.Clip)
+	opt := nn.NewOptimizer(cfg.LR, cfg.Clip)
 
 	trainer := NewTrainer(cfg)
 	trainer.run(len(train), rng, opt, params, func(w int) trainWorker {
 		rep := m
-		var gb *nn.GradBuffer
+		var grads []*nn.Param
 		if w > 0 {
 			// A training replica: shared weights, private gradients and
 			// scratch (see nn.ParallelModel).
@@ -170,13 +170,13 @@ func TrainMultiTask(train []workload.Item, cfg Config) (*MultiTaskModel, error) 
 				headA: m.headA.CloneShared(),
 				headC: m.headC.CloneShared(),
 			}
-			gb = nn.NewGradBuffer(rep.params())
+			grads = rep.params()
 		}
 		return trainWorker{
 			step: func(wrng *rand.Rand, i int) {
 				rep.step(encoded[i], errLabels[i], ansLogs[i], cpuLogs[i], wrng)
 			},
-			grads: gb,
+			grads: grads,
 		}
 	})
 	return m, nil

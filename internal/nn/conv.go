@@ -145,7 +145,7 @@ func (c *Conv1D) poolTable(pooled []float64, ids []int) {
 // ConvCache stores the forward state needed by Backward, in buffers
 // owned by the layer and reused across calls.
 type ConvCache struct {
-	xflat  []float64 // inputs packed contiguously, n*In
+	x      []float64 // the n×In input Forward was given (not a copy)
 	n      int       // sequence length of the cached forward pass
 	argmax []int     // winning window start per kernel (-1: all <= 0)
 	pre    []float64 // pre-ReLU activation at the winning position
@@ -153,9 +153,8 @@ type ConvCache struct {
 	// Scoring scratch: the positions×K pre-activation matrix.
 	scores []float64
 
-	// Backward scratch.
-	dxsFlat []float64 // n*In
-	dxs     [][]float64
+	// Backward scratch: dL/dx, n×In.
+	dx []float64
 }
 
 // convBatchCache is the inference-only scratch of ForwardBatch, kept
@@ -214,27 +213,23 @@ func (c *Conv1D) pool(pooled, scores []float64, positions int, argmax []int, pre
 	copy(pre, pooled)
 }
 
-// Forward computes the pooled feature vector. Sequences shorter than
-// the window are implicitly zero-padded on the right. The returned
-// slice is owned by the layer and valid until the next Forward call.
+// Forward computes the pooled feature vector of x, an n×In row-major
+// sequence. Sequences shorter than the window are implicitly
+// zero-padded on the right. The returned slice is owned by the layer
+// and valid until the next Forward call. The cache keeps x itself for
+// Backward, so x must stay unchanged until then.
 //
-// The input rows are packed into one contiguous n×In buffer up front
-// and all windows are scored in a single strided GEMM (see score)
-// against the transposed bank (see transposed) before the max/ReLU
-// scan.
-func (c *Conv1D) Forward(xs [][]float64) ([]float64, *ConvCache) {
-	n := len(xs)
+// All windows are scored in a single strided GEMM (see score) against
+// the transposed bank (see transposed) before the max/ReLU scan.
+func (c *Conv1D) Forward(x []float64) ([]float64, *ConvCache) {
+	n := len(x) / c.In
 	positions := n - c.Width + 1
 	if positions < 1 {
 		positions = 1
 	}
 	pooled := growF(&c.pooled, c.K)
 	cache := &c.cache
-	cache.n = n
-	x := growF(&cache.xflat, n*c.In)
-	for t, row := range xs {
-		copy(x[t*c.In:(t+1)*c.In], row)
-	}
+	cache.x, cache.n = x, n
 	growI(&cache.argmax, c.K)
 	growF(&cache.pre, c.K)
 	scores := growF(&cache.scores, positions*c.K)
@@ -272,16 +267,12 @@ func (c *Conv1D) ForwardBatch(xb []float64, offs, lens []int, out []float64, str
 }
 
 // Backward routes dpooled through the max and ReLU into the inputs and
-// parameters, returning dL/dxs (owned by the layer, valid until the
-// next Backward call).
-func (c *Conv1D) Backward(cache *ConvCache, dpooled []float64) [][]float64 {
+// parameters, returning dL/dx, n×In row-major (owned by the layer,
+// valid until the next Backward call).
+func (c *Conv1D) Backward(cache *ConvCache, dpooled []float64) []float64 {
 	n := cache.n
-	growF(&cache.dxsFlat, n*c.In)
-	zeroF(cache.dxsFlat)
-	dxs := growV(&cache.dxs, n)
-	for i := range dxs {
-		dxs[i] = cache.dxsFlat[i*c.In : (i+1)*c.In]
-	}
+	dx := growF(&cache.dx, n*c.In)
+	zeroF(dx)
 	wlen := c.Width * c.In
 	for k := 0; k < c.K; k++ {
 		g := dpooled[k]
@@ -296,8 +287,8 @@ func (c *Conv1D) Backward(cache *ConvCache, dpooled []float64) [][]float64 {
 		w := c.W.W[k*wlen : k*wlen+l]
 		gw := c.W.G[k*wlen : k*wlen+l]
 		c.B.G[k] += g
-		f64.Axpy(g, cache.xflat[pos*c.In:pos*c.In+l], gw)
-		f64.Axpy(g, w, cache.dxsFlat[pos*c.In:pos*c.In+l])
+		f64.Axpy(g, cache.x[pos*c.In:pos*c.In+l], gw)
+		f64.Axpy(g, w, dx[pos*c.In:pos*c.In+l])
 	}
-	return dxs
+	return dx
 }

@@ -354,7 +354,7 @@ func TestLSTMTabulateStoresGemmRows(t *testing.T) {
 		negZeros := 0
 		for v := 0; v < m.Emb.V; v++ {
 			want := append([]float64(nil), l.B.W...)
-			f64.GemmSW(want, h4, m.Emb.Lookup(v), embed, wxT, h4, 1, h4, embed)
+			f64.GemmSW(want, h4, m.Emb.P.W[v*embed:], embed, wxT, h4, 1, h4, embed)
 			for j, got := range table[v*h4 : (v+1)*h4] {
 				if math.Float64bits(got) != math.Float64bits(want[j]) {
 					t.Fatalf("embed %d token %d unit %d: table holds %v, bias; GemmSW gives %v", embed, v, j, got, want[j])

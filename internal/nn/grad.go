@@ -39,29 +39,12 @@ func dropGrads(params []*Param) {
 	}
 }
 
-// GradBuffer is one worker's private gradient shard: the shadow
-// parameters of a shared-weight replica, accumulated locally during a
-// batch and reduced into the master gradients afterwards.
-type GradBuffer struct {
-	Params []*Param
-}
-
-// NewGradBuffer wraps a replica's parameters as a gradient shard.
-func NewGradBuffer(replicaParams []*Param) *GradBuffer {
-	return &GradBuffer{Params: replicaParams}
-}
-
-// ReduceInto adds the shard's gradients into dst (the master
-// parameters, in matching order) and zeroes the shard. Callers reduce
-// shards in worker order, making the floating-point accumulation order
-// deterministic for a fixed worker count.
-func (b *GradBuffer) ReduceInto(dst []*Param) {
-	ReduceGrads(dst, b.Params)
-}
-
 // ReduceGrads adds src gradients into dst gradients element-wise and
 // zeroes src. The two slices must hold parameters of identical shapes
-// in identical order.
+// in identical order. Data-parallel training reduces each worker's
+// replica parameters into the master's in worker order, which makes the
+// floating-point accumulation order deterministic for a fixed worker
+// count.
 func ReduceGrads(dst, src []*Param) {
 	for pi, p := range src {
 		d := dst[pi].G
@@ -79,15 +62,6 @@ func ReduceGrads(dst, src []*Param) {
 func growF(buf *[]float64, n int) []float64 {
 	if cap(*buf) < n {
 		*buf = make([]float64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// growV resizes a [][]float64 header slice to length n.
-func growV(buf *[][]float64, n int) [][]float64 {
-	if cap(*buf) < n {
-		*buf = make([][]float64, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf

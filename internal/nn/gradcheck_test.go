@@ -41,16 +41,25 @@ func zeroAll(params []*Param) {
 	}
 }
 
+// ceLoss is the softmax cross-entropy loss of logits for label.
+func ceLoss(logits []float64, label int) float64 {
+	return SoftmaxCEInto(logits, label, make([]float64, len(logits)))
+}
+
+// ceGrad is the gradient of ceLoss with respect to logits.
+func ceGrad(logits []float64, label int) []float64 {
+	d := make([]float64, len(logits))
+	SoftmaxCEInto(logits, label, d)
+	return d
+}
+
 func TestDenseGradcheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := NewDense("d", 4, 3, rng)
 	x := []float64{0.5, -0.2, 0.8, 0.1}
 	label := 1
-	loss := func() float64 {
-		l, _, _ := SoftmaxCE(d.Forward(x), label)
-		return l
-	}
-	_, _, dlogits := SoftmaxCE(d.Forward(x), label)
+	loss := func() float64 { return ceLoss(d.Forward(x), label) }
+	dlogits := ceGrad(d.Forward(x), label)
 	zeroAll(d.Params())
 	dx := d.Backward(x, dlogits)
 	for _, p := range d.Params() {
@@ -80,32 +89,23 @@ func TestEmbeddingGradcheck(t *testing.T) {
 	e := NewEmbedding("e", 5, 3, rng)
 	d := NewDense("d", 3, 2, rng)
 	ids := []int{1, 3, 1}
-	loss := func() float64 {
-		xs := e.Forward(ids)
+	rowSum := func() []float64 {
 		sum := make([]float64, 3)
-		for _, x := range xs {
-			for i, v := range x {
-				sum[i] += v
-			}
+		for i, v := range e.Forward(ids) {
+			sum[i%3] += v
 		}
-		l, _, _ := SoftmaxCE(d.Forward(sum), 0)
-		return l
+		return sum
 	}
-	xs := e.Forward(ids)
-	sum := make([]float64, 3)
-	for _, x := range xs {
-		for i, v := range x {
-			sum[i] += v
-		}
-	}
-	_, _, dlogits := SoftmaxCE(d.Forward(sum), 0)
+	loss := func() float64 { return ceLoss(d.Forward(rowSum()), 0) }
+	sum := rowSum()
+	dlogits := ceGrad(d.Forward(sum), 0)
 	zeroAll(append(e.Params(), d.Params()...))
 	dsum := d.Backward(sum, dlogits)
-	dxs := make([][]float64, len(ids))
-	for i := range dxs {
-		dxs[i] = dsum
+	dx := make([]float64, 0, len(ids)*3)
+	for range ids {
+		dx = append(dx, dsum...)
 	}
-	e.Backward(ids, dxs)
+	e.Backward(ids, dx)
 	num := numericGrad(e.P, loss)
 	if err := maxRelErr(e.P.G, num); err > 1e-5 {
 		t.Fatalf("embedding grad error %v", err)
@@ -116,39 +116,42 @@ func TestConv1DGradcheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	conv := NewConv1D("c", 2, 3, 4, rng)
 	fc := NewDense("fc", 4, 2, rng)
-	xs := [][]float64{
-		{0.3, -0.1, 0.5}, {0.8, 0.2, -0.4}, {-0.2, 0.6, 0.1}, {0.4, 0.4, 0.4},
+	x := []float64{ // 4×3
+		0.3, -0.1, 0.5, 0.8, 0.2, -0.4, -0.2, 0.6, 0.1, 0.4, 0.4, 0.4,
 	}
 	loss := func() float64 {
-		pooled, _ := conv.Forward(xs)
-		l, _, _ := SoftmaxCE(fc.Forward(pooled), 1)
-		return l
+		pooled, _ := conv.Forward(x)
+		return ceLoss(fc.Forward(pooled), 1)
 	}
-	pooled, cache := conv.Forward(xs)
-	_, _, dlogits := SoftmaxCE(fc.Forward(pooled), 1)
+	pooled, cache := conv.Forward(x)
+	dlogits := ceGrad(fc.Forward(pooled), 1)
 	zeroAll(append(conv.Params(), fc.Params()...))
 	dpooled := fc.Backward(pooled, dlogits)
-	dxs := conv.Backward(cache, dpooled)
+	dx := conv.Backward(cache, dpooled)
 	for _, p := range conv.Params() {
 		num := numericGrad(p, loss)
 		if err := maxRelErr(p.G, num); err > 1e-4 {
 			t.Fatalf("%s grad error %v", p.Name, err)
 		}
 	}
-	// Input gradients.
-	for ti := range xs {
-		for i := range xs[ti] {
-			const eps = 1e-5
-			orig := xs[ti][i]
-			xs[ti][i] = orig + eps
-			up := loss()
-			xs[ti][i] = orig - eps
-			down := loss()
-			xs[ti][i] = orig
-			num := (up - down) / (2 * eps)
-			if math.Abs(num-dxs[ti][i]) > 1e-5 {
-				t.Fatalf("dxs[%d][%d] = %v, numeric %v", ti, i, dxs[ti][i], num)
-			}
+	checkInputGrad(t, x, dx, loss)
+}
+
+// checkInputGrad compares the analytic input gradient dx against
+// centered finite differences of loss over every element of x.
+func checkInputGrad(t *testing.T, x, dx []float64, loss func() float64) {
+	t.Helper()
+	for i := range x {
+		const eps = 1e-5
+		orig := x[i]
+		x[i] = orig + eps
+		up := loss()
+		x[i] = orig - eps
+		down := loss()
+		x[i] = orig
+		num := (up - down) / (2 * eps)
+		if math.Abs(num-dx[i]) > 1e-5 {
+			t.Fatalf("dx[%d] = %v, numeric %v", i, dx[i], num)
 		}
 	}
 }
@@ -156,14 +159,14 @@ func TestConv1DGradcheck(t *testing.T) {
 func TestConv1DShortSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	conv := NewConv1D("c", 5, 3, 2, rng)
-	xs := [][]float64{{0.1, 0.2, 0.3}} // shorter than the window
-	pooled, cache := conv.Forward(xs)
+	x := []float64{0.1, 0.2, 0.3} // one step, shorter than the window
+	pooled, cache := conv.Forward(x)
 	if len(pooled) != 2 {
 		t.Fatalf("pooled len = %d", len(pooled))
 	}
-	dxs := conv.Backward(cache, []float64{1, 1})
-	if len(dxs) != 1 {
-		t.Fatalf("dxs len = %d", len(dxs))
+	dx := conv.Backward(cache, []float64{1, 1})
+	if len(dx) != 3 {
+		t.Fatalf("dx len = %d", len(dx))
 	}
 }
 
@@ -171,43 +174,28 @@ func TestLSTMLayerGradcheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	l := NewLSTMLayer("l", 3, 4, rng)
 	fc := NewDense("fc", 4, 2, rng)
-	xs := [][]float64{
-		{0.2, -0.3, 0.5}, {0.7, 0.1, -0.2}, {-0.4, 0.6, 0.3},
+	x := []float64{ // 3×3
+		0.2, -0.3, 0.5, 0.7, 0.1, -0.2, -0.4, 0.6, 0.3,
 	}
 	loss := func() float64 {
-		hs, _ := l.Forward(xs)
-		lv, _, _ := SoftmaxCE(fc.Forward(hs[len(hs)-1]), 0)
-		return lv
+		hs, _ := l.Forward(x)
+		return ceLoss(fc.Forward(hs[len(hs)-4:]), 0)
 	}
-	hs, cache := l.Forward(xs)
-	_, _, dlogits := SoftmaxCE(fc.Forward(hs[len(hs)-1]), 0)
+	hs, cache := l.Forward(x)
+	last := hs[len(hs)-4:]
+	dlogits := ceGrad(fc.Forward(last), 0)
 	zeroAll(append(l.Params(), fc.Params()...))
-	dlast := fc.Backward(hs[len(hs)-1], dlogits)
-	dhs := make([][]float64, len(xs))
-	dhs[len(xs)-1] = dlast
-	dxs := l.Backward(cache, dhs)
+	dlast := fc.Backward(last, dlogits)
+	dhs := make([]float64, len(hs))
+	copy(dhs[len(hs)-4:], dlast)
+	dx := l.Backward(cache, dhs)
 	for _, p := range l.Params() {
 		num := numericGrad(p, loss)
 		if err := maxRelErr(p.G, num); err > 1e-4 {
 			t.Fatalf("%s grad error %v", p.Name, err)
 		}
 	}
-	// Input gradients.
-	for ti := range xs {
-		for i := range xs[ti] {
-			const eps = 1e-5
-			orig := xs[ti][i]
-			xs[ti][i] = orig + eps
-			up := loss()
-			xs[ti][i] = orig - eps
-			down := loss()
-			xs[ti][i] = orig
-			num := (up - down) / (2 * eps)
-			if math.Abs(num-dxs[ti][i]) > 1e-5 {
-				t.Fatalf("dxs[%d][%d] = %v, numeric %v", ti, i, dxs[ti][i], num)
-			}
-		}
-	}
+	checkInputGrad(t, x, dx, loss)
 }
 
 func TestCNNModelGradcheckClassification(t *testing.T) {
@@ -217,11 +205,10 @@ func TestCNNModelGradcheckClassification(t *testing.T) {
 	label := 2
 	loss := func() float64 {
 		out, _ := m.Forward(ids, false, nil)
-		l, _, _ := SoftmaxCE(out, label)
-		return l
+		return ceLoss(out, label)
 	}
 	out, cache := m.Forward(ids, false, nil)
-	_, _, dlogits := SoftmaxCE(out, label)
+	dlogits := ceGrad(out, label)
 	zeroAll(m.Params())
 	m.Backward(ids, cache, dlogits)
 	for _, p := range m.Params() {

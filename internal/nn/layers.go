@@ -13,8 +13,7 @@ type Embedding struct {
 	P    *Param
 	V, D int
 
-	outFlat []float64
-	outRows [][]float64
+	out []float64
 }
 
 // NewEmbedding allocates a V x D embedding matrix.
@@ -26,33 +25,25 @@ func NewEmbedding(name string, vocab, dim int, rng *rand.Rand) *Embedding {
 	}
 }
 
-// Forward returns the embedding rows for ids. Rows are copies so the
-// caller may mutate them; they live in a buffer owned by the layer and
-// stay valid until the next Forward call.
-func (e *Embedding) Forward(ids []int) [][]float64 {
-	n := len(ids)
-	growF(&e.outFlat, n*e.D)
-	out := growV(&e.outRows, n)
+// Forward returns the embedding rows for ids as one len(ids)×D
+// row-major matrix, in a buffer owned by the layer that stays valid
+// until the next Forward call: the layers above keep it, not a copy,
+// for their Backward.
+func (e *Embedding) Forward(ids []int) []float64 {
+	return e.gather(growF(&e.out, len(ids)*e.D), ids)
+}
+
+// gather copies the embedding rows for ids into dst, len(ids)×D
+// row-major, and returns it. An id outside the vocabulary reads as
+// row 0.
+func (e *Embedding) gather(dst []float64, ids []int) []float64 {
 	for i, id := range ids {
 		if id < 0 || id >= e.V {
 			id = 0
 		}
-		row := e.outFlat[i*e.D : (i+1)*e.D]
-		copy(row, e.P.W[id*e.D:(id+1)*e.D])
-		out[i] = row
+		copy(dst[i*e.D:(i+1)*e.D], e.P.W[id*e.D:(id+1)*e.D])
 	}
-	return out
-}
-
-// Lookup returns a read-only view of the embedding row for id, with
-// out-of-vocabulary ids clamped to row 0 exactly like Forward. Batched
-// packing uses it to copy rows straight into a batch buffer without
-// materializing the per-sequence row headers.
-func (e *Embedding) Lookup(id int) []float64 {
-	if id < 0 || id >= e.V {
-		id = 0
-	}
-	return e.P.W[id*e.D : (id+1)*e.D]
+	return dst
 }
 
 // CloneShared returns a replica sharing weights but owning private
@@ -61,13 +52,14 @@ func (e *Embedding) CloneShared() *Embedding {
 	return &Embedding{P: e.P.Shadow(), V: e.V, D: e.D}
 }
 
-// Backward accumulates gradients for the rows selected by ids.
-func (e *Embedding) Backward(ids []int, dx [][]float64) {
+// Backward accumulates gradients for the rows selected by ids; dx is
+// len(ids)×D row-major.
+func (e *Embedding) Backward(ids []int, dx []float64) {
 	for i, id := range ids {
 		if id < 0 || id >= e.V {
 			id = 0
 		}
-		f64.AddTo(e.P.G[id*e.D:(id+1)*e.D], dx[i])
+		f64.AddTo(e.P.G[id*e.D:(id+1)*e.D], dx[i*e.D:(i+1)*e.D])
 	}
 }
 
@@ -218,22 +210,6 @@ func SoftmaxCEInto(logits []float64, label int, dlogits []float64) (loss float64
 	}
 	dlogits[label] -= 1
 	return -math.Log(p)
-}
-
-// SoftmaxCE computes cross-entropy loss for the true label and the
-// gradient with respect to the logits (probs - onehot), allocating the
-// returned slices. Hot paths should prefer SoftmaxCEInto.
-func SoftmaxCE(logits []float64, label int) (loss float64, probs, dlogits []float64) {
-	probs = Softmax(logits)
-	p := probs[label]
-	if p < 1e-12 {
-		p = 1e-12
-	}
-	loss = -math.Log(p)
-	dlogits = make([]float64, len(logits))
-	copy(dlogits, probs)
-	dlogits[label] -= 1
-	return loss, probs, dlogits
 }
 
 // HuberLoss computes the Huber loss (delta threshold) of a scalar

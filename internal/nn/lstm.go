@@ -20,10 +20,10 @@ import (
 // Gate weights are packed in order [candidate, update, forget, output].
 //
 // The input contribution Wx·xₜ has no sequential dependency, so
-// Forward hoists it out of the recurrence: the whole sequence is
-// packed into one contiguous n×In matrix and transformed in a single
-// sequence-level GEMM (pre = X·Wxᵀ + b) before the timestep loop,
-// which then only computes the recurrent Wh·hₜ₋₁ term and the gate
+// Forward hoists it out of the recurrence: the whole sequence, one
+// n×In row-major matrix, is transformed in a single sequence-level
+// GEMM (pre = X·Wxᵀ + b) before the timestep loop, which then only
+// computes the recurrent Wh·hₜ₋₁ term and the gate
 // nonlinearities. Backward mirrors this: the BPTT recurrence only
 // propagates dhₜ₋₁ through Wh, while the Wx/Wh/bias gradients and the
 // input gradients are accumulated afterwards as sequence-level
@@ -123,8 +123,8 @@ func (l *LSTMLayer) tabulate(e *Embedding) {
 // LSTMCache stores the forward activations needed by BPTT in flat
 // backing arrays owned by the layer and reused across calls.
 type LSTMCache struct {
-	xflat []float64 // inputs packed contiguously, n*In
-	n     int       // steps in the cached sequence
+	x []float64 // the n×In input Forward was given (not a copy); nil when tabled
+	n int       // steps in the cached sequence
 
 	// Flat per-step activations. pre is n*4h holding the gate
 	// pre-activations (input GEMM + bias + recurrent term); gates is
@@ -132,7 +132,6 @@ type LSTMCache struct {
 	// output h]; cs/tanhCs/hs are n*h (cell states, their tanh, hidden
 	// states).
 	pre, gates, cs, tanhCs, hs []float64
-	hsRows                     [][]float64 // row headers into hs
 
 	// Backward scratch. dpre is n*4h: the per-step gate gradients kept
 	// for the sequence-level parameter/input gradient products after
@@ -140,40 +139,30 @@ type LSTMCache struct {
 	// timesteps; zero stays all-zero (cPrev at t=0).
 	dh, dc, dcNext, dhA, dhB, zero []float64 // h each
 	dpre                           []float64 // n*4h
-	dxsFlat                        []float64 // n*In
-	dxs                            [][]float64
+	dx                             []float64 // n*In
 }
 
-// Hidden returns the sequence of hidden states.
-func (c *LSTMCache) Hidden() [][]float64 { return c.hsRows }
-
-// ensure sizes the cache for an n-step sequence of in-dim inputs.
-func (c *LSTMCache) ensure(n, h, in int) {
+// ensure sizes the cache for an n-step sequence.
+func (c *LSTMCache) ensure(n, h int) {
 	c.n = n
-	growF(&c.xflat, n*in)
 	growF(&c.pre, n*4*h)
 	growF(&c.gates, n*4*h)
 	growF(&c.cs, n*h)
 	growF(&c.tanhCs, n*h)
 	growF(&c.hs, n*h)
-	growV(&c.hsRows, n)
-	for t := 0; t < n; t++ {
-		c.hsRows[t] = c.hs[t*h : (t+1)*h]
-	}
 }
 
-// Forward runs the layer over the input sequence, returning hidden
-// states for every step and the cache for Backward. The returned
-// slices are owned by the layer and valid until the next Forward call.
-func (l *LSTMLayer) Forward(xs [][]float64) ([][]float64, *LSTMCache) {
-	n := len(xs)
+// Forward runs the layer over x, an n×In row-major sequence, returning
+// the hidden states of every step (n×H row-major) and the cache for
+// Backward. The returned slices are owned by the layer and valid until
+// the next Forward call. The cache keeps x itself for Backward, so x
+// must stay unchanged until then.
+func (l *LSTMLayer) Forward(x []float64) ([]float64, *LSTMCache) {
+	n := len(x) / l.In
 	h := l.H
 	cache := &l.cache
-	cache.ensure(n, h, l.In)
-	x := cache.xflat
-	for t, row := range xs {
-		copy(x[t*l.In:(t+1)*l.In], row)
-	}
+	cache.ensure(n, h)
+	cache.x = x
 	wxT, whT := l.transposed()
 	// Sequence-level input GEMM, hoisted out of the recurrence:
 	// pre[t] = Wx·xₜ + b for every step at once (pre = bias rows +
@@ -184,18 +173,19 @@ func (l *LSTMLayer) Forward(xs [][]float64) ([][]float64, *LSTMCache) {
 	}
 	f64.Gemm(cache.pre, x, wxT, n, 4*h, l.In)
 	l.recur(n, whT)
-	return cache.hsRows, cache
+	return cache.hs, cache
 }
 
 // forwardTabled is Forward on a tabled layer (see tabulate) over the
 // embeddings of ids: each step's pre starts as a copy of its token's
 // table row where Forward computes that row. An id outside the
 // vocabulary reads as token 0, as Embedding.Forward reads it.
-func (l *LSTMLayer) forwardTabled(ids []int) ([][]float64, *LSTMCache) {
+func (l *LSTMLayer) forwardTabled(ids []int) ([]float64, *LSTMCache) {
 	n := len(ids)
 	h := l.H
 	cache := &l.cache
-	cache.ensure(n, h, 0)
+	cache.ensure(n, h)
+	cache.x = nil
 	vocab := len(l.table) / (4 * h)
 	for t, id := range ids {
 		if id < 0 || id >= vocab {
@@ -204,7 +194,7 @@ func (l *LSTMLayer) forwardTabled(ids []int) ([][]float64, *LSTMCache) {
 		copy(cache.pre[t*4*h:(t+1)*4*h], l.table[id*4*h:(id+1)*4*h])
 	}
 	l.recur(n, l.whT)
-	return cache.hsRows, cache
+	return cache.hs, cache
 }
 
 // recur runs the timestep loop over the n rows of cache.pre, which hold
@@ -254,10 +244,10 @@ func (l *LSTMLayer) recur(n int, whT []float64) {
 	}
 }
 
-// Backward runs BPTT. dhs[t] is the gradient flowing into h_t from
-// above (nil entries mean zero). It returns gradients with respect to
-// the inputs (owned by the layer, valid until the next Backward call)
-// and accumulates parameter gradients.
+// Backward runs BPTT. dhs is n×H row-major: row t is the gradient
+// flowing into h_t from above. It returns the gradient with respect to
+// the inputs, n×In row-major (owned by the layer, valid until the next
+// Backward call), and accumulates parameter gradients.
 //
 // The timestep loop only runs the true recurrence (gate gradients and
 // dhₜ₋₁ = Whᵀ·dpreₜ, taken off the untransposed Wh by f64.GemvTSeq);
@@ -265,11 +255,9 @@ func (l *LSTMLayer) recur(n int, whT []float64) {
 // (dWx += dpreᵀ·X, dWh += dpre[1:]ᵀ·H[:n-1], db += Σₜ dpreₜ) and input
 // gradients (dX = dpre·Wx) are computed afterwards as sequence-level
 // matrix products.
-func (l *LSTMLayer) Backward(cache *LSTMCache, dhs [][]float64) [][]float64 {
+func (l *LSTMLayer) Backward(cache *LSTMCache, dhs []float64) []float64 {
 	n := cache.n
 	h := l.H
-	growF(&cache.dxsFlat, n*l.In)
-	dxs := growV(&cache.dxs, n)
 	dh := growF(&cache.dh, h)
 	dc := growF(&cache.dc, h)
 	dpreAll := growF(&cache.dpre, n*4*h)
@@ -282,9 +270,7 @@ func (l *LSTMLayer) Backward(cache *LSTMCache, dhs [][]float64) [][]float64 {
 	zeroF(dcNext)
 	for t := n - 1; t >= 0; t-- {
 		copy(dh, dhNext)
-		if t < len(dhs) && dhs[t] != nil {
-			f64.AddTo(dh, dhs[t])
-		}
+		f64.AddTo(dh, dhs[t*h:(t+1)*h])
 		gb := t * 4 * h
 		cand := cache.gates[gb : gb+h]
 		gu := cache.gates[gb+h : gb+2*h]
@@ -328,17 +314,15 @@ func (l *LSTMLayer) Backward(cache *LSTMCache, dhs [][]float64) [][]float64 {
 	for t := 0; t < n; t++ {
 		f64.AddTo(l.B.G, dpreAll[t*4*h:(t+1)*4*h])
 	}
-	f64.GemmTN(l.Wx.G, dpreAll, cache.xflat, 4*h, l.In, n)
+	f64.GemmTN(l.Wx.G, dpreAll, cache.x, 4*h, l.In, n)
 	if n > 1 {
 		// dpre rows 1..n-1 pair with hidden states 0..n-2.
 		f64.GemmTN(l.Wh.G, dpreAll[4*h:], cache.hs, 4*h, h, n-1)
 	}
-	zeroF(cache.dxsFlat)
-	f64.Gemm(cache.dxsFlat, dpreAll, l.Wx.W, n, l.In, 4*h)
-	for t := 0; t < n; t++ {
-		dxs[t] = cache.dxsFlat[t*l.In : (t+1)*l.In]
-	}
-	return dxs
+	dx := growF(&cache.dx, n*l.In)
+	zeroF(dx)
+	f64.Gemm(dx, dpreAll, l.Wx.W, n, l.In, 4*h)
+	return dx
 }
 
 // lstmTrie is the layout of one batch: the prefix tree of its token

@@ -13,7 +13,7 @@ import (
 // with dhₜ₋₁ = Whᵀ·dpreₜ taken as f64.GemvN over f64.Transpose(Wh). It
 // is the definition TestLSTMBackwardMatchesTransposedRecurrence holds
 // Backward to.
-func backwardViaTransposedWh(l *LSTMLayer, cache *LSTMCache, dhs [][]float64) (dxs [][]float64) {
+func backwardViaTransposedWh(l *LSTMLayer, cache *LSTMCache, dhs []float64) (dx []float64) {
 	n, h := cache.n, l.H
 	whT := make([]float64, h*4*h)
 	f64.Transpose(whT, l.Wh.W, 4*h, h)
@@ -22,9 +22,7 @@ func backwardViaTransposedWh(l *LSTMLayer, cache *LSTMCache, dhs [][]float64) (d
 	dpreAll := make([]float64, n*4*h)
 	for t := n - 1; t >= 0; t-- {
 		copy(dh, dhNext)
-		if t < len(dhs) && dhs[t] != nil {
-			f64.AddTo(dh, dhs[t])
-		}
+		f64.AddTo(dh, dhs[t*h:(t+1)*h])
 		gb := t * 4 * h
 		cand := cache.gates[gb : gb+h]
 		gu := cache.gates[gb+h : gb+2*h]
@@ -59,17 +57,13 @@ func backwardViaTransposedWh(l *LSTMLayer, cache *LSTMCache, dhs [][]float64) (d
 	for t := 0; t < n; t++ {
 		f64.AddTo(l.B.G, dpreAll[t*4*h:(t+1)*4*h])
 	}
-	f64.GemmTN(l.Wx.G, dpreAll, cache.xflat, 4*h, l.In, n)
+	f64.GemmTN(l.Wx.G, dpreAll, cache.x, 4*h, l.In, n)
 	if n > 1 {
 		f64.GemmTN(l.Wh.G, dpreAll[4*h:], cache.hs, 4*h, h, n-1)
 	}
-	dxsFlat := make([]float64, n*l.In)
-	f64.Gemm(dxsFlat, dpreAll, l.Wx.W, n, l.In, 4*h)
-	dxs = make([][]float64, n)
-	for t := range dxs {
-		dxs[t] = dxsFlat[t*l.In : (t+1)*l.In]
-	}
-	return dxs
+	dx = make([]float64, n*l.In)
+	f64.Gemm(dx, dpreAll, l.Wx.W, n, l.In, 4*h)
+	return dx
 }
 
 // TestLSTMBackwardMatchesTransposedRecurrence holds Backward, bit for
@@ -87,26 +81,25 @@ func TestLSTMBackwardMatchesTransposedRecurrence(t *testing.T) {
 					got := NewLSTMLayer("l", in, h, rng)
 					want := got.CloneShared() // same weights, own gradients and scratch
 					for pass := 0; pass < 2; pass++ {
-						xs, dhs := make([][]float64, n), make([][]float64, n)
-						for s := range xs {
-							xs[s], dhs[s] = make([]float64, in), make([]float64, h)
-							for i := range xs[s] {
-								xs[s][i] = rng.NormFloat64()
+						x, dhs := make([]float64, n*in), make([]float64, n*h)
+						for s := 0; s < n; s++ {
+							for i := range in {
+								x[s*in+i] = rng.NormFloat64()
 							}
-							for i := range dhs[s] {
-								dhs[s][i] = rng.NormFloat64()
+							for i := range h {
+								dhs[s*h+i] = rng.NormFloat64()
 							}
 						}
 						if n > 2 {
-							dhs[n/2] = nil // a step nothing flows into from above
+							clear(dhs[n/2*h : (n/2+1)*h]) // a step nothing flows into from above
 						}
-						_, gc := got.Forward(xs)
+						_, gc := got.Forward(x)
 						gdx := got.Backward(gc, dhs)
-						_, wc := want.Forward(xs)
+						_, wc := want.Forward(x)
 						wdx := backwardViaTransposedWh(want, wc, dhs)
-						for s := range wdx {
-							if !sameBits(gdx[s], wdx[s]) {
-								t.Fatalf("pass %d: dxs[%d] = %v, transposed recurrence %v", pass, s, gdx[s], wdx[s])
+						for s := 0; s < n; s++ {
+							if g, w := gdx[s*in:(s+1)*in], wdx[s*in:(s+1)*in]; !sameBits(g, w) {
+								t.Fatalf("pass %d: dx row %d = %v, transposed recurrence %v", pass, s, g, w)
 							}
 						}
 						gp, wp := got.Params(), want.Params()

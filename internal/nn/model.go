@@ -90,16 +90,14 @@ func NewCNN(cfg CNNConfig, rng *rand.Rand) *CNNModel {
 }
 
 type cnnCache struct {
-	xs     [][]float64
 	convs  []*ConvCache
 	pooled []float64 // concatenated, pre-dropout
 	masked []float64 // post-dropout (input to FC)
 	mask   []float64
 	ids    []int // a tabled forward's token ids, clamped to the vocabulary
 
-	// Backward scratch.
-	dxsFlat []float64
-	dxs     [][]float64
+	// Backward scratch: dL/dx of the embeddings, n×Embed.
+	dx []float64
 }
 
 // cnnBatchCache is the inference-only batch scratch, sized by the
@@ -219,11 +217,10 @@ func (m *CNNModel) Features(ids []int, train bool, rng *rand.Rand) ([]float64, a
 	if m.tabled {
 		m.poolTabled(pooled, ids)
 	} else {
-		xs := m.Emb.Forward(ids)
-		cache.xs = xs
+		x := m.Emb.Forward(ids)
 		cache.convs = cache.convs[:0]
 		for ci, conv := range m.Convs {
-			p, cc := conv.Forward(xs)
+			p, cc := conv.Forward(x)
 			cache.convs = append(cache.convs, cc)
 			copy(pooled[ci*k:(ci+1)*k], p)
 		}
@@ -270,12 +267,8 @@ func (m *CNNModel) ForwardBatch(ids [][]int) ([]float64, int) {
 			total += len(seq)
 		}
 		xb := growF(&bc.xb, total*d)
-		pos := 0
-		for _, seq := range ids {
-			for _, id := range seq {
-				copy(xb[pos:pos+d], m.Emb.Lookup(id))
-				pos += d
-			}
+		for r, seq := range ids {
+			m.Emb.gather(xb[offs[r]:], seq)
 		}
 		for ci, conv := range m.Convs {
 			conv.ForwardBatch(xb, offs, lens, pooled, stride, ci*m.cfg.Kernels)
@@ -302,23 +295,13 @@ func (m *CNNModel) BackwardFeatures(ids []int, cacheAny any, dfeat []float64) {
 	}
 	cache := cacheAny.(*cnnCache)
 	dpooled := m.Drop.Backward(dfeat, cache.mask)
-	n := len(cache.xs)
-	growF(&cache.dxsFlat, n*m.cfg.Embed)
-	zeroF(cache.dxsFlat)
-	dxs := growV(&cache.dxs, n)
-	for i := range dxs {
-		dxs[i] = cache.dxsFlat[i*m.cfg.Embed : (i+1)*m.cfg.Embed]
-	}
-	off := 0
+	dx := growF(&cache.dx, len(ids)*m.cfg.Embed)
+	zeroF(dx)
+	k := m.cfg.Kernels
 	for ci, conv := range m.Convs {
-		dslice := dpooled[off : off+m.cfg.Kernels]
-		dconv := conv.Backward(cache.convs[ci], dslice)
-		for t := range dconv {
-			f64.AddTo(dxs[t], dconv[t])
-		}
-		off += m.cfg.Kernels
+		f64.AddTo(dx, conv.Backward(cache.convs[ci], dpooled[ci*k:(ci+1)*k]))
 	}
-	m.Emb.Backward(ids, dxs)
+	m.Emb.Backward(ids, dx)
 }
 
 // Params implements Model.
@@ -351,8 +334,8 @@ type LSTMModel struct {
 	frozen bool // see Freeze
 	cache  lstmModelCache
 	bcache lstmBatchModelCache
-	dhs    [][]float64 // backward scratch: gradient into the top layer
-	padOne [1]int      // stand-in ids for empty sequences
+	dtop   []float64 // backward scratch: gradient into the top layer, n×Hidden
+	padOne [1]int    // stand-in ids for empty sequences
 }
 
 // NewLSTM builds a stacked LSTM model.
@@ -437,21 +420,21 @@ func (m *LSTMModel) Forward(ids []int, train bool, rng *rand.Rand) ([]float64, a
 	}
 	cache := &m.cache
 	cache.layerCaches = cache.layerCaches[:0]
-	var xs [][]float64
+	var x []float64
 	upper := m.Layers
 	if m.Layers[0].table != nil {
 		hs, lc := m.Layers[0].forwardTabled(ids)
 		cache.layerCaches = append(cache.layerCaches, lc)
-		xs, upper = hs, m.Layers[1:]
+		x, upper = hs, m.Layers[1:]
 	} else {
-		xs = m.Emb.Forward(ids)
+		x = m.Emb.Forward(ids)
 	}
 	for _, layer := range upper {
-		hs, lc := layer.Forward(xs)
+		hs, lc := layer.Forward(x)
 		cache.layerCaches = append(cache.layerCaches, lc)
-		xs = hs
+		x = hs
 	}
-	cache.last = xs[len(xs)-1]
+	cache.last = x[len(x)-m.cfg.Hidden:]
 	return m.FC.Forward(cache.last), cache
 }
 
@@ -484,10 +467,7 @@ func (m *LSTMModel) ForwardBatch(ids [][]int) ([]float64, int) {
 	tr.build(ids, m.Emb.V)
 	var x []float64
 	if m.Layers[0].table == nil {
-		x = growF(&bc.xb, len(tr.tok)*d)
-		for node, id := range tr.tok {
-			copy(x[node*d:(node+1)*d], m.Emb.Lookup(id))
-		}
+		x = m.Emb.gather(growF(&bc.xb, len(tr.tok)*d), tr.tok)
 	}
 	for _, layer := range m.Layers {
 		x = layer.ForwardBatch(x, tr)
@@ -513,17 +493,15 @@ func (m *LSTMModel) Backward(ids []int, cacheAny any, dout []float64) {
 	}
 	cache := cacheAny.(*lstmModelCache)
 	dlast := m.FC.Backward(cache.last, dout)
-	n := cache.layerCaches[0].n
+	h := m.cfg.Hidden
 	// Gradient into the top layer arrives only at the last step.
-	dhs := growV(&m.dhs, n)
-	for i := range dhs {
-		dhs[i] = nil
-	}
-	dhs[n-1] = dlast
+	dh := growF(&m.dtop, len(ids)*h)
+	zeroF(dh)
+	copy(dh[len(dh)-h:], dlast)
 	for l := len(m.Layers) - 1; l >= 0; l-- {
-		dhs = m.Layers[l].Backward(cache.layerCaches[l], dhs)
+		dh = m.Layers[l].Backward(cache.layerCaches[l], dh)
 	}
-	m.Emb.Backward(ids, dhs)
+	m.Emb.Backward(ids, dh)
 }
 
 // Params implements Model.

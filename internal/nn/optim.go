@@ -2,33 +2,22 @@ package nn
 
 import "math"
 
-// OptimizerKind selects the update rule.
-type OptimizerKind int
-
-// Supported optimizers. The paper examined both Adam and AdaMax
-// (Kingma & Ba) and found AdaMax performed better (Section 5.2).
-const (
-	Adam OptimizerKind = iota
-	AdaMax
-	SGD
-)
-
-// Optimizer applies gradient updates to parameters.
+// Optimizer applies AdaMax (Kingma & Ba) updates to parameters. The
+// paper examined both Adam and AdaMax and found AdaMax performed better
+// (Section 5.2), so AdaMax is the one update rule training uses.
 type Optimizer struct {
-	Kind  OptimizerKind
 	LR    float64
 	Beta1 float64
 	Beta2 float64
 	Eps   float64
 	Clip  float64 // global grad-norm clip; 0 disables
-	Decay float64 // L2 weight decay; the paper sets 0
 	t     int
 }
 
 // NewOptimizer returns an optimizer with the paper's hyper-parameters
-// (learning rate 1e-3, default betas, weight decay 0).
-func NewOptimizer(kind OptimizerKind, lr, clip float64) *Optimizer {
-	return &Optimizer{Kind: kind, LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, Clip: clip}
+// (default betas, no weight decay) at learning rate lr.
+func NewOptimizer(lr, clip float64) *Optimizer {
+	return &Optimizer{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, Clip: clip}
 }
 
 // Step applies one update to params from their accumulated gradients
@@ -38,41 +27,21 @@ func (o *Optimizer) Step(params []*Param) {
 		ClipGradNorm(params, o.Clip)
 	}
 	o.t++
+	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	for _, p := range params {
-		if p.m == nil && o.Kind != SGD {
+		if p.m == nil {
 			p.m = make([]float64, len(p.W))
 			p.v = make([]float64, len(p.W))
 		}
-		switch o.Kind {
-		case SGD:
-			for i := range p.W {
-				g := p.G[i] + o.Decay*p.W[i]
-				p.W[i] -= o.LR * g
+		for i, g := range p.G {
+			p.m[i] = o.Beta1*p.m[i] + (1-o.Beta1)*g
+			u := o.Beta2 * p.v[i]
+			if a := math.Abs(g); a > u {
+				u = a
 			}
-		case Adam:
-			bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
-			bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
-			for i := range p.W {
-				g := p.G[i] + o.Decay*p.W[i]
-				p.m[i] = o.Beta1*p.m[i] + (1-o.Beta1)*g
-				p.v[i] = o.Beta2*p.v[i] + (1-o.Beta2)*g*g
-				mhat := p.m[i] / bc1
-				vhat := p.v[i] / bc2
-				p.W[i] -= o.LR * mhat / (math.Sqrt(vhat) + o.Eps)
-			}
-		case AdaMax:
-			bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
-			for i := range p.W {
-				g := p.G[i] + o.Decay*p.W[i]
-				p.m[i] = o.Beta1*p.m[i] + (1-o.Beta1)*g
-				u := o.Beta2 * p.v[i]
-				if a := math.Abs(g); a > u {
-					u = a
-				}
-				p.v[i] = u
-				if u > 0 {
-					p.W[i] -= o.LR * (p.m[i] / bc1) / (u + o.Eps)
-				}
+			p.v[i] = u
+			if u > 0 {
+				p.W[i] -= o.LR * (p.m[i] / bc1) / (u + o.Eps)
 			}
 		}
 		p.ZeroGrad()

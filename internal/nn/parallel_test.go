@@ -44,7 +44,7 @@ func TestCloneSharedSharesWeightsOwnsGrads(t *testing.T) {
 	}
 }
 
-func TestGradBufferReduceMatchesSequential(t *testing.T) {
+func TestReduceGradsMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	master := NewLSTM(LSTMConfig{Vocab: 10, Embed: 3, Hidden: 4, Layers: 1, Outputs: 2}, rng)
 	ids1 := []int{1, 4, 2}
@@ -52,8 +52,7 @@ func TestGradBufferReduceMatchesSequential(t *testing.T) {
 
 	step := func(m Model, ids []int) {
 		out, cache := m.Forward(ids, false, nil)
-		_, _, dlogits := SoftmaxCE(out, 1)
-		m.Backward(ids, cache, dlogits)
+		m.Backward(ids, cache, ceGrad(out, 1))
 	}
 
 	// Sequential reference: both examples accumulate into the master.
@@ -67,10 +66,9 @@ func TestGradBufferReduceMatchesSequential(t *testing.T) {
 
 	// Sharded: example 2 goes through a replica, then reduce.
 	replica := master.CloneShared()
-	gb := NewGradBuffer(replica.Params())
 	step(master, ids1)
 	step(replica, ids2)
-	gb.ReduceInto(master.Params())
+	ReduceGrads(master.Params(), replica.Params())
 
 	for i, p := range master.Params() {
 		for k := range p.G {
@@ -78,7 +76,7 @@ func TestGradBufferReduceMatchesSequential(t *testing.T) {
 				t.Fatalf("%s grad[%d] = %v, sequential %v", p.Name, k, p.G[k], want[i][k])
 			}
 		}
-		for k, g := range gb.Params[i].G {
+		for k, g := range replica.Params()[i].G {
 			if g != 0 {
 				t.Fatalf("%s shard grad[%d] not zeroed after reduce", p.Name, k)
 			}
@@ -93,10 +91,10 @@ func TestConcurrentReplicaTraining(t *testing.T) {
 	master := NewCNN(CNNConfig{Vocab: 20, Embed: 4, Widths: []int{2, 3}, Kernels: 4, Dropout: 0.5, Outputs: 3}, rng)
 	const workers = 4
 	var wg sync.WaitGroup
-	buffers := make([]*GradBuffer, workers)
+	replicas := make([]Model, workers)
 	for w := 0; w < workers; w++ {
 		replica := master.CloneShared()
-		buffers[w] = NewGradBuffer(replica.Params())
+		replicas[w] = replica
 		wg.Add(1)
 		go func(w int, m Model) {
 			defer wg.Done()
@@ -104,43 +102,43 @@ func TestConcurrentReplicaTraining(t *testing.T) {
 			for it := 0; it < 20; it++ {
 				ids := []int{w, it % 20, (w + it) % 20, 5}
 				out, cache := m.Forward(ids, true, wrng)
-				_, _, dlogits := SoftmaxCE(out, it%3)
-				m.Backward(ids, cache, dlogits)
+				m.Backward(ids, cache, ceGrad(out, it%3))
 			}
 		}(w, replica)
 	}
 	wg.Wait()
-	for _, b := range buffers {
-		b.ReduceInto(master.Params())
+	for _, r := range replicas {
+		ReduceGrads(master.Params(), r.Params())
 	}
 	if GradNorm(master.Params()) == 0 {
 		t.Fatal("no gradient accumulated")
 	}
 }
 
+// TestForwardBackwardAllocationFree holds a warm forward+backward pass
+// to zero allocations, in inference mode and in training mode with
+// dropout drawn from an rng.
 func TestForwardBackwardAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	lstm := NewLSTM(LSTMConfig{Vocab: 30, Embed: 8, Hidden: 12, Layers: 3, Outputs: 3}, rng)
-	cnn := NewCNN(CNNConfig{Vocab: 30, Embed: 8, Widths: []int{3, 4, 5}, Kernels: 8, Outputs: 3}, rng)
+	cnn := NewCNN(CNNConfig{Vocab: 30, Embed: 8, Widths: []int{3, 4, 5}, Kernels: 8, Dropout: 0.5, Outputs: 3}, rng)
 	ids := make([]int, 40)
 	for i := range ids {
 		ids[i] = (i * 7) % 30
 	}
 	dout := []float64{0.2, -0.1, -0.1}
+	drop := rand.New(rand.NewSource(5))
 
 	for name, m := range map[string]Model{"lstm": lstm, "cnn": cnn} {
-		// Warm up the scratch buffers.
-		out, cache := m.Forward(ids, false, nil)
-		_ = out
-		m.Backward(ids, cache, dout)
-		allocs := testing.AllocsPerRun(10, func() {
-			_, cache := m.Forward(ids, false, nil)
-			m.Backward(ids, cache, dout)
-		})
-		// The hot path should be allocation-free once scratch is warm;
-		// allow a tiny budget for incidental boxing.
-		if allocs > 4 {
-			t.Fatalf("%s forward+backward allocates %.0f times per run", name, allocs)
+		for _, train := range []bool{false, true} {
+			run := func() {
+				_, cache := m.Forward(ids, train, drop)
+				m.Backward(ids, cache, dout)
+			}
+			run() // warm the scratch buffers
+			if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+				t.Errorf("%s (train=%v): forward+backward allocates %v times per run, want 0", name, train, allocs)
+			}
 		}
 	}
 }

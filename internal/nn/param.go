@@ -4,8 +4,8 @@
 // (Section 5.2 / Appendix A.2), and the shallow convolutional network
 // of Kim (2014) with kernel widths {3,4,5}, ReLU, max-over-time
 // pooling, and dropout (Section 5.3). Training uses cross-entropy for
-// classification and Huber loss for regression, optimized with Adam or
-// AdaMax and gradient clipping, as in the paper's setup (Section 6.1).
+// classification and Huber loss for regression, optimized with AdaMax
+// and gradient clipping, as in the paper's setup (Section 6.1).
 //
 // The implementation is plain float64 slices on the CPU (this package
 // has no assembly and no GPU code) but numerically correct — every

@@ -19,7 +19,7 @@
 //	internal/simdb       execution simulator (catalogs, labels, optimizer)
 //	internal/synth       SDSS-like and SQLShare-like workload generators
 //	internal/workload    extraction pipeline, splits, workload analysis
-//	internal/nn          LSTM/CNN engine with Adam/AdaMax
+//	internal/nn          LSTM/CNN engine trained with AdaMax
 //	internal/textfeat    n-gram TF-IDF + logistic/Huber regression
 //	internal/core        model registry and training pipeline
 //	internal/serve       replica pool a trained model is served from
