@@ -44,41 +44,39 @@ func (m *Model) newEncoder() *sqllex.Encoder {
 func (m *Model) bindNeuralPredict() {
 	backend := m.neural
 	enc := m.newEncoder()
-	if bm, ok := backend.model.(nn.BatchModel); ok {
-		// The fused batch forward: encode every statement (copying the
-		// ids out of the encoder's reused scratch into one flat buffer)
-		// and run the whole group through the network as n-row matrices.
-		// The predict hook fires per statement before any network work,
-		// matching the scalar closures' hook-then-forward order; a
-		// poisoned statement therefore panics the fused call before
-		// results exist, and the serving layer retries per request.
-		var (
-			idsFlat []int
-			lens    []int
-			rows    [][]int
-		)
-		m.forwardBatch = func(stmts []string) ([]float64, int) {
-			idsFlat = idsFlat[:0]
-			lens = lens[:0]
-			for _, stmt := range stmts {
-				if m.predictHook != nil {
-					m.predictHook(stmt)
-				}
-				ids := enc.Encode(stmt)
-				idsFlat = append(idsFlat, ids...)
-				lens = append(lens, len(ids))
+	// The fused batch forward: encode every statement (copying the
+	// ids out of the encoder's reused scratch into one flat buffer)
+	// and run the whole group through the network as n-row matrices.
+	// The predict hook fires per statement before any network work,
+	// matching the scalar closures' hook-then-forward order; a
+	// poisoned statement therefore panics the fused call before
+	// results exist, and the serving layer retries per request.
+	var (
+		idsFlat []int
+		lens    []int
+		rows    [][]int
+	)
+	m.forwardBatch = func(stmts []string) ([]float64, int) {
+		idsFlat = idsFlat[:0]
+		lens = lens[:0]
+		for _, stmt := range stmts {
+			if m.predictHook != nil {
+				m.predictHook(stmt)
 			}
-			if cap(rows) < len(stmts) {
-				rows = make([][]int, len(stmts))
-			}
-			rows = rows[:len(stmts)]
-			off := 0
-			for r, l := range lens {
-				rows[r] = idsFlat[off : off+l]
-				off += l
-			}
-			return bm.ForwardBatch(rows)
+			ids := enc.Encode(stmt)
+			idsFlat = append(idsFlat, ids...)
+			lens = append(lens, len(ids))
 		}
+		if cap(rows) < len(stmts) {
+			rows = make([][]int, len(stmts))
+		}
+		rows = rows[:len(stmts)]
+		off := 0
+		for r, l := range lens {
+			rows[r] = idsFlat[off : off+l]
+			off += l
+		}
+		return backend.model.ForwardBatch(rows)
 	}
 	if m.Task.IsClassification() {
 		var probs []float64
@@ -155,16 +153,11 @@ func (m *Model) PredictLogBatchInto(stmts []string, dst []float64) []float64 {
 	return dst
 }
 
-// freezer is what Replicate needs of a neural backend beyond
-// CloneShared: turn the clone into an inference-only replica (see
-// nn.CNNModel.Freeze).
-type freezer interface{ Freeze() }
-
 // Replicate returns a predictor that shares m's trained weights but
 // owns private inference scratch, so distinct replicas can predict
 // concurrently (the foundation of serve.Predictor's replica pool).
 //
-// Neural models are cloned through nn.ParallelModel.CloneShared — the
+// Neural models are cloned through nn.Model.CloneShared — the
 // same shared-weight mechanism data-parallel training uses — plus a
 // fresh per-replica encoder and softmax buffer, and the clone is frozen
 // before anything else can use it: no gradient accumulators, and what
@@ -189,12 +182,8 @@ func (m *Model) Replicate() *Model {
 	if m.neural.model == nil {
 		return m
 	}
-	pm, ok := m.neural.model.(nn.ParallelModel)
-	if !ok {
-		return m
-	}
-	replica := pm.CloneShared()
-	replica.(freezer).Freeze() // every nn.ParallelModel has it
+	replica := m.neural.model.CloneShared()
+	replica.Freeze()
 	r := &Model{
 		Name: m.Name, Task: m.Task, V: m.V, P: m.P, LogMin: m.LogMin,
 		neural: nnBackend{model: replica, vocab: m.neural.vocab},

@@ -1,7 +1,5 @@
 package core
 
-import "repro/internal/nn"
-
 // Snapshot returns an immutable deep copy of the model: its weights
 // live in fresh arrays that no FineTune on the original (or any other
 // snapshot) can ever touch. This is the unit a model registry stores
@@ -15,16 +13,16 @@ import "repro/internal/nn"
 // mutate that state.
 func (m *Model) Snapshot() *Model {
 	c := *m
-	pm, ok := m.neural.model.(nn.ParallelModel)
-	if !ok {
+	if m.neural.model == nil {
 		return &c
 	}
 	// CloneShared gives a structural replica whose params alias the
 	// master's weights; re-pointing each param at a private copy makes
 	// the clone deep. Layers read weights through the *Param at call
-	// time, so the swap is complete and the gradient shadows (unused at
-	// inference) can be dropped.
-	replica := pm.CloneShared()
+	// time, so the swap is complete, and the gradient shadows can be
+	// dropped: inference never reads them, and a FineTune trains on
+	// replicas with gradients of their own.
+	replica := m.neural.model.CloneShared()
 	for _, p := range replica.Params() {
 		p.W = append([]float64(nil), p.W...)
 		p.G = nil

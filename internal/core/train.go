@@ -91,18 +91,12 @@ func (m *Model) fit(train []workload.Item, logs []float64, cfg Config, rng *rand
 	model := m.neural.model
 	trainer := NewTrainer(cfg)
 	trainer.Seed = seed
-	trainer.run(len(encoded), rng, nn.NewOptimizer(lr, cfg.Clip), model.Params(), func(w int) trainWorker {
-		rep, tw := model, trainWorker{}
-		if w > 0 {
-			// A replica sharing the weights, with private gradients and
-			// scratch (every neural backend is an nn.ParallelModel).
-			rep = model.(nn.ParallelModel).CloneShared()
-			tw.grads = rep.Params()
-		}
+	trainer.run(len(encoded), rng, nn.NewOptimizer(lr, cfg.Clip), model.Params(), func() trainWorker {
+		rep := model.CloneShared()
 		// The worker's loss gradients, reused every step.
 		var dlogits []float64
 		var dout [1]float64
-		tw.step = func(wrng *rand.Rand, i int) {
+		return trainWorker{grads: rep.Params(), step: func(wrng *rand.Rand, i int) {
 			out, cache := rep.Forward(encoded[i], true, wrng)
 			if labels == nil {
 				_, dout[0] = nn.HuberLoss(out[0], logs[i], 1)
@@ -111,8 +105,7 @@ func (m *Model) fit(train []workload.Item, logs []float64, cfg Config, rng *rand
 			}
 			nn.SoftmaxCEInto(out, labels[i], growFloats(&dlogits, len(out)))
 			rep.Backward(encoded[i], cache, dlogits)
-		}
-		return tw
+		}}
 	})
 	return nil
 }
@@ -129,10 +122,10 @@ func encodeAll(enc *sqllex.Encoder, items []workload.Item) [][]int {
 
 // Trainer is the data-parallel mini-batch training engine. Each
 // mini-batch is fanned out across Workers goroutines; every worker
-// runs forward+backward on its own shared-weight model replica,
-// accumulating gradients into a private shard, and the shards are
-// reduced into the master parameters in worker order before the
-// optimizer step.
+// runs forward+backward on its own shared-weight replica of the model,
+// accumulating gradients into the replica's private shard, and one
+// nn.Optimizer.Step reduces the shards in worker order and updates the
+// master parameters, which no worker writes.
 //
 // There is one loop; the worker count changes only where dropout draws
 // from:
@@ -184,32 +177,32 @@ func (t Trainer) resolveWorkers() int {
 }
 
 // trainWorker is one training worker: a step function bound to a model
-// replica, plus the replica's parameters, whose gradients are reduced
-// into the master's after each batch (nil for worker 0, which
-// accumulates directly into the master parameters).
+// replica, and the replica's parameters, the worker's gradient shard.
 type trainWorker struct {
 	step  func(rng *rand.Rand, i int)
 	grads []*nn.Param
 }
 
-// run executes the epoch/batch/reduce/step skeleton. newWorker(w) builds
-// worker w's replica-bound step function; it is called once per worker
-// up front. rng drives the epoch shuffles. Worker 0's share of each
-// batch runs on the calling goroutine and every other worker's on a
-// goroutine of its own; state is bound to the worker index, not to a
-// goroutine. With one worker no goroutine starts and nothing is reduced,
-// and the one thing that differs is the dropout stream (see Trainer).
+// run executes the epoch/batch/step skeleton. newWorker builds one
+// worker on a fresh replica; it is called once per worker up front. rng
+// drives the epoch shuffles. Worker 0's share of each batch runs on the
+// calling goroutine and every other worker's on a goroutine of its own;
+// state is bound to the worker index, not to a goroutine. With one
+// worker no goroutine starts and nothing is reduced, and the one thing
+// that differs is the dropout stream (see Trainer).
 func (t Trainer) run(n int, rng *rand.Rand, opt *nn.Optimizer, params []*nn.Param,
-	newWorker func(w int) trainWorker) {
+	newWorker func() trainWorker) {
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
 	workers := t.resolveWorkers()
 	state := make([]trainWorker, workers)
+	grads := make([][]*nn.Param, workers)
 	rngs := make([]*rand.Rand, workers)
 	for w := range state {
-		state[w] = newWorker(w)
+		state[w] = newWorker()
+		grads[w] = state[w].grads
 		rngs[w] = rand.New(lazyrand.New(0)) // reseeded per example: O(1) seeds
 	}
 	// One job closure reused for every batch; the loop variables it
@@ -242,26 +235,9 @@ func (t Trainer) run(n int, rng *rand.Rand, opt *nn.Optimizer, params []*nn.Para
 			}
 			batchJob(0)
 			wg.Wait()
-			// Reduce worker shards in worker order so the accumulation
-			// order is deterministic for a fixed worker count.
-			for w := 1; w < workers; w++ {
-				nn.ReduceGrads(params, state[w].grads)
-			}
-			scaleAndStep(opt, params, end-start)
+			opt.Step(params, grads, end-start)
 		}
 	}
-}
-
-// scaleAndStep averages the summed batch gradient and applies one
-// optimizer update.
-func scaleAndStep(opt *nn.Optimizer, params []*nn.Param, batchLen int) {
-	scale := 1.0 / float64(batchLen)
-	for _, p := range params {
-		for k := range p.G {
-			p.G[k] *= scale
-		}
-	}
-	opt.Step(params)
 }
 
 // exampleSeed mixes (seed, epoch, slot) into the dropout RNG seed for

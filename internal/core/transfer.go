@@ -38,13 +38,6 @@ func FineTune(m *Model, train []workload.Item, cfg Config) (*Model, error) {
 	if m.frozen {
 		return nil, fmt.Errorf("core: model %q is a Replicate copy and cannot be fine-tuned (fine-tune the original or a Snapshot)", m.Name)
 	}
-	for _, p := range m.neural.model.Params() {
-		// Registry snapshots drop their gradient shadows (inference
-		// never reads them); fine-tuning one starts by rebuilding them.
-		if len(p.G) != len(p.W) {
-			p.G = make([]float64, len(p.W))
-		}
-	}
 	var logs []float64
 	if !m.Task.IsClassification() {
 		// Regression: keep the SOURCE transform minimum so predictions
@@ -159,24 +152,19 @@ func TrainMultiTask(train []workload.Item, cfg Config) (*MultiTaskModel, error) 
 	opt := nn.NewOptimizer(cfg.LR, cfg.Clip)
 
 	trainer := NewTrainer(cfg)
-	trainer.run(len(train), rng, opt, params, func(w int) trainWorker {
-		rep := m
-		var grads []*nn.Param
-		if w > 0 {
-			// A training replica: shared weights, private gradients and
-			// scratch (see nn.ParallelModel).
-			rep = &MultiTaskModel{
-				enc:   m.enc.CloneShared().(*nn.CNNModel),
-				headA: m.headA.CloneShared(),
-				headC: m.headC.CloneShared(),
-			}
-			grads = rep.params()
+	trainer.run(len(train), rng, opt, params, func() trainWorker {
+		// A training replica: shared weights, private gradients and
+		// scratch (see nn.Model.CloneShared).
+		rep := &MultiTaskModel{
+			enc:   m.enc.CloneShared().(*nn.CNNModel),
+			headA: m.headA.CloneShared(),
+			headC: m.headC.CloneShared(),
 		}
 		return trainWorker{
 			step: func(wrng *rand.Rand, i int) {
 				rep.step(encoded[i], errLabels[i], ansLogs[i], cpuLogs[i], wrng)
 			},
-			grads: grads,
+			grads: rep.params(),
 		}
 	})
 	return m, nil

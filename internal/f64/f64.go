@@ -104,7 +104,7 @@
 // untouched. A short operand panics on either implementation: the
 // vector path evaluates the Go loop's own last index expressions
 // before handing the kernel a pointer. Element-wise kernels (Axpy,
-// AddTo, ScaleTo) permit dst to alias their inputs elementwise (e.g.
+// AddTo) permit dst to alias their inputs elementwise (e.g.
 // AddTo(x, x) doubles x). Matrix kernels require dst to be disjoint
 // from the matrix and vector operands. Matrices are dense row-major
 // with no padding.
@@ -166,26 +166,6 @@ func AddTo(dst, x []float64) {
 	}
 	for ; i < n; i++ {
 		dst[i] += x[i]
-	}
-}
-
-// ScaleTo computes dst[i] = a*x[i] for i < len(x). dst may alias x,
-// in which case it scales in place.
-func ScaleTo(dst []float64, a float64, x []float64) {
-	n := len(x)
-	if n == 0 {
-		return
-	}
-	_ = dst[n-1] // bounds-check hint; panics (rather than silently growing) if dst is short
-	i := 0
-	for ; i <= n-4; i += 4 {
-		dst[i] = a * x[i]
-		dst[i+1] = a * x[i+1]
-		dst[i+2] = a * x[i+2]
-		dst[i+3] = a * x[i+3]
-	}
-	for ; i < n; i++ {
-		dst[i] = a * x[i]
 	}
 }
 

@@ -139,30 +139,6 @@ func TestAddTo(t *testing.T) {
 	}
 }
 
-func TestScaleTo(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, n := range testSizes() {
-		x := randVec(rng, n)
-		dst := make([]float64, n)
-		a := rng.Float64()*4 - 2
-		ScaleTo(dst, a, x)
-		for i := range x {
-			if !close(dst[i], a*x[i]) {
-				t.Fatalf("n=%d: ScaleTo[%d] = %v, want %v", n, i, dst[i], a*x[i])
-			}
-		}
-		// In place.
-		want := make([]float64, n)
-		copy(want, x)
-		ScaleTo(x, a, x)
-		for i := range x {
-			if !close(x[i], a*want[i]) {
-				t.Fatalf("n=%d: in-place ScaleTo[%d] = %v, want %v", n, i, x[i], a*want[i])
-			}
-		}
-	}
-}
-
 func TestTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, dims := range [][2]int{{0, 5}, {1, 1}, {3, 4}, {7, 2}, {17, 33}} {
@@ -394,7 +370,6 @@ func testKernelsAllocationFree(t *testing.T) {
 		"Dot":       func() { sink += Dot(xk, a[:k]) },
 		"Axpy":      func() { Axpy(0.5, xk, yt) },
 		"AddTo":     func() { AddTo(yt, xk) },
-		"ScaleTo":   func() { ScaleTo(yt, 0.5, xk) },
 		"Transpose": func() { Transpose(c[:k*m], a, m, k) },
 		"GemvN":     func() { GemvN(yn, a, x) },
 		"GemvNAdd":  func() { GemvNAdd(yn, a, x) },

@@ -9,8 +9,8 @@ import (
 
 // batchTestModels builds one small model per kind with deterministic
 // weights.
-func batchTestModels() map[string]BatchModel {
-	return map[string]BatchModel{
+func batchTestModels() map[string]Model {
+	return map[string]Model{
 		"cnn-class": NewCNN(CNNConfig{
 			Vocab: 60, Embed: 8, Widths: []int{2, 3}, Kernels: 4,
 			Dropout: 0.5, Outputs: 5,
@@ -120,7 +120,7 @@ func TestForwardBatchReplicasConcurrent(t *testing.T) {
 			const workers = 4
 			errc := make(chan error, workers)
 			for w := 0; w < workers; w++ {
-				rep := m.(ParallelModel).CloneShared().(BatchModel)
+				rep := m.CloneShared()
 				go func() {
 					for iter := 0; iter < 50; iter++ {
 						out, _ := rep.ForwardBatch(ids)
@@ -185,7 +185,7 @@ func lstmLayouts(m *LSTMModel) map[string]*LSTMModel {
 
 // checkBatchMatchesScalar fails unless every row of m.ForwardBatch(ids)
 // equals ref.Forward on that example bit for bit.
-func checkBatchMatchesScalar(t *testing.T, ref Model, m BatchModel, ids [][]int) {
+func checkBatchMatchesScalar(t *testing.T, ref Model, m Model, ids [][]int) {
 	t.Helper()
 	out, outDim := m.ForwardBatch(ids)
 	if len(out) != len(ids)*outDim {

@@ -15,19 +15,19 @@ import (
 // not pick at a size a test can afford.
 type frozenCase struct {
 	name   string
-	model  BatchModel
+	model  Model
 	tabled bool
 	forced bool
 }
 
 // frozen returns a frozen CloneShared replica of the case's model.
-func (tc frozenCase) frozen() BatchModel {
+func (tc frozenCase) frozen() Model {
 	if !tc.forced {
 		return frozenClone(tc.model)
 	}
-	rep := tc.model.(ParallelModel).CloneShared()
+	rep := tc.model.CloneShared()
 	rep.(interface{ freeze(tabled bool) }).freeze(tc.tabled)
-	return rep.(BatchModel)
+	return rep
 }
 
 // frozenTestModels builds the two served architectures with random
@@ -105,10 +105,10 @@ func frozenTestIDs() [][]int {
 }
 
 // frozenClone returns a frozen CloneShared replica of m.
-func frozenClone(m BatchModel) BatchModel {
-	rep := m.(ParallelModel).CloneShared()
-	rep.(interface{ Freeze() }).Freeze()
-	return rep.(BatchModel)
+func frozenClone(m Model) Model {
+	rep := m.CloneShared()
+	rep.Freeze()
+	return rep
 }
 
 // keptLayouts returns the layout every layer of a frozen m derived from
@@ -241,7 +241,7 @@ func TestFrozenMatchesUnfrozen(t *testing.T) {
 
 			// CloneShared of a frozen replica trains like any other replica,
 			// and has no table of its own.
-			switch clone := fz.(ParallelModel).CloneShared().(type) {
+			switch clone := fz.CloneShared().(type) {
 			case *CNNModel:
 				if clone.tabled || clone.Convs[0].table != nil {
 					t.Fatal("clone of a frozen replica is tabled")
@@ -263,8 +263,8 @@ func TestFrozenMatchesUnfrozen(t *testing.T) {
 				}
 				return gs
 			}
-			want := grads(m.(ParallelModel).CloneShared())
-			got := grads(fz.(ParallelModel).CloneShared())
+			want := grads(m.CloneShared())
+			got := grads(fz.CloneShared())
 			nonzero := false
 			for i := range want {
 				if !sameBits(got[i], want[i]) {

@@ -37,7 +37,7 @@ func maxRelErr(analytic, numeric []float64) float64 {
 
 func zeroAll(params []*Param) {
 	for _, p := range params {
-		p.ZeroGrad()
+		clear(p.G)
 	}
 }
 
@@ -208,6 +208,45 @@ func TestCNNModelGradcheckClassification(t *testing.T) {
 		return ceLoss(out, label)
 	}
 	out, cache := m.Forward(ids, false, nil)
+	dlogits := ceGrad(out, label)
+	zeroAll(m.Params())
+	m.Backward(ids, cache, dlogits)
+	for _, p := range m.Params() {
+		num := numericGrad(p, loss)
+		if err := maxRelErr(p.G, num); err > 1e-4 {
+			t.Fatalf("%s grad error %v", p.Name, err)
+		}
+	}
+}
+
+// TestCNNModelGradcheckTrainDropout checks the training-mode forward,
+// the one training runs, with dropout 0.5. The dropout rng is re-seeded
+// before every forward, so each finite difference sees the mask the
+// analytic gradient was taken under.
+func TestCNNModelGradcheckTrainDropout(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	m := NewCNN(CNNConfig{Vocab: 8, Embed: 4, Widths: []int{2, 3}, Kernels: 4, Dropout: 0.5, Outputs: 3}, rng)
+	ids := []int{1, 4, 2, 7, 3, 5}
+	const label = 1
+	drop := rand.New(rand.NewSource(0))
+	forward := func() ([]float64, any) {
+		drop.Seed(11)
+		return m.Forward(ids, true, drop)
+	}
+	loss := func() float64 {
+		out, _ := forward()
+		return ceLoss(out, label)
+	}
+	out, cache := forward()
+	kept := 0
+	for _, v := range cache.(*cnnCache).mask {
+		if v != 0 {
+			kept++
+		}
+	}
+	if n := len(cache.(*cnnCache).mask); kept == 0 || kept == n {
+		t.Fatalf("dropout kept %d of %d features; the check needs a mask that drops some and keeps some", kept, n)
+	}
 	dlogits := ceGrad(out, label)
 	zeroAll(m.Params())
 	m.Backward(ids, cache, dlogits)

@@ -7,12 +7,13 @@ import (
 )
 
 // Model is a sequence model mapping token-id sequences to output
-// vectors (class logits, or a single regression value).
+// vectors (class logits, or a single regression value). CNNModel and
+// LSTMModel implement it.
 //
 // Implementations reuse internal scratch buffers across calls, so a
 // Model instance must not be used from multiple goroutines at once;
-// for data-parallel training obtain per-worker replicas via
-// ParallelModel.CloneShared.
+// concurrent training workers and serving replicas each hold a
+// CloneShared replica.
 type Model interface {
 	// Forward runs the network. The returned cache must be passed to
 	// Backward. rng drives dropout at train time.
@@ -21,19 +22,21 @@ type Model interface {
 	Backward(ids []int, cache any, dout []float64)
 	// Params returns all learnable parameters.
 	Params() []*Param
-}
-
-// BatchModel is implemented by models whose inference path can run a
-// whole micro-batch through the network as one n-row matrix per layer
-// instead of n independent vectors.
-type BatchModel interface {
-	Model
 	// ForwardBatch runs inference (no dropout, no gradient caches) over
-	// a batch of sequences, returning the logits as an n×outDim
-	// row-major matrix in model-owned scratch, valid until the next
-	// ForwardBatch call. Row r is bit-identical to
+	// a batch of sequences as one n-row matrix per layer, returning the
+	// logits as an n×outDim row-major matrix in model-owned scratch,
+	// valid until the next ForwardBatch call. Row r is bit-identical to
 	// Forward(ids[r], false, nil).
 	ForwardBatch(ids [][]int) (out []float64, outDim int)
+	// CloneShared returns a trainable replica sharing the receiver's
+	// weight arrays, with private gradient accumulators (see
+	// Param.Shadow) and private scratch. Params() of the replica
+	// returns the shadows in the order of the receiver's Params().
+	CloneShared() Model
+	// Freeze makes the model an inference replica for good (see
+	// CNNModel.Freeze). It is meant for a replica CloneShared just
+	// returned.
+	Freeze()
 }
 
 // CNNConfig configures the shallow CNN of Section 5.3.
@@ -114,7 +117,7 @@ type cnnBatchCache struct {
 // network can be reconstructed in another process.
 func (m *CNNModel) Config() CNNConfig { return m.cfg }
 
-// CloneShared implements ParallelModel. The clone is an ordinary
+// CloneShared implements Model. The clone is an ordinary
 // trainable replica even when m is frozen.
 func (m *CNNModel) CloneShared() Model {
 	c := &CNNModel{cfg: m.cfg, Drop: Dropout{P: m.Drop.P}}
@@ -229,7 +232,7 @@ func (m *CNNModel) Features(ids []int, train bool, rng *rand.Rand) ([]float64, a
 	return cache.masked, cache
 }
 
-// ForwardBatch implements BatchModel: the embeddings of every example
+// ForwardBatch implements Model: the embeddings of every example
 // are packed back to back into one buffer, each kernel bank scores and
 // pools the whole batch in one call (writing its slice of each row of
 // the concatenated pooled matrix), and the output layer maps the n×F
@@ -372,7 +375,7 @@ type lstmBatchModelCache struct {
 // with (see CNNModel.Config).
 func (m *LSTMModel) Config() LSTMConfig { return m.cfg }
 
-// CloneShared implements ParallelModel. The clone is an ordinary
+// CloneShared implements Model. The clone is an ordinary
 // trainable replica even when m is frozen.
 func (m *LSTMModel) CloneShared() Model {
 	c := &LSTMModel{cfg: m.cfg}
@@ -438,7 +441,7 @@ func (m *LSTMModel) Forward(ids []int, train bool, rng *rand.Rand) ([]float64, a
 	return m.FC.Forward(cache.last), cache
 }
 
-// ForwardBatch implements BatchModel. The batch is laid out as the
+// ForwardBatch implements Model. The batch is laid out as the
 // prefix tree of its token sequences (lstmTrie): lanes are ordered
 // lexicographically, every distinct prefix is one node, and block t of
 // every layer holds one row per node of depth t, so each LSTM layer

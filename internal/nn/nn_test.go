@@ -121,22 +121,6 @@ func TestDropoutBackward(t *testing.T) {
 	}
 }
 
-func TestClipGradNorm(t *testing.T) {
-	p := NewParam("p", 2, nil)
-	p.G[0], p.G[1] = 3, 4 // norm 5
-	ClipGradNorm([]*Param{p}, 1)
-	norm := math.Sqrt(p.G[0]*p.G[0] + p.G[1]*p.G[1])
-	if math.Abs(norm-1) > 1e-9 {
-		t.Fatalf("norm after clip = %v", norm)
-	}
-	// Clipping below the threshold is a no-op.
-	p.G[0], p.G[1] = 0.3, 0.4
-	ClipGradNorm([]*Param{p}, 1)
-	if p.G[0] != 0.3 || p.G[1] != 0.4 {
-		t.Fatal("no-op clip modified gradients")
-	}
-}
-
 func TestParamCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := NewCNN(CNNConfig{Vocab: 10, Embed: 4, Widths: []int{3}, Kernels: 5, Outputs: 2}, rng)
@@ -156,7 +140,7 @@ func TestOptimizerReducesLoss(t *testing.T) {
 	first := ceLoss(d.Forward(x), label)
 	for i := 0; i < 50; i++ {
 		d.Backward(x, ceGrad(d.Forward(x), label))
-		opt.Step(d.Params())
+		opt.Step(d.Params(), [][]*Param{d.Params()}, 1)
 	}
 	if last := ceLoss(d.Forward(x), label); last >= first {
 		t.Fatalf("AdaMax did not reduce loss: %v -> %v", first, last)
@@ -168,7 +152,7 @@ func TestOptimizerZeroesGrads(t *testing.T) {
 	d := NewDense("d", 2, 2, rng)
 	d.Backward([]float64{1, 2}, ceGrad(d.Forward([]float64{1, 2}), 0))
 	opt := NewOptimizer(1e-3, 0.25)
-	opt.Step(d.Params())
+	opt.Step(d.Params(), [][]*Param{d.Params()}, 1)
 	for _, p := range d.Params() {
 		for _, g := range p.G {
 			if g != 0 {
@@ -191,7 +175,7 @@ func TestCNNLearnsToyTask(t *testing.T) {
 		for i, ids := range samples {
 			out, cache := m.Forward(ids, true, rng)
 			m.Backward(ids, cache, ceGrad(out, labels[i]))
-			opt.Step(m.Params())
+			opt.Step(m.Params(), [][]*Param{m.Params()}, 1)
 		}
 	}
 	correct := 0
@@ -222,7 +206,7 @@ func TestLSTMLearnsToyTask(t *testing.T) {
 		for i, ids := range samples {
 			out, cache := m.Forward(ids, true, rng)
 			m.Backward(ids, cache, ceGrad(out, labels[i]))
-			opt.Step(m.Params())
+			opt.Step(m.Params(), [][]*Param{m.Params()}, 1)
 		}
 	}
 	correct := 0

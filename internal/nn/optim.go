@@ -1,6 +1,10 @@
 package nn
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/f64"
+)
 
 // Optimizer applies AdaMax (Kingma & Ba) updates to parameters. The
 // paper examined both Adam and AdaMax and found AdaMax performed better
@@ -20,20 +24,60 @@ func NewOptimizer(lr, clip float64) *Optimizer {
 	return &Optimizer{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, Clip: clip}
 }
 
-// Step applies one update to params from their accumulated gradients
-// and zeroes the gradients.
-func (o *Optimizer) Step(params []*Param) {
-	if o.Clip > 0 {
-		ClipGradNorm(params, o.Clip)
+// Step turns one batch's gradients into one update of params. grads
+// holds one gradient shard per training worker — the worker replica's
+// Params, in params' order (a loop without replicas passes
+// [][]*Param{params}) — and n is the batch's example count. In order:
+//
+//  1. grads[1:] are added into grads[0] in worker order, and cleared;
+//     only nonzero entries are added and cleared, so an embedding shard
+//     costs the rows its examples touched. The summation order is fixed
+//     for a fixed worker count.
+//  2. The sum is scaled by 1/n, the batch mean.
+//  3. With Clip > 0, the global norm √(Σ Dot(g, g)) over the parameters
+//     in order is taken, and above Clip each entry is scaled by
+//     Clip/norm.
+//  4. AdaMax moves params' weights and moments.
+//  5. grads[0] is zeroed.
+func (o *Optimizer) Step(params []*Param, grads [][]*Param, n int) {
+	sum := grads[0]
+	for _, shard := range grads[1:] {
+		for pi, p := range shard {
+			d := sum[pi].G
+			for i, g := range p.G {
+				if g != 0 {
+					d[i] += g
+					p.G[i] = 0
+				}
+			}
+		}
+	}
+	mean := 1 / float64(n)
+	for _, p := range sum {
+		for i := range p.G {
+			p.G[i] *= mean
+		}
+	}
+	clip := 1.0
+	if c := o.Clip; c > 0 {
+		sq := 0.0
+		for _, p := range sum {
+			sq += f64.Dot(p.G, p.G)
+		}
+		if norm := math.Sqrt(sq); !(norm <= c || norm == 0) {
+			clip = c / norm
+		}
 	}
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
-	for _, p := range params {
+	for pi, p := range params {
 		if p.m == nil {
 			p.m = make([]float64, len(p.W))
 			p.v = make([]float64, len(p.W))
 		}
-		for i, g := range p.G {
+		grad := sum[pi].G
+		for i, g := range grad {
+			g *= clip
 			p.m[i] = o.Beta1*p.m[i] + (1-o.Beta1)*g
 			u := o.Beta2 * p.v[i]
 			if a := math.Abs(g); a > u {
@@ -44,6 +88,6 @@ func (o *Optimizer) Step(params []*Param) {
 				p.W[i] -= o.LR * (p.m[i] / bc1) / (u + o.Eps)
 			}
 		}
-		p.ZeroGrad()
+		clear(grad)
 	}
 }

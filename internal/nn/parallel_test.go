@@ -1,9 +1,12 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/f64"
 )
 
 func almostEqual(a, b, tol float64) bool {
@@ -16,7 +19,7 @@ func almostEqual(a, b, tol float64) bool {
 
 func TestCloneSharedSharesWeightsOwnsGrads(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, master := range []ParallelModel{
+	for _, master := range []Model{
 		NewCNN(CNNConfig{Vocab: 12, Embed: 4, Widths: []int{2, 3}, Kernels: 3, Outputs: 2}, rng),
 		NewLSTM(LSTMConfig{Vocab: 12, Embed: 4, Hidden: 5, Layers: 2, Outputs: 2}, rng),
 	} {
@@ -44,43 +47,155 @@ func TestCloneSharedSharesWeightsOwnsGrads(t *testing.T) {
 	}
 }
 
-func TestReduceGradsMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	master := NewLSTM(LSTMConfig{Vocab: 10, Embed: 3, Hidden: 4, Layers: 1, Outputs: 2}, rng)
-	ids1 := []int{1, 4, 2}
-	ids2 := []int{3, 3, 7, 1}
-
-	step := func(m Model, ids []int) {
-		out, cache := m.Forward(ids, false, nil)
-		m.Backward(ids, cache, ceGrad(out, 1))
-	}
-
-	// Sequential reference: both examples accumulate into the master.
-	step(master, ids1)
-	step(master, ids2)
-	want := make([][]float64, len(master.Params()))
-	for i, p := range master.Params() {
-		want[i] = append([]float64(nil), p.G...)
-		p.ZeroGrad()
-	}
-
-	// Sharded: example 2 goes through a replica, then reduce.
-	replica := master.CloneShared()
-	step(master, ids1)
-	step(replica, ids2)
-	ReduceGrads(master.Params(), replica.Params())
-
-	for i, p := range master.Params() {
-		for k := range p.G {
-			if !almostEqual(p.G[k], want[i][k], 1e-12) {
-				t.Fatalf("%s grad[%d] = %v, sequential %v", p.Name, k, p.G[k], want[i][k])
+// refStep is Optimizer.Step as the separate passes it replaced: the
+// shards reduced into grads[0] in worker order (nonzero entries added
+// and cleared), the sum scaled by 1/n, the global norm as the root of
+// the per-parameter Dots summed in order, the clip applied in place,
+// then AdaMax and the zeroing.
+func refStep(o *Optimizer, params []*Param, grads [][]*Param, n int) {
+	sum := grads[0]
+	for _, shard := range grads[1:] {
+		for pi, p := range shard {
+			for i, g := range p.G {
+				if g != 0 {
+					sum[pi].G[i] += g
+					p.G[i] = 0
+				}
 			}
 		}
-		for k, g := range replica.Params()[i].G {
-			if g != 0 {
-				t.Fatalf("%s shard grad[%d] not zeroed after reduce", p.Name, k)
+	}
+	scale := 1.0 / float64(n)
+	for _, p := range sum {
+		for i := range p.G {
+			p.G[i] *= scale
+		}
+	}
+	if c := o.Clip; c > 0 {
+		sq := 0.0
+		for _, p := range sum {
+			sq += f64.Dot(p.G, p.G)
+		}
+		if norm := math.Sqrt(sq); !(norm <= c || norm == 0) {
+			for _, p := range sum {
+				for i := range p.G {
+					p.G[i] = (c / norm) * p.G[i]
+				}
 			}
 		}
+	}
+	o.t++
+	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
+	for pi, p := range params {
+		if p.m == nil {
+			p.m = make([]float64, len(p.W))
+			p.v = make([]float64, len(p.W))
+		}
+		for i, g := range sum[pi].G {
+			p.m[i] = o.Beta1*p.m[i] + (1-o.Beta1)*g
+			u := o.Beta2 * p.v[i]
+			if a := math.Abs(g); a > u {
+				u = a
+			}
+			p.v[i] = u
+			if u > 0 {
+				p.W[i] -= o.LR * (p.m[i] / bc1) / (u + o.Eps)
+			}
+		}
+		for i := range sum[pi].G {
+			sum[pi].G[i] = 0
+		}
+	}
+}
+
+// TestStepMatchesReference pins Step bit for bit to refStep: weights,
+// moments and every shard after each of two consecutive steps, over
+// four shards holding ±0 entries, with the clip disabled, inactive and
+// active, and n both equal to and different from the shard count.
+func TestStepMatchesReference(t *testing.T) {
+	sizes := []int{7, 1, 12}
+	// setup builds one parameter set and its shards from seed, so the
+	// two sides start from the same bits.
+	setup := func(seed int64) ([]*Param, [][]*Param) {
+		rng := rand.New(rand.NewSource(seed))
+		var params []*Param
+		for _, size := range sizes {
+			params = append(params, NewParam("p", size, UniformInit(rng, 1)))
+		}
+		grads := make([][]*Param, 4)
+		for w := range grads {
+			for _, p := range params {
+				grads[w] = append(grads[w], p.Shadow())
+			}
+		}
+		return params, grads
+	}
+	// fill writes a batch's gradients into the shards: magnitudes far
+	// apart, so the summation order shows in the bits, and every fourth
+	// entry a +0 or -0 the reduction must neither add nor clear.
+	fill := func(grads [][]*Param, seed int64, mag float64) {
+		rng := rand.New(rand.NewSource(seed))
+		for w, shard := range grads {
+			for _, p := range shard {
+				for i := range p.G {
+					switch {
+					case i%4 == w%4 && rng.Intn(2) == 0:
+						p.G[i] = math.Copysign(0, -1)
+					case i%4 == w%4:
+						p.G[i] = 0
+					default:
+						p.G[i] = mag * rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+					}
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		clip float64
+		mag  float64
+		n    int
+	}{
+		{"no-clip", 0, 1, 4},
+		{"clip-inactive", 1e9, 1, 4},
+		{"clip-active", 0.25, 1, 4},
+		{"clip-active-n7", 0.25, 1, 7},
+		{"clip-inactive-n3", 1e9, 1e-3, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			params, grads := setup(1)
+			refParams, refGrads := setup(1)
+			opt, ref := NewOptimizer(0.01, tc.clip), NewOptimizer(0.01, tc.clip)
+			for step := int64(0); step < 2; step++ {
+				fill(grads, 10+step, tc.mag)
+				fill(refGrads, 10+step, tc.mag)
+				opt.Step(params, grads, tc.n)
+				refStep(ref, refParams, refGrads, tc.n)
+				for i, p := range params {
+					r := refParams[i]
+					if !sameBits(p.W, r.W) || !sameBits(p.m, r.m) || !sameBits(p.v, r.v) {
+						t.Fatalf("step %d: param %d: weights or moments differ from the reference", step, i)
+					}
+					for w := range grads {
+						if !sameBits(grads[w][i].G, refGrads[w][i].G) {
+							t.Fatalf("step %d: shard %d param %d: %v, reference %v", step, w, i, grads[w][i].G, refGrads[w][i].G)
+						}
+					}
+				}
+				if step == 0 && tc.clip == 0.25 {
+					// One step from zero moments: m = (1-β1)·g, and the
+					// clipped g has norm Clip.
+					sq := 0.0
+					for _, p := range params {
+						for _, m := range p.m {
+							sq += (m / (1 - opt.Beta1)) * (m / (1 - opt.Beta1))
+						}
+					}
+					if got := math.Sqrt(sq); math.Abs(got-tc.clip) > 1e-9 {
+						t.Fatalf("clipped gradient norm %v, want %v", got, tc.clip)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -107,10 +222,13 @@ func TestConcurrentReplicaTraining(t *testing.T) {
 		}(w, replica)
 	}
 	wg.Wait()
-	for _, r := range replicas {
-		ReduceGrads(master.Params(), r.Params())
+	before := append([]float64(nil), master.FC.W.W...)
+	grads := make([][]*Param, workers)
+	for w, r := range replicas {
+		grads[w] = r.Params()
 	}
-	if GradNorm(master.Params()) == 0 {
+	NewOptimizer(0.01, 0).Step(master.Params(), grads, workers*20)
+	if sameBits(master.FC.W.W, before) {
 		t.Fatal("no gradient accumulated")
 	}
 }

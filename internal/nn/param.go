@@ -25,13 +25,17 @@
 // step. Freeze turns a CloneShared replica into an inference replica:
 // no accumulators, layouts derived once and kept, Backward panics, and
 // every output bit-identical to the trainable model's.
+//
+// Training runs every worker on a CloneShared replica of the master
+// model, and one Optimizer.Step per batch turns the workers' gradient
+// shards into the update: reduce in worker order, average, clip by the
+// global norm, AdaMax. The master's parameters hold the weights and the
+// AdaMax moments.
 package nn
 
 import (
 	"math"
 	"math/rand"
-
-	"repro/internal/f64"
 )
 
 // Param is one learnable tensor with its gradient and optimizer state.
@@ -64,13 +68,6 @@ func XavierScale(fanIn, fanOut int) float64 {
 	return math.Sqrt(6.0 / float64(fanIn+fanOut))
 }
 
-// ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() {
-	for i := range p.G {
-		p.G[i] = 0
-	}
-}
-
 // Size returns the number of scalar values.
 func (p *Param) Size() int { return len(p.W) }
 
@@ -82,28 +79,4 @@ func ParamCount(params []*Param) int {
 		total += p.Size()
 	}
 	return total
-}
-
-// GradNorm computes the global L2 norm across all parameter gradients.
-func GradNorm(params []*Param) float64 {
-	sum := 0.0
-	for _, p := range params {
-		sum += f64.Dot(p.G, p.G)
-	}
-	return math.Sqrt(sum)
-}
-
-// ClipGradNorm rescales all gradients so the global norm is at most c.
-func ClipGradNorm(params []*Param, c float64) {
-	if c <= 0 {
-		return
-	}
-	norm := GradNorm(params)
-	if norm <= c || norm == 0 {
-		return
-	}
-	scale := c / norm
-	for _, p := range params {
-		f64.ScaleTo(p.G, scale, p.G)
-	}
 }

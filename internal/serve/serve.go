@@ -8,7 +8,7 @@
 // predict path reuses internal scratch, the allocation-free contract
 // of internal/nn), so a Predictor wraps it with a pool of shared-
 // weight inference replicas (core.Model.Replicate, built on the same
-// nn.ParallelModel.CloneShared mechanism as data-parallel training).
+// nn.Model.CloneShared mechanism as data-parallel training).
 // A replica is borrowed, not mailed to: a call takes an idle replica
 // out of the pool, runs its forward pass on its own goroutine, and
 // puts the replica back. The Predictor owns no goroutine and a request
