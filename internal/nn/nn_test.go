@@ -121,6 +121,32 @@ func TestDropoutBackward(t *testing.T) {
 	}
 }
 
+// TestClipGradNorm checks Step's clip through the first moment, which
+// after one step from zero holds (1-β1)·g for the clipped g.
+func TestClipGradNorm(t *testing.T) {
+	step := func(clip, g0, g1 float64) *Param {
+		p := NewParam("p", 2, nil)
+		p.G[0], p.G[1] = g0, g1
+		NewOptimizer(1e-3, clip).Step([]*Param{p}, [][]*Param{{p}}, 1)
+		return p
+	}
+	p := step(1, 3, 4) // norm 5
+	b1 := 1 - NewOptimizer(1e-3, 1).Beta1
+	g0, g1 := p.m[0]/b1, p.m[1]/b1
+	if norm := math.Sqrt(g0*g0 + g1*g1); math.Abs(norm-1) > 1e-9 {
+		t.Fatalf("norm after clip = %v", norm)
+	}
+	if math.Abs(g0-0.6) > 1e-9 || math.Abs(g1-0.8) > 1e-9 {
+		t.Fatalf("clipped gradient (%v, %v), want (0.6, 0.8)", g0, g1)
+	}
+	// Clipping below the threshold is a no-op: the step is bit for bit
+	// the step with the clip disabled.
+	p, off := step(1, 0.3, 0.4), step(0, 0.3, 0.4)
+	if !sameBits(p.W, off.W) || !sameBits(p.m, off.m) || !sameBits(p.v, off.v) {
+		t.Fatal("no-op clip modified the step")
+	}
+}
+
 func TestParamCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := NewCNN(CNNConfig{Vocab: 10, Embed: 4, Widths: []int{3}, Kernels: 5, Outputs: 2}, rng)

@@ -47,6 +47,54 @@ func TestCloneSharedSharesWeightsOwnsGrads(t *testing.T) {
 	}
 }
 
+// TestReduceGradsMatchesSequential checks Step's reduction: two
+// examples on two replicas step the master with the gradient that both
+// examples accumulate on one replica, and every shard ends zeroed. The
+// reduced gradient is read from the first moment, (1-β1)·g after one
+// step from zero.
+func TestReduceGradsMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	master := NewLSTM(LSTMConfig{Vocab: 10, Embed: 3, Hidden: 4, Layers: 1, Outputs: 2}, rng)
+	ids1 := []int{1, 4, 2}
+	ids2 := []int{3, 3, 7, 1}
+
+	step := func(m Model, ids []int) {
+		out, cache := m.Forward(ids, false, nil)
+		m.Backward(ids, cache, ceGrad(out, 1))
+	}
+
+	// Sequential reference: both examples accumulate into one replica.
+	seq := master.CloneShared()
+	step(seq, ids1)
+	step(seq, ids2)
+	want := make([][]float64, len(seq.Params()))
+	for i, p := range seq.Params() {
+		want[i] = append([]float64(nil), p.G...)
+	}
+
+	// Sharded: one example per replica, reduced by Step.
+	r1, r2 := master.CloneShared(), master.CloneShared()
+	step(r1, ids1)
+	step(r2, ids2)
+	opt := NewOptimizer(0.01, 0)
+	opt.Step(master.Params(), [][]*Param{r1.Params(), r2.Params()}, 1)
+
+	for i, p := range master.Params() {
+		for k, m := range p.m {
+			if got := m / (1 - opt.Beta1); !almostEqual(got, want[i][k], 1e-12) {
+				t.Fatalf("%s grad[%d] = %v, sequential %v", p.Name, k, got, want[i][k])
+			}
+		}
+		for w, shard := range [][]*Param{r1.Params(), r2.Params()} {
+			for k, g := range shard[i].G {
+				if g != 0 {
+					t.Fatalf("%s shard %d grad[%d] not zeroed after Step", p.Name, w, k)
+				}
+			}
+		}
+	}
+}
+
 // refStep is Optimizer.Step as the separate passes it replaced: the
 // shards reduced into grads[0] in worker order (nonzero entries added
 // and cleared), the sum scaled by 1/n, the global norm as the root of
