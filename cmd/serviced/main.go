@@ -222,7 +222,7 @@ func flagSet() (fs *flag.FlagSet, parsed func() (config, error)) {
 			return config{}, errors.New("serviced: -models must name at least one model")
 		}
 		var err error
-		if cfg.task, err = parseTask(*taskName); err != nil {
+		if cfg.task, err = core.ParseTask(*taskName); err != nil {
 			return config{}, err
 		}
 		switch *admission {
@@ -489,21 +489,4 @@ func boot(cfg config, svc *service.Service, out io.Writer) error {
 		fmt.Fprintf(out, "deployed %s v%d (%d replicas)\n", info.Name, info.Version, cfg.replicas)
 	}
 	return nil
-}
-
-func parseTask(s string) (core.Task, error) {
-	switch s {
-	case "error":
-		return core.ErrorClassification, nil
-	case "session":
-		return core.SessionClassification, nil
-	case "cpu":
-		return core.CPUTimePrediction, nil
-	case "answer":
-		return core.AnswerSizePrediction, nil
-	case "elapsed":
-		return core.ElapsedTimePrediction, nil
-	default:
-		return 0, fmt.Errorf("unknown task %q (want error, session, cpu, answer, elapsed)", s)
-	}
 }

@@ -37,58 +37,103 @@ const (
 	ElapsedTimePrediction
 )
 
+// taskRow is one task's entry in the task catalogue: its name, the
+// word ParseTask takes, its class count (0 for a regression task), and
+// the workload.Item field its label lives in, read by get (a class or a
+// value) and written by set.
+type taskRow struct {
+	name, word string
+	classes    int
+	get        func(workload.Item) (class int, value float64)
+	set        func(it *workload.Item, class int, value float64)
+}
+
+// tasks is the task catalogue, indexed by Task.
+var tasks = [...]taskRow{
+	ErrorClassification: {"error-classification", "error", simdb.NumErrorClasses,
+		func(it workload.Item) (int, float64) { return int(it.ErrorClass), 0 },
+		func(it *workload.Item, c int, _ float64) { it.ErrorClass = simdb.ErrorClass(c) }},
+	CPUTimePrediction: {"cpu-time", "cpu", 0,
+		func(it workload.Item) (int, float64) { return 0, it.CPUTime },
+		func(it *workload.Item, _ int, v float64) { it.CPUTime = v }},
+	AnswerSizePrediction: {"answer-size", "answer", 0,
+		func(it workload.Item) (int, float64) { return 0, it.AnswerSize },
+		func(it *workload.Item, _ int, v float64) { it.AnswerSize = v }},
+	SessionClassification: {"session-classification", "session", workload.NumSessionClasses,
+		func(it workload.Item) (int, float64) { return int(it.Class), 0 },
+		func(it *workload.Item, c int, _ float64) { it.Class = workload.SessionClass(c) }},
+	ElapsedTimePrediction: {"elapsed-time", "elapsed", 0,
+		func(it workload.Item) (int, float64) { return 0, it.Elapsed },
+		func(it *workload.Item, _ int, v float64) { it.Elapsed = v }},
+}
+
+// row returns t's catalogue entry; ok is false for a Task outside the
+// catalogue.
+func (t Task) row() (r taskRow, ok bool) {
+	if t < 0 || int(t) >= len(tasks) {
+		return taskRow{}, false
+	}
+	return tasks[t], true
+}
+
+// ParseTask returns the task a -task word names.
+func ParseTask(word string) (Task, error) {
+	for t, r := range tasks {
+		if r.word == word {
+			return Task(t), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown task %q (want error, session, cpu, answer, elapsed)", word)
+}
+
 // String names the task.
 func (t Task) String() string {
-	switch t {
-	case ErrorClassification:
-		return "error-classification"
-	case CPUTimePrediction:
-		return "cpu-time"
-	case AnswerSizePrediction:
-		return "answer-size"
-	case SessionClassification:
-		return "session-classification"
-	case ElapsedTimePrediction:
-		return "elapsed-time"
-	default:
-		return "?"
+	if r, ok := t.row(); ok {
+		return r.name
 	}
+	return "?"
 }
 
 // IsClassification reports whether the task has class labels.
-func (t Task) IsClassification() bool {
-	return t == ErrorClassification || t == SessionClassification
-}
+func (t Task) IsClassification() bool { return t.NumClasses() > 0 }
 
-// NumClasses returns the label cardinality for classification tasks.
+// NumClasses returns the label cardinality for classification tasks,
+// 0 for regression tasks.
 func (t Task) NumClasses() int {
-	switch t {
-	case ErrorClassification:
-		return simdb.NumErrorClasses
-	case SessionClassification:
-		return workload.NumSessionClasses
-	default:
-		return 0
-	}
+	r, _ := t.row()
+	return r.classes
 }
 
 // Labels extracts the task's labels from workload items: class indices
 // for classification, raw values for regression.
 func (t Task) Labels(items []workload.Item) ([]int, []float64) {
-	switch t {
-	case ErrorClassification:
-		return workload.ErrorLabels(items), nil
-	case SessionClassification:
-		return workload.SessionLabels(items), nil
-	case CPUTimePrediction:
-		return nil, workload.CPUTimes(items)
-	case AnswerSizePrediction:
-		return nil, workload.AnswerSizes(items)
-	case ElapsedTimePrediction:
-		return nil, workload.ElapsedTimes(items)
-	default:
+	r, ok := t.row()
+	if !ok {
 		return nil, nil
 	}
+	if r.classes == 0 {
+		values := make([]float64, len(items))
+		for i, it := range items {
+			_, values[i] = r.get(it)
+		}
+		return nil, values
+	}
+	classes := make([]int, len(items))
+	for i, it := range items {
+		classes[i], _ = r.get(it)
+	}
+	return classes, nil
+}
+
+// Item returns an item for stmt labelled for the task — with class for
+// a classification task, value for a regression task — and every other
+// label zero.
+func (t Task) Item(stmt string, class int, value float64) workload.Item {
+	it := workload.Item{Statement: stmt}
+	if r, ok := t.row(); ok {
+		r.set(&it, class, value)
+	}
+	return it
 }
 
 // ModelNames lists every model in the paper's comparison, in table
@@ -121,7 +166,7 @@ type Config struct {
 	BatchSize int
 	Clip      float64
 	// Workers is the number of workers the training engine fans each
-	// mini-batch across (see Trainer: one loop; one worker draws dropout
+	// mini-batch across (see trainLoop: one loop; one worker draws dropout
 	// from the training RNG). 1 is the default; <= 0 selects
 	// min(GOMAXPROCS, BatchSize). Values > 1 keep training deterministic
 	// for a fixed worker count but draw dropout per example and reorder

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/simdb"
@@ -17,19 +18,75 @@ func sdssSplit(t *testing.T, sessions int) workload.Split {
 	return workload.RandomSplit(w.Items, 0.1, 0.1, rand.New(rand.NewSource(1)))
 }
 
+// TestTaskProperties checks every row of the task catalogue: the class
+// count, the field Labels reads, that Labels of Task.Item round-trips,
+// the -task word ParseTask takes, and the name an out-of-range task
+// prints.
 func TestTaskProperties(t *testing.T) {
-	if !ErrorClassification.IsClassification() || !SessionClassification.IsClassification() {
-		t.Fatal("classification tasks misreported")
+	items := []workload.Item{
+		{Statement: "a", ErrorClass: simdb.Severe, Class: workload.Bot, AnswerSize: 5, CPUTime: 0.5, Elapsed: 2.5},
+		{Statement: "b", ErrorClass: simdb.NonSevere, Class: workload.Browser, AnswerSize: 7, CPUTime: 1.5, Elapsed: 3.5},
 	}
-	if CPUTimePrediction.IsClassification() || AnswerSizePrediction.IsClassification() {
-		t.Fatal("regression tasks misreported")
+	for _, tc := range []struct {
+		task     Task
+		word     string
+		nClasses int
+		classes  []int
+		values   []float64
+	}{
+		{ErrorClassification, "error", 3, []int{int(simdb.Severe), int(simdb.NonSevere)}, nil},
+		{SessionClassification, "session", 7, []int{int(workload.Bot), int(workload.Browser)}, nil},
+		{CPUTimePrediction, "cpu", 0, nil, []float64{0.5, 1.5}},
+		{AnswerSizePrediction, "answer", 0, nil, []float64{5, 7}},
+		{ElapsedTimePrediction, "elapsed", 0, nil, []float64{2.5, 3.5}},
+	} {
+		classes, values := tc.task.Labels(items)
+		if !slices.Equal(classes, tc.classes) || !slices.Equal(values, tc.values) {
+			t.Errorf("%v: Labels = %v, %v; want %v, %v", tc.task, classes, values, tc.classes, tc.values)
+		}
+		if tc.task.NumClasses() != tc.nClasses || tc.task.IsClassification() != (tc.nClasses > 0) {
+			t.Errorf("%v: %d classes, IsClassification %v", tc.task, tc.task.NumClasses(), tc.task.IsClassification())
+		}
+		if tc.task.String() == "?" {
+			t.Errorf("task %d is unnamed", int(tc.task))
+		}
+		// Labels of Item round-trips, and Item writes no other task's field.
+		it := tc.task.Item("s", 2, 9.5)
+		if it.Statement != "s" {
+			t.Errorf("%v: Item statement %q", tc.task, it.Statement)
+		}
+		for u := ErrorClassification; u <= ElapsedTimePrediction; u++ {
+			want := 0.0
+			if u == tc.task {
+				want = 9.5
+				if tc.nClasses > 0 {
+					want = 2
+				}
+			}
+			var got float64
+			if c, v := u.Labels([]workload.Item{it}); c != nil {
+				got = float64(c[0])
+			} else {
+				got = v[0]
+			}
+			if got != want {
+				t.Errorf("%v: Item = %+v, %v label %v, want %v", tc.task, it, u, got, want)
+			}
+		}
+		if got, err := ParseTask(tc.word); err != nil || got != tc.task {
+			t.Errorf("ParseTask(%q) = %v, %v; want %v", tc.word, got, err, tc.task)
+		}
 	}
-	if ErrorClassification.NumClasses() != 3 || SessionClassification.NumClasses() != 7 {
-		t.Fatal("class counts")
+	const want = `unknown task "x" (want error, session, cpu, answer, elapsed)`
+	if _, err := ParseTask("x"); err == nil || err.Error() != want {
+		t.Errorf("ParseTask(\"x\") error = %v, want %s", err, want)
 	}
-	for _, task := range []Task{ErrorClassification, CPUTimePrediction, AnswerSizePrediction, SessionClassification} {
-		if task.String() == "?" {
-			t.Fatal("unnamed task")
+	for _, bad := range []Task{-1, ElapsedTimePrediction + 1, 999} {
+		if bad.String() != "?" || bad.NumClasses() != 0 || bad.IsClassification() {
+			t.Errorf("Task(%d) = %q, %d classes", int(bad), bad.String(), bad.NumClasses())
+		}
+		if c, v := bad.Labels(items); c != nil || v != nil {
+			t.Errorf("Task(%d).Labels = %v, %v", int(bad), c, v)
 		}
 	}
 }

@@ -142,7 +142,7 @@ func validateState(st *SnapshotState) error {
 	default:
 		return fmt.Errorf("core: restore: %q is not a serializable neural model", st.Name)
 	}
-	if st.Task < ErrorClassification || st.Task > ElapsedTimePrediction {
+	if _, ok := st.Task.row(); !ok {
 		return fmt.Errorf("core: restore %q: unknown task %d", st.Name, int(st.Task))
 	}
 	if st.MaxLen <= 0 {

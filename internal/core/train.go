@@ -29,10 +29,7 @@ func trainNeural(name string, task Task, train []workload.Item, cfg Config) (*Mo
 	// statements; the vocabulary copies the ones it keeps).
 	vocab := sqllex.BuildVocabulary(tokenizeAll(name, train), vocabMax)
 
-	outputs := 1
-	if task.IsClassification() {
-		outputs = task.NumClasses()
-	}
+	outputs := max(task.NumClasses(), 1) // a regression network has one output
 	var model nn.Model
 	switch name {
 	case "ccnn", "wcnn":
@@ -71,7 +68,7 @@ func trainNeural(name string, task Task, train []workload.Item, cfg Config) (*Mo
 // loss on logs, the log-transformed regression labels (nil for a
 // classifier) — over statements encoded as serving encodes them. rng
 // drives the epoch shuffles and one worker's dropout, seed more
-// workers' dropout (see Trainer). A class outside the task's range
+// workers' dropout (see trainLoop). A class outside the task's range
 // fails the call before any step.
 func (m *Model) fit(train []workload.Item, logs []float64, cfg Config, rng *rand.Rand, seed int64) error {
 	var labels []int
@@ -89,9 +86,7 @@ func (m *Model) fit(train []workload.Item, logs []float64, cfg Config, rng *rand
 		lr = cfg.LSTMLR
 	}
 	model := m.neural.model
-	trainer := NewTrainer(cfg)
-	trainer.Seed = seed
-	trainer.run(len(encoded), rng, nn.NewOptimizer(lr, cfg.Clip), model.Params(), func() trainWorker {
+	trainLoop(cfg, seed, len(encoded), rng, nn.NewOptimizer(lr, cfg.Clip), model.Params(), func() trainWorker {
 		rep := model.CloneShared()
 		// The worker's loss gradients, reused every step.
 		var dlogits []float64
@@ -120,62 +115,6 @@ func encodeAll(enc *sqllex.Encoder, items []workload.Item) [][]int {
 	return encoded
 }
 
-// Trainer is the data-parallel mini-batch training engine. Each
-// mini-batch is fanned out across Workers goroutines; every worker
-// runs forward+backward on its own shared-weight replica of the model,
-// accumulating gradients into the replica's private shard, and one
-// nn.Optimizer.Step reduces the shards in worker order and updates the
-// master parameters, which no worker writes.
-//
-// There is one loop; the worker count changes only where dropout draws
-// from:
-//   - Workers == 1 draws dropout from the training RNG, between the
-//     epoch shuffles and in example order — the stream training has
-//     used since before the engine existed, bit for bit.
-//   - Workers > 1 derives each example's dropout RNG from (Seed, epoch,
-//     batch slot): math/rand's stream for that seed, seeded in O(1) by
-//     lazyrand. Dropout masks do not depend on the worker count or
-//     goroutine scheduling. For a fixed worker count results are
-//     fully deterministic; across different worker counts (including
-//     vs. Workers == 1 with dropout disabled) final weights agree up to
-//     floating-point summation order (~1e-12 per step).
-type Trainer struct {
-	// Workers is the number of training workers per batch.
-	// <= 0 selects min(GOMAXPROCS, batch size).
-	Workers int
-	// Seed drives the per-example dropout RNGs (Workers > 1).
-	Seed int64
-	// Batch is the mini-batch size (examples per optimizer step).
-	Batch int
-	// Epochs is the number of passes over the data.
-	Epochs int
-}
-
-// NewTrainer builds a Trainer from training hyper-parameters.
-func NewTrainer(cfg Config) Trainer {
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = 16
-	}
-	return Trainer{Workers: cfg.Workers, Seed: cfg.Seed, Batch: batch, Epochs: cfg.Epochs}
-}
-
-// resolveWorkers caps the worker count at the batch size and defaults
-// it to GOMAXPROCS.
-func (t Trainer) resolveWorkers() int {
-	w := t.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > t.Batch {
-		w = t.Batch
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // trainWorker is one training worker: a step function bound to a model
 // replica, and the replica's parameters, the worker's gradient shard.
 type trainWorker struct {
@@ -183,20 +122,45 @@ type trainWorker struct {
 	grads []*nn.Param
 }
 
-// run executes the epoch/batch/step skeleton. newWorker builds one
-// worker on a fresh replica; it is called once per worker up front. rng
-// drives the epoch shuffles. Worker 0's share of each batch runs on the
-// calling goroutine and every other worker's on a goroutine of its own;
-// state is bound to the worker index, not to a goroutine. With one
-// worker no goroutine starts and nothing is reduced, and the one thing
-// that differs is the dropout stream (see Trainer).
-func (t Trainer) run(n int, rng *rand.Rand, opt *nn.Optimizer, params []*nn.Param,
+// trainLoop is the data-parallel mini-batch training engine: cfg.Epochs
+// passes over n examples in batches of cfg.BatchSize (16 when unset).
+// Each batch is fanned out across cfg.Workers workers (<= 0 selects
+// GOMAXPROCS; never more than the batch size), each built once up front
+// by newWorker on a shared-weight replica of the model; a worker runs
+// forward+backward into its replica's private gradient shard, and one
+// nn.Optimizer.Step reduces the shards in worker order and updates
+// params, the master's, which no worker writes. rng drives the epoch
+// shuffles. Worker 0's share of each batch runs on the calling
+// goroutine and every other worker's on a goroutine of its own; state
+// is bound to the worker index, not to a goroutine.
+//
+// There is one loop; the worker count changes only where dropout draws
+// from:
+//   - One worker draws dropout from rng, between the epoch shuffles and
+//     in example order — the stream training has used since before the
+//     engine existed, bit for bit. No goroutine starts.
+//   - More than one worker derives each example's dropout RNG from
+//     (seed, epoch, batch slot): math/rand's stream for that seed,
+//     seeded in O(1) by lazyrand. Dropout masks do not depend on the
+//     worker count or goroutine scheduling. For a fixed worker count
+//     results are fully deterministic; across different worker counts
+//     (including vs. one worker with dropout disabled) final weights
+//     agree up to floating-point summation order (~1e-12 per step).
+func trainLoop(cfg Config, seed int64, n int, rng *rand.Rand, opt *nn.Optimizer, params []*nn.Param,
 	newWorker func() trainWorker) {
+	batch := cfg.BatchSize
+	if batch <= 0 {
+		batch = 16
+	}
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, batch)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	workers := t.resolveWorkers()
 	state := make([]trainWorker, workers)
 	grads := make([][]*nn.Param, workers)
 	rngs := make([]*rand.Rand, workers)
@@ -214,18 +178,15 @@ func (t Trainer) run(n int, rng *rand.Rand, opt *nn.Optimizer, params []*nn.Para
 			wrng := rng // one worker: dropout continues the training RNG's stream
 			if workers > 1 {
 				wrng = rngs[w]
-				wrng.Seed(exampleSeed(t.Seed, e, k))
+				wrng.Seed(exampleSeed(seed, e, k))
 			}
 			state[w].step(wrng, order[k])
 		}
 	}
-	for e = 0; e < t.Epochs; e++ {
+	for e = 0; e < cfg.Epochs; e++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for start = 0; start < n; start += t.Batch {
-			end = start + t.Batch
-			if end > n {
-				end = n
-			}
+		for start = 0; start < n; start += batch {
+			end = min(start+batch, n)
 			wg.Add(workers - 1)
 			for w := 1; w < workers; w++ {
 				go func() {

@@ -46,10 +46,10 @@ func maxParamDiff(a, b []*nn.Param) float64 {
 }
 
 // TestParallelSequentialEquivalence checks the engine's core guarantee:
-// with a fixed seed, Trainer{Workers: N} produces the same final
+// with a fixed seed, Config{Workers: N} produces the same final
 // weights as Workers: 1 within 1e-9. Dropout is disabled for the CNN
 // because the sequential path intentionally preserves the legacy
-// shared-RNG dropout stream (see Trainer), which the parallel path
+// shared-RNG dropout stream (see trainLoop), which the parallel path
 // replaces with per-example RNGs.
 func TestParallelSequentialEquivalence(t *testing.T) {
 	for _, tc := range []struct {

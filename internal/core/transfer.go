@@ -151,8 +151,7 @@ func TrainMultiTask(train []workload.Item, cfg Config) (*MultiTaskModel, error) 
 	m.P = nn.ParamCount(params)
 	opt := nn.NewOptimizer(cfg.LR, cfg.Clip)
 
-	trainer := NewTrainer(cfg)
-	trainer.run(len(train), rng, opt, params, func() trainWorker {
+	trainLoop(cfg, cfg.Seed, len(train), rng, opt, params, func() trainWorker {
 		// A training replica: shared weights, private gradients and
 		// scratch (see nn.Model.CloneShared).
 		rep := &MultiTaskModel{

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"repro/internal/core"
@@ -264,13 +265,13 @@ func Figure13(env *Env) (*Figure13Result, error) {
 		ev := evalRegressor(models[name], core.AnswerSizePrediction, test)
 		sq := squaredErrors(ev)
 		var curves [3][]BinnedError
-		curves[0] = binByLog(sq, feats, func(f sqlparse.Features) float64 { return float64(f.NumChars) })
-		curves[1] = binByLog(sq, feats, func(f sqlparse.Features) float64 { return float64(f.NumFunctions) })
-		curves[2] = binByLog(sq, feats, func(f sqlparse.Features) float64 { return float64(f.NumJoins) })
+		curves[0] = binErrors(sq, feats, byLog, func(f sqlparse.Features) int { return f.NumChars })
+		curves[1] = binErrors(sq, feats, byLog, func(f sqlparse.Features) int { return f.NumFunctions })
+		curves[2] = binErrors(sq, feats, byLog, func(f sqlparse.Features) int { return f.NumJoins })
 		res.ByModel[name] = curves
 		if name == "ccnn" {
-			res.CCNNByNestedness = binByValue(sq, feats, func(f sqlparse.Features) float64 { return float64(f.NestednessLevel) })
-			res.CCNNByNestedAgg = binByValue(sq, feats, func(f sqlparse.Features) float64 {
+			res.CCNNByNestedness = binErrors(sq, feats, byValue, func(f sqlparse.Features) int { return f.NestednessLevel })
+			res.CCNNByNestedAgg = binErrors(sq, feats, byValue, func(f sqlparse.Features) int {
 				if f.NestedAggregation {
 					return 1
 				}
@@ -311,9 +312,9 @@ func Figure14(env *Env, setting Setting) (*Figure14Result, error) {
 		ev := evalRegressor(models[name], core.CPUTimePrediction, test)
 		sq := squaredErrors(ev)
 		res.MSEByModel[name] = ev.MSE
-		res.CharCurves[name] = binByLog(sq, feats, func(f sqlparse.Features) float64 { return float64(f.NumChars) })
+		res.CharCurves[name] = binErrors(sq, feats, byLog, func(f sqlparse.Features) int { return f.NumChars })
 		if name == "ccnn" {
-			res.CCNNByNest = binByValue(sq, feats, func(f sqlparse.Features) float64 { return float64(f.NestednessLevel) })
+			res.CCNNByNest = binErrors(sq, feats, byValue, func(f sqlparse.Features) int { return f.NestednessLevel })
 		}
 	}
 	return res, nil
@@ -328,68 +329,45 @@ func squaredErrors(ev core.EvalRegression) []float64 {
 	return sq
 }
 
-// binByLog buckets items into power-of-two bins of the property value
-// and averages the squared errors per bin.
-func binByLog(sq []float64, feats []sqlparse.Features, value func(sqlparse.Features) float64) []BinnedError {
-	type acc struct {
-		n   int
-		sum float64
-	}
-	bins := map[int]*acc{}
-	maxBin := 0
-	for i, f := range feats {
-		v := value(f)
-		bin := 0
-		for x := v; x >= 2; x /= 2 {
-			bin++
-		}
-		a := bins[bin]
-		if a == nil {
-			a = &acc{}
-			bins[bin] = a
-		}
-		a.n++
-		a.sum += sq[i]
-		if bin > maxBin {
-			maxBin = bin
-		}
-	}
-	var out []BinnedError
-	lower := 1.0
-	for b := 0; b <= maxBin; b++ {
-		if a, ok := bins[b]; ok {
-			out = append(out, BinnedError{Lower: lower, N: a.n, MSE: a.sum / float64(a.n)})
-		}
-		lower *= 2
-	}
-	return out
+// binning maps a non-negative property count to a non-negative bin
+// index, and a bin index to the bin's lower bound.
+type binning struct {
+	bin   func(count int) int
+	lower func(bin int) float64
 }
 
-// binByValue buckets by the exact integer property value.
-func binByValue(sq []float64, feats []sqlparse.Features, value func(sqlparse.Features) float64) []BinnedError {
-	type acc struct {
-		n   int
-		sum float64
+var (
+	// byLog bins counts in powers of two: bin b >= 1 holds [2^b, 2^(b+1)),
+	// bin 0 holds 0 and 1.
+	byLog = binning{
+		bin:   func(c int) int { return max(bits.Len(uint(c))-1, 0) },
+		lower: func(b int) float64 { return math.Ldexp(1, b) },
 	}
-	bins := map[int]*acc{}
-	maxBin := 0
+	// byValue bins counts by their exact value.
+	byValue = binning{
+		bin:   func(c int) int { return c },
+		lower: func(b int) float64 { return float64(b) },
+	}
+)
+
+// binErrors buckets items by the binning of count, a non-negative
+// property count of each statement, and averages the squared errors
+// per non-empty bin, in bin order.
+func binErrors(sq []float64, feats []sqlparse.Features, by binning, count func(sqlparse.Features) int) []BinnedError {
+	var n []int
+	var sum []float64
 	for i, f := range feats {
-		bin := int(value(f))
-		a := bins[bin]
-		if a == nil {
-			a = &acc{}
-			bins[bin] = a
+		b := by.bin(count(f))
+		for len(n) <= b {
+			n, sum = append(n, 0), append(sum, 0)
 		}
-		a.n++
-		a.sum += sq[i]
-		if bin > maxBin {
-			maxBin = bin
-		}
+		n[b]++
+		sum[b] += sq[i]
 	}
 	var out []BinnedError
-	for b := 0; b <= maxBin; b++ {
-		if a, ok := bins[b]; ok {
-			out = append(out, BinnedError{Lower: float64(b), N: a.n, MSE: a.sum / float64(a.n)})
+	for b := range n {
+		if n[b] > 0 {
+			out = append(out, BinnedError{Lower: by.lower(b), N: n[b], MSE: sum[b] / float64(n[b])})
 		}
 	}
 	return out

@@ -40,7 +40,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ingest"
 	"repro/internal/service"
-	"repro/internal/simdb"
 	"repro/internal/workload"
 )
 
@@ -432,20 +431,7 @@ func score(task core.Task, m *core.Model, hold []workload.Item) float64 {
 func toItems(task core.Task, recs []ingest.Record) []workload.Item {
 	items := make([]workload.Item, len(recs))
 	for i, r := range recs {
-		it := workload.Item{Statement: r.Statement}
-		switch task {
-		case core.ErrorClassification:
-			it.ErrorClass = simdb.ErrorClass(r.Class)
-		case core.SessionClassification:
-			it.Class = workload.SessionClass(r.Class)
-		case core.CPUTimePrediction:
-			it.CPUTime = r.Value
-		case core.AnswerSizePrediction:
-			it.AnswerSize = r.Value
-		case core.ElapsedTimePrediction:
-			it.Elapsed = r.Value
-		}
-		items[i] = it
+		items[i] = task.Item(r.Statement, int(r.Class), r.Value)
 	}
 	return items
 }

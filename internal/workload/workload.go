@@ -268,48 +268,3 @@ func Statements(items []Item) []string {
 	}
 	return out
 }
-
-// ErrorLabels returns error-class labels as ints.
-func ErrorLabels(items []Item) []int {
-	out := make([]int, len(items))
-	for i, item := range items {
-		out[i] = int(item.ErrorClass)
-	}
-	return out
-}
-
-// SessionLabels returns session-class labels as ints.
-func SessionLabels(items []Item) []int {
-	out := make([]int, len(items))
-	for i, item := range items {
-		out[i] = int(item.Class)
-	}
-	return out
-}
-
-// AnswerSizes returns raw answer-size labels.
-func AnswerSizes(items []Item) []float64 {
-	out := make([]float64, len(items))
-	for i, item := range items {
-		out[i] = item.AnswerSize
-	}
-	return out
-}
-
-// CPUTimes returns raw CPU-time labels.
-func CPUTimes(items []Item) []float64 {
-	out := make([]float64, len(items))
-	for i, item := range items {
-		out[i] = item.CPUTime
-	}
-	return out
-}
-
-// ElapsedTimes returns raw wall-clock labels.
-func ElapsedTimes(items []Item) []float64 {
-	out := make([]float64, len(items))
-	for i, item := range items {
-		out[i] = item.Elapsed
-	}
-	return out
-}

@@ -261,24 +261,9 @@ func TestSessionClassStrings(t *testing.T) {
 }
 
 func TestLabelAccessors(t *testing.T) {
-	items := []Item{
-		{Statement: "a", ErrorClass: simdb.Severe, Class: Bot, AnswerSize: 5, CPUTime: 0.5},
-		{Statement: "b", ErrorClass: simdb.Success, Class: Browser, AnswerSize: 7, CPUTime: 1.5},
-	}
+	items := []Item{{Statement: "a"}, {Statement: "b"}}
 	if got := Statements(items); got[0] != "a" || got[1] != "b" {
 		t.Fatal("Statements")
-	}
-	if got := ErrorLabels(items); got[0] != int(simdb.Severe) || got[1] != int(simdb.Success) {
-		t.Fatal("ErrorLabels")
-	}
-	if got := SessionLabels(items); got[0] != int(Bot) || got[1] != int(Browser) {
-		t.Fatal("SessionLabels")
-	}
-	if got := AnswerSizes(items); got[0] != 5 || got[1] != 7 {
-		t.Fatal("AnswerSizes")
-	}
-	if got := CPUTimes(items); got[0] != 0.5 || got[1] != 1.5 {
-		t.Fatal("CPUTimes")
 	}
 }
 
