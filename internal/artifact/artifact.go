@@ -34,6 +34,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/lebin"
 	"repro/internal/nn"
 )
 
@@ -78,55 +79,53 @@ func Encode(m *core.Model) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var e encoder
-	e.bytes([]byte(magic))
-	e.u32(FormatVersion)
-	e.str(st.Name)
-	e.u32(uint32(st.Task))
-	e.u32(uint32(st.Version))
-	e.u64(uint64(st.V))
-	e.u64(uint64(st.P))
-	e.f64(st.LogMin)
-	e.u32(uint32(st.MaxLen))
-	e.u64(uint64(st.Seed))
+	le := binary.LittleEndian
+	b := le.AppendUint32([]byte(magic), FormatVersion)
+	b = lebin.AppendString32(b, st.Name)
+	b = le.AppendUint32(b, uint32(st.Task))
+	b = le.AppendUint32(b, uint32(st.Version))
+	b = le.AppendUint64(b, uint64(st.V))
+	b = le.AppendUint64(b, uint64(st.P))
+	b = lebin.AppendF64(b, st.LogMin)
+	b = le.AppendUint32(b, uint32(st.MaxLen))
+	b = le.AppendUint64(b, uint64(st.Seed))
 	switch {
 	case st.CNN != nil:
 		cfg := st.CNN
-		e.byte(archCNN)
-		e.u64(uint64(cfg.Vocab))
-		e.u32(uint32(cfg.Embed))
-		e.u32(uint32(cfg.Kernels))
-		e.u32(uint32(cfg.Outputs))
-		e.f64(cfg.Dropout)
-		e.u32(uint32(len(cfg.Widths)))
+		b = append(b, archCNN)
+		b = le.AppendUint64(b, uint64(cfg.Vocab))
+		b = le.AppendUint32(b, uint32(cfg.Embed))
+		b = le.AppendUint32(b, uint32(cfg.Kernels))
+		b = le.AppendUint32(b, uint32(cfg.Outputs))
+		b = lebin.AppendF64(b, cfg.Dropout)
+		b = le.AppendUint32(b, uint32(len(cfg.Widths)))
 		for _, w := range cfg.Widths {
-			e.u32(uint32(w))
+			b = le.AppendUint32(b, uint32(w))
 		}
 	case st.LSTM != nil:
 		cfg := st.LSTM
-		e.byte(archLSTM)
-		e.u64(uint64(cfg.Vocab))
-		e.u32(uint32(cfg.Embed))
-		e.u32(uint32(cfg.Hidden))
-		e.u32(uint32(cfg.Layers))
-		e.u32(uint32(cfg.Outputs))
+		b = append(b, archLSTM)
+		b = le.AppendUint64(b, uint64(cfg.Vocab))
+		b = le.AppendUint32(b, uint32(cfg.Embed))
+		b = le.AppendUint32(b, uint32(cfg.Hidden))
+		b = le.AppendUint32(b, uint32(cfg.Layers))
+		b = le.AppendUint32(b, uint32(cfg.Outputs))
 	default:
 		return nil, fmt.Errorf("artifact: encode %q: state carries no architecture config", st.Name)
 	}
-	e.u64(uint64(len(st.Vocab)))
+	b = le.AppendUint64(b, uint64(len(st.Vocab)))
 	for _, tok := range st.Vocab {
-		e.str(tok)
+		b = lebin.AppendString32(b, tok)
 	}
-	e.u32(uint32(len(st.Params)))
+	b = le.AppendUint32(b, uint32(len(st.Params)))
 	for _, p := range st.Params {
-		e.str(p.Name)
-		e.u64(uint64(len(p.W)))
+		b = lebin.AppendString32(b, p.Name)
+		b = le.AppendUint64(b, uint64(len(p.W)))
 		for _, v := range p.W {
-			e.u64(math.Float64bits(v))
+			b = lebin.AppendF64(b, v)
 		}
 	}
-	e.u64(crc64.Checksum(e.buf, crcTable))
-	return e.buf, nil
+	return le.AppendUint64(b, crc64.Checksum(b, crcTable)), nil
 }
 
 // Decode parses an artifact back into a ready-to-predict model whose
@@ -166,170 +165,78 @@ func decodeState(data []byte) (*core.SnapshotState, uint32, error) {
 	if crc64.Checksum(body, crcTable) != binary.LittleEndian.Uint64(trailer) {
 		return nil, 0, ErrChecksum
 	}
-	d := decoder{buf: body, off: len(magic) + 4}
+	d := lebin.NewReader(body[len(magic)+4:], ErrTruncated)
 	st := &core.SnapshotState{}
-	st.Name = d.str()
-	st.Task = core.Task(d.u32())
-	st.Version = int(d.u32())
-	st.V = d.sizeU64()
-	st.P = d.sizeU64()
-	st.LogMin = d.f64()
-	st.MaxLen = int(d.u32())
-	st.Seed = int64(d.u64())
-	switch d.byte() {
+	st.Name = string(d.Bytes32())
+	st.Task = core.Task(d.U32())
+	st.Version = int(d.U32())
+	st.V = size(&d)
+	st.P = size(&d)
+	st.LogMin = d.F64()
+	st.MaxLen = int(d.U32())
+	st.Seed = int64(d.U64())
+	switch d.Byte() {
 	case archCNN:
 		cfg := &nn.CNNConfig{}
-		cfg.Vocab = d.sizeU64()
-		cfg.Embed = int(d.u32())
-		cfg.Kernels = int(d.u32())
-		cfg.Outputs = int(d.u32())
-		cfg.Dropout = d.f64()
-		nWidths := int(d.u32())
-		// Each width takes 4 bytes: an honest count fits the remainder.
-		if d.err == nil && nWidths > d.remaining()/4 {
-			d.fail()
-		}
-		for i := 0; i < nWidths && d.err == nil; i++ {
-			cfg.Widths = append(cfg.Widths, int(d.u32()))
+		cfg.Vocab = size(&d)
+		cfg.Embed = int(d.U32())
+		cfg.Kernels = int(d.U32())
+		cfg.Outputs = int(d.U32())
+		cfg.Dropout = d.F64()
+		nWidths := int(d.U32())
+		if d.Fits(nWidths, 4) {
+			for range nWidths {
+				cfg.Widths = append(cfg.Widths, int(d.U32()))
+			}
 		}
 		st.CNN = cfg
 	case archLSTM:
 		cfg := &nn.LSTMConfig{}
-		cfg.Vocab = d.sizeU64()
-		cfg.Embed = int(d.u32())
-		cfg.Hidden = int(d.u32())
-		cfg.Layers = int(d.u32())
-		cfg.Outputs = int(d.u32())
+		cfg.Vocab = size(&d)
+		cfg.Embed = int(d.U32())
+		cfg.Hidden = int(d.U32())
+		cfg.Layers = int(d.U32())
+		cfg.Outputs = int(d.U32())
 		st.LSTM = cfg
 	default:
-		if d.err == nil {
-			d.err = fmt.Errorf("%w: unknown architecture tag", ErrFormat)
-		}
+		d.Fail(fmt.Errorf("%w: unknown architecture tag", ErrFormat))
 	}
-	nVocab := d.sizeU64()
 	// Each token costs at least its 4-byte length prefix.
-	if d.err == nil && nVocab > d.remaining()/4 {
-		d.fail()
-	}
-	if d.err == nil {
+	if nVocab := size(&d); d.Fits(nVocab, 4) {
 		st.Vocab = make([]string, 0, nVocab)
-		for i := 0; i < nVocab && d.err == nil; i++ {
-			st.Vocab = append(st.Vocab, d.str())
+		for range nVocab {
+			st.Vocab = append(st.Vocab, string(d.Bytes32()))
 		}
 	}
-	nParams := int(d.u32())
-	if d.err == nil && nParams > d.remaining()/(4+8) {
-		d.fail()
-	}
-	for i := 0; i < nParams && d.err == nil; i++ {
-		var p core.ParamState
-		p.Name = d.str()
-		n := d.sizeU64()
-		if d.err == nil && n > d.remaining()/8 {
-			d.fail()
+	// Each parameter costs at least its name and weight-count prefixes.
+	if nParams := int(d.U32()); d.Fits(nParams, 4+8) {
+		for range nParams {
+			var p core.ParamState
+			p.Name = string(d.Bytes32())
+			n := size(&d)
+			if !d.Fits(n, 8) {
+				break
+			}
+			p.W = make([]float64, n)
+			for k := range p.W {
+				p.W[k] = d.F64()
+			}
+			st.Params = append(st.Params, p)
 		}
-		if d.err != nil {
-			break
-		}
-		p.W = make([]float64, n)
-		for k := range p.W {
-			p.W[k] = d.f64()
-		}
-		st.Params = append(st.Params, p)
 	}
-	if d.err != nil {
-		return nil, 0, d.err
-	}
-	if d.off != len(body) {
-		return nil, 0, fmt.Errorf("%w: %d trailing bytes", ErrFormat, len(body)-d.off)
+	if err := d.Finish(ErrFormat); err != nil {
+		return nil, 0, err
 	}
 	return st, version, nil
 }
 
-// encoder appends little-endian fields to a growing buffer.
-type encoder struct {
-	buf []byte
-}
-
-func (e *encoder) bytes(b []byte) { e.buf = append(e.buf, b...) }
-func (e *encoder) byte(b byte)    { e.buf = append(e.buf, b) }
-func (e *encoder) u32(v uint32)   { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *encoder) u64(v uint64)   { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *encoder) f64(v float64)  { e.u64(math.Float64bits(v)) }
-func (e *encoder) str(s string) {
-	e.u32(uint32(len(s)))
-	e.bytes([]byte(s))
-}
-
-// decoder reads little-endian fields with sticky-error bounds checks:
-// the first out-of-bounds read records ErrTruncated and every
-// subsequent read returns zero values, so decode logic stays linear.
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) remaining() int { return len(d.buf) - d.off }
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w at offset %d", ErrTruncated, d.off)
-	}
-}
-
-func (d *decoder) take(n int) []byte {
-	if d.err != nil || n < 0 || d.remaining() < n {
-		d.fail()
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *decoder) byte() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *decoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *decoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
-
-// sizeU64 reads a u64 used as a count or dimension, rejecting values
-// that cannot fit in an int (they could never be honest sizes).
-func (d *decoder) sizeU64() int {
-	v := d.u64()
-	if d.err == nil && v > math.MaxInt32 {
-		d.fail()
+// size reads a u64 count or dimension. One beyond int32 could never be
+// an honest size, so it fails like a truncation.
+func size(d *lebin.Reader) int {
+	v := d.U64()
+	if v > math.MaxInt32 {
+		d.Fail(ErrTruncated)
 		return 0
 	}
 	return int(v)
-}
-
-func (d *decoder) str() string {
-	n := d.u32()
-	if d.err == nil && int64(n) > int64(d.remaining()) {
-		d.fail()
-		return ""
-	}
-	return string(d.take(int(n)))
 }

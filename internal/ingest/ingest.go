@@ -47,6 +47,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/lebin"
 )
 
 // FormatVersion is the current segment format version. Readers reject
@@ -153,11 +155,9 @@ func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 	dst = append(dst, byte(rec.Kind))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.Time))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(rec.Class))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(rec.Value))
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(rec.Model)))
-	dst = append(dst, rec.Model...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rec.Statement)))
-	dst = append(dst, rec.Statement...)
+	dst = lebin.AppendF64(dst, rec.Value)
+	dst = lebin.AppendString16(dst, rec.Model)
+	dst = lebin.AppendString32(dst, rec.Statement)
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli)), nil
 }
 
@@ -191,26 +191,21 @@ func DecodeRecord(b []byte) (Record, int, error) {
 // fields disagreeing with the body length are ErrFormat: the checksum
 // matched, so the record was written malformed, not damaged.
 func decodeBody(body []byte) (Record, error) {
-	var rec Record
-	rec.Kind = Kind(body[0])
+	d := lebin.NewReader(body, ErrFormat)
+	rec := Record{
+		Kind:  Kind(d.Byte()),
+		Time:  int64(d.U64()),
+		Class: int32(d.U32()),
+		Value: d.F64(),
+	}
 	if rec.Kind > Observed {
-		return Record{}, fmt.Errorf("%w: unknown record kind %d", ErrFormat, body[0])
+		return Record{}, fmt.Errorf("%w: unknown record kind %d", ErrFormat, rec.Kind)
 	}
-	rec.Time = int64(binary.LittleEndian.Uint64(body[1:]))
-	rec.Class = int32(binary.LittleEndian.Uint32(body[9:]))
-	rec.Value = math.Float64frombits(binary.LittleEndian.Uint64(body[13:]))
-	ml := int(binary.LittleEndian.Uint16(body[21:]))
-	rest := body[23:]
-	if len(rest) < ml+4 {
-		return Record{}, fmt.Errorf("%w: model length %d exceeds body", ErrFormat, ml)
+	rec.Model = string(d.Bytes16())
+	rec.Statement = string(d.Bytes32())
+	if err := d.Finish(ErrFormat); err != nil {
+		return Record{}, err
 	}
-	rec.Model = string(rest[:ml])
-	rest = rest[ml:]
-	sl := int(binary.LittleEndian.Uint32(rest))
-	if len(rest)-4 != sl {
-		return Record{}, fmt.Errorf("%w: statement length %d, body has %d", ErrFormat, sl, len(rest)-4)
-	}
-	rec.Statement = string(rest[4:])
 	return rec, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"testing"
 )
 
@@ -336,6 +337,154 @@ func TestReaderTailsLiveAppends(t *testing.T) {
 		t.Fatalf("second tail: %+v", got)
 	}
 	w.Close()
+}
+
+// segmentRecords decodes every record of segment seq straight from
+// its file.
+func segmentRecords(t *testing.T, dir string, seq uint64) []Record {
+	t.Helper()
+	data, err := os.ReadFile(SegmentPath(dir, seq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Record
+	for rest := data[headerLen:]; len(rest) > 0; {
+		rec, n, err := DecodeRecord(rest)
+		if err != nil {
+			t.Fatalf("segment %d: %v", seq, err)
+		}
+		out = append(out, rec)
+		rest = rest[n:]
+	}
+	return out
+}
+
+func TestReaderResumesPastPrunedSegment(t *testing.T) {
+	dir := t.TempDir()
+	w, err := open(dir, Options{}, limits{segmentBytes: 512, maxSegments: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, w, 80, 0)
+	w.Close()
+	seqs, err := Segments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seqs[0] == 1 {
+		t.Fatalf("retention pruned nothing: segments %v", seqs)
+	}
+
+	// A position saved inside segment 1, before retention deleted it.
+	r := OpenReader(dir, Pos{Seg: 1, Off: int64(headerLen)})
+	got := readAll(t, r)
+	if want := segmentRecords(t, dir, seqs[0]); len(got) == 0 || got[0] != want[0] {
+		t.Fatalf("resumed at %+v, want the oldest survivor's first record %+v", got, want[0])
+	}
+	if want := readAll(t, OpenReader(dir, Pos{})); !slices.Equal(got, want) {
+		t.Fatalf("read %d records, a zero-Pos reader reads %d", len(got), len(want))
+	}
+	if segs, _ := r.Skipped(); segs != 1 {
+		t.Fatalf("Skipped() = %d segments, want 1", segs)
+	}
+}
+
+func TestReaderSkipsSealedSegmentWithDamagedHeader(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func([]byte) []byte
+	}{
+		{"bad magic", func(b []byte) []byte { b[0] ^= 0xff; return b }},
+		{"short header", func(b []byte) []byte { return b[:headerLen-1] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := open(dir, Options{}, limits{segmentBytes: 512, maxSegments: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendN(t, w, 40, 0)
+			w.Close()
+			seqs, err := Segments(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(seqs) < 3 {
+				t.Fatalf("need >= 3 segments, got %v", seqs)
+			}
+			var want []Record
+			for _, seq := range seqs {
+				if seq != 2 {
+					want = append(want, segmentRecords(t, dir, seq)...)
+				}
+			}
+
+			path := SegmentPath(dir, 2)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.damage(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			r := OpenReader(dir, Pos{})
+			if got := readAll(t, r); !slices.Equal(got, want) {
+				t.Fatalf("read %d records, want the %d outside segment 2", len(got), len(want))
+			}
+			if segs, _ := r.Skipped(); segs != 1 {
+				t.Fatalf("Skipped() = %d segments, want 1", segs)
+			}
+		})
+	}
+}
+
+func TestReaderWaitsOnHalfWrittenFrame(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, w, 2, 0)
+	w.Close()
+	r := OpenReader(dir, Pos{})
+	if got := readAll(t, r); len(got) != 2 {
+		t.Fatalf("read %d records, want 2", len(got))
+	}
+	f, err := os.OpenFile(SegmentPath(dir, 1), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	var rec Record
+	for i := 2; i < 5; i++ {
+		frame, err := AppendRecord(nil, testRecord(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Cut inside the length prefix, the body and the CRC.
+		cut := []int{2, len(frame) / 2, len(frame) - 1}[i-2]
+		if _, err := f.Write(frame[:cut]); err != nil {
+			t.Fatal(err)
+		}
+		pos := r.Pos()
+		if err := r.Next(&rec); !errors.Is(err, io.EOF) {
+			t.Fatalf("%d of %d bytes written: Next = %v, want io.EOF", cut, len(frame), err)
+		}
+		if r.Pos() != pos {
+			t.Fatalf("a half-written frame moved the reader from %+v to %+v", pos, r.Pos())
+		}
+		if _, err := f.Write(frame[cut:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Next(&rec); err != nil || rec != testRecord(i) {
+			t.Fatalf("completed frame: %+v, %v; want %+v", rec, err, testRecord(i))
+		}
+	}
+	if segs, n := r.Skipped(); segs != 0 || n != 0 {
+		t.Fatalf("Skipped() = %d segments, %d bytes; want none", segs, n)
+	}
 }
 
 func TestAppendZeroAllocWarm(t *testing.T) {

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -78,66 +79,58 @@ func (r *Reader) Next(rec *Record) error {
 		if err := r.ensureOpen(); err != nil {
 			return err
 		}
-		sealedErr := func() error {
-			// Undecodable bytes: in-flight append on the live segment,
-			// damage on a sealed one.
-			sealed, next, err := r.sealed()
-			if err != nil {
-				return err
-			}
-			if !sealed {
-				return io.EOF
-			}
-			r.skipTo(next)
-			return nil
+		ok, err := r.read(rec)
+		if ok || err != nil {
+			return err
 		}
-
-		// Frame length prefix.
-		n, err := r.f.ReadAt(r.lenBuf[:], r.pos.Off)
-		if n < len(r.lenBuf) {
-			if err != nil && !errors.Is(err, io.EOF) {
-				return fmt.Errorf("ingest: read segment %d: %w", r.fSeq, err)
-			}
-			if serr := sealedErr(); serr != nil {
-				return serr
-			}
-			continue
-		}
-		bodyLen := int(uint32(r.lenBuf[0]) | uint32(r.lenBuf[1])<<8 | uint32(r.lenBuf[2])<<16 | uint32(r.lenBuf[3])<<24)
-		frame := 4 + bodyLen + 4
-		if bodyLen < minBody || bodyLen > MaxRecordBytes-frameOverhead {
-			if serr := sealedErr(); serr != nil {
-				return serr
-			}
-			continue
-		}
-
-		// Whole frame.
-		if cap(r.buf) < frame {
-			r.buf = make([]byte, frame)
-		}
-		buf := r.buf[:frame]
-		n, err = r.f.ReadAt(buf, r.pos.Off)
-		if n < frame {
-			if err != nil && !errors.Is(err, io.EOF) {
-				return fmt.Errorf("ingest: read segment %d: %w", r.fSeq, err)
-			}
-			if serr := sealedErr(); serr != nil {
-				return serr
-			}
-			continue
-		}
-		decoded, consumed, err := DecodeRecord(buf)
+		// No whole valid frame here: an append still in flight on the
+		// live segment, damage on a sealed one.
+		sealed, next, err := r.sealed()
 		if err != nil {
-			if serr := sealedErr(); serr != nil {
-				return serr
-			}
-			continue
+			return err
 		}
-		*rec = decoded
-		r.pos.Off += int64(consumed)
+		if !sealed {
+			return io.EOF
+		}
+		r.skipTo(next)
+	}
+}
+
+// read decodes the frame at r.pos into rec and steps past it. It
+// reports false with a nil error when no whole valid frame is there,
+// and an error only when reading the segment fails.
+func (r *Reader) read(rec *Record) (bool, error) {
+	if n, err := r.f.ReadAt(r.lenBuf[:], r.pos.Off); n < len(r.lenBuf) {
+		return false, r.readErr(err)
+	}
+	bodyLen := binary.LittleEndian.Uint32(r.lenBuf[:])
+	if bodyLen < minBody || bodyLen > MaxRecordBytes-frameOverhead {
+		return false, nil
+	}
+	frame := 4 + int(bodyLen) + 4
+	if cap(r.buf) < frame {
+		r.buf = make([]byte, frame)
+	}
+	buf := r.buf[:frame]
+	if n, err := r.f.ReadAt(buf, r.pos.Off); n < frame {
+		return false, r.readErr(err)
+	}
+	decoded, consumed, err := DecodeRecord(buf)
+	if err != nil {
+		return false, nil
+	}
+	*rec = decoded
+	r.pos.Off += int64(consumed)
+	return true, nil
+}
+
+// readErr reports a short read's error, unless it only says the
+// segment ended.
+func (r *Reader) readErr(err error) error {
+	if err == nil || errors.Is(err, io.EOF) {
 		return nil
 	}
+	return fmt.Errorf("ingest: read segment %d: %w", r.fSeq, err)
 }
 
 // ensureOpen opens the segment at r.pos, advancing past pruned
@@ -178,23 +171,21 @@ func (r *Reader) ensureOpen() error {
 		return fmt.Errorf("ingest: open segment %d: %w", seq, err)
 	}
 	hdr := make([]byte, headerLen)
-	if _, err := io.ReadFull(f, hdr); err != nil {
+	n, err := io.ReadFull(f, hdr)
+	if err == nil {
+		err = checkHeader(hdr)
+	}
+	if err != nil {
 		f.Close()
-		// A short header on the newest segment is a create still in
-		// flight; on a sealed one it is damage.
+		// A damaged header on a sealed segment is skipped. A short one
+		// on the newest segment is a create still in flight.
 		if sealed, next := r.sealedAfter(seqs, seq); sealed {
 			r.skippedSegments++
 			r.pos = Pos{Seg: next, Off: 0}
 			return r.ensureOpen()
 		}
-		return io.EOF
-	}
-	if err := checkHeader(hdr); err != nil {
-		f.Close()
-		if sealed, next := r.sealedAfter(seqs, seq); sealed {
-			r.skippedSegments++
-			r.pos = Pos{Seg: next, Off: 0}
-			return r.ensureOpen()
+		if n < headerLen {
+			return io.EOF
 		}
 		return fmt.Errorf("ingest: segment %d: %w", seq, err)
 	}

@@ -8,10 +8,10 @@
 // header parsing, JSON encode/decode on both sides, and no pipelining.
 // This package is the classic database wire-protocol answer — one
 // persistent connection, fixed 20-byte frame headers, raw IEEE-754
-// payloads for the predict hot path — built with the same
-// deterministic binary-codec idioms (little-endian fields,
-// length-prefixed strings, sticky-error bounds-checked decode, shape
-// validation before any payload-sized allocation) as internal/artifact.
+// payloads for the predict hot path. Payloads are read with
+// internal/lebin, the one little-endian reader the artifact and WAL
+// formats also use: length-prefixed strings, sticky-error bounds
+// checks, and every count validated before anything is sized by it.
 //
 // Frame layout (all integers little-endian):
 //

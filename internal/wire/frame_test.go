@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/lebin"
 	"repro/internal/service"
 )
 
@@ -179,7 +180,7 @@ func TestBatchReplyRowsShareOneSlab(t *testing.T) {
 	// 16 000 rows claimed and a first row of 8 000 floats: each count
 	// passes its own check against the 64 KiB present, their product is
 	// a gigabyte. The slab is sized by what the payload can still hold.
-	evil := appendString16(nil, "m")
+	evil := lebin.AppendString16(nil, "m")
 	evil = binary.LittleEndian.AppendUint32(evil, 3) // version
 	evil = append(evil, kindClassification)
 	evil = binary.LittleEndian.AppendUint32(evil, 16000)
