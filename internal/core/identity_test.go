@@ -263,3 +263,68 @@ func TestFineTunePinned(t *testing.T) {
 		t.Errorf("fine-tuned models moved:\n got  %+v\n want %+v", got, want)
 	}
 }
+
+// tfidfDigest is what one TF-IDF model is pinned to: the Float64bits
+// of everything it predicts over the identity pool, one statement at a
+// time and in batches of 16. The TF-IDF models have no artifact.
+type tfidfDigest struct {
+	Scalar  string `json:"scalar_sha256"`
+	Batch16 string `json:"batch16_sha256"`
+}
+
+// TestTFIDFPinned is TestIdentityPinned for the traditional two-stage
+// models: ctfidf and wtfidf, trained on the identity split for a
+// classification task with many classes, one with two and a regression
+// task, predict the identity pool, and the digests are compared with
+// testdata/tfidf.json, written at the commit before a change to the
+// featurizer or the linear layer (-update) and passed unchanged after it.
+func TestTFIDFPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests are pinned on amd64: %s's compiler may fuse multiply-adds, which legitimately rounds differently", runtime.GOARCH)
+	}
+	train := synth.NewSDSS(synth.SDSSConfig{Sessions: identitySessions, HitsPerSessionMax: 3, Seed: identitySeed}).Generate()
+	split := workload.RandomSplit(train.Items, 0.1, 0.1, rand.New(rand.NewSource(identitySeed+7)))
+	pool := workload.Statements(synth.NewSDSS(synth.SDSSConfig{Sessions: identityPoolSess, HitsPerSessionMax: 3, Seed: identityPoolSeed}).Generate().Items)[:identityPool]
+
+	cfg := core.DefaultConfig()
+	cfg.Seed = identitySeed
+
+	got := map[string]tfidfDigest{}
+	for _, name := range []string{"ctfidf", "wtfidf"} {
+		for _, task := range []core.Task{core.ErrorClassification, core.SessionClassification, core.CPUTimePrediction} {
+			m, err := core.Train(name, task, split.Train, cfg)
+			if err != nil {
+				t.Fatalf("train %s on %s: %v", name, task, err)
+			}
+			var d tfidfDigest
+			d.Scalar, d.Batch16 = predictionDigests(m, pool)
+			if d.Scalar != d.Batch16 {
+				t.Errorf("%s on %s: scalar and batch-16 predictions differ", name, task)
+			}
+			got[fmt.Sprintf("%s/%s", name, task)] = d
+		}
+	}
+
+	path := filepath.Join("testdata", "tfidf.json")
+	if *update {
+		blob, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (generate it at the parent commit with -update)", err)
+	}
+	want := map[string]tfidfDigest{}
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("TF-IDF models moved:\n got  %+v\n want %+v", got, want)
+	}
+}
