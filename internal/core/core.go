@@ -446,7 +446,11 @@ func logScale(v float64) float64 {
 	return math.Log1p(v)
 }
 
-// trainTFIDF fits the traditional two-stage models.
+// trainTFIDF fits the traditional two-stage models: one sparse linear
+// layer over TF-IDF features, trained on the task's loss as the neural
+// models are — cross-entropy over the class scores, or Huber loss on one
+// output warm-started at the mean log label (Section 5.1: "For
+// regression problems, we use Huber loss").
 func trainTFIDF(name string, task Task, train []workload.Item, cfg Config) (*Model, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	seqs := tokenizeAll(name, train)
@@ -455,23 +459,31 @@ func trainTFIDF(name string, task Task, train []workload.Item, cfg Config) (*Mod
 	m := &Model{Name: name, Task: task, V: fz.NumFeatures()}
 	if task.IsClassification() {
 		labels, _ := task.Labels(train)
-		lr := textfeat.NewLogisticRegression(task.NumClasses(), fz.NumFeatures())
-		lr.Fit(xs, labels, cfg.TfidfEpochs, 0.5, rng)
-		m.P = lr.ParamCount()
+		lin := textfeat.NewLinear(task.NumClasses(), fz.NumFeatures())
+		lin.Fit(xs, cfg.TfidfEpochs, 0.5, rng, func(i int, scores, dscores []float64) float64 {
+			return nn.SoftmaxCEInto(scores, labels[i], dscores)
+		})
+		m.P = lin.ParamCount()
 		m.probs = func(stmt string) []float64 {
-			return lr.Probs(fz.Transform(Tokenize(name, stmt)))
+			scores := lin.Scores(fz.Transform(Tokenize(name, stmt)), make([]float64, lin.Outputs))
+			return nn.SoftmaxInto(scores, scores)
 		}
 		return m, nil
 	}
 	_, raw := task.Labels(train)
 	logs, min := metrics.LogTransform(raw)
-	hr := textfeat.NewHuberRegression(fz.NumFeatures())
-	hr.B = meanOf(logs) // warm-start the intercept at the label mean
-	hr.Fit(xs, logs, cfg.TfidfEpochs, 0.5, rng)
-	m.P = hr.ParamCount()
+	lin := textfeat.NewLinear(1, fz.NumFeatures())
+	lin.B[0] = meanOf(logs)
+	lin.Fit(xs, cfg.TfidfEpochs, 0.5, rng, func(i int, scores, dscores []float64) float64 {
+		loss, d := nn.HuberLoss(scores[0], logs[i], 1)
+		dscores[0] = d
+		return loss
+	})
+	m.P = lin.ParamCount()
 	m.LogMin = min
 	m.value = func(stmt string) float64 {
-		return hr.Predict(fz.Transform(Tokenize(name, stmt)))
+		var score [1]float64
+		return lin.Scores(fz.Transform(Tokenize(name, stmt)), score[:])[0]
 	}
 	return m, nil
 }

@@ -1,9 +1,10 @@
 // Package textfeat implements the paper's traditional two-stage models
 // (Section 5.1): a bag-of-n-grams TF-IDF featurizer (n up to 5, most
-// frequent n-grams from the training set) followed by multinomial
-// logistic regression for classification or Huber-loss linear
-// regression for regression. Sparse feature vectors and AdaGrad updates
-// keep training fast at large vocabulary sizes.
+// frequent n-grams from the training set) followed by one sparse linear
+// layer trained on the task's loss — cross-entropy over the class scores
+// (multinomial logistic regression) for classification, Huber loss for
+// regression. Sparse feature vectors and AdaGrad updates keep training
+// fast at large vocabulary sizes.
 package textfeat
 
 import (
@@ -12,7 +13,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/nn"
 	"repro/internal/sqllex"
 )
 
@@ -133,168 +133,79 @@ func (f *Featurizer) TransformAll(sequences [][]string) []SparseVec {
 	return out
 }
 
-// LogisticRegression is a multinomial (softmax) classifier over sparse
-// features trained with AdaGrad on the cross-entropy loss.
-type LogisticRegression struct {
-	Classes  int
+// Linear is the second stage of the traditional models: an Outputs ×
+// Features sparse linear layer, scores = W·x + B, trained with AdaGrad
+// on the loss its caller supplies.
+type Linear struct {
+	Outputs  int
 	Features int
-	W        []float64 // Classes x Features
+	W        []float64 // Outputs x Features
 	B        []float64
 	gsqW     []float64
 	gsqB     []float64
-
-	// Training scratch: per-step logits and logit gradients, so Fit
-	// allocates nothing per example. Predict-path methods (Logits,
-	// Probs) stay allocation-per-call and therefore concurrency-safe.
-	logitsBuf, dlogitsBuf []float64
 }
 
-// NewLogisticRegression allocates a zero-initialized model.
-func NewLogisticRegression(classes, features int) *LogisticRegression {
-	return &LogisticRegression{
-		Classes: classes, Features: features,
-		W: make([]float64, classes*features), B: make([]float64, classes),
-		gsqW: make([]float64, classes*features), gsqB: make([]float64, classes),
+// NewLinear allocates a zero-initialized layer.
+func NewLinear(outputs, features int) *Linear {
+	return &Linear{
+		Outputs: outputs, Features: features,
+		W: make([]float64, outputs*features), B: make([]float64, outputs),
+		gsqW: make([]float64, outputs*features), gsqB: make([]float64, outputs),
 	}
 }
 
-// ParamCount returns the number of model parameters (reported as p in
+// ParamCount returns the number of layer parameters (reported as p in
 // the paper's tables).
-func (m *LogisticRegression) ParamCount() int { return len(m.W) + len(m.B) }
+func (l *Linear) ParamCount() int { return len(l.W) + len(l.B) }
 
-// Logits computes class scores for a sparse input.
-func (m *LogisticRegression) Logits(x SparseVec) []float64 {
-	return m.logitsInto(x, make([]float64, m.Classes))
-}
-
-// logitsInto writes class scores into out (len m.Classes).
-func (m *LogisticRegression) logitsInto(x SparseVec, out []float64) []float64 {
-	for c := 0; c < m.Classes; c++ {
-		sum := m.B[c]
-		row := m.W[c*m.Features : (c+1)*m.Features]
+// Scores writes the layer's outputs for x into out (len l.Outputs) and
+// returns it. It only reads the layer, so concurrent callers are safe.
+func (l *Linear) Scores(x SparseVec, out []float64) []float64 {
+	for o := 0; o < l.Outputs; o++ {
+		sum := l.B[o]
+		row := l.W[o*l.Features : (o+1)*l.Features]
 		for i, idx := range x.Idx {
 			sum += row[idx] * x.Val[i]
 		}
-		out[c] = sum
+		out[o] = sum
 	}
 	return out
 }
 
-// Probs returns the softmax distribution for a sparse input.
-func (m *LogisticRegression) Probs(x SparseVec) []float64 {
-	return nn.Softmax(m.Logits(x))
-}
-
-// Predict returns the argmax class.
-func (m *LogisticRegression) Predict(x SparseVec) int {
-	logits := m.Logits(x)
-	best := 0
-	for c := range logits {
-		if logits[c] > logits[best] {
-			best = c
-		}
-	}
-	return best
-}
-
 // Fit trains with AdaGrad for the given epochs, shuffling each epoch.
-// It returns the mean training loss of the final epoch.
-func (m *LogisticRegression) Fit(xs []SparseVec, ys []int, epochs int, lr float64, rng *rand.Rand) float64 {
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	lastLoss := 0.0
-	for e := 0; e < epochs; e++ {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		total := 0.0
-		for _, i := range idx {
-			total += m.step(xs[i], ys[i], lr)
-		}
-		lastLoss = total / float64(len(xs))
-	}
-	return lastLoss
-}
-
-func (m *LogisticRegression) step(x SparseVec, y int, lr float64) float64 {
-	if m.logitsBuf == nil {
-		m.logitsBuf = make([]float64, m.Classes)
-		m.dlogitsBuf = make([]float64, m.Classes)
-	}
-	logits := m.logitsInto(x, m.logitsBuf)
-	dlogits := m.dlogitsBuf
-	loss := nn.SoftmaxCEInto(logits, y, dlogits)
+// For each example, loss(i, scores, dscores) returns example i's loss
+// for the layer's scores and writes its gradient with respect to them
+// into dscores. Fit returns the mean loss of the final epoch.
+func (l *Linear) Fit(xs []SparseVec, epochs int, lr float64, rng *rand.Rand, loss func(i int, scores, dscores []float64) float64) float64 {
 	const eps = 1e-8
-	for c := 0; c < m.Classes; c++ {
-		g := dlogits[c]
-		if g == 0 {
-			continue
-		}
-		m.gsqB[c] += g * g
-		m.B[c] -= lr * g / (math.Sqrt(m.gsqB[c]) + eps)
-		row := m.W[c*m.Features : (c+1)*m.Features]
-		gsqRow := m.gsqW[c*m.Features : (c+1)*m.Features]
-		for i, fidx := range x.Idx {
-			gw := g * x.Val[i]
-			gsqRow[fidx] += gw * gw
-			row[fidx] -= lr * gw / (math.Sqrt(gsqRow[fidx]) + eps)
-		}
-	}
-	return loss
-}
-
-// HuberRegression is a linear model over sparse features trained with
-// AdaGrad on the Huber loss (Section 5.1: "For regression problems, we
-// use Huber loss").
-type HuberRegression struct {
-	Features int
-	Delta    float64
-	W        []float64
-	B        float64
-	gsqW     []float64
-	gsqB     float64
-}
-
-// NewHuberRegression allocates a zero model with threshold delta = 1.
-func NewHuberRegression(features int) *HuberRegression {
-	return &HuberRegression{Features: features, Delta: 1, W: make([]float64, features), gsqW: make([]float64, features)}
-}
-
-// ParamCount returns the number of parameters.
-func (m *HuberRegression) ParamCount() int { return len(m.W) + 1 }
-
-// Predict computes the regression output for a sparse input.
-func (m *HuberRegression) Predict(x SparseVec) float64 {
-	sum := m.B
-	for i, idx := range x.Idx {
-		sum += m.W[idx] * x.Val[i]
-	}
-	return sum
-}
-
-// Fit trains for the given epochs and returns the final-epoch mean
-// Huber loss.
-func (m *HuberRegression) Fit(xs []SparseVec, ys []float64, epochs int, lr float64, rng *rand.Rand) float64 {
 	idx := make([]int, len(xs))
 	for i := range idx {
 		idx[i] = i
 	}
+	scores, dscores := make([]float64, l.Outputs), make([]float64, l.Outputs)
 	lastLoss := 0.0
 	for e := 0; e < epochs; e++ {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		total := 0.0
 		for _, i := range idx {
-			pred := m.Predict(xs[i])
-			loss, dpred := nn.HuberLoss(pred, ys[i], m.Delta)
-			total += loss
-			const eps = 1e-8
-			m.gsqB += dpred * dpred
-			m.B -= lr * dpred / (math.Sqrt(m.gsqB) + eps)
 			x := xs[i]
-			for j, fidx := range x.Idx {
-				g := dpred * x.Val[j]
-				m.gsqW[fidx] += g * g
-				m.W[fidx] -= lr * g / (math.Sqrt(m.gsqW[fidx]) + eps)
+			total += loss(i, l.Scores(x, scores), dscores)
+			for o, g := range dscores {
+				// A zero gradient would add 0 to the AdaGrad sums and
+				// subtract 0 from weights that are never -0: skipping it
+				// changes no bit.
+				if g == 0 {
+					continue
+				}
+				l.gsqB[o] += g * g
+				l.B[o] -= lr * g / (math.Sqrt(l.gsqB[o]) + eps)
+				row := l.W[o*l.Features : (o+1)*l.Features]
+				gsqRow := l.gsqW[o*l.Features : (o+1)*l.Features]
+				for j, fidx := range x.Idx {
+					gw := g * x.Val[j]
+					gsqRow[fidx] += gw * gw
+					row[fidx] -= lr * gw / (math.Sqrt(gsqRow[fidx]) + eps)
+				}
 			}
 		}
 		lastLoss = total / float64(len(xs))

@@ -3,10 +3,12 @@ package textfeat
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"unsafe"
 
+	"repro/internal/nn"
 	"repro/internal/sqllex"
 )
 
@@ -126,6 +128,32 @@ func TestTransformIndicesSortedProperty(t *testing.T) {
 	}
 }
 
+// ceLoss is the classification loss: cross-entropy over the scores.
+func ceLoss(ys []int) func(i int, scores, dscores []float64) float64 {
+	return func(i int, scores, dscores []float64) float64 {
+		return nn.SoftmaxCEInto(scores, ys[i], dscores)
+	}
+}
+
+// huberLoss is the regression loss on one output, delta = 1.
+func huberLoss(ys []float64) func(i int, scores, dscores []float64) float64 {
+	return func(i int, scores, dscores []float64) float64 {
+		loss, d := nn.HuberLoss(scores[0], ys[i], 1)
+		dscores[0] = d
+		return loss
+	}
+}
+
+func argmax(v []float64) int {
+	best := 0
+	for c := range v {
+		if v[c] > v[best] {
+			best = c
+		}
+	}
+	return best
+}
+
 func TestLogisticRegressionLearnsSeparableTask(t *testing.T) {
 	// Class 0 queries mention "PhotoObj", class 1 mention "SpecObj".
 	var train [][]string
@@ -142,11 +170,12 @@ func TestLogisticRegressionLearnsSeparableTask(t *testing.T) {
 	}
 	f := FitFeaturizer(train, 2, 0)
 	xs := f.TransformAll(train)
-	m := NewLogisticRegression(2, f.NumFeatures())
-	m.Fit(xs, labels, 5, 0.5, rng)
+	m := NewLinear(2, f.NumFeatures())
+	m.Fit(xs, 5, 0.5, rng, ceLoss(labels))
 	correct := 0
+	scores := make([]float64, m.Outputs)
 	for i, x := range xs {
-		if m.Predict(x) == labels[i] {
+		if argmax(m.Scores(x, scores)) == labels[i] {
 			correct++
 		}
 	}
@@ -156,8 +185,8 @@ func TestLogisticRegressionLearnsSeparableTask(t *testing.T) {
 }
 
 func TestLogisticRegressionProbsSumToOne(t *testing.T) {
-	m := NewLogisticRegression(3, 4)
-	p := m.Probs(SparseVec{Idx: []int{0, 2}, Val: []float64{1, -1}})
+	m := NewLinear(3, 4)
+	p := nn.Softmax(m.Scores(SparseVec{Idx: []int{0, 2}, Val: []float64{1, -1}}, make([]float64, m.Outputs)))
 	sum := 0.0
 	for _, v := range p {
 		sum += v
@@ -181,24 +210,147 @@ func TestHuberRegressionLearnsLinearTarget(t *testing.T) {
 			ys = append(ys, 1)
 		}
 	}
-	m := NewHuberRegression(2)
-	m.Fit(xs, ys, 60, 0.5, rng)
-	if p := m.Predict(xs[0]); math.Abs(p-4) > 0.3 {
+	m := NewLinear(1, 2)
+	m.Fit(xs, 60, 0.5, rng, huberLoss(ys))
+	var out [1]float64
+	if p := m.Scores(xs[0], out[:])[0]; math.Abs(p-4) > 0.3 {
 		t.Fatalf("pred = %v, want ~4", p)
 	}
-	if p := m.Predict(xs[1]); math.Abs(p-1) > 0.3 {
+	if p := m.Scores(xs[1], out[:])[0]; math.Abs(p-1) > 0.3 {
 		t.Fatalf("pred = %v, want ~1", p)
 	}
 }
 
 func TestParamCounts(t *testing.T) {
-	lr := NewLogisticRegression(3, 10)
-	if lr.ParamCount() != 33 {
-		t.Fatalf("logreg params = %d, want 33", lr.ParamCount())
+	if p := NewLinear(3, 10).ParamCount(); p != 33 {
+		t.Fatalf("3-output params = %d, want 33", p)
 	}
-	hr := NewHuberRegression(10)
-	if hr.ParamCount() != 11 {
-		t.Fatalf("huber params = %d, want 11", hr.ParamCount())
+	if p := NewLinear(1, 10).ParamCount(); p != 11 {
+		t.Fatalf("1-output params = %d, want 11", p)
+	}
+}
+
+// randomSparse draws n sparse vectors over features columns with up to
+// 6 sorted unique indices each, some of them empty. Values are scaled
+// by scale, so a large scale drives the scores far enough apart that
+// gradients underflow to exactly 0.
+func randomSparse(rng *rand.Rand, n, features int, scale float64) []SparseVec {
+	xs := make([]SparseVec, n)
+	for i := range xs {
+		seen := map[int]bool{}
+		for k := rng.Intn(7); k > 0; k-- {
+			seen[rng.Intn(features)] = true
+		}
+		for idx := range seen {
+			xs[i].Idx = append(xs[i].Idx, idx)
+		}
+		sort.Ints(xs[i].Idx)
+		for range xs[i].Idx {
+			xs[i].Val = append(xs[i].Val, scale*rng.NormFloat64())
+		}
+	}
+	return xs
+}
+
+// TestLinearMatchesReference fits Linear and the two second stages it
+// replaced (linref_test.go) on the same random sparse data and requires
+// the same W, B and final-epoch loss bit for bit: cross-entropy on 2 to
+// 7 outputs against LogisticRegression, Huber loss on one output against
+// HuberRegression. Each case must see examples whose gradient is
+// exactly 0, which Linear skips and HuberRegression applied.
+func TestLinearMatchesReference(t *testing.T) {
+	same := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	// zeroCounting wraps a loss and counts the outputs whose gradient
+	// is exactly 0.
+	zeroCounting := func(loss func(int, []float64, []float64) float64, zeros *int) func(int, []float64, []float64) float64 {
+		return func(i int, scores, dscores []float64) float64 {
+			l := loss(i, scores, dscores)
+			for _, g := range dscores {
+				if g == 0 {
+					*zeros++
+				}
+			}
+			return l
+		}
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		features := 1 + rng.Intn(40)
+		n := 20 + rng.Intn(80)
+		epochs := 1 + rng.Intn(4)
+		lr := 0.05 + rng.Float64()
+
+		// Cross-entropy: scaled-up features push the softmax to exactly
+		// 0 and 1, so some class gradients are exactly 0. The label
+		// follows an example's first feature, so the fit can learn it.
+		outputs := 2 + int(seed%6)
+		xs := randomSparse(rng, n, features, 200)
+		ys := make([]int, n)
+		for i, x := range xs {
+			if len(x.Idx) > 0 {
+				ys[i] = x.Idx[0] % outputs
+			}
+		}
+		ref := NewLogisticRegression(outputs, features)
+		refLoss := ref.Fit(xs, ys, epochs, lr, rand.New(rand.NewSource(seed)))
+		zeros := 0
+		lin := NewLinear(outputs, features)
+		loss := lin.Fit(xs, epochs, lr, rand.New(rand.NewSource(seed)), zeroCounting(ceLoss(ys), &zeros))
+		if !same(lin.W, ref.W) || !same(lin.B, ref.B) || math.Float64bits(loss) != math.Float64bits(refLoss) {
+			t.Errorf("seed %d: %d-output cross-entropy fit differs from LogisticRegression (loss %v, want %v)", seed, outputs, loss, refLoss)
+		}
+		if zeros == 0 {
+			t.Errorf("seed %d: cross-entropy case saw no zero gradient", seed)
+		}
+
+		// Huber: the intercept starts at 2^60, whose ulp (256) is far
+		// beyond what the weights add, so a target of exactly 2^60 has a
+		// residual of exactly 0 and every other target a gradient of ±1.
+		const b0 = 1 << 60
+		xs = randomSparse(rng, n, features, 1)
+		yf := make([]float64, n)
+		for i := range yf {
+			yf[i] = b0 + 256*float64(rng.Intn(3)-1)
+		}
+		href := NewHuberRegression(features)
+		href.B = b0
+		refLoss = href.Fit(xs, yf, epochs, lr, rand.New(rand.NewSource(seed)))
+		zeros = 0
+		lin = NewLinear(1, features)
+		lin.B[0] = b0
+		loss = lin.Fit(xs, epochs, lr, rand.New(rand.NewSource(seed)), zeroCounting(huberLoss(yf), &zeros))
+		if !same(lin.W, href.W) || !same(lin.B, []float64{href.B}) || math.Float64bits(loss) != math.Float64bits(refLoss) {
+			t.Errorf("seed %d: Huber fit (2^60 intercept) differs from HuberRegression (loss %v, want %v)", seed, loss, refLoss)
+		}
+		if zeros == 0 {
+			t.Errorf("seed %d: Huber case saw no zero gradient", seed)
+		}
+
+		// Huber on ordinary targets: the warm-started intercept and the
+		// quadratic and linear pieces of the loss.
+		xs = randomSparse(rng, n, features, 1)
+		for i := range yf {
+			yf[i] = 3 * rng.NormFloat64()
+		}
+		href = NewHuberRegression(features)
+		href.B = 0.25
+		refLoss = href.Fit(xs, yf, epochs, lr, rand.New(rand.NewSource(seed)))
+		lin = NewLinear(1, features)
+		lin.B[0] = 0.25
+		loss = lin.Fit(xs, epochs, lr, rand.New(rand.NewSource(seed)), huberLoss(yf))
+		if !same(lin.W, href.W) || !same(lin.B, []float64{href.B}) || math.Float64bits(loss) != math.Float64bits(refLoss) {
+			t.Errorf("seed %d: Huber fit differs from HuberRegression (loss %v, want %v)", seed, loss, refLoss)
+		}
 	}
 }
 
