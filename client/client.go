@@ -229,10 +229,6 @@ type Client struct {
 	sleep  func(ctx context.Context, d time.Duration) error
 	now    func() time.Time
 	policy breakerPolicy
-
-	// routes pools []int failover-order scratch so routing a request
-	// allocates nothing on the warm path.
-	routes sync.Pool
 }
 
 // New creates a client for the service at baseURL, plus any additional
@@ -275,10 +271,6 @@ func New(baseURL string, opts Options) (*Client, error) {
 	ring := cluster.NewRing(addrs, 0)
 	for _, addr := range ring.Addrs() {
 		c.nodes = append(c.nodes, newNode(addr))
-	}
-	c.routes.New = func() any {
-		s := make([]int, 0, len(c.nodes))
-		return &s
 	}
 	if len(c.nodes) > 1 {
 		c.ring = ring
@@ -658,32 +650,26 @@ func (c *Client) WaitReady(ctx context.Context) error {
 // share one policy implementation and cannot drift.
 type attemptFunc[T any] func(ctx context.Context, n *node) (T, error)
 
-// route returns the failover order for key as a pooled slice of node
-// indices: ring order, stably partitioned so nodes the prober believes
-// up come first, then degraded, then down. Down nodes stay in the
-// order — when everything better has failed, a request is the best
-// probe there is. Callers return the slice via putRoute.
-func (c *Client) route(key string) *[]int {
-	order := c.routes.Get().(*[]int)
+// route writes the failover order for key into dst's backing array
+// (growing it only when the cluster has more nodes than it holds) and
+// returns it as node indices: ring order, stably partitioned so nodes
+// the prober believes up come first, then degraded, then down. Down
+// nodes stay in the order — when everything better has failed, a
+// request is the best probe there is.
+func (c *Client) route(key string, dst []int) []int {
 	if c.ring == nil {
-		*order = append((*order)[:0], 0)
-		return order
+		return append(dst[:0], 0)
 	}
-	*order = c.ring.OrderInto(key, (*order)[:0])
+	s := c.ring.OrderInto(key, dst)
 	// Stable insertion sort by tracker state: clusters are small and
 	// the sort must not allocate. Stability preserves ring order within
 	// each state class.
-	s := *order
 	for i := 1; i < len(s); i++ {
 		for j := i; j > 0 && c.tracker.State(s[j-1]) > c.tracker.State(s[j]); j-- {
 			s[j-1], s[j] = s[j], s[j-1]
 		}
 	}
-	return order
-}
-
-func (c *Client) putRoute(order *[]int) {
-	c.routes.Put(order)
+	return s
 }
 
 // runOp performs op with the client's retry budget (when retryable),
@@ -692,11 +678,11 @@ func (c *Client) putRoute(order *[]int) {
 // open breaker skips to the next node without consuming budget, and a
 // full cycle of short-circuits fails fast with ErrCircuitOpen. This is
 // the client's only retry loop. It never retains op, and the route
-// scratch is pooled, so a caller passing a non-escaping closure pays
-// no allocation for the policy.
+// lives on its stack for clusters of up to 8 nodes, so a caller passing
+// a non-escaping closure pays no allocation for the policy.
 func runOp[T any](c *Client, ctx context.Context, key, endpoint string, retryable bool, op attemptFunc[T]) (T, error) {
-	order := c.route(key)
-	defer c.putRoute(order)
+	var scratch [8]int
+	order := c.route(key, scratch[:0])
 	retries := c.opts.Retries
 	if !retryable {
 		retries = 0
@@ -704,7 +690,7 @@ func runOp[T any](c *Client, ctx context.Context, key, endpoint string, retryabl
 	var lastErr, shortErr error
 	retried, shorts, pos := 0, 0, 0
 	for {
-		idx := (*order)[pos%len(*order)]
+		idx := order[pos%len(order)]
 		n := c.nodes[idx]
 		v, err := opOnce(c, ctx, n, endpoint, op)
 		if err == nil {
@@ -721,7 +707,7 @@ func runOp[T any](c *Client, ctx context.Context, key, endpoint string, retryabl
 			// was never attempted, so this is routing, not retrying.
 			shortErr = err
 			shorts++
-			if shorts >= len(*order) || ctx.Err() != nil {
+			if shorts >= len(order) || ctx.Err() != nil {
 				break
 			}
 			pos++
@@ -739,7 +725,7 @@ func runOp[T any](c *Client, ctx context.Context, key, endpoint string, retryabl
 		// the retry re-targets a node already tried this op (single
 		// node, or a wrapped cycle): hammering the same node is what
 		// retries-with-backoff exist to avoid.
-		if pos >= len(*order) && c.sleep(ctx, retryDelay(err, backoff<<retried)) != nil {
+		if pos >= len(order) && c.sleep(ctx, retryDelay(err, backoff<<retried)) != nil {
 			break
 		}
 		retried++

@@ -18,6 +18,7 @@ package simdb
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 )
 
@@ -374,14 +375,6 @@ func (c *Catalog) TableNames() []string {
 	for _, t := range c.Tables {
 		names = append(names, t.Name)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	return names
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
