@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"fmt"
 	"go/scanner"
 	"go/token"
 	"math"
@@ -55,6 +56,38 @@ func FuzzParse(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzParseMatchesReference is the differential behind the grammar
+// shapes in parser.go: on any input, Parse must return what refParse,
+// the parser it replaced (kept in parseref_test.go), returns —
+// statements deep-equal, errors equal in message and position.
+func FuzzParseMatchesReference(f *testing.F) {
+	for _, s := range testLiterals(f) {
+		f.Add(s)
+	}
+	for _, s := range generatedStatements {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, query string) {
+		if d := diffReference(query); d != "" {
+			t.Fatal(d)
+		}
+	})
+}
+
+// diffReference parses input with Parse and with refParse and
+// describes the first difference, or returns "" when there is none.
+func diffReference(input string) string {
+	got, gotErr := Parse(input)
+	want, wantErr := refParse(input)
+	if !reflect.DeepEqual(gotErr, wantErr) {
+		return fmt.Sprintf("Parse(%q) error %v, reference %v", input, gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Sprintf("Parse(%q): statements differ from the reference's", input)
+	}
+	return ""
 }
 
 // generatedStatements are drawn from synth's SDSS and SQLShare
