@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -106,14 +107,125 @@ func (p *parser) expect(kind TokenKind, what string) (Token, error) {
 	return p.advance(), nil
 }
 
+// The grammar's shapes, each written once.
+
+// list parses one item, then one more after each comma.
+func (p *parser) list(item func() error) error {
+	for {
+		if err := item(); err != nil {
+			return err
+		}
+		if p.peek().Kind != TokComma {
+			return nil
+		}
+		p.advance()
+	}
+}
+
+// exprList is a list of expressions.
+func (p *parser) exprList() ([]Expr, error) {
+	var out []Expr
+	err := p.list(func() error {
+		e, err := p.parseExpr()
+		out = append(out, e)
+		return err
+	})
+	return out, err
+}
+
+// binary parses one left-associative operator level: next, then one
+// more next after each token op names an operator ("" for none),
+// folded from the left.
+func (p *parser) binary(next func() (Expr, error), op func(Token) string) (Expr, error) {
+	left, err := next()
+	if err != nil {
+		return nil, err
+	}
+	for o := op(p.peek()); o != ""; o = op(p.peek()) {
+		p.advance()
+		right, err := next()
+		if err != nil {
+			return nil, err
+		}
+		left = &BinaryExpr{Op: o, Left: left, Right: right}
+	}
+	return left, nil
+}
+
+// closeSelect parses a SELECT and the ")" closing it.
+func (p *parser) closeSelect() (*SelectStmt, error) {
+	sel, err := p.parseSelect()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(TokRParen, ")"); err != nil {
+		return nil, err
+	}
+	return sel, nil
+}
+
+// parenSelect parses "(" SELECT ")".
+func (p *parser) parenSelect() (*SelectStmt, error) {
+	if _, err := p.expect(TokLParen, "("); err != nil {
+		return nil, err
+	}
+	return p.closeSelect()
+}
+
+// atSelect reports whether the next token starts a SELECT.
+func (p *parser) atSelect() bool {
+	return p.peek().IsKeyword("SELECT") || p.peek().IsKeyword("WITH")
+}
+
+// clause parses an optional "kw expr"; it returns nil without kw.
+func (p *parser) clause(kw string) (Expr, error) {
+	if !p.acceptKeyword(kw) {
+		return nil, nil
+	}
+	return p.parseExpr()
+}
+
+// skipParens skips a parenthesized run of tokens the grammar does not
+// keep (a CTE's column list, a type's precision) when one comes next.
+func (p *parser) skipParens() error {
+	if p.peek().Kind != TokLParen {
+		return nil
+	}
+	p.advance()
+	for p.peek().Kind != TokRParen && p.peek().Kind != TokEOF {
+		p.advance()
+	}
+	_, err := p.expect(TokRParen, ")")
+	return err
+}
+
+// alias parses an optional alias: AS and the name, what naming it in
+// the error when the name is missing, or a bare identifier that is not
+// a clause keyword.
+func (p *parser) alias(what string) (string, error) {
+	if p.acceptKeyword("AS") {
+		tok, err := p.expect(TokIdent, what)
+		return tok.Text, err
+	}
+	if p.peek().Kind == TokIdent && !isClauseKeyword(p.peek().Upper()) {
+		return p.advance().Text, nil
+	}
+	return "", nil
+}
+
 func (p *parser) atStatementStart() bool {
 	t := p.peek()
 	if t.Kind != TokIdent {
 		return false
 	}
-	switch t.Upper() {
+	u := t.Upper()
+	return u == "WITH" || isStatementVerb(u)
+}
+
+func isStatementVerb(upper string) bool {
+	switch upper {
 	case "SELECT", "INSERT", "UPDATE", "DELETE", "CREATE", "DROP", "ALTER",
-		"EXEC", "EXECUTE", "TRUNCATE", "WITH":
+		"EXEC", "EXECUTE", "TRUNCATE":
 		return true
 	}
 	return false
@@ -121,12 +233,12 @@ func (p *parser) atStatementStart() bool {
 
 func (p *parser) parseStatement() (Statement, error) {
 	t := p.peek()
-	if t.Kind != TokIdent && t.Kind != TokLParen {
-		return nil, p.errorf("expected statement, found %q", t.Text)
-	}
 	if t.Kind == TokLParen {
 		// Parenthesized SELECT at statement level.
 		return p.parseSelect()
+	}
+	if t.Kind != TokIdent {
+		return nil, p.errorf("expected statement, found %q", t.Text)
 	}
 	switch t.Upper() {
 	case "SELECT", "WITH":
@@ -136,13 +248,39 @@ func (p *parser) parseStatement() (Statement, error) {
 	case "UPDATE":
 		return p.parseUpdate()
 	case "DELETE":
-		return p.parseDelete()
+		p.advance()
+		p.acceptKeyword("FROM")
+		table, err := p.parseTableName()
+		if err != nil {
+			return nil, err
+		}
+		del := &DeleteStmt{Table: table}
+		if del.Where, err = p.clause("WHERE"); err != nil {
+			return nil, err
+		}
+		return del, nil
 	case "CREATE":
-		return p.parseCreate()
+		what, name, err := p.ddlTarget("CREATE", "TABLE", "VIEW", "INDEX", "FUNCTION", "PROCEDURE", "UNIQUE", "CLUSTERED")
+		if err != nil {
+			return nil, err
+		}
+		// Consume the remainder of the definition without validation:
+		// the workload treats DDL bodies opaquely.
+		p.skipBalancedToEnd()
+		return &CreateStmt{What: what, Name: name}, nil
 	case "DROP":
-		return p.parseDrop()
+		what, name, err := p.ddlTarget("DROP", "TABLE", "VIEW", "INDEX", "FUNCTION", "PROCEDURE")
+		if err != nil {
+			return nil, err
+		}
+		return &DropStmt{What: what, Name: name}, nil
 	case "ALTER":
-		return p.parseAlter()
+		what, name, err := p.ddlTarget("ALTER", "TABLE", "VIEW", "INDEX")
+		if err != nil {
+			return nil, err
+		}
+		p.skipBalancedToEnd()
+		return &AlterStmt{What: what, Name: name}, nil
 	case "EXEC", "EXECUTE":
 		return p.parseExec()
 	case "TRUNCATE":
@@ -168,36 +306,22 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	}
 	if p.acceptKeyword("WITH") {
 		// WITH name [ (cols) ] AS ( select ) [, ...] select
-		for {
+		if err := p.list(func() error {
 			if _, err := p.expect(TokIdent, "CTE name"); err != nil {
-				return nil, err
+				return err
 			}
-			if p.peek().Kind == TokLParen && !p.peek2().IsKeyword("SELECT") {
-				// column list
-				p.advance()
-				for p.peek().Kind != TokRParen && p.peek().Kind != TokEOF {
-					p.advance()
-				}
-				if _, err := p.expect(TokRParen, ")"); err != nil {
-					return nil, err
+			if !p.peek2().IsKeyword("SELECT") {
+				if err := p.skipParens(); err != nil {
+					return err
 				}
 			}
 			if err := p.expectKeyword("AS"); err != nil {
-				return nil, err
+				return err
 			}
-			if _, err := p.expect(TokLParen, "("); err != nil {
-				return nil, err
-			}
-			if _, err := p.parseSelect(); err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TokRParen, ")"); err != nil {
-				return nil, err
-			}
-			if p.peek().Kind != TokComma {
-				break
-			}
-			p.advance()
+			_, err := p.parenSelect()
+			return err
+		}); err != nil {
+			return nil, err
 		}
 	}
 	sel, err := p.parseSelectCore()
@@ -209,17 +333,14 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	for {
 		var op string
 		switch {
-		case p.peek().IsKeyword("UNION"):
-			p.advance()
+		case p.acceptKeyword("UNION"):
 			op = "UNION"
 			if p.acceptKeyword("ALL") {
 				op = "UNION ALL"
 			}
-		case p.peek().IsKeyword("INTERSECT"):
-			p.advance()
+		case p.acceptKeyword("INTERSECT"):
 			op = "INTERSECT"
-		case p.peek().IsKeyword("EXCEPT"):
-			p.advance()
+		case p.acceptKeyword("EXCEPT"):
 			op = "EXCEPT"
 		default:
 			return sel, nil
@@ -236,15 +357,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 
 func (p *parser) parseSelectCore() (*SelectStmt, error) {
 	if p.peek().Kind == TokLParen {
-		p.advance()
-		sel, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokRParen, ")"); err != nil {
-			return nil, err
-		}
-		return sel, nil
+		return p.parenSelect()
 	}
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err
@@ -255,41 +368,33 @@ func (p *parser) parseSelectCore() (*SelectStmt, error) {
 	} else {
 		p.acceptKeyword("ALL")
 	}
-	if p.peek().IsKeyword("TOP") {
-		p.advance()
+	if p.acceptKeyword("TOP") {
 		top := &TopClause{}
 		switch p.peek().Kind {
 		case TokNumber:
 			top.Count = parseNumber(p.advance().Text)
 		case TokLParen:
 			p.advance()
-			if n, err := p.expect(TokNumber, "TOP count"); err == nil {
-				top.Count = parseNumber(n.Text)
-			} else {
+			n, err := p.expect(TokNumber, "TOP count")
+			if err != nil {
 				return nil, err
 			}
+			top.Count = parseNumber(n.Text)
 			if _, err := p.expect(TokRParen, ")"); err != nil {
 				return nil, err
 			}
 		default:
 			return nil, p.errorf("expected TOP count, found %q", p.peek().Text)
 		}
-		if p.acceptKeyword("PERCENT") {
-			top.Percent = true
-		}
+		top.Percent = p.acceptKeyword("PERCENT")
 		sel.Top = top
 	}
-	// Select list.
-	for {
+	if err := p.list(func() error {
 		item, err := p.parseSelectItem()
-		if err != nil {
-			return nil, err
-		}
 		sel.Columns = append(sel.Columns, item)
-		if p.peek().Kind != TokComma {
-			break
-		}
-		p.advance()
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	// INTO (SDSS CasJobs: SELECT ... INTO mydb.table FROM ...).
 	if p.acceptKeyword("INTO") {
@@ -300,79 +405,55 @@ func (p *parser) parseSelectCore() (*SelectStmt, error) {
 		sel.Into = strings.Join(name.Parts, ".")
 	}
 	if p.acceptKeyword("FROM") {
-		for {
+		if err := p.list(func() error {
 			ref, err := p.parseTableRef()
-			if err != nil {
-				return nil, err
-			}
 			sel.From = append(sel.From, ref)
-			if p.peek().Kind != TokComma {
-				break
-			}
-			p.advance()
-		}
-	}
-	if p.acceptKeyword("WHERE") {
-		expr, err := p.parseExpr()
-		if err != nil {
+			return err
+		}); err != nil {
 			return nil, err
 		}
-		sel.Where = expr
 	}
-	if p.peek().IsKeyword("GROUP") {
-		p.advance()
+	var err error
+	if sel.Where, err = p.clause("WHERE"); err != nil {
+		return nil, err
+	}
+	if p.acceptKeyword("GROUP") {
 		if err := p.expectKeyword("BY"); err != nil {
 			return nil, err
 		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			sel.GroupBy = append(sel.GroupBy, e)
-			if p.peek().Kind != TokComma {
-				break
-			}
-			p.advance()
-		}
-	}
-	if p.acceptKeyword("HAVING") {
-		expr, err := p.parseExpr()
-		if err != nil {
+		if sel.GroupBy, err = p.exprList(); err != nil {
 			return nil, err
 		}
-		sel.Having = expr
 	}
-	if p.peek().IsKeyword("ORDER") {
-		p.advance()
+	if sel.Having, err = p.clause("HAVING"); err != nil {
+		return nil, err
+	}
+	if p.acceptKeyword("ORDER") {
 		if err := p.expectKeyword("BY"); err != nil {
 			return nil, err
 		}
-		for {
+		if err := p.list(func() error {
 			e, err := p.parseExpr()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			item := OrderItem{Expr: e}
-			if p.acceptKeyword("DESC") {
-				item.Desc = true
-			} else {
+			item := OrderItem{Expr: e, Desc: p.acceptKeyword("DESC")}
+			if !item.Desc {
 				p.acceptKeyword("ASC")
 			}
 			sel.OrderBy = append(sel.OrderBy, item)
-			if p.peek().Kind != TokComma {
-				break
-			}
-			p.advance()
+			return nil
+		}); err != nil {
+			return nil, err
 		}
 	}
 	// LIMIT n (SQLShare runs on engines accepting LIMIT).
 	if p.acceptKeyword("LIMIT") {
-		if n, err := p.expect(TokNumber, "LIMIT count"); err == nil {
-			sel.Top = &TopClause{Count: parseNumber(n.Text)}
-		} else {
+		n, err := p.expect(TokNumber, "LIMIT count")
+		if err != nil {
 			return nil, err
 		}
+		sel.Top = &TopClause{Count: parseNumber(n.Text)}
 		if p.acceptKeyword("OFFSET") {
 			if _, err := p.expect(TokNumber, "OFFSET count"); err != nil {
 				return nil, err
@@ -402,17 +483,11 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 	if err != nil {
 		return SelectItem{}, err
 	}
-	item := SelectItem{Expr: expr}
-	if p.acceptKeyword("AS") {
-		tok, err := p.expect(TokIdent, "alias")
-		if err != nil {
-			return SelectItem{}, err
-		}
-		item.Alias = tok.Text
-	} else if p.peek().Kind == TokIdent && !isClauseKeyword(p.peek().Upper()) {
-		item.Alias = p.advance().Text
+	alias, err := p.alias("alias")
+	if err != nil {
+		return SelectItem{}, err
 	}
-	return item, nil
+	return SelectItem{Expr: expr, Alias: alias}, nil
 }
 
 func isClauseKeyword(upper string) bool {
@@ -421,15 +496,34 @@ func isClauseKeyword(upper string) bool {
 		"EXCEPT", "INTO", "ON", "AND", "OR", "NOT", "AS", "JOIN", "INNER",
 		"LEFT", "RIGHT", "FULL", "OUTER", "CROSS", "WHEN", "THEN", "ELSE",
 		"END", "ASC", "DESC", "LIMIT", "OFFSET", "BETWEEN", "IN", "LIKE",
-		"IS", "NULL", "EXISTS", "TOP", "PERCENT", "SET", "VALUES", "BY",
-		// Statement verbs: SDSS logs concatenate statements without
-		// separators, so a verb after a table name starts a new
-		// statement rather than aliasing the table.
-		"SELECT", "INSERT", "UPDATE", "DELETE", "CREATE", "DROP", "ALTER",
-		"EXEC", "EXECUTE", "TRUNCATE":
+		"IS", "NULL", "EXISTS", "TOP", "PERCENT", "SET", "VALUES", "BY":
 		return true
 	}
-	return false
+	// Statement verbs: SDSS logs concatenate statements without
+	// separators, so a verb after a table name starts a new statement
+	// rather than aliasing the table.
+	return isStatementVerb(upper)
+}
+
+// joinKeywords open a join, each naming its type; OUTER may follow all
+// but the first two.
+var joinKeywords = [...]string{"INNER", "CROSS", "LEFT", "RIGHT", "FULL"}
+
+// joinType reads a join's type keywords, stopping before JOIN: a bare
+// JOIN is INNER, and "" means no join follows.
+func (p *parser) joinType() string {
+	for i, kw := range joinKeywords {
+		if p.acceptKeyword(kw) {
+			if i >= 2 {
+				p.acceptKeyword("OUTER")
+			}
+			return kw
+		}
+	}
+	if p.peek().IsKeyword("JOIN") {
+		return "INNER"
+	}
+	return ""
 }
 
 func (p *parser) parseTableRef() (TableRef, error) {
@@ -438,33 +532,9 @@ func (p *parser) parseTableRef() (TableRef, error) {
 		return nil, err
 	}
 	for {
-		joinType := ""
 		save := p.pos
-		switch {
-		case p.peek().IsKeyword("INNER"):
-			p.advance()
-			joinType = "INNER"
-		case p.peek().IsKeyword("LEFT"):
-			p.advance()
-			p.acceptKeyword("OUTER")
-			joinType = "LEFT"
-		case p.peek().IsKeyword("RIGHT"):
-			p.advance()
-			p.acceptKeyword("OUTER")
-			joinType = "RIGHT"
-		case p.peek().IsKeyword("FULL"):
-			p.advance()
-			p.acceptKeyword("OUTER")
-			joinType = "FULL"
-		case p.peek().IsKeyword("CROSS"):
-			p.advance()
-			joinType = "CROSS"
-		case p.peek().IsKeyword("JOIN"):
-			joinType = "INNER"
-		default:
-			return left, nil
-		}
-		if !p.acceptKeyword("JOIN") {
+		typ := p.joinType()
+		if typ == "" || !p.acceptKeyword("JOIN") {
 			p.pos = save
 			return left, nil
 		}
@@ -472,16 +542,14 @@ func (p *parser) parseTableRef() (TableRef, error) {
 		if err != nil {
 			return nil, err
 		}
-		join := &JoinRef{Left: left, Right: right, Type: joinType}
-		if joinType != "CROSS" {
+		join := &JoinRef{Left: left, Right: right, Type: typ}
+		if typ != "CROSS" {
 			if err := p.expectKeyword("ON"); err != nil {
 				return nil, err
 			}
-			cond, err := p.parseExpr()
-			if err != nil {
+			if join.On, err = p.parseExpr(); err != nil {
 				return nil, err
 			}
-			join.On = cond
 		}
 		left = join
 	}
@@ -489,12 +557,8 @@ func (p *parser) parseTableRef() (TableRef, error) {
 
 func (p *parser) parsePrimaryTableRef() (TableRef, error) {
 	if p.peek().Kind == TokLParen {
-		p.advance()
-		sel, err := p.parseSelect()
+		sel, err := p.parenSelect()
 		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokRParen, ")"); err != nil {
 			return nil, err
 		}
 		ref := &SubqueryRef{Select: sel}
@@ -508,14 +572,8 @@ func (p *parser) parsePrimaryTableRef() (TableRef, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.acceptKeyword("AS") {
-		tok, err := p.expect(TokIdent, "table alias")
-		if err != nil {
-			return nil, err
-		}
-		name.Alias = tok.Text
-	} else if p.peek().Kind == TokIdent && !isClauseKeyword(p.peek().Upper()) {
-		name.Alias = p.advance().Text
+	if name.Alias, err = p.alias("table alias"); err != nil {
+		return nil, err
 	}
 	return name, nil
 }
@@ -552,36 +610,18 @@ func (p *parser) parseExpr() (Expr, error) {
 	return p.parseOr()
 }
 
-func (p *parser) parseOr() (Expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.peek().IsKeyword("OR") {
-		p.advance()
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{Op: "OR", Left: left, Right: right}
-	}
-	return left, nil
-}
+func (p *parser) parseOr() (Expr, error) { return p.binary(p.parseAnd, orOp) }
 
-func (p *parser) parseAnd() (Expr, error) {
-	left, err := p.parseNot()
-	if err != nil {
-		return nil, err
+func (p *parser) parseAnd() (Expr, error) { return p.binary(p.parseNot, andOp) }
+
+func orOp(t Token) string  { return keywordOp(t, "OR") }
+func andOp(t Token) string { return keywordOp(t, "AND") }
+
+func keywordOp(t Token, kw string) string {
+	if t.IsKeyword(kw) {
+		return kw
 	}
-	for p.peek().IsKeyword("AND") {
-		p.advance()
-		right, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{Op: "AND", Left: left, Right: right}
-	}
-	return left, nil
+	return ""
 }
 
 func (p *parser) parseNot() (Expr, error) {
@@ -614,8 +654,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 			return nil, err
 		}
 		return &BinaryExpr{Op: op, Left: left, Right: right}, nil
-	case p.peek().IsKeyword("BETWEEN"):
-		p.advance()
+	case p.acceptKeyword("BETWEEN"):
 		lo, err := p.parseAdditive()
 		if err != nil {
 			return nil, err
@@ -628,37 +667,21 @@ func (p *parser) parsePredicate() (Expr, error) {
 			return nil, err
 		}
 		return &BetweenExpr{Expr: left, Lo: lo, Hi: hi, Not: not}, nil
-	case p.peek().IsKeyword("IN"):
-		p.advance()
+	case p.acceptKeyword("IN"):
 		if _, err := p.expect(TokLParen, "("); err != nil {
 			return nil, err
 		}
 		in := &InExpr{Expr: left, Not: not}
-		if p.peek().IsKeyword("SELECT") || p.peek().IsKeyword("WITH") {
-			sub, err := p.parseSelect()
-			if err != nil {
-				return nil, err
-			}
-			in.Subquery = sub
-		} else {
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				in.List = append(in.List, e)
-				if p.peek().Kind != TokComma {
-					break
-				}
-				p.advance()
-			}
+		if p.atSelect() {
+			in.Subquery, err = p.closeSelect()
+		} else if in.List, err = p.exprList(); err == nil {
+			_, err = p.expect(TokRParen, ")")
 		}
-		if _, err := p.expect(TokRParen, ")"); err != nil {
+		if err != nil {
 			return nil, err
 		}
 		return in, nil
-	case p.peek().IsKeyword("LIKE"):
-		p.advance()
+	case p.acceptKeyword("LIKE"):
 		right, err := p.parseAdditive()
 		if err != nil {
 			return nil, err
@@ -668,15 +691,13 @@ func (p *parser) parsePredicate() (Expr, error) {
 			e = &UnaryExpr{Op: "NOT", Expr: e}
 		}
 		return e, nil
-	case p.peek().IsKeyword("IS"):
-		p.advance()
-		isNot := p.acceptKeyword("NOT")
+	case p.acceptKeyword("IS"):
+		op := "IS NULL"
+		if p.acceptKeyword("NOT") {
+			op = "IS NOT NULL"
+		}
 		if err := p.expectKeyword("NULL"); err != nil {
 			return nil, err
-		}
-		op := "IS NULL"
-		if isNot {
-			op = "IS NOT NULL"
 		}
 		return &UnaryExpr{Op: op, Expr: left}, nil
 	}
@@ -691,45 +712,25 @@ func isComparison(op string) bool {
 	return false
 }
 
-func (p *parser) parseAdditive() (Expr, error) {
-	left, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for p.peek().Kind == TokOperator && isAdditiveOp(p.peek().Text) {
-		op := p.advance().Text
-		right, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
+func (p *parser) parseAdditive() (Expr, error) { return p.binary(p.parseMultiplicative, additiveOp) }
+
+func (p *parser) parseMultiplicative() (Expr, error) { return p.binary(p.parseUnary, multiplicativeOp) }
+
+func additiveOp(t Token) string {
+	if t.Kind == TokOperator {
+		switch t.Text {
+		case "+", "-", "&", "|", "^", "||":
+			return t.Text
 		}
-		left = &BinaryExpr{Op: op, Left: left, Right: right}
 	}
-	return left, nil
+	return ""
 }
 
-func isAdditiveOp(op string) bool {
-	switch op {
-	case "+", "-", "&", "|", "^", "||":
-		return true
+func multiplicativeOp(t Token) string {
+	if t.Kind == TokStar || t.Kind == TokOperator && (t.Text == "/" || t.Text == "%") {
+		return t.Text
 	}
-	return false
-}
-
-func (p *parser) parseMultiplicative() (Expr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for (p.peek().Kind == TokStar) ||
-		(p.peek().Kind == TokOperator && (p.peek().Text == "/" || p.peek().Text == "%")) {
-		op := p.advance().Text
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{Op: op, Left: left, Right: right}
-	}
-	return left, nil
+	return ""
 }
 
 func (p *parser) parseUnary() (Expr, error) {
@@ -761,12 +762,9 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return &StarExpr{}, nil
 	case TokLParen:
 		p.advance()
-		if p.peek().IsKeyword("SELECT") || p.peek().IsKeyword("WITH") {
-			sel, err := p.parseSelect()
+		if p.atSelect() {
+			sel, err := p.closeSelect()
 			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TokRParen, ")"); err != nil {
 				return nil, err
 			}
 			return &SubqueryExpr{Select: sel}, nil
@@ -790,14 +788,8 @@ func (p *parser) parsePrimary() (Expr, error) {
 			return p.parseCast()
 		case "EXISTS":
 			p.advance()
-			if _, err := p.expect(TokLParen, "("); err != nil {
-				return nil, err
-			}
-			sel, err := p.parseSelect()
+			sel, err := p.parenSelect()
 			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TokRParen, ")"); err != nil {
 				return nil, err
 			}
 			return &ExistsExpr{Subquery: sel}, nil
@@ -835,12 +827,9 @@ func (p *parser) parseCase() (Expr, error) {
 	if len(c.Whens) == 0 {
 		return nil, p.errorf("CASE without WHEN")
 	}
-	if p.acceptKeyword("ELSE") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		c.Else = e
+	var err error
+	if c.Else, err = p.clause("ELSE"); err != nil {
+		return nil, err
 	}
 	if err := p.expectKeyword("END"); err != nil {
 		return nil, err
@@ -861,24 +850,17 @@ func (p *parser) parseCast() (Expr, error) {
 		return nil, err
 	}
 	// Type name: ident possibly with (n) or (n, m).
-	tok, err := p.expect(TokIdent, "type name")
+	typ, err := p.expect(TokIdent, "type name")
 	if err != nil {
 		return nil, err
 	}
-	typ := tok.Text
-	if p.peek().Kind == TokLParen {
-		p.advance()
-		for p.peek().Kind != TokRParen && p.peek().Kind != TokEOF {
-			p.advance()
-		}
-		if _, err := p.expect(TokRParen, ")"); err != nil {
-			return nil, err
-		}
+	if err := p.skipParens(); err != nil {
+		return nil, err
 	}
 	if _, err := p.expect(TokRParen, ")"); err != nil {
 		return nil, err
 	}
-	return &CastExpr{Expr: inner, Type: typ}, nil
+	return &CastExpr{Expr: inner, Type: typ.Text}, nil
 }
 
 // parseNameOrCall parses a possibly qualified identifier which may be a
@@ -906,37 +888,27 @@ func (p *parser) parseNameOrCall() (Expr, error) {
 		}
 		parts = append(parts, tok.Text)
 	}
-	if p.peek().Kind == TokLParen {
+	if p.peek().Kind != TokLParen {
+		return &ColumnRef{Parts: parts}, nil
+	}
+	p.advance()
+	call := &FuncCall{
+		Name:     strings.Join(parts, "."),
+		BareName: parts[len(parts)-1],
+		Distinct: p.acceptKeyword("DISTINCT"),
+	}
+	if p.peek().Kind == TokStar {
 		p.advance()
-		call := &FuncCall{
-			Name:     strings.Join(parts, "."),
-			BareName: parts[len(parts)-1],
-		}
-		if p.acceptKeyword("DISTINCT") {
-			call.Distinct = true
-		}
-		if p.peek().Kind == TokStar {
-			p.advance()
-			call.Star = true
-		} else if p.peek().Kind != TokRParen {
-			for {
-				arg, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				call.Args = append(call.Args, arg)
-				if p.peek().Kind != TokComma {
-					break
-				}
-				p.advance()
-			}
-		}
-		if _, err := p.expect(TokRParen, ")"); err != nil {
+		call.Star = true
+	} else if p.peek().Kind != TokRParen {
+		if call.Args, err = p.exprList(); err != nil {
 			return nil, err
 		}
-		return call, nil
 	}
-	return &ColumnRef{Parts: parts}, nil
+	if _, err := p.expect(TokRParen, ")"); err != nil {
+		return nil, err
+	}
+	return call, nil
 }
 
 func parseNumber(text string) float64 {
@@ -966,54 +938,40 @@ func (p *parser) parseInsert() (Statement, error) {
 	ins := &InsertStmt{Table: table}
 	if p.peek().Kind == TokLParen && !p.peek2().IsKeyword("SELECT") {
 		p.advance()
-		for {
+		if err := p.list(func() error {
 			tok, err := p.expect(TokIdent, "column name")
-			if err != nil {
-				return nil, err
-			}
 			ins.Columns = append(ins.Columns, tok.Text)
-			if p.peek().Kind != TokComma {
-				break
-			}
-			p.advance()
+			return err
+		}); err != nil {
+			return nil, err
 		}
 		if _, err := p.expect(TokRParen, ")"); err != nil {
 			return nil, err
 		}
 	}
 	switch {
-	case p.peek().IsKeyword("VALUES"):
-		p.advance()
-		for {
+	case p.acceptKeyword("VALUES"):
+		err = p.list(func() error {
 			if _, err := p.expect(TokLParen, "("); err != nil {
-				return nil, err
+				return err
 			}
-			for {
-				if _, err := p.parseExpr(); err != nil {
-					return nil, err
-				}
-				if p.peek().Kind != TokComma {
-					break
-				}
-				p.advance()
-			}
-			if _, err := p.expect(TokRParen, ")"); err != nil {
-				return nil, err
+			if err := p.list(func() error {
+				_, err := p.parseExpr()
+				return err
+			}); err != nil {
+				return err
 			}
 			ins.Rows++
-			if p.peek().Kind != TokComma {
-				break
-			}
-			p.advance()
-		}
+			_, err := p.expect(TokRParen, ")")
+			return err
+		})
 	case p.peek().IsKeyword("SELECT") || p.peek().Kind == TokLParen:
-		sel, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		ins.Select = sel
+		ins.Select, err = p.parseSelect()
 	default:
-		return nil, p.errorf("expected VALUES or SELECT, found %q", p.peek().Text)
+		err = p.errorf("expected VALUES or SELECT, found %q", p.peek().Text)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return ins, nil
 }
@@ -1028,107 +986,43 @@ func (p *parser) parseUpdate() (Statement, error) {
 	if err := p.expectKeyword("SET"); err != nil {
 		return nil, err
 	}
-	for {
+	if err := p.list(func() error {
 		col, err := p.parseTableName() // reuse dotted-name parsing
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if p.peek().Kind != TokOperator || p.peek().Text != "=" {
-			return nil, p.errorf("expected = in SET, found %q", p.peek().Text)
+			return p.errorf("expected = in SET, found %q", p.peek().Text)
 		}
 		p.advance()
 		val, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
 		upd.Sets = append(upd.Sets, SetClause{Column: strings.Join(col.Parts, "."), Value: val})
-		if p.peek().Kind != TokComma {
-			break
-		}
-		p.advance()
+		return err
+	}); err != nil {
+		return nil, err
 	}
-	if p.acceptKeyword("WHERE") {
-		w, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		upd.Where = w
+	if upd.Where, err = p.clause("WHERE"); err != nil {
+		return nil, err
 	}
 	return upd, nil
 }
 
-func (p *parser) parseDelete() (Statement, error) {
-	p.advance() // DELETE
-	p.acceptKeyword("FROM")
-	table, err := p.parseTableName()
-	if err != nil {
-		return nil, err
-	}
-	del := &DeleteStmt{Table: table}
-	if p.acceptKeyword("WHERE") {
-		w, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		del.Where = w
-	}
-	return del, nil
-}
-
-func (p *parser) parseCreate() (Statement, error) {
-	p.advance() // CREATE
+// ddlTarget reads what the DDL verb (CREATE, DROP or ALTER) acts on:
+// an object kind among kinds (UNIQUE or CLUSTERED, then an optional
+// INDEX, make an INDEX) and the object's name.
+func (p *parser) ddlTarget(verb string, kinds ...string) (string, *TableName, error) {
+	p.advance() // the verb
 	what := p.peek().Upper()
-	switch what {
-	case "TABLE", "VIEW", "INDEX", "FUNCTION", "PROCEDURE", "UNIQUE", "CLUSTERED":
-		p.advance()
-		if what == "UNIQUE" || what == "CLUSTERED" {
-			p.acceptKeyword("INDEX")
-			what = "INDEX"
-		}
-	default:
-		return nil, p.errorf("unsupported CREATE %q", p.peek().Text)
+	if !slices.Contains(kinds, what) {
+		return "", nil, p.errorf("unsupported %s %q", verb, p.peek().Text)
+	}
+	p.advance()
+	if what == "UNIQUE" || what == "CLUSTERED" {
+		p.acceptKeyword("INDEX")
+		what = "INDEX"
 	}
 	name, err := p.parseTableName()
-	if err != nil {
-		return nil, err
-	}
-	// Consume the remainder of the definition without validation: the
-	// workload treats DDL bodies opaquely.
-	p.skipBalancedToEnd()
-	return &CreateStmt{What: what, Name: name}, nil
-}
-
-func (p *parser) parseDrop() (Statement, error) {
-	p.advance() // DROP
-	what := p.peek().Upper()
-	switch what {
-	case "TABLE", "VIEW", "INDEX", "FUNCTION", "PROCEDURE":
-		p.advance()
-	default:
-		return nil, p.errorf("unsupported DROP %q", p.peek().Text)
-	}
-	name, err := p.parseTableName()
-	if err != nil {
-		return nil, err
-	}
-	return &DropStmt{What: what, Name: name}, nil
-}
-
-func (p *parser) parseAlter() (Statement, error) {
-	p.advance() // ALTER
-	what := p.peek().Upper()
-	switch what {
-	case "TABLE", "VIEW", "INDEX":
-		p.advance()
-	default:
-		return nil, p.errorf("unsupported ALTER %q", p.peek().Text)
-	}
-	name, err := p.parseTableName()
-	if err != nil {
-		return nil, err
-	}
-	p.skipBalancedToEnd()
-	return &AlterStmt{What: what, Name: name}, nil
+	return what, name, err
 }
 
 func (p *parser) parseExec() (Statement, error) {
@@ -1138,6 +1032,7 @@ func (p *parser) parseExec() (Statement, error) {
 		return nil, err
 	}
 	ex := &ExecStmt{Proc: strings.Join(proc.Parts, ".")}
+	// Not list: EXEC may take no arguments and may end in a comma.
 	for p.peek().Kind != TokEOF && p.peek().Kind != TokSemicolon {
 		arg, err := p.parseExpr()
 		if err != nil {
