@@ -8,10 +8,7 @@ import (
 
 func mustExpr(t *testing.T, src string) sqlparse.Expr {
 	t.Helper()
-	stmt, err := sqlparse.ParseOne("SELECT 1 FROM PhotoObj WHERE " + src)
-	if err != nil {
-		t.Fatalf("parse %q: %v", src, err)
-	}
+	stmt := mustParse(t, "SELECT 1 FROM PhotoObj WHERE "+src)
 	return stmt.(*sqlparse.SelectStmt).Where
 }
 
@@ -161,11 +158,7 @@ func TestIndexSeekDetection(t *testing.T) {
 func TestJoinSelectivityUsesKeyDistinct(t *testing.T) {
 	cat := NewSDSSCatalog()
 	est := &estimator{cat: cat}
-	stmt, err := sqlparse.ParseOne(
-		"SELECT 1 FROM SpecObj AS s, PhotoObj AS p WHERE s.bestobjid = p.objid")
-	if err != nil {
-		t.Fatal(err)
-	}
+	stmt := mustParse(t, "SELECT 1 FROM SpecObj AS s, PhotoObj AS p WHERE s.bestobjid = p.objid")
 	sel := stmt.(*sqlparse.SelectStmt)
 	p := est.estimateSelect(sel, nil)
 	spec := float64(cat.Table("SpecObj").Rows)
@@ -182,7 +175,7 @@ func TestJoinSelectivityUsesKeyDistinct(t *testing.T) {
 func TestScalarAggregateOneRow(t *testing.T) {
 	cat := NewSDSSCatalog()
 	est := &estimator{cat: cat}
-	stmt, _ := sqlparse.ParseOne("SELECT COUNT(*) FROM Galaxy WHERE r < 22")
+	stmt := mustParse(t, "SELECT COUNT(*) FROM Galaxy WHERE r < 22")
 	p := est.estimateSelect(stmt.(*sqlparse.SelectStmt), nil)
 	if p.Rows != 1 {
 		t.Fatalf("scalar aggregate rows = %v, want 1", p.Rows)
@@ -192,7 +185,7 @@ func TestScalarAggregateOneRow(t *testing.T) {
 func TestGroupByCapsAtDistinct(t *testing.T) {
 	cat := NewSDSSCatalog()
 	est := &estimator{cat: cat}
-	stmt, _ := sqlparse.ParseOne("SELECT camcol, count(*) FROM PhotoObj GROUP BY camcol")
+	stmt := mustParse(t, "SELECT camcol, count(*) FROM PhotoObj GROUP BY camcol")
 	p := est.estimateSelect(stmt.(*sqlparse.SelectStmt), nil)
 	if p.Rows != 6 {
 		t.Fatalf("group count = %v, want 6 (camcol distinct)", p.Rows)
@@ -202,7 +195,7 @@ func TestGroupByCapsAtDistinct(t *testing.T) {
 func TestTopCapsRows(t *testing.T) {
 	cat := NewSDSSCatalog()
 	est := &estimator{cat: cat}
-	stmt, _ := sqlparse.ParseOne("SELECT TOP 10 objid FROM PhotoObj")
+	stmt := mustParse(t, "SELECT TOP 10 objid FROM PhotoObj")
 	p := est.estimateSelect(stmt.(*sqlparse.SelectStmt), nil)
 	if p.Rows != 10 {
 		t.Fatalf("TOP rows = %v, want 10", p.Rows)
@@ -212,7 +205,7 @@ func TestTopCapsRows(t *testing.T) {
 func TestUnionAllAdds(t *testing.T) {
 	cat := NewSDSSCatalog()
 	est := &estimator{cat: cat}
-	stmt, _ := sqlparse.ParseOne("SELECT TOP 10 objid FROM PhotoObj UNION ALL SELECT TOP 20 objid FROM Galaxy")
+	stmt := mustParse(t, "SELECT TOP 10 objid FROM PhotoObj UNION ALL SELECT TOP 20 objid FROM Galaxy")
 	p := est.estimateSelect(stmt.(*sqlparse.SelectStmt), nil)
 	if p.Rows != 30 {
 		t.Fatalf("UNION ALL rows = %v, want 30", p.Rows)

@@ -12,6 +12,16 @@ import (
 
 func sdssEngine() *Engine { return NewEngine(NewSDSSCatalog()) }
 
+// mustParse returns the first statement of q, which must parse.
+func mustParse(t *testing.T, q string) sqlparse.Statement {
+	t.Helper()
+	stmts, err := sqlparse.Parse(q)
+	if err != nil {
+		t.Fatalf("parse %q: %v", q, err)
+	}
+	return stmts[0]
+}
+
 func TestCatalogLookupCaseInsensitive(t *testing.T) {
 	c := NewSDSSCatalog()
 	if c.Table("photoobj") == nil || c.Table("PHOTOOBJ") == nil {
@@ -35,10 +45,7 @@ func TestColumnLookup(t *testing.T) {
 
 func TestAnalyzeValidQuery(t *testing.T) {
 	c := NewSDSSCatalog()
-	stmt, err := sqlparse.ParseOne("SELECT ra, dec FROM PhotoObj WHERE type = 6")
-	if err != nil {
-		t.Fatal(err)
-	}
+	stmt := mustParse(t, "SELECT ra, dec FROM PhotoObj WHERE type = 6")
 	if err := c.Analyze(stmt); err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -46,7 +53,7 @@ func TestAnalyzeValidQuery(t *testing.T) {
 
 func TestAnalyzeUnknownTable(t *testing.T) {
 	c := NewSDSSCatalog()
-	stmt, _ := sqlparse.ParseOne("SELECT x FROM NoSuchTable")
+	stmt := mustParse(t, "SELECT x FROM NoSuchTable")
 	err := c.Analyze(stmt)
 	se, ok := err.(*SemanticError)
 	if !ok || se.Kind != "table" {
@@ -56,7 +63,7 @@ func TestAnalyzeUnknownTable(t *testing.T) {
 
 func TestAnalyzeUnknownColumn(t *testing.T) {
 	c := NewSDSSCatalog()
-	stmt, _ := sqlparse.ParseOne("SELECT bogus_col FROM PhotoObj")
+	stmt := mustParse(t, "SELECT bogus_col FROM PhotoObj")
 	err := c.Analyze(stmt)
 	se, ok := err.(*SemanticError)
 	if !ok || se.Kind != "column" {
@@ -66,7 +73,7 @@ func TestAnalyzeUnknownColumn(t *testing.T) {
 
 func TestAnalyzeUnknownFunction(t *testing.T) {
 	c := NewSDSSCatalog()
-	stmt, _ := sqlparse.ParseOne("SELECT dbo.fNoSuchFunc(ra) FROM PhotoObj")
+	stmt := mustParse(t, "SELECT dbo.fNoSuchFunc(ra) FROM PhotoObj")
 	err := c.Analyze(stmt)
 	se, ok := err.(*SemanticError)
 	if !ok || se.Kind != "function" {
@@ -76,12 +83,12 @@ func TestAnalyzeUnknownFunction(t *testing.T) {
 
 func TestAnalyzeAliasResolution(t *testing.T) {
 	c := NewSDSSCatalog()
-	stmt, _ := sqlparse.ParseOne("SELECT p.ra FROM PhotoObj AS p WHERE p.type = 6")
+	stmt := mustParse(t, "SELECT p.ra FROM PhotoObj AS p WHERE p.type = 6")
 	if err := c.Analyze(stmt); err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
 	// Wrong alias must fail.
-	stmt2, _ := sqlparse.ParseOne("SELECT q.ra FROM PhotoObj AS p")
+	stmt2 := mustParse(t, "SELECT q.ra FROM PhotoObj AS p")
 	if err := c.Analyze(stmt2); err == nil {
 		t.Fatal("unknown alias should fail")
 	}
@@ -91,10 +98,7 @@ func TestAnalyzeCorrelatedSubquery(t *testing.T) {
 	c := NewSDSSCatalog()
 	q := `SELECT p.ra FROM PhotoObj AS p WHERE EXISTS
 	      (SELECT 1 FROM SpecObj AS s WHERE s.bestobjid = p.objid)`
-	stmt, err := sqlparse.ParseOne(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stmt := mustParse(t, q)
 	if err := c.Analyze(stmt); err != nil {
 		t.Fatalf("correlated reference should resolve: %v", err)
 	}
@@ -103,12 +107,12 @@ func TestAnalyzeCorrelatedSubquery(t *testing.T) {
 func TestAnalyzeDerivedTable(t *testing.T) {
 	c := NewSDSSCatalog()
 	q := "SELECT b.target FROM (SELECT target FROM Servers) b"
-	stmt, _ := sqlparse.ParseOne(q)
+	stmt := mustParse(t, q)
 	if err := c.Analyze(stmt); err != nil {
 		t.Fatalf("derived column should resolve: %v", err)
 	}
 	q2 := "SELECT b.missing FROM (SELECT target FROM Servers) b"
-	stmt2, _ := sqlparse.ParseOne(q2)
+	stmt2 := mustParse(t, q2)
 	if err := c.Analyze(stmt2); err == nil {
 		t.Fatal("column not exported by derived table should fail")
 	}
@@ -117,7 +121,7 @@ func TestAnalyzeDerivedTable(t *testing.T) {
 func TestAnalyzeMyDBUserSpace(t *testing.T) {
 	c := NewSDSSCatalog()
 	q := "SELECT q.anything FROM mydb.MyTable AS q"
-	stmt, _ := sqlparse.ParseOne(q)
+	stmt := mustParse(t, q)
 	if err := c.Analyze(stmt); err != nil {
 		t.Fatalf("MyDB tables should be opaque: %v", err)
 	}
@@ -125,11 +129,11 @@ func TestAnalyzeMyDBUserSpace(t *testing.T) {
 
 func TestAnalyzeExecProcedure(t *testing.T) {
 	c := NewSDSSCatalog()
-	stmt, _ := sqlparse.ParseOne("EXEC dbo.spGetNeighbors 185.0, 62.8, 0.5")
+	stmt := mustParse(t, "EXEC dbo.spGetNeighbors 185.0, 62.8, 0.5")
 	if err := c.Analyze(stmt); err != nil {
 		t.Fatalf("known procedure: %v", err)
 	}
-	stmt2, _ := sqlparse.ParseOne("EXEC dbo.spNoSuch 1")
+	stmt2 := mustParse(t, "EXEC dbo.spNoSuch 1")
 	if err := c.Analyze(stmt2); err == nil {
 		t.Fatal("unknown procedure should fail")
 	}

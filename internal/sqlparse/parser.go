@@ -46,15 +46,6 @@ func parseTokens(toks []Token) ([]Statement, error) {
 	return stmts, nil
 }
 
-// ParseOne parses the input and returns the first statement.
-func ParseOne(input string) (Statement, error) {
-	stmts, err := Parse(input)
-	if err != nil {
-		return nil, err
-	}
-	return stmts[0], nil
-}
-
 type parser struct {
 	toks []Token
 	pos  int

@@ -1,6 +1,10 @@
 package sqlparse
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 func TestParseTopParenForm(t *testing.T) {
 	sel := mustParseSelect(t, "SELECT TOP (25) objid FROM PhotoObj")
@@ -50,6 +54,35 @@ func TestParseWithCTEColumnList(t *testing.T) {
 func TestParseMultipleCTEs(t *testing.T) {
 	q := "WITH a AS (SELECT 1), b AS (SELECT 2) SELECT * FROM a"
 	mustParseSelect(t, q)
+}
+
+// TestParseOperatorPrecedence pins how the operator levels bind: OR
+// looser than AND, comparison looser than the additive operators, those
+// looser than the multiplicative ones, each level folded from the left.
+func TestParseOperatorPrecedence(t *testing.T) {
+	sel := mustParseSelect(t, "SELECT a - b + c * d / e, f | g * h FROM t WHERE x = 1 OR y = 2 AND z = 3")
+	for i, want := range []string{"((a - b) + ((c * d) / e))", "(f | (g * h))"} {
+		if got := exprShape(sel.Columns[i].Expr); got != want {
+			t.Errorf("column %d = %s, want %s", i, got, want)
+		}
+	}
+	if got, want := exprShape(sel.Where), "((x = 1) OR ((y = 2) AND (z = 3)))"; got != want {
+		t.Errorf("where = %s, want %s", got, want)
+	}
+}
+
+// exprShape prints a tree of binary operators over names and literals,
+// each operation in parentheses.
+func exprShape(e Expr) string {
+	switch e := e.(type) {
+	case *BinaryExpr:
+		return "(" + exprShape(e.Left) + " " + e.Op + " " + exprShape(e.Right) + ")"
+	case *ColumnRef:
+		return strings.Join(e.Parts, ".")
+	case *Literal:
+		return e.Text
+	}
+	return fmt.Sprintf("%T", e)
 }
 
 func TestParseNotLike(t *testing.T) {
@@ -120,10 +153,7 @@ func TestParseDoubleDotName(t *testing.T) {
 }
 
 func TestParseCreateView(t *testing.T) {
-	stmt, err := ParseOne("CREATE VIEW v AS SELECT a FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
+	stmt := mustParse(t, "CREATE VIEW v AS SELECT a FROM t")
 	if stmt.(*CreateStmt).What != "VIEW" {
 		t.Fatal("what")
 	}
@@ -134,10 +164,7 @@ func TestParseCreateIndexVariants(t *testing.T) {
 		"CREATE INDEX ix ON t (a)",
 		"CREATE UNIQUE INDEX ix ON t (a)",
 	} {
-		stmt, err := ParseOne(q)
-		if err != nil {
-			t.Fatalf("%q: %v", q, err)
-		}
+		stmt := mustParse(t, q)
 		if stmt.(*CreateStmt).What != "INDEX" {
 			t.Fatalf("%q: what = %v", q, stmt.(*CreateStmt).What)
 		}
@@ -152,9 +179,7 @@ func TestParseCreateUnsupported(t *testing.T) {
 
 func TestParseDropVariants(t *testing.T) {
 	for _, q := range []string{"DROP VIEW v", "DROP INDEX ix", "DROP FUNCTION f", "DROP PROCEDURE p"} {
-		if _, err := ParseOne(q); err != nil {
-			t.Fatalf("%q: %v", q, err)
-		}
+		mustParse(t, q)
 	}
 	if _, err := Parse("DROP DATABASE foo"); err == nil {
 		t.Fatal("DROP DATABASE is unsupported")
@@ -162,19 +187,14 @@ func TestParseDropVariants(t *testing.T) {
 }
 
 func TestParseAlterVariants(t *testing.T) {
-	if _, err := ParseOne("ALTER TABLE t ADD x int"); err != nil {
-		t.Fatal(err)
-	}
+	mustParse(t, "ALTER TABLE t ADD x int")
 	if _, err := Parse("ALTER LOGIN x"); err == nil {
 		t.Fatal("ALTER LOGIN is unsupported")
 	}
 }
 
 func TestParseTruncate(t *testing.T) {
-	stmt, err := ParseOne("TRUNCATE TABLE mydb.results")
-	if err != nil {
-		t.Fatal(err)
-	}
+	stmt := mustParse(t, "TRUNCATE TABLE mydb.results")
 	if stmt.(*DropStmt).What != "TRUNCATE" {
 		t.Fatal("what")
 	}
@@ -193,10 +213,7 @@ func TestParseUpdateMissingEquals(t *testing.T) {
 }
 
 func TestParseDeleteWithoutWhere(t *testing.T) {
-	stmt, err := ParseOne("DELETE FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
+	stmt := mustParse(t, "DELETE FROM t")
 	if stmt.(*DeleteStmt).Where != nil {
 		t.Fatal("no where expected")
 	}

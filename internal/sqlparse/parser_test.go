@@ -5,15 +5,22 @@ import (
 	"testing/quick"
 )
 
+// mustParse returns the first statement of q, which must parse.
+func mustParse(t *testing.T, q string) Statement {
+	t.Helper()
+	stmts, err := Parse(q)
+	if err != nil {
+		t.Fatalf("Parse(%q): %v", q, err)
+	}
+	return stmts[0]
+}
+
 func mustParseSelect(t *testing.T, q string) *SelectStmt {
 	t.Helper()
-	stmt, err := ParseOne(q)
-	if err != nil {
-		t.Fatalf("ParseOne(%q): %v", q, err)
-	}
+	stmt := mustParse(t, q)
 	sel, ok := stmt.(*SelectStmt)
 	if !ok {
-		t.Fatalf("ParseOne(%q) = %T, want *SelectStmt", q, stmt)
+		t.Fatalf("Parse(%q) = %T, want *SelectStmt", q, stmt)
 	}
 	return sel
 }
@@ -284,10 +291,7 @@ func TestParseMultiStatement(t *testing.T) {
 }
 
 func TestParseInsertValues(t *testing.T) {
-	stmt, err := ParseOne("INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y')")
-	if err != nil {
-		t.Fatal(err)
-	}
+	stmt := mustParse(t, "INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y')")
 	ins := stmt.(*InsertStmt)
 	if ins.Rows != 2 || len(ins.Columns) != 2 {
 		t.Fatalf("insert = %+v", ins)
@@ -295,20 +299,14 @@ func TestParseInsertValues(t *testing.T) {
 }
 
 func TestParseInsertSelect(t *testing.T) {
-	stmt, err := ParseOne("INSERT INTO t SELECT a FROM u")
-	if err != nil {
-		t.Fatal(err)
-	}
+	stmt := mustParse(t, "INSERT INTO t SELECT a FROM u")
 	if stmt.(*InsertStmt).Select == nil {
 		t.Fatal("missing select")
 	}
 }
 
 func TestParseUpdate(t *testing.T) {
-	stmt, err := ParseOne("UPDATE t SET a = 1, b = b + 1 WHERE id = 3")
-	if err != nil {
-		t.Fatal(err)
-	}
+	stmt := mustParse(t, "UPDATE t SET a = 1, b = b + 1 WHERE id = 3")
 	upd := stmt.(*UpdateStmt)
 	if len(upd.Sets) != 2 || upd.Where == nil {
 		t.Fatalf("update = %+v", upd)
@@ -316,20 +314,14 @@ func TestParseUpdate(t *testing.T) {
 }
 
 func TestParseDelete(t *testing.T) {
-	stmt, err := ParseOne("DELETE FROM t WHERE id = 3")
-	if err != nil {
-		t.Fatal(err)
-	}
+	stmt := mustParse(t, "DELETE FROM t WHERE id = 3")
 	if stmt.(*DeleteStmt).Where == nil {
 		t.Fatal("missing where")
 	}
 }
 
 func TestParseCreateTable(t *testing.T) {
-	stmt, err := ParseOne("CREATE TABLE mydb.results (objid bigint, ra float)")
-	if err != nil {
-		t.Fatal(err)
-	}
+	stmt := mustParse(t, "CREATE TABLE mydb.results (objid bigint, ra float)")
 	c := stmt.(*CreateStmt)
 	if c.What != "TABLE" {
 		t.Fatalf("what = %q", c.What)
@@ -337,20 +329,14 @@ func TestParseCreateTable(t *testing.T) {
 }
 
 func TestParseDropTable(t *testing.T) {
-	stmt, err := ParseOne("DROP TABLE mydb.results")
-	if err != nil {
-		t.Fatal(err)
-	}
+	stmt := mustParse(t, "DROP TABLE mydb.results")
 	if stmt.(*DropStmt).What != "TABLE" {
 		t.Fatal("what != TABLE")
 	}
 }
 
 func TestParseExec(t *testing.T) {
-	stmt, err := ParseOne("EXEC dbo.spGetNeighbors 185.0, 62.8, 0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
+	stmt := mustParse(t, "EXEC dbo.spGetNeighbors 185.0, 62.8, 0.5")
 	ex := stmt.(*ExecStmt)
 	if ex.Proc != "dbo.spGetNeighbors" || len(ex.Args) != 3 {
 		t.Fatalf("exec = %+v", ex)
