@@ -217,25 +217,6 @@ func normalized(s string, buf []byte) []byte {
 	return append(out, s[done:]...)
 }
 
-// NGrams returns all n-grams (as joined strings) of the token sequence
-// for every order in [1, maxN]. Per Section 5.1 the traditional models
-// use bag-of-n-grams up to 5-grams.
-func NGrams(tokens []string, maxN int) []string {
-	if maxN < 1 {
-		return nil
-	}
-	var grams []string
-	for n := 1; n <= maxN; n++ {
-		if len(tokens) < n {
-			break
-		}
-		for i := 0; i+n <= len(tokens); i++ {
-			grams = append(grams, strings.Join(tokens[i:i+n], "\x1f"))
-		}
-	}
-	return grams
-}
-
 // Vocabulary maps tokens to dense integer ids. Index 0 is reserved for
 // the unknown token. A vocabulary stores its own copy of each token, so
 // it keeps no statement it was built from alive.

@@ -107,27 +107,6 @@ func TestWordsEmptyAndJunk(t *testing.T) {
 	}
 }
 
-func TestNGrams(t *testing.T) {
-	grams := NGrams([]string{"a", "b", "c"}, 2)
-	want := []string{"a", "b", "c", "a\x1fb", "b\x1fc"}
-	if !reflect.DeepEqual(grams, want) {
-		t.Fatalf("NGrams = %v, want %v", grams, want)
-	}
-}
-
-func TestNGramsShortSequence(t *testing.T) {
-	grams := NGrams([]string{"a"}, 5)
-	if !reflect.DeepEqual(grams, []string{"a"}) {
-		t.Fatalf("NGrams = %v", grams)
-	}
-}
-
-func TestNGramsZero(t *testing.T) {
-	if got := NGrams([]string{"a"}, 0); got != nil {
-		t.Fatalf("NGrams maxN=0 = %v, want nil", got)
-	}
-}
-
 func TestVocabularyRoundTrip(t *testing.T) {
 	v := NewVocabulary()
 	id := v.Add("SELECT")

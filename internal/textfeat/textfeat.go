@@ -11,9 +11,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
-
-	"repro/internal/sqllex"
 )
 
 // SparseVec is a sparse feature vector with sorted unique indices.
@@ -40,25 +37,25 @@ func FitFeaturizer(sequences [][]string, maxN, maxFeatures int) *Featurizer {
 		count int // total frequency
 		df    int // document frequency
 		first int
+		last  int // the last sequence df counted
 	}
 	stats := map[string]*stat{}
 	order := 0
-	for _, seq := range sequences {
-		grams := sqllex.NGrams(seq, maxN)
-		seen := map[string]bool{}
-		for _, g := range grams {
-			s, ok := stats[g]
+	var buf []byte
+	for q, seq := range sequences {
+		buf = eachGram(seq, maxN, buf, func(g []byte) {
+			s, ok := stats[string(g)]
 			if !ok {
-				s = &stat{first: order}
+				s = &stat{first: order, last: -1}
 				order++
-				stats[g] = s
+				stats[string(g)] = s
 			}
 			s.count++
-			if !seen[g] {
+			if s.last != q {
 				s.df++
-				seen[g] = true
+				s.last = q
 			}
-		}
+		})
 	}
 	keys := make([]string, 0, len(stats))
 	for k := range stats {
@@ -77,12 +74,36 @@ func FitFeaturizer(sequences [][]string, maxN, maxFeatures int) *Featurizer {
 	f := &Featurizer{MaxN: maxN, index: make(map[string]int, len(keys)), idf: make([]float64, len(keys))}
 	n := float64(len(sequences))
 	for i, k := range keys {
-		// A unigram is a token, a substring of the statement it came
-		// from: the copy keeps no training statement alive.
-		f.index[strings.Clone(k)] = i
+		f.index[k] = i
 		f.idf[i] = math.Log((1+n)/(1+float64(stats[k].df))) + 1
 	}
 	return f
+}
+
+// eachGram calls fn with every n-gram of tokens for n from 1 to maxN,
+// all unigrams first, then all bigrams, and so on: the n tokens joined
+// by the unit separator \x1f, built in buf, which fn must not keep. It
+// returns buf, grown, for the next call.
+func eachGram(tokens []string, maxN int, buf []byte, fn func(g []byte)) []byte {
+	for n := 1; n <= maxN && n <= len(tokens); n++ {
+		for i := 0; i+n <= len(tokens); i++ {
+			buf = append(buf[:0], tokens[i]...)
+			for _, t := range tokens[i+1 : i+n] {
+				buf = append(append(buf, '\x1f'), t...)
+			}
+			fn(buf)
+		}
+	}
+	return buf
+}
+
+// gramCount is the number of n-grams eachGram yields over l tokens.
+func gramCount(l, maxN int) int {
+	c := 0
+	for n := 1; n <= maxN && n <= l; n++ {
+		c += l - n + 1
+	}
+	return c
 }
 
 // NumFeatures returns the vocabulary size v.
@@ -92,27 +113,38 @@ func (f *Featurizer) NumFeatures() int { return len(f.idf) }
 // frequency normalized by the sequence's total n-gram count (preventing
 // bias toward longer queries, Section 5.1).
 func (f *Featurizer) Transform(tokens []string) SparseVec {
-	grams := sqllex.NGrams(tokens, f.MaxN)
-	if len(grams) == 0 {
+	total := gramCount(len(tokens), f.MaxN)
+	if total == 0 {
 		return SparseVec{}
 	}
-	counts := map[int]float64{}
-	for _, g := range grams {
-		if idx, ok := f.index[g]; ok {
-			counts[idx]++
+	// The index of every n-gram in the vocabulary, sorted: a run of
+	// equal indices is one feature and its count.
+	hits := make([]int, 0, total)
+	eachGram(tokens, f.MaxN, make([]byte, 0, 64), func(g []byte) {
+		if idx, ok := f.index[string(g)]; ok {
+			hits = append(hits, idx)
+		}
+	})
+	sort.Ints(hits)
+	distinct := 0
+	for i := range hits {
+		if i == 0 || hits[i] != hits[i-1] {
+			distinct++
 		}
 	}
-	v := SparseVec{Idx: make([]int, 0, len(counts)), Val: make([]float64, 0, len(counts))}
-	for idx := range counts {
-		v.Idx = append(v.Idx, idx)
-	}
-	sort.Ints(v.Idx)
-	total := float64(len(grams))
+	v := SparseVec{Idx: make([]int, 0, distinct), Val: make([]float64, 0, distinct)}
 	norm := 0.0
-	for _, idx := range v.Idx {
-		tfidf := (counts[idx] / total) * f.idf[idx]
+	for i := 0; i < len(hits); {
+		j := i + 1
+		for j < len(hits) && hits[j] == hits[i] {
+			j++
+		}
+		idx := hits[i]
+		tfidf := (float64(j-i) / float64(total)) * f.idf[idx]
+		v.Idx = append(v.Idx, idx)
 		v.Val = append(v.Val, tfidf)
 		norm += tfidf * tfidf
+		i = j
 	}
 	// L2 normalization stabilizes gradient scales across query lengths.
 	if norm > 0 {

@@ -3,6 +3,7 @@ package textfeat
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -48,6 +49,61 @@ func TestFeaturizerMostFrequentFirst(t *testing.T) {
 	vs := f.Transform([]string{"SELECT"})
 	if len(va.Idx) != 1 || len(vs.Idx) != 1 {
 		t.Fatalf("expected both tokens in vocabulary: %v %v", va, vs)
+	}
+}
+
+// TestEachGramOrder pins the n-gram order FitFeaturizer's tie-break
+// reads: every unigram, then every bigram, and so on, none longer than
+// the sequence and none at all for maxN 0.
+func TestEachGramOrder(t *testing.T) {
+	for _, c := range []struct {
+		tokens []string
+		maxN   int
+		want   []string
+	}{
+		{[]string{"a", "b", "c"}, 2, []string{"a", "b", "c", "a\x1fb", "b\x1fc"}},
+		{[]string{"ab", "c", "de"}, 3, []string{"ab", "c", "de", "ab\x1fc", "c\x1fde", "ab\x1fc\x1fde"}},
+		{[]string{"a"}, 5, []string{"a"}},
+		{[]string{"a"}, 0, nil},
+		{nil, 3, nil},
+	} {
+		var got []string
+		eachGram(c.tokens, c.maxN, nil, func(g []byte) { got = append(got, string(g)) })
+		if !slices.Equal(got, c.want) {
+			t.Errorf("eachGram(%q, %d) = %q, want %q", c.tokens, c.maxN, got, c.want)
+		}
+		if n := gramCount(len(c.tokens), c.maxN); n != len(c.want) {
+			t.Errorf("gramCount(%d, %d) = %d, want %d", len(c.tokens), c.maxN, n, len(c.want))
+		}
+	}
+}
+
+// TestTransformAllocs bounds the allocations of one Transform, at both
+// token granularities: the hit list, the vector's two slices and the
+// n-gram buffer, not one string per n-gram.
+func TestTransformAllocs(t *testing.T) {
+	train := []string{
+		"SELECT TOP 10 objid, ra, dec FROM PhotoObj WHERE ra BETWEEN 180 AND 181",
+		"SELECT z FROM SpecObj WHERE specobjid=122169136768973484",
+		"SELECT objid FROM Galaxy WHERE r < 22 AND g - r > 0.4",
+	}
+	stmt := "SELECT p.objid, p.ra, p.dec FROM PhotoObj AS p WHERE p.r < 17.5 AND p.type = 3"
+	for _, tok := range []struct {
+		name string
+		fn   func(string) []string
+	}{{"chars", sqllex.Chars}, {"words", sqllex.Words}} {
+		seqs := make([][]string, len(train))
+		for i, q := range train {
+			seqs[i] = tok.fn(q)
+		}
+		f := FitFeaturizer(seqs, 4, 0)
+		tokens := tok.fn(stmt)
+		if len(f.Transform(tokens).Idx) == 0 {
+			t.Fatalf("%s: the statement shares no n-gram with the training set", tok.name)
+		}
+		if n := testing.AllocsPerRun(50, func() { f.Transform(tokens) }); n > 8 {
+			t.Errorf("%s: %v allocations per Transform, want at most 8", tok.name, n)
+		}
 	}
 }
 
