@@ -374,16 +374,16 @@ func TestElapsedTimePrediction(t *testing.T) {
 
 func TestDefaultConfigSane(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.BatchSize != 16 {
+	if batchSize != 16 {
 		t.Fatal("paper hyper-parameter: batch 16")
 	}
-	if cfg.LR <= 0 || cfg.LSTMLR <= 0 || cfg.LSTMLR > cfg.LR {
+	if learningRate <= 0 || lstmLearningRate <= 0 || lstmLearningRate > learningRate {
 		t.Fatal("learning rates: CNN rate should exceed LSTM rate")
 	}
 	if len(cfg.Widths) != 3 {
 		t.Fatal("CNN widths should be {3,4,5}")
 	}
-	if cfg.Dropout != 0.5 || cfg.Clip != 0.25 {
+	if cfg.Dropout != 0.5 || clip != 0.25 {
 		t.Fatal("paper hyper-parameters: dropout 0.5, clip 0.25")
 	}
 }

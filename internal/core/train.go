@@ -23,7 +23,7 @@ func trainNeural(name string, task Task, train []workload.Item, cfg Config) (*Mo
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	maxLen, vocabMax := cfg.CharMaxLen, 0 // characters: unbounded (small anyway)
 	if name[0] == 'w' {
-		maxLen, vocabMax = cfg.WordMaxLen, cfg.WordVocabMax
+		maxLen, vocabMax = cfg.WordMaxLen, wordVocabMax
 	}
 	// Build the vocabulary from training tokens (substrings of the
 	// statements; the vocabulary copies the ones it keeps).
@@ -63,7 +63,7 @@ func trainNeural(name string, task Task, train []workload.Item, cfg Config) (*Mo
 }
 
 // fit trains m's network from its current weights with the paper's
-// recipe — AdaMax at cfg.LR (cfg.LSTMLR for the LSTMs when set),
+// recipe — AdaMax at learningRate (lstmLearningRate for the LSTMs),
 // mini-batches, clipping, and cross-entropy on class labels or Huber
 // loss on logs, the log-transformed regression labels (nil for a
 // classifier) — over statements encoded as serving encodes them. rng
@@ -81,12 +81,12 @@ func (m *Model) fit(train []workload.Item, logs []float64, cfg Config, rng *rand
 		}
 	}
 	encoded := encodeAll(m.newEncoder(), train)
-	lr := cfg.LR
-	if cfg.LSTMLR > 0 && (m.Name == "clstm" || m.Name == "wlstm") {
-		lr = cfg.LSTMLR
+	lr := learningRate
+	if m.Name == "clstm" || m.Name == "wlstm" {
+		lr = lstmLearningRate
 	}
 	model := m.neural.model
-	trainLoop(cfg, seed, len(encoded), rng, nn.NewOptimizer(lr, cfg.Clip), model.Params(), func() trainWorker {
+	trainLoop(cfg, seed, len(encoded), rng, nn.NewOptimizer(lr, clip), model.Params(), func() trainWorker {
 		rep := model.CloneShared()
 		// The worker's loss gradients, reused every step.
 		var dlogits []float64
@@ -123,7 +123,7 @@ type trainWorker struct {
 }
 
 // trainLoop is the data-parallel mini-batch training engine: cfg.Epochs
-// passes over n examples in batches of cfg.BatchSize (16 when unset).
+// passes over n examples in batches of batchSize.
 // Each batch is fanned out across cfg.Workers workers (<= 0 selects
 // GOMAXPROCS; never more than the batch size), each built once up front
 // by newWorker on a shared-weight replica of the model; a worker runs
@@ -148,10 +148,7 @@ type trainWorker struct {
 //     agree up to floating-point summation order (~1e-12 per step).
 func trainLoop(cfg Config, seed int64, n int, rng *rand.Rand, opt *nn.Optimizer, params []*nn.Param,
 	newWorker func() trainWorker) {
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = 16
-	}
+	batch := batchSize
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

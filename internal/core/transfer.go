@@ -149,7 +149,7 @@ func TrainMultiTask(train []workload.Item, cfg Config) (*MultiTaskModel, error) 
 
 	params := m.params()
 	m.P = nn.ParamCount(params)
-	opt := nn.NewOptimizer(cfg.LR, cfg.Clip)
+	opt := nn.NewOptimizer(learningRate, clip)
 
 	trainLoop(cfg, cfg.Seed, len(train), rng, opt, params, func() trainWorker {
 		// A training replica: shared weights, private gradients and
