@@ -53,28 +53,35 @@ func TestFeaturizerMostFrequentFirst(t *testing.T) {
 }
 
 // TestEachGramOrder pins the n-gram order FitFeaturizer's tie-break
-// reads: every unigram, then every bigram, and so on, none longer than
-// the sequence and none at all for maxN 0.
+// reads: every unigram, then every bigram, and so on.
 func TestEachGramOrder(t *testing.T) {
-	for _, c := range []struct {
-		tokens []string
-		maxN   int
-		want   []string
-	}{
-		{[]string{"a", "b", "c"}, 2, []string{"a", "b", "c", "a\x1fb", "b\x1fc"}},
-		{[]string{"ab", "c", "de"}, 3, []string{"ab", "c", "de", "ab\x1fc", "c\x1fde", "ab\x1fc\x1fde"}},
-		{[]string{"a"}, 5, []string{"a"}},
-		{[]string{"a"}, 0, nil},
-		{nil, 3, nil},
-	} {
-		var got []string
-		eachGram(c.tokens, c.maxN, nil, func(g []byte) { got = append(got, string(g)) })
-		if !slices.Equal(got, c.want) {
-			t.Errorf("eachGram(%q, %d) = %q, want %q", c.tokens, c.maxN, got, c.want)
-		}
-		if n := gramCount(len(c.tokens), c.maxN); n != len(c.want) {
-			t.Errorf("gramCount(%d, %d) = %d, want %d", len(c.tokens), c.maxN, n, len(c.want))
-		}
+	checkGrams(t, []string{"a", "b", "c"}, 2, []string{"a", "b", "c", "a\x1fb", "b\x1fc"})
+	checkGrams(t, []string{"ab", "c", "de"}, 3, []string{"ab", "c", "de", "ab\x1fc", "c\x1fde", "ab\x1fc\x1fde"})
+}
+
+// TestEachGramShortSequence checks that no n-gram is longer than the
+// sequence.
+func TestEachGramShortSequence(t *testing.T) {
+	checkGrams(t, []string{"a"}, 5, []string{"a"})
+	checkGrams(t, nil, 3, nil)
+}
+
+// TestEachGramZero checks that maxN 0 yields no n-gram at all.
+func TestEachGramZero(t *testing.T) {
+	checkGrams(t, []string{"a"}, 0, nil)
+}
+
+// checkGrams requires eachGram to yield want, in order, and gramCount
+// to count it.
+func checkGrams(t *testing.T, tokens []string, maxN int, want []string) {
+	t.Helper()
+	var got []string
+	eachGram(tokens, maxN, nil, func(g []byte) { got = append(got, string(g)) })
+	if !slices.Equal(got, want) {
+		t.Errorf("eachGram(%q, %d) = %q, want %q", tokens, maxN, got, want)
+	}
+	if n := gramCount(len(tokens), maxN); n != len(want) {
+		t.Errorf("gramCount(%d, %d) = %d, want %d", len(tokens), maxN, n, len(want))
 	}
 }
 
