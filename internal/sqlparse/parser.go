@@ -239,39 +239,13 @@ func (p *parser) parseStatement() (Statement, error) {
 	case "UPDATE":
 		return p.parseUpdate()
 	case "DELETE":
-		p.advance()
-		p.acceptKeyword("FROM")
-		table, err := p.parseTableName()
-		if err != nil {
-			return nil, err
-		}
-		del := &DeleteStmt{Table: table}
-		if del.Where, err = p.clause("WHERE"); err != nil {
-			return nil, err
-		}
-		return del, nil
+		return p.parseDelete()
 	case "CREATE":
-		what, name, err := p.ddlTarget("CREATE", "TABLE", "VIEW", "INDEX", "FUNCTION", "PROCEDURE", "UNIQUE", "CLUSTERED")
-		if err != nil {
-			return nil, err
-		}
-		// Consume the remainder of the definition without validation:
-		// the workload treats DDL bodies opaquely.
-		p.skipBalancedToEnd()
-		return &CreateStmt{What: what, Name: name}, nil
+		return p.parseCreate()
 	case "DROP":
-		what, name, err := p.ddlTarget("DROP", "TABLE", "VIEW", "INDEX", "FUNCTION", "PROCEDURE")
-		if err != nil {
-			return nil, err
-		}
-		return &DropStmt{What: what, Name: name}, nil
+		return p.parseDrop()
 	case "ALTER":
-		what, name, err := p.ddlTarget("ALTER", "TABLE", "VIEW", "INDEX")
-		if err != nil {
-			return nil, err
-		}
-		p.skipBalancedToEnd()
-		return &AlterStmt{What: what, Name: name}, nil
+		return p.parseAlter()
 	case "EXEC", "EXECUTE":
 		return p.parseExec()
 	case "TRUNCATE":
@@ -496,16 +470,15 @@ func isClauseKeyword(upper string) bool {
 	return isStatementVerb(upper)
 }
 
-// joinKeywords open a join, each naming its type; OUTER may follow all
-// but the first two.
+// joinKeywords open a join, each naming its type.
 var joinKeywords = [...]string{"INNER", "CROSS", "LEFT", "RIGHT", "FULL"}
 
 // joinType reads a join's type keywords, stopping before JOIN: a bare
 // JOIN is INNER, and "" means no join follows.
 func (p *parser) joinType() string {
-	for i, kw := range joinKeywords {
+	for _, kw := range joinKeywords {
 		if p.acceptKeyword(kw) {
-			if i >= 2 {
+			if kw == "LEFT" || kw == "RIGHT" || kw == "FULL" {
 				p.acceptKeyword("OUTER")
 			}
 			return kw
@@ -996,6 +969,48 @@ func (p *parser) parseUpdate() (Statement, error) {
 		return nil, err
 	}
 	return upd, nil
+}
+
+func (p *parser) parseDelete() (Statement, error) {
+	p.advance() // DELETE
+	p.acceptKeyword("FROM")
+	table, err := p.parseTableName()
+	if err != nil {
+		return nil, err
+	}
+	del := &DeleteStmt{Table: table}
+	if del.Where, err = p.clause("WHERE"); err != nil {
+		return nil, err
+	}
+	return del, nil
+}
+
+func (p *parser) parseCreate() (Statement, error) {
+	what, name, err := p.ddlTarget("CREATE", "TABLE", "VIEW", "INDEX", "FUNCTION", "PROCEDURE", "UNIQUE", "CLUSTERED")
+	if err != nil {
+		return nil, err
+	}
+	// Consume the remainder of the definition without validation:
+	// the workload treats DDL bodies opaquely.
+	p.skipBalancedToEnd()
+	return &CreateStmt{What: what, Name: name}, nil
+}
+
+func (p *parser) parseDrop() (Statement, error) {
+	what, name, err := p.ddlTarget("DROP", "TABLE", "VIEW", "INDEX", "FUNCTION", "PROCEDURE")
+	if err != nil {
+		return nil, err
+	}
+	return &DropStmt{What: what, Name: name}, nil
+}
+
+func (p *parser) parseAlter() (Statement, error) {
+	what, name, err := p.ddlTarget("ALTER", "TABLE", "VIEW", "INDEX")
+	if err != nil {
+		return nil, err
+	}
+	p.skipBalancedToEnd()
+	return &AlterStmt{What: what, Name: name}, nil
 }
 
 // ddlTarget reads what the DDL verb (CREATE, DROP or ALTER) acts on:
