@@ -19,12 +19,14 @@
 // sequence. The whole four-element blocks of TanhV and SigmoidV are two
 // more (vecmath_amd64.s), sharing one exp-rational core, four elements
 // per YMM register. Which implementation runs is read from the CPU once
-// at package init — there is no build tag, option or environment
-// variable — and the Go loops remain the only path on every other
-// GOARCH or CPU and for every GEMM shape narrower than one vector (w < 4
-// or k < 4; GemvTSeq and WindowSumMax: the outputs past the last whole
-// vector). A nonlinearity's Go loop is its element function (exp1,
-// tanh1, sigmoid1) applied to each input in turn: that is all of ExpV,
+// at package init — there is no option or environment variable — and
+// the Go loops remain the only path on every other GOARCH or CPU, under
+// the purego build tag (which leaves the assembly out, so that `go test
+// -tags purego` runs the callers' goldens on the Go loops), and for
+// every GEMM shape narrower than one vector (w < 4 or k < 4; GemvTSeq
+// and WindowSumMax: the outputs past the last whole vector). A
+// nonlinearity's Go loop is its element function (exp1, tanh1,
+// sigmoid1) applied to each input in turn: that is all of ExpV,
 // which has no kernel, and for TanhV and SigmoidV everything but the
 // whole blocks on AVX2 — the n mod 4 tail and any block holding an input
 // outside a kernel's branch-free range (see vecmath.go).

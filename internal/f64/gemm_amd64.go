@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 package f64
 
 // useAVX2 selects the vector kernels: the row update under GemmSW,

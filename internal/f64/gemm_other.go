@@ -1,8 +1,9 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package f64
 
-// useAVX2 is never set off amd64: the Go loops are the only path.
+// useAVX2 is never set off amd64 or under the purego build tag: the Go
+// loops are the only path.
 var useAVX2 = false
 
 func rowUpdate4(c, a *float64, astride int, b *float64, ldb, w, kb int) {

@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 #include "textflag.h"
 
 // The AVX2 block kernels under TanhV and SigmoidV (vecmath.go): four

@@ -18,7 +18,7 @@ import (
 // A frozen bank keeps exactly one layout derived from its weights: the
 // transposed bank wT, or — on a tabled model, see CNNModel.Freeze — the
 // table built from it, in which case only poolTable may run: Forward
-// and ForwardBatch need the wT a tabled bank gave up, and panic.
+// needs the wT a tabled bank gave up, and panics.
 type Conv1D struct {
 	W, B  *Param
 	Width int // window size m
@@ -34,7 +34,6 @@ type Conv1D struct {
 	table []float64
 
 	cache  ConvCache
-	bcache convBatchCache
 	pooled []float64
 }
 
@@ -148,20 +147,12 @@ type ConvCache struct {
 	x      []float64 // the n×In input Forward was given (not a copy)
 	n      int       // sequence length of the cached forward pass
 	argmax []int     // winning window start per kernel (-1: all <= 0)
-	pre    []float64 // pre-ReLU activation at the winning position
 
 	// Scoring scratch: the positions×K pre-activation matrix.
 	scores []float64
 
 	// Backward scratch: dL/dx, n×In.
 	dx []float64
-}
-
-// convBatchCache is the inference-only scratch of ForwardBatch, kept
-// separate from ConvCache so batched serving never disturbs a training
-// pass's cached activations.
-type convBatchCache struct {
-	scores []float64
 }
 
 // score fills scores (positions×K) with the pre-ReLU activations of
@@ -173,8 +164,8 @@ type convBatchCache struct {
 // (n < Width, a single truncated window) shortens the shared
 // dimension. The per-element accumulation chain — bias first, then
 // window·kernel terms in increasing feature order, four at a time — is
-// a pure function of the shapes, so the scalar and batched paths score
-// bit-identically.
+// a pure function of the shapes, and a tabled bank's poolTable adds the
+// same terms in the same order (see tabulate).
 func (c *Conv1D) score(scores, x []float64, n, positions int, wT []float64) {
 	for j := 0; j < positions; j++ {
 		copy(scores[j*c.K:(j+1)*c.K], c.B.W)
@@ -189,12 +180,11 @@ func (c *Conv1D) score(scores, x []float64, n, positions int, wT []float64) {
 
 // pool writes max-over-time ReLU pooling of scores (positions×K) into
 // pooled, returning the winning window start per kernel in argmax when
-// non-nil (-1 when every window is ≤ 0) and the winning pre-activation
-// in pre. It is one pass over the rows of scores, every kernel's
-// running maximum advancing together: each kernel still sees its
-// positions in increasing order and moves only on a strict >, so the
-// first maximum wins and a NaN never does.
-func (c *Conv1D) pool(pooled, scores []float64, positions int, argmax []int, pre []float64) {
+// non-nil (-1 when every window is ≤ 0). It is one pass over the rows
+// of scores, every kernel's running maximum advancing together: each
+// kernel still sees its positions in increasing order and moves only on
+// a strict >, so the first maximum wins and a NaN never does.
+func (c *Conv1D) pool(pooled, scores []float64, positions int, argmax []int) {
 	pooled = pooled[:c.K]
 	zeroF(pooled) // ReLU(max) == max(0, max_j pre_j)
 	for k := range argmax {
@@ -210,7 +200,6 @@ func (c *Conv1D) pool(pooled, scores []float64, positions int, argmax []int, pre
 			}
 		}
 	}
-	copy(pre, pooled)
 }
 
 // Forward computes the pooled feature vector of x, an n×In row-major
@@ -231,39 +220,10 @@ func (c *Conv1D) Forward(x []float64) ([]float64, *ConvCache) {
 	cache := &c.cache
 	cache.x, cache.n = x, n
 	growI(&cache.argmax, c.K)
-	growF(&cache.pre, c.K)
 	scores := growF(&cache.scores, positions*c.K)
 	c.score(scores, x, n, positions, c.transposed())
-	c.pool(pooled, scores, positions, cache.argmax, cache.pre)
+	c.pool(pooled, scores, positions, cache.argmax)
 	return pooled, cache
-}
-
-// ForwardBatch pools every example of a packed batch: example r is the
-// lens[r]×In embedding block at xb[offs[r]:], and its K pooled features
-// are written to out[r*stride+col : r*stride+col+K] — stride/col place
-// the bank's slice inside a row of concatenated bank outputs. Row r is
-// bit-identical to Forward on the same example (identical score and
-// pool chains, against the same transposed bank — see transposed).
-// Inference only: nothing is cached for Backward, and the scratch is
-// private to the layer replica.
-func (c *Conv1D) ForwardBatch(xb []float64, offs, lens []int, out []float64, stride, col int) {
-	wT := c.transposed()
-	maxPos := 1
-	for _, n := range lens {
-		if p := n - c.Width + 1; p > maxPos {
-			maxPos = p
-		}
-	}
-	scores := growF(&c.bcache.scores, maxPos*c.K)
-	for r, off := range offs {
-		n := lens[r]
-		positions := n - c.Width + 1
-		if positions < 1 {
-			positions = 1
-		}
-		c.score(scores, xb[off:off+n*c.In], n, positions, wT)
-		c.pool(out[r*stride+col:r*stride+col+c.K], scores, positions, nil, nil)
-	}
 }
 
 // Backward routes dpooled through the max and ReLU into the inputs and

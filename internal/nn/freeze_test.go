@@ -162,7 +162,10 @@ func mustPanic(t *testing.T, name string, fn func()) {
 // answers bit for bit like its unfrozen master on Forward and
 // ForwardBatch — also the second time round, when it runs on the kept
 // layouts — it does not rewrite those layouts, it refuses Backward, and
-// a CloneShared of it is an ordinary trainable replica again.
+// a CloneShared of it is an ordinary trainable replica again. Every
+// ForwardBatch row, frozen and unfrozen, is held to the master's scalar
+// Forward of that row, not only to the other batch path: two batch
+// paths wrong in the same way would agree with each other.
 func TestFrozenMatchesUnfrozen(t *testing.T) {
 	ids := frozenTestIDs()
 	for _, tc := range frozenTestModels() {
@@ -200,17 +203,21 @@ func TestFrozenMatchesUnfrozen(t *testing.T) {
 				}
 			}
 			for round := 0; round < 2; round++ {
+				want := make([][]float64, len(ids))
 				for r, seq := range ids {
 					y, _ := m.Forward(seq, false, nil)
-					want := append([]float64(nil), y...)
-					if got, _ := fz.Forward(seq, false, nil); !sameBits(got, want) {
-						t.Fatalf("round %d seq %d (len %d): frozen Forward %v != %v", round, r, len(seq), got, want)
+					want[r] = append([]float64(nil), y...)
+					if got, _ := fz.Forward(seq, false, nil); !sameBits(got, want[r]) {
+						t.Fatalf("round %d seq %d (len %d): frozen Forward %v != %v", round, r, len(seq), got, want[r])
 					}
 				}
-				out, _ := m.ForwardBatch(ids)
-				want := append([]float64(nil), out...)
-				if got, _ := fz.ForwardBatch(ids); !sameBits(got, want) {
-					t.Fatalf("round %d: frozen ForwardBatch differs from unfrozen", round)
+				for side, b := range map[string]Model{"unfrozen": m, "frozen": fz} {
+					out, outDim := b.ForwardBatch(ids)
+					for r, seq := range ids {
+						if got := out[r*outDim : (r+1)*outDim]; !sameBits(got, want[r]) {
+							t.Fatalf("round %d seq %d (len %d): %s ForwardBatch %v != scalar Forward %v", round, r, len(seq), side, got, want[r])
+						}
+					}
 				}
 			}
 
@@ -373,7 +380,7 @@ func TestLSTMTabulateStoresGemmRows(t *testing.T) {
 // poolKernelOuter is Conv1D.pool as it was before the row-major scan:
 // one kernel at a time, down its column of scores. Kept as the
 // reference the new scan must equal.
-func poolKernelOuter(K int, pooled, scores []float64, positions int, argmax []int, pre []float64) {
+func poolKernelOuter(K int, pooled, scores []float64, positions int, argmax []int) {
 	for k := 0; k < K; k++ {
 		best := 0.0
 		bestPos := -1
@@ -386,13 +393,12 @@ func poolKernelOuter(K int, pooled, scores []float64, positions int, argmax []in
 		pooled[k] = best
 		if argmax != nil {
 			argmax[k] = bestPos
-			pre[k] = best
 		}
 	}
 }
 
 // TestPoolMatchesKernelOuterScan is the differential for the pool
-// rewrite: pooled, argmax and pre equal the kernel-outer reference on
+// rewrite: pooled and argmax equal the kernel-outer reference on
 // random scores salted with exact ties across positions, all-negative
 // columns, ±0, NaN and ±Inf, for 1…40 positions, with and without
 // argmax tracking.
@@ -423,16 +429,16 @@ func TestPoolMatchesKernelOuterScan(t *testing.T) {
 						}
 					}
 				}
-				wantP, wantPre, wantArg := make([]float64, K), make([]float64, K), make([]int, K)
-				poolKernelOuter(K, wantP, scores, positions, wantArg, wantPre)
+				wantP, wantArg := make([]float64, K), make([]int, K)
+				poolKernelOuter(K, wantP, scores, positions, wantArg)
 				// Dirty outputs: pool must overwrite, not accumulate.
-				gotP, gotPre, gotArg := make([]float64, K), make([]float64, K), make([]int, K)
+				gotP, gotArg := make([]float64, K), make([]int, K)
 				for k := 0; k < K; k++ {
-					gotP[k], gotPre[k], gotArg[k] = 99, 99, 99
+					gotP[k], gotArg[k] = 99, 99
 				}
-				c.pool(gotP, scores, positions, gotArg, gotPre)
-				if !sameBits(gotP, wantP) || !sameBits(gotPre, wantPre) {
-					t.Fatalf("K=%d positions=%d: pooled/pre %v/%v, want %v/%v", K, positions, gotP, gotPre, wantP, wantPre)
+				c.pool(gotP, scores, positions, gotArg)
+				if !sameBits(gotP, wantP) {
+					t.Fatalf("K=%d positions=%d: pooled %v, want %v", K, positions, gotP, wantP)
 				}
 				for k := range wantArg {
 					if gotArg[k] != wantArg[k] {
@@ -442,7 +448,7 @@ func TestPoolMatchesKernelOuterScan(t *testing.T) {
 				for k := range gotP {
 					gotP[k] = 99
 				}
-				c.pool(gotP, scores, positions, nil, nil)
+				c.pool(gotP, scores, positions, nil)
 				if !sameBits(gotP, wantP) {
 					t.Fatalf("K=%d positions=%d without argmax: pooled %v, want %v", K, positions, gotP, wantP)
 				}

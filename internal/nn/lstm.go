@@ -22,12 +22,15 @@ import (
 // The input contribution Wx·xₜ has no sequential dependency, so
 // Forward hoists it out of the recurrence: the whole sequence, one
 // n×In row-major matrix, is transformed in a single sequence-level
-// GEMM (pre = X·Wxᵀ + b) before the timestep loop, which then only
-// computes the recurrent Wh·hₜ₋₁ term and the gate
-// nonlinearities. Backward mirrors this: the BPTT recurrence only
-// propagates dhₜ₋₁ through Wh, while the Wx/Wh/bias gradients and the
-// input gradients are accumulated afterwards as sequence-level
-// matrix products over the stored per-step gate gradients.
+// GEMM (pre = X·Wxᵀ + b) before the timestep loop. What is left of a
+// timestep — the recurrent Wh·hₜ₋₁ term, the gate nonlinearities, the
+// cell and hidden state — is one function, step, over any number of
+// rows: Forward runs it on one row per timestep, ForwardBatch on one
+// row per node of a batch's prefix tree. Backward mirrors the hoisting:
+// the BPTT recurrence only propagates dhₜ₋₁ through Wh, while the
+// Wx/Wh/bias gradients and the input gradients are accumulated
+// afterwards as sequence-level matrix products over the stored
+// per-step gate gradients.
 //
 // Forward/Backward reuse per-layer scratch buffers, so a layer instance
 // must not be used from multiple goroutines; data-parallel training
@@ -103,13 +106,14 @@ func (l *LSTMLayer) freeze() {
 	l.frozen = true
 }
 
-// tabulate replaces the frozen layer's wxT by the table forwardTabled
-// and ForwardBatch read when the layer's inputs are rows of e: row v is
-// what Forward's input GEMM leaves in pre for a step whose input is
-// token v's embedding — the bias, then the Wx terms — because the same
-// statements compute it, with the vocabulary as the sequence. The
-// recurrent product is added on top of that row either way, so reading
-// it back changes no bit (a −0 bias included: the row starts as a copy).
+// tabulate replaces the frozen layer's wxT by the table forward and
+// ForwardBatch read when the layer's inputs are rows of e: row v is
+// what Forward's input GEMM leaves in a step's row of gates when the
+// step's input is token v's embedding — the bias, then the Wx terms —
+// because the same statements compute it, with the vocabulary as the
+// sequence. The recurrent product is added on top of that row either
+// way, so reading it back changes no bit (a −0 bias included: the row
+// starts as a copy).
 func (l *LSTMLayer) tabulate(e *Embedding) {
 	h := l.H
 	t := make([]float64, e.V*4*h)
@@ -126,12 +130,12 @@ type LSTMCache struct {
 	x []float64 // the n×In input Forward was given (not a copy); nil when tabled
 	n int       // steps in the cached sequence
 
-	// Flat per-step activations. pre is n*4h holding the gate
-	// pre-activations (input GEMM + bias + recurrent term); gates is
-	// n*4h with per-step layout [candidate h | update h | forget h |
-	// output h]; cs/tanhCs/hs are n*h (cell states, their tanh, hidden
-	// states).
-	pre, gates, cs, tanhCs, hs []float64
+	// Flat per-step activations. gates is n*4h with per-step layout
+	// [candidate h | update h | forget h | output h]: a step's gate
+	// pre-activations (input GEMM + bias, then the recurrent term) until
+	// step overwrites them in place with the activations Backward reads;
+	// cs/tanhCs/hs are n*h (cell states, their tanh, hidden states).
+	gates, cs, tanhCs, hs []float64
 
 	// Backward scratch. dpre is n*4h: the per-step gate gradients kept
 	// for the sequence-level parameter/input gradient products after
@@ -145,7 +149,6 @@ type LSTMCache struct {
 // ensure sizes the cache for an n-step sequence.
 func (c *LSTMCache) ensure(n, h int) {
 	c.n = n
-	growF(&c.pre, n*4*h)
 	growF(&c.gates, n*4*h)
 	growF(&c.cs, n*h)
 	growF(&c.tanhCs, n*h)
@@ -158,88 +161,101 @@ func (c *LSTMCache) ensure(n, h int) {
 // the next Forward call. The cache keeps x itself for Backward, so x
 // must stay unchanged until then.
 func (l *LSTMLayer) Forward(x []float64) ([]float64, *LSTMCache) {
-	n := len(x) / l.In
+	return l.forward(x, nil)
+}
+
+// forward is Forward, or on a tabled layer (see tabulate) Forward over
+// the embeddings of ids, x unused: each step's gates then start as a
+// copy of its token's table row where Forward computes that row. An id
+// outside the vocabulary reads as token 0, as Embedding.Forward reads
+// it.
+func (l *LSTMLayer) forward(x []float64, ids []int) ([]float64, *LSTMCache) {
 	h := l.H
+	n := len(x) / l.In
+	if l.table != nil {
+		n = len(ids)
+	}
 	cache := &l.cache
 	cache.ensure(n, h)
 	cache.x = x
 	wxT, whT := l.transposed()
-	// Sequence-level input GEMM, hoisted out of the recurrence:
-	// pre[t] = Wx·xₜ + b for every step at once (pre = bias rows +
-	// X·Wxᵀ), keeping Wx hot in cache instead of re-streaming it
-	// between the gate and recurrent work of every timestep.
-	for t := 0; t < n; t++ {
-		copy(cache.pre[t*4*h:(t+1)*4*h], l.B.W)
+	if l.table != nil {
+		vocab := len(l.table) / (4 * h)
+		for t, id := range ids {
+			if id < 0 || id >= vocab {
+				id = 0
+			}
+			copy(cache.gates[t*4*h:(t+1)*4*h], l.table[id*4*h:(id+1)*4*h])
+		}
+	} else {
+		// Sequence-level input GEMM, hoisted out of the recurrence:
+		// gates[t] = Wx·xₜ + b for every step at once (bias rows +
+		// X·Wxᵀ), keeping Wx hot in cache instead of re-streaming it
+		// between the gate and recurrent work of every timestep.
+		for t := 0; t < n; t++ {
+			copy(cache.gates[t*4*h:(t+1)*4*h], l.B.W)
+		}
+		f64.Gemm(cache.gates, x, wxT, n, 4*h, l.In)
 	}
-	f64.Gemm(cache.pre, x, wxT, n, 4*h, l.In)
-	l.recur(n, whT)
+	for t := 0; t < n; t++ {
+		var hPrev, cPrev []float64
+		if t > 0 {
+			hPrev, cPrev = cache.hs[(t-1)*h:t*h], cache.cs[(t-1)*h:t*h]
+		}
+		g := cache.gates[t*4*h : (t+1)*4*h]
+		l.step(g[:h], g[h:], hPrev, cPrev, cache.cs[t*h:(t+1)*h], cache.tanhCs[t*h:(t+1)*h], cache.hs[t*h:(t+1)*h], 1, whT)
+	}
 	return cache.hs, cache
 }
 
-// forwardTabled is Forward on a tabled layer (see tabulate) over the
-// embeddings of ids: each step's pre starts as a copy of its token's
-// table row where Forward computes that row. An id outside the
-// vocabulary reads as token 0, as Embedding.Forward reads it.
-func (l *LSTMLayer) forwardTabled(ids []int) ([]float64, *LSTMCache) {
-	n := len(ids)
+// step advances w rows by one timestep. On entry cand (w×h) and gates
+// (w×3h, each row [update|forget|output]) hold every row's b + Wx·x;
+// step adds the recurrent term Hₜ₋₁·Whᵀ, as two column blocks of one
+// product against whT, and applies the nonlinearities in place — one
+// TanhV over the candidates, one SigmoidV over the gates — so that on
+// return they hold the activations. hPrev and cPrev (w×h) are each
+// row's previous hidden and cell state, both nil at a sequence's first
+// step; c, tc and hs (w×h) receive the cell state c = Γu⊙c~ + Γf⊙cₜ₋₁,
+// its tanh and the hidden state Γo⊙tanh(c).
+//
+// Forward runs it on one row per timestep, where cand and gates are
+// that step's contiguous 4h row of LSTMCache.gates — the layout
+// Backward reads — and ForwardBatch on one row per node of a trie block.
+// A row's values do not depend on w: a GEMM element multiplies the same
+// float pairs in the same order however many rows or which columns one
+// call computes (bias, then the Wx terms four at a time, then the Wh
+// terms likewise), the nonlinearities are element functions, and the
+// cell update is per element. So every row equals the one-row step of
+// the same inputs bit for bit.
+func (l *LSTMLayer) step(cand, gates, hPrev, cPrev, c, tc, hs []float64, w int, whT []float64) {
 	h := l.H
-	cache := &l.cache
-	cache.ensure(n, h)
-	cache.x = nil
-	vocab := len(l.table) / (4 * h)
-	for t, id := range ids {
-		if id < 0 || id >= vocab {
-			id = 0
-		}
-		copy(cache.pre[t*4*h:(t+1)*4*h], l.table[id*4*h:(id+1)*4*h])
+	if hPrev != nil {
+		f64.GemmSW(cand, h, hPrev, h, whT, 4*h, w, h, h)
+		f64.GemmSW(gates, 3*h, hPrev, h, whT[h:], 4*h, w, 3*h, h)
 	}
-	l.recur(n, l.whT)
-	return cache.hs, cache
-}
-
-// recur runs the timestep loop over the n rows of cache.pre, which hold
-// b + Wx·xₜ on entry.
-func (l *LSTMLayer) recur(n int, whT []float64) {
-	h := l.H
-	cache := &l.cache
-	for t := 0; t < n; t++ {
-		pre := cache.pre[t*4*h : (t+1)*4*h]
-		if t > 0 {
-			// Recurrent term: pre += Wh·hₜ₋₁ (the only matrix work left
-			// inside the sequential loop), as a 1×h by h×4h product.
-			f64.Gemm(pre, cache.hs[(t-1)*h:t*h], whT, 1, 4*h, h)
-		}
-		gb := t * 4 * h
-		cand := cache.gates[gb : gb+h]
-		gu := cache.gates[gb+h : gb+2*h]
-		gf := cache.gates[gb+2*h : gb+3*h]
-		gout := cache.gates[gb+3*h : gb+4*h]
-		var cPrev []float64
-		if t > 0 {
-			cPrev = cache.cs[(t-1)*h : t*h]
-		}
-		c := cache.cs[t*h : (t+1)*h]
-		tc := cache.tanhCs[t*h : (t+1)*h]
-		hVec := cache.hs[t*h : (t+1)*h]
-		// All four gate nonlinearities in one batched pass over the
-		// contiguous 4h pre block: tanh for the candidate, then one
-		// SigmoidV over the packed [update|forget|output] 3h span —
-		// the same element functions the batched n-row path applies,
-		// which is what keeps the two paths bit-identical.
-		f64.TanhV(cand, pre[:h])
-		f64.SigmoidV(cache.gates[gb+h:gb+4*h], pre[h:4*h])
-		if cPrev != nil {
-			for i := 0; i < h; i++ {
-				c[i] = gu[i]*cand[i] + gf[i]*cPrev[i]
+	f64.TanhV(cand, cand)
+	f64.SigmoidV(gates, gates)
+	for r := 0; r < w; r++ {
+		// Every row is cut [:h], so the loops below index check-free.
+		cr, candr := c[r*h:][:h], cand[r*h:][:h]
+		gu, gf := gates[r*3*h:][:h], gates[r*3*h+h:][:h]
+		if cPrev == nil {
+			for i := range cr {
+				cr[i] = gu[i] * candr[i]
 			}
 		} else {
-			for i := 0; i < h; i++ {
-				c[i] = gu[i] * cand[i]
+			cp := cPrev[r*h:][:h]
+			for i := range cr {
+				cr[i] = gu[i]*candr[i] + gf[i]*cp[i]
 			}
 		}
-		f64.TanhV(tc, c)
-		for i := 0; i < h; i++ {
-			hVec[i] = gout[i] * tc[i]
+	}
+	f64.TanhV(tc, c)
+	for r := 0; r < w; r++ {
+		hr, tcr := hs[r*h:][:h], tc[r*h:][:h]
+		gout := gates[r*3*h+2*h:][:h]
+		for i := range hr {
+			hr[i] = gout[i] * tcr[i]
 		}
 	}
 }
@@ -431,10 +447,10 @@ func (tr *lstmTrie) build(ids [][]int, vocab int) {
 // major activations sized by the largest batch seen, reused across
 // calls and never retained for Backward.
 type lstmBatchCache struct {
-	pre        []float64 // current step: w×h candidate block, then w×3h gate block
-	hs         []float64 // one widths[t]×h block of hidden states per step
-	hPrev      []float64 // w×h: the current block's parents' hidden states, gathered
-	cA, cB, tc []float64 // w×h cell-state double buffer and tanh scratch
+	pre          []float64 // current step: w×h candidate block, then w×3h gate block
+	hs           []float64 // one widths[t]×h block of hidden states per step
+	hPrev, cPrev []float64 // w×h: the current block's parents' hidden and cell states, gathered
+	c, tc        []float64 // w×h: the current block's cell states and their tanh
 }
 
 // ForwardBatch runs the layer over a batch laid out as tr: one row per
@@ -447,26 +463,17 @@ type lstmBatchCache struct {
 // block runs the same code as a wide one. A tabled layer (see tabulate)
 // takes its inputs from tr.tok and ignores x.
 //
-// Per step the nodes' gate pre-activations are Forward's own products
-// with w rows instead of one — Pre = 1·bᵀ + Xₜ·Wxᵀ + Hₜ₋₁·Whᵀ against the
+// Per block the nodes' b + Wx·x rows are Forward's input GEMM with w
+// rows (read from the table where there is one), written as step's two
+// column blocks — the w×h candidates and the w×3h gates — against the
 // same transposed weights (see transposed: rebuilt per call on a
-// trainable layer, kept on a frozen one), the first two terms read from
-// the table where there is one — written as two column blocks so each
-// nonlinearity is one call over contiguous memory: the w×h candidates
-// (TanhV) and the w×3h [update|forget|output] gates (SigmoidV). Row r
-// of Hₜ₋₁ is the hidden state of r's parent, copied next to its
-// siblings' so the recurrent product has one contiguous operand; the
-// parent's cell state is read where it lies.
-//
-// Bit-identity with Forward: a node's row of every product multiplies
-// the same float pairs in the same order as Forward's sequence-level
-// input GEMM and per-step recurrent GEMM do at that step of any example
-// through the node (bias, then Wx terms in increasing input index four
-// at a time, then Wh terms likewise; a GEMM's per-element order does
-// not depend on how many rows or which columns it computes), and the
-// nonlinearities are the same element functions. Rows never mix, so
-// every node equals the scalar path on its prefix bit for bit whatever
-// else the batch holds.
+// trainable layer, kept on a frozen one). Row r's parent's hidden and
+// cell state are then copied next to its siblings', so that step's
+// recurrent product has one contiguous operand, and step advances the
+// whole block. A node's row is therefore the one-row step Forward runs
+// at that step of any example through the node (see step), and rows
+// never mix: every node equals the scalar path on its prefix bit for
+// bit whatever else the batch holds.
 //
 // Inference only: no cache is retained for Backward.
 func (l *LSTMLayer) ForwardBatch(x []float64, tr *lstmTrie) []float64 {
@@ -476,10 +483,8 @@ func (l *LSTMLayer) ForwardBatch(x []float64, tr *lstmTrie) []float64 {
 	wxT, whT := l.transposed()
 	pre := growF(&bc.pre, n*4*h)
 	hs := growF(&bc.hs, len(tr.tok)*h)
-	hPrev := growF(&bc.hPrev, n*h)
-	cPrev := growF(&bc.cA, n*h)
-	cCur := growF(&bc.cB, n*h)
-	tcBuf := growF(&bc.tc, n*h)
+	hPrev, cPrev := growF(&bc.hPrev, n*h), growF(&bc.cPrev, n*h)
+	c, tc := growF(&bc.c, n*h), growF(&bc.tc, n*h)
 	off, offPrev := 0, 0 // first node of block t and of block t−1
 	for t, w := range tr.widths {
 		cand, gates := pre[:w*h], pre[w*h:w*4*h]
@@ -498,43 +503,17 @@ func (l *LSTMLayer) ForwardBatch(x []float64, tr *lstmTrie) []float64 {
 			f64.GemmSW(cand, h, xt, in, wxT, 4*h, w, h, in)
 			f64.GemmSW(gates, 3*h, xt, in, wxT[h:], 4*h, w, 3*h, in)
 		}
-		parents := tr.parent[off : off+w]
+		var hp, cp []float64
 		if t > 0 {
-			for r, p := range parents {
+			// c still holds block t−1's cell states: gathered before step
+			// overwrites it.
+			for r, p := range tr.parent[off : off+w] {
 				copy(hPrev[r*h:(r+1)*h], hs[p*h:(p+1)*h])
+				copy(cPrev[r*h:(r+1)*h], c[(p-offPrev)*h:(p-offPrev+1)*h])
 			}
-			f64.GemmSW(cand, h, hPrev, h, whT, 4*h, w, h, h)
-			f64.GemmSW(gates, 3*h, hPrev, h, whT[h:], 4*h, w, 3*h, h)
+			hp, cp = hPrev[:w*h], cPrev[:w*h]
 		}
-		f64.TanhV(cand, cand)
-		f64.SigmoidV(gates, gates)
-		c := cCur[:w*h]
-		for r := 0; r < w; r++ {
-			// Every row is cut [:h], so the loops below index check-free.
-			cr, candr := c[r*h:][:h], cand[r*h:][:h]
-			gu, gf := gates[r*3*h:][:h], gates[r*3*h+h:][:h]
-			if t == 0 {
-				for i := range cr {
-					cr[i] = gu[i] * candr[i]
-				}
-			} else {
-				cp := cPrev[(parents[r]-offPrev)*h:][:h]
-				for i := range cr {
-					cr[i] = gu[i]*candr[i] + gf[i]*cp[i]
-				}
-			}
-		}
-		tc := tcBuf[:w*h]
-		f64.TanhV(tc, c)
-		ht := hs[h*off : h*(off+w)]
-		for r := 0; r < w; r++ {
-			hr, tcr := ht[r*h:][:h], tc[r*h:][:h]
-			gout := gates[r*3*h+2*h:][:h]
-			for i := range hr {
-				hr[i] = gout[i] * tcr[i]
-			}
-		}
-		cPrev, cCur = cCur, cPrev
+		l.step(cand, gates, hp, cp, c[:w*h], tc[:w*h], hs[h*off:h*(off+w)], w, whT)
 		offPrev, off = off, off+w
 	}
 	return hs

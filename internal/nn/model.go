@@ -22,11 +22,12 @@ type Model interface {
 	Backward(ids []int, cache any, dout []float64)
 	// Params returns all learnable parameters.
 	Params() []*Param
-	// ForwardBatch runs inference (no dropout, no gradient caches) over
-	// a batch of sequences as one n-row matrix per layer, returning the
-	// logits as an n×outDim row-major matrix in model-owned scratch,
-	// valid until the next ForwardBatch call. Row r is bit-identical to
-	// Forward(ids[r], false, nil).
+	// ForwardBatch runs inference (no dropout) over a batch of
+	// sequences, returning the logits as an n×outDim row-major matrix in
+	// model-owned scratch, valid until the next ForwardBatch call. Row r
+	// is bit-identical to Forward(ids[r], false, nil). It shares
+	// Forward's scratch, so it must not run between a Forward and that
+	// Forward's Backward.
 	ForwardBatch(ids [][]int) (out []float64, outDim int)
 	// CloneShared returns a trainable replica sharing the receiver's
 	// weight arrays, with private gradient accumulators (see
@@ -103,13 +104,11 @@ type cnnCache struct {
 	dx []float64
 }
 
-// cnnBatchCache is the inference-only batch scratch, sized by the
-// largest batch seen and reused across ForwardBatch calls.
+// cnnBatchCache is the batch scratch, sized by the largest batch seen
+// and reused across ForwardBatch calls.
 type cnnBatchCache struct {
-	offs, lens []int
-	xb         []float64 // examples packed back to back, Σ lens[r] rows of Embed
-	pooled     []float64 // n × (Kernels·len(Convs)) concatenated bank outputs
-	out        []float64 // n × Outputs logits
+	pooled []float64 // n × (Kernels·len(Convs)) concatenated bank outputs
+	out    []float64 // n × Outputs logits
 }
 
 // Config returns the architecture configuration the model was built
@@ -143,7 +142,7 @@ func (m *CNNModel) CloneShared() Model {
 // bank keeps a table of the 4-term block sums that GEMM would form
 // (Conv1D.tabulate), and a forward pass sums table rows by token id and
 // max-pools them in one kernel (Conv1D.poolTable): no embedding copies,
-// no packed input, no score matrix, no multiply. Otherwise each bank
+// no score matrix, no multiply. Otherwise each bank
 // keeps its kernels transposed (the f64.Transpose an unfrozen forward
 // redoes per call) and runs the same embed → score → pool path as an
 // unfrozen model. All banks or none, one layout per bank, and the
@@ -184,20 +183,33 @@ func (m *CNNModel) tableBytes() (bytes int, ok bool) {
 	return bytes, true
 }
 
-// poolTabled writes the concatenated bank outputs of one statement into
-// pooled on a tabled model. Ids outside the vocabulary become token 0
-// first, once for all banks, exactly as Embedding.Forward clamps them.
-func (m *CNNModel) poolTabled(pooled []float64, ids []int) {
-	clamped := growI(&m.cache.ids, len(ids))
-	for i, id := range ids {
-		if id < 0 || id >= m.Emb.V {
-			id = 0
-		}
-		clamped[i] = id
-	}
+// encode writes the concatenated bank outputs of one statement into
+// pooled: from the tables on a tabled model, else by embedding it and
+// running every bank's Forward, whose caches it keeps for Backward. Ids
+// outside the vocabulary read as token 0, as Embedding.Forward reads
+// them; a tabled model clamps them once for all banks.
+func (m *CNNModel) encode(pooled []float64, ids []int) {
+	cache := &m.cache
 	k := m.cfg.Kernels
+	if m.tabled {
+		clamped := growI(&cache.ids, len(ids))
+		for i, id := range ids {
+			if id < 0 || id >= m.Emb.V {
+				id = 0
+			}
+			clamped[i] = id
+		}
+		for ci, conv := range m.Convs {
+			conv.poolTable(pooled[ci*k:(ci+1)*k], clamped)
+		}
+		return
+	}
+	x := m.Emb.Forward(ids)
+	cache.convs = cache.convs[:0]
 	for ci, conv := range m.Convs {
-		conv.poolTable(pooled[ci*k:(ci+1)*k], clamped)
+		p, cc := conv.Forward(x)
+		cache.convs = append(cache.convs, cc)
+		copy(pooled[ci*k:(ci+1)*k], p)
 	}
 }
 
@@ -215,67 +227,25 @@ func (m *CNNModel) Forward(ids []int, train bool, rng *rand.Rand) ([]float64, an
 // to BackwardFeatures.
 func (m *CNNModel) Features(ids []int, train bool, rng *rand.Rand) ([]float64, any) {
 	cache := &m.cache
-	k := m.cfg.Kernels
-	pooled := growF(&cache.pooled, k*len(m.Convs))
-	if m.tabled {
-		m.poolTabled(pooled, ids)
-	} else {
-		x := m.Emb.Forward(ids)
-		cache.convs = cache.convs[:0]
-		for ci, conv := range m.Convs {
-			p, cc := conv.Forward(x)
-			cache.convs = append(cache.convs, cc)
-			copy(pooled[ci*k:(ci+1)*k], p)
-		}
-	}
+	pooled := growF(&cache.pooled, m.cfg.Kernels*len(m.Convs))
+	m.encode(pooled, ids)
 	cache.masked, cache.mask = m.Drop.Forward(pooled, train, rng)
 	return cache.masked, cache
 }
 
-// ForwardBatch implements Model: the embeddings of every example
-// are packed back to back into one buffer, each kernel bank scores and
-// pools the whole batch in one call (writing its slice of each row of
-// the concatenated pooled matrix), and the output layer maps the n×F
-// pooled matrix to n×Outputs. A tabled model (see Freeze) fills each
-// row of the pooled matrix from its tables, as Forward does, and packs
-// nothing. Dropout is identity at inference, so the per-row compute
-// chain matches Forward exactly.
+// ForwardBatch implements Model: every example is encoded as Features
+// encodes it, into its row of one n×F pooled matrix, and the output
+// layer maps that matrix to n×Outputs in one call. Dropout is identity
+// at inference, so each row runs Forward's own chain.
 func (m *CNNModel) ForwardBatch(ids [][]int) ([]float64, int) {
 	n := len(ids)
 	outDim := m.cfg.Outputs
 	bc := &m.bcache
 	out := growF(&bc.out, n*outDim)
-	if n == 0 {
-		return out, outDim
-	}
-	if n == 1 {
-		y, _ := m.Forward(ids[0], false, nil)
-		copy(out, y)
-		return out, outDim
-	}
 	stride := m.cfg.Kernels * len(m.Convs)
 	pooled := growF(&bc.pooled, n*stride)
-	if m.tabled {
-		for r, seq := range ids {
-			m.poolTabled(pooled[r*stride:(r+1)*stride], seq)
-		}
-	} else {
-		d := m.cfg.Embed
-		offs := growI(&bc.offs, n)
-		lens := growI(&bc.lens, n)
-		total := 0
-		for r, seq := range ids {
-			offs[r] = total * d
-			lens[r] = len(seq)
-			total += len(seq)
-		}
-		xb := growF(&bc.xb, total*d)
-		for r, seq := range ids {
-			m.Emb.gather(xb[offs[r]:], seq)
-		}
-		for ci, conv := range m.Convs {
-			conv.ForwardBatch(xb, offs, lens, pooled, stride, ci*m.cfg.Kernels)
-		}
+	for r, seq := range ids {
+		m.encode(pooled[r*stride:(r+1)*stride], seq)
 	}
 	m.FC.ForwardBatch(out, pooled, n)
 	return out, outDim
@@ -426,7 +396,7 @@ func (m *LSTMModel) Forward(ids []int, train bool, rng *rand.Rand) ([]float64, a
 	var x []float64
 	upper := m.Layers
 	if m.Layers[0].table != nil {
-		hs, lc := m.Layers[0].forwardTabled(ids)
+		hs, lc := m.Layers[0].forward(nil, ids)
 		cache.layerCaches = append(cache.layerCaches, lc)
 		x, upper = hs, m.Layers[1:]
 	} else {
@@ -445,9 +415,10 @@ func (m *LSTMModel) Forward(ids []int, train bool, rng *rand.Rand) ([]float64, a
 // prefix tree of its token sequences (lstmTrie): lanes are ordered
 // lexicographically, every distinct prefix is one node, and block t of
 // every layer holds one row per node of depth t, so each LSTM layer
-// advances all running prefixes one step per pair of GEMMs (see
-// LSTMLayer.ForwardBatch) and a batch costs its distinct prefixes, not
-// the sum of its lane lengths and never T×n. Each lane's logits read
+// advances all running prefixes with one call of the timestep function
+// Forward runs per step (see LSTMLayer.ForwardBatch), and a batch costs
+// its distinct prefixes, not the sum of its lane lengths and never T×n.
+// Each lane's logits read
 // from the node its sequence ends in. Rows are independent throughout,
 // so neither the order nor the sharing is visible in the output: every
 // example is bit-identical to the scalar path, in request order.

@@ -18,6 +18,13 @@
 // recurrence dhₜ₋₁ = Whᵀ·dpreₜ reads Wh as stored (f64.GemvTSeq); the
 // transposed weight copies are layouts of the forward passes only.
 //
+// Each architecture's forward math is written once. An LSTM timestep is
+// one function over any number of rows (LSTMLayer.step): training and
+// scalar inference run it on one row per timestep, batched inference on
+// one row per distinct prefix of the batch. A CNN encodes one statement
+// one way (CNNModel.encode); its ForwardBatch encodes every row so and
+// runs the dense head once over the pooled matrix.
+//
 // A model is either trainable or frozen. Trainable is how NewCNN,
 // NewLSTM and CloneShared make it: parameters carry gradient
 // accumulators, and every forward pass re-derives the transposed weight
