@@ -27,7 +27,10 @@
 // shared-store cluster mode: deploy on one node and every node serves
 // it within one interval, no control plane required. Deploy markers
 // carry generation counters; a node's own explicit deploys win ties
-// against anything it merely observed in the store.
+// against anything it merely observed in the store. The warm boot is
+// the first run of that same store pass, so a restarted node serves
+// each recorded deployment at its marker's generation and leaves the
+// marker as written.
 //
 // The listener starts before the warm boot, so /v1/healthz implements
 // the readiness contract: 503 while the store is being replayed, 200

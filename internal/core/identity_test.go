@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -183,6 +184,52 @@ const (
 type fineTuneDigest struct {
 	Artifact string `json:"artifact_sha256"`
 	Scalar   string `json:"scalar_sha256"`
+}
+
+// TestFineTuneStartsFromFreshMoments: FineTune runs a fresh optimizer,
+// so fine-tuning a trained model, its Snapshot and its artifact round
+// trip — the same weights — yields the same model, bit for bit: the
+// AdaMax moments of the Train that made the model do not reach it.
+func TestFineTuneStartsFromFreshMoments(t *testing.T) {
+	w := synth.NewSDSS(synth.SDSSConfig{Sessions: 300, HitsPerSessionMax: 2, Seed: 5}).Generate()
+	split := workload.RandomSplit(w.Items, 0.1, 0.1, rand.New(rand.NewSource(5)))
+	cfg := core.TinyConfig()
+	for _, name := range []string{"ccnn", "clstm"} {
+		m, err := core.Train(name, core.ErrorClassification, split.Train, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trained, err := artifact.Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := artifact.Decode(trained)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// m last: FineTune moves the model it is given.
+		var tuned [][]byte
+		for _, src := range []*core.Model{m.Snapshot(), restored, m} {
+			ft, err := core.FineTune(src, split.Valid, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := artifact.Encode(ft)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tuned = append(tuned, blob)
+		}
+		if bytes.Equal(tuned[0], trained) {
+			t.Fatalf("%s: fine-tuning moved no weight (test is vacuous)", name)
+		}
+		if !bytes.Equal(tuned[0], tuned[1]) {
+			t.Fatalf("%s: FineTune of the artifact round trip differs from FineTune of the Snapshot", name)
+		}
+		if !bytes.Equal(tuned[0], tuned[2]) {
+			t.Fatalf("%s: FineTune of the trained model differs from FineTune of its Snapshot", name)
+		}
+	}
 }
 
 // TestFineTunePinned is TestIdentityPinned for FineTune: Snapshots of

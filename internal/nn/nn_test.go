@@ -124,15 +124,16 @@ func TestDropoutBackward(t *testing.T) {
 // TestClipGradNorm checks Step's clip through the first moment, which
 // after one step from zero holds (1-β1)·g for the clipped g.
 func TestClipGradNorm(t *testing.T) {
-	step := func(clip, g0, g1 float64) *Param {
+	step := func(clip, g0, g1 float64) (*Param, *Optimizer) {
 		p := NewParam("p", 2, nil)
 		p.G[0], p.G[1] = g0, g1
-		NewOptimizer(1e-3, clip).Step([]*Param{p}, [][]*Param{{p}}, 1)
-		return p
+		o := NewOptimizer(1e-3, clip)
+		o.Step([]*Param{p}, [][]*Param{{p}}, 1)
+		return p, o
 	}
-	p := step(1, 3, 4) // norm 5
-	b1 := 1 - NewOptimizer(1e-3, 1).Beta1
-	g0, g1 := p.m[0]/b1, p.m[1]/b1
+	_, o := step(1, 3, 4) // norm 5
+	b1 := 1 - o.Beta1
+	g0, g1 := o.m[0][0]/b1, o.m[0][1]/b1
 	if norm := math.Sqrt(g0*g0 + g1*g1); math.Abs(norm-1) > 1e-9 {
 		t.Fatalf("norm after clip = %v", norm)
 	}
@@ -141,8 +142,9 @@ func TestClipGradNorm(t *testing.T) {
 	}
 	// Clipping below the threshold is a no-op: the step is bit for bit
 	// the step with the clip disabled.
-	p, off := step(1, 0.3, 0.4), step(0, 0.3, 0.4)
-	if !sameBits(p.W, off.W) || !sameBits(p.m, off.m) || !sameBits(p.v, off.v) {
+	p, po := step(1, 0.3, 0.4)
+	off, oo := step(0, 0.3, 0.4)
+	if !sameBits(p.W, off.W) || !sameBits(po.m[0], oo.m[0]) || !sameBits(po.v[0], oo.v[0]) {
 		t.Fatal("no-op clip modified the step")
 	}
 }

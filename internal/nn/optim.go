@@ -8,7 +8,10 @@ import (
 
 // Optimizer applies AdaMax (Kingma & Ba) updates to parameters. The
 // paper examined both Adam and AdaMax and found AdaMax performed better
-// (Section 5.2), so AdaMax is the one update rule training uses.
+// (Section 5.2), so AdaMax is the one update rule training uses. The
+// optimizer owns the AdaMax state — the step count and the moments —
+// so every training run that makes its own optimizer starts from zero,
+// whatever model it trains.
 type Optimizer struct {
 	LR    float64
 	Beta1 float64
@@ -16,6 +19,9 @@ type Optimizer struct {
 	Eps   float64
 	Clip  float64 // global grad-norm clip; 0 disables
 	t     int
+	// m and v are the first and second moments, one slice per
+	// parameter of Step's params, in order.
+	m, v [][]float64
 }
 
 // NewOptimizer returns an optimizer with the paper's hyper-parameters
@@ -37,7 +43,7 @@ func NewOptimizer(lr, clip float64) *Optimizer {
 //  3. With Clip > 0, the global norm √(Σ Dot(g, g)) over the parameters
 //     in order is taken, and above Clip each entry is scaled by
 //     Clip/norm.
-//  4. AdaMax moves params' weights and moments.
+//  4. AdaMax moves params' weights and the optimizer's moments.
 //  5. grads[0] is zeroed.
 func (o *Optimizer) Step(params []*Param, grads [][]*Param, n int) {
 	sum := grads[0]
@@ -70,22 +76,23 @@ func (o *Optimizer) Step(params []*Param, grads [][]*Param, n int) {
 	}
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
+	for len(o.m) < len(params) {
+		n := len(params[len(o.m)].W)
+		o.m, o.v = append(o.m, make([]float64, n)), append(o.v, make([]float64, n))
+	}
 	for pi, p := range params {
-		if p.m == nil {
-			p.m = make([]float64, len(p.W))
-			p.v = make([]float64, len(p.W))
-		}
+		m, v := o.m[pi], o.v[pi]
 		grad := sum[pi].G
 		for i, g := range grad {
 			g *= clip
-			p.m[i] = o.Beta1*p.m[i] + (1-o.Beta1)*g
-			u := o.Beta2 * p.v[i]
+			m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
+			u := o.Beta2 * v[i]
 			if a := math.Abs(g); a > u {
 				u = a
 			}
-			p.v[i] = u
+			v[i] = u
 			if u > 0 {
-				p.W[i] -= o.LR * (p.m[i] / bc1) / (u + o.Eps)
+				p.W[i] -= o.LR * (m[i] / bc1) / (u + o.Eps)
 			}
 		}
 		clear(grad)

@@ -80,7 +80,7 @@ func TestReduceGradsMatchesSequential(t *testing.T) {
 	opt.Step(master.Params(), [][]*Param{r1.Params(), r2.Params()}, 1)
 
 	for i, p := range master.Params() {
-		for k, m := range p.m {
+		for k, m := range opt.m[i] {
 			if got := m / (1 - opt.Beta1); !almostEqual(got, want[i][k], 1e-12) {
 				t.Fatalf("%s grad[%d] = %v, sequential %v", p.Name, k, got, want[i][k])
 			}
@@ -133,20 +133,21 @@ func refStep(o *Optimizer, params []*Param, grads [][]*Param, n int) {
 	}
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
+	for len(o.m) < len(params) {
+		n := len(params[len(o.m)].W)
+		o.m, o.v = append(o.m, make([]float64, n)), append(o.v, make([]float64, n))
+	}
 	for pi, p := range params {
-		if p.m == nil {
-			p.m = make([]float64, len(p.W))
-			p.v = make([]float64, len(p.W))
-		}
+		m, v := o.m[pi], o.v[pi]
 		for i, g := range sum[pi].G {
-			p.m[i] = o.Beta1*p.m[i] + (1-o.Beta1)*g
-			u := o.Beta2 * p.v[i]
+			m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
+			u := o.Beta2 * v[i]
 			if a := math.Abs(g); a > u {
 				u = a
 			}
-			p.v[i] = u
+			v[i] = u
 			if u > 0 {
-				p.W[i] -= o.LR * (p.m[i] / bc1) / (u + o.Eps)
+				p.W[i] -= o.LR * (m[i] / bc1) / (u + o.Eps)
 			}
 		}
 		for i := range sum[pi].G {
@@ -220,7 +221,7 @@ func TestStepMatchesReference(t *testing.T) {
 				refStep(ref, refParams, refGrads, tc.n)
 				for i, p := range params {
 					r := refParams[i]
-					if !sameBits(p.W, r.W) || !sameBits(p.m, r.m) || !sameBits(p.v, r.v) {
+					if !sameBits(p.W, r.W) || !sameBits(opt.m[i], ref.m[i]) || !sameBits(opt.v[i], ref.v[i]) {
 						t.Fatalf("step %d: param %d: weights or moments differ from the reference", step, i)
 					}
 					for w := range grads {
@@ -233,8 +234,8 @@ func TestStepMatchesReference(t *testing.T) {
 					// One step from zero moments: m = (1-β1)·g, and the
 					// clipped g has norm Clip.
 					sq := 0.0
-					for _, p := range params {
-						for _, m := range p.m {
+					for _, pm := range opt.m {
+						for _, m := range pm {
 							sq += (m / (1 - opt.Beta1)) * (m / (1 - opt.Beta1))
 						}
 					}

@@ -36,8 +36,8 @@
 // Training runs every worker on a CloneShared replica of the master
 // model, and one Optimizer.Step per batch turns the workers' gradient
 // shards into the update: reduce in worker order, average, clip by the
-// global norm, AdaMax. The master's parameters hold the weights and the
-// AdaMax moments.
+// global norm, AdaMax. The master's parameters hold the weights; the
+// optimizer holds the AdaMax moments.
 package nn
 
 import (
@@ -45,13 +45,11 @@ import (
 	"math/rand"
 )
 
-// Param is one learnable tensor with its gradient and optimizer state.
+// Param is one learnable tensor with its gradient.
 type Param struct {
 	Name string
 	W    []float64 // values
 	G    []float64 // gradient accumulator
-	// Optimizer state (first/second moments), allocated lazily.
-	m, v []float64
 }
 
 // NewParam allocates a parameter of the given size initialized by init.

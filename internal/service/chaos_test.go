@@ -118,8 +118,8 @@ func TestChaosCorruptionAcrossRestart(t *testing.T) {
 		t.Fatalf("healthz = %d, want 200", resp.StatusCode)
 	}
 	var hz struct {
-		Status string      `json:"status"`
-		Boot   *BootReport `json:"boot"`
+		Status string  `json:"status"`
+		Boot   *Report `json:"boot"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
 		t.Fatal(err)

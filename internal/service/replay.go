@@ -10,29 +10,157 @@ import (
 	"repro/internal/artifact"
 )
 
-// This file is how a store is read back into a registry — the one
-// implementation WarmBoot (a restart replaying its own store) and
-// syncStore (a node converging on a store other nodes write) share:
-// scan classifies the keys and parses live markers, install decodes,
-// validates and installs artifact versions, and every blob that fails
-// a check is quarantined the same way. The two callers differ only in
-// how strict a pass is about store errors and in what they do with a
-// live marker once the versions are in.
+// This file is how a store is read back into a registry: one pass,
+// run by WarmBoot (a restart replaying its own store into an empty
+// registry) and by syncStore (a node converging on a store other nodes
+// write). scan classifies the keys and parses live markers, install
+// decodes, validates and installs artifact versions, apply adopts each
+// live marker by one rule, and every blob that fails a check is
+// quarantined the same way. A boot pass differs in two ways only: a
+// failed store read aborts it, and a marker it cannot adopt falls back
+// to the model's highest intact version.
+
+// Report is one replay pass's account of what it found in the store:
+// the deployments it made, the artifacts it loaded, the blobs it
+// quarantined as damaged, the store keys it skipped as foreign, and an
+// incident log. WarmBoot's report is served in the /v1/healthz body so
+// a degraded boot is observable, not just survivable. The zero value
+// means "no change observed".
+type Report struct {
+	// Deployed lists the live deployments the pass made: markers
+	// adopted, and at boot the fallbacks to a highest intact version.
+	Deployed []ModelInfo `json:"deployed,omitempty"`
+	// NewModels lists registry entries the pass created (at boot every
+	// model; on a sync pass models first registered on another node).
+	NewModels []string `json:"-"`
+	// Loaded counts artifact versions newly installed.
+	Loaded int `json:"loaded"`
+	// Quarantined counts blobs (artifacts or live markers) moved to the
+	// quarantine/ prefix: corrupt, truncated, or mislabeled.
+	Quarantined int `json:"quarantined"`
+	// Skipped counts store keys ignored as not ours (foreign files in a
+	// store directory, previously quarantined blobs).
+	Skipped int `json:"skipped"`
+	// Degraded reports whether anything reached the incident log — the
+	// "the pass succeeded but a human should look" bit.
+	Degraded bool `json:"degraded,omitempty"`
+	// Details is the incident log: one line per quarantine, fallback,
+	// or marker that could not be applied.
+	Details []string `json:"details,omitempty"`
+}
+
+// detailf appends one incident line.
+func (r *Report) detailf(format string, args ...any) {
+	r.Degraded = true
+	r.Details = append(r.Details, fmt.Sprintf(format, args...))
+}
+
+// Changed reports whether the pass observed anything at all. Skipped
+// keys do not count: they are skipped again on every pass.
+func (r *Report) Changed() bool {
+	return r.Loaded > 0 || len(r.NewModels) > 0 || len(r.Deployed) > 0 ||
+		r.Quarantined > 0 || len(r.Details) > 0
+}
+
+func (r *Report) String() string {
+	return fmt.Sprintf("loaded %d version(s), %d new model(s), deployed %d, quarantined %d",
+		r.Loaded, len(r.NewModels), len(r.Deployed), r.Quarantined)
+}
 
 // replay is one pass over the store.
 type replay struct {
 	s *Service
-	// op names the pass in store-error messages ("warm boot", "sync").
-	op string
-	// strict makes a failed Get abort the pass: a restarting node must
-	// not come up on a partial registry. A sync pass instead tolerates
-	// them — keys vanish between List and Get whenever another node
-	// prunes retention, and anything else is logged and retried on the
-	// next pass.
-	strict bool
-	// The caller's report: counters the pass bumps and its incident log.
-	loaded, quarantined *int
-	detailf             func(format string, args ...any)
+	// boot marks WarmBoot's pass. A failed Get aborts it: a restarting
+	// node must not come up on a partial registry. A sync pass instead
+	// tolerates them — keys vanish between List and Get whenever
+	// another node prunes retention, and anything else is logged and
+	// retried on the next pass.
+	boot bool
+	rep  *Report
+}
+
+// run is the pass: scan the store, install every model's versions,
+// then apply every live marker, models in name order.
+func (r *replay) run() error {
+	sc, err := r.scan()
+	if err != nil {
+		return err
+	}
+	r.rep.Skipped = sc.skipped
+	for _, name := range sortedKeys(sc.versions) {
+		created, err := r.install(name, sc.versions[name])
+		if err != nil {
+			return err
+		}
+		if created {
+			r.rep.NewModels = append(r.rep.NewModels, name)
+		}
+	}
+	for _, name := range sortedKeys(sc.live) {
+		if err := r.apply(name, sc.live[name]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// apply is the one rule for a live marker. An intact marker — one
+// naming a version the entry holds — is adopted when its generation is
+// newer than the entry's, or when nothing of the model is live: the
+// entry then serves that version at the marker's generation, and the
+// marker is not rewritten. Ties and older markers lose to local state,
+// because this node's own deploys set the generation they persisted.
+// A marker that cannot be adopted — damaged (the scan quarantined and
+// reported it), or naming a version that is not intact here (reported,
+// and retried by the next pass) — leaves the entry as it is, except at
+// boot: there the model falls back to its highest intact version
+// through Deploy, a new decision with a new generation.
+func (r *replay) apply(name string, rec liveRecord) error {
+	s := r.s
+	e, err := s.entry(name)
+	if errors.Is(err, ErrNotFound) {
+		r.rep.detailf("live marker for %q but no intact artifacts; deployment not applied", name)
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	e.mu.Lock()
+	cur := e.live.Load()
+	if cur != nil && rec.Gen <= e.gen {
+		e.mu.Unlock()
+		return nil
+	}
+	if e.version(rec.Version) != nil {
+		defer e.mu.Unlock()
+		if cur == nil || cur.version != rec.Version {
+			if s.isClosed() {
+				return ErrClosed
+			}
+			e.swapLive(rec.Version, s.opts.Serve)
+			r.rep.Deployed = append(r.rep.Deployed, e.info(rec.Version))
+		}
+		e.gen = rec.Gen
+		return nil
+	}
+	e.mu.Unlock()
+	if !r.boot {
+		if rec.Version != 0 { // a damaged marker was logged by the scan
+			r.rep.detailf("live marker for %q names v%d (gen %d) but the version is not intact here; not applied",
+				name, rec.Version, rec.Gen)
+		}
+		return nil
+	}
+	info, err := s.Deploy(name, 0)
+	if err != nil {
+		r.rep.detailf("live marker for %q names v%d, not intact; deploying the highest intact version failed: %v",
+			name, rec.Version, err)
+		return nil
+	}
+	r.rep.detailf("live marker for %q names v%d, not intact; deployed the highest intact version v%d",
+		name, rec.Version, info.LiveVersion)
+	r.rep.Deployed = append(r.rep.Deployed, info)
+	return nil
 }
 
 // storeScan is one classified listing of the store.
@@ -52,7 +180,7 @@ type storeScan struct {
 func (r *replay) scan() (*storeScan, error) {
 	keys, err := r.s.opts.Store.List()
 	if err != nil {
-		return nil, fmt.Errorf("service: %s: %w", r.op, err)
+		return nil, err
 	}
 	sc := &storeScan{versions: make(map[string][]int), live: make(map[string]liveRecord)}
 	for _, key := range keys {
@@ -89,17 +217,17 @@ func (r *replay) scan() (*storeScan, error) {
 	return sc, nil
 }
 
-// get reads one blob, reporting ok == false for a read a non-strict
-// pass tolerates.
+// get reads one blob, reporting ok == false for a read a sync pass
+// tolerates.
 func (r *replay) get(what, key string) (data []byte, ok bool, err error) {
 	data, err = r.s.opts.Store.Get(key)
 	switch {
 	case err == nil:
 		return data, true, nil
-	case r.strict:
-		return nil, false, fmt.Errorf("service: %s: %w", r.op, err)
+	case r.boot:
+		return nil, false, err
 	case !errors.Is(err, ErrNoKey):
-		r.detailf("read %s %q: %v", what, key, err)
+		r.rep.detailf("read %s %q: %v", what, key, err)
 	}
 	return nil, false, nil
 }
@@ -109,15 +237,15 @@ func (r *replay) get(what, key string) (data []byte, ok bool, err error) {
 // (best effort: on failure the blob stays put and the next pass
 // retries).
 func (r *replay) quarantine(key string, data []byte, why error) {
-	*r.quarantined++
-	r.detailf("quarantined %q: %v", key, why)
+	r.rep.Quarantined++
+	r.rep.detailf("quarantined %q: %v", key, why)
 	store := r.s.opts.Store
 	if err := store.Put(quarantinePrefix+key, data); err != nil {
-		r.detailf("quarantine move of %q failed, blob left in place: %v", key, err)
+		r.rep.detailf("quarantine move of %q failed, blob left in place: %v", key, err)
 		return
 	}
 	if err := store.Delete(key); err != nil {
-		r.detailf("quarantine delete of original %q failed: %v", key, err)
+		r.rep.detailf("quarantine delete of original %q failed: %v", key, err)
 	}
 }
 
@@ -160,7 +288,7 @@ func (r *replay) install(name string, versions []int) (created bool, err error) 
 		return false, nil
 	}
 	if avail == 0 {
-		r.detailf("model %q has no intact versions; not registered", name)
+		r.rep.detailf("model %q has no intact versions; not registered", name)
 		return false, nil
 	}
 	s.mu.Lock()
@@ -203,7 +331,7 @@ func (r *replay) loadVersion(e *entry, v int) error {
 	}
 	e.task, e.kind = m.Task, m.Name
 	e.versions[v-1] = m
-	*r.loaded++
+	r.rep.Loaded++
 	return nil
 }
 

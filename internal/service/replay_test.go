@@ -2,11 +2,14 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/serve"
 )
@@ -179,4 +182,90 @@ func registryState(t *testing.T, s *Service) []string {
 		out = append(out, fmt.Sprintf("%+v holes=%v gen=%d", info, holes, gen))
 	}
 	return out
+}
+
+// TestReplayGenZeroMarker holds both callers of the one marker rule to
+// a marker without a generation ({"version":1}, gen 0): a booting node
+// deploys it, and a second node with nothing of the model live adopts
+// it by sync, both at gen 0 and bit-identical to the model. It also
+// pins the /v1/healthz boot object's keys: deployed, loaded,
+// quarantined and skipped after a clean boot, plus degraded and details
+// after a damaged one.
+func TestReplayGenZeroMarker(t *testing.T) {
+	store := NewMemStore()
+	m := trainCCNN(t, core.ErrorClassification)
+	snap := m.Snapshot()
+	snap.Version = 1
+	data, err := artifact.Encode(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Put(artifactKey("errors", 1), data)
+	store.Put(liveKey("errors"), []byte(`{"version":1}`))
+	opts := Options{Serve: serve.Options{Replicas: 1}, Store: store}
+	a, b, c := New(opts), New(opts), New(opts)
+	defer func() { a.Close(); b.Close(); c.Close() }()
+
+	rep, err := a.WarmBoot()
+	if err != nil || rep.Degraded || len(rep.Deployed) != 1 {
+		t.Fatalf("boot report = %+v, %v; want v1 deployed", rep, err)
+	}
+	if rep, err := b.syncStore(); err != nil || len(rep.Deployed) != 1 || len(rep.Details) != 0 {
+		t.Fatalf("sync report = %+v, %v; want the gen-0 marker adopted", rep, err)
+	}
+	for _, s := range []*Service{a, b} {
+		if gen := entryGen(t, s, "errors"); gen != 0 {
+			t.Fatalf("gen = %d, want the marker's 0", gen)
+		}
+		for _, stmt := range testStatements(4) {
+			pr, err := s.Predict(context.Background(), "errors", stmt)
+			if err != nil || pr.Version != 1 || !slices.Equal(bitsOf(pr.Probs), bitsOf(m.Probs(stmt))) {
+				t.Fatalf("v%d predicts %v (%v), model %v", pr.Version, pr.Probs, err, m.Probs(stmt))
+			}
+		}
+	}
+	if again, err := a.syncStore(); err != nil || again.Changed() {
+		t.Fatalf("booted node's next sync = %+v, %v; want nothing applied", again, err)
+	}
+	if got, want := bootKeys(t, a), []string{"deployed", "loaded", "quarantined", "skipped"}; !slices.Equal(got, want) {
+		t.Fatalf("clean boot's healthz keys = %v, want %v", got, want)
+	}
+	store.Put(liveKey("errors"), []byte("{not json"))
+	if _, err := c.WarmBoot(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"degraded", "deployed", "details", "loaded", "quarantined", "skipped"}
+	if got := bootKeys(t, c); !slices.Equal(got, want) {
+		t.Fatalf("degraded boot's healthz keys = %v, want %v", got, want)
+	}
+}
+
+// entryGen reads name's deployment generation.
+func entryGen(t *testing.T, s *Service, name string) int64 {
+	t.Helper()
+	e, err := s.entry(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.gen
+}
+
+// bootKeys returns the sorted keys of the boot object in s's healthz
+// body.
+func bootKeys(t *testing.T, s *Service) []string {
+	t.Helper()
+	h, _ := s.health()
+	data, err := json.Marshal(h)
+	var body struct {
+		Boot map[string]json.RawMessage `json:"boot"`
+	}
+	if err == nil {
+		err = json.Unmarshal(data, &body)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sortedKeys(body.Boot)
 }

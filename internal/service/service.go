@@ -152,10 +152,10 @@ type entry struct {
 	live     atomic.Pointer[livePool]
 	// gen is the generation of the entry's current deployment — the
 	// cluster tie-breaker. A local Deploy persists gen+1 in its live
-	// marker; syncStore applies a marker observed in a shared store only
-	// when its generation exceeds this one, so a node's own explicit
-	// deploys win ties against anything it merely observed. Guarded by
-	// mu.
+	// marker; a store replay (replay.apply) adopts a marker only when
+	// its generation exceeds this one or nothing is live, so a node's
+	// own explicit deploys win ties against anything it merely
+	// observed. Guarded by mu.
 	gen int64
 }
 
@@ -218,7 +218,7 @@ type Service struct {
 
 	// boot is the completed warm boot's report, surfaced through
 	// /v1/healthz so a degraded (quarantining) boot is observable.
-	boot atomic.Pointer[BootReport]
+	boot atomic.Pointer[Report]
 
 	// Ingest-log counters: the predict-sampling clock and the
 	// service-side view of what reached (or failed to reach) the log.
@@ -772,65 +772,36 @@ type liveRecord struct {
 	Gen     int64 `json:"gen,omitempty"`
 }
 
-// quarantinePrefix parks blobs the boot path classified as damaged.
+// quarantinePrefix parks blobs a replay pass classified as damaged.
 // Quarantined keys are invisible to parseKey (so later boots ignore
 // them) but preserved verbatim for offline forensics.
 const quarantinePrefix = "quarantine/"
 
-// BootReport is WarmBoot's account of what it found in the store:
-// the restored live deployments, how many artifacts loaded cleanly,
-// how many were quarantined as damaged, how many store keys were
-// skipped as foreign, and a human-readable incident log. It is served
-// in the /v1/healthz body so a degraded boot is observable, not just
-// survivable.
-type BootReport struct {
-	// Deployed lists the live deployments restored (or reached by
-	// fallback) during the boot.
-	Deployed []ModelInfo `json:"deployed,omitempty"`
-	// Loaded counts artifacts that decoded cleanly and were installed.
-	Loaded int `json:"loaded"`
-	// Quarantined counts blobs (artifacts or live markers) moved to the
-	// quarantine/ prefix this boot: corrupt, truncated, or mislabeled.
-	Quarantined int `json:"quarantined"`
-	// Skipped counts store keys ignored as not ours (foreign files in a
-	// store directory, previously quarantined blobs).
-	Skipped int `json:"skipped"`
-	// Degraded reports whether any quarantine, fallback, or skipped
-	// deployment happened — the "boot succeeded but a human should
-	// look" bit.
-	Degraded bool `json:"degraded,omitempty"`
-	// Details is the incident log: one line per quarantine, live-marker
-	// fallback, or abandoned deployment.
-	Details []string `json:"details,omitempty"`
-}
-
-// detailf appends one incident line.
-func (r *BootReport) detailf(format string, args ...any) {
-	r.Degraded = true
-	r.Details = append(r.Details, fmt.Sprintf(format, args...))
-}
-
 // WarmBoot replays the configured store into an empty registry: every
 // persisted version is decoded (checksums verified) and reinstalled
 // under its original version number, and each model's recorded live
-// deployment is restarted. On success /v1/healthz reports ready.
+// deployment is restarted at the marker's generation, the marker left
+// as written. It is the first run of the pass syncStore repeats
+// (replay.go), so a rebooted node re-adopts the cluster's generation
+// rather than minting one. On success /v1/healthz reports ready.
 // Models never deployed stay registered but cold, exactly as before
 // the restart; rollback to any persisted version keeps working because
-// all intact versions are reloaded, not just the live ones.
+// all intact versions are reloaded, not just the live ones. Retention
+// is not enforced here: the next Deploy or GC() catches up.
 //
 // WarmBoot survives damage instead of dying of it. A corrupt,
 // truncated, or mislabeled artifact is moved under the quarantine/
 // prefix and its version becomes a permanent hole; the rest of the
 // model's history still loads. A corrupt live marker — or one pointing
 // at a quarantined version — falls back to the model's highest intact
-// version. Only infrastructure failures (the store itself erroring)
-// abort the boot; data damage degrades it, and the BootReport says
-// exactly how.
+// version through Deploy. Only infrastructure failures (the store
+// itself erroring) abort the boot; data damage degrades it, and the
+// Report says exactly how.
 //
 // Without a store WarmBoot only flips the service ready. It must run
 // before the first Register (the registry must be empty so persisted
 // version numbers cannot collide with fresh ones).
-func (s *Service) WarmBoot() (*BootReport, error) {
+func (s *Service) WarmBoot() (*Report, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -841,76 +812,11 @@ func (s *Service) WarmBoot() (*BootReport, error) {
 		return nil, fmt.Errorf("service: warm boot requires an empty registry (%d entries present)", len(s.entries))
 	}
 	s.mu.Unlock()
-	rep := &BootReport{}
-	if s.opts.Store == nil {
-		s.ready.Store(true)
-		s.boot.Store(rep)
-		return rep, nil
-	}
-	r := &replay{
-		s: s, op: "warm boot", strict: true,
-		loaded: &rep.Loaded, quarantined: &rep.Quarantined, detailf: rep.detailf,
-	}
-	sc, err := r.scan()
-	if err != nil {
-		return nil, err
-	}
-	rep.Skipped = sc.skipped
-	// Rebuild each entry's version history. Versions that fail to
-	// decode are quarantined and leave holes; a model with no intact
-	// version at all is dropped (reported, not fatal).
-	for _, name := range sortedKeys(sc.versions) {
-		if _, err := r.install(name, sc.versions[name]); err != nil {
-			return nil, err
-		}
-	}
-
-	// Restart the recorded live deployments, falling back to the
-	// highest intact version when the recorded one (or the marker
-	// itself) did not survive. A model whose artifacts are all gone is
-	// reported and skipped — a degraded node that serves its intact
-	// models beats a dead one.
-	for _, name := range sortedKeys(sc.live) {
-		rec := sc.live[name]
-		e, err := s.entry(name)
-		if errors.Is(err, ErrNotFound) {
-			rep.detailf("live marker for %q but no intact artifacts; deployment lost", name)
-			continue
-		}
-		if err != nil {
+	rep := &Report{}
+	if s.opts.Store != nil {
+		if err := (&replay{s: s, boot: true, rep: rep}).run(); err != nil {
 			return nil, fmt.Errorf("service: warm boot: %w", err)
 		}
-		target := rec.Version
-		e.mu.Lock()
-		fallback := e.latest()
-		switch {
-		case rec.Version == 0:
-			target = fallback
-			rep.detailf("live marker for %q was damaged; deploying highest intact version v%d", name, target)
-		case e.version(target) == nil:
-			rep.detailf("live version v%d of %q is not intact; falling back to v%d", target, name, fallback)
-			target = fallback
-		default:
-			// Restoring an intact marker must not mint a new
-			// generation: a rebooting node re-adopts the cluster's
-			// current deployment rather than claiming a newer one. The
-			// Deploy below bumps gen by one, so seed it one below the
-			// marker's and the rewrite is generation-idempotent.
-			// Fallback deploys (the branches above) are genuinely new
-			// local decisions and keep the fresh generation Deploy
-			// assigns.
-			e.gen = rec.Gen - 1
-		}
-		e.mu.Unlock()
-		info, err := s.Deploy(name, target)
-		if err != nil {
-			// Deploying an intact version should only fail on store
-			// trouble (the live-marker write); leave the model cold and
-			// keep booting.
-			rep.detailf("redeploy %q v%d failed: %v", name, target, err)
-			continue
-		}
-		rep.Deployed = append(rep.Deployed, info)
 	}
 	s.ready.Store(true)
 	s.boot.Store(rep)

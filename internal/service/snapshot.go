@@ -80,8 +80,8 @@ func (s *Service) StatsSnapshot(name string) (StatsSnapshot, error) {
 // the wire transport's healthz reply: the status string ("warming up",
 // "ok", or "degraded") plus the warm boot's report once one has run.
 type Health struct {
-	Status string      `json:"status"`
-	Boot   *BootReport `json:"boot,omitempty"`
+	Status string  `json:"status"`
+	Boot   *Report `json:"boot,omitempty"`
 }
 
 // health reports the service's readiness state and whether it is ready

@@ -66,7 +66,7 @@ func TestSyncConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Loaded != 1 || len(rep.NewModels) != 1 || len(rep.Applied) != 1 {
+	if rep.Loaded != 1 || len(rep.NewModels) != 1 || len(rep.Deployed) != 1 {
 		t.Fatalf("sync report = %+v, want 1 loaded / 1 new / 1 applied", rep)
 	}
 	if rep.Quarantined != 0 || len(rep.Details) != 0 {
@@ -124,7 +124,7 @@ func TestSyncFollowsRedeploy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Loaded != 1 || len(rep.Applied) != 1 || rep.Applied[0].LiveVersion != 2 {
+	if rep.Loaded != 1 || len(rep.Deployed) != 1 || rep.Deployed[0].LiveVersion != 2 {
 		t.Fatalf("redeploy sync report = %+v, want v2 applied", rep)
 	}
 	p, err := b.Predict(ctx, "m", testStatements(1)[0])
@@ -172,7 +172,7 @@ func TestSyncLocalWinsTies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Applied) != 0 {
+	if len(rep.Deployed) != 0 {
 		t.Fatalf("tie-generation marker was applied: %+v", rep)
 	}
 	p, err := b.Predict(ctx, "m", testStatements(1)[0])
@@ -195,7 +195,7 @@ func TestSyncLocalWinsTies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Applied) != 1 {
+	if len(rep.Deployed) != 1 {
 		t.Fatalf("newer-generation marker not applied: %+v", rep)
 	}
 	p, err = b.Predict(ctx, "m", testStatements(1)[0])
@@ -388,7 +388,7 @@ func TestWatchStoreExitsOnClose(t *testing.T) {
 // deployments lost their pool overrides: the live marker still carries
 // admission/queue_size/replicas fields. Readers ignore them, so the
 // model redeploys at the same version and generation under the
-// template, and the marker is rewritten as just {version, gen}.
+// template, and the marker is left as written.
 func TestParentFormatStore(t *testing.T) {
 	store := NewMemStore()
 	m := trainCCNN(t, core.ErrorClassification)
@@ -431,8 +431,8 @@ func TestParentFormatStore(t *testing.T) {
 		t.Fatalf("boot report = %+v", rep)
 	}
 	predictsLike(a)
-	if marker, err := store.Get(liveKey("errors")); err != nil || string(marker) != `{"version":1,"gen":3}` {
-		t.Fatalf("rewritten live marker = %s, %v", marker, err)
+	if marker, err := store.Get(liveKey("errors")); err != nil || string(marker) != old {
+		t.Fatalf("live marker after boot = %s, %v; want it left as written", marker, err)
 	}
 	if info, err := json.Marshal(rep.Deployed[0]); err != nil || strings.Contains(string(info), `"deploy"`) {
 		t.Fatalf("ModelInfo JSON = %s, %v", info, err)
@@ -444,10 +444,15 @@ func TestParentFormatStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(srep.Applied) != 1 || srep.Applied[0].LiveVersion != 1 || srep.Quarantined != 0 {
+	if len(srep.Deployed) != 1 || srep.Deployed[0].LiveVersion != 1 || srep.Quarantined != 0 {
 		t.Fatalf("second node's sync = %+v", srep)
 	}
 	predictsLike(b)
+	for _, s := range []*Service{a, b} {
+		if gen := entryGen(t, s, "errors"); gen != 3 {
+			t.Fatalf("node serves v1 at gen %d, want the marker's 3", gen)
+		}
+	}
 	if again, err := a.syncStore(); err != nil || again.Changed() {
 		t.Fatalf("first node's next sync = %+v, %v; want nothing applied", again, err)
 	}
